@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <sstream>
 
 namespace polydab {
@@ -41,11 +40,16 @@ int Polynomial::Degree() const {
 }
 
 std::vector<VarId> Polynomial::Variables() const {
-  std::set<VarId> vars;
+  size_t n = 0;
+  for (const Monomial& t : terms_) n += t.powers().size();
+  std::vector<VarId> vars;
+  vars.reserve(n);
   for (const Monomial& t : terms_) {
-    for (const auto& [var, exp] : t.powers()) vars.insert(var);
+    for (const auto& [var, exp] : t.powers()) vars.push_back(var);
   }
-  return {vars.begin(), vars.end()};
+  std::sort(vars.begin(), vars.end());
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  return vars;
 }
 
 bool Polynomial::IsPositiveCoefficient() const {

@@ -110,6 +110,14 @@ TEST_F(PolyTest, VariablesSortedUnique) {
   EXPECT_EQ(vars[1], y_);
 }
 
+TEST_F(PolyTest, VariablesDeduplicateAcrossTerms) {
+  // Every variable recurs in several terms and the terms list them out of
+  // id order; the result is still each id once, ascending.
+  Polynomial p = P("v*y + u^2*x + x*y*v + y^3 + 7");
+  EXPECT_EQ(p.Variables(), (std::vector<VarId>{x_, y_, u_, v_}));
+  EXPECT_TRUE(P("5").Variables().empty());
+}
+
 TEST_F(PolyTest, SplitSignsReconstructs) {
   Polynomial p = P("3*x*y - u*v + 2*x - y");
   Polynomial pos, neg;
