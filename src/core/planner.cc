@@ -1,11 +1,13 @@
 #include "core/planner.h"
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
 #include <utility>
 
+#include "common/hash.h"
 #include "gp/solve_engine.h"
 #include "obs/trace.h"
 
@@ -20,11 +22,9 @@ void TracePlannerEvent(const PlannerConfig& config, obs::TraceEventKind kind,
                        int query, bool ok) {
   if (config.trace == nullptr) return;
   obs::TraceEvent e;
-  e.time = std::isnan(config.trace_time) ? config.trace->now()
-                                         : config.trace_time;
+  e.time = config.trace->now();
   e.kind = kind;
   e.node = config.trace_node;
-  e.thread = config.trace_thread;
   e.query = query;
   e.flag = ok ? 1 : 0;
   config.trace->Emit(e);
@@ -33,10 +33,13 @@ void TracePlannerEvent(const PlannerConfig& config, obs::TraceEventKind kind,
 /// PPQ sub-solver for the configured assignment method. The planner's
 /// telemetry registry (if any) is propagated into the GP solver options so
 /// one `PlannerConfig::registry` assignment instruments the whole stack.
+/// A non-null \p record receives the GP solve's SolveRecord.
 PpqSolver MakeSubSolver(const Vector& values, const Vector& rates,
-                        const PlannerConfig& config) {
+                        const PlannerConfig& config,
+                        gp::SolveRecord* record = nullptr) {
   DualDabParams dual = config.dual;
   if (dual.solver.registry == nullptr) dual.solver.registry = config.registry;
+  dual.solver.record = record;
   switch (config.method) {
     case AssignmentMethod::kOptimalRefresh:
       return [&values, &rates, dual](const PolynomialQuery& q,
@@ -86,6 +89,31 @@ Result<std::vector<PolynomialQuery>> SplitSubqueries(
       return std::vector<PolynomialQuery>{{query.id, p1 + p2, query.qab}};
   }
   return Status::Internal("unknown heuristic");
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+bool SameBits(const Vector& a, const Vector& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!SameBits(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+/// The `core.planner.*` increments of one ReplanPart call.
+void RecordReplan(obs::MetricRegistry* reg, const PlanPart& part, bool ok) {
+  reg->GetCounter("core.planner.replans")->Inc();
+  if (!part.subquery.IsLinearAggregate()) {
+    // Every replan is warm-started from the part's previous assignment;
+    // a hit is a warm solve that actually succeeded. Hit rate =
+    // hits / (hits + misses).
+    reg->GetCounter(ok ? "core.planner.warm_start_hits"
+                       : "core.planner.warm_start_misses")
+        ->Inc();
+  }
 }
 
 }  // namespace
@@ -187,7 +215,8 @@ Result<QueryPlan> PlanQueryParts(const PolynomialQuery& query,
 
 Result<QueryDabs> ReplanPart(const PlanPart& part, const Vector& values,
                              const Vector& rates,
-                             const PlannerConfig& config) {
+                             const PlannerConfig& config,
+                             gp::SolveRecord* solve) {
   obs::MetricRegistry* reg = config.registry;
   obs::ScopedTimer timer(
       reg == nullptr ? nullptr
@@ -195,21 +224,71 @@ Result<QueryDabs> ReplanPart(const PlanPart& part, const Vector& values,
   Result<QueryDabs> result =
       part.subquery.IsLinearAggregate()
           ? SolveLaq(part.subquery, rates, config.dual.ddm)
-          : MakeSubSolver(values, rates, config)(part.subquery, &part.dabs);
-  if (reg != nullptr) {
-    reg->GetCounter("core.planner.replans")->Inc();
-    if (!part.subquery.IsLinearAggregate()) {
-      // Every replan is warm-started from the part's previous assignment;
-      // a hit is a warm solve that actually succeeded. Hit rate =
-      // hits / (hits + misses).
-      reg->GetCounter(result.ok() ? "core.planner.warm_start_hits"
-                                  : "core.planner.warm_start_misses")
-          ->Inc();
+          : MakeSubSolver(values, rates, config, solve)(part.subquery,
+                                                        &part.dabs);
+  if (reg != nullptr) RecordReplan(reg, part, result.ok());
+  TraceReplan(config, part, result.ok());
+  return result;
+}
+
+void TraceReplan(const PlannerConfig& config, const PlanPart& part,
+                 bool ok) {
+  TracePlannerEvent(config, obs::TraceEventKind::kPlannerReplan,
+                    part.subquery.id, ok);
+}
+
+bool SameReplanInputs(const PlanPart& a, const PlanPart& b) {
+  const std::vector<Monomial>& ta = a.subquery.p.terms();
+  const std::vector<Monomial>& tb = b.subquery.p.terms();
+  if (!SameBits(a.subquery.qab, b.subquery.qab) || ta.size() != tb.size()) {
+    return false;
+  }
+  for (size_t k = 0; k < ta.size(); ++k) {
+    if (!SameBits(ta[k].coef(), tb[k].coef()) || !ta[k].SamePowers(tb[k])) {
+      return false;
     }
   }
-  TracePlannerEvent(config, obs::TraceEventKind::kPlannerReplan,
-                    part.subquery.id, result.ok());
-  return result;
+  const QueryDabs& da = a.dabs;
+  const QueryDabs& db = b.dabs;
+  return da.vars == db.vars && SameBits(da.primary, db.primary) &&
+         SameBits(da.secondary, db.secondary) &&
+         SameBits(da.recompute_rate, db.recompute_rate) &&
+         da.single_dab == db.single_dab && da.never_stale == db.never_stale;
+}
+
+uint64_t ReplanInputsHash(const PlanPart& part) {
+  uint64_t h = 0;
+  auto mix = [&h](uint64_t v) { h = Mix64(h ^ v); };
+  auto mix_double = [&mix](double v) { mix(std::bit_cast<uint64_t>(v)); };
+  mix_double(part.subquery.qab);
+  for (const Monomial& m : part.subquery.p.terms()) {
+    mix_double(m.coef());
+    for (const auto& [var, exp] : m.powers()) {
+      mix((static_cast<uint64_t>(static_cast<uint32_t>(var)) << 32) |
+          static_cast<uint32_t>(exp));
+    }
+  }
+  for (double b : part.dabs.primary) mix_double(b);
+  for (double c : part.dabs.secondary) mix_double(c);
+  return h;
+}
+
+Result<QueryDabs> ReplanPartByCopy(const PlanPart& part,
+                                   const Result<QueryDabs>& result,
+                                   const gp::SolveRecord& solve,
+                                   const PlannerConfig& config) {
+  obs::MetricRegistry* reg = config.registry;
+  obs::ScopedTimer timer(
+      reg == nullptr ? nullptr
+                     : reg->GetHistogram("core.planner.replan_seconds"));
+  Result<QueryDabs> copy = result;
+  // The solver registry the solving call used (see MakeSubSolver).
+  gp::ReplaySolveInstruments(config.dual.solver.registry != nullptr
+                                 ? config.dual.solver.registry
+                                 : reg,
+                             solve);
+  if (reg != nullptr) RecordReplan(reg, part, copy.ok());
+  return copy;
 }
 
 std::vector<Result<QueryDabs>> ReplanParts(
@@ -312,12 +391,7 @@ std::vector<Result<QueryDabs>> ReplanParts(
         reg->GetHistogram("core.planner.replan_seconds");
     for (size_t i = 0; i < np; ++i) {
       replan_s->Record(share);
-      reg->GetCounter("core.planner.replans")->Inc();
-      if (!parts[i]->subquery.IsLinearAggregate()) {
-        reg->GetCounter(out[i].ok() ? "core.planner.warm_start_hits"
-                                    : "core.planner.warm_start_misses")
-            ->Inc();
-      }
+      RecordReplan(reg, *parts[i], out[i].ok());
     }
   }
   return out;

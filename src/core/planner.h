@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <limits>
 #include <string>
 
 #include "common/status.h"
@@ -58,16 +57,6 @@ struct PlannerConfig {
   /// Not owned.
   obs::TraceSink* trace = nullptr;
   int32_t trace_node = -1;
-  /// Worker-side emission overrides for the real-thread lane runtime
-  /// (src/rt/, docs/CONCURRENCY.md). A planner running on a pool worker
-  /// must not read the sink's logical clock — the event loop advances it
-  /// concurrently — so the dispatcher pins the event timestamp here; NaN
-  /// (the default) means "stamp trace->now()". `trace_thread` tags the
-  /// planner events with the emitting worker (-1: the event-loop thread);
-  /// the canonical re-sort pass (obs/trace_canon.h) strips the tags.
-  /// Neither field is configuration, so Describe() ignores both.
-  double trace_time = std::numeric_limits<double>::quiet_NaN();
-  int32_t trace_thread = -1;
 
   /// One-line rendering of every knob, for run reports and test failures,
   /// e.g. "method=dual heuristic=ds ddm=mono mu=5".
@@ -110,10 +99,43 @@ Result<QueryPlan> PlanQueryParts(const PolynomialQuery& query,
 /// \brief Re-solve one part after its validity range was violated,
 /// warm-starting from the part's previous assignment. The part's subquery
 /// is fixed at PlanQueryParts time (the sign split does not depend on
-/// data values).
+/// data values). When \p solve is set it receives the GP solve's record
+/// (`solved` stays false for closed-form parts), for ReplanPartByCopy.
 Result<QueryDabs> ReplanPart(const PlanPart& part, const Vector& values,
                              const Vector& rates,
-                             const PlannerConfig& config);
+                             const PlannerConfig& config,
+                             gp::SolveRecord* solve = nullptr);
+
+/// \brief Emit the planner_replan event ReplanPart emits for \p part on
+/// `config.trace` (no-op when null), stamped with the sink's clock. For
+/// callers that solve a part ahead of its oracle slot with the trace
+/// detached and emit the event at that slot themselves (the simulator's
+/// threaded and batched refresh services).
+void TraceReplan(const PlannerConfig& config, const PlanPart& part, bool ok);
+
+/// True when \p a and \p b have bitwise-equal replan inputs: subquery
+/// terms (coefficients and powers), qab, and the warm assignment. The
+/// subquery id is excluded — only trace emission reads it — so with
+/// `config.trace` null, ReplanPart(a, ...) and ReplanPart(b, ...) return
+/// bitwise-equal results for the same values, rates and config. This is
+/// the EQI-equivalent case (§IV) of several users registering one query.
+bool SameReplanInputs(const PlanPart& a, const PlanPart& b);
+
+/// 64-bit digest of exactly the inputs SameReplanInputs compares. Equal
+/// inputs give equal digests; it only buckets, never decides equality.
+uint64_t ReplanInputsHash(const PlanPart& part);
+
+/// \brief ReplanPart for a part whose inputs are bitwise equal
+/// (SameReplanInputs) to one already re-solved under the same values,
+/// rates and config: returns a copy of that call's \p result, and counts
+/// into `config.registry` the `core.planner.*` and `gp.solver.*`
+/// increments ReplanPart would have made, replaying \p solve (the record
+/// the solving call filled) the way a memo hit does. The replan latency
+/// sample times the copy. Emits no trace event.
+Result<QueryDabs> ReplanPartByCopy(const PlanPart& part,
+                                   const Result<QueryDabs>& result,
+                                   const gp::SolveRecord& solve,
+                                   const PlannerConfig& config);
 
 /// \brief Re-solve many stale parts through one batched engine call
 /// (gp/solve_engine.h, docs/SOLVER.md). Results come back in input order
@@ -127,8 +149,8 @@ Result<QueryDabs> ReplanPart(const PlanPart& part, const Vector& values,
 ///
 /// Unlike `ReplanPart`, this does NOT emit planner_replan trace events:
 /// the caller interleaves each part's replan between its own
-/// recompute_start/end, so it re-emits the events at those exact slots
-/// (src/sim/simulation.cc's batched service pass).
+/// recompute_start/end, so it emits them at those exact slots with
+/// TraceReplan (src/sim/simulation.cc's batched service pass).
 std::vector<Result<QueryDabs>> ReplanParts(
     const std::vector<const PlanPart*>& parts, const Vector& values,
     const Vector& rates, const PlannerConfig& config,

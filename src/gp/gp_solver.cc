@@ -642,18 +642,27 @@ Result<GpSolution> SolveGp(const GpProblem& problem,
   if (options.engine != nullptr) {
     return options.engine->Solve(problem, options, warm_start);
   }
-  internal::SolveStats stats;
-  if (options.registry == nullptr) {
-    return internal::SolveGpUnrouted(problem, options, warm_start, &stats);
-  }
-  obs::MetricRegistry& reg = *options.registry;
-  obs::ScopedTimer timer(reg.GetHistogram("gp.solver.solve_seconds"));
+  SolveStats stats;
+  obs::MetricRegistry* reg = options.registry;
+  obs::ScopedTimer timer(
+      reg == nullptr ? nullptr : reg->GetHistogram("gp.solver.solve_seconds"));
   Result<GpSolution> result =
       internal::SolveGpUnrouted(problem, options, warm_start, &stats);
   timer.Stop();
-  internal::RecordSolveInstruments(&reg, stats, warm_start != nullptr,
+  internal::RecordSolveInstruments(reg, stats, warm_start != nullptr,
                                    result.ok());
+  if (options.record != nullptr) {
+    *options.record = {true, warm_start != nullptr, result.ok(), stats};
+  }
   return result;
+}
+
+void ReplaySolveInstruments(obs::MetricRegistry* registry,
+                            const SolveRecord& record) {
+  if (registry == nullptr || !record.solved) return;
+  registry->GetHistogram("gp.solver.solve_seconds")->Record(0.0);
+  internal::RecordSolveInstruments(registry, record.stats,
+                                   record.warm_started, record.ok);
 }
 
 }  // namespace polydab::gp

@@ -22,6 +22,27 @@ namespace polydab::gp {
 
 class SolveEngine;
 
+/// Per-solve work counters, always accumulated (trivially cheap ints) and
+/// flushed to the telemetry registry only when one is configured.
+struct SolveStats {
+  int newton_iterations = 0;       ///< all Newton work, incl. failed stages
+  int line_search_backtracks = 0;
+  int damped_stages = 0;           ///< centering stages rerun with damping
+  bool phase1 = false;
+  bool warm_feasible = false;      ///< warm start accepted AND solve used it
+  bool cold_restart = false;       ///< warm centering failed; retried cold
+};
+
+/// Everything one solve fed into the `gp.solver.*` instruments, so a
+/// caller that reuses the solve's result can replay them
+/// (ReplaySolveInstruments) exactly as a memo hit does.
+struct SolveRecord {
+  bool solved = false;  ///< a solve ran, or was served from the memo
+  bool warm_started = false;
+  bool ok = false;
+  SolveStats stats;
+};
+
 /// Tunables for the barrier method. Defaults solve every program in this
 /// codebase to ~1e-7 relative accuracy in well under a millisecond per
 /// hundred variables.
@@ -48,6 +69,10 @@ struct SolverOptions {
   /// match an engine-less run exactly. Null (the default) costs one
   /// branch per solve. Not owned; must outlive the solve.
   SolveEngine* engine = nullptr;
+  /// Optional out-parameter: every solve made with these options
+  /// overwrites it with its SolveRecord. Not configuration — the memo key
+  /// ignores it. Null (the default) costs one branch per solve. Not owned.
+  SolveRecord* record = nullptr;
 };
 
 /// Result of a successful solve.
@@ -68,6 +93,15 @@ struct GpSolution {
 Result<GpSolution> SolveGp(const GpProblem& problem,
                            const SolverOptions& options = SolverOptions(),
                            const Vector* warm_start = nullptr);
+
+/// \brief Count one more solve described by \p record into \p registry's
+/// `gp.solver.*` instruments: the counters and histograms the recorded
+/// solve itself fed, plus a zero `solve_seconds` sample because no solve
+/// runs. For callers that install one solve's result for several
+/// bitwise-equal programs (docs/CONCURRENCY.md). No-op on a null
+/// registry or an unsolved record.
+void ReplaySolveInstruments(obs::MetricRegistry* registry,
+                            const SolveRecord& record);
 
 }  // namespace polydab::gp
 

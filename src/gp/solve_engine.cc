@@ -132,9 +132,11 @@ struct SolveEngine::CacheEntry {
   GpProblem problem;
   bool has_warm = false;
   Vector warm;
-  SolverOptions numerics;  ///< registry/engine fields ignored
-  GpSolution solution;
-  internal::SolveStats stats;
+  SolverOptions numerics;  ///< registry/engine/record fields ignored
+  /// Shared so a hit can copy the solution after releasing the lock, even
+  /// if a concurrent insert evicts the entry meanwhile.
+  std::shared_ptr<const GpSolution> solution;
+  SolveStats stats;
 };
 
 SolveEngine::SolveEngine(const Options& options) : opts_(options) {}
@@ -172,6 +174,7 @@ Result<GpSolution> SolveEngine::SolveOne(const GpProblem& problem,
                                          StructEntry* entry) {
   SolverOptions inner = options;
   inner.engine = nullptr;
+  inner.record = nullptr;
   obs::MetricRegistry* sreg = inner.registry;
   obs::ScopedTimer timer(
       sreg == nullptr ? nullptr
@@ -179,29 +182,41 @@ Result<GpSolution> SolveEngine::SolveOne(const GpProblem& problem,
 
   const uint64_t key = KeyHash(problem, inner, warm_start);
   if (opts_.cache_entries > 0) {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto range = cache_index_.equal_range(key);
-    for (auto it = range.first; it != range.second; ++it) {
-      CacheEntry& e = *it->second;
-      if (ProblemEquals(e.problem, problem) &&
-          WarmEquals(e.has_warm, e.warm, warm_start != nullptr,
-                     warm_start != nullptr ? *warm_start : Vector()) &&
-          NumericsEqual(e.numerics, inner)) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        GpSolution sol = e.solution;
-        const internal::SolveStats stats = e.stats;
-        const bool warm_started = e.has_warm;
-        timer.Stop();
-        // Replay the memoized solve's gp.solver.* stats: the totals an
-        // engine-less run would have recorded for this (identical,
-        // deterministic) solve.
-        internal::RecordSolveInstruments(sreg, stats, warm_started, true);
-        if (opts_.registry != nullptr) {
-          opts_.registry->GetCounter("gp.engine.cache_hits")->Inc();
+    std::shared_ptr<const GpSolution> hit;
+    SolveStats stats;
+    {
+      std::lock_guard<std::mutex> lock(cache_mutex_);
+      auto range = cache_index_.equal_range(key);
+      for (auto it = range.first; it != range.second; ++it) {
+        CacheEntry& e = *it->second;
+        if (ProblemEquals(e.problem, problem) &&
+            WarmEquals(e.has_warm, e.warm, warm_start != nullptr,
+                       warm_start != nullptr ? *warm_start : Vector()) &&
+            NumericsEqual(e.numerics, inner)) {
+          lru_.splice(lru_.begin(), lru_, it->second);
+          hit = e.solution;
+          stats = e.stats;
+          break;
         }
-        return sol;
       }
+    }
+    if (hit != nullptr) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      GpSolution sol = *hit;
+      timer.Stop();
+      // Replay the memoized solve's gp.solver.* stats: the totals an
+      // engine-less run would have recorded for this (identical,
+      // deterministic) solve. A hit implies the warm-start presence
+      // matched the entry's.
+      const bool warm_started = warm_start != nullptr;
+      internal::RecordSolveInstruments(sreg, stats, warm_started, true);
+      if (options.record != nullptr) {
+        *options.record = {true, warm_started, true, stats};
+      }
+      if (opts_.registry != nullptr) {
+        opts_.registry->GetCounter("gp.engine.cache_hits")->Inc();
+      }
+      return sol;
     }
   }
 
@@ -210,7 +225,7 @@ Result<GpSolution> SolveEngine::SolveOne(const GpProblem& problem,
     opts_.registry->GetCounter("gp.engine.cache_misses")->Inc();
   }
 
-  internal::SolveStats stats;
+  SolveStats stats;
   Result<GpSolution> result{Status::Internal("not solved")};
   Status valid = internal::ValidateGpProblem(problem);
   if (!valid.ok()) {
@@ -242,6 +257,9 @@ Result<GpSolution> SolveEngine::SolveOne(const GpProblem& problem,
   timer.Stop();
   internal::RecordSolveInstruments(sreg, stats, warm_start != nullptr,
                                    result.ok());
+  if (options.record != nullptr) {
+    *options.record = {true, warm_start != nullptr, result.ok(), stats};
+  }
   if (opts_.registry != nullptr) {
     opts_.registry
         ->GetHistogram(stats.warm_feasible
@@ -251,16 +269,20 @@ Result<GpSolution> SolveEngine::SolveOne(const GpProblem& problem,
   }
 
   if (result.ok() && opts_.cache_entries > 0) {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    CacheEntry e;
+    // The entry (and its list node) is built before taking the lock and
+    // spliced in; evicted nodes are spliced out into the same list and
+    // freed after the lock is released.
+    std::list<CacheEntry> node(1);
+    CacheEntry& e = node.front();
     e.key = key;
     e.problem = problem;
     e.has_warm = warm_start != nullptr;
     if (warm_start != nullptr) e.warm = *warm_start;
     e.numerics = inner;
-    e.solution = *result;
+    e.solution = std::make_shared<const GpSolution>(*result);
     e.stats = stats;
-    lru_.push_front(std::move(e));
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    lru_.splice(lru_.begin(), node);
     cache_index_.emplace(key, lru_.begin());
     while (lru_.size() > static_cast<size_t>(opts_.cache_entries)) {
       auto victim = std::prev(lru_.end());
@@ -271,7 +293,7 @@ Result<GpSolution> SolveEngine::SolveOne(const GpProblem& problem,
           break;
         }
       }
-      lru_.pop_back();
+      node.splice(node.begin(), lru_, victim);
     }
   }
   return result;

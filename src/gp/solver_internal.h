@@ -68,17 +68,6 @@ struct Workspace {
   Matrix hblock; ///< phase-I per-constraint Hessian block
 };
 
-/// Per-solve work counters, always accumulated (trivially cheap ints) and
-/// flushed to the telemetry registry only when one is configured.
-struct SolveStats {
-  int newton_iterations = 0;       ///< all Newton work, incl. failed stages
-  int line_search_backtracks = 0;
-  int damped_stages = 0;           ///< centering stages rerun with damping
-  bool phase1 = false;
-  bool warm_feasible = false;      ///< warm start accepted AND solve used it
-  bool cold_restart = false;       ///< warm centering failed; retried cold
-};
-
 /// Validation shared by SolveGp and the engine: nonempty objective,
 /// positive num_vars, variable indices in range.
 Status ValidateGpProblem(const GpProblem& problem);

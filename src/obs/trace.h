@@ -199,13 +199,10 @@ bool ParseTraceEventKind(const std::string& name, TraceEventKind* out);
 /// and user notifications; serial runs leave it at -1 and emit byte-wise
 /// the same records as before the field existed.
 ///
-/// Real-thread runs (sim/simulation.h, threads > 0; docs/CONCURRENCY.md)
-/// additionally stamp `thread` — the pool worker that emitted the event —
-/// on the planner_replan events the workers produce. The canonical
-/// re-sort pass (obs/trace_canon.h) strips these tags and restores the
-/// single-threaded emission order, so canonicalized and single-threaded
-/// traces are byte-identical; threads = 0 runs never set the field and
-/// keep their exact historical bytes.
+/// `thread` names the pool worker that emitted an event. Real-thread runs
+/// (sim/simulation.h, threads > 0; docs/CONCURRENCY.md) emit everything
+/// on the event loop, so no run of this engine sets it; the field stays
+/// so that obs::CanonicalizeThreadedTrace can reject traces that do.
 struct TraceEvent {
   uint64_t id = 0;      ///< assigned by the sink; strictly increasing from 1
   double time = 0.0;    ///< simulation seconds

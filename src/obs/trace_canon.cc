@@ -1,8 +1,6 @@
 #include "obs/trace_canon.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <deque>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -10,9 +8,15 @@
 
 namespace polydab::obs {
 
-namespace {
-
-void StripRtInfoKeys(TraceFile* trace) {
+Status CanonicalizeThreadedTrace(TraceFile* trace) {
+  for (const TraceEvent& e : trace->events) {
+    if (e.thread != -1) {
+      return Status::InvalidArgument(
+          "trace_canon: event id=" + std::to_string(e.id) +
+          " is tagged with thread " + std::to_string(e.thread) +
+          "; threaded runs emit every event on the event loop");
+    }
+  }
   for (auto it = trace->info.begin(); it != trace->info.end();) {
     if (it->first.rfind("rt_", 0) == 0) {
       it = trace->info.erase(it);
@@ -20,115 +24,6 @@ void StripRtInfoKeys(TraceFile* trace) {
       ++it;
     }
   }
-}
-
-}  // namespace
-
-Status CanonicalizeThreadedTrace(TraceFile* trace) {
-  // The sink guarantees record order == id order; sort defensively so the
-  // pass also accepts parsed files whatever their line order was.
-  std::stable_sort(
-      trace->events.begin(), trace->events.end(),
-      [](const TraceEvent& a, const TraceEvent& b) { return a.id < b.id; });
-
-  bool any_tag = false;
-  for (const TraceEvent& e : trace->events) {
-    if (e.thread != -1) {
-      any_tag = true;
-      break;
-    }
-  }
-  if (!any_tag) {
-    // threads = 1..N run with no worker work, an already-canonical trace,
-    // or a plain serial trace: nothing to re-slot.
-    StripRtInfoKeys(trace);
-    return Status::OK();
-  }
-
-  int threads = 0;
-  auto info_it = trace->info.find("rt_threads");
-  if (info_it != trace->info.end()) {
-    threads = std::atoi(info_it->second.c_str());
-  }
-  if (threads < 1) {
-    return Status::InvalidArgument(
-        "trace_canon: thread-tagged events but no rt_threads info key");
-  }
-
-  // Worker w's replans, in emission (id) order — a FIFO per worker,
-  // matching the FIFO job ring that produced them.
-  std::vector<std::deque<TraceEvent>> pending(static_cast<size_t>(threads));
-  std::vector<TraceEvent> canon;
-  canon.reserve(trace->events.size());
-
-  for (TraceEvent& e : trace->events) {
-    if (e.thread != -1) {
-      if (e.kind != TraceEventKind::kPlannerReplan) {
-        return Status::InvalidArgument(
-            "trace_canon: thread tag on non-planner_replan event id=" +
-            std::to_string(e.id));
-      }
-      if (e.thread < 0 || e.thread >= threads) {
-        return Status::InvalidArgument(
-            "trace_canon: event id=" + std::to_string(e.id) +
-            " tagged with worker " + std::to_string(e.thread) +
-            " of " + std::to_string(threads));
-      }
-      pending[static_cast<size_t>(e.thread)].push_back(std::move(e));
-      continue;
-    }
-    if (e.kind == TraceEventKind::kRecomputeEnd && e.item != -1) {
-      // A refresh-service recompute: its GP re-solve ran on the worker
-      // its lane maps to (AAO recomputes carry item = -1 and solve on the
-      // event-loop thread). The worker's planner_replan was emitted
-      // before the event loop could emit this end record, so it is
-      // already pending; the oracle emits it immediately before the end.
-      const int lane = e.shard < 0 ? 0 : e.shard;
-      const size_t w = static_cast<size_t>(lane % threads);
-      if (pending[w].empty()) {
-        return Status::InvalidArgument(
-            "trace_canon: recompute_end id=" + std::to_string(e.id) +
-            " on lane " + std::to_string(lane) +
-            " has no pending worker replan");
-      }
-      TraceEvent replan = std::move(pending[w].front());
-      pending[w].pop_front();
-      replan.thread = -1;
-      canon.push_back(std::move(replan));
-    }
-    canon.push_back(std::move(e));
-  }
-  for (size_t w = 0; w < pending.size(); ++w) {
-    if (!pending[w].empty()) {
-      return Status::InvalidArgument(
-          "trace_canon: worker " + std::to_string(w) + " left " +
-          std::to_string(pending[w].size()) + " replans unmatched");
-    }
-  }
-
-  // Renumber 1..N in canonical order and remap every cause reference.
-  // Planner events are never cause targets, so re-slotting them cannot
-  // invert a cause edge; everything else kept its relative order.
-  std::unordered_map<uint64_t, uint64_t> id_map;
-  id_map.reserve(canon.size());
-  for (size_t i = 0; i < canon.size(); ++i) {
-    id_map.emplace(canon[i].id, static_cast<uint64_t>(i) + 1);
-  }
-  for (TraceEvent& e : canon) {
-    e.id = id_map.at(e.id);
-    if (e.cause != 0) {
-      auto it = id_map.find(e.cause);
-      if (it == id_map.end()) {
-        return Status::InvalidArgument(
-            "trace_canon: dangling cause reference " +
-            std::to_string(e.cause));
-      }
-      e.cause = it->second;
-    }
-  }
-
-  trace->events = std::move(canon);
-  StripRtInfoKeys(trace);
   return Status::OK();
 }
 

@@ -5,46 +5,25 @@
 #include "obs/trace.h"
 
 /// \file trace_canon.h
-/// Canonical re-sort of a thread-tagged trace (docs/CONCURRENCY.md).
+/// Trace canonicalizers: the passes that map a trace of a run with an
+/// invisible mode switched on onto the oracle run's trace.
 ///
-/// A real-thread run (sim/simulation.h, threads > 0) keeps the virtual
-/// clock and every protocol decision on the event-loop thread; the only
-/// events emitted from pool workers are the planner_replan records of the
-/// GP re-solves they execute. Those interleave with the event-loop stream
-/// in wall-clock completion order, which is nondeterministic — so a raw
-/// threaded trace differs from the single-threaded oracle only in where
-/// its thread-tagged planner_replan lines sit (and in the `thread` tags
-/// and `rt_*` info keys themselves).
-///
-/// CanonicalizeThreadedTrace restores the serial emission order exactly:
-///
-///  1. events are taken in id order (the sink guarantees record order ==
-///     id order);
-///  2. each thread-tagged planner_replan is re-slotted immediately before
-///     its matching refresh-service recompute_end — worker w's n-th
-///     replan pairs with the n-th recompute_end whose lane maps to w
-///     (lane % workers == w, serial lane -1 counting as 0) and whose
-///     `item` is set (AAO recompute pairs carry item = -1 and never run
-///     on workers). The pairing is exact because each worker's ring is
-///     FIFO and the event loop consumes results in dispatch order;
-///  3. ids are renumbered 1..N in the new order, `cause` references are
-///     remapped (planner events never serve as causes, so re-slotting
-///     cannot invert a cause edge), thread tags are cleared, and the
-///     `rt_*` info keys are dropped.
-///
-/// The result is byte-identical (TraceToJsonLines) to the trace the
-/// virtual-clock simulator produces for the same seed and config, which
-/// is what tests/threaded_diff_test.cc pins and what makes every
-/// trace_check invariant apply to threaded runs unchanged.
-///
-/// The pass is idempotent, and a no-op on traces with no thread tags.
+/// A real-thread run (sim/simulation.h, threads > 0; docs/CONCURRENCY.md)
+/// keeps the virtual clock, every protocol decision and every trace
+/// emission on the event-loop thread: pool workers solve GPs with no
+/// trace attached, and the event loop emits each planner_replan event at
+/// its serial slot between recompute_start and recompute_end. So a raw
+/// threaded trace differs from the threads = 0 oracle only in its `rt_*`
+/// info keys.
 
 namespace polydab::obs {
 
-/// In-place canonicalization. Fails (InvalidArgument) when the trace is
-/// not a plausible threaded capture: a thread tag on a non-planner event,
-/// a tagged replan with no matching recompute_end, leftover replans, or a
-/// dangling cause reference.
+/// In-place canonicalization of a threaded trace: drops the `rt_*` info
+/// keys, after which the trace is byte-identical (TraceToJsonLines) to
+/// the oracle's for the same seed and config — the property
+/// tests/threaded_diff_test.cc pins. Idempotent, and a no-op on serial
+/// traces. InvalidArgument when any event carries a `thread` tag, which
+/// no run of this engine emits.
 Status CanonicalizeThreadedTrace(TraceFile* trace);
 
 /// Remove the crash-recovery bookkeeping events (checkpoint_begin,

@@ -555,21 +555,31 @@ Result<SimMetrics> RunSimulation(
   State st;
 
   // Real-thread lane runtime (src/rt/, docs/CONCURRENCY.md). The pool is
-  // declared after `st` and after `solve_jobs` so its destructor joins
+  // declared after `st` and after `solve_groups` so its destructor joins
   // every worker before anything a job closure references is destroyed,
   // however the run exits. Each refresh service runs in two passes when
-  // threaded: pass 1 dispatches the stale parts' GP re-solves to the
-  // workers' SPSC rings, pass 2 is the unchanged serial loop consuming
+  // threaded: pass 1 groups the stale parts by bitwise-equal solve inputs
+  // and solves each group once, spread over the workers' SPSC rings and
+  // the event loop itself; pass 2 is the unchanged serial loop installing
   // the results in oracle order.
-  struct SolveJob {
+  struct SolveGroup {
+    const core::PlanPart* leader = nullptr;  // the part actually solved
+    uint64_t hash = 0;                       // core::ReplanInputsHash
     Result<QueryDabs> result{Status::Internal("rt: job not yet run")};
-    int worker = 0;
+    gp::SolveRecord solve;
+    int slot = 0;  // pool worker, or pool.workers() for the event loop
     uint64_t epoch = 0;
+    bool shared = false;  // other stale parts install copies of `result`
   };
-  std::deque<SolveJob> solve_jobs;  // deque: workers hold entry pointers
-  size_t next_solve_job = 0;
+  std::deque<SolveGroup> solve_groups;  // deque: workers hold entry pointers
+  std::vector<size_t> stale_groups;     // pass-1 stale parts -> their group
+  size_t next_stale = 0;
   int64_t solve_jobs_dispatched = 0;
   const bool threaded = config.threads > 0;
+  // Groups solve without the trace: the event loop emits each part's
+  // planner_replan event at its oracle slot in pass 2.
+  core::PlannerConfig solve_cfg = planner_cfg;
+  solve_cfg.trace = nullptr;
   // Batched serial engine (solve_batch > 0): pass 1 collects the stale
   // parts and re-solves them through core::ReplanParts; pass 2 is the
   // unchanged serial loop consuming `batch_results` in oracle order.
@@ -1525,6 +1535,33 @@ Result<SimMetrics> RunSimulation(
   const bool recompute_every_refresh =
       planner_cfg.method != core::AssignmentMethod::kDualDab;
 
+  // Pass 1 of the threaded and batched refresh services: visit the parts
+  // a refresh of ev.item makes stale, in the serial loop's order and with
+  // exactly its reads — no RNG draw, no emission. The set is stable
+  // across the two passes because a part's anchors and secondary DABs
+  // only move at its own install, and each part appears at most once per
+  // service.
+  auto for_each_stale_part = [&](const Event& ev, auto&& visit) {
+    for (int qi : st.item_queries[static_cast<size_t>(ev.item)]) {
+      core::QueryPlan& plan = st.plans[static_cast<size_t>(qi)];
+      for (size_t pi = 0; pi < plan.parts.size(); ++pi) {
+        core::PlanPart& part = plan.parts[pi];
+        const int idx = part.dabs.IndexOf(static_cast<VarId>(ev.item));
+        if (idx < 0) continue;
+        if (part.dabs.never_stale) continue;
+        if (!recompute_every_refresh) {
+          const double anchor = st.anchors[static_cast<size_t>(qi)][pi]
+                                          [static_cast<size_t>(idx)];
+          const double drift = std::fabs(ev.value - anchor);
+          const double limit = part.dabs.secondary[static_cast<size_t>(idx)] *
+                               (1.0 + config.violation_tol);
+          if (drift <= limit) continue;
+        }
+        visit(part);
+      }
+    }
+  };
+
   // Deliver all messages with arrival time <= now. DAB-change events that
   // a recomputation emits at `now` (e.g. under zero delays) are picked up
   // within the same call. Non-OK only on the threaded path: a worker
@@ -1650,89 +1687,67 @@ Result<SimMetrics> RunSimulation(
       st.view[static_cast<size_t>(ev.item)] = ev.value;
       view_eval.Update(static_cast<VarId>(ev.item), ev.value);
       if (threaded) {
-        // Pass 1: decide the stale-part set — exactly the reads the
-        // serial loop below makes, with no RNG draw and no emission —
-        // and dispatch each part's re-solve to its lane's worker
-        // (lane % workers). The set is stable across the two passes
-        // because a part's anchors and secondary DABs only move at its
-        // own install, and each part appears at most once per service.
-        // Workers read st.view / rates / the part concurrently; the
-        // event loop mutates none of them until the job's epoch is
-        // awaited in pass 2.
-        solve_jobs.clear();
-        next_solve_job = 0;
-        for (int qi : st.item_queries[static_cast<size_t>(ev.item)]) {
-          core::QueryPlan& plan = st.plans[static_cast<size_t>(qi)];
-          for (size_t pi = 0; pi < plan.parts.size(); ++pi) {
-            core::PlanPart& part = plan.parts[pi];
-            const int idx = part.dabs.IndexOf(static_cast<VarId>(ev.item));
-            if (idx < 0) continue;
-            if (part.dabs.never_stale) continue;
-            if (!recompute_every_refresh) {
-              const double anchor = st.anchors[static_cast<size_t>(qi)][pi]
-                                              [static_cast<size_t>(idx)];
-              const double drift = std::fabs(ev.value - anchor);
-              const double limit =
-                  part.dabs.secondary[static_cast<size_t>(idx)] *
-                  (1.0 + config.violation_tol);
-              if (drift <= limit) continue;
-            }
-            const int w = st.query_shard[static_cast<size_t>(qi)] %
-                          pool.workers();
-            core::PlannerConfig wcfg = planner_cfg;
-            wcfg.trace_time = ev.time;
-            wcfg.trace_thread = w;
-            solve_jobs.emplace_back();
-            SolveJob& job = solve_jobs.back();
-            job.worker = w;
-            const bool abort_job =
-                ++solve_jobs_dispatched == config.rt_fail_at;
-            core::PlanPart* jp = &part;
-            job.epoch = pool.Dispatch(
-                w,
-                [&job, jp, &view = st.view, &rates, wcfg, abort_job]() {
-                  if (abort_job) {
-                    return Status::Internal(
-                        "rt: injected worker abort (rt_fail_at)");
-                  }
-                  job.result = core::ReplanPart(*jp, view, rates, wcfg);
-                  return Status::OK();
-                });
+        // Pass 1: group the stale parts by bitwise-equal solve inputs
+        // (core::SameReplanInputs; the hash only picks candidates) and
+        // solve each group's leader once. Groups go round-robin to slots
+        // 0..workers: the pool workers, then the event loop, which solves
+        // its share inline once the others are dispatched. Solvers read
+        // st.view / rates / the leader part concurrently; the event loop
+        // mutates none of them until the group's epoch is awaited in
+        // pass 2.
+        solve_groups.clear();
+        stale_groups.clear();
+        next_stale = 0;
+        const int loop_slot = pool.workers();
+        const size_t slots = static_cast<size_t>(loop_slot) + 1;
+        for_each_stale_part(ev, [&](core::PlanPart& part) {
+          const uint64_t hash = core::ReplanInputsHash(part);
+          size_t g = 0;
+          while (g < solve_groups.size() &&
+                 !(solve_groups[g].hash == hash &&
+                   core::SameReplanInputs(*solve_groups[g].leader, part))) {
+            ++g;
           }
+          stale_groups.push_back(g);
+          if (g < solve_groups.size()) {
+            solve_groups[g].shared = true;
+            return;
+          }
+          SolveGroup& group = solve_groups.emplace_back();
+          group.leader = &part;
+          group.hash = hash;
+          group.slot = static_cast<int>(g % slots);
+          if (group.slot == loop_slot) return;
+          const bool abort_job =
+              ++solve_jobs_dispatched == config.rt_fail_at;
+          group.epoch = pool.Dispatch(
+              group.slot, [&group, &view = st.view, &rates, &solve_cfg,
+                           abort_job]() {
+                if (abort_job) {
+                  return Status::Internal(
+                      "rt: injected worker abort (rt_fail_at)");
+                }
+                group.result = core::ReplanPart(*group.leader, view, rates,
+                                                solve_cfg, &group.solve);
+                return Status::OK();
+              });
+        });
+        for (SolveGroup& group : solve_groups) {
+          if (group.slot != loop_slot) continue;
+          group.result = core::ReplanPart(*group.leader, st.view, rates,
+                                          solve_cfg, &group.solve);
         }
       }
       if (batched) {
-        // Pass 1 (batched serial engine): decide the stale-part set with
-        // exactly the reads the serial loop below makes — the set is
-        // stable across the two passes for the same reason as the
-        // threaded pass 1 above — and re-solve it through the engine in
-        // chunks of at most config.solve_batch programs. Results are
-        // bit-identical to per-part ReplanPart calls (core::ReplanParts),
-        // and solve inputs cannot change between the passes: installs
-        // only mutate a part's own dabs/anchors, and each part appears at
-        // most once per service.
+        // Pass 1 (batched serial engine): re-solve the stale parts
+        // through the engine in chunks of at most config.solve_batch
+        // programs. Results are bit-identical to per-part ReplanPart
+        // calls (core::ReplanParts).
         batch_parts.clear();
         batch_results.clear();
         next_batch_result = 0;
-        for (int qi : st.item_queries[static_cast<size_t>(ev.item)]) {
-          core::QueryPlan& plan = st.plans[static_cast<size_t>(qi)];
-          for (size_t pi = 0; pi < plan.parts.size(); ++pi) {
-            core::PlanPart& part = plan.parts[pi];
-            const int idx = part.dabs.IndexOf(static_cast<VarId>(ev.item));
-            if (idx < 0) continue;
-            if (part.dabs.never_stale) continue;
-            if (!recompute_every_refresh) {
-              const double anchor = st.anchors[static_cast<size_t>(qi)][pi]
-                                              [static_cast<size_t>(idx)];
-              const double drift = std::fabs(ev.value - anchor);
-              const double limit =
-                  part.dabs.secondary[static_cast<size_t>(idx)] *
-                  (1.0 + config.violation_tol);
-              if (drift <= limit) continue;
-            }
-            batch_parts.push_back(&part);
-          }
-        }
+        for_each_stale_part(
+            ev, [&](core::PlanPart& part) { batch_parts.push_back(&part); });
         for (size_t off = 0; off < batch_parts.size();
              off += static_cast<size_t>(config.solve_batch)) {
           const size_t len =
@@ -1835,41 +1850,43 @@ Result<SimMetrics> RunSimulation(
           lane_busy[lane] += delays.RecomputeCpu();
           Result<QueryDabs> fresh = Status::Internal("rt: unreached");
           if (threaded) {
-            // Pass 2 consumes the dispatched solves in the exact serial
-            // order pass 1 produced them; the epoch await is the only
-            // synchronization a result needs before its install.
-            if (next_solve_job >= solve_jobs.size()) {
+            // Pass 2 consumes the groups in the exact serial order pass 1
+            // found the stale parts; the epoch await is the only
+            // synchronization a result needs before its install. A part
+            // other than its group's leader installs a copy of the
+            // leader's result — exact, because ReplanPart is a pure
+            // function of the inputs the group shares plus the view and
+            // rates every solve of this service reads.
+            if (next_stale >= stale_groups.size()) {
               return Status::Internal(
                   "rt: serial replay found a stale part pass 1 did not "
-                  "dispatch");
+                  "solve");
             }
-            SolveJob& job = solve_jobs[next_solve_job++];
-            POLYDAB_RETURN_NOT_OK(pool.AwaitEpoch(job.worker, job.epoch));
-            fresh = std::move(job.result);
-            // The worker emitted the planner_replan event; the serial
-            // oracle emits it here, between start and end — the
-            // canonical re-sort (obs/trace_canon.h) restores that slot.
+            SolveGroup& group = solve_groups[stale_groups[next_stale++]];
+            if (group.slot < pool.workers()) {
+              POLYDAB_RETURN_NOT_OK(pool.AwaitEpoch(group.slot, group.epoch));
+            }
+            if (group.leader != &part) {
+              fresh = core::ReplanPartByCopy(part, group.result, group.solve,
+                                             planner_cfg);
+            } else if (group.shared) {
+              fresh = group.result;
+            } else {
+              fresh = std::move(group.result);
+            }
+            core::TraceReplan(planner_cfg, part, fresh.ok());
           } else if (batched) {
             // The batched pass already solved this part; consume in the
-            // exact order pass 1 produced, and emit the planner_replan
-            // event at the serial oracle's slot — core::ReplanParts
-            // emits none, precisely so this site can place it between
-            // recompute_start and recompute_end.
+            // exact order pass 1 produced. core::ReplanParts emits no
+            // planner_replan event, precisely so this site can place it
+            // between recompute_start and recompute_end.
             if (next_batch_result >= batch_results.size()) {
               return Status::Internal(
                   "solve_batch: serial replay found a stale part pass 1 "
                   "did not solve");
             }
             fresh = std::move(batch_results[next_batch_result++]);
-            if (trace != nullptr) {
-              obs::TraceEvent e;
-              e.time = trace->now();
-              e.kind = obs::TraceEventKind::kPlannerReplan;
-              e.node = tnode;
-              e.query = part.subquery.id;
-              e.flag = fresh.ok() ? 1 : 0;
-              trace->Emit(e);
-            }
+            core::TraceReplan(planner_cfg, part, fresh.ok());
           } else {
             fresh = core::ReplanPart(part, st.view, rates, planner_cfg);
           }
@@ -1904,10 +1921,9 @@ Result<SimMetrics> RunSimulation(
                            /*emit_item_barriers=*/true);
         }
       }
-      if (threaded && next_solve_job != solve_jobs.size()) {
+      if (threaded && next_stale != stale_groups.size()) {
         return Status::Internal(
-            "rt: pass 1 dispatched solves the serial replay never "
-            "consumed");
+            "rt: pass 1 solved parts the serial replay never consumed");
       }
       if (batched && next_batch_result != batch_results.size()) {
         return Status::Internal(

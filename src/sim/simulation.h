@@ -184,25 +184,29 @@ struct SimConfig {
   /// byte-identical to every earlier build. With N >= 1 the run starts an
   /// rt::LanePool of N `std::jthread` workers and executes the
   /// deterministic per-part GP re-solves — the dominant cost of every
-  /// refresh service — on them: each service dispatches its stale parts
-  /// to the workers' lock-free SPSC rings (a part's worker is its lane
-  /// modulo N), then replays the service in exact oracle order, awaiting
-  /// each solve's epoch just before its install. Virtual time, RNG draws
-  /// and all protocol decisions stay on the event-loop thread, so
-  /// metrics, registry and the canonicalized trace
+  /// refresh service — on them: each service groups its stale parts by
+  /// bitwise-equal solve inputs, solves each distinct group once —
+  /// round-robin over the workers' lock-free SPSC rings and the event
+  /// loop itself — then replays the service in exact oracle order,
+  /// awaiting each solve's epoch just before its install and copying
+  /// the result to the group's other parts. Virtual time, RNG draws,
+  /// trace emission and all protocol decisions stay on the event-loop
+  /// thread, so metrics, registry totals and the canonicalized trace
   /// (obs/trace_canon.h) are byte-identical to the threads = 0 oracle
   /// under the same seed — enforced by tests/threaded_diff_test.cc.
-  /// Incompatible with `series` (the recorder folds the raw emission
-  /// order). Excluded from Describe() so threaded and oracle run reports
-  /// stay comparable; the trace instead carries `rt_threads` /
-  /// `rt_queue_cap` info keys, stripped by canonicalization.
+  /// Incompatible with `series`. Excluded from Describe() so threaded
+  /// and oracle run reports stay comparable; the trace instead carries
+  /// `rt_threads` / `rt_queue_cap` info keys, stripped by
+  /// canonicalization.
   int threads = 0;
   /// Per-worker SPSC job-ring capacity (rounded up to a power of two);
   /// dispatch yield-spins while a ring is full. Only read when
   /// threads > 0; must then be >= 1.
   int rt_queue_cap = 256;
   /// Fault hook for the worker-abort path (tools/partial_metrics.cmake):
-  /// the k-th dispatched solve job (1-based, in dispatch order) fails
+  /// the k-th solve job dispatched to a pool worker (1-based, in dispatch
+  /// order; the event loop's inline share and the copies installed for
+  /// duplicate parts are not jobs) fails
   /// with an internal error inside the worker, which latches the pool
   /// failure and aborts the run through the normal status=failed partial
   /// metrics machinery. 0 (the default) = never. Only read when

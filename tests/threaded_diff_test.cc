@@ -17,6 +17,12 @@
 //  4. threads=0 purity: the default config must keep reproducing the
 //     pre-threading serial goldens bit-for-bit, and its serialized
 //     trace must not mention the thread vocabulary at all.
+//  5. In-service dedup: on a query set where four users registered each
+//     query, stale parts with bitwise-equal solve inputs are solved once
+//     and the copies installed; traces, SimMetrics and every
+//     core.planner.* / gp.solver.* instrument total must still equal the
+//     threads=0 engine-off oracle's. The equality predicate itself is
+//     unit-tested bit by bit.
 //
 // The failure path (rt_fail_at worker abort) and config validation ride
 // along. The whole binary is labelled `threads`, so the threads-tsan /
@@ -25,9 +31,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
+#include "core/planner.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -342,12 +350,293 @@ TEST_F(ThreadedDiffTest, CanonicalizationIsIdempotent) {
 }
 
 TEST_F(ThreadedDiffTest, WorkerAbortFailsTheRunWithTheInjectedError) {
-  SimConfig c = Config(core::AssignmentMethod::kOptimalRefresh, 2, 2);
-  c.rt_fail_at = 1;
-  auto m = RunSimulation(queries_, traces_, rates_, c);
-  ASSERT_FALSE(m.ok());
-  EXPECT_NE(m.status().ToString().find("abort"), std::string::npos)
-      << m.status().ToString();
+  {
+    SimConfig c = Config(core::AssignmentMethod::kOptimalRefresh, 2, 2);
+    c.rt_fail_at = 1;
+    auto m = RunSimulation(queries_, traces_, rates_, c);
+    ASSERT_FALSE(m.ok());
+    EXPECT_NE(m.status().ToString().find("abort"), std::string::npos)
+        << m.status().ToString();
+  }
+  // rt_fail_at counts pool-dispatched jobs only. Two queries over the
+  // same two items, each registered by four users: under Optimal Refresh
+  // every service of either item has 8 stale parts in 2 distinct groups.
+  // With one worker, group 0 goes to the pool and group 1 is the event
+  // loop's inline share, so a run dispatches recomputations / 8 jobs —
+  // not /4 (inline solves counted) and not /1 (copies counted).
+  const Vector v0 = traces_.Snapshot(0);
+  const Polynomial pa =
+      Polynomial::FromMonomial(Monomial(1.0, {{0, 1}, {1, 1}}));
+  const Polynomial pb =
+      Polynomial::FromMonomial(Monomial(2.0, {{0, 2}, {1, 1}}));
+  std::vector<PolynomialQuery> qs;
+  for (int k = 0; k < 4; ++k) {
+    qs.push_back({2 * k, pa, 0.01 * pa.Evaluate(v0)});
+    qs.push_back({2 * k + 1, pb, 0.01 * pb.Evaluate(v0)});
+  }
+  SimConfig c = Config(core::AssignmentMethod::kOptimalRefresh, 1, 1);
+  auto clean = RunSimulation(qs, traces_, rates_, c);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_GT(clean->recomputations, 0);
+  ASSERT_EQ(clean->recomputations % 8, 0);
+  const int64_t pool_jobs = clean->recomputations / 8;
+  ASSERT_GE(pool_jobs, 2);
+  for (int64_t k : {pool_jobs - 1, pool_jobs}) {
+    c.rt_fail_at = k;
+    auto failed = RunSimulation(qs, traces_, rates_, c);
+    ASSERT_FALSE(failed.ok()) << "rt_fail_at=" << k;
+    EXPECT_NE(failed.status().ToString().find("abort"), std::string::npos)
+        << failed.status().ToString();
+  }
+  c.rt_fail_at = pool_jobs + 1;
+  auto past = RunSimulation(qs, traces_, rates_, c);
+  ASSERT_TRUE(past.ok()) << past.status().ToString();
+  ExpectMetricsEqual(*past, *clean, "rt_fail_at past the last pool job");
+}
+
+TEST_F(ThreadedDiffTest, RawThreadedTraceMatchesOracleUpToRtInfoKeys) {
+  // Every event of a threaded run is emitted on the event loop at its
+  // serial slot, so the raw trace needs no re-sort: dropping the rt_*
+  // info keys by hand — not through the canonicalizer — must already
+  // give the oracle's bytes.
+  for (core::AssignmentMethod method :
+       {core::AssignmentMethod::kDualDab,
+        core::AssignmentMethod::kOptimalRefresh}) {
+    SCOPED_TRACE(core::Name(method));
+    SimMetrics ignored;
+    const std::string oracle = RunRendered(Config(method, 2, 0), &ignored);
+    ASSERT_FALSE(oracle.empty());
+    obs::TraceSink sink;
+    SimConfig c = Config(method, 2, 3);
+    c.trace = &sink;
+    ASSERT_TRUE(RunSimulation(queries_, traces_, rates_, c).ok());
+    obs::TraceFile raw = sink.Collect();
+    ASSERT_EQ(raw.info.erase("rt_threads"), 1u);
+    ASSERT_EQ(raw.info.erase("rt_queue_cap"), 1u);
+    EXPECT_EQ(obs::TraceToJsonLines(raw), oracle);
+  }
+}
+
+TEST_F(ThreadedDiffTest, CanonicalizerRejectsThreadTaggedEvents) {
+  obs::TraceSink sink;
+  SimConfig c = Config(core::AssignmentMethod::kDualDab, 2, 2);
+  c.trace = &sink;
+  ASSERT_TRUE(RunSimulation(queries_, traces_, rates_, c).ok());
+  obs::TraceFile trace = sink.Collect();
+  ASSERT_FALSE(trace.events.empty());
+  trace.events.back().thread = 0;
+  Status canon = obs::CanonicalizeThreadedTrace(&trace);
+  ASSERT_FALSE(canon.ok());
+  EXPECT_NE(canon.ToString().find("thread"), std::string::npos)
+      << canon.ToString();
+}
+
+/// The shared fixture's workload with every query registered by four
+/// users (the paper's EQI-equivalent case, §IV): copies keep their own
+/// ids, in four consecutive blocks so a group's copies are interleaved
+/// with other groups in service order.
+class DuplicatedQueryTest : public ThreadedDiffTest {
+ protected:
+  static std::vector<PolynomialQuery> Quadruple(
+      const std::vector<PolynomialQuery>& base) {
+    std::vector<PolynomialQuery> out;
+    for (int copy = 0; copy < 4; ++copy) {
+      for (PolynomialQuery q : base) {
+        q.id = static_cast<int>(out.size());
+        out.push_back(std::move(q));
+      }
+    }
+    return out;
+  }
+
+  void SetUp() override {
+    ThreadedDiffTest::SetUp();
+    portfolio_ = Quadruple(
+        std::vector<PolynomialQuery>(queries_.begin(), queries_.begin() + 6));
+    Rng rng(99);
+    workload::QueryGenConfig qc;
+    qc.num_items = 24;
+    qc.min_pairs = 1;
+    qc.max_pairs = 2;
+    general_ = Quadruple(*workload::GenerateArbitrageQueries(
+        5, qc, traces_.Snapshot(0), /*dependent=*/true, &rng));
+  }
+
+  std::vector<PolynomialQuery> portfolio_;
+  std::vector<PolynomialQuery> general_;
+};
+
+struct DupCase {
+  const char* name;
+  core::AssignmentMethod method;
+  core::GeneralPqHeuristic heuristic;
+  bool general;
+};
+
+constexpr DupCase kDupCases[] = {
+    {"dual", core::AssignmentMethod::kDualDab,
+     core::GeneralPqHeuristic::kDifferentSum, false},
+    {"optimal", core::AssignmentMethod::kOptimalRefresh,
+     core::GeneralPqHeuristic::kDifferentSum, false},
+    {"general_hh", core::AssignmentMethod::kDualDab,
+     core::GeneralPqHeuristic::kHalfAndHalf, true},
+    {"general_ds", core::AssignmentMethod::kDualDab,
+     core::GeneralPqHeuristic::kDifferentSum, true},
+};
+
+TEST_F(DuplicatedQueryTest, DedupedServicesMatchOracle) {
+  for (const DupCase& dc : kDupCases) {
+    queries_ = dc.general ? general_ : portfolio_;
+    for (int shards : {1, 4}) {
+      SimConfig base = Config(dc.method, shards, 0);
+      base.planner.heuristic = dc.heuristic;
+      SimMetrics oracle_metrics;
+      const std::string oracle = RunRendered(base, &oracle_metrics);
+      ASSERT_FALSE(oracle.empty());
+      for (int threads : {1, 2, 3}) {
+        SCOPED_TRACE(std::string(dc.name) +
+                     " shards=" + std::to_string(shards) +
+                     " threads=" + std::to_string(threads));
+        SimConfig c = base;
+        c.threads = threads;
+        SimMetrics got_metrics;
+        const std::string got = RunRendered(c, &got_metrics);
+        ASSERT_FALSE(got.empty());
+        EXPECT_EQ(got, oracle);
+        ExpectMetricsEqual(got_metrics, oracle_metrics, "vs oracle");
+      }
+    }
+  }
+}
+
+/// Every instrument \p oracle exports must report the same counter value
+/// and histogram sample count in \p got, and the same histogram sum
+/// wherever it is not wall time.
+void ExpectInstrumentTotalsMatch(const obs::MetricRegistry& oracle,
+                                 obs::MetricRegistry* got) {
+  int compared = 0;
+  for (const auto& entry : oracle.Entries()) {
+    if (entry.kind == obs::InstrumentKind::kCounter) {
+      EXPECT_EQ(got->GetCounter(entry.name)->value(), entry.counter->value())
+          << entry.name;
+      ++compared;
+    } else if (entry.kind == obs::InstrumentKind::kHistogram) {
+      EXPECT_EQ(got->GetHistogram(entry.name)->count(),
+                entry.histogram->count())
+          << entry.name;
+      if (entry.name.find("seconds") == std::string::npos) {
+        EXPECT_EQ(got->GetHistogram(entry.name)->sum(),
+                  entry.histogram->sum())
+            << entry.name;
+      }
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 10);  // the walk saw the real export, not a stub
+}
+
+TEST_F(DuplicatedQueryTest, InstrumentTotalsMatchEngineOffOracle) {
+  // A part that installs a copy replays the solve's core.planner.* and
+  // gp.solver.* increments like a memo hit does, so the threaded runs'
+  // totals equal the threads=0 engine-off oracle's, with and without the
+  // memo underneath.
+  for (const DupCase& dc : {kDupCases[1], kDupCases[2]}) {
+    queries_ = dc.general ? general_ : portfolio_;
+    SimConfig base = Config(dc.method, 2, 0);
+    base.planner.heuristic = dc.heuristic;
+    obs::MetricRegistry oracle_reg;
+    SimConfig oracle_cfg = base;
+    oracle_cfg.registry = &oracle_reg;
+    ASSERT_TRUE(RunSimulation(queries_, traces_, rates_, oracle_cfg).ok());
+    ASSERT_GT(oracle_reg.GetCounter("gp.solver.solves")->value(), 0);
+    for (int threads : {1, 3}) {
+      for (int cache : {0, 256}) {
+        SCOPED_TRACE(std::string(dc.name) +
+                     " threads=" + std::to_string(threads) +
+                     " solve_cache=" + std::to_string(cache));
+        obs::MetricRegistry reg;
+        SimConfig c = base;
+        c.threads = threads;
+        c.solve_cache = cache;
+        c.registry = &reg;
+        ASSERT_TRUE(RunSimulation(queries_, traces_, rates_, c).ok());
+        ExpectInstrumentTotalsMatch(oracle_reg, &reg);
+        if (cache > 0) {
+          // The copies never reached the engine: it saw strictly fewer
+          // solves than the solver instruments count.
+          const int64_t lookups =
+              reg.GetCounter("gp.engine.cache_hits")->value() +
+              reg.GetCounter("gp.engine.cache_misses")->value();
+          EXPECT_GT(lookups, 0);
+          EXPECT_LT(lookups, reg.GetCounter("gp.solver.solves")->value());
+        }
+      }
+    }
+  }
+}
+
+/// A bilinear two-part-item PPQ with a solved-looking warm assignment.
+core::PlanPart MakePart(int id) {
+  core::PlanPart part;
+  part.subquery.id = id;
+  part.subquery.p =
+      Polynomial::FromMonomial(Monomial(1.5, {{0, 1}, {1, 1}})) +
+      Polynomial::FromMonomial(Monomial(0.25, {{1, 2}}));
+  part.subquery.qab = 3.0;
+  part.dabs.vars = {0, 1};
+  part.dabs.primary = {0.125, 0.5};
+  part.dabs.secondary = {0.25, 1.0};
+  part.dabs.recompute_rate = 0.75;
+  return part;
+}
+
+double NextUp(double v) { return std::nextafter(v, HUGE_VAL); }
+
+TEST(ReplanDedupTest, PartsDifferingOnlyInIdMerge) {
+  const core::PlanPart a = MakePart(1);
+  const core::PlanPart b = MakePart(7);
+  EXPECT_TRUE(core::SameReplanInputs(a, b));
+  EXPECT_EQ(core::ReplanInputsHash(a), core::ReplanInputsHash(b));
+}
+
+TEST(ReplanDedupTest, OneWarmDabBitKeepsPartsApart) {
+  const core::PlanPart a = MakePart(1);
+  core::PlanPart b = MakePart(1);
+  b.dabs.primary[1] = NextUp(b.dabs.primary[1]);
+  EXPECT_FALSE(core::SameReplanInputs(a, b));
+  b = MakePart(1);
+  b.dabs.secondary[0] = NextUp(b.dabs.secondary[0]);
+  EXPECT_FALSE(core::SameReplanInputs(a, b));
+  b = MakePart(1);
+  b.dabs.recompute_rate = NextUp(b.dabs.recompute_rate);
+  EXPECT_FALSE(core::SameReplanInputs(a, b));
+  // Equal as values, different as bits: still apart.
+  core::PlanPart z = MakePart(1);
+  z.dabs.primary[0] = 0.0;
+  core::PlanPart nz = MakePart(1);
+  nz.dabs.primary[0] = -0.0;
+  EXPECT_FALSE(core::SameReplanInputs(z, nz));
+}
+
+TEST(ReplanDedupTest, OneCoefficientBitKeepsPartsApart) {
+  const core::PlanPart a = MakePart(1);
+  core::PlanPart b = MakePart(1);
+  b.subquery.p =
+      Polynomial::FromMonomial(Monomial(NextUp(1.5), {{0, 1}, {1, 1}})) +
+      Polynomial::FromMonomial(Monomial(0.25, {{1, 2}}));
+  EXPECT_FALSE(core::SameReplanInputs(a, b));
+  // Same coefficients on different powers.
+  b.subquery.p =
+      Polynomial::FromMonomial(Monomial(1.5, {{0, 1}, {1, 1}})) +
+      Polynomial::FromMonomial(Monomial(0.25, {{0, 2}}));
+  EXPECT_FALSE(core::SameReplanInputs(a, b));
+}
+
+TEST(ReplanDedupTest, OneQabBitKeepsPartsApart) {
+  const core::PlanPart a = MakePart(1);
+  core::PlanPart b = MakePart(1);
+  b.subquery.qab = NextUp(b.subquery.qab);
+  EXPECT_FALSE(core::SameReplanInputs(a, b));
 }
 
 TEST_F(ThreadedDiffTest, InvalidThreadConfigsAreRejected) {

@@ -756,10 +756,9 @@ int main(int argc, char** argv) {
   const std::string trace_out = Get(args, "trace_out", "");
   const std::string flame_out = Get(args, "flame_out", "");
   obs::TraceSink sink;
-  // A threaded run's raw emission order interleaves worker-tagged events,
-  // so its trace is captured in memory and canonicalized
-  // (obs/trace_canon.h) before anything reaches disk; streaming is the
-  // threads=0 path only. A restarted run also captures in memory — its
+  // A threaded run's trace is captured in memory and canonicalized
+  // (obs/trace_canon.h drops its rt_* info keys) before anything reaches
+  // disk; streaming is the threads=0 path only. A restarted run also captures in memory — its
   // events must be merged with the crashed invocation's before saving.
   if (!trace_out.empty() && threads == 0 && restart_from.empty()) {
     Status streaming = sink.StreamTo(trace_out);
@@ -833,9 +832,7 @@ int main(int argc, char** argv) {
       // restart's resume id (the checkpoint's trace_next_id) are spliced
       // in front — everything at or past it was re-emitted by the WAL
       // replay — producing one complete id space. Threaded runs are
-      // canonicalized as a whole only after the merge, because the
-      // canonical renumbering would otherwise destroy the id alignment
-      // the splice depends on.
+      // canonicalized as a whole after the merge.
       obs::TraceFile trace = sink.Collect();
       if (!merge_trace.empty()) {
         Result<obs::TraceFile> crashed_trace =
@@ -887,9 +884,8 @@ int main(int argc, char** argv) {
       }
     } else if (threads > 0) {
       obs::TraceFile trace = sink.Collect();
-      // A crashed capture is saved with its raw worker-tagged id space:
-      // the restart invocation merges it before canonicalizing, and a
-      // canonical renumbering here would break that alignment.
+      // A crashed capture is saved raw: the restart invocation merges
+      // it and canonicalizes the merged trace.
       if (!rc.crashed) {
         Status canon = obs::CanonicalizeThreadedTrace(&trace);
         if (!canon.ok()) {
