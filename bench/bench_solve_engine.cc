@@ -1,23 +1,21 @@
-// Batched/memoizing solve-engine sweep (src/gp/solve_engine.h,
-// docs/SOLVER.md): wall clock and recomputes/sec vs the SimConfig
-// solve-batch / solve-cache knobs on a saturated coordinator — every
-// refresh recomputes (kOptimalRefresh), and each base portfolio query is
-// duplicated across several simulated users, so EQI-equivalent parts
-// produce bitwise-identical GPs for the memo to collapse. Every
-// deterministic protocol counter must be identical across the whole
-// sweep (byte-identity is the engine's core contract — the bench
+// Memoizing solve-engine sweep (src/gp/solve_engine.h, docs/SOLVER.md):
+// wall clock and recomputes/sec vs the SimConfig solve-cache knob on a
+// saturated coordinator — every refresh recomputes (kOptimalRefresh), and
+// each base portfolio query is duplicated across several simulated users,
+// so EQI-equivalent parts produce bitwise-identical GPs for the memo to
+// collapse. Every deterministic protocol counter must be identical across
+// the whole sweep (byte-identity is the engine's core contract — the bench
 // hard-fails otherwise), so the only columns allowed to move are the
-// wall-clock ones and the engine's own hit/miss telemetry. Mirrors the
-// table into BENCH_solve_engine.json; the ctest gate
-// (bench_solve_engine_gate) re-runs the quick scale and diffs it against
-// the committed baseline with bench_compare, which tolerates only the
-// *_s / *_seconds fields.
+// wall-clock ones and the engine's own hit/miss telemetry. Mirrors the table
+// into BENCH_solve_engine.json; the ctest gate (bench_solve_engine_gate)
+// re-runs the quick scale and diffs it against the committed baseline with
+// bench_compare, which tolerates only the *_s / *_seconds fields.
 //
 // Scales: POLYDAB_BENCH_QUICK=1 is the seconds-long ctest scale,
-// REPRO_FULL=1 the paper scale, default in between. The speedup column
-// is where the >=3x recomputes/sec acceptance shows up: the duplicated
-// queries make the cache hit rate high enough that the full engine row
-// clears it at the default scale.
+// REPRO_FULL=1 the paper scale, default in between. The speedup column is
+// where the >=3x recomputes/sec acceptance shows up: the duplicated
+// queries make the cache hit rate high enough that the cache row clears it
+// at the default scale.
 
 #include <cstdio>
 #include <cstdlib>
@@ -38,7 +36,6 @@ bool QuickScale() {
 
 struct Row {
   std::string config;
-  int solve_batch;
   int solve_cache;
   int64_t refreshes;
   int64_t recomputations;
@@ -78,13 +75,11 @@ int Run() {
 
   struct Knobs {
     const char* label;
-    int batch, cache;
+    int cache;
   };
   const std::vector<Knobs> sweep = {
-      {"engine-off", 0, 0},
-      {"cache", 0, 4096},
-      {"batch", 16, 0},
-      {"batch+cache", 16, 4096},
+      {"engine-off", 0},
+      {"cache", 4096},
   };
 
   std::vector<Row> rows;
@@ -96,7 +91,6 @@ int Run() {
     c.planner.method = core::AssignmentMethod::kOptimalRefresh;
     c.planner.dual.mu = 1.0;
     c.seed = 99;
-    c.solve_batch = k.batch;
     c.solve_cache = k.cache;
     obs::MetricRegistry reg;
     c.registry = &reg;
@@ -113,7 +107,7 @@ int Run() {
       m = *r;
     }
     rows.push_back(
-        Row{k.label, k.batch, k.cache, m.refreshes, m.recomputations,
+        Row{k.label, k.cache, m.refreshes, m.recomputations,
             m.dab_change_messages, m.user_notifications, m.solver_failures,
             m.mean_fidelity_loss_pct,
             reg.GetCounter("gp.engine.cache_hits")->value(),
@@ -121,9 +115,9 @@ int Run() {
             timer.registry()->GetHistogram(section)->sum()});
   }
 
-  // The contract the whole PR hangs on: the engine knobs are invisible
-  // to every protocol-level outcome. A single diverged counter makes the
-  // wall-clock column meaningless, so fail hard.
+  // The engine's contract: the memo is invisible to every protocol-level
+  // outcome. A single diverged counter makes the wall-clock column
+  // meaningless, so fail hard.
   for (const Row& r : rows) {
     const Row& oracle = rows.front();
     if (r.refreshes != oracle.refreshes ||
@@ -142,7 +136,7 @@ int Run() {
     }
   }
 
-  Table t({"config", "batch", "cache", "recomps", "hits", "misses",
+  Table t({"config", "cache", "recomps", "hits", "misses",
            "wall_s", "recomps/s", "speedup"});
   const double oracle_wall = rows.front().wall_seconds;
   for (const Row& r : rows) {
@@ -150,8 +144,7 @@ int Run() {
         r.wall_seconds > 0.0
             ? static_cast<double>(r.recomputations) / r.wall_seconds
             : 0.0;
-    t.AddRow({r.config, Fmt(static_cast<int64_t>(r.solve_batch)),
-              Fmt(static_cast<int64_t>(r.solve_cache)),
+    t.AddRow({r.config, Fmt(static_cast<int64_t>(r.solve_cache)),
               Fmt(r.recomputations), Fmt(r.cache_hits),
               Fmt(r.cache_misses), Fmt(r.wall_seconds, 3), Fmt(rps, 1),
               Fmt(r.wall_seconds > 0.0 ? oracle_wall / r.wall_seconds : 0.0,
@@ -178,13 +171,13 @@ int Run() {
             : 0.0;
     std::fprintf(
         f,
-        "  {\"config\": \"%s\", \"solve_batch\": %d, \"solve_cache\": %d, "
+        "  {\"config\": \"%s\", \"solve_cache\": %d, "
         "\"refreshes\": %lld, \"recomputations\": %lld, "
         "\"dab_changes\": %lld, \"user_notifications\": %lld, "
         "\"solver_failures\": %lld, \"mean_fidelity_loss_pct\": %.17g, "
         "\"cache_hits\": %lld, \"cache_misses\": %lld, "
         "\"wall_seconds\": %.6f, \"recomputes_per_s\": %.1f}%s\n",
-        r.config.c_str(), r.solve_batch, r.solve_cache,
+        r.config.c_str(), r.solve_cache,
         static_cast<long long>(r.refreshes),
         static_cast<long long>(r.recomputations),
         static_cast<long long>(r.dab_changes),

@@ -2,16 +2,14 @@
 
 namespace polydab::core {
 
-Result<DualDabProgram> BuildDualDabProgram(const PolynomialQuery& query,
-                                           const Vector& values,
-                                           const Vector& rates,
-                                           const DualDabParams& params,
-                                           const QueryDabs* warm) {
+Result<QueryDabs> SolveDualDab(const PolynomialQuery& query,
+                               const Vector& values, const Vector& rates,
+                               const DualDabParams& params,
+                               const QueryDabs* warm) {
   if (params.mu <= 0.0) {
     return Status::InvalidArgument("mu must be positive");
   }
-  DualDabProgram prog;
-  GpVarMap& map = prog.map;
+  GpVarMap map;
   map.vars = query.p.Variables();
   map.has_secondary = true;
   const size_t k = map.vars.size();
@@ -20,7 +18,7 @@ Result<DualDabProgram> BuildDualDabProgram(const PolynomialQuery& query,
   }
   const int r_index = static_cast<int>(2 * k);  // R after b's and c's
 
-  gp::GpProblem& gp_problem = prog.gp;
+  gp::GpProblem gp_problem;
   gp_problem.num_vars = static_cast<int>(2 * k + 1);
 
   // Objective: refresh stream + mu * recompute stream.
@@ -58,25 +56,24 @@ Result<DualDabProgram> BuildDualDabProgram(const PolynomialQuery& query,
     gp_problem.constraints.push_back(std::move(rec));
   }
 
-  if (warm != nullptr && warm->vars == map.vars &&
-      warm->recompute_rate > 0.0) {
-    prog.warm_x.reserve(2 * k + 1);
-    prog.warm_x.insert(prog.warm_x.end(), warm->primary.begin(),
-                       warm->primary.end());
-    prog.warm_x.insert(prog.warm_x.end(), warm->secondary.begin(),
-                       warm->secondary.end());
-    prog.warm_x.push_back(warm->recompute_rate);
-    prog.has_warm = true;
+  // Warm start: the previous (b, c, R) packed in variable order.
+  Vector warm_x;
+  const bool has_warm = warm != nullptr && warm->vars == map.vars &&
+                        warm->recompute_rate > 0.0;
+  if (has_warm) {
+    warm_x.reserve(2 * k + 1);
+    warm_x.insert(warm_x.end(), warm->primary.begin(), warm->primary.end());
+    warm_x.insert(warm_x.end(), warm->secondary.begin(),
+                  warm->secondary.end());
+    warm_x.push_back(warm->recompute_rate);
   }
-  return prog;
-}
 
-QueryDabs ExtractDualDab(const DualDabProgram& prog,
-                         const gp::GpSolution& sol) {
-  const size_t k = prog.map.vars.size();
-  const int r_index = static_cast<int>(2 * k);
+  POLYDAB_ASSIGN_OR_RETURN(
+      gp::GpSolution sol,
+      SolveGp(gp_problem, params.solver, has_warm ? &warm_x : nullptr));
+
   QueryDabs out;
-  out.vars = prog.map.vars;
+  out.vars = map.vars;
   out.primary.assign(sol.x.begin(), sol.x.begin() + static_cast<long>(k));
   out.secondary.assign(sol.x.begin() + static_cast<long>(k),
                        sol.x.begin() + static_cast<long>(2 * k));
@@ -89,20 +86,6 @@ QueryDabs ExtractDualDab(const DualDabProgram& prog,
     }
   }
   return out;
-}
-
-Result<QueryDabs> SolveDualDab(const PolynomialQuery& query,
-                               const Vector& values, const Vector& rates,
-                               const DualDabParams& params,
-                               const QueryDabs* warm) {
-  POLYDAB_ASSIGN_OR_RETURN(
-      DualDabProgram prog,
-      BuildDualDabProgram(query, values, rates, params, warm));
-  POLYDAB_ASSIGN_OR_RETURN(
-      gp::GpSolution sol,
-      SolveGp(prog.gp, params.solver,
-              prog.has_warm ? &prog.warm_x : nullptr));
-  return ExtractDualDab(prog, sol);
 }
 
 }  // namespace polydab::core

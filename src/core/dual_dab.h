@@ -42,28 +42,6 @@ Result<QueryDabs> SolveDualDab(const PolynomialQuery& query,
                                const DualDabParams& params = DualDabParams(),
                                const QueryDabs* warm = nullptr);
 
-/// The assembled GP of one Dual-DAB solve, split out so a batch of
-/// programs can be handed to `gp::SolveEngine::SolveBatch` in one call
-/// (core::ReplanParts, docs/SOLVER.md). By construction
-///   BuildDualDabProgram + SolveGp + ExtractDualDab  ==  SolveDualDab
-/// bit for bit: Build performs exactly the assembly SolveDualDab performs
-/// before its solve, and Extract exactly the read-out after it.
-struct DualDabProgram {
-  gp::GpProblem gp;
-  GpVarMap map;
-  Vector warm_x;          ///< packed (b, c, R) warm point
-  bool has_warm = false;  ///< warm point accepted (vars match, R > 0)
-};
-
-Result<DualDabProgram> BuildDualDabProgram(const PolynomialQuery& query,
-                                           const Vector& values,
-                                           const Vector& rates,
-                                           const DualDabParams& params,
-                                           const QueryDabs* warm);
-
-QueryDabs ExtractDualDab(const DualDabProgram& prog,
-                         const gp::GpSolution& sol);
-
 }  // namespace polydab::core
 
 #endif  // POLYDAB_CORE_DUAL_DAB_H_

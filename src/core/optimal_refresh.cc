@@ -2,12 +2,13 @@
 
 namespace polydab::core {
 
-Result<OptimalRefreshProgram> BuildOptimalRefreshProgram(
-    const PolynomialQuery& query, const Vector& values, const Vector& rates,
-    DataDynamicsModel ddm, const QueryDabs* warm) {
-  OptimalRefreshProgram prog;
-  prog.ddm = ddm;
-  GpVarMap& map = prog.map;
+Result<QueryDabs> SolveOptimalRefresh(const PolynomialQuery& query,
+                                      const Vector& values,
+                                      const Vector& rates,
+                                      DataDynamicsModel ddm,
+                                      const gp::SolverOptions& options,
+                                      const QueryDabs* warm) {
+  GpVarMap map;
   map.vars = query.p.Variables();
   map.has_secondary = false;
   const size_t k = map.vars.size();
@@ -15,7 +16,7 @@ Result<OptimalRefreshProgram> BuildOptimalRefreshProgram(
     return Status::InvalidArgument("query has no variables");
   }
 
-  gp::GpProblem& gp_problem = prog.gp;
+  gp::GpProblem gp_problem;
   gp_problem.num_vars = static_cast<int>(k);
   for (size_t i = 0; i < k; ++i) {
     AddRateTerm(ddm, rates[static_cast<size_t>(map.vars[i])],
@@ -26,19 +27,13 @@ Result<OptimalRefreshProgram> BuildOptimalRefreshProgram(
       SingleDabCondition(query.p, values, query.qab, map));
   gp_problem.constraints.push_back(std::move(cond));
 
-  if (warm != nullptr && warm->vars == map.vars) {
-    prog.warm_x = warm->primary;
-    prog.has_warm = true;
-  }
-  return prog;
-}
+  const bool has_warm = warm != nullptr && warm->vars == map.vars;
+  POLYDAB_ASSIGN_OR_RETURN(
+      gp::GpSolution sol,
+      SolveGp(gp_problem, options, has_warm ? &warm->primary : nullptr));
 
-QueryDabs ExtractOptimalRefresh(const OptimalRefreshProgram& prog,
-                                const Vector& rates,
-                                const gp::GpSolution& sol) {
-  const size_t k = prog.map.vars.size();
   QueryDabs out;
-  out.vars = prog.map.vars;
+  out.vars = map.vars;
   out.primary = sol.x;
   out.secondary = sol.x;  // mirrors primary; see single_dab below
   out.single_dab = true;
@@ -46,26 +41,11 @@ QueryDabs ExtractOptimalRefresh(const OptimalRefreshProgram& prog,
   // is the total refresh rate.
   double total = 0.0;
   for (size_t i = 0; i < k; ++i) {
-    total += MessageRate(prog.ddm, rates[static_cast<size_t>(prog.map.vars[i])],
+    total += MessageRate(ddm, rates[static_cast<size_t>(map.vars[i])],
                          sol.x[i]);
   }
   out.recompute_rate = total;
   return out;
-}
-
-Result<QueryDabs> SolveOptimalRefresh(const PolynomialQuery& query,
-                                      const Vector& values,
-                                      const Vector& rates,
-                                      DataDynamicsModel ddm,
-                                      const gp::SolverOptions& options,
-                                      const QueryDabs* warm) {
-  POLYDAB_ASSIGN_OR_RETURN(
-      OptimalRefreshProgram prog,
-      BuildOptimalRefreshProgram(query, values, rates, ddm, warm));
-  POLYDAB_ASSIGN_OR_RETURN(
-      gp::GpSolution sol,
-      SolveGp(prog.gp, options, prog.has_warm ? &prog.warm_x : nullptr));
-  return ExtractOptimalRefresh(prog, rates, sol);
 }
 
 }  // namespace polydab::core

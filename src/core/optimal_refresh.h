@@ -34,27 +34,6 @@ Result<QueryDabs> SolveOptimalRefresh(
     const gp::SolverOptions& options = gp::SolverOptions(),
     const QueryDabs* warm = nullptr);
 
-/// The assembled GP of one refresh-optimal solve, split out so a batch of
-/// programs can be handed to `gp::SolveEngine::SolveBatch` in one call
-/// (core::ReplanParts, docs/SOLVER.md). By construction
-///   BuildOptimalRefreshProgram + SolveGp + ExtractOptimalRefresh
-/// equals SolveOptimalRefresh bit for bit.
-struct OptimalRefreshProgram {
-  gp::GpProblem gp;
-  GpVarMap map;
-  Vector warm_x;          ///< previous primary DABs
-  bool has_warm = false;  ///< warm point accepted (vars match)
-  DataDynamicsModel ddm = DataDynamicsModel::kMonotonic;
-};
-
-Result<OptimalRefreshProgram> BuildOptimalRefreshProgram(
-    const PolynomialQuery& query, const Vector& values, const Vector& rates,
-    DataDynamicsModel ddm, const QueryDabs* warm);
-
-QueryDabs ExtractOptimalRefresh(const OptimalRefreshProgram& prog,
-                                const Vector& rates,
-                                const gp::GpSolution& sol);
-
 }  // namespace polydab::core
 
 #endif  // POLYDAB_CORE_OPTIMAL_REFRESH_H_

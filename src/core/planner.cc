@@ -1,14 +1,12 @@
 #include "core/planner.h"
 
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
 #include <utility>
 
 #include "common/hash.h"
-#include "gp/solve_engine.h"
 #include "obs/trace.h"
 
 namespace polydab::core {
@@ -289,112 +287,6 @@ Result<QueryDabs> ReplanPartByCopy(const PlanPart& part,
                              solve);
   if (reg != nullptr) RecordReplan(reg, part, copy.ok());
   return copy;
-}
-
-std::vector<Result<QueryDabs>> ReplanParts(
-    const std::vector<const PlanPart*>& parts, const Vector& values,
-    const Vector& rates, const PlannerConfig& config,
-    gp::SolveEngine* engine) {
-  const auto t_begin = std::chrono::steady_clock::now();
-  obs::MetricRegistry* reg = config.registry;
-  DualDabParams dual = config.dual;
-  if (dual.solver.registry == nullptr) dual.solver.registry = reg;
-
-  const size_t np = parts.size();
-  std::vector<Result<QueryDabs>> out(
-      np, Result<QueryDabs>(Status::Internal("not solved")));
-
-  // Assembly pass: closed-form parts solve inline; GP parts accumulate
-  // their programs so the engine sees the whole stale set at once. The
-  // method is uniform across the batch, so exactly one of the two program
-  // vectors is populated.
-  std::vector<size_t> gp_idx;
-  std::vector<DualDabProgram> dual_progs;
-  std::vector<OptimalRefreshProgram> opt_progs;
-  for (size_t i = 0; i < np; ++i) {
-    const PlanPart& part = *parts[i];
-    if (part.subquery.IsLinearAggregate()) {
-      out[i] = SolveLaq(part.subquery, rates, dual.ddm);
-      continue;
-    }
-    switch (config.method) {
-      case AssignmentMethod::kWsDab:
-        out[i] = SolveWsDab(part.subquery, values);
-        break;
-      case AssignmentMethod::kDualDab: {
-        Result<DualDabProgram> prog = BuildDualDabProgram(
-            part.subquery, values, rates, dual, &part.dabs);
-        if (!prog.ok()) {
-          out[i] = prog.status();
-          break;
-        }
-        gp_idx.push_back(i);
-        dual_progs.push_back(std::move(prog).value());
-        break;
-      }
-      case AssignmentMethod::kOptimalRefresh: {
-        Result<OptimalRefreshProgram> prog = BuildOptimalRefreshProgram(
-            part.subquery, values, rates, dual.ddm, &part.dabs);
-        if (!prog.ok()) {
-          out[i] = prog.status();
-          break;
-        }
-        gp_idx.push_back(i);
-        opt_progs.push_back(std::move(prog).value());
-        break;
-      }
-    }
-  }
-
-  // One engine round-trip for every GP in the stale set.
-  if (!gp_idx.empty()) {
-    const bool is_dual = config.method == AssignmentMethod::kDualDab;
-    std::vector<gp::SolveEngine::BatchItem> items;
-    items.reserve(gp_idx.size());
-    for (size_t j = 0; j < gp_idx.size(); ++j) {
-      gp::SolveEngine::BatchItem item;
-      if (is_dual) {
-        item.problem = &dual_progs[j].gp;
-        item.warm_start =
-            dual_progs[j].has_warm ? &dual_progs[j].warm_x : nullptr;
-      } else {
-        item.problem = &opt_progs[j].gp;
-        item.warm_start =
-            opt_progs[j].has_warm ? &opt_progs[j].warm_x : nullptr;
-      }
-      items.push_back(item);
-    }
-    std::vector<Result<gp::GpSolution>> sols =
-        engine->SolveBatch(items, dual.solver);
-    for (size_t j = 0; j < gp_idx.size(); ++j) {
-      if (!sols[j].ok()) {
-        out[gp_idx[j]] = sols[j].status();
-      } else if (is_dual) {
-        out[gp_idx[j]] = ExtractDualDab(dual_progs[j], sols[j].value());
-      } else {
-        out[gp_idx[j]] =
-            ExtractOptimalRefresh(opt_progs[j], rates, sols[j].value());
-      }
-    }
-  }
-
-  // Instrument totals identical to np individual ReplanPart calls: one
-  // replan_seconds sample per part (an equal share of the batch wall
-  // time — the histogram's count is the invariant the diff harness
-  // checks; wall values are machine noise either way), one replans
-  // increment per part, and a warm hit/miss per GP-method part.
-  if (reg != nullptr && np > 0) {
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t_begin;
-    const double share = dt.count() / static_cast<double>(np);
-    obs::Histogram* replan_s =
-        reg->GetHistogram("core.planner.replan_seconds");
-    for (size_t i = 0; i < np; ++i) {
-      replan_s->Record(share);
-      RecordReplan(reg, *parts[i], out[i].ok());
-    }
-  }
-  return out;
 }
 
 StalenessWidening WideningFor(const PolynomialQuery& query, VarId item,

@@ -110,7 +110,7 @@ Result<QueryDabs> ReplanPart(const PlanPart& part, const Vector& values,
 /// `config.trace` (no-op when null), stamped with the sink's clock. For
 /// callers that solve a part ahead of its oracle slot with the trace
 /// detached and emit the event at that slot themselves (the simulator's
-/// threaded and batched refresh services).
+/// threaded refresh service).
 void TraceReplan(const PlannerConfig& config, const PlanPart& part, bool ok);
 
 /// True when \p a and \p b have bitwise-equal replan inputs: subquery
@@ -136,25 +136,6 @@ Result<QueryDabs> ReplanPartByCopy(const PlanPart& part,
                                    const Result<QueryDabs>& result,
                                    const gp::SolveRecord& solve,
                                    const PlannerConfig& config);
-
-/// \brief Re-solve many stale parts through one batched engine call
-/// (gp/solve_engine.h, docs/SOLVER.md). Results come back in input order
-/// and each is bit-identical to what `ReplanPart` on that part alone
-/// would return: the GP programs are assembled by the same Build step the
-/// per-part solvers use, the engine only groups/memoizes bitwise-equal
-/// work, and closed-form parts (LAQs, WS-DAB) solve inline. The
-/// `core.planner.*` and `gp.solver.*` instrument totals on
-/// `config.registry` also match N individual calls (replan_seconds gets
-/// one sample per part, each an equal share of the batch wall time).
-///
-/// Unlike `ReplanPart`, this does NOT emit planner_replan trace events:
-/// the caller interleaves each part's replan between its own
-/// recompute_start/end, so it emits them at those exact slots with
-/// TraceReplan (src/sim/simulation.cc's batched service pass).
-std::vector<Result<QueryDabs>> ReplanParts(
-    const std::vector<const PlanPart*>& parts, const Vector& values,
-    const Vector& rates, const PlannerConfig& config,
-    gp::SolveEngine* engine);
 
 /// Staleness-aware bound widening (the robustness protocol's graceful
 /// degradation, docs/ROBUSTNESS.md): when an item's source lease expires,

@@ -60,7 +60,7 @@ struct SolverOptions {
   /// outcome. Null (the default) costs one branch per solve and nothing
   /// else. Not owned; must outlive the solve.
   obs::MetricRegistry* registry = nullptr;
-  /// Optional batched/memoizing solve server (gp/solve_engine.h,
+  /// Optional memoizing solve server (gp/solve_engine.h,
   /// docs/SOLVER.md). When set, `SolveGp` routes through it: results are
   /// bit-identical to the direct path by construction (the engine only
   /// returns memoized solutions for bitwise-equal inputs and otherwise

@@ -168,10 +168,9 @@ void SolveEngine::ReleaseStruct(StructEntry* entry) {
   vec.emplace_back(entry);
 }
 
-Result<GpSolution> SolveEngine::SolveOne(const GpProblem& problem,
-                                         const SolverOptions& options,
-                                         const Vector* warm_start,
-                                         StructEntry* entry) {
+Result<GpSolution> SolveEngine::Solve(const GpProblem& problem,
+                                      const SolverOptions& options,
+                                      const Vector* warm_start) {
   SolverOptions inner = options;
   inner.engine = nullptr;
   inner.record = nullptr;
@@ -231,10 +230,8 @@ Result<GpSolution> SolveEngine::SolveOne(const GpProblem& problem,
   if (!valid.ok()) {
     result = valid;
   } else {
-    StructEntry* se = entry;
     const uint64_t sig = internal::ShapeSignature(problem);
-    const bool own = se == nullptr;
-    if (own) se = AcquireStruct(sig);
+    StructEntry* se = AcquireStruct(sig);
     if (se->built && se->signature == sig &&
         internal::StructureMatches(se->cg, problem)) {
       const int64_t skipped = internal::RefillCoefficients(problem, &se->cg);
@@ -251,7 +248,7 @@ Result<GpSolution> SolveEngine::SolveOne(const GpProblem& problem,
     }
     result = internal::SolveConvexGp(problem, se->cg, inner, warm_start,
                                      &stats, &se->ws);
-    if (own) ReleaseStruct(se);
+    ReleaseStruct(se);
   }
 
   timer.Stop();
@@ -297,46 +294,6 @@ Result<GpSolution> SolveEngine::SolveOne(const GpProblem& problem,
     }
   }
   return result;
-}
-
-Result<GpSolution> SolveEngine::Solve(const GpProblem& problem,
-                                      const SolverOptions& options,
-                                      const Vector* warm_start) {
-  return SolveOne(problem, options, warm_start, nullptr);
-}
-
-std::vector<Result<GpSolution>> SolveEngine::SolveBatch(
-    const std::vector<BatchItem>& items, const SolverOptions& options) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  if (opts_.registry != nullptr) {
-    opts_.registry->GetCounter("gp.engine.batches")->Inc();
-    opts_.registry->GetHistogram("gp.engine.batch_size")
-        ->Record(static_cast<double>(items.size()));
-  }
-
-  // Group by shape signature, preserving first-occurrence order so the
-  // solve order (and therefore the engine's own hit/miss telemetry) is
-  // deterministic for a deterministic caller.
-  std::vector<std::pair<uint64_t, std::vector<size_t>>> groups;
-  std::unordered_map<uint64_t, size_t> group_of;
-  std::vector<uint64_t> sigs(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    sigs[i] = internal::ShapeSignature(*items[i].problem);
-    auto [it, fresh] = group_of.emplace(sigs[i], groups.size());
-    if (fresh) groups.push_back({sigs[i], {}});
-    groups[it->second].second.push_back(i);
-  }
-
-  std::vector<Result<GpSolution>> out(
-      items.size(), Result<GpSolution>(Status::Internal("not solved")));
-  for (auto& [sig, idxs] : groups) {
-    StructEntry* se = AcquireStruct(sig);
-    for (size_t i : idxs) {
-      out[i] = SolveOne(*items[i].problem, options, items[i].warm_start, se);
-    }
-    ReleaseStruct(se);
-  }
-  return out;
 }
 
 }  // namespace polydab::gp

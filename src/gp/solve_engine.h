@@ -17,19 +17,18 @@
 #include "obs/metrics.h"
 
 /// \file solve_engine.h
-/// Batched, memoizing solve server for the recompute hot path
-/// (docs/SOLVER.md). One refresh service produces many small per-EQI-
-/// component GPs; the engine exploits two regularities the per-call
-/// `SolveGp` entry point cannot see:
+/// Memoizing solve server for the recompute hot path (docs/SOLVER.md).
+/// One refresh service produces many small per-EQI-component GPs; the
+/// engine exploits two regularities the per-call `SolveGp` entry point
+/// cannot see:
 ///
-///  1. **Shape sharing.** Programs are grouped by shape signature
-///     (num_vars + constraint/term sparsity pattern). Each signature owns
-///     pooled `ConvexGp` skeletons in SoA layout plus a solver workspace
-///     (Newton system, softmax scratch), so a group of same-shape
-///     programs is solved with a single set of buffers and an incremental
-///     coefficient refill — a term whose coefficient bits did not change
-///     since the previous program (the usual case when a single item
-///     escaped) keeps its cached logarithm.
+///  1. **Shape sharing.** Each shape signature (num_vars +
+///     constraint/term sparsity pattern) owns pooled `ConvexGp`
+///     skeletons in SoA layout plus a solver workspace (Newton system,
+///     softmax scratch), so a memo miss on a shape seen before reuses
+///     its buffers with an incremental coefficient refill — a term whose
+///     coefficient bits did not change since the previous program (the
+///     usual case when a single item escaped) keeps its cached logarithm.
 ///
 ///  2. **Memoization.** Recent solutions live in an LRU keyed by a 64-bit
 ///     digest of the program, warm-start and solver-option bits. A hit is
@@ -40,7 +39,7 @@
 ///     rate comes from.
 ///
 /// Both levers preserve byte-identity of every result, metric and trace
-/// against the unbatched oracle (`tests/solve_engine_diff_test.cc`); on a
+/// against the engine-off oracle (`tests/solve_engine_diff_test.cc`); on a
 /// cache hit the engine replays the solve's `gp.solver.*` stats so the
 /// telemetry totals match an engine-less run exactly. The engine is
 /// thread-safe: `rt::LanePool` workers share one instance, with the
@@ -55,8 +54,8 @@ class SolveEngine {
     /// then still shares structure skeletons and workspaces).
     int cache_entries = 0;
     /// Optional sink for the `gp.engine.*` instruments: cache hit/miss
-    /// counters, batch sizes, warm vs cold Newton-iteration histograms,
-    /// structure reuse and skipped-log counters. Not owned.
+    /// counters, warm vs cold Newton-iteration histograms, structure
+    /// reuse and skipped-log counters. Not owned.
     obs::MetricRegistry* registry = nullptr;
   };
 
@@ -73,25 +72,12 @@ class SolveEngine {
                            const SolverOptions& options,
                            const Vector* warm_start);
 
-  struct BatchItem {
-    const GpProblem* problem = nullptr;
-    const Vector* warm_start = nullptr;  ///< may be null
-  };
-
-  /// Solve a batch, grouping items by shape signature so each group runs
-  /// through one skeleton + workspace with incremental coefficient
-  /// refills. Results are returned in input order and each is
-  /// bit-identical to a standalone `Solve` of that item.
-  std::vector<Result<GpSolution>> SolveBatch(
-      const std::vector<BatchItem>& items, const SolverOptions& options);
-
   /// Telemetry snapshots (also mirrored to `gp.engine.*` instruments).
   /// Deterministic for serial callers; under concurrent callers the
   /// hit/miss split depends on scheduling even though every returned
   /// solution does not.
   int64_t cache_hits() const { return hits_.load(); }
   int64_t cache_misses() const { return misses_.load(); }
-  int64_t batches() const { return batches_.load(); }
   int64_t structure_reuses() const { return structure_reuses_.load(); }
   int64_t coef_log_skips() const { return coef_log_skips_.load(); }
 
@@ -102,16 +88,9 @@ class SolveEngine {
   StructEntry* AcquireStruct(uint64_t signature);
   void ReleaseStruct(StructEntry* entry);
 
-  /// The single-solve path shared by Solve and SolveBatch. `entry` may be
-  /// null (acquired internally) or a caller-held signature skeleton.
-  Result<GpSolution> SolveOne(const GpProblem& problem,
-                              const SolverOptions& options,
-                              const Vector* warm_start, StructEntry* entry);
-
   Options opts_;
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};
-  std::atomic<int64_t> batches_{0};
   std::atomic<int64_t> structure_reuses_{0};
   std::atomic<int64_t> coef_log_skips_{0};
 

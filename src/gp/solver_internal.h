@@ -12,7 +12,7 @@
 
 /// \file solver_internal.h
 /// Shared internals between the barrier solver (gp_solver.cc) and the
-/// batched solve engine (solve_engine.cc). Everything here is an
+/// memoizing solve engine (solve_engine.cc). Everything here is an
 /// implementation detail of src/gp: the SoA convexified program, the
 /// reusable per-solve workspace, and the unrouted solve entry points the
 /// engine calls to guarantee bit-identical results with `SolveGp`.

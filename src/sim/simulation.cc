@@ -332,17 +332,8 @@ Result<SimMetrics> RunSimulation(
   if (config.threads > 0 && config.rt_fail_at < 0) {
     return Status::InvalidArgument("rt_fail_at must be >= 0");
   }
-  if (config.solve_batch < 0) {
-    return Status::InvalidArgument("solve_batch must be >= 0");
-  }
   if (config.solve_cache < 0) {
     return Status::InvalidArgument("solve_cache must be >= 0");
-  }
-  if (config.solve_batch > 0 && config.threads > 0) {
-    // The real-thread runtime already runs its own two-pass dispatch; a
-    // second batching pass would fight it over the stale-set replay.
-    return Status::InvalidArgument(
-        "solve_batch requires the single-threaded engine (threads=0)");
   }
   // A malformed delay or fault config would otherwise surface as a NaN
   // epidemic or a hard CHECK abort deep inside a run; reject it up front
@@ -374,14 +365,6 @@ Result<SimMetrics> RunSimulation(
     }
   }
   if (config.series != nullptr) {
-    if (config.threads > 0) {
-      // The recorder folds events in raw emission order; under the
-      // real-thread runtime that order is nondeterministic until the
-      // canonical re-sort, which runs after the fact.
-      return Status::InvalidArgument(
-          "series recording requires the single-threaded engine "
-          "(threads=0)");
-    }
     // The recorder folds the event stream, so it is meaningless without
     // one; and a replay-mode (derive_samples) recorder re-derives its
     // sample grid from events instead of taking the engine's feed.
@@ -405,9 +388,10 @@ Result<SimMetrics> RunSimulation(
   // Crash-recovery layer (src/recovery/, docs/RECOVERY.md). Restart
   // correctness rests on re-running the tick loop with identical inputs,
   // so engine modes that would need extra non-checkpointed state — series
-  // fold offsets, the solve engine's batch/LRU contents, the AAO joint
-  // solution, the rt fault-injection dispatch counter — are rejected
-  // outright rather than half-supported.
+  // fold offsets, the AAO joint solution, the rt fault-injection dispatch
+  // counter — are rejected outright rather than half-supported. The solve
+  // memo needs none: a hit is bitwise-verified and replays the solve's
+  // stats, so a cold cache after restart changes only its hit counters.
   recovery::RecoveryConfig* const rec = config.recovery;
   if (rec != nullptr) {
     POLYDAB_RETURN_NOT_OK(rec->Validate());
@@ -415,11 +399,6 @@ Result<SimMetrics> RunSimulation(
       return Status::InvalidArgument(
           "crash recovery is incompatible with series recording (the "
           "recorder's window fold is not checkpointed)");
-    }
-    if (config.solve_batch > 0 || config.solve_cache > 0) {
-      return Status::InvalidArgument(
-          "crash recovery is incompatible with the batched/memoizing solve "
-          "engine (solve_batch/solve_cache); its cache is not checkpointed");
     }
     if (config.aao_period_s > 0.0) {
       return Status::InvalidArgument(
@@ -489,13 +468,13 @@ Result<SimMetrics> RunSimulation(
     planner_cfg.dual.solver.registry = planner_cfg.registry;
   }
 
-  // Batched/memoizing solve server (gp/solve_engine.h, docs/SOLVER.md).
+  // Memoizing solve server (gp/solve_engine.h, docs/SOLVER.md).
   // Attached through SolverOptions::engine, so every GP solve in the run
   // — per-part replans, plan-time solves, AAO joint solves, rt workers —
   // routes through the one shared engine; every result is bit-identical
   // to the direct path by construction. Declared before the lane pool so
   // it outlives the workers that hold a pointer to it.
-  const bool engine_on = config.solve_batch > 0 || config.solve_cache > 0;
+  const bool engine_on = config.solve_cache > 0;
   gp::SolveEngine::Options engine_opt;
   engine_opt.cache_entries = config.solve_cache;
   engine_opt.registry = config.registry;
@@ -580,13 +559,6 @@ Result<SimMetrics> RunSimulation(
   // planner_replan event at its oracle slot in pass 2.
   core::PlannerConfig solve_cfg = planner_cfg;
   solve_cfg.trace = nullptr;
-  // Batched serial engine (solve_batch > 0): pass 1 collects the stale
-  // parts and re-solves them through core::ReplanParts; pass 2 is the
-  // unchanged serial loop consuming `batch_results` in oracle order.
-  const bool batched = config.solve_batch > 0;
-  std::vector<const core::PlanPart*> batch_parts;
-  std::vector<Result<QueryDabs>> batch_results;
-  size_t next_batch_result = 0;
   rt::LanePool pool;
   if (threaded) {
     rt::LanePool::Options rt_opt;
@@ -1535,12 +1507,11 @@ Result<SimMetrics> RunSimulation(
   const bool recompute_every_refresh =
       planner_cfg.method != core::AssignmentMethod::kDualDab;
 
-  // Pass 1 of the threaded and batched refresh services: visit the parts
-  // a refresh of ev.item makes stale, in the serial loop's order and with
-  // exactly its reads — no RNG draw, no emission. The set is stable
-  // across the two passes because a part's anchors and secondary DABs
-  // only move at its own install, and each part appears at most once per
-  // service.
+  // Pass 1 of the threaded refresh service: visit the parts a refresh of
+  // ev.item makes stale, in the serial loop's order and with exactly its
+  // reads — no RNG draw, no emission. The set is stable across the two
+  // passes because a part's anchors and secondary DABs only move at its
+  // own install, and each part appears at most once per service.
   auto for_each_stale_part = [&](const Event& ev, auto&& visit) {
     for (int qi : st.item_queries[static_cast<size_t>(ev.item)]) {
       core::QueryPlan& plan = st.plans[static_cast<size_t>(qi)];
@@ -1738,31 +1709,6 @@ Result<SimMetrics> RunSimulation(
                                           solve_cfg, &group.solve);
         }
       }
-      if (batched) {
-        // Pass 1 (batched serial engine): re-solve the stale parts
-        // through the engine in chunks of at most config.solve_batch
-        // programs. Results are bit-identical to per-part ReplanPart
-        // calls (core::ReplanParts).
-        batch_parts.clear();
-        batch_results.clear();
-        next_batch_result = 0;
-        for_each_stale_part(
-            ev, [&](core::PlanPart& part) { batch_parts.push_back(&part); });
-        for (size_t off = 0; off < batch_parts.size();
-             off += static_cast<size_t>(config.solve_batch)) {
-          const size_t len =
-              std::min(batch_parts.size() - off,
-                       static_cast<size_t>(config.solve_batch));
-          std::vector<const core::PlanPart*> chunk(
-              batch_parts.begin() + static_cast<long>(off),
-              batch_parts.begin() + static_cast<long>(off + len));
-          std::vector<Result<QueryDabs>> chunk_results = core::ReplanParts(
-              chunk, st.view, rates, planner_cfg, &solve_engine);
-          for (Result<QueryDabs>& r : chunk_results) {
-            batch_results.push_back(std::move(r));
-          }
-        }
-      }
       for (int qi : st.item_queries[static_cast<size_t>(ev.item)]) {
         const size_t lane = static_cast<size_t>(st.query_shard[
             static_cast<size_t>(qi)]);
@@ -1875,18 +1821,6 @@ Result<SimMetrics> RunSimulation(
               fresh = std::move(group.result);
             }
             core::TraceReplan(planner_cfg, part, fresh.ok());
-          } else if (batched) {
-            // The batched pass already solved this part; consume in the
-            // exact order pass 1 produced. core::ReplanParts emits no
-            // planner_replan event, precisely so this site can place it
-            // between recompute_start and recompute_end.
-            if (next_batch_result >= batch_results.size()) {
-              return Status::Internal(
-                  "solve_batch: serial replay found a stale part pass 1 "
-                  "did not solve");
-            }
-            fresh = std::move(batch_results[next_batch_result++]);
-            core::TraceReplan(planner_cfg, part, fresh.ok());
           } else {
             fresh = core::ReplanPart(part, st.view, rates, planner_cfg);
           }
@@ -1924,11 +1858,6 @@ Result<SimMetrics> RunSimulation(
       if (threaded && next_stale != stale_groups.size()) {
         return Status::Internal(
             "rt: pass 1 solved parts the serial replay never consumed");
-      }
-      if (batched && next_batch_result != batch_results.size()) {
-        return Status::Internal(
-            "solve_batch: pass 1 solved parts the serial replay never "
-            "consumed");
       }
       // End of service: the home lane ran from the arrival; a lane that
       // got work dispatched from here starts once it drains its own

@@ -194,10 +194,11 @@ struct SimConfig {
   /// thread, so metrics, registry totals and the canonicalized trace
   /// (obs/trace_canon.h) are byte-identical to the threads = 0 oracle
   /// under the same seed — enforced by tests/threaded_diff_test.cc.
-  /// Incompatible with `series`. Excluded from Describe() so threaded
-  /// and oracle run reports stay comparable; the trace instead carries
-  /// `rt_threads` / `rt_queue_cap` info keys, stripped by
-  /// canonicalization.
+  /// Every event is emitted on the event loop in serial order, so a
+  /// `series` recorder folds the same stream as under threads = 0.
+  /// Excluded from Describe() so threaded and oracle run reports stay
+  /// comparable; the trace instead carries `rt_threads` / `rt_queue_cap`
+  /// info keys, stripped by canonicalization.
   int threads = 0;
   /// Per-worker SPSC job-ring capacity (rounded up to a power of two);
   /// dispatch yield-spins while a ring is full. Only read when
@@ -212,18 +213,6 @@ struct SimConfig {
   /// metrics machinery. 0 (the default) = never. Only read when
   /// threads > 0.
   int64_t rt_fail_at = 0;
-  /// Batched GP solving for the serial engine (gp/solve_engine.h,
-  /// docs/SOLVER.md): when > 0, each refresh service decides its stale-
-  /// part set in a read-only first pass and re-solves it through
-  /// `gp::SolveEngine::SolveBatch` in chunks of at most this many
-  /// programs, sharing per-shape skeletons, workspaces and cached term
-  /// logarithms across the chunk. Metrics, registry totals and the trace
-  /// are byte-identical to the unbatched oracle
-  /// (tests/solve_engine_diff_test.cc). Requires threads == 0 — the
-  /// real-thread runtime has its own two-pass dispatch. Excluded from
-  /// Describe() like `threads`, so batched and oracle run reports stay
-  /// comparable.
-  int solve_batch = 0;
   /// Capacity, in entries, of the solve engine's exact-match LRU memo;
   /// 0 (the default) disables it. A hit replays a memoized solution and
   /// its gp.solver.* instrument stats, bit-identical to re-running the
@@ -284,7 +273,8 @@ struct SimConfig {
   /// with active fault injection. Not owned; must outlive the run.
   ServiceHooks* service = nullptr;
   /// Plan-maintenance strategy for runtime churn; ignored without a
-  /// service driver. kRebuild is the checked from-scratch fallback.
+  /// service driver. kRebuild is the from-scratch reference the churn
+  /// differential test compares against; no CLI option selects it.
   PlanMaintenance plan_maintenance = PlanMaintenance::kIncremental;
   /// Optional crash-recovery layer (src/recovery/recovery.h,
   /// docs/RECOVERY.md): durable coordinator checkpoints at a simulated-
@@ -292,9 +282,9 @@ struct SimConfig {
   /// coordinator crash, and a restart path that resumes a crashed run
   /// bit-identically. Null (the default) leaves the run byte-identical
   /// (trace, metrics, registry) to a build without the recovery layer.
-  /// Incompatible with `series`, solve_batch/solve_cache > 0,
-  /// aao_period_s > 0 and rt_fail_at > 0. Not owned; must outlive the
-  /// run; `crashed`/`crash_event_id` are written back as outputs.
+  /// Incompatible with `series`, aao_period_s > 0 and rt_fail_at > 0.
+  /// Not owned; must outlive the run; `crashed`/`crash_event_id` are
+  /// written back as outputs.
   recovery::RecoveryConfig* recovery = nullptr;
 
   /// One-line rendering of the full configuration, for run reports and

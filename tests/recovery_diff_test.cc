@@ -2,8 +2,8 @@
 // The contract under test: crash a run at an arbitrary tick, restart it
 // from the latest durable checkpoint plus the WAL, splice the two trace
 // captures, and the result is *bit-identical* to a run that never
-// crashed. Oracles, each proved for serial, 4-shard, 4-thread, chaos and
-// churn configurations:
+// crashed. Oracles, each proved for serial, 4-shard, 4-thread, chaos,
+// churn and solve-memo configurations:
 //
 //  1. Byte identity: merged-and-stripped trace JSONL == the uninterrupted
 //     oracle's (after the identical StripRecoveryEvents pass, which also
@@ -295,6 +295,18 @@ TEST_F(RecoveryDiffTest, ChurnCrashRestartIsByteIdentical) {
   c.coord_shards = 3;
   c.shard_policy = ShardPolicy::kQueryHash;
   CheckMode("churn", c, /*churn=*/true);
+}
+
+TEST_F(RecoveryDiffTest, SolveCacheCrashRestartIsByteIdentical) {
+  // The memo is not checkpointed: the restart begins with a cold cache.
+  // Hits are bitwise-verified and replay their solver stats, so only the
+  // engine's own hit/miss counters can differ from the oracle.
+  SimConfig c = Base();
+  c.solve_cache = 256;
+  CheckMode("cache_serial", c, /*churn=*/false);
+  c.coord_shards = 4;
+  c.shard_policy = ShardPolicy::kQueryHash;
+  CheckMode("cache_shards", c, /*churn=*/false);
 }
 
 TEST_F(RecoveryDiffTest, KnobFreeRunsCarryNoRecoveryArtifacts) {

@@ -1,12 +1,11 @@
-// Differential test harness for the batched/memoizing solve engine
-// (src/gp/solve_engine.h, SimConfig::solve_batch / solve_cache,
-// docs/SOLVER.md). Oracles:
+// Differential test harness for the memoizing solve engine
+// (src/gp/solve_engine.h, SimConfig::solve_cache, docs/SOLVER.md).
+// Oracles:
 //
-//  1. Serial byte identity: a solve-batch / solve-cache run's raw trace
-//     JSONL and SimMetrics must be byte-identical to the engine-off
-//     serial run under the same seed — across planner methods x shard
-//     counts x engine knob combinations, with no canonicalization pass
-//     (the serial batch path must land every event at its oracle slot).
+//  1. Serial byte identity: a solve-cache run's raw trace JSONL and
+//     SimMetrics must be byte-identical to the engine-off serial run
+//     under the same seed — across planner methods x shard counts x memo
+//     capacities, with no canonicalization pass.
 //  2. Threaded composition: solve-cache on top of threads=N must still
 //     canonicalize to the threads=0 engine-off oracle.
 //  3. Instrument parity: every instrument an engine-off run exports must
@@ -14,7 +13,7 @@
 //     engine-on run (wall-clock sums excepted). Cache hits replay their
 //     SolveStats, so gp.solver.* totals cannot drift.
 //  4. Engine telemetry determinism: two identical engine-on runs must
-//     report identical gp.engine.* hit/miss/batch numbers.
+//     report identical gp.engine.* hit/miss numbers.
 //
 // Config validation rides along. The binary is labelled `solver`, so the
 // solver / solver-asan / solver-tsan presets run exactly this harness
@@ -103,10 +102,6 @@ void ExpectMetricsEqual(const SimMetrics& got, const SimMetrics& want,
 }
 
 TEST_F(SolveEngineDiffTest, SerialEngineRunsAreByteIdenticalToOracle) {
-  struct Knobs {
-    int batch, cache;
-  };
-  const Knobs variants[] = {{8, 0}, {0, 256}, {8, 256}, {1, 16}};
   for (core::AssignmentMethod method :
        {core::AssignmentMethod::kDualDab,
         core::AssignmentMethod::kOptimalRefresh}) {
@@ -115,19 +110,16 @@ TEST_F(SolveEngineDiffTest, SerialEngineRunsAreByteIdenticalToOracle) {
       const std::string oracle =
           RunRendered(Config(method, shards), &oracle_metrics);
       ASSERT_FALSE(oracle.empty());
-      for (const Knobs& k : variants) {
+      for (int cache : {16, 256}) {
         SCOPED_TRACE(std::string("method=") + core::Name(method) +
                      " shards=" + std::to_string(shards) +
-                     " batch=" + std::to_string(k.batch) +
-                     " cache=" + std::to_string(k.cache));
+                     " cache=" + std::to_string(cache));
         SimConfig c = Config(method, shards);
-        c.solve_batch = k.batch;
-        c.solve_cache = k.cache;
+        c.solve_cache = cache;
         SimMetrics got_metrics;
         const std::string got = RunRendered(c, &got_metrics);
         ASSERT_FALSE(got.empty());
-        // Raw bytes, no canonicalization: the serial batch path must emit
-        // every planner_replan event at its oracle slot.
+        // Raw bytes, no canonicalization.
         EXPECT_EQ(got, oracle);
         ExpectMetricsEqual(got_metrics, oracle_metrics, "vs oracle");
       }
@@ -136,9 +128,8 @@ TEST_F(SolveEngineDiffTest, SerialEngineRunsAreByteIdenticalToOracle) {
 }
 
 TEST_F(SolveEngineDiffTest, ThreadedCacheRunMatchesCanonicalOracle) {
-  // solve-cache is the one engine knob valid on the threaded runtime
-  // (workers share the engine; batch requires the serial loop). The
-  // canonicalized trace must still match the engine-off serial oracle.
+  // Workers share the one engine. The canonicalized trace must still
+  // match the engine-off serial oracle.
   SimMetrics oracle_metrics;
   const std::string oracle = RunRendered(
       Config(core::AssignmentMethod::kDualDab, 2), &oracle_metrics);
@@ -169,7 +160,6 @@ TEST_F(SolveEngineDiffTest, InstrumentTotalsMatchEngineOffOracle) {
 
   SimConfig engine_cfg = Config(core::AssignmentMethod::kDualDab, 2);
   engine_cfg.registry = &engine_reg;
-  engine_cfg.solve_batch = 8;
   engine_cfg.solve_cache = 256;
   ASSERT_TRUE(RunSimulation(queries_, traces_, rates_, engine_cfg).ok());
 
@@ -197,7 +187,6 @@ TEST_F(SolveEngineDiffTest, InstrumentTotalsMatchEngineOffOracle) {
   // The engine-on run additionally exports its own telemetry, and the
   // duplicated-query workload must actually produce memo hits.
   EXPECT_GT(engine_reg.GetCounter("gp.engine.cache_misses")->value(), 0);
-  EXPECT_GT(engine_reg.GetCounter("gp.engine.batches")->value(), 0);
   EXPECT_EQ(oracle_reg.GetCounter("gp.engine.cache_misses")->value(), 0);
 }
 
@@ -205,7 +194,6 @@ TEST_F(SolveEngineDiffTest, EngineTelemetryIsDeterministicAcrossRuns) {
   auto run = [&](obs::MetricRegistry* reg, SimMetrics* out) {
     SimConfig c = Config(core::AssignmentMethod::kDualDab, 2);
     c.registry = reg;
-    c.solve_batch = 8;
     c.solve_cache = 256;
     auto m = RunSimulation(queries_, traces_, rates_, c);
     ASSERT_TRUE(m.ok()) << m.status().ToString();
@@ -218,39 +206,16 @@ TEST_F(SolveEngineDiffTest, EngineTelemetryIsDeterministicAcrossRuns) {
   ExpectMetricsEqual(m1, m2, "repeat run");
   for (const char* name :
        {"gp.engine.cache_hits", "gp.engine.cache_misses",
-        "gp.engine.batches", "gp.engine.structure_reuses",
-        "gp.engine.coef_log_skips"}) {
+        "gp.engine.structure_reuses", "gp.engine.coef_log_skips"}) {
     EXPECT_EQ(r1.GetCounter(name)->value(), r2.GetCounter(name)->value())
         << name;
   }
-  EXPECT_EQ(r1.GetHistogram("gp.engine.batch_size")->count(),
-            r2.GetHistogram("gp.engine.batch_size")->count());
-  EXPECT_EQ(r1.GetHistogram("gp.engine.batch_size")->sum(),
-            r2.GetHistogram("gp.engine.batch_size")->sum());
 }
 
 TEST_F(SolveEngineDiffTest, InvalidSolveEngineConfigsAreRejected) {
-  {
-    SimConfig c = Config(core::AssignmentMethod::kDualDab, 1);
-    c.solve_batch = -1;
-    EXPECT_FALSE(RunSimulation(queries_, traces_, rates_, c).ok());
-  }
-  {
-    SimConfig c = Config(core::AssignmentMethod::kDualDab, 1);
-    c.solve_cache = -1;
-    EXPECT_FALSE(RunSimulation(queries_, traces_, rates_, c).ok());
-  }
-  {
-    // The batch dispatcher lives in the serial service loop; the
-    // threaded runtime routes parts through lanes instead.
-    SimConfig c = Config(core::AssignmentMethod::kDualDab, 1);
-    c.solve_batch = 8;
-    c.threads = 2;
-    auto m = RunSimulation(queries_, traces_, rates_, c);
-    ASSERT_FALSE(m.ok());
-    EXPECT_NE(m.status().ToString().find("solve_batch"), std::string::npos)
-        << m.status().ToString();
-  }
+  SimConfig c = Config(core::AssignmentMethod::kDualDab, 1);
+  c.solve_cache = -1;
+  EXPECT_FALSE(RunSimulation(queries_, traces_, rates_, c).ok());
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 //     must be rejected with a margin, clamped trust-region travel must
 //     not burn the Newton stage budget, near-singular programs must
 //     converge through the Levenberg-damped retry.
-//  2. The batched/memoizing SolveEngine must be bit-identical to the
-//     direct SolveGp path: per solve, per batch, and on cache hits —
-//     including the gp.solver.* instrument replay.
+//  2. The memoizing SolveEngine must be bit-identical to the direct
+//     SolveGp path: per solve, through the skeleton pool, and on cache
+//     hits — including the gp.solver.* instrument replay.
 //  3. A property sweep over random programs x mu weights: warm and cold
 //     solves agree to tolerance, uniform objective scaling preserves the
 //     argmin, and engine telemetry is deterministic across identical
@@ -237,48 +237,6 @@ TEST(SolveEngineTest, EngineSolveIsBitIdenticalToDirectSolve) {
   EXPECT_GT(engine.structure_reuses(), 0);
   EXPECT_GT(engine.coef_log_skips(), 0);
   EXPECT_EQ(engine.cache_hits(), 0);
-}
-
-TEST(SolveEngineTest, SolveBatchMatchesPerItemSolves) {
-  std::vector<GpProblem> programs;
-  std::vector<Vector> warms;
-  programs.reserve(kSweepPrograms);
-  for (int p = 0; p < kSweepPrograms; ++p) {
-    programs.push_back(RandomProgram(1000 + static_cast<uint64_t>(p), 5.0));
-  }
-  // Warm-start every other item from its own cold optimum, shrunk to be
-  // strictly interior.
-  warms.resize(programs.size());
-  SolverOptions options;
-  for (size_t p = 0; p < programs.size(); p += 2) {
-    auto cold = SolveGp(programs[p], options);
-    ASSERT_TRUE(cold.ok());
-    warms[p] = cold->x;
-    for (double& w : warms[p]) w *= 0.9;
-  }
-
-  std::vector<SolveEngine::BatchItem> items(programs.size());
-  for (size_t p = 0; p < programs.size(); ++p) {
-    items[p].problem = &programs[p];
-    items[p].warm_start = warms[p].empty() ? nullptr : &warms[p];
-  }
-
-  SolveEngine::Options eopt;
-  SolveEngine batch_engine(eopt);
-  std::vector<Result<GpSolution>> batched =
-      batch_engine.SolveBatch(items, options);
-  ASSERT_EQ(batched.size(), programs.size());
-
-  SolveEngine per_item_engine(eopt);
-  for (size_t p = 0; p < programs.size(); ++p) {
-    auto single = per_item_engine.Solve(
-        programs[p], options, warms[p].empty() ? nullptr : &warms[p]);
-    ASSERT_EQ(single.ok(), batched[p].ok()) << "p=" << p;
-    ASSERT_TRUE(single.ok()) << "p=" << p << ": "
-                             << single.status().ToString();
-    ExpectBitIdentical(*single, *batched[p], "p=" + std::to_string(p));
-  }
-  EXPECT_EQ(batch_engine.batches(), 1);
 }
 
 TEST(SolveEngineTest, CacheHitIsBitIdenticalAndReplaysInstruments) {

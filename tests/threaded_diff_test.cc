@@ -24,10 +24,10 @@
 //     threads=0 engine-off oracle's. The equality predicate itself is
 //     unit-tested bit by bit.
 //
-// The failure path (rt_fail_at worker abort) and config validation ride
-// along. The whole binary is labelled `threads`, so the threads-tsan /
-// threads-asan presets run exactly this harness plus tests/rt_test.cc
-// under the sanitizers.
+// The failure path (rt_fail_at worker abort), series recording on the
+// threaded runtime and config validation ride along. The whole binary is
+// labelled `threads`, so the threads-tsan / threads-asan presets run
+// exactly this harness plus tests/rt_test.cc under the sanitizers.
 
 #include <gtest/gtest.h>
 
@@ -37,6 +37,7 @@
 
 #include "core/planner.h"
 #include "obs/metrics.h"
+#include "obs/slo.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "obs/trace_canon.h"
@@ -649,16 +650,52 @@ TEST_F(ThreadedDiffTest, InvalidThreadConfigsAreRejected) {
     c.rt_queue_cap = 0;
     EXPECT_FALSE(RunSimulation(queries_, traces_, rates_, c).ok());
   }
-  {
-    // The series recorder folds the raw emission order, which a
-    // threaded run does not preserve: reject the combination.
+}
+
+TEST_F(ThreadedDiffTest, SeriesRecordingMatchesVirtualClockOracle) {
+  // Every event is emitted on the event loop in serial order, so a
+  // series recorder observing a threaded run folds the oracle's stream:
+  // the series JSONL is byte-equal, and the canonicalized trace passes
+  // the checker's alerting-mode replay against that series.
+  auto run = [&](int threads, obs::TraceFile* trace) {
     obs::SeriesConfig sc;
+    sc.window_ticks = 5;
+    sc.breakdown = true;
+    auto rules = obs::ParseSloRules(
+        "sim.coordinator.refreshes > 3 for 2; sim.run.live_queries < 1",
+        obs::SeriesMetricNames());
+    EXPECT_TRUE(rules.ok()) << rules.status().ToString();
+    sc.rules = std::move(rules).value();
     obs::SeriesRecorder recorder(sc);
-    SimConfig c = Config(core::AssignmentMethod::kDualDab, 1, 2);
+    obs::TraceSink sink;
+    SimConfig c = Config(core::AssignmentMethod::kDualDab, 1, threads);
+    c.trace = &sink;
     c.series = &recorder;
     auto m = RunSimulation(queries_, traces_, rates_, c);
-    ASSERT_FALSE(m.ok());
-    EXPECT_NE(m.status().ToString().find("series"), std::string::npos);
+    EXPECT_TRUE(m.ok()) << m.status().ToString();
+    *trace = sink.Collect();
+    if (threads > 0) {
+      Status canon = obs::CanonicalizeThreadedTrace(trace);
+      EXPECT_TRUE(canon.ok()) << canon.ToString();
+    }
+    return recorder.file();
+  };
+  obs::TraceFile oracle_trace;
+  const obs::SeriesFile oracle = run(0, &oracle_trace);
+  ASSERT_TRUE(oracle.has_totals);
+  ASSERT_FALSE(oracle.alerts.empty());  // the rule actually fires
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    obs::TraceFile trace;
+    const obs::SeriesFile got = run(threads, &trace);
+    EXPECT_EQ(obs::SeriesToJsonLines(got), obs::SeriesToJsonLines(oracle));
+    EXPECT_EQ(obs::TraceToJsonLines(trace),
+              obs::TraceToJsonLines(oracle_trace));
+    obs::TraceCheckOptions options;
+    options.series = &got;
+    auto report = obs::CheckTrace(trace, options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->ok()) << report->ToText(trace);
   }
 }
 

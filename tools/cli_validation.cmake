@@ -32,7 +32,7 @@ set(bad_cases
   "churn-modify-prob above 1\;churn-modify-prob=1.5"
   "negative admit-budget\;admit-budget=-1"
   "bad admit-policy\;admit-policy=maybe"
-  "bad maintenance mode\;maintenance=lazy"
+  "retired maintenance key\;maintenance=rebuild"
   "churn with joint AAO\;churn-rate=0.1\;aao-period=60"
   "churn with fault injection\;churn-rate=0.1\;fault-drop=0.1"
   "ingest with canned traces\;ingest=a.csv\;traces=b.csv"
@@ -56,10 +56,7 @@ set(bad_cases
   "zero rt-queue-cap\;threads=2\;rt-queue-cap=0"
   "rt-fail-at without threads\;rt-fail-at=3"
   "negative rt-fail-at\;threads=2\;rt-fail-at=-1"
-  "series with threaded runtime\;series-out=s.jsonl\;threads=2"
-  "negative solve-batch\;solve-batch=-1"
-  "non-numeric solve-batch\;solve-batch=many"
-  "solve-batch with threaded runtime\;solve-batch=8\;threads=2"
+  "retired solve-batch key\;solve-batch=8"
   "negative solve-cache\;solve-cache=-1"
   "non-numeric solve-cache\;solve-cache=big"
   "ckpt-interval-s without ckpt-out\;ckpt-interval-s=30"
@@ -74,7 +71,6 @@ set(bad_cases
   "merge-trace without trace-out\;restart-from=c.ckpt\;wal-out=w.wal\;merge-trace=t.jsonl"
   "recovery with series telemetry\;ckpt-out=c.ckpt\;series-out=s.jsonl"
   "recovery with joint AAO\;ckpt-out=c.ckpt\;aao-period=60"
-  "recovery with the solve engine\;ckpt-out=c.ckpt\;solve-batch=8"
   "recovery with rt fault injection\;ckpt-out=c.ckpt\;threads=2\;rt-fail-at=3"
   "flame-out on a crashed run\;ckpt-out=c.ckpt\;wal-out=w.wal\;coord-crash-at=40\;flame-out=f.folded"
 )
@@ -121,10 +117,10 @@ if(NOT status EQUAL 0)
 endif()
 message(STATUS "threaded invocation accepted (exit 0)")
 
-# A batched+memoized solve-engine invocation (docs/SOLVER.md), and the
-# cache riding on the threaded runtime (the one engine knob valid there).
+# A memoized solve-engine invocation (docs/SOLVER.md), the cache riding
+# on the threaded runtime, and the cache under the recovery knobs.
 execute_process(COMMAND ${EXPERIMENT} queries=2 items=4 ticks=80
-                solve-batch=8 solve-cache=64
+                solve-cache=64
                 RESULT_VARIABLE status
                 OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT status EQUAL 0)
@@ -138,6 +134,18 @@ execute_process(COMMAND ${EXPERIMENT} queries=2 items=4 ticks=80
 if(NOT status EQUAL 0)
   message(FATAL_ERROR
     "threaded solve-cache invocation failed (exit ${status}):\n${out}${err}")
+endif()
+# Checkpoint files are append-only; start from an empty one.
+file(REMOVE ${CMAKE_CURRENT_BINARY_DIR}/cli_cache.ckpt)
+execute_process(COMMAND ${EXPERIMENT} queries=2 items=4 ticks=80
+                solve-cache=64
+                ckpt-out=${CMAKE_CURRENT_BINARY_DIR}/cli_cache.ckpt
+                ckpt-interval-s=20
+                RESULT_VARIABLE status
+                OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT status EQUAL 0)
+  message(FATAL_ERROR
+    "recovery solve-cache invocation failed (exit ${status}):\n${out}${err}")
 endif()
 message(STATUS "solve-engine invocations accepted (exit 0)")
 
@@ -156,7 +164,7 @@ message(STATUS "chaos invocation accepted (exit 0)")
 execute_process(COMMAND ${EXPERIMENT} queries=2 items=4 ticks=80
                 churn-rate=0.2 churn-lifetime-s=30 churn-zipf=0.5
                 churn-modify-prob=0.2 admit-budget=5
-                admit-policy=degrade maintenance=rebuild
+                admit-policy=degrade
                 RESULT_VARIABLE status
                 OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT status EQUAL 0)
@@ -199,3 +207,23 @@ if(NOT EXISTS ${CMAKE_CURRENT_BINARY_DIR}/cli_series.jsonl)
   message(FATAL_ERROR "series invocation wrote no series file")
 endif()
 message(STATUS "series invocation accepted (exit 0)")
+
+# The same series on the threaded runtime: every event is emitted on the
+# event loop in serial order, so the series file is byte-equal.
+execute_process(COMMAND ${EXPERIMENT} queries=2 items=4 ticks=80
+                series-out=${CMAKE_CURRENT_BINARY_DIR}/cli_series_rt.jsonl
+                series-window-s=5 series-breakdown=1
+                "slo=sim.coordinator.refreshes >= 0 for 2"
+                threads=2
+                RESULT_VARIABLE status
+                OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT status EQUAL 0)
+  message(FATAL_ERROR
+    "threaded series invocation failed (exit ${status}):\n${out}${err}")
+endif()
+file(READ ${CMAKE_CURRENT_BINARY_DIR}/cli_series.jsonl serial_series)
+file(READ ${CMAKE_CURRENT_BINARY_DIR}/cli_series_rt.jsonl threaded_series)
+if(NOT serial_series STREQUAL threaded_series)
+  message(FATAL_ERROR "threaded series file differs from the serial one")
+endif()
+message(STATUS "threaded series invocation accepted (exit 0)")

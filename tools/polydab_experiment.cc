@@ -34,23 +34,17 @@
 //                    metrics and the canonicalized trace byte-identical
 //                    to the threads=0 virtual-clock engine under the
 //                    same seed. 0 = the single-threaded engine,
-//                    byte-identical to earlier builds. Incompatible with
-//                    series-out (0)
+//                    byte-identical to earlier builds (0)
 //   rt-queue-cap=N   per-worker SPSC job-ring capacity, >= 1; requires
 //                    threads > 0 (256)
 //   rt-fail-at=K     test hook: abort the K-th dispatched solve job
 //                    inside its worker (1-based), exercising the pool's
 //                    failure path; requires threads > 0; 0 = never (0)
-//   solve-batch=N    batched GP solving (gp/solve_engine.h,
-//                    docs/SOLVER.md): each refresh service re-solves its
-//                    stale parts through one engine batch of at most N
-//                    programs, sharing per-shape workspaces; metrics and
-//                    traces stay byte-identical to the unbatched run.
-//                    Requires threads=0. 0 = off (0)
-//   solve-cache=N    solve engine exact-match LRU memo capacity in
-//                    entries; hits replay the memoized solution and its
-//                    solver telemetry bit-identically. Works with any
-//                    threads setting. 0 = off (0)
+//   solve-cache=N    solve engine (gp/solve_engine.h, docs/SOLVER.md)
+//                    exact-match LRU memo capacity in entries; hits
+//                    replay the memoized solution and its solver
+//                    telemetry bit-identically. Works with any threads
+//                    setting and with the recovery knobs. 0 = off (0)
 //   seed=N           RNG seed (1)
 //   csv=0|1          print a CSV row instead of key=value (0)
 //   metrics-out=FILE write a JSON-lines telemetry run report (src/obs/)
@@ -92,9 +86,6 @@
 //                    second accepted across live queries, >= 0 (inf)
 //   admit-policy=reject|degrade  over-budget registrations are refused,
 //                    or their QAB widened until the estimate fits (reject)
-//   maintenance=incremental|rebuild  plan maintenance across churn:
-//                    in-place EQI merge/split, or the checked from-scratch
-//                    fallback (incremental)
 //   ingest=FILE      stream ticks row by row from a CSV file instead of
 //                    loading a trace set; the run length is the stream
 //                    length and the item count is the file width (ticks=
@@ -198,13 +189,13 @@ const std::set<std::string>& KnownKeys() {
       "items",        "ticks",        "traces",     "delay_ms",
       "recompute_ms", "aao_period",   "coord_shards",
       "shard_policy", "threads",      "rt_queue_cap",
-      "rt_fail_at",   "solve_batch",  "solve_cache",
+      "rt_fail_at",   "solve_cache",
       "seed",         "csv",        "metrics_out",
       "trace_out",    "flame_out",    "flame_group_by",
       "fault_drop",   "fault_crash",  "lease_s",    "retx_timeout_s",
       "churn_rate",   "churn_lifetime_s",           "churn_zipf",
       "churn_modify_prob",            "admit_budget",
-      "admit_policy", "maintenance",  "ingest",
+      "admit_policy", "ingest",
       "series_out",   "series_window_s",            "slo",
       "series_breakdown",             "ckpt_out",
       "ckpt_interval_s",              "wal_out",
@@ -331,13 +322,6 @@ int main(int argc, char** argv) {
   if (rt_fail_at < 0) {
     Die("rt-fail-at must be >= 0, got " + std::to_string(rt_fail_at));
   }
-  const int solve_batch = GetInt(args, "solve_batch", 0);
-  if (solve_batch < 0) {
-    Die("solve-batch must be >= 0, got " + std::to_string(solve_batch));
-  }
-  if (solve_batch > 0 && threads > 0) {
-    Die("solve-batch requires the single-threaded engine (threads=0)");
-  }
   const int solve_cache = GetInt(args, "solve_cache", 0);
   if (solve_cache < 0) {
     Die("solve-cache must be >= 0, got " + std::to_string(solve_cache));
@@ -404,11 +388,6 @@ int main(int argc, char** argv) {
     Die("unknown admit-policy '" + admit_policy +
         "' (want reject|degrade)");
   }
-  const std::string maintenance = Get(args, "maintenance", "incremental");
-  if (maintenance != "incremental" && maintenance != "rebuild") {
-    Die("unknown maintenance '" + maintenance +
-        "' (want incremental|rebuild)");
-  }
   const std::string ingest = Get(args, "ingest", "");
   if (churn_rate > 0.0 && aao_period > 0.0) {
     Die("churn-rate cannot be combined with aao-period (the joint AAO "
@@ -452,9 +431,6 @@ int main(int argc, char** argv) {
   }
   if (!series_out.empty() && coord_shards != 1) {
     Die("series-out is single-coordinator only (coord-shards=1)");
-  }
-  if (!series_out.empty() && threads > 0) {
-    Die("series-out requires the single-threaded engine (threads=0)");
   }
   std::vector<obs::SloRule> slo_rules;
   const std::string slo_text = Get(args, "slo", "");
@@ -515,10 +491,6 @@ int main(int argc, char** argv) {
     }
     if (aao_period > 0.0) {
       Die("recovery knobs cannot be combined with aao-period");
-    }
-    if (solve_batch > 0 || solve_cache > 0) {
-      Die("recovery knobs cannot be combined with the solve engine "
-          "(solve-batch/solve-cache)");
     }
     if (rt_fail_at > 0) {
       Die("recovery knobs cannot be combined with rt-fail-at");
@@ -645,7 +617,6 @@ int main(int argc, char** argv) {
   config.threads = threads;
   config.rt_queue_cap = rt_queue_cap;
   config.rt_fail_at = rt_fail_at;
-  config.solve_batch = solve_batch;
   config.solve_cache = solve_cache;
 
   // Telemetry: attach a registry when a report was requested, so the run
@@ -673,9 +644,6 @@ int main(int argc, char** argv) {
   // Live service layer (docs/SERVICE.md): generate the churn schedule from
   // a dedicated RNG stream (seed + 1, so the workload and delay draws are
   // untouched) and drive it through admission control.
-  config.plan_maintenance = maintenance == "rebuild"
-                                ? sim::PlanMaintenance::kRebuild
-                                : sim::PlanMaintenance::kIncremental;
   std::unique_ptr<svc::QueryService> service;
   if (churn_rate > 0.0) {
     workload::ChurnConfig cc;
