@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <vector>
 
 /// \file math_util.h
@@ -13,7 +15,7 @@ namespace polydab {
 
 /// \brief log(sum_i exp(z_i)) computed with the max-shift trick so that
 /// large exponents do not overflow. Returns -inf for an empty input.
-inline double LogSumExp(const std::vector<double>& z) {
+inline double LogSumExp(std::span<const double> z) {
   if (z.empty()) return -std::numeric_limits<double>::infinity();
   const double m = *std::max_element(z.begin(), z.end());
   if (!std::isfinite(m)) return m;

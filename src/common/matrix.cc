@@ -1,5 +1,6 @@
 #include "common/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace polydab {
@@ -53,43 +54,51 @@ namespace {
 // safely positive.
 bool CholeskyFactor(Matrix* a) {
   const size_t n = a->rows();
+  double* m = a->data();
   for (size_t j = 0; j < n; ++j) {
-    double d = (*a)(j, j);
-    for (size_t k = 0; k < j; ++k) d -= (*a)(j, k) * (*a)(j, k);
+    double* rj = m + j * n;
+    double d = rj[j];
+    for (size_t k = 0; k < j; ++k) d -= rj[k] * rj[k];
     if (!(d > 1e-300)) return false;
     const double lj = std::sqrt(d);
-    (*a)(j, j) = lj;
+    rj[j] = lj;
     for (size_t i = j + 1; i < n; ++i) {
-      double s = (*a)(i, j);
-      for (size_t k = 0; k < j; ++k) s -= (*a)(i, k) * (*a)(j, k);
-      (*a)(i, j) = s / lj;
+      double* ri = m + i * n;
+      double s = ri[j];
+      for (size_t k = 0; k < j; ++k) s -= ri[k] * rj[k];
+      ri[j] = s / lj;
     }
   }
   return true;
 }
 
-Vector CholeskySolveFactored(const Matrix& l, const Vector& b) {
-  const size_t n = l.rows();
-  Vector y(n);
+// Forward substitution L y = b into x, then back substitution Lᵀ x = y in
+// place: x[ii] reads y[ii] before overwriting it, and every x[k] with
+// k > ii is already final.
+void CholeskySolveFactored(const Matrix& lm, const Vector& b, Vector* x) {
+  const size_t n = lm.rows();
+  const double* l = lm.data();
+  Vector& v = *x;
+  v.resize(n);
   for (size_t i = 0; i < n; ++i) {
     double s = b[i];
-    for (size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
-    y[i] = s / l(i, i);
+    for (size_t k = 0; k < i; ++k) s -= l[i * n + k] * v[k];
+    v[i] = s / l[i * n + i];
   }
-  Vector x(n);
   for (size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
-    x[ii] = s / l(ii, ii);
+    double s = v[ii];
+    for (size_t k = ii + 1; k < n; ++k) s -= l[k * n + ii] * v[k];
+    v[ii] = s / l[ii * n + ii];
   }
-  return x;
 }
 
 }  // namespace
 
-Result<Vector> SolveCholesky(const Matrix& a, const Vector& b, double reg) {
+Status SolveCholesky(const Matrix& a, const Vector& b, double reg,
+                     Matrix* factor, Vector* x) {
   POLYDAB_CHECK(a.rows() == a.cols());
   POLYDAB_CHECK(a.rows() == b.size());
+  POLYDAB_CHECK(x != &b);
   const size_t n = a.rows();
 
   // Scale the initial ridge to the matrix diagonal so behaviour is
@@ -100,16 +109,25 @@ Result<Vector> SolveCholesky(const Matrix& a, const Vector& b, double reg) {
 
   double ridge = reg;
   for (int attempt = 0; attempt < 12; ++attempt) {
-    Matrix l = a;
+    *factor = a;  // copy-assignment reuses the scratch allocation
     if (ridge > 0.0) {
-      for (size_t i = 0; i < n; ++i) l(i, i) += ridge;
+      for (size_t i = 0; i < n; ++i) (*factor)(i, i) += ridge;
     }
-    if (CholeskyFactor(&l)) {
-      return CholeskySolveFactored(l, b);
+    if (CholeskyFactor(factor)) {
+      CholeskySolveFactored(*factor, b, x);
+      return Status::OK();
     }
     ridge = (ridge == 0.0) ? 1e-12 * diag_max : ridge * 100.0;
   }
   return Status::NotConverged("Cholesky failed even with regularization");
+}
+
+Result<Vector> SolveCholesky(const Matrix& a, const Vector& b, double reg) {
+  Matrix factor;
+  Vector x;
+  Status st = SolveCholesky(a, b, reg, &factor, &x);
+  if (!st.ok()) return st;
+  return x;
 }
 
 }  // namespace polydab

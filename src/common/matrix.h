@@ -55,6 +55,11 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
+  /// Row-major storage: entry (r, c) is data()[r * cols() + c]. For hot
+  /// loops whose indices are in range by construction.
+  double* data() { return data_.data(); }
+  const double* data() const { return data_.data(); }
+
   /// y = M x.
   Vector Multiply(const Vector& x) const;
 
@@ -70,13 +75,23 @@ class Matrix {
 };
 
 /// \brief Solve the symmetric positive-definite system A x = b by Cholesky
-/// factorization.
+/// factorization, into \p x.
 ///
 /// If A is only positive semi-definite (or slightly indefinite from
 /// round-off, common near the boundary of a barrier subproblem), a Tikhonov
 /// ridge `reg * I` is added and the factorization retried with a growing
 /// ridge, up to a bounded number of attempts. Returns kNotConverged if no
 /// ridge in range produces a valid factorization.
+///
+/// \p factor is scratch for the Cholesky factor and \p x is resized to n;
+/// both are fully overwritten, so whatever they held before (any size)
+/// never changes a bit of the result. Once both have the capacity for an
+/// n x n system, the call makes no heap allocation. \p x must not alias
+/// \p b.
+Status SolveCholesky(const Matrix& a, const Vector& b, double reg,
+                     Matrix* factor, Vector* x);
+
+/// The same solve with local scratch, returning the solution by value.
 Result<Vector> SolveCholesky(const Matrix& a, const Vector& b,
                              double reg = 0.0);
 

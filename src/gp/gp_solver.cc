@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -67,33 +69,53 @@ void BuildSoa(const Posynomial& p, SoaPosy* sp) {
   }
 }
 
-/// Value, gradient, and (optionally) Hessian of one log-posynomial,
-/// accumulated into the given outputs with weight `w_grad` for the
-/// gradient and `w_hess`, `w_outer` for the two Hessian pieces:
-///   grad += w_grad * g
-///   hess += w_hess * (Σ w_k a_k a_kᵀ − g gᵀ) + w_outer * g gᵀ
-/// where g = Σ w_k a_k and w_k are the softmax weights. Scratch lives in
-/// \p ws (z, w, g), all fully overwritten.
-double Accumulate(const SoaPosy& p, const Vector& y, double w_grad,
-                  double w_hess, double w_outer, Vector* grad, Matrix* hess,
-                  Vector* g_out, Workspace* ws) {
-  const size_t n = y.size();
-  const int nt = p.num_terms();
-  ws->z.resize(static_cast<size_t>(nt));
-  for (int k = 0; k < nt; ++k) {
-    double s = p.logc[static_cast<size_t>(k)];
-    for (int idx = p.term_off[static_cast<size_t>(k)];
-         idx < p.term_off[static_cast<size_t>(k) + 1]; ++idx) {
-      s += p.exp_coef[static_cast<size_t>(idx)] *
-           y[static_cast<size_t>(p.exp_var[static_cast<size_t>(idx)])];
-    }
-    ws->z[static_cast<size_t>(k)] = s;
+/// Size ws->at_y and ws->trial for \p cg. Contents are left unspecified.
+void SizeEvals(const ConvexGp& cg, Workspace* ws) {
+  size_t terms = static_cast<size_t>(cg.objective.num_terms());
+  for (const SoaPosy& c : cg.constraints) {
+    terms += static_cast<size_t>(c.num_terms());
   }
-  const double f = LogSumExp(ws->z);
+  for (ProgramEval* ev : {&ws->at_y, &ws->trial}) {
+    ev->z.resize(terms);
+    ev->f.resize(cg.constraints.size() + 1);
+  }
+}
+
+/// Evaluate every posynomial of \p cg at \p y into \p ev, and the barrier
+/// value phi(y) = t*F0(y) - Σ log(-Fi(y)) into \p phi. Stops at the first
+/// constraint with Fi(y) >= 0 and returns false with *phi = +inf; on true
+/// all of \p ev holds the evaluation at \p y.
+bool EvaluateBarrier(const ConvexGp& cg, const Vector& y, double t,
+                     ProgramEval* ev, double* phi) {
+  double* z = ev->z.data();
+  ev->f[0] = cg.objective.Value(y, z);
+  z += cg.objective.num_terms();
+  double value = t * ev->f[0];
+  for (size_t i = 0; i < cg.constraints.size(); ++i) {
+    const SoaPosy& c = cg.constraints[i];
+    const double fi = c.Value(y, z);
+    z += c.num_terms();
+    ev->f[i + 1] = fi;
+    if (fi >= 0.0) {
+      *phi = kInf;
+      return false;
+    }
+    value -= std::log(-fi);
+  }
+  *phi = value;
+  return true;
+}
+
+/// Softmax weights w_k = exp(z_k - f) and gradient g = Σ_k w_k a_k of one
+/// log-posynomial from its term logs \p z and value \p f at a point (as
+/// SoaPosy::Value leaves them). Overwrites ws->w and ws->g (size n).
+void SoftmaxGradient(const SoaPosy& p, const double* z, double f, size_t n,
+                     Workspace* ws) {
+  const int nt = p.num_terms();
   ws->g.assign(n, 0.0);
   ws->w.resize(static_cast<size_t>(nt));
   for (int k = 0; k < nt; ++k) {
-    const double wk = std::exp(ws->z[static_cast<size_t>(k)] - f);
+    const double wk = std::exp(z[k] - f);
     ws->w[static_cast<size_t>(k)] = wk;
     for (int idx = p.term_off[static_cast<size_t>(k)];
          idx < p.term_off[static_cast<size_t>(k) + 1]; ++idx) {
@@ -101,52 +123,50 @@ double Accumulate(const SoaPosy& p, const Vector& y, double w_grad,
           wk * p.exp_coef[static_cast<size_t>(idx)];
     }
   }
-  if (grad != nullptr && w_grad != 0.0) {
-    for (size_t j = 0; j < n; ++j) (*grad)[j] += w_grad * ws->g[j];
-  }
-  if (hess != nullptr) {
-    // Σ w_k a_k a_kᵀ piece (sparse outer products per term).
-    if (w_hess != 0.0) {
-      for (int k = 0; k < nt; ++k) {
-        const double wk = ws->w[static_cast<size_t>(k)] * w_hess;
-        const int lo = p.term_off[static_cast<size_t>(k)];
-        const int hi = p.term_off[static_cast<size_t>(k) + 1];
-        for (int ii = lo; ii < hi; ++ii) {
-          const size_t vi = static_cast<size_t>(p.exp_var[static_cast<size_t>(ii)]);
-          const double ei = p.exp_coef[static_cast<size_t>(ii)];
-          for (int jj = lo; jj < hi; ++jj) {
-            (*hess)(vi, static_cast<size_t>(p.exp_var[static_cast<size_t>(jj)])) +=
-                wk * ei * p.exp_coef[static_cast<size_t>(jj)];
-          }
-        }
-      }
-    }
-    // (w_outer - w_hess) * g gᵀ piece (dense but only over support).
-    const double wo = w_outer - w_hess;
-    if (wo != 0.0) {
-      for (size_t i = 0; i < n; ++i) {
-        if (ws->g[i] == 0.0) continue;
-        for (size_t j = 0; j < n; ++j) {
-          if (ws->g[j] == 0.0) continue;
-          (*hess)(i, j) += wo * ws->g[i] * ws->g[j];
-        }
-      }
-    }
-  }
-  if (g_out != nullptr) g_out->assign(ws->g.begin(), ws->g.end());
-  return f;
 }
 
-/// Barrier value phi(y) = t*F0(y) - Σ log(-Fi(y)); +inf when infeasible.
-double BarrierValue(const ConvexGp& cg, const Vector& y, double t,
-                    Workspace* ws) {
-  double phi = t * cg.objective.Value(y, &ws->z);
-  for (const SoaPosy& c : cg.constraints) {
-    const double fi = c.Value(y, &ws->z);
-    if (fi >= 0.0) return kInf;
-    phi -= std::log(-fi);
+/// grad += w_grad * g; a zero weight adds nothing, not even signed zeros.
+void AddGradient(double w_grad, const Vector& g, Vector* grad) {
+  if (w_grad == 0.0) return;
+  for (size_t j = 0; j < g.size(); ++j) (*grad)[j] += w_grad * g[j];
+}
+
+/// hess += w_hess * (Σ w_k a_k a_kᵀ − g gᵀ) + w_outer * g gᵀ from the
+/// weights and gradient SoftmaxGradient left in \p ws. \p hess is n x n
+/// and every exponent variable of \p p is below n (ValidateGpProblem).
+void AddHessian(const SoaPosy& p, double w_hess, double w_outer,
+                const Workspace& ws, Matrix* hess) {
+  const size_t n = ws.g.size();
+  double* h = hess->data();
+  // Σ w_k a_k a_kᵀ piece (sparse outer products per term).
+  if (w_hess != 0.0) {
+    for (int k = 0; k < p.num_terms(); ++k) {
+      const double wk = ws.w[static_cast<size_t>(k)] * w_hess;
+      const int lo = p.term_off[static_cast<size_t>(k)];
+      const int hi = p.term_off[static_cast<size_t>(k) + 1];
+      for (int ii = lo; ii < hi; ++ii) {
+        double* row =
+            h + static_cast<size_t>(p.exp_var[static_cast<size_t>(ii)]) * n;
+        const double ei = p.exp_coef[static_cast<size_t>(ii)];
+        for (int jj = lo; jj < hi; ++jj) {
+          row[p.exp_var[static_cast<size_t>(jj)]] +=
+              wk * ei * p.exp_coef[static_cast<size_t>(jj)];
+        }
+      }
+    }
   }
-  return phi;
+  // (w_outer - w_hess) * g gᵀ piece (dense but only over support).
+  const double wo = w_outer - w_hess;
+  if (wo != 0.0) {
+    for (size_t i = 0; i < n; ++i) {
+      if (ws.g[i] == 0.0) continue;
+      double* row = h + i * n;
+      for (size_t j = 0; j < n; ++j) {
+        if (ws.g[j] == 0.0) continue;
+        row[j] += wo * ws.g[i] * ws.g[j];
+      }
+    }
+  }
 }
 
 /// Damped-Newton minimization of the barrier objective at fixed t.
@@ -176,27 +196,40 @@ Result<int> CenterStep(const ConvexGp& cg, double t, const SolverOptions& opt,
   int iter = 0;
   int counted = 0;
   const int hard_cap = 10 * opt.max_newton_per_stage;
+  // True when ws->at_y and phi0 already hold the evaluation at *y: the
+  // accepted line-search trial's, computed at the same point with the
+  // same t.
+  bool carried = false;
+  double phi0 = 0.0;
   while (counted < opt.max_newton_per_stage && iter < hard_cap) {
+    // At most one term-log/LogSumExp pass per posynomial at y; it feeds
+    // the gradient, the Hessian and phi(y).
+    if (!carried && !EvaluateBarrier(cg, *y, t, &ws->at_y, &phi0)) {
+      return Status::Internal("barrier stage entered infeasible point");
+    }
     ws->grad.assign(n, 0.0);
     ws->hess.Resize(n, n);
-    Accumulate(cg.objective, *y, t, t, 0.0, &ws->grad, &ws->hess, nullptr,
-               ws);
-    for (const SoaPosy& c : cg.constraints) {
-      // First pass for the value only (cheap); needed for the weights.
-      const double fi = c.Value(*y, &ws->z);
-      if (fi >= 0.0) {
-        return Status::Internal("barrier stage entered infeasible point");
-      }
+    const ProgramEval& ev = ws->at_y;
+    const double* z = ev.z.data();
+    SoftmaxGradient(cg.objective, z, ev.f[0], n, ws);
+    AddGradient(t, ws->g, &ws->grad);
+    AddHessian(cg.objective, t, 0.0, *ws, &ws->hess);
+    z += cg.objective.num_terms();
+    for (size_t i = 0; i < cg.constraints.size(); ++i) {
+      const SoaPosy& c = cg.constraints[i];
+      const double fi = ev.f[i + 1];
       const double inv = 1.0 / (-fi);
       // d/dy [-log(-Fi)] = grad Fi / (-Fi);
       // d2    = Hess Fi/(-Fi) + grad grad^T / Fi^2.
-      Accumulate(c, *y, inv, inv, 1.0 / (fi * fi), &ws->grad, &ws->hess,
-                 nullptr, ws);
+      SoftmaxGradient(c, z, fi, n, ws);
+      AddGradient(inv, ws->g, &ws->grad);
+      AddHessian(c, inv, 1.0 / (fi * fi), *ws, &ws->hess);
+      z += c.num_terms();
     }
 
-    auto step = SolveCholesky(ws->hess, ws->grad);
-    if (!step.ok()) return step.status();
-    Vector d = std::move(step).value();
+    POLYDAB_RETURN_NOT_OK(
+        SolveCholesky(ws->hess, ws->grad, 0.0, &ws->factor, &ws->d));
+    Vector& d = ws->d;
     for (double& di : d) di = -di;
 
     double lambda2 = -Dot(ws->grad, d);
@@ -216,12 +249,12 @@ Result<int> CenterStep(const ConvexGp& cg, double t, const SolverOptions& opt,
       double reg = std::max(1e-12, 1e-10 * diag_max);
       bool fits = false;
       for (int attempt = 0; attempt < 40 && !fits; ++attempt) {
-        auto dstep = SolveCholesky(ws->hess, ws->grad, reg);
-        if (dstep.ok()) {
-          Vector d2 = std::move(dstep).value();
-          for (double& di : d2) di = -di;
-          if (InfNorm(d2) <= kMaxStepInf) {
-            d = std::move(d2);
+        if (SolveCholesky(ws->hess, ws->grad, reg, &ws->factor,
+                          &ws->d_damped)
+                .ok()) {
+          for (double& di : ws->d_damped) di = -di;
+          if (InfNorm(ws->d_damped) <= kMaxStepInf) {
+            std::swap(d, ws->d_damped);
             fits = true;
           }
         }
@@ -237,12 +270,12 @@ Result<int> CenterStep(const ConvexGp& cg, double t, const SolverOptions& opt,
     }
 
     // Backtracking line search on the true barrier value.
-    const double phi0 = BarrierValue(cg, *y, t, ws);
     double alpha = 1.0;
+    double phi1 = 0.0;
     ws->y_new.resize(n);
     for (int ls = 0; ls < 60; ++ls) {
       for (size_t j = 0; j < n; ++j) ws->y_new[j] = (*y)[j] + alpha * d[j];
-      const double phi1 = BarrierValue(cg, ws->y_new, t, ws);
+      carried = EvaluateBarrier(cg, ws->y_new, t, &ws->trial, &phi1);
       if (phi1 <= phi0 - 0.25 * alpha * lambda2) break;
       alpha *= 0.5;
       ++stats->line_search_backtracks;
@@ -252,6 +285,8 @@ Result<int> CenterStep(const ConvexGp& cg, double t, const SolverOptions& opt,
       }
     }
     *y = ws->y_new;
+    std::swap(ws->at_y, ws->trial);
+    phi0 = phi1;
     ++stats->newton_iterations;
     ++iter;
     if (scale == 1.0) ++counted;  // clamped travel steps are budget-free
@@ -266,10 +301,20 @@ Result<Vector> PhaseOne(const ConvexGp& cg, const SolverOptions& opt,
                         const Vector& y0, SolveStats* stats, Workspace* ws) {
   stats->phase1 = true;
   const size_t n = static_cast<size_t>(cg.num_vars);
+  const size_t first_z = static_cast<size_t>(cg.objective.num_terms());
+  // The constraint entries of ws->at_y hold every Fi evaluated at y
+  // throughout: first here, then from each accepted line-search trial
+  // (y moves only to a trial point).
   Vector y = y0;
   double s = 0.0;
-  for (const SoaPosy& c : cg.constraints) {
-    s = std::max(s, c.Value(y, &ws->z));
+  {
+    double* z = ws->at_y.z.data() + first_z;
+    for (size_t i = 0; i < cg.constraints.size(); ++i) {
+      const SoaPosy& c = cg.constraints[i];
+      ws->at_y.f[i + 1] = c.Value(y, z);
+      z += c.num_terms();
+      s = std::max(s, ws->at_y.f[i + 1]);
+    }
   }
   if (s < -1e-6) return y;  // already strictly feasible
   s += 1.0;
@@ -282,37 +327,42 @@ Result<Vector> PhaseOne(const ConvexGp& cg, const SolverOptions& opt,
       ws->grad.assign(n + 1, 0.0);
       ws->hess.Resize(n + 1, n + 1);
       ws->grad[n] = t;
+      // The evaluation at y feeds the gradient, the Hessian and the line
+      // search's starting value val0.
+      double val0 = t * s;
       bool bail = false;
-      for (const SoaPosy& c : cg.constraints) {
-        const double fi =
-            Accumulate(c, y, 0.0, 0.0, 0.0, nullptr, nullptr, &ws->gi, ws);
+      const double* z = ws->at_y.z.data() + first_z;
+      for (size_t ci = 0; ci < cg.constraints.size(); ++ci) {
+        const SoaPosy& c = cg.constraints[ci];
+        const double fi = ws->at_y.f[ci + 1];
         const double gap = s - fi;
         if (gap <= 0.0) {
           bail = true;
           break;
         }
+        val0 -= std::log(gap);
         const double inv = 1.0 / gap;
-        // Accumulate again with Hessian weights for the y-block:
-        // H_i/gap + g_i g_iᵀ/gap².
+        SoftmaxGradient(c, z, fi, n, ws);
+        z += c.num_terms();
+        // Hessian weights for the y-block: H_i/gap + g_i g_iᵀ/gap².
         ws->hblock.Resize(n, n);
-        Accumulate(c, y, 0.0, inv, inv * inv, nullptr, &ws->hblock, nullptr,
-                   ws);
+        AddHessian(c, inv, inv * inv, *ws, &ws->hblock);
         for (size_t i = 0; i < n; ++i) {
-          ws->grad[i] += inv * ws->gi[i];
+          ws->grad[i] += inv * ws->g[i];
           for (size_t j = 0; j < n; ++j) {
             ws->hess(i, j) += ws->hblock(i, j);
           }
-          ws->hess(i, n) += -inv * inv * ws->gi[i];
-          ws->hess(n, i) += -inv * inv * ws->gi[i];
+          ws->hess(i, n) += -inv * inv * ws->g[i];
+          ws->hess(n, i) += -inv * inv * ws->g[i];
         }
         ws->grad[n] += -inv;
         ws->hess(n, n) += inv * inv;
       }
       if (bail) break;
 
-      auto step = SolveCholesky(ws->hess, ws->grad);
-      if (!step.ok()) return step.status();
-      Vector d = std::move(step).value();
+      POLYDAB_RETURN_NOT_OK(
+          SolveCholesky(ws->hess, ws->grad, 0.0, &ws->factor, &ws->d));
+      Vector& d = ws->d;
       for (double& di : d) di = -di;
       double lambda2 = -Dot(ws->grad, d);
       if (lambda2 / 2.0 < opt.inner_tol) break;
@@ -320,10 +370,6 @@ Result<Vector> PhaseOne(const ConvexGp& cg, const SolverOptions& opt,
 
       // Line search maintaining s - Fi(y) > 0. Phase I only needs *a*
       // strictly feasible point, so accept any trial that achieves one.
-      double val0 = t * s;
-      for (const SoaPosy& c : cg.constraints) {
-        val0 -= std::log(s - c.Value(y, &ws->z));
-      }
       double alpha = 1.0;
       ws->y_try.resize(n);
       for (int ls = 0; ls < 60; ++ls) {
@@ -332,8 +378,12 @@ Result<Vector> PhaseOne(const ConvexGp& cg, const SolverOptions& opt,
         bool feas = true;
         double max_f = -kInf;
         double val = t * s_try;
-        for (const SoaPosy& c : cg.constraints) {
-          const double fi = c.Value(ws->y_try, &ws->z);
+        double* zt = ws->trial.z.data() + first_z;
+        for (size_t i = 0; i < cg.constraints.size(); ++i) {
+          const SoaPosy& c = cg.constraints[i];
+          const double fi = c.Value(ws->y_try, zt);
+          zt += c.num_terms();
+          ws->trial.f[i + 1] = fi;
           max_f = std::max(max_f, fi);
           const double gap = s_try - fi;
           if (gap <= 0.0) {
@@ -348,9 +398,12 @@ Result<Vector> PhaseOne(const ConvexGp& cg, const SolverOptions& opt,
         ++stats->line_search_backtracks;
         if (alpha < 1e-14) break;
       }
+      // Past this check the loop broke on an accepted trial: y moves to
+      // exactly y_try, whose evaluation becomes the one at y.
       if (alpha < 1e-14) break;
       for (size_t j = 0; j < n; ++j) y[j] += alpha * d[j];
       s += alpha * d[n];
+      std::swap(ws->at_y, ws->trial);
       ++stats->newton_iterations;
       if (s < -1e-3) return y;  // strictly feasible, done early
     }
@@ -424,9 +477,8 @@ int64_t RefillSoa(const Posynomial& p, SoaPosy* sp) {
 
 }  // namespace
 
-double SoaPosy::Value(const Vector& y, Vector* z) const {
+double SoaPosy::Value(const Vector& y, double* z) const {
   const int nt = num_terms();
-  z->resize(static_cast<size_t>(nt));
   for (int k = 0; k < nt; ++k) {
     double s = logc[static_cast<size_t>(k)];
     for (int idx = term_off[static_cast<size_t>(k)];
@@ -434,9 +486,9 @@ double SoaPosy::Value(const Vector& y, Vector* z) const {
       s += exp_coef[static_cast<size_t>(idx)] *
            y[static_cast<size_t>(exp_var[static_cast<size_t>(idx)])];
     }
-    (*z)[static_cast<size_t>(k)] = s;
+    z[k] = s;
   }
-  return LogSumExp(*z);
+  return LogSumExp(std::span<const double>(z, static_cast<size_t>(nt)));
 }
 
 Status ValidateGpProblem(const GpProblem& problem) {
@@ -521,6 +573,7 @@ Result<GpSolution> SolveConvexGp(const GpProblem& problem, const ConvexGp& cg,
     }
   }
 
+  SizeEvals(cg, ws);  // PhaseOne and CenterStep evaluate into these
   const double m = std::max<size_t>(cg.constraints.size(), 1);
 
   // Full barrier schedule from the given starting weight. Returns the
@@ -532,11 +585,11 @@ Result<GpSolution> SolveConvexGp(const GpProblem& problem, const ConvexGp& cg,
   auto run_barrier = [&](Vector* yy, double t) -> Result<int> {
     int newton_total = 0;
     for (int outer = 0; outer < options.max_outer; ++outer) {
-      Vector y_stage = *yy;
+      ws->y_stage = *yy;
       Result<int> iters = CenterStep(cg, t, options, yy, stats, ws, false);
       if (!iters.ok() &&
           iters.status().code() == StatusCode::kNotConverged) {
-        *yy = y_stage;
+        *yy = ws->y_stage;
         ++stats->damped_stages;
         iters = CenterStep(cg, t, options, yy, stats, ws, true);
       }
@@ -562,8 +615,9 @@ Result<GpSolution> SolveConvexGp(const GpProblem& problem, const ConvexGp& cg,
     // solve's optimum for slightly moved data usually is one.
     bool warm_feasible = warm_start != nullptr;
     if (warm_feasible) {
+      // ws->trial.z has room for any one posynomial's term logs.
       for (const SoaPosy& c : cg.constraints) {
-        if (c.Value(y, &ws->z) >= -kWarmFeasMargin) {
+        if (c.Value(y, ws->trial.z.data()) >= -kWarmFeasMargin) {
           warm_feasible = false;
           break;
         }

@@ -22,7 +22,10 @@
 /// function of (program bits, options bits, warm-start bits). Two calls
 /// with bitwise-equal inputs produce bitwise-equal outputs, regardless of
 /// which Workspace they run in, because every scratch buffer is fully
-/// overwritten before use and the arithmetic order is fixed.
+/// overwritten before use and the arithmetic order is fixed. The
+/// evaluations a Newton step reuses from the previous step's accepted
+/// line-search trial (Workspace::at_y) were written earlier in the same
+/// solve, at the same point, by the same operations.
 
 namespace polydab::gp::internal {
 
@@ -41,8 +44,9 @@ struct SoaPosy {
 
   int num_terms() const { return static_cast<int>(logc.size()); }
 
-  /// F(y) = log Σ_k exp(logc_k + a_k·y), using \p z as scratch.
-  double Value(const Vector& y, Vector* z) const;
+  /// F(y) = log Σ_k exp(logc_k + a_k·y). Writes the term logs
+  /// logc_k + a_k·y to z[0, num_terms()).
+  double Value(const Vector& y, double* z) const;
 };
 
 /// Convexified GP: minimize F0(y) s.t. Fi(y) <= 0. Vacuous (empty)
@@ -53,19 +57,33 @@ struct ConvexGp {
   int num_vars = 0;
 };
 
+/// Every posynomial of a ConvexGp evaluated at one point: the term logs,
+/// flat with the objective's first and then each constraint's in order,
+/// and the values (f[0] = F0, f[1 + i] = the value of constraint i).
+struct ProgramEval {
+  Vector z;
+  Vector f;
+};
+
 /// Reusable scratch for one solve. Buffers are grown on demand and fully
 /// overwritten before each use, so reuse across programs (even of
-/// different shapes) cannot change any computed bit.
+/// different shapes) cannot change any computed bit. Once a workspace has
+/// served one solve of a shape, the Newton loops of later solves of that
+/// shape make no heap allocation.
 struct Workspace {
-  Vector z;      ///< per-term log values
-  Vector w;      ///< softmax weights
-  Vector g;      ///< accumulated gradient of one posynomial
-  Vector gi;     ///< phase-I saved constraint gradient
-  Vector grad;   ///< Newton gradient
-  Vector y_new;  ///< line-search trial point
-  Vector y_try;  ///< phase-I line-search trial point
-  Matrix hess;   ///< Newton Hessian
-  Matrix hblock; ///< phase-I per-constraint Hessian block
+  ProgramEval at_y;   ///< evaluation at the current iterate
+  ProgramEval trial;  ///< evaluation at the line-search trial point
+  Vector w;           ///< softmax weights of one posynomial
+  Vector g;           ///< gradient of one posynomial
+  Vector grad;        ///< Newton gradient
+  Vector d;           ///< Newton direction
+  Vector d_damped;    ///< damped-stage ridge direction candidate
+  Vector y_new;       ///< line-search trial point
+  Vector y_try;       ///< phase-I line-search trial point
+  Vector y_stage;     ///< stage start point, restored for the damped retry
+  Matrix hess;        ///< Newton Hessian
+  Matrix hblock;      ///< phase-I per-constraint Hessian block
+  Matrix factor;      ///< Cholesky factor of hess (plus any ridge)
 };
 
 /// Validation shared by SolveGp and the engine: nonempty objective,

@@ -1,4 +1,7 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -112,6 +115,26 @@ TEST(MatrixTest, MultiplyAndTranspose) {
   EXPECT_DOUBLE_EQ(z[2], 9);
 }
 
+bool SameBits(const Vector& a, const Vector& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Rank-1 PSD matrix: plain Cholesky fails on the zero pivot, so every
+/// solve of it goes through the ridge retry.
+Matrix RankOne() {
+  Matrix a(2, 2);
+  a(0, 0) = 1;
+  a(0, 1) = a(1, 0) = 1;
+  a(1, 1) = 1;
+  return a;
+}
+
 TEST(MatrixTest, CholeskySolvesSpdSystem) {
   // A = L L^T with known L.
   Matrix a(3, 3);
@@ -122,24 +145,81 @@ TEST(MatrixTest, CholeskySolvesSpdSystem) {
   a(1, 2) = a(2, 1) = 1;
   a(2, 2) = 3;
   Vector b = {2, 8, 4};
-  auto x = SolveCholesky(a, b);
-  ASSERT_TRUE(x.ok());
-  Vector check = a.Multiply(*x);
+  Matrix factor;
+  Vector x;
+  ASSERT_TRUE(SolveCholesky(a, b, 0.0, &factor, &x).ok());
+  Vector check = a.Multiply(x);
   for (int i = 0; i < 3; ++i) EXPECT_NEAR(check[i], b[i], 1e-10);
 }
 
 TEST(MatrixTest, CholeskyRegularizesSemidefinite) {
-  // Rank-1 PSD matrix; plain Cholesky would fail on the zero pivot.
-  Matrix a(2, 2);
-  a(0, 0) = 1;
-  a(0, 1) = a(1, 0) = 1;
-  a(1, 1) = 1;
-  auto x = SolveCholesky(a, {1, 1});
-  ASSERT_TRUE(x.ok());
+  const Matrix a = RankOne();
+  Matrix factor;
+  Vector x;
+  ASSERT_TRUE(SolveCholesky(a, {1, 1}, 0.0, &factor, &x).ok());
   // Regularized solution still approximately solves the system.
-  Vector check = a.Multiply(*x);
+  Vector check = a.Multiply(x);
   EXPECT_NEAR(check[0], 1.0, 1e-5);
   EXPECT_NEAR(check[1], 1.0, 1e-5);
+}
+
+TEST(MatrixTest, CholeskyRidgeRetryIsBitIdenticalThroughBothEntryPoints) {
+  const Matrix a = RankOne();
+  const Vector b = {1, 2};
+  for (double reg : {0.0, 1e-6}) {
+    auto by_value = SolveCholesky(a, b, reg);
+    Matrix factor;
+    Vector x;
+    ASSERT_TRUE(by_value.ok());
+    ASSERT_TRUE(SolveCholesky(a, b, reg, &factor, &x).ok());
+    EXPECT_TRUE(SameBits(*by_value, x)) << "reg=" << reg;
+  }
+}
+
+TEST(MatrixTest, CholeskyScratchThatHeldALargerMatrixGivesFreshBits) {
+  Matrix big(5, 5);
+  for (size_t i = 0; i < 5; ++i) {
+    for (size_t j = 0; j < 5; ++j) {
+      big(i, j) = 1.0 / static_cast<double>(i + j + 1);
+    }
+    big(i, i) += 1.0;
+  }
+  Matrix factor;
+  Vector x;
+  ASSERT_TRUE(SolveCholesky(big, {1, 2, 3, 4, 5}, 0.0, &factor, &x).ok());
+
+  // A smaller SPD system, and the ridge-retry system, through the used
+  // scratch and through fresh scratch.
+  Matrix small(3, 3);
+  small(0, 0) = 4;
+  small(0, 1) = small(1, 0) = 2;
+  small(1, 1) = 5;
+  small(1, 2) = small(2, 1) = 1;
+  small(2, 2) = 3;
+  for (const auto& [a, b] : {std::pair{small, Vector{2, 8, 4}},
+                             std::pair{RankOne(), Vector{1, 1}}}) {
+    ASSERT_TRUE(SolveCholesky(a, b, 0.0, &factor, &x).ok());
+    Matrix fresh_factor;
+    Vector fresh_x;
+    ASSERT_TRUE(SolveCholesky(a, b, 0.0, &fresh_factor, &fresh_x).ok());
+    EXPECT_TRUE(SameBits(x, fresh_x)) << "n=" << a.rows();
+  }
+}
+
+TEST(MatrixTest, CholeskyExhaustedRetriesReportNotConverged) {
+  // Indefinite far beyond the largest ridge the retry loop reaches
+  // (1e8 x the diagonal scale): the GP solver's damped stage retry keys
+  // on exactly this code.
+  Matrix a(2, 2);
+  a(0, 0) = a(1, 1) = 1;
+  a(0, 1) = a(1, 0) = 1e10;
+  Matrix factor;
+  Vector x;
+  EXPECT_EQ(SolveCholesky(a, {1, 1}, 0.0, &factor, &x).code(),
+            StatusCode::kNotConverged);
+  auto by_value = SolveCholesky(a, {1, 1});
+  ASSERT_FALSE(by_value.ok());
+  EXPECT_EQ(by_value.status().code(), StatusCode::kNotConverged);
 }
 
 TEST(VectorOpsTest, DotNormAxpy) {

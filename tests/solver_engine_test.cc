@@ -11,9 +11,15 @@
 //     solves agree to tolerance, uniform objective scaling preserves the
 //     argmin, and engine telemetry is deterministic across identical
 //     runs.
+//  4. Barrier-kernel guards: a seeded sweep through every solver path
+//     must fold to a pinned digest of result and stats bits, and a warm
+//     workspace must keep the Newton loop off the heap.
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,7 +27,22 @@
 #include "common/rng.h"
 #include "gp/gp_solver.h"
 #include "gp/solve_engine.h"
+#include "gp/solver_internal.h"
 #include "obs/metrics.h"
+
+namespace {
+/// operator new calls made by this thread (see the replacement below).
+thread_local int64_t t_news = 0;
+}  // namespace
+
+// Counting replacement of the global allocator, for the allocation guard.
+void* operator new(std::size_t size) {
+  ++t_news;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace polydab::gp {
 namespace {
@@ -373,6 +394,221 @@ TEST(SolveEngineTest, InvalidProblemFailsLikeDirectSolve) {
   ASSERT_FALSE(direct.ok());
   ASSERT_FALSE(routed.ok());
   EXPECT_EQ(direct.status().code(), routed.status().code());
+}
+
+// ---------------------------------------------------------------------
+// Barrier-kernel guards.
+
+/// FNV-1a over raw 64-bit words.
+struct Fnv64 {
+  uint64_t h = 1469598103934665603ull;
+  void Mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  void MixInt(int64_t v) { Mix(static_cast<uint64_t>(v)); }
+  void MixDouble(double v) { Mix(std::bit_cast<uint64_t>(v)); }
+};
+
+/// A random program with multi-variable terms and mixed-sign exponents in
+/// every constraint, so the Hessian has off-diagonal cells and phase I
+/// works on coupled constraints.
+GpProblem MixedProgram(uint64_t seed) {
+  Rng rng(seed);
+  GpProblem gp;
+  const int n = static_cast<int>(rng.UniformInt(2, 6));
+  gp.num_vars = n;
+  for (int v = 0; v < n; ++v) {
+    gp.objective.AddTerm(rng.Uniform(0.5, 3.0), {{v, -1.0}});
+    gp.objective.AddTerm(rng.Uniform(0.01, 0.1), {{v, 1.0}});
+  }
+  const int m = static_cast<int>(rng.UniformInt(1, 4));
+  for (int c = 0; c < m; ++c) {
+    Posynomial p;
+    const int terms = static_cast<int>(rng.UniformInt(1, 4));
+    for (int t = 0; t < terms; ++t) {
+      std::vector<std::pair<int, double>> exps;
+      const int k = 1 + static_cast<int>(rng.UniformInt(0, 2));
+      for (int j = 0; j < k; ++j) {
+        exps.emplace_back(static_cast<int>(rng.UniformInt(0, n - 1)),
+                          rng.Uniform(-2.0, 2.0));
+      }
+      p.AddTerm(rng.Uniform(0.1, 0.3), std::move(exps));
+    }
+    gp.constraints.push_back(std::move(p));
+  }
+  return gp;
+}
+
+/// minimize x^-1 s.t. cap*x <= 1: the optimum 1/cap is ~log(1/cap) away
+/// from the cold start in log space (see ClampedTravelDoesNotBurnStage-
+/// Budget), so small caps cost many clamped travel steps.
+GpProblem TravelProgram(double cap) {
+  GpProblem gp;
+  gp.num_vars = 1;
+  gp.objective.AddTerm(1.0, {{0, -1.0}});
+  Posynomial c;
+  c.AddTerm(cap, {{0, 1.0}});
+  gp.constraints.push_back(std::move(c));
+  return gp;
+}
+
+/// minimize x*y + (x*y)^-1: singular log-space Hessian, so the Newton
+/// system needs the Cholesky ridge retry.
+GpProblem ValleyProgram() {
+  GpProblem gp;
+  gp.num_vars = 2;
+  gp.objective.AddTerm(1.0, {{0, 1.0}, {1, 1.0}});
+  gp.objective.AddTerm(1.0, {{0, -1.0}, {1, -1.0}});
+  return gp;
+}
+
+Vector Scaled(const Vector& x, double f) {
+  Vector out = x;
+  for (double& v : out) v *= f;
+  return out;
+}
+
+Result<GpSolution> SolveIn(const GpProblem& gp, const SolverOptions& options,
+                           const Vector* warm, SolveStats* stats,
+                           internal::Workspace* ws) {
+  internal::ConvexGp cg;
+  internal::BuildConvexGp(gp, &cg);
+  return internal::SolveConvexGp(gp, cg, options, warm, stats, ws);
+}
+
+TEST(SolverBitIdentityTest, SweepMatchesParentDigest) {
+  // Every solver path folded into one digest of result and stats bits:
+  // cold solves, warm-feasible descents, infeasible warm points (phase
+  // I), warm failures with a cold restart (tiny stage budgets), damped
+  // stage retries (including their ridge-solve loop: travel with a
+  // budget of 2, mixed2/mixed7 cold at budget 3) and Cholesky ridge
+  // retries (the valley, and several phase-I solves). All solves share
+  // one workspace across shapes, which the kernel contract says cannot
+  // change a bit. The constant was computed before the fused barrier
+  // kernel landed; any arithmetic reorder in the kernel breaks it.
+  constexpr uint64_t kParentDigest = 0x216842c2a9519fedull;
+  internal::Workspace ws;
+  Fnv64 digest;
+  int solves = 0;
+  bool saw_cold = false, saw_warm_feasible = false, saw_warm_phase1 = false,
+       saw_cold_restart = false, saw_damped = false;
+  auto solve = [&](const GpProblem& gp, const SolverOptions& options,
+                   const Vector* warm) {
+    SolveStats stats;
+    auto sol = SolveIn(gp, options, warm, &stats, &ws);
+    ++solves;
+    digest.MixInt(static_cast<int64_t>(sol.ok() ? StatusCode::kOk
+                                                : sol.status().code()));
+    if (sol.ok()) {
+      digest.MixInt(static_cast<int64_t>(sol->x.size()));
+      for (double x : sol->x) digest.MixDouble(x);
+      digest.MixDouble(sol->objective);
+      digest.MixInt(sol->newton_iterations);
+    }
+    digest.MixInt(stats.newton_iterations);
+    digest.MixInt(stats.line_search_backtracks);
+    digest.MixInt(stats.damped_stages);
+    digest.MixInt(stats.phase1);
+    digest.MixInt(stats.warm_feasible);
+    digest.MixInt(stats.cold_restart);
+    saw_cold |= warm == nullptr && sol.ok();
+    saw_warm_feasible |= stats.warm_feasible && sol.ok();
+    saw_warm_phase1 |= warm != nullptr && stats.phase1 && !stats.cold_restart;
+    saw_cold_restart |= stats.cold_restart;
+    saw_damped |= stats.damped_stages > 0;
+    return sol;
+  };
+
+  SolverOptions defaults;
+  SolverOptions budget2 = defaults;
+  budget2.max_newton_per_stage = 2;
+  SolverOptions budget3 = defaults;
+  budget3.max_newton_per_stage = 3;
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    const GpProblem gp = MixedProgram(seed);
+    auto cold = solve(gp, defaults, nullptr);
+    ASSERT_TRUE(cold.ok()) << "mixed" << seed;
+    const Vector inside = Scaled(cold->x, 0.95);
+    const Vector outside = Scaled(cold->x, 4.0);
+    solve(gp, defaults, &inside);
+    solve(gp, defaults, &outside);
+    solve(gp, budget2, &inside);
+    solve(gp, budget3, nullptr);
+  }
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    const GpProblem gp = RandomProgram(1000 + seed, 5.0);
+    auto cold = solve(gp, defaults, nullptr);
+    ASSERT_TRUE(cold.ok()) << "random" << seed;
+    const Vector inside = Scaled(cold->x, 0.9);
+    solve(gp, defaults, &inside);
+    solve(gp, budget2, &inside);
+  }
+  solve(ValleyProgram(), defaults, nullptr);
+  for (int budget : {2, 6}) {
+    SolverOptions options;
+    options.max_newton_per_stage = budget;
+    solve(TravelProgram(1e-12), options, nullptr);
+  }
+
+  EXPECT_EQ(solves, 12 * 5 + 6 * 3 + 3);
+  EXPECT_TRUE(saw_cold);
+  EXPECT_TRUE(saw_warm_feasible);
+  EXPECT_TRUE(saw_warm_phase1);
+  EXPECT_TRUE(saw_cold_restart);
+  EXPECT_TRUE(saw_damped);
+  EXPECT_EQ(digest.h, kParentDigest) << std::hex << "0x" << digest.h;
+}
+
+/// operator new calls one SolveConvexGp makes on this thread; the solve's
+/// stats go to \p stats.
+int64_t CountSolveNews(const GpProblem& gp, const internal::ConvexGp& cg,
+                       const Vector& warm, internal::Workspace* ws,
+                       SolveStats* stats) {
+  const int64_t before = t_news;
+  auto sol = internal::SolveConvexGp(gp, cg, SolverOptions{}, &warm, stats,
+                                     ws);
+  const int64_t news = t_news - before;
+  EXPECT_TRUE(sol.ok()) << sol.status().ToString();
+  return news;
+}
+
+TEST(SolverAllocationTest, NewtonLoopDoesNotAllocateOnceWarm) {
+  // Two same-shape programs (one build, refilled coefficients) whose
+  // solves take different numbers of Newton steps must make the same
+  // number of heap allocations in a workspace warmed by one solve of the
+  // shape: the per-solve result vectors, never anything per step.
+  auto run = [](const Vector& warm, bool expect_phase1) {
+    const GpProblem near = TravelProgram(1e-1);
+    const GpProblem far = TravelProgram(1e-40);
+    internal::ConvexGp cg;
+    internal::BuildConvexGp(near, &cg);
+    internal::Workspace ws;
+    SolveStats warmup;
+    CountSolveNews(near, cg, warm, &ws, &warmup);
+
+    SolveStats near_stats;
+    const int64_t near_news = CountSolveNews(near, cg, warm, &ws, &near_stats);
+    ASSERT_TRUE(internal::StructureMatches(cg, far));
+    internal::RefillCoefficients(far, &cg);
+    SolveStats far_stats;
+    const int64_t far_news = CountSolveNews(far, cg, warm, &ws, &far_stats);
+
+    EXPECT_EQ(near_stats.phase1, expect_phase1);
+    EXPECT_EQ(far_stats.phase1, expect_phase1);
+    EXPECT_EQ(near_stats.warm_feasible, !expect_phase1);
+    EXPECT_EQ(far_stats.warm_feasible, !expect_phase1);
+    EXPECT_GE(std::abs(far_stats.newton_iterations -
+                       near_stats.newton_iterations),
+              5)
+        << near_stats.newton_iterations << " vs "
+        << far_stats.newton_iterations;
+    EXPECT_EQ(near_news, far_news);
+  };
+  run({1e-3}, /*expect_phase1=*/false);  // strictly inside both caps
+  run({1e45}, /*expect_phase1=*/true);   // outside both caps
 }
 
 }  // namespace
