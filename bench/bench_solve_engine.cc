@@ -1,21 +1,22 @@
 // Memoizing solve-engine sweep (src/gp/solve_engine.h, docs/SOLVER.md):
 // wall clock and recomputes/sec vs the SimConfig solve-cache knob on a
 // saturated coordinator — every refresh recomputes (kOptimalRefresh), and
-// each base portfolio query is duplicated across several simulated users,
-// so EQI-equivalent parts produce bitwise-identical GPs for the memo to
-// collapse. Every deterministic protocol counter must be identical across
-// the whole sweep (byte-identity is the engine's core contract — the bench
-// hard-fails otherwise), so the only columns allowed to move are the
-// wall-clock ones and the engine's own hit/miss telemetry. Mirrors the table
+// each base portfolio query is duplicated across several simulated users.
+// The refresh service solves each service's group of bitwise-equal parts
+// once whatever the engine setting, so the memo only sees the distinct
+// solves and can hit only on repeats across services. Every deterministic
+// protocol counter must be identical across the whole sweep (byte-identity
+// is the engine's core contract — the bench hard-fails otherwise), so the
+// only columns allowed to move are the wall-clock ones and the engine's
+// own hit/miss telemetry. Mirrors the table
 // into BENCH_solve_engine.json; the ctest gate (bench_solve_engine_gate)
 // re-runs the quick scale and diffs it against the committed baseline with
 // bench_compare, which tolerates only the *_s / *_seconds fields.
 //
 // Scales: POLYDAB_BENCH_QUICK=1 is the seconds-long ctest scale,
-// REPRO_FULL=1 the paper scale, default in between. The speedup column is
-// where the >=3x recomputes/sec acceptance shows up: the duplicated
-// queries make the cache hit rate high enough that the cache row clears it
-// at the default scale.
+// REPRO_FULL=1 the paper scale, default in between. The speedup column
+// reads the memo's own gain on top of the in-service grouping; the
+// hits/misses columns show how few repeats it finds.
 
 #include <cstdio>
 #include <cstdlib>
@@ -61,8 +62,9 @@ int Run() {
   auto base = *workload::GeneratePortfolioQueries(base_queries, qc,
                                                   u.initial, &qrng);
   // Duplicate each base query under fresh ids: distinct registrations
-  // whose per-part GPs are bitwise identical — the workload regularity
-  // the memo exists for.
+  // whose per-part GPs are bitwise identical. Each refresh service solves
+  // such a group once and copies the result, so the duplicates reach
+  // neither the solver nor the memo.
   std::vector<PolynomialQuery> queries;
   queries.reserve(base.size() * dup_factor);
   int next_id = 0;

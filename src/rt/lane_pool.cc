@@ -58,7 +58,8 @@ Status LanePool::AwaitEpoch(int w, uint64_t epoch) {
 }
 
 Status LanePool::Quiesce() {
-  barrier_->AwaitQuiesce();
+  // A pool that was never started has no jobs to wait for.
+  if (barrier_ != nullptr) barrier_->AwaitQuiesce();
   return Failure();
 }
 

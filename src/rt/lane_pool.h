@@ -75,15 +75,17 @@ class LanePool {
 
   /// Full barrier: every dispatched job on every worker has completed.
   /// Taken at AAO joint solves, before Pause takes effect on the
-  /// dispatcher's state, and at shutdown.
+  /// dispatcher's state, and at shutdown. OK at once on a pool that was
+  /// never started (zero workers).
   Status Quiesce();
 
   /// Lifecycle (thread_control.h). Pause parks workers after their
   /// current job; queued jobs wait until Resume.
   Status Pause();
   Status Resume();
-  /// Idempotent; wakes and joins every worker. Queued-but-unstarted jobs
-  /// are abandoned (the dispatcher owns their result slots).
+  /// Idempotent, and safe on a pool that was never started; wakes and
+  /// joins every worker. Queued-but-unstarted jobs are abandoned (the
+  /// dispatcher owns their result slots).
   void Stop();
 
   RunState state() const { return control_.state(); }

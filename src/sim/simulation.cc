@@ -326,11 +326,12 @@ Result<SimMetrics> RunSimulation(
   if (config.threads < 0) {
     return Status::InvalidArgument("threads must be >= 0");
   }
-  if (config.threads > 0 && config.rt_queue_cap < 1) {
-    return Status::InvalidArgument("rt_queue_cap must be >= 1");
-  }
-  if (config.threads > 0 && config.rt_fail_at < 0) {
+  if (config.rt_fail_at < 0) {
     return Status::InvalidArgument("rt_fail_at must be >= 0");
+  }
+  if (config.threads == 0 && config.rt_fail_at != 0) {
+    // It counts pool-dispatched solve jobs, and threads = 0 has none.
+    return Status::InvalidArgument("rt_fail_at requires threads > 0");
   }
   if (config.solve_cache < 0) {
     return Status::InvalidArgument("solve_cache must be >= 0");
@@ -405,7 +406,7 @@ Result<SimMetrics> RunSimulation(
           "crash recovery is incompatible with AAO mode (the joint "
           "allocation is not checkpointed)");
     }
-    if (config.threads > 0 && config.rt_fail_at > 0) {
+    if (config.rt_fail_at > 0) {
       return Status::InvalidArgument(
           "crash recovery is incompatible with rt_fail_at fault injection "
           "(the dispatch counter is not checkpointed)");
@@ -533,14 +534,15 @@ Result<SimMetrics> RunSimulation(
 
   State st;
 
-  // Real-thread lane runtime (src/rt/, docs/CONCURRENCY.md). The pool is
-  // declared after `st` and after `solve_groups` so its destructor joins
-  // every worker before anything a job closure references is destroyed,
-  // however the run exits. Each refresh service runs in two passes when
-  // threaded: pass 1 groups the stale parts by bitwise-equal solve inputs
-  // and solves each group once, spread over the workers' SPSC rings and
-  // the event loop itself; pass 2 is the unchanged serial loop installing
-  // the results in oracle order.
+  // The refresh service's solve pipeline (docs/CONCURRENCY.md). Pass 1
+  // walks the parts a refresh makes stale, groups them by bitwise-equal
+  // solve inputs and solves each group once, spread over the lane pool's
+  // workers (src/rt/) and the event loop itself; pass 2 installs the
+  // results in oracle order. threads = 0 never starts the pool, so every
+  // group is the event loop's to solve inline. The pool is declared after
+  // `st` and after `solve_groups` so its destructor joins every worker
+  // before anything a job closure references is destroyed, however the
+  // run exits.
   struct SolveGroup {
     const core::PlanPart* leader = nullptr;  // the part actually solved
     uint64_t hash = 0;                       // core::ReplanInputsHash
@@ -549,27 +551,41 @@ Result<SimMetrics> RunSimulation(
     int slot = 0;  // pool worker, or pool.workers() for the event loop
     uint64_t epoch = 0;
     bool shared = false;  // other stale parts install copies of `result`
+
+    // The one call site of core::ReplanPart in the refresh service, on a
+    // worker or inline.
+    void Solve(const Vector& view, const Vector& rates,
+               const core::PlannerConfig& cfg) {
+      result = core::ReplanPart(*leader, view, rates, cfg, &solve);
+    }
+  };
+  // A stale part found by pass 1, in oracle order: the position of its
+  // query in the item's query list, the part, the refreshed item's slot
+  // in the part's DABs, the anchor its drift was measured from and the
+  // group whose solve it installs.
+  struct StalePart {
+    size_t k = 0;
+    size_t pi = 0;
+    size_t idx = 0;
+    double anchor = 0.0;
+    size_t group = 0;
   };
   std::deque<SolveGroup> solve_groups;  // deque: workers hold entry pointers
-  std::vector<size_t> stale_groups;     // pass-1 stale parts -> their group
-  size_t next_stale = 0;
+  std::vector<StalePart> stale_parts;
   int64_t solve_jobs_dispatched = 0;
-  const bool threaded = config.threads > 0;
   // Groups solve without the trace: the event loop emits each part's
   // planner_replan event at its oracle slot in pass 2.
   core::PlannerConfig solve_cfg = planner_cfg;
   solve_cfg.trace = nullptr;
   rt::LanePool pool;
-  if (threaded) {
+  if (config.threads > 0) {
     rt::LanePool::Options rt_opt;
     rt_opt.workers = config.threads;
-    rt_opt.queue_capacity = config.rt_queue_cap;
     POLYDAB_RETURN_NOT_OK(pool.Start(rt_opt));
     if (trace != nullptr) {
       // Stripped again by canonicalization (obs/trace_canon.h), so the
       // canonical trace's info block matches the threads = 0 oracle's.
       trace->SetInfo("rt_threads", std::to_string(config.threads));
-      trace->SetInfo("rt_queue_cap", std::to_string(config.rt_queue_cap));
     }
   }
 
@@ -1507,36 +1523,10 @@ Result<SimMetrics> RunSimulation(
   const bool recompute_every_refresh =
       planner_cfg.method != core::AssignmentMethod::kDualDab;
 
-  // Pass 1 of the threaded refresh service: visit the parts a refresh of
-  // ev.item makes stale, in the serial loop's order and with exactly its
-  // reads — no RNG draw, no emission. The set is stable across the two
-  // passes because a part's anchors and secondary DABs only move at its
-  // own install, and each part appears at most once per service.
-  auto for_each_stale_part = [&](const Event& ev, auto&& visit) {
-    for (int qi : st.item_queries[static_cast<size_t>(ev.item)]) {
-      core::QueryPlan& plan = st.plans[static_cast<size_t>(qi)];
-      for (size_t pi = 0; pi < plan.parts.size(); ++pi) {
-        core::PlanPart& part = plan.parts[pi];
-        const int idx = part.dabs.IndexOf(static_cast<VarId>(ev.item));
-        if (idx < 0) continue;
-        if (part.dabs.never_stale) continue;
-        if (!recompute_every_refresh) {
-          const double anchor = st.anchors[static_cast<size_t>(qi)][pi]
-                                          [static_cast<size_t>(idx)];
-          const double drift = std::fabs(ev.value - anchor);
-          const double limit = part.dabs.secondary[static_cast<size_t>(idx)] *
-                               (1.0 + config.violation_tol);
-          if (drift <= limit) continue;
-        }
-        visit(part);
-      }
-    }
-  };
-
   // Deliver all messages with arrival time <= now. DAB-change events that
   // a recomputation emits at `now` (e.g. under zero delays) are picked up
-  // within the same call. Non-OK only on the threaded path: a worker
-  // abort latched in the pool surfaces at the next epoch await.
+  // within the same call. Non-OK only when a pool job failed: the abort
+  // latched in the pool surfaces at the next epoch await.
   auto deliver_until = [&](double now) -> Status {
     while (!st.events.empty() && st.events.top().time <= now) {
       const Event ev = st.events.top();
@@ -1657,21 +1647,44 @@ Result<SimMetrics> RunSimulation(
       lane_busy[home_lane] = delays.Check();
       st.view[static_cast<size_t>(ev.item)] = ev.value;
       view_eval.Update(static_cast<VarId>(ev.item), ev.value);
-      if (threaded) {
-        // Pass 1: group the stale parts by bitwise-equal solve inputs
-        // (core::SameReplanInputs; the hash only picks candidates) and
-        // solve each group's leader once. Groups go round-robin to slots
-        // 0..workers: the pool workers, then the event loop, which solves
-        // its share inline once the others are dispatched. Solvers read
-        // st.view / rates / the leader part concurrently; the event loop
-        // mutates none of them until the group's epoch is awaited in
-        // pass 2.
-        solve_groups.clear();
-        stale_groups.clear();
-        next_stale = 0;
-        const int loop_slot = pool.workers();
-        const size_t slots = static_cast<size_t>(loop_slot) + 1;
-        for_each_stale_part(ev, [&](core::PlanPart& part) {
+      // Pass 1, the service's one staleness walk: visit the parts this
+      // refresh makes stale in oracle order, with no RNG draw and no
+      // emission. Stale parts are grouped by bitwise-equal solve inputs
+      // (core::SameReplanInputs; the hash only picks candidates) and each
+      // group's leader is solved once. Groups go round-robin to slots
+      // 0..workers: the pool workers, then the event loop, which solves
+      // its share inline once the others are dispatched. Solvers read
+      // st.view / rates / the leader part concurrently; the event loop
+      // mutates none of them until the group's epoch is awaited in pass 2.
+      // A part's anchors and secondary DABs only move at its own install
+      // and each part is stale at most once per service, so the set pass
+      // 1 records is the set pass 2 installs.
+      const std::vector<int>& item_qs =
+          st.item_queries[static_cast<size_t>(ev.item)];
+      solve_groups.clear();
+      stale_parts.clear();
+      const int loop_slot = pool.workers();
+      const size_t slots = static_cast<size_t>(loop_slot) + 1;
+      for (size_t k = 0; k < item_qs.size(); ++k) {
+        const size_t qi = static_cast<size_t>(item_qs[k]);
+        core::QueryPlan& plan = st.plans[qi];
+        for (size_t pi = 0; pi < plan.parts.size(); ++pi) {
+          core::PlanPart& part = plan.parts[pi];
+          const int idx = part.dabs.IndexOf(static_cast<VarId>(ev.item));
+          if (idx < 0) continue;
+          // Value-independent assignments (LAQs) never go stale.
+          if (part.dabs.never_stale) continue;
+          // Single-DAB schemes are stale on every refresh; Dual-DAB only
+          // once the value escapes the part's secondary range.
+          double anchor = 0.0;
+          if (!recompute_every_refresh) {
+            anchor = st.anchors[qi][pi][static_cast<size_t>(idx)];
+            const double drift = std::fabs(ev.value - anchor);
+            const double limit =
+                part.dabs.secondary[static_cast<size_t>(idx)] *
+                (1.0 + config.violation_tol);
+            if (drift <= limit) continue;
+          }
           const uint64_t hash = core::ReplanInputsHash(part);
           size_t g = 0;
           while (g < solve_groups.size() &&
@@ -1679,16 +1692,17 @@ Result<SimMetrics> RunSimulation(
                    core::SameReplanInputs(*solve_groups[g].leader, part))) {
             ++g;
           }
-          stale_groups.push_back(g);
+          stale_parts.push_back(
+              {k, pi, static_cast<size_t>(idx), anchor, g});
           if (g < solve_groups.size()) {
             solve_groups[g].shared = true;
-            return;
+            continue;
           }
           SolveGroup& group = solve_groups.emplace_back();
           group.leader = &part;
           group.hash = hash;
           group.slot = static_cast<int>(g % slots);
-          if (group.slot == loop_slot) return;
+          if (group.slot == loop_slot) continue;
           const bool abort_job =
               ++solve_jobs_dispatched == config.rt_fail_at;
           group.epoch = pool.Dispatch(
@@ -1698,27 +1712,26 @@ Result<SimMetrics> RunSimulation(
                   return Status::Internal(
                       "rt: injected worker abort (rt_fail_at)");
                 }
-                group.result = core::ReplanPart(*group.leader, view, rates,
-                                                solve_cfg, &group.solve);
+                group.Solve(view, rates, solve_cfg);
                 return Status::OK();
               });
-        });
-        for (SolveGroup& group : solve_groups) {
-          if (group.slot != loop_slot) continue;
-          group.result = core::ReplanPart(*group.leader, st.view, rates,
-                                          solve_cfg, &group.solve);
         }
       }
-      for (int qi : st.item_queries[static_cast<size_t>(ev.item)]) {
-        const size_t lane = static_cast<size_t>(st.query_shard[
-            static_cast<size_t>(qi)]);
+      for (SolveGroup& group : solve_groups) {
+        if (group.slot == loop_slot) group.Solve(st.view, rates, solve_cfg);
+      }
+      // Pass 2: notify users, then install pass 1's stale parts in the
+      // order it found them.
+      size_t next_stale = 0;
+      for (size_t k = 0; k < item_qs.size(); ++k) {
+        const size_t qi = static_cast<size_t>(item_qs[k]);
+        const size_t lane = static_cast<size_t>(st.query_shard[qi]);
         // Push the fresh result to the user when it drifted past the QAB
         // since the last notification.
-        const double qv = view_eval.QueryValue(static_cast<size_t>(qi));
-        const double prev_user = last_user_value[static_cast<size_t>(qi)];
-        if (std::fabs(qv - prev_user) >
-            queries[static_cast<size_t>(qi)].qab) {
-          last_user_value[static_cast<size_t>(qi)] = qv;
+        const double qv = view_eval.QueryValue(qi);
+        const double prev_user = last_user_value[qi];
+        if (std::fabs(qv - prev_user) > queries[qi].qab) {
+          last_user_value[qi] = qv;
           ++metrics.user_notifications;
           if (ins.user_notifications != nullptr) ins.user_notifications->Inc();
           if (trace != nullptr) {
@@ -1727,7 +1740,7 @@ Result<SimMetrics> RunSimulation(
             e.kind = obs::TraceEventKind::kUserNotification;
             e.node = tnode;
             e.item = ev.item;
-            e.query = queries[static_cast<size_t>(qi)].id;
+            e.query = queries[qi].id;
             if (sharded) e.shard = static_cast<int32_t>(lane);
             e.cause = arrival_id;
             e.a = qv;
@@ -1736,39 +1749,30 @@ Result<SimMetrics> RunSimulation(
           }
           lane_busy[lane] += delays.Push();
         }
-        core::QueryPlan& plan = st.plans[static_cast<size_t>(qi)];
-        for (size_t pi = 0; pi < plan.parts.size(); ++pi) {
-          core::PlanPart& part = plan.parts[pi];
-          const int idx = part.dabs.IndexOf(static_cast<VarId>(ev.item));
-          if (idx < 0) continue;
-          // Value-independent assignments (LAQs) never go stale.
-          if (part.dabs.never_stale) continue;
+        for (; next_stale < stale_parts.size() &&
+               stale_parts[next_stale].k == k;
+             ++next_stale) {
+          const StalePart& sp = stale_parts[next_stale];
+          const size_t pi = sp.pi;
+          core::PlanPart& part = st.plans[qi].parts[pi];
           // Under Dual-DAB the recomputation's cause is the secondary
           // violation; under single-DAB staleness it is the arrival
           // itself.
           uint64_t recompute_cause = arrival_id;
-          if (!recompute_every_refresh) {
-            const double anchor = st.anchors[static_cast<size_t>(qi)][pi]
-                                            [static_cast<size_t>(idx)];
-            const double drift = std::fabs(ev.value - anchor);
-            const double limit = part.dabs.secondary[static_cast<size_t>(idx)] *
-                                 (1.0 + config.violation_tol);
-            if (drift <= limit) continue;
-            if (trace != nullptr) {
-              obs::TraceEvent e;
-              e.time = ev.time;
-              e.kind = obs::TraceEventKind::kSecondaryViolation;
-              e.node = tnode;
-              e.item = ev.item;
-              e.query = queries[static_cast<size_t>(qi)].id;
-              e.part = static_cast<int32_t>(pi);
-              if (sharded) e.shard = static_cast<int32_t>(lane);
-              e.cause = arrival_id;
-              e.a = ev.value;
-              e.b = anchor;
-              e.c = part.dabs.secondary[static_cast<size_t>(idx)];
-              recompute_cause = trace->Emit(e);
-            }
+          if (!recompute_every_refresh && trace != nullptr) {
+            obs::TraceEvent e;
+            e.time = ev.time;
+            e.kind = obs::TraceEventKind::kSecondaryViolation;
+            e.node = tnode;
+            e.item = ev.item;
+            e.query = queries[qi].id;
+            e.part = static_cast<int32_t>(pi);
+            if (sharded) e.shard = static_cast<int32_t>(lane);
+            e.cause = arrival_id;
+            e.a = ev.value;
+            e.b = sp.anchor;
+            e.c = part.dabs.secondary[sp.idx];
+            recompute_cause = trace->Emit(e);
           }
           // This part's assignment is stale (§I-B): recompute it.
           // Warm-starting from the previous assignment keeps each
@@ -1787,43 +1791,29 @@ Result<SimMetrics> RunSimulation(
             e.kind = obs::TraceEventKind::kRecomputeStart;
             e.node = tnode;
             e.item = ev.item;
-            e.query = queries[static_cast<size_t>(qi)].id;
+            e.query = queries[qi].id;
             e.part = static_cast<int32_t>(pi);
             if (sharded) e.shard = static_cast<int32_t>(lane);
             e.cause = recompute_cause;
             start_id = trace->Emit(e);
           }
           lane_busy[lane] += delays.RecomputeCpu();
-          Result<QueryDabs> fresh = Status::Internal("rt: unreached");
-          if (threaded) {
-            // Pass 2 consumes the groups in the exact serial order pass 1
-            // found the stale parts; the epoch await is the only
-            // synchronization a result needs before its install. A part
-            // other than its group's leader installs a copy of the
-            // leader's result — exact, because ReplanPart is a pure
-            // function of the inputs the group shares plus the view and
-            // rates every solve of this service reads.
-            if (next_stale >= stale_groups.size()) {
-              return Status::Internal(
-                  "rt: serial replay found a stale part pass 1 did not "
-                  "solve");
-            }
-            SolveGroup& group = solve_groups[stale_groups[next_stale++]];
-            if (group.slot < pool.workers()) {
-              POLYDAB_RETURN_NOT_OK(pool.AwaitEpoch(group.slot, group.epoch));
-            }
-            if (group.leader != &part) {
-              fresh = core::ReplanPartByCopy(part, group.result, group.solve,
-                                             planner_cfg);
-            } else if (group.shared) {
-              fresh = group.result;
-            } else {
-              fresh = std::move(group.result);
-            }
-            core::TraceReplan(planner_cfg, part, fresh.ok());
-          } else {
-            fresh = core::ReplanPart(part, st.view, rates, planner_cfg);
+          // The epoch await is the only synchronization a result needs
+          // before its install. A part other than its group's leader
+          // installs a copy of the leader's result — exact, because
+          // ReplanPart is a pure function of the inputs the group shares
+          // plus the view and rates every solve of this service reads.
+          SolveGroup& group = solve_groups[sp.group];
+          if (group.slot < pool.workers()) {
+            POLYDAB_RETURN_NOT_OK(pool.AwaitEpoch(group.slot, group.epoch));
           }
+          Result<QueryDabs> fresh =
+              group.leader != &part
+                  ? core::ReplanPartByCopy(part, group.result, group.solve,
+                                           planner_cfg)
+              : group.shared ? Result<QueryDabs>(group.result)
+                             : std::move(group.result);
+          core::TraceReplan(planner_cfg, part, fresh.ok());
           uint64_t end_id = 0;
           if (trace != nullptr) {
             obs::TraceEvent e;
@@ -1831,7 +1821,7 @@ Result<SimMetrics> RunSimulation(
             e.kind = obs::TraceEventKind::kRecomputeEnd;
             e.node = tnode;
             e.item = ev.item;
-            e.query = queries[static_cast<size_t>(qi)].id;
+            e.query = queries[qi].id;
             e.part = static_cast<int32_t>(pi);
             if (sharded) e.shard = static_cast<int32_t>(lane);
             e.cause = start_id;
@@ -1850,14 +1840,10 @@ Result<SimMetrics> RunSimulation(
             Status valid = core::ValidatePart(part, st.view);
             POLYDAB_CHECK(valid.ok());
           }
-          anchor_part(static_cast<size_t>(qi), pi);
-          ship_dab_changes(static_cast<size_t>(qi), pi, ev.time, end_id,
+          anchor_part(qi, pi);
+          ship_dab_changes(qi, pi, ev.time, end_id,
                            /*emit_item_barriers=*/true);
         }
-      }
-      if (threaded && next_stale != stale_groups.size()) {
-        return Status::Internal(
-            "rt: pass 1 solved parts the serial replay never consumed");
       }
       // End of service: the home lane ran from the arrival; a lane that
       // got work dispatched from here starts once it drains its own
@@ -2282,10 +2268,8 @@ Result<SimMetrics> RunSimulation(
         }
         rec->crashed = true;
         rec->crash_event_id = xid;
-        if (threaded) {
-          POLYDAB_RETURN_NOT_OK(pool.Quiesce());
-          pool.Stop();
-        }
+        POLYDAB_RETURN_NOT_OK(pool.Quiesce());
+        pool.Stop();
         return metrics;
       }
       {
@@ -2338,13 +2322,11 @@ Result<SimMetrics> RunSimulation(
     // 2. Figure-7 mode: periodic joint AAO recomputation.
     if (aao_mode && tick >= aao_next_tick) {
       aao_next_tick += std::max(1, static_cast<int>(config.aao_period_s));
-      if (threaded) {
-        // Epoch barrier at the AAO global barrier: every lane's
-        // dispatched solves must have completed before the joint solve
-        // reads and rewrites all plans. (Each service already awaits its
-        // own jobs, so this quiesce is a cheap invariant, not a stall.)
-        POLYDAB_RETURN_NOT_OK(pool.Quiesce());
-      }
+      // Epoch barrier at the AAO global barrier: every lane's dispatched
+      // solves must have completed before the joint solve reads and
+      // rewrites all plans. (Each service already awaits its own jobs, so
+      // this quiesce is a cheap invariant, not a stall.)
+      POLYDAB_RETURN_NOT_OK(pool.Quiesce());
       if (trace != nullptr) trace->SetNow(now);
       auto joint = core::SolveAao(queries, st.view, rates,
                                   planner_cfg.dual,
@@ -2743,13 +2725,11 @@ Result<SimMetrics> RunSimulation(
     return Status::InvalidArgument("trace too short");
   }
 
-  if (threaded) {
-    // Shutdown barrier: every dispatched solve has been consumed by its
-    // service, so this reports only a latched failure, then parks and
-    // joins the workers before the final metrics are read.
-    POLYDAB_RETURN_NOT_OK(pool.Quiesce());
-    pool.Stop();
-  }
+  // Shutdown barrier: every dispatched solve has been consumed by its
+  // service, so this reports only a latched failure, then parks and joins
+  // the workers before the final metrics are read.
+  POLYDAB_RETURN_NOT_OK(pool.Quiesce());
+  pool.Stop();
 
   // Per-query fidelity loss over the query's own registration interval:
   // sampled ticks run from max(reg, 1) through min(dereg - 1, last tick).

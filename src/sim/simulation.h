@@ -179,47 +179,41 @@ struct SimConfig {
   /// (see DESIGN.md, "Sharded coordinator").
   int coord_shards = 1;
   ShardPolicy shard_policy = ShardPolicy::kEqiComponents;
-  /// Real-thread lane runtime (src/rt/, docs/CONCURRENCY.md). 0 (the
-  /// default) is the single-threaded virtual-clock event loop,
-  /// byte-identical to every earlier build. With N >= 1 the run starts an
-  /// rt::LanePool of N `std::jthread` workers and executes the
-  /// deterministic per-part GP re-solves — the dominant cost of every
-  /// refresh service — on them: each service groups its stale parts by
-  /// bitwise-equal solve inputs, solves each distinct group once —
+  /// Worker threads of the refresh service's solve pipeline (src/rt/,
+  /// docs/CONCURRENCY.md). Every service groups its stale parts by
+  /// bitwise-equal solve inputs, solves each distinct group once, then
+  /// installs the results in exact oracle order, copying each group's
+  /// result to its other parts. 0 (the default) starts no pool: the
+  /// event loop solves every group inline. With N >= 1 the run starts an
+  /// rt::LanePool of N `std::jthread` workers and spreads the groups
   /// round-robin over the workers' lock-free SPSC rings and the event
-  /// loop itself — then replays the service in exact oracle order,
-  /// awaiting each solve's epoch just before its install and copying
-  /// the result to the group's other parts. Virtual time, RNG draws,
-  /// trace emission and all protocol decisions stay on the event-loop
-  /// thread, so metrics, registry totals and the canonicalized trace
-  /// (obs/trace_canon.h) are byte-identical to the threads = 0 oracle
-  /// under the same seed — enforced by tests/threaded_diff_test.cc.
-  /// Every event is emitted on the event loop in serial order, so a
-  /// `series` recorder folds the same stream as under threads = 0.
-  /// Excluded from Describe() so threaded and oracle run reports stay
-  /// comparable; the trace instead carries `rt_threads` / `rt_queue_cap`
-  /// info keys, stripped by canonicalization.
+  /// loop itself, awaiting each solve's epoch just before its install.
+  /// Virtual time, RNG draws, trace emission and all protocol decisions
+  /// stay on the event-loop thread, so metrics, registry totals and the
+  /// canonicalized trace (obs/trace_canon.h) are byte-identical to the
+  /// threads = 0 run under the same seed — enforced by
+  /// tests/threaded_diff_test.cc. Every event is emitted on the event
+  /// loop in serial order, so a `series` recorder folds the same stream
+  /// as under threads = 0. Excluded from Describe() so threaded and
+  /// oracle run reports stay comparable; the trace instead carries an
+  /// `rt_threads` info key, stripped by canonicalization.
   int threads = 0;
-  /// Per-worker SPSC job-ring capacity (rounded up to a power of two);
-  /// dispatch yield-spins while a ring is full. Only read when
-  /// threads > 0; must then be >= 1.
-  int rt_queue_cap = 256;
   /// Fault hook for the worker-abort path (tools/partial_metrics.cmake):
   /// the k-th solve job dispatched to a pool worker (1-based, in dispatch
   /// order; the event loop's inline share and the copies installed for
   /// duplicate parts are not jobs) fails
   /// with an internal error inside the worker, which latches the pool
   /// failure and aborts the run through the normal status=failed partial
-  /// metrics machinery. 0 (the default) = never. Only read when
-  /// threads > 0.
+  /// metrics machinery. 0 (the default) = never. Must be >= 0, and 0
+  /// when threads = 0 (no job is ever dispatched).
   int64_t rt_fail_at = 0;
   /// Capacity, in entries, of the solve engine's exact-match LRU memo;
   /// 0 (the default) disables it. A hit replays a memoized solution and
   /// its gp.solver.* instrument stats, bit-identical to re-running the
-  /// deterministic solver on the same input bits (identical programs are
-  /// common: EQI-equivalent queries produce bitwise-equal GPs). Valid
-  /// with both the serial and the threads > 0 engines. Excluded from
-  /// Describe() like `threads`.
+  /// deterministic solver on the same input bits. Bitwise-equal parts
+  /// within one refresh service are already solved once by the pipeline
+  /// (see `threads`), so the memo serves only repeats across services,
+  /// at every thread count. Excluded from Describe() like `threads`.
   int solve_cache = 0;
   /// Evaluate fidelity every N ticks (1 = every second).
   int fidelity_stride = 1;

@@ -14,7 +14,7 @@
 //    with a worker spinning through AwaitRunnable.
 //  * LanePool: dispatch flood across workers, first-failure latching,
 //    pause/resume soak, stop-with-queued-jobs shutdown (must not hang),
-//    status lines.
+//    a never-started pool's barriers, status lines.
 
 #include <gtest/gtest.h>
 
@@ -286,6 +286,20 @@ TEST(LanePoolTest, StartValidatesOptions) {
     EXPECT_EQ(pool.workers(), 2);
     pool.Stop();
   }
+}
+
+TEST(LanePoolTest, NeverStartedPoolQuiescesAndStopsCleanly) {
+  // The simulator's threads = 0 run keeps an unstarted pool: zero
+  // workers, so every solve is inline, and the AAO and shutdown barriers
+  // must pass straight through it.
+  LanePool pool;
+  EXPECT_EQ(pool.workers(), 0);
+  EXPECT_TRUE(pool.Quiesce().ok());
+  EXPECT_TRUE(pool.Quiesce().ok());
+  pool.Stop();
+  pool.Stop();  // idempotent
+  EXPECT_TRUE(pool.Quiesce().ok());
+  EXPECT_EQ(pool.workers(), 0);
 }
 
 TEST(LanePoolTest, DispatchFloodCompletesEveryJobOnItsWorker) {

@@ -5,9 +5,8 @@
 //     CanonicalizeThreadedTrace (obs/trace_canon.h), must be
 //     byte-identical JSONL to the threads=0 virtual-clock engine under
 //     the same seed — across planner methods x shard counts x worker
-//     counts, including a capacity-1 SPSC ring that forces dispatch
-//     backpressure. SimMetrics must match field-for-field (bitwise on
-//     the fidelity loss).
+//     counts. SimMetrics must match field-for-field (bitwise on the
+//     fidelity loss).
 //  2. Per-lane stream equality: grouping the canonicalized events by
 //     coordinator lane reproduces the oracle's per-lane streams exactly
 //     (implied by byte identity, asserted separately so a reordering
@@ -19,10 +18,11 @@
 //     trace must not mention the thread vocabulary at all.
 //  5. In-service dedup: on a query set where four users registered each
 //     query, stale parts with bitwise-equal solve inputs are solved once
-//     and the copies installed; traces, SimMetrics and every
-//     core.planner.* / gp.solver.* instrument total must still equal the
-//     threads=0 engine-off oracle's. The equality predicate itself is
-//     unit-tested bit by bit.
+//     and the copies installed, at every thread count; traces, SimMetrics
+//     and every core.planner.* / gp.solver.* instrument total must equal
+//     the threads=0 engine-off run's, and the threads=0 run must match
+//     digests pinned from the build that solved every stale part. The
+//     equality predicate and the exactness of copying are unit-tested.
 //
 // The failure path (rt_fail_at worker abort), series recording on the
 // threaded runtime and config validation ride along. The whole binary is
@@ -31,7 +31,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -144,24 +146,6 @@ TEST_F(ThreadedDiffTest, CanonicalThreadedTraceMatchesVirtualClockOracle) {
       }
     }
   }
-}
-
-TEST_F(ThreadedDiffTest, CapacityOneRingStillMatchesOracle) {
-  // rt_queue_cap=1 makes every second dispatch hit a full ring, forcing
-  // the producer's yield-spin backpressure path on a recompute-heavy
-  // method. The result must still be byte-identical.
-  SimMetrics oracle_metrics;
-  const std::string oracle = RunRendered(
-      Config(core::AssignmentMethod::kOptimalRefresh, 4, 0),
-      &oracle_metrics);
-  ASSERT_FALSE(oracle.empty());
-  SimConfig c = Config(core::AssignmentMethod::kOptimalRefresh, 4, 2);
-  c.rt_queue_cap = 1;
-  SimMetrics got_metrics;
-  const std::string got = RunRendered(c, &got_metrics);
-  ASSERT_FALSE(got.empty());
-  EXPECT_EQ(got, oracle);
-  ExpectMetricsEqual(got_metrics, oracle_metrics, "rt_queue_cap=1");
 }
 
 TEST_F(ThreadedDiffTest, PerLaneEventStreamsMatchOracle) {
@@ -329,7 +313,6 @@ TEST_F(ThreadedDiffTest, SerialTracesCarryNoThreadVocabulary) {
   ASSERT_TRUE(RunSimulation(queries_, traces_, rates_, c).ok());
   const obs::TraceFile trace = sink.Collect();
   EXPECT_EQ(trace.info.count("rt_threads"), 0u);
-  EXPECT_EQ(trace.info.count("rt_queue_cap"), 0u);
   for (const obs::TraceEvent& e : trace.events) {
     EXPECT_EQ(e.thread, -1);
   }
@@ -398,7 +381,7 @@ TEST_F(ThreadedDiffTest, WorkerAbortFailsTheRunWithTheInjectedError) {
 TEST_F(ThreadedDiffTest, RawThreadedTraceMatchesOracleUpToRtInfoKeys) {
   // Every event of a threaded run is emitted on the event loop at its
   // serial slot, so the raw trace needs no re-sort: dropping the rt_*
-  // info keys by hand — not through the canonicalizer — must already
+  // info key by hand — not through the canonicalizer — must already
   // give the oracle's bytes.
   for (core::AssignmentMethod method :
        {core::AssignmentMethod::kDualDab,
@@ -413,7 +396,6 @@ TEST_F(ThreadedDiffTest, RawThreadedTraceMatchesOracleUpToRtInfoKeys) {
     ASSERT_TRUE(RunSimulation(queries_, traces_, rates_, c).ok());
     obs::TraceFile raw = sink.Collect();
     ASSERT_EQ(raw.info.erase("rt_threads"), 1u);
-    ASSERT_EQ(raw.info.erase("rt_queue_cap"), 1u);
     EXPECT_EQ(obs::TraceToJsonLines(raw), oracle);
   }
 }
@@ -506,6 +488,78 @@ TEST_F(DuplicatedQueryTest, DedupedServicesMatchOracle) {
         EXPECT_EQ(got, oracle);
         ExpectMetricsEqual(got_metrics, oracle_metrics, "vs oracle");
       }
+    }
+  }
+}
+
+/// FNV-1a over raw 64-bit words and bytes.
+struct Fnv64 {
+  uint64_t h = 1469598103934665603ull;
+  void Byte(unsigned char b) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  void Mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<unsigned char>(v >> (8 * i)));
+  }
+  void MixInt(int64_t v) { Mix(static_cast<uint64_t>(v)); }
+  void MixDouble(double v) { Mix(std::bit_cast<uint64_t>(v)); }
+  void MixString(const std::string& s) {
+    MixInt(static_cast<int64_t>(s.size()));
+    for (char c : s) Byte(static_cast<unsigned char>(c));
+  }
+};
+
+TEST_F(DuplicatedQueryTest, SerialDedupMatchesParentDigest) {
+  // The threads=0 refresh service solves each group of bitwise-equal
+  // stale parts once, like the pool does, so the threaded comparisons
+  // above no longer have a dedup-free oracle. These digests of the
+  // rendered trace, the SimMetrics and the non-wall instrument totals of
+  // each engine-off run were computed on the build before the serial
+  // service grouped, which solved every stale part directly.
+  constexpr uint64_t kParentDigest[][2] = {
+      {0x1bb871407660518bull, 0x426d18ccc3fc992eull},  // dual: shards 1, 4
+      {0x2b2a951392850196ull, 0x49ace962bb362469ull},  // optimal
+      {0x49f667eb0de83b0aull, 0x4353bca50f2ca035ull},  // general_hh
+      {0xf8152de81693e7dcull, 0x3098fdb34e4298a3ull},  // general_ds
+  };
+  for (size_t k = 0; k < std::size(kDupCases); ++k) {
+    const DupCase& dc = kDupCases[k];
+    queries_ = dc.general ? general_ : portfolio_;
+    for (size_t s = 0; s < 2; ++s) {
+      const int shards = s == 0 ? 1 : 4;
+      SCOPED_TRACE(std::string(dc.name) + " shards=" + std::to_string(shards));
+      SimConfig c = Config(dc.method, shards, 0);
+      c.planner.heuristic = dc.heuristic;
+      obs::MetricRegistry reg;
+      c.registry = &reg;
+      SimMetrics m;
+      const std::string rendered = RunRendered(c, &m);
+      ASSERT_FALSE(rendered.empty());
+      Fnv64 digest;
+      digest.MixString(rendered);
+      for (int64_t v : {m.refreshes, m.recomputations, m.dab_change_messages,
+                        m.user_notifications, m.solver_failures,
+                        m.fault_drops, m.retransmits, m.duplicates_suppressed,
+                        m.lease_expiries}) {
+        digest.MixInt(v);
+      }
+      digest.MixDouble(m.mean_fidelity_loss_pct);
+      digest.MixDouble(m.degraded_query_seconds);
+      for (const auto& entry : reg.Entries()) {
+        if (entry.kind == obs::InstrumentKind::kCounter) {
+          digest.MixString(entry.name);
+          digest.MixInt(entry.counter->value());
+        } else if (entry.kind == obs::InstrumentKind::kHistogram) {
+          digest.MixString(entry.name);
+          digest.MixInt(entry.histogram->count());
+          if (entry.name.find("seconds") == std::string::npos) {
+            digest.MixDouble(entry.histogram->sum());
+          }
+        }
+      }
+      EXPECT_EQ(digest.h, kParentDigest[k][s])
+          << std::hex << "0x" << digest.h << "ull";
     }
   }
 }
@@ -640,15 +694,108 @@ TEST(ReplanDedupTest, OneQabBitKeepsPartsApart) {
   EXPECT_FALSE(core::SameReplanInputs(a, b));
 }
 
+bool SameDabBits(const QueryDabs& a, const QueryDabs& b) {
+  auto same = [](const Vector& x, const Vector& y) {
+    if (x.size() != y.size()) return false;
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (std::bit_cast<uint64_t>(x[i]) != std::bit_cast<uint64_t>(y[i])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  return a.vars == b.vars && same(a.primary, b.primary) &&
+         same(a.secondary, b.secondary) &&
+         same({a.recompute_rate}, {b.recompute_rate}) &&
+         a.single_dab == b.single_dab && a.never_stale == b.never_stale;
+}
+
+void ExpectSameRecord(const gp::SolveRecord& a, const gp::SolveRecord& b) {
+  EXPECT_EQ(a.solved, b.solved);
+  EXPECT_EQ(a.warm_started, b.warm_started);
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.stats.newton_iterations, b.stats.newton_iterations);
+  EXPECT_EQ(a.stats.line_search_backtracks, b.stats.line_search_backtracks);
+  EXPECT_EQ(a.stats.damped_stages, b.stats.damped_stages);
+  EXPECT_EQ(a.stats.phase1, b.stats.phase1);
+  EXPECT_EQ(a.stats.warm_feasible, b.stats.warm_feasible);
+  EXPECT_EQ(a.stats.cold_restart, b.stats.cold_restart);
+}
+
+TEST(ReplanDedupTest, EqualInputsReplanToEqualBitsForEveryMethod) {
+  // The refresh service solves one part of each SameReplanInputs group
+  // and installs copies of its result in the others, at every thread
+  // count. That is exact only if ReplanPart is a pure function of those
+  // inputs plus view, rates and config: check it for every solve route,
+  // warm-started, on a solve that fails, and warm from the stale
+  // assignment a failed solve leaves in place.
+  const Vector v0 = {1.2, 0.8, 2.5};
+  const Vector rates = {0.3, 0.7, 0.5};
+  Vector v1 = v0;
+  v1[1] *= 1.05;
+  const Polynomial ppq =
+      Polynomial::FromMonomial(Monomial(1.0, {{0, 1}, {1, 1}})) +
+      Polynomial::FromMonomial(Monomial(0.5, {{1, 1}, {2, 2}}));
+  const Polynomial laq = Polynomial::FromMonomial(Monomial(2.0, {{0, 1}})) +
+                         Polynomial::FromMonomial(Monomial(-1.0, {{2, 1}}));
+  struct Route {
+    const char* name;
+    core::AssignmentMethod method;
+    const Polynomial* p;
+    bool gp;  // solved by the GP solver, so a tight budget fails it
+  };
+  const Route routes[] = {
+      {"dual", core::AssignmentMethod::kDualDab, &ppq, true},
+      {"optimal", core::AssignmentMethod::kOptimalRefresh, &ppq, true},
+      {"wsdab", core::AssignmentMethod::kWsDab, &ppq, false},
+      {"laq", core::AssignmentMethod::kDualDab, &laq, false},
+  };
+  for (const Route& r : routes) {
+    SCOPED_TRACE(r.name);
+    core::PlannerConfig cfg;
+    cfg.method = r.method;
+    const PolynomialQuery q{1, *r.p, 0.02 * std::fabs(r.p->Evaluate(v0))};
+    auto plan = core::PlanQueryParts(q, v0, rates, cfg);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ASSERT_EQ(plan->parts.size(), 1u);
+    const core::PlanPart a = plan->parts[0];
+    core::PlanPart b = a;
+    b.subquery.id = 7;
+    ASSERT_TRUE(core::SameReplanInputs(a, b));
+
+    core::PlannerConfig failing = cfg;
+    failing.dual.solver.max_outer = 1;
+    failing.dual.solver.max_newton_per_stage = 1;
+    for (const core::PlannerConfig* c : {&cfg, &failing, &cfg}) {
+      gp::SolveRecord ra, rb;
+      auto da = core::ReplanPart(a, v1, rates, *c, &ra);
+      auto db = core::ReplanPart(b, v1, rates, *c, &rb);
+      ExpectSameRecord(ra, rb);
+      ASSERT_EQ(da.ok(), db.ok());
+      if (c == &failing && r.gp) {
+        EXPECT_FALSE(da.ok()) << "the tight budget no longer fails";
+      }
+      if (da.ok()) {
+        EXPECT_TRUE(SameDabBits(*da, *db));
+      } else {
+        EXPECT_EQ(da.status().ToString(), db.status().ToString());
+      }
+    }
+  }
+}
+
 TEST_F(ThreadedDiffTest, InvalidThreadConfigsAreRejected) {
   {
     SimConfig c = Config(core::AssignmentMethod::kDualDab, 1, -1);
     EXPECT_FALSE(RunSimulation(queries_, traces_, rates_, c).ok());
   }
-  {
-    SimConfig c = Config(core::AssignmentMethod::kDualDab, 1, 2);
-    c.rt_queue_cap = 0;
-    EXPECT_FALSE(RunSimulation(queries_, traces_, rates_, c).ok());
+  // rt_fail_at counts pool jobs; threads = 0 dispatches none, so any
+  // other value than 0 would be a hook that silently never fires.
+  for (int64_t fail_at : {3, -1}) {
+    SimConfig c = Config(core::AssignmentMethod::kDualDab, 1, 0);
+    c.rt_fail_at = fail_at;
+    EXPECT_FALSE(RunSimulation(queries_, traces_, rates_, c).ok())
+        << "rt_fail_at=" << fail_at;
   }
 }
 

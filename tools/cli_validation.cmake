@@ -52,8 +52,7 @@ set(bad_cases
   "series with sharded coordinator\;series-out=s.jsonl\;coord-shards=2"
   "negative threads\;threads=-1"
   "non-numeric threads\;threads=two"
-  "rt-queue-cap without threads\;rt-queue-cap=64"
-  "zero rt-queue-cap\;threads=2\;rt-queue-cap=0"
+  "retired rt-queue-cap key\;rt-queue-cap=64"
   "rt-fail-at without threads\;rt-fail-at=3"
   "negative rt-fail-at\;threads=2\;rt-fail-at=-1"
   "retired solve-batch key\;solve-batch=8"
@@ -107,7 +106,7 @@ message(STATUS "valid invocation accepted (exit 0)")
 # A threaded invocation exercising every rt knob end to end (the
 # rt-fail-at=0 spelling is the documented "never" value).
 execute_process(COMMAND ${EXPERIMENT} queries=2 items=4 ticks=80
-                threads=2 rt-queue-cap=8 rt-fail-at=0
+                threads=2 rt-fail-at=0
                 coord-shards=2 shard-policy=hash
                 RESULT_VARIABLE status
                 OUTPUT_VARIABLE out ERROR_VARIABLE err)

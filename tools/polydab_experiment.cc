@@ -29,14 +29,12 @@
 //   shard-policy=eqi|hash   query partition: EQI component grouping or
 //                    plain query-id hashing (eqi)
 //   threads=N        real-thread lane runtime (src/rt/,
-//                    docs/CONCURRENCY.md): N >= 1 executes the per-part
-//                    GP re-solves on an N-worker std::jthread pool, with
+//                    docs/CONCURRENCY.md): N >= 1 spreads each refresh
+//                    service's distinct per-part GP re-solves over an
+//                    N-worker std::jthread pool and the event loop, with
 //                    metrics and the canonicalized trace byte-identical
-//                    to the threads=0 virtual-clock engine under the
-//                    same seed. 0 = the single-threaded engine,
-//                    byte-identical to earlier builds (0)
-//   rt-queue-cap=N   per-worker SPSC job-ring capacity, >= 1; requires
-//                    threads > 0 (256)
+//                    to the threads=0 run under the same seed. 0 = no
+//                    pool: the event loop solves every re-solve itself (0)
 //   rt-fail-at=K     test hook: abort the K-th dispatched solve job
 //                    inside its worker (1-based), exercising the pool's
 //                    failure path; requires threads > 0; 0 = never (0)
@@ -188,9 +186,8 @@ const std::set<std::string>& KnownKeys() {
       "heuristic",    "ddm",          "mu",         "rates",
       "items",        "ticks",        "traces",     "delay_ms",
       "recompute_ms", "aao_period",   "coord_shards",
-      "shard_policy", "threads",      "rt_queue_cap",
-      "rt_fail_at",   "solve_cache",
-      "seed",         "csv",        "metrics_out",
+      "shard_policy", "threads",      "rt_fail_at", "solve_cache",
+      "seed",         "csv",          "metrics_out",
       "trace_out",    "flame_out",    "flame_group_by",
       "fault_drop",   "fault_crash",  "lease_s",    "retx_timeout_s",
       "churn_rate",   "churn_lifetime_s",           "churn_zipf",
@@ -302,18 +299,11 @@ int main(int argc, char** argv) {
     Die("unknown shard-policy '" + shard_policy + "' (want eqi|hash)");
   }
   // Real-thread runtime knobs (src/rt/, docs/CONCURRENCY.md). The
-  // rt- keys only mean anything on a threaded run, so naming them with
+  // rt- key only means anything on a threaded run, so naming it with
   // threads=0 is treated as the typo it probably is.
   const int threads = GetInt(args, "threads", 0);
   if (threads < 0) {
     Die("threads must be >= 0, got " + std::to_string(threads));
-  }
-  const int rt_queue_cap = GetInt(args, "rt_queue_cap", 256);
-  if (args.count("rt_queue_cap") != 0 && threads == 0) {
-    Die("rt-queue-cap requires threads > 0");
-  }
-  if (rt_queue_cap < 1) {
-    Die("rt-queue-cap must be >= 1, got " + std::to_string(rt_queue_cap));
   }
   const int rt_fail_at = GetInt(args, "rt_fail_at", 0);
   if (args.count("rt_fail_at") != 0 && threads == 0) {
@@ -615,7 +605,6 @@ int main(int argc, char** argv) {
   config.fault.retx_timeout_s = retx_timeout_s;
   config.fault.lease_s = lease_s;
   config.threads = threads;
-  config.rt_queue_cap = rt_queue_cap;
   config.rt_fail_at = rt_fail_at;
   config.solve_cache = solve_cache;
 
