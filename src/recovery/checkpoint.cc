@@ -1,16 +1,11 @@
 #include "recovery/checkpoint.h"
 
-#include <algorithm>
-#include <cinttypes>
 #include <cstdio>
-#include <map>
-#include <set>
-#include <sstream>
 #include <utility>
 
 #include "common/hash.h"
-#include "obs/json_util.h"
 #include "recovery/codec.h"
+#include "recovery/record.h"
 
 namespace polydab::recovery {
 
@@ -18,142 +13,29 @@ namespace {
 
 constexpr char kCkptVersion[] = "polydab.ckpt.v1";
 
-/// Flat JSON line assembler in the json_util dialect (string and number
-/// values only), matching what ParseFlatJsonLine reads back.
-class LineBuilder {
- public:
-  LineBuilder& Str(const char* k, const std::string& v) {
-    Key(k);
-    line_ += '"';
-    line_ += obs::JsonEscape(v);
-    line_ += '"';
-    return *this;
-  }
-  LineBuilder& Num(const char* k, double v) {
-    Key(k);
-    line_ += obs::JsonNumber(v);
-    return *this;
-  }
-  LineBuilder& Int(const char* k, long long v) {
-    Key(k);
-    line_ += std::to_string(v);
-    return *this;
-  }
-  LineBuilder& UInt(const char* k, unsigned long long v) {
-    Key(k);
-    line_ += std::to_string(v);
-    return *this;
-  }
-  std::string Done() { return line_ + "}"; }
+/// The block's digest footer.
+struct BlockFooter {
+  uint32_t digest = 0;  ///< FNV-1a over the block's lines, newlines included
+  int64_t n = 0;        ///< the block's line count, footer excluded
 
- private:
-  void Key(const char* k) {
-    line_ += first_ ? '{' : ',';
-    first_ = false;
-    line_ += '"';
-    line_ += k;
-    line_ += "\":";
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("digest", s.digest);
+    v("n", s.n);
   }
-  std::string line_;
-  bool first_ = true;
 };
 
-/// One parsed block line, kept with its raw bytes for digest chaining.
-struct Rec {
-  int64_t line_number = 0;
-  std::string raw;
-  std::string tag;
-  std::map<std::string, std::string> strings;
-  std::map<std::string, double> numbers;
-};
-
-Status LineError(int64_t line_number, const std::string& msg) {
-  return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                 ": " + msg);
-}
-
-Status CheckKeys(const Rec& rec, const std::set<std::string>& allowed) {
-  for (const auto& [k, v] : rec.strings) {
-    if (allowed.count(k) == 0) {
-      return LineError(rec.line_number, "unknown key '" + k +
-                                            "' in ckpt '" + rec.tag +
-                                            "' record");
-    }
+/// Append one line per element of \p recs. The codec writes the
+/// positional index under \p index_key (nullptr: none) before the fields.
+template <class R>
+void WriteList(const char* tag, const char* index_key,
+               const std::vector<R>& recs, std::vector<std::string>* lines) {
+  for (size_t i = 0; i < recs.size(); ++i) {
+    LineWriter w("t", tag);
+    if (index_key != nullptr) w(index_key, i);
+    R::Fields(recs[i], w);
+    lines->push_back(w.Finish());
   }
-  for (const auto& [k, v] : rec.numbers) {
-    if (allowed.count(k) == 0) {
-      return LineError(rec.line_number, "unknown key '" + k +
-                                            "' in ckpt '" + rec.tag +
-                                            "' record");
-    }
-  }
-  return Status::OK();
-}
-
-Status GetNum(const Rec& rec, const std::string& key, double* out) {
-  auto it = rec.numbers.find(key);
-  if (it == rec.numbers.end()) {
-    return LineError(rec.line_number, "ckpt '" + rec.tag +
-                                          "' record missing key '" + key +
-                                          "'");
-  }
-  *out = it->second;
-  return Status::OK();
-}
-
-Status GetInt(const Rec& rec, const std::string& key, long long* out) {
-  double v = 0.0;
-  POLYDAB_RETURN_NOT_OK(GetNum(rec, key, &v));
-  *out = static_cast<long long>(v);
-  return Status::OK();
-}
-
-Status GetStr(const Rec& rec, const std::string& key, std::string* out) {
-  auto it = rec.strings.find(key);
-  if (it == rec.strings.end()) {
-    return LineError(rec.line_number, "ckpt '" + rec.tag +
-                                          "' record missing key '" + key +
-                                          "'");
-  }
-  *out = it->second;
-  return Status::OK();
-}
-
-/// Decode a string field holding one EncodeDouble token.
-Status GetTokDouble(const Rec& rec, const std::string& key, double* out) {
-  std::string tok;
-  POLYDAB_RETURN_NOT_OK(GetStr(rec, key, &tok));
-  Status s = DecodeDouble(tok, out);
-  if (!s.ok()) return LineError(rec.line_number, s.message());
-  return Status::OK();
-}
-
-std::string EncodeBuckets(const std::vector<std::pair<int, int64_t>>& b) {
-  std::string out;
-  for (size_t i = 0; i < b.size(); ++i) {
-    if (i > 0) out += ' ';
-    out += std::to_string(b[i].first);
-    out += ':';
-    out += std::to_string(b[i].second);
-  }
-  return out;
-}
-
-Status DecodeBuckets(const std::string& s,
-                     std::vector<std::pair<int, int64_t>>* out) {
-  out->clear();
-  if (s.empty()) return Status::OK();
-  std::istringstream in(s);
-  std::string tok;
-  while (in >> tok) {
-    const size_t colon = tok.find(':');
-    if (colon == std::string::npos) {
-      return Status::InvalidArgument("bad bucket token '" + tok + "'");
-    }
-    out->emplace_back(std::stoi(tok.substr(0, colon)),
-                      static_cast<int64_t>(std::stoll(tok.substr(colon + 1))));
-  }
-  return Status::OK();
 }
 
 /// Serialize one snapshot into its block lines (footer excluded).
@@ -162,158 +44,48 @@ std::vector<std::string> BuildBlockLines(const CheckpointState& st) {
   lines.reserve(8 + st.queries.size() + st.parts.size() + st.events.size() +
                 st.instruments.size());
   {
-    LineBuilder b;
-    b.Str("t", "hdr")
-        .Str("v", kCkptVersion)
-        .Int("tick", st.tick)
-        .Int("ticks_seen", st.ticks_seen)
-        .UInt("config_fp", st.config_fp)
-        .Int("items", st.num_items)
-        .Int("sources", st.num_sources)
-        .Int("shards", st.num_shards)
-        .UInt("trace_next_id", st.trace_next_id)
-        .UInt("ckpt_end_id", st.ckpt_end_id)
-        .Int("fault", st.fault_mode ? 1 : 0)
-        .Int("dqi", st.dqi_built ? 1 : 0)
-        .Int("usr", st.updates_since_rebase)
-        .Int("nq", static_cast<long long>(st.queries.size()))
-        .Int("np", static_cast<long long>(st.parts.size()))
-        .Int("nev", static_cast<long long>(st.events.size()))
-        .Str("delay_rng", st.delay_rng)
-        .Str("fault_rng", st.fault_rng)
-        .Str("svc", st.service_state);
-    lines.push_back(b.Done());
+    LineWriter w("t", "hdr");
+    w("v", std::string(kCkptVersion));
+    CheckpointState::HeaderFields(st, w);
+    lines.push_back(w.Finish());
   }
   {
-    LineBuilder b;
-    b.Str("t", "met")
-        .Int("refreshes", st.refreshes)
-        .Int("recomputations", st.recomputations)
-        .Int("dab_changes", st.dab_change_messages)
-        .Int("notifications", st.user_notifications)
-        .Int("solver_failures", st.solver_failures)
-        .Int("drops", st.fault_drops)
-        .Int("retransmits", st.retransmits)
-        .Int("dups", st.duplicates_suppressed)
-        .Int("leases", st.lease_expiries)
-        .Num("degraded_s", st.degraded_query_seconds);
-    lines.push_back(b.Done());
+    LineWriter w("t", "met");
+    CheckpointState::MetricFields(st, w);
+    lines.push_back(w.Finish());
   }
-  for (size_t i = 0; i < st.queries.size(); ++i) {
-    const CheckpointQuery& q = st.queries[i];
-    LineBuilder b;
-    b.Str("t", "q")
-        .Int("slot", static_cast<long long>(i))
-        .Int("id", q.id)
-        .Num("qab", q.qab)
-        .Str("poly", q.poly)
-        .Int("alive", q.alive ? 1 : 0)
-        .Int("reg", q.reg_tick)
-        .Int("dereg", q.dereg_tick)
-        .Num("viol", q.violated_time)
-        .Num("lastv", q.last_user_value)
-        .Int("shard", q.shard)
-        .Num("qval", q.query_value)
-        .Int("degi", q.degraded_items)
-        .UInt("dege", q.degrade_event);
-    lines.push_back(b.Done());
-  }
-  for (const CheckpointPart& p : st.parts) {
-    LineBuilder b;
-    b.Str("t", "part")
-        .Int("slot", p.slot)
-        .Int("part", p.part)
-        .Str("poly", p.poly)
-        .Num("pqab", p.pqab)
-        .Str("vars", EncodeInts(p.vars))
-        .Str("pri", p.primary)
-        .Str("sec", p.secondary)
-        .Num("rate", p.recompute_rate)
-        .Int("sdab", p.single_dab ? 1 : 0)
-        .Int("nstale", p.never_stale ? 1 : 0)
-        .Str("anchor", p.anchor);
-    lines.push_back(b.Done());
-  }
+  WriteList("q", "slot", st.queries, &lines);
+  WriteList("part", nullptr, st.parts, &lines);
   {
-    LineBuilder b;
-    b.Str("t", "items")
-        .Str("view", EncodeVector(st.view))
-        .Str("src", EncodeVector(st.source_value))
-        .Str("pushed", EncodeVector(st.last_pushed))
-        .Str("inst", EncodeVector(st.installed_dab))
-        .Str("minp", EncodeVector(st.min_primary))
-        .Str("home", EncodeInts(st.item_home_shard))
-        .Str("free", EncodeVector(st.shard_free_at));
-    lines.push_back(b.Done());
+    LineWriter w("t", "items");
+    CheckpointState::ItemFields(st, w);
+    lines.push_back(w.Finish());
   }
   for (size_t i = 0; i < st.item_queries.size(); ++i) {
     const bool has_q = !st.item_queries[i].empty();
     const bool has_s = i < st.item_shards.size() && !st.item_shards[i].empty();
     if (!has_q && !has_s) continue;
-    LineBuilder b;
-    b.Str("t", "iq").Int("i", static_cast<long long>(i));
-    if (has_q) b.Str("q", EncodeInts(st.item_queries[i]));
-    if (has_s) b.Str("s", EncodeInts(st.item_shards[i]));
-    lines.push_back(b.Done());
+    LineWriter w("t", "iq");
+    w("i", i);
+    if (has_q) w("q", st.item_queries[i]);
+    if (has_s) w("s", st.item_shards[i]);
+    lines.push_back(w.Finish());
   }
-  for (const CheckpointEvent& e : st.events) {
-    LineBuilder b;
-    b.Str("t", "ev")
-        .Num("time", e.time)
-        .Int("k", e.type)
-        .Int("item", e.item)
-        .Num("val", e.value)
-        .UInt("tid", e.trace_id)
-        .Num("wait", e.wait)
-        .Int("seq", e.seq);
-    lines.push_back(b.Done());
-  }
-  for (const CheckpointSource& s : st.sources) {
-    LineBuilder b;
-    b.Str("t", "src")
-        .Int("i", s.source)
-        .Num("cu", s.crashed_until)
-        .UInt("ce", s.crash_event)
-        .Num("nh", s.next_heartbeat)
-        .Num("lc", s.last_contact)
-        .UInt("cte", s.contact_event);
-    lines.push_back(b.Done());
-  }
-  for (const CheckpointItemFault& f : st.item_fault) {
-    LineBuilder b;
-    b.Str("t", "if")
-        .Int("i", f.item)
-        .Int("ns", f.next_seq)
-        .Int("ds", f.delivered_seq)
-        .Int("dr", f.drop_seq)
-        .UInt("de", f.drop_eid)
-        .Int("exp", f.expired ? 1 : 0)
-        .UInt("ee", f.expire_event)
-        .Int("pl", f.pending_live ? 1 : 0)
-        .Int("ps", f.pending_seq)
-        .Num("pv", f.pending_value)
-        .UInt("pe", f.pending_emit_id)
-        .Num("pr", f.pending_next_retx)
-        .Int("pa", f.pending_attempts);
-    lines.push_back(b.Done());
-  }
+  WriteList("ev", nullptr, st.events, &lines);
+  WriteList("src", "i", st.sources, &lines);
+  WriteList("if", "i", st.item_fault, &lines);
   for (const CheckpointInstrument& ins : st.instruments) {
-    LineBuilder b;
-    b.Str("t", "reg").Str("k", std::string(1, ins.kind)).Str("name", ins.name);
-    if (ins.kind == 'c') {
-      b.Int("v", ins.count);
-    } else if (ins.kind == 'g') {
-      b.Num("v", ins.value);
-    } else {
-      b.Int("count", ins.count)
-          .Num("sum", ins.sum)
-          .Str("min", EncodeDouble(ins.raw_min))
-          .Str("max", EncodeDouble(ins.raw_max))
-          .Str("b", EncodeBuckets(ins.buckets));
-    }
-    lines.push_back(b.Done());
+    LineWriter w("t", "reg");
+    w("k", std::string(1, ins.kind));
+    CheckpointInstrument::Fields(ins, w);
+    lines.push_back(w.Finish());
   }
   return lines;
+}
+
+/// A wire value cut to 40 characters for human-oriented output.
+std::string Clip(const std::string& s) {
+  return s.size() > 40 ? s.substr(0, 40) + "..." : s;
 }
 
 uint32_t BlockDigest(const std::vector<std::string>& lines) {
@@ -325,315 +97,143 @@ uint32_t BlockDigest(const std::vector<std::string>& lines) {
   return h;
 }
 
-Status DecodeBlock(const std::vector<const Rec*>& recs, CheckpointState* st) {
+/// Decode one record line into a new element of \p out. With an
+/// \p index_key, the record's positional index must be out->size().
+template <class R>
+Status ReadListRecord(const Record& rec, const char* index_key,
+                      std::vector<R>* out) {
+  R r;
+  POLYDAB_RETURN_NOT_OK(
+      ReadFields(rec, index_key, [&](auto& v) { R::Fields(r, v); }));
+  if (index_key != nullptr) {
+    size_t i = 0;
+    POLYDAB_RETURN_NOT_OK(ReadValue(rec, index_key, &i));
+    if (i != out->size()) {
+      return LineError(rec.line_number,
+                       "ckpt '" + rec.tag + "' records out of order");
+    }
+  }
+  out->push_back(std::move(r));
+  return Status::OK();
+}
+
+/// Sparse item-table row: the item's query slots and lanes, each key
+/// present only when non-empty.
+Status ReadItemRow(const Record& rec, CheckpointState* st) {
+  POLYDAB_RETURN_NOT_OK(CheckKeys(rec, "i", {"q", "s"}));
+  int i = 0;
+  POLYDAB_RETURN_NOT_OK(ReadValue(rec, "i", &i));
+  if (i < 0 || i >= st->num_items) {
+    return LineError(rec.line_number, "ckpt 'iq' item out of range");
+  }
+  const size_t item = static_cast<size_t>(i);
+  if (rec.strings.count("q") != 0) {
+    POLYDAB_RETURN_NOT_OK(ReadValue(rec, "q", &st->item_queries[item]));
+  }
+  if (rec.strings.count("s") != 0) {
+    POLYDAB_RETURN_NOT_OK(ReadValue(rec, "s", &st->item_shards[item]));
+  }
+  return Status::OK();
+}
+
+Status ReadInstrument(const Record& rec, CheckpointState* st) {
+  CheckpointInstrument ins;
+  std::string kind;
+  POLYDAB_RETURN_NOT_OK(ReadValue(rec, "k", &kind));
+  if (kind != "c" && kind != "g" && kind != "h") {
+    return LineError(rec.line_number,
+                     "unknown instrument kind '" + kind + "'");
+  }
+  ins.kind = kind[0];
+  POLYDAB_RETURN_NOT_OK(ReadFields(
+      rec, "k", [&](auto& v) { CheckpointInstrument::Fields(ins, v); }));
+  st->instruments.push_back(std::move(ins));
+  return Status::OK();
+}
+
+/// Header record counts against the records the block actually holds.
+struct CountCheck {
+  const Record& hdr;
+  Status status;
+  template <class T>
+  void operator()(const char*, const T&) {}
+  template <class C>
+  void operator()(const char* key, Count<C> c) {
+    if (!status.ok()) return;
+    size_t want = 0;
+    status = ReadValue(hdr, key, &want);
+    if (status.ok() && want != c.records.size()) {
+      status = Status::InvalidArgument(
+          "checkpoint block is internally inconsistent: header '" +
+          std::string(key) + "' says " + std::to_string(want) +
+          " records, block has " + std::to_string(c.records.size()));
+    }
+  }
+};
+
+/// Decode a digest-verified block. Block segmentation starts every block
+/// at its one header, so the header is read before any other record.
+Status DecodeBlock(const std::vector<const Record*>& recs,
+                   CheckpointState* st) {
   *st = CheckpointState();
-  long long nq = -1, np = -1, nev = -1;
-  for (const Rec* rp : recs) {
-    const Rec& rec = *rp;
+  for (const Record* rp : recs) {
+    const Record& rec = *rp;
     if (rec.tag == "hdr") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(
-          rec, {"t", "v", "tick", "ticks_seen", "config_fp", "items",
-                "sources", "shards", "trace_next_id", "ckpt_end_id", "fault",
-                "dqi", "usr", "nq", "np", "nev", "delay_rng", "fault_rng",
-                "svc"}));
       std::string version;
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "v", &version));
+      POLYDAB_RETURN_NOT_OK(ReadValue(rec, "v", &version));
       if (version != kCkptVersion) {
         return LineError(rec.line_number,
                          "checkpoint version skew: file says '" + version +
                              "', this build reads '" + kCkptVersion + "'");
       }
-      long long v = 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "tick", &v));
-      st->tick = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "ticks_seen", &v));
-      st->ticks_seen = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "config_fp", &v));
-      st->config_fp = static_cast<uint32_t>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "items", &v));
-      st->num_items = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "sources", &v));
-      st->num_sources = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "shards", &v));
-      st->num_shards = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "trace_next_id", &v));
-      st->trace_next_id = static_cast<uint64_t>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "ckpt_end_id", &v));
-      st->ckpt_end_id = static_cast<uint64_t>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "fault", &v));
-      st->fault_mode = v != 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "dqi", &v));
-      st->dqi_built = v != 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "usr", &v));
-      st->updates_since_rebase = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "nq", &nq));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "np", &np));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "nev", &nev));
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "delay_rng", &st->delay_rng));
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "fault_rng", &st->fault_rng));
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "svc", &st->service_state));
+      POLYDAB_RETURN_NOT_OK(ReadFields(
+          rec, "v", [&](auto& v) { CheckpointState::HeaderFields(*st, v); }));
+      if (st->num_items < 0) {
+        return LineError(rec.line_number, "ckpt 'hdr' item count is negative");
+      }
+      st->item_queries.resize(static_cast<size_t>(st->num_items));
+      st->item_shards.resize(static_cast<size_t>(st->num_items));
     } else if (rec.tag == "met") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(
-          rec, {"t", "refreshes", "recomputations", "dab_changes",
-                "notifications", "solver_failures", "drops", "retransmits",
-                "dups", "leases", "degraded_s"}));
-      long long v = 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "refreshes", &v));
-      st->refreshes = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "recomputations", &v));
-      st->recomputations = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "dab_changes", &v));
-      st->dab_change_messages = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "notifications", &v));
-      st->user_notifications = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "solver_failures", &v));
-      st->solver_failures = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "drops", &v));
-      st->fault_drops = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "retransmits", &v));
-      st->retransmits = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "dups", &v));
-      st->duplicates_suppressed = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "leases", &v));
-      st->lease_expiries = v;
-      POLYDAB_RETURN_NOT_OK(
-          GetNum(rec, "degraded_s", &st->degraded_query_seconds));
+      POLYDAB_RETURN_NOT_OK(ReadFields(
+          rec, nullptr,
+          [&](auto& v) { CheckpointState::MetricFields(*st, v); }));
     } else if (rec.tag == "q") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(
-          rec, {"t", "slot", "id", "qab", "poly", "alive", "reg", "dereg",
-                "viol", "lastv", "shard", "qval", "degi", "dege"}));
-      long long slot = 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "slot", &slot));
-      if (slot != static_cast<long long>(st->queries.size())) {
-        return LineError(rec.line_number,
-                         "ckpt 'q' records out of slot order");
-      }
-      CheckpointQuery q;
-      long long v = 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "id", &v));
-      q.id = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "qab", &q.qab));
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "poly", &q.poly));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "alive", &v));
-      q.alive = v != 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "reg", &v));
-      q.reg_tick = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "dereg", &v));
-      q.dereg_tick = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "viol", &q.violated_time));
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "lastv", &q.last_user_value));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "shard", &v));
-      q.shard = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "qval", &q.query_value));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "degi", &v));
-      q.degraded_items = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "dege", &v));
-      q.degrade_event = static_cast<uint64_t>(v);
-      st->queries.push_back(std::move(q));
+      POLYDAB_RETURN_NOT_OK(ReadListRecord(rec, "slot", &st->queries));
     } else if (rec.tag == "part") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(
-          rec, {"t", "slot", "part", "poly", "pqab", "vars", "pri", "sec",
-                "rate", "sdab", "nstale", "anchor"}));
-      CheckpointPart p;
-      long long v = 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "slot", &v));
-      p.slot = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "part", &v));
-      p.part = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "poly", &p.poly));
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "pqab", &p.pqab));
-      std::string vars;
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "vars", &vars));
-      Status ds = DecodeInts(vars, &p.vars);
-      if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "pri", &p.primary));
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "sec", &p.secondary));
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "rate", &p.recompute_rate));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "sdab", &v));
-      p.single_dab = v != 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "nstale", &v));
-      p.never_stale = v != 0;
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "anchor", &p.anchor));
-      st->parts.push_back(std::move(p));
+      POLYDAB_RETURN_NOT_OK(ReadListRecord(rec, nullptr, &st->parts));
     } else if (rec.tag == "items") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(
-          rec, {"t", "view", "src", "pushed", "inst", "minp", "home",
-                "free"}));
-      std::string s;
-      Status ds;
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "view", &s));
-      ds = DecodeVector(s, &st->view);
-      if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "src", &s));
-      ds = DecodeVector(s, &st->source_value);
-      if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "pushed", &s));
-      ds = DecodeVector(s, &st->last_pushed);
-      if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "inst", &s));
-      ds = DecodeVector(s, &st->installed_dab);
-      if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "minp", &s));
-      ds = DecodeVector(s, &st->min_primary);
-      if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "home", &s));
-      ds = DecodeInts(s, &st->item_home_shard);
-      if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "free", &s));
-      ds = DecodeVector(s, &st->shard_free_at);
-      if (!ds.ok()) return LineError(rec.line_number, ds.message());
+      POLYDAB_RETURN_NOT_OK(ReadFields(
+          rec, nullptr, [&](auto& v) { CheckpointState::ItemFields(*st, v); }));
     } else if (rec.tag == "iq") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(rec, {"t", "i", "q", "s"}));
-      long long i = 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "i", &i));
-      if (i < 0 || i >= st->num_items) {
-        return LineError(rec.line_number, "ckpt 'iq' item out of range");
-      }
-      if (st->item_queries.empty()) {
-        st->item_queries.resize(static_cast<size_t>(st->num_items));
-        st->item_shards.resize(static_cast<size_t>(st->num_items));
-      }
-      auto qit = rec.strings.find("q");
-      if (qit != rec.strings.end()) {
-        Status ds = DecodeInts(qit->second,
-                               &st->item_queries[static_cast<size_t>(i)]);
-        if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      }
-      auto sit = rec.strings.find("s");
-      if (sit != rec.strings.end()) {
-        Status ds =
-            DecodeInts(sit->second, &st->item_shards[static_cast<size_t>(i)]);
-        if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      }
+      POLYDAB_RETURN_NOT_OK(ReadItemRow(rec, st));
     } else if (rec.tag == "ev") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(
-          rec, {"t", "time", "k", "item", "val", "tid", "wait", "seq"}));
-      CheckpointEvent e;
-      long long v = 0;
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "time", &e.time));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "k", &v));
-      e.type = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "item", &v));
-      e.item = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "val", &e.value));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "tid", &v));
-      e.trace_id = static_cast<uint64_t>(v);
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "wait", &e.wait));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "seq", &v));
-      e.seq = v;
-      st->events.push_back(e);
+      POLYDAB_RETURN_NOT_OK(ReadListRecord(rec, nullptr, &st->events));
     } else if (rec.tag == "src") {
-      POLYDAB_RETURN_NOT_OK(
-          CheckKeys(rec, {"t", "i", "cu", "ce", "nh", "lc", "cte"}));
-      CheckpointSource s;
-      long long v = 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "i", &v));
-      s.source = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "cu", &s.crashed_until));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "ce", &v));
-      s.crash_event = static_cast<uint64_t>(v);
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "nh", &s.next_heartbeat));
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "lc", &s.last_contact));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "cte", &v));
-      s.contact_event = static_cast<uint64_t>(v);
-      st->sources.push_back(s);
+      POLYDAB_RETURN_NOT_OK(ReadListRecord(rec, "i", &st->sources));
     } else if (rec.tag == "if") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(
-          rec, {"t", "i", "ns", "ds", "dr", "de", "exp", "ee", "pl", "ps",
-                "pv", "pe", "pr", "pa"}));
-      CheckpointItemFault f;
-      long long v = 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "i", &v));
-      f.item = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "ns", &v));
-      f.next_seq = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "ds", &v));
-      f.delivered_seq = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "dr", &v));
-      f.drop_seq = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "de", &v));
-      f.drop_eid = static_cast<uint64_t>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "exp", &v));
-      f.expired = v != 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "ee", &v));
-      f.expire_event = static_cast<uint64_t>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "pl", &v));
-      f.pending_live = v != 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "ps", &v));
-      f.pending_seq = v;
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "pv", &f.pending_value));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "pe", &v));
-      f.pending_emit_id = static_cast<uint64_t>(v);
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "pr", &f.pending_next_retx));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "pa", &v));
-      f.pending_attempts = static_cast<int>(v);
-      st->item_fault.push_back(f);
+      POLYDAB_RETURN_NOT_OK(ReadListRecord(rec, "i", &st->item_fault));
     } else if (rec.tag == "reg") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(
-          rec, {"t", "k", "name", "v", "count", "sum", "min", "max", "b"}));
-      CheckpointInstrument ins;
-      std::string kind;
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "k", &kind));
-      if (kind != "c" && kind != "g" && kind != "h") {
-        return LineError(rec.line_number,
-                         "unknown instrument kind '" + kind + "'");
-      }
-      ins.kind = kind[0];
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "name", &ins.name));
-      if (ins.kind == 'c') {
-        long long v = 0;
-        POLYDAB_RETURN_NOT_OK(GetInt(rec, "v", &v));
-        ins.count = v;
-      } else if (ins.kind == 'g') {
-        POLYDAB_RETURN_NOT_OK(GetNum(rec, "v", &ins.value));
-      } else {
-        long long v = 0;
-        POLYDAB_RETURN_NOT_OK(GetInt(rec, "count", &v));
-        ins.count = v;
-        POLYDAB_RETURN_NOT_OK(GetNum(rec, "sum", &ins.sum));
-        POLYDAB_RETURN_NOT_OK(GetTokDouble(rec, "min", &ins.raw_min));
-        POLYDAB_RETURN_NOT_OK(GetTokDouble(rec, "max", &ins.raw_max));
-        std::string b;
-        POLYDAB_RETURN_NOT_OK(GetStr(rec, "b", &b));
-        Status ds = DecodeBuckets(b, &ins.buckets);
-        if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      }
-      st->instruments.push_back(std::move(ins));
+      POLYDAB_RETURN_NOT_OK(ReadInstrument(rec, st));
     } else {
       return LineError(rec.line_number,
                        "unknown ckpt record type '" + rec.tag + "'");
     }
   }
-  if (nq != static_cast<long long>(st->queries.size())) {
-    return Status::InvalidArgument(
-        "checkpoint block is internally inconsistent: header says " +
-        std::to_string(nq) + " query records, block has " +
-        std::to_string(st->queries.size()));
-  }
-  if (np != static_cast<long long>(st->parts.size())) {
-    return Status::InvalidArgument(
-        "checkpoint block is internally inconsistent: header says " +
-        std::to_string(np) + " part records, block has " +
-        std::to_string(st->parts.size()));
-  }
-  if (nev != static_cast<long long>(st->events.size())) {
-    return Status::InvalidArgument(
-        "checkpoint block is internally inconsistent: header says " +
-        std::to_string(nev) + " event records, block has " +
-        std::to_string(st->events.size()));
-  }
-  if (st->item_queries.empty()) {
-    st->item_queries.resize(static_cast<size_t>(st->num_items));
-    st->item_shards.resize(static_cast<size_t>(st->num_items));
-  }
-  return Status::OK();
+  CountCheck counts{*recs.front(), Status::OK()};
+  CheckpointState::HeaderFields(*st, counts);
+  return counts.status;
 }
 
 }  // namespace
 
 Status WriteCheckpoint(const CheckpointState& state, const std::string& path) {
-  const std::vector<std::string> lines = BuildBlockLines(state);
-  const uint32_t digest = BlockDigest(lines);
+  std::vector<std::string> lines = BuildBlockLines(state);
+  BlockFooter footer;
+  footer.digest = BlockDigest(lines);
+  footer.n = static_cast<int64_t>(lines.size());
+  LineWriter w("t", "end");
+  BlockFooter::Fields(footer, w);
+  lines.push_back(w.Finish());
   std::FILE* f = std::fopen(path.c_str(), "a");
   if (f == nullptr) {
     return Status::InvalidArgument("cannot open '" + path +
@@ -644,9 +244,6 @@ Status WriteCheckpoint(const CheckpointState& state, const std::string& path) {
     ok = ok && std::fwrite(line.data(), 1, line.size(), f) == line.size();
     ok = ok && std::fputc('\n', f) != EOF;
   }
-  ok = ok && std::fprintf(f, "{\"t\":\"end\",\"digest\":%" PRIu32
-                             ",\"n\":%zu}\n",
-                          digest, lines.size()) > 0;
   ok = ok && std::fflush(f) == 0;
   const bool closed = std::fclose(f) == 0;
   if (!ok || !closed) {
@@ -656,49 +253,9 @@ Status WriteCheckpoint(const CheckpointState& state, const std::string& path) {
 }
 
 Status LoadLatestCheckpoint(const std::string& path, CheckpointState* out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open '" + path + "'");
-  }
-  std::string text;
-  char buf[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::Internal("read error on '" + path + "'");
-
   // Pass 1: split and syntax-parse every line, keeping raw bytes.
-  std::vector<Rec> recs;
-  size_t start = 0;
-  int64_t line_number = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    const bool terminated = end != std::string::npos;
-    if (!terminated) end = text.size();
-    std::string line = text.substr(start, end - start);
-    start = end + 1;
-    ++line_number;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    if (!terminated) {
-      return LineError(line_number,
-                       "truncated record at end of file (no trailing "
-                       "newline; partial write?)");
-    }
-    Rec rec;
-    rec.line_number = line_number;
-    Status parsed = obs::ParseFlatJsonLine(line, &rec.strings, &rec.numbers);
-    if (!parsed.ok()) return LineError(line_number, parsed.message());
-    auto tit = rec.strings.find("t");
-    if (tit == rec.strings.end()) {
-      return LineError(line_number, "ckpt record has no 't' type tag");
-    }
-    rec.tag = tit->second;
-    rec.raw = std::move(line);
-    recs.push_back(std::move(rec));
-  }
+  std::vector<Record> recs;
+  POLYDAB_RETURN_NOT_OK(ReadRecords(path, "ckpt", "t", &recs));
   if (recs.empty()) {
     return Status::InvalidArgument("'" + path + "' is empty");
   }
@@ -745,92 +302,51 @@ Status LoadLatestCheckpoint(const std::string& path, CheckpointState* out) {
   }
 
   // Pass 3: verify the chosen block's digest footer.
-  const Rec& footer = recs[chosen->footer];
-  POLYDAB_RETURN_NOT_OK(CheckKeys(footer, {"t", "digest", "n"}));
-  long long want_digest = 0, want_n = 0;
-  POLYDAB_RETURN_NOT_OK(GetInt(footer, "digest", &want_digest));
-  POLYDAB_RETURN_NOT_OK(GetInt(footer, "n", &want_n));
+  const Record& footer_rec = recs[chosen->footer];
+  BlockFooter footer;
+  POLYDAB_RETURN_NOT_OK(ReadFields(
+      footer_rec, nullptr, [&](auto& v) { BlockFooter::Fields(footer, v); }));
   std::vector<std::string> raw_lines;
-  std::vector<const Rec*> block_recs;
+  std::vector<const Record*> block_recs;
   for (size_t i = chosen->begin; i < chosen->footer; ++i) {
     raw_lines.push_back(recs[i].raw);
     block_recs.push_back(&recs[i]);
   }
-  if (want_n != static_cast<long long>(raw_lines.size())) {
-    return LineError(footer.line_number,
+  if (footer.n != static_cast<int64_t>(raw_lines.size())) {
+    return LineError(footer_rec.line_number,
                      "ckpt footer line count mismatch: footer says " +
-                         std::to_string(want_n) + ", block has " +
+                         std::to_string(footer.n) + ", block has " +
                          std::to_string(raw_lines.size()));
   }
   const uint32_t have_digest = BlockDigest(raw_lines);
-  if (static_cast<uint32_t>(want_digest) != have_digest) {
-    return LineError(footer.line_number,
+  if (footer.digest != have_digest) {
+    return LineError(footer_rec.line_number,
                      "ckpt digest mismatch: footer says " +
-                         std::to_string(want_digest) +
+                         std::to_string(footer.digest) +
                          ", block hashes to " + std::to_string(have_digest) +
                          " (corrupted snapshot)");
   }
 
   // Pass 4: strict field decode of the verified block.
-  Status decoded = DecodeBlock(block_recs, out);
-  if (!decoded.ok()) return decoded;
-  return Status::OK();
+  return DecodeBlock(block_recs, out);
 }
 
 std::string SummarizeCheckpoint(const CheckpointState& st) {
+  std::string out = std::string("format ") + kCkptVersion + "\n";
+  auto print = [&](const char* tag, auto&& fields) {
+    for (const auto& [key, value] : RenderFields(fields)) {
+      out += std::string(tag) + "." + key + " " + Clip(value) + "\n";
+    }
+  };
+  print("hdr", [&](auto& v) { CheckpointState::HeaderFields(st, v); });
+  print("met", [&](auto& v) { CheckpointState::MetricFields(st, v); });
   size_t live = 0;
   for (const CheckpointQuery& q : st.queries) {
     if (q.alive) ++live;
   }
-  std::string out;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "format        %s\n", kCkptVersion);
-  out += buf;
-  std::snprintf(buf, sizeof(buf), "tick          %d (ticks_seen %d)\n",
-                st.tick, st.ticks_seen);
-  out += buf;
-  std::snprintf(buf, sizeof(buf), "config_fp     %u\n", st.config_fp);
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "queries       %zu live / %zu slots, %zu plan parts\n", live,
-                st.queries.size(), st.parts.size());
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "items         %d across %d sources, %d lanes\n",
-                st.num_items, st.num_sources, st.num_shards);
-  out += buf;
-  std::snprintf(buf, sizeof(buf), "events queued %zu\n", st.events.size());
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "trace         next_id %llu (checkpoint_end %llu)\n",
-                static_cast<unsigned long long>(st.trace_next_id),
-                static_cast<unsigned long long>(st.ckpt_end_id));
-  out += buf;
-  std::snprintf(buf, sizeof(buf), "fault mode    %s; churn index %s\n",
-                st.fault_mode ? "on" : "off",
-                st.dqi_built ? "built" : "absent");
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "metrics       refreshes %lld recomputations %lld "
-                "dab_changes %lld notifications %lld\n",
-                static_cast<long long>(st.refreshes),
-                static_cast<long long>(st.recomputations),
-                static_cast<long long>(st.dab_change_messages),
-                static_cast<long long>(st.user_notifications));
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "fault metrics drops %lld retransmits %lld dups %lld "
-                "leases %lld degraded_s %s\n",
-                static_cast<long long>(st.fault_drops),
-                static_cast<long long>(st.retransmits),
-                static_cast<long long>(st.duplicates_suppressed),
-                static_cast<long long>(st.lease_expiries),
-                EncodeDouble(st.degraded_query_seconds).c_str());
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "instruments   %zu; service state %zu bytes\n",
-                st.instruments.size(), st.service_state.size());
-  out += buf;
+  out += "queries " + std::to_string(live) + " live / " +
+         std::to_string(st.queries.size()) + " slots\n";
+  out += "instruments " + std::to_string(st.instruments.size()) + "\n";
   return out;
 }
 
@@ -844,25 +360,33 @@ struct DiffSink {
 
   void Report(const std::string& path, const std::string& a,
               const std::string& b) {
+    if (a == b) return;
     ++count;
     if (count <= max_lines) {
-      *out += "  " + path + ": " + a + " vs " + b + "\n";
+      *out += "  " + path + ": " + Clip(a) + " vs " + Clip(b) + "\n";
     }
   }
-  void Int(const std::string& path, long long a, long long b) {
-    if (a != b) Report(path, std::to_string(a), std::to_string(b));
+
+  /// Compare two records through their field list \p fields, a callable
+  /// (record, visitor), by each field's wire bytes. Both records list the
+  /// same fields (instruments are compared only when their kinds match).
+  template <class R, class F>
+  void Compare(const std::string& path, const R& a, const R& b, F&& fields) {
+    const auto fa = RenderFields([&](auto& v) { fields(a, v); });
+    const auto fb = RenderFields([&](auto& v) { fields(b, v); });
+    for (size_t i = 0; i < fa.size(); ++i) {
+      Report(path + "." + fa[i].first, fa[i].second, fb[i].second);
+    }
   }
-  void Dbl(const std::string& path, double a, double b) {
-    // Bit-compare via the round-trip encoding so -0.0 vs 0.0 and NaN
-    // payload changes show up.
-    const std::string ea = EncodeDouble(a), eb = EncodeDouble(b);
-    if (ea != eb) Report(path, ea, eb);
-  }
-  void Str(const std::string& path, const std::string& a,
-           const std::string& b) {
-    if (a != b) {
-      Report(path, a.size() > 40 ? a.substr(0, 40) + "..." : a,
-             b.size() > 40 ? b.substr(0, 40) + "..." : b);
+
+  /// Compare two record lists element by element.
+  template <class R>
+  void List(const std::string& tag, const std::vector<R>& a,
+            const std::vector<R>& b) {
+    Report(tag + ".size", std::to_string(a.size()), std::to_string(b.size()));
+    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+      Compare(tag + "[" + std::to_string(i) + "]", a[i], b[i],
+             [](const R& r, auto& v) { R::Fields(r, v); });
     }
   }
 };
@@ -874,95 +398,42 @@ int DiffCheckpoints(const CheckpointState& a, const CheckpointState& b,
   DiffSink d;
   d.max_lines = max_lines;
   d.out = out;
-  d.Int("tick", a.tick, b.tick);
-  d.Int("ticks_seen", a.ticks_seen, b.ticks_seen);
-  d.Int("config_fp", a.config_fp, b.config_fp);
-  d.Int("items", a.num_items, b.num_items);
-  d.Int("sources", a.num_sources, b.num_sources);
-  d.Int("shards", a.num_shards, b.num_shards);
-  d.Int("trace_next_id", static_cast<long long>(a.trace_next_id),
-        static_cast<long long>(b.trace_next_id));
-  d.Int("fault", a.fault_mode, b.fault_mode);
-  d.Int("dqi", a.dqi_built, b.dqi_built);
-  d.Int("updates_since_rebase", a.updates_since_rebase,
-        b.updates_since_rebase);
-  d.Int("metrics.refreshes", a.refreshes, b.refreshes);
-  d.Int("metrics.recomputations", a.recomputations, b.recomputations);
-  d.Int("metrics.dab_changes", a.dab_change_messages, b.dab_change_messages);
-  d.Int("metrics.notifications", a.user_notifications, b.user_notifications);
-  d.Int("metrics.solver_failures", a.solver_failures, b.solver_failures);
-  d.Int("metrics.drops", a.fault_drops, b.fault_drops);
-  d.Int("metrics.retransmits", a.retransmits, b.retransmits);
-  d.Int("metrics.dups", a.duplicates_suppressed, b.duplicates_suppressed);
-  d.Int("metrics.leases", a.lease_expiries, b.lease_expiries);
-  d.Dbl("metrics.degraded_s", a.degraded_query_seconds,
-        b.degraded_query_seconds);
-  d.Str("delay_rng", a.delay_rng, b.delay_rng);
-  d.Str("fault_rng", a.fault_rng, b.fault_rng);
-  d.Str("service_state", a.service_state, b.service_state);
-
-  d.Int("queries.size", static_cast<long long>(a.queries.size()),
-        static_cast<long long>(b.queries.size()));
-  const size_t nq = std::min(a.queries.size(), b.queries.size());
-  for (size_t i = 0; i < nq; ++i) {
-    const std::string p = "q[" + std::to_string(i) + "].";
-    d.Int(p + "id", a.queries[i].id, b.queries[i].id);
-    d.Dbl(p + "qab", a.queries[i].qab, b.queries[i].qab);
-    d.Str(p + "poly", a.queries[i].poly, b.queries[i].poly);
-    d.Int(p + "alive", a.queries[i].alive, b.queries[i].alive);
-    d.Dbl(p + "viol", a.queries[i].violated_time, b.queries[i].violated_time);
-    d.Dbl(p + "lastv", a.queries[i].last_user_value,
-          b.queries[i].last_user_value);
-    d.Int(p + "shard", a.queries[i].shard, b.queries[i].shard);
-    d.Dbl(p + "qval", a.queries[i].query_value, b.queries[i].query_value);
-    d.Int(p + "degi", a.queries[i].degraded_items, b.queries[i].degraded_items);
+  using State = CheckpointState;
+  d.Compare("hdr", a, b,
+           [](const State& s, auto& v) { State::HeaderFields(s, v); });
+  d.Compare("met", a, b,
+           [](const State& s, auto& v) { State::MetricFields(s, v); });
+  d.List("q", a.queries, b.queries);
+  d.List("part", a.parts, b.parts);
+  d.Compare("items", a, b,
+           [](const State& s, auto& v) { State::ItemFields(s, v); });
+  d.Report("iq.size", std::to_string(a.item_queries.size()),
+           std::to_string(b.item_queries.size()));
+  for (size_t i = 0;
+       i < a.item_queries.size() && i < b.item_queries.size(); ++i) {
+    const std::string p = "iq[" + std::to_string(i) + "].";
+    d.Report(p + "q", EncodeInts(a.item_queries[i]),
+             EncodeInts(b.item_queries[i]));
+    if (i < a.item_shards.size() && i < b.item_shards.size()) {
+      d.Report(p + "s", EncodeInts(a.item_shards[i]),
+               EncodeInts(b.item_shards[i]));
+    }
   }
-  d.Int("parts.size", static_cast<long long>(a.parts.size()),
-        static_cast<long long>(b.parts.size()));
-  const size_t np = std::min(a.parts.size(), b.parts.size());
-  for (size_t i = 0; i < np; ++i) {
-    const std::string p = "part[" + std::to_string(i) + "].";
-    d.Str(p + "poly", a.parts[i].poly, b.parts[i].poly);
-    d.Str(p + "pri", a.parts[i].primary, b.parts[i].primary);
-    d.Str(p + "sec", a.parts[i].secondary, b.parts[i].secondary);
-    d.Str(p + "anchor", a.parts[i].anchor, b.parts[i].anchor);
-    d.Dbl(p + "rate", a.parts[i].recompute_rate, b.parts[i].recompute_rate);
-  }
-  d.Str("view", EncodeVector(a.view), EncodeVector(b.view));
-  d.Str("source_value", EncodeVector(a.source_value),
-        EncodeVector(b.source_value));
-  d.Str("last_pushed", EncodeVector(a.last_pushed),
-        EncodeVector(b.last_pushed));
-  d.Str("installed_dab", EncodeVector(a.installed_dab),
-        EncodeVector(b.installed_dab));
-  d.Str("min_primary", EncodeVector(a.min_primary),
-        EncodeVector(b.min_primary));
-  d.Str("shard_free_at", EncodeVector(a.shard_free_at),
-        EncodeVector(b.shard_free_at));
-  d.Int("events.size", static_cast<long long>(a.events.size()),
-        static_cast<long long>(b.events.size()));
-  const size_t ne = std::min(a.events.size(), b.events.size());
-  for (size_t i = 0; i < ne; ++i) {
-    const std::string p = "ev[" + std::to_string(i) + "].";
-    d.Dbl(p + "time", a.events[i].time, b.events[i].time);
-    d.Int(p + "k", a.events[i].type, b.events[i].type);
-    d.Int(p + "item", a.events[i].item, b.events[i].item);
-    d.Dbl(p + "val", a.events[i].value, b.events[i].value);
-    d.Int(p + "tid", static_cast<long long>(a.events[i].trace_id),
-          static_cast<long long>(b.events[i].trace_id));
-  }
-  d.Int("instruments.size", static_cast<long long>(a.instruments.size()),
-        static_cast<long long>(b.instruments.size()));
-  const size_t ni = std::min(a.instruments.size(), b.instruments.size());
-  for (size_t i = 0; i < ni; ++i) {
+  d.List("ev", a.events, b.events);
+  d.List("src", a.sources, b.sources);
+  d.List("if", a.item_fault, b.item_fault);
+  d.Report("reg.size", std::to_string(a.instruments.size()),
+           std::to_string(b.instruments.size()));
+  for (size_t i = 0; i < a.instruments.size() && i < b.instruments.size();
+       ++i) {
     const CheckpointInstrument& x = a.instruments[i];
     const CheckpointInstrument& y = b.instruments[i];
-    const std::string p = "reg[" + x.name + "].";
-    d.Str(p + "name", x.name, y.name);
-    d.Int(p + "count", x.count, y.count);
-    d.Dbl(p + "value", x.value, y.value);
-    d.Dbl(p + "sum", x.sum, y.sum);
-    d.Str(p + "buckets", EncodeBuckets(x.buckets), EncodeBuckets(y.buckets));
+    const std::string p = "reg[" + x.name + "]";
+    d.Report(p + ".k", std::string(1, x.kind), std::string(1, y.kind));
+    if (x.kind != y.kind) continue;  // different field lists
+    d.Compare(p, x, y, [](const CheckpointInstrument& r, auto& v) {
+      CheckpointInstrument::Fields(r, v);
+    });
   }
   if (d.count > d.max_lines) {
     *out += "  ... " + std::to_string(d.count - d.max_lines) +

@@ -3,11 +3,12 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/matrix.h"
 #include "common/status.h"
+#include "recovery/codec.h"
+#include "recovery/record.h"
 
 /// \file checkpoint.h
 /// Durable coordinator snapshots (docs/RECOVERY.md). A checkpoint block
@@ -23,6 +24,12 @@
 /// previous snapshot. Corruption is never repaired silently: version
 /// skew, unknown keys, missing fields, a digest mismatch and a truncated
 /// final line are all InvalidArgument naming the line number.
+///
+/// Each record type below lists its flat fields once, in wire order, in a
+/// `Fields` member template (recovery/record.h); the block writer, the
+/// strict loader and DiffCheckpoints all walk those lists, so a field
+/// exists on disk exactly when it is listed. Adding a field means a
+/// member, a list entry and a format version bump.
 
 namespace polydab::recovery {
 
@@ -30,7 +37,7 @@ namespace polydab::recovery {
 struct CheckpointQuery {
   int id = 0;
   double qab = 0.0;
-  std::string poly;       ///< EncodePolynomial
+  Polynomial poly;
   bool alive = true;
   int reg_tick = 0;
   int dereg_tick = -1;    ///< -1 = never deregistered (INT_MAX in-engine)
@@ -40,62 +47,138 @@ struct CheckpointQuery {
   double query_value = 0.0;  ///< incremental evaluator's delta-chain value
   int degraded_items = 0;    ///< fault mode: items degrading this query
   uint64_t degrade_event = 0;
+
+  /// Record 'q', written after the codec's positional "slot" key.
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("id", s.id);
+    v("qab", s.qab);
+    v("poly", s.poly);
+    v("alive", s.alive);
+    v("reg", s.reg_tick);
+    v("dereg", s.dereg_tick);
+    v("viol", s.violated_time);
+    v("lastv", s.last_user_value);
+    v("shard", s.shard);
+    v("qval", s.query_value);
+    v("degi", s.degraded_items);
+    v("dege", s.degrade_event);
+  }
 };
 
 /// One installed plan part of one query slot.
 struct CheckpointPart {
   int slot = 0;
   int part = 0;
-  std::string poly;  ///< the sub-polynomial, EncodePolynomial
-  double pqab = 0.0; ///< the part's share of the query accuracy bound
-  std::vector<int> vars;
-  std::string primary;    ///< EncodeVector, aligned with vars
-  std::string secondary;  ///< EncodeVector, aligned with vars
+  Polynomial poly;    ///< the sub-polynomial
+  double pqab = 0.0;  ///< the part's share of the query accuracy bound
+  std::vector<VarId> vars;
+  Vector primary;    ///< aligned with vars
+  Vector secondary;  ///< aligned with vars
   double recompute_rate = 0.0;
   bool single_dab = false;
   bool never_stale = false;
-  std::string anchor;     ///< EncodeVector: item values the DABs anchor at
+  Vector anchor;  ///< item values the DABs anchor at, aligned with vars
+
+  /// Record 'part'.
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("slot", s.slot);
+    v("part", s.part);
+    v("poly", s.poly);
+    v("pqab", s.pqab);
+    v("vars", s.vars);
+    v("pri", s.primary);
+    v("sec", s.secondary);
+    v("rate", s.recompute_rate);
+    v("sdab", s.single_dab);
+    v("nstale", s.never_stale);
+    v("anchor", s.anchor);
+  }
 };
 
-/// One queued simulator event, verbatim (the heap array is serialized in
-/// storage order and restored as-is — the replacement heap's layout is
-/// specified, so the bytes are deterministic).
+/// One queued simulator event. The engine's event heap stores these
+/// directly; the heap array is serialized in storage order and restored
+/// as-is (the heap's layout is specified, so the bytes are deterministic).
 struct CheckpointEvent {
   double time = 0.0;
-  int type = 0;
-  int item = -1;
+  int type = 0;   ///< the engine's event type
+  int item = -1;  ///< heartbeats: the source id
   double value = 0.0;
+  // Causal-trace bookkeeping, 0 when tracing is off: the id of the event
+  // this message corresponds to, and the total coordinator-queue wait
+  // accumulated across deferrals.
   uint64_t trace_id = 0;
   double wait = 0.0;
-  int64_t seq = 0;
+  int64_t seq = 0;  ///< fault mode: refresh/ack sequence number, else 0
+
+  /// Record 'ev'.
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("time", s.time);
+    v("k", s.type);
+    v("item", s.item);
+    v("val", s.value);
+    v("tid", s.trace_id);
+    v("wait", s.wait);
+    v("seq", s.seq);
+  }
 };
 
-/// Per-source reliability protocol state (fault mode only).
+/// One source's reliability protocol state (fault mode only). The engine
+/// keeps its per-source table as a vector of these.
 struct CheckpointSource {
-  int source = 0;
-  double crashed_until = 0.0;
-  uint64_t crash_event = 0;
-  double next_heartbeat = 0.0;
-  double last_contact = 0.0;
-  uint64_t contact_event = 0;
+  double crashed_until = 0.0;   ///< down until this time
+  uint64_t crash_event = 0;     ///< trace id of the crash
+  double next_heartbeat = 0.0;  ///< next heartbeat time
+  double last_contact = 0.0;    ///< last contact seen at the coordinator
+  uint64_t contact_event = 0;   ///< trace id of that contact
+
+  /// Record 'src', written after the codec's positional "i" key.
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("cu", s.crashed_until);
+    v("ce", s.crash_event);
+    v("nh", s.next_heartbeat);
+    v("lc", s.last_contact);
+    v("cte", s.contact_event);
+  }
 };
 
-/// Per-item reliability protocol state (fault mode only).
+/// One item's reliability protocol state (fault mode only). The engine
+/// keeps its per-item table as a vector of these.
 struct CheckpointItemFault {
-  int item = 0;
-  int64_t next_seq = 1;
-  int64_t delivered_seq = 0;
-  int64_t drop_seq = 0;
-  uint64_t drop_eid = 0;
-  bool expired = false;
-  uint64_t expire_event = 0;
-  // The pending (unacked) refresh, if any.
+  int64_t next_seq = 1;       ///< next refresh seq the source assigns
+  int64_t delivered_seq = 0;  ///< highest seq delivered at the coordinator
+  int64_t drop_seq = 0;       ///< max dropped data seq
+  uint64_t drop_eid = 0;      ///< trace id of that drop
+  bool expired = false;       ///< lease currently lapsed?
+  uint64_t expire_event = 0;  ///< trace id of the expiry
+  // The source's latest unacked refresh, kept for timeout retransmission
+  // and replaced wholesale when a newer value pushes.
   bool pending_live = false;
   int64_t pending_seq = 0;
   double pending_value = 0.0;
-  uint64_t pending_emit_id = 0;
+  uint64_t pending_emit_id = 0;  ///< latest emission (first or retransmit)
   double pending_next_retx = 0.0;
   int pending_attempts = 0;
+
+  /// Record 'if', written after the codec's positional "i" key.
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("ns", s.next_seq);
+    v("ds", s.delivered_seq);
+    v("dr", s.drop_seq);
+    v("de", s.drop_eid);
+    v("exp", s.expired);
+    v("ee", s.expire_event);
+    v("pl", s.pending_live);
+    v("ps", s.pending_seq);
+    v("pv", s.pending_value);
+    v("pe", s.pending_emit_id);
+    v("pr", s.pending_next_retx);
+    v("pa", s.pending_attempts);
+  }
 };
 
 /// One registry instrument. kind is 'c' (counter), 'g' (gauge) or 'h'
@@ -110,7 +193,25 @@ struct CheckpointInstrument {
   double sum = 0.0;                               ///< 'h'
   double raw_min = 0.0;                           ///< 'h' (+inf while empty)
   double raw_max = 0.0;                           ///< 'h' (-inf while empty)
-  std::vector<std::pair<int, int64_t>> buckets;   ///< 'h' non-empty buckets
+  Buckets buckets;                                ///< 'h' non-empty buckets
+
+  /// Record 'reg', written after the codec's kind key "k"; the fields
+  /// that follow the name depend on the kind.
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("name", s.name);
+    if (s.kind == 'c') {
+      v("v", s.count);
+    } else if (s.kind == 'g') {
+      v("v", s.value);
+    } else {
+      v("count", s.count);
+      v("sum", s.sum);
+      v("min", Token{s.raw_min});
+      v("max", Token{s.raw_max});
+      v("b", s.buckets);
+    }
+  }
 };
 
 /// A full snapshot. Plain data; the engine builds/applies it, this module
@@ -162,6 +263,56 @@ struct CheckpointState {
   std::string delay_rng;  ///< mt19937_64 stream state, space-separated
   std::string fault_rng;
   std::string service_state;  ///< ServiceHooks::SnapshotState, opaque
+
+  /// Record 'hdr', written after the codec's format version key "v".
+  template <class S, class V>
+  static void HeaderFields(S& s, V& v) {
+    v("tick", s.tick);
+    v("ticks_seen", s.ticks_seen);
+    v("config_fp", s.config_fp);
+    v("items", s.num_items);
+    v("sources", s.num_sources);
+    v("shards", s.num_shards);
+    v("trace_next_id", s.trace_next_id);
+    v("ckpt_end_id", s.ckpt_end_id);
+    v("fault", s.fault_mode);
+    v("dqi", s.dqi_built);
+    v("usr", s.updates_since_rebase);
+    v("nq", Count{s.queries});
+    v("np", Count{s.parts});
+    v("nev", Count{s.events});
+    v("delay_rng", s.delay_rng);
+    v("fault_rng", s.fault_rng);
+    v("svc", s.service_state);
+  }
+
+  /// Record 'met'.
+  template <class S, class V>
+  static void MetricFields(S& s, V& v) {
+    v("refreshes", s.refreshes);
+    v("recomputations", s.recomputations);
+    v("dab_changes", s.dab_change_messages);
+    v("notifications", s.user_notifications);
+    v("solver_failures", s.solver_failures);
+    v("drops", s.fault_drops);
+    v("retransmits", s.retransmits);
+    v("dups", s.duplicates_suppressed);
+    v("leases", s.lease_expiries);
+    v("degraded_s", s.degraded_query_seconds);
+  }
+
+  /// Record 'items'. item_queries and item_shards travel as sparse 'iq'
+  /// rows instead (one per item that has either).
+  template <class S, class V>
+  static void ItemFields(S& s, V& v) {
+    v("view", s.view);
+    v("src", s.source_value);
+    v("pushed", s.last_pushed);
+    v("inst", s.installed_dab);
+    v("minp", s.min_primary);
+    v("home", s.item_home_shard);
+    v("free", s.shard_free_at);
+  }
 };
 
 /// Append one snapshot block (header .. digest footer) to \p path,
@@ -175,12 +326,16 @@ Status WriteCheckpoint(const CheckpointState& state, const std::string& path);
 /// a named, line-numbered error.
 Status LoadLatestCheckpoint(const std::string& path, CheckpointState* out);
 
-/// Human-oriented multi-line summary of one snapshot (polydab_ckpt).
+/// Human-oriented summary of one snapshot (polydab_ckpt): every header
+/// and metrics field as "hdr.<key> <value>" / "met.<key> <value>" lines
+/// (long strings clipped), then query liveness and instrument counts.
 std::string SummarizeCheckpoint(const CheckpointState& state);
 
-/// Compare two snapshots field by field; appends one "  path: a vs b"
-/// line per difference to \p out (capped at \p max_lines) and returns
-/// the total number of differences.
+/// Compare two snapshots field by field, every listed field of every
+/// record plus the 'iq' rows and instrument kinds, by wire bytes; appends
+/// one "  path: a vs b" line per difference to \p out (capped at
+/// \p max_lines) and returns the total number of differences. Paths name
+/// the record and its wire key: "hdr.tick", "q[3].reg", "ev[0].wait".
 int DiffCheckpoints(const CheckpointState& a, const CheckpointState& b,
                     int max_lines, std::string* out);
 

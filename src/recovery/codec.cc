@@ -28,16 +28,22 @@ std::vector<std::string> Split(const std::string& s, char sep) {
   return out;
 }
 
-Status DecodeLong(const std::string& tok, long long* out) {
+/// Decimal integer token in [lo, hi].
+Status DecodeLong(const std::string& tok, long long* out,
+                  long long lo = std::numeric_limits<long long>::min(),
+                  long long hi = std::numeric_limits<long long>::max()) {
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(tok.c_str(), &end, 10);
-  if (errno != 0 || end == tok.c_str() || *end != '\0') {
+  if (errno != 0 || end == tok.c_str() || *end != '\0' || v < lo || v > hi) {
     return Status::InvalidArgument("bad integer token '" + tok + "'");
   }
   *out = v;
   return Status::OK();
 }
+
+constexpr long long kIntMin = std::numeric_limits<int>::min();
+constexpr long long kIntMax = std::numeric_limits<int>::max();
 
 }  // namespace
 
@@ -104,8 +110,36 @@ Status DecodeInts(const std::string& s, std::vector<int>* out) {
   if (s.empty()) return Status::OK();
   for (const std::string& tok : Split(s, ' ')) {
     long long v = 0;
-    POLYDAB_RETURN_NOT_OK(DecodeLong(tok, &v));
+    POLYDAB_RETURN_NOT_OK(DecodeLong(tok, &v, kIntMin, kIntMax));
     out->push_back(static_cast<int>(v));
+  }
+  return Status::OK();
+}
+
+std::string EncodeBuckets(const Buckets& b) {
+  std::string out;
+  for (size_t i = 0; i < b.size(); ++i) {
+    if (i > 0) out += ' ';
+    out += std::to_string(b[i].first);
+    out += ':';
+    out += std::to_string(b[i].second);
+  }
+  return out;
+}
+
+Status DecodeBuckets(const std::string& s, Buckets* out) {
+  out->clear();
+  if (s.empty()) return Status::OK();
+  for (const std::string& tok : Split(s, ' ')) {
+    const size_t colon = tok.find(':');
+    if (colon == std::string::npos) {
+      return Status::InvalidArgument("bad bucket token '" + tok + "'");
+    }
+    long long index = 0, count = 0;
+    POLYDAB_RETURN_NOT_OK(
+        DecodeLong(tok.substr(0, colon), &index, kIntMin, kIntMax));
+    POLYDAB_RETURN_NOT_OK(DecodeLong(tok.substr(colon + 1), &count));
+    out->emplace_back(static_cast<int>(index), static_cast<int64_t>(count));
   }
   return Status::OK();
 }
@@ -151,8 +185,10 @@ Status DecodePolynomial(const std::string& s, Polynomial* out) {
                                          "' has no ':'");
         }
         long long var = 0, pow = 0;
-        POLYDAB_RETURN_NOT_OK(DecodeLong(vp.substr(0, colon), &var));
-        POLYDAB_RETURN_NOT_OK(DecodeLong(vp.substr(colon + 1), &pow));
+        POLYDAB_RETURN_NOT_OK(
+            DecodeLong(vp.substr(0, colon), &var, kIntMin, kIntMax));
+        POLYDAB_RETURN_NOT_OK(
+            DecodeLong(vp.substr(colon + 1), &pow, kIntMin, kIntMax));
         powers.emplace_back(static_cast<VarId>(var), static_cast<int>(pow));
       }
     }

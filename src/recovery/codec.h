@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.h"
@@ -35,6 +36,13 @@ Status DecodeVector(const std::string& s, Vector* out);
 /// Space-separated decimal integers ("" for an empty vector).
 std::string EncodeInts(const std::vector<int>& v);
 Status DecodeInts(const std::string& s, std::vector<int>* out);
+
+/// Histogram buckets: (bucket index, count) pairs, non-empty buckets only.
+using Buckets = std::vector<std::pair<int, int64_t>>;
+
+/// Space-separated "<index>:<count>" tokens ("" for no buckets).
+std::string EncodeBuckets(const Buckets& b);
+Status DecodeBuckets(const std::string& s, Buckets* out);
 
 /// Canonical polynomial encoding, term-exact: terms joined by '|', each
 /// term "<coef>@<var>:<pow>[,<var>:<pow>...]" ("<coef>@" for the constant

@@ -1,11 +1,10 @@
 #include "recovery/wal.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
-#include "obs/json_util.h"
-#include "recovery/codec.h"
+#include "recovery/record.h"
 
 namespace polydab::recovery {
 
@@ -13,199 +12,59 @@ namespace {
 
 constexpr char kWalVersion[] = "polydab.wal.v1";
 
-Status LineError(int64_t line_number, const std::string& msg) {
-  return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                 ": " + msg);
-}
+/// Wire tag of each WalRecord::Kind, in enum order.
+constexpr const char* kKindTags[] = {"hdr", "row", "ack", "churn", "crash"};
 
-/// Reject any key outside \p allowed (strictness mirror of the trace
-/// parser: a WAL written by a newer build must not be half-understood).
-Status CheckKeys(const std::map<std::string, std::string>& strings,
-                 const std::map<std::string, double>& numbers,
-                 const std::set<std::string>& allowed,
-                 const std::string& kind) {
-  for (const auto& [k, v] : strings) {
-    if (allowed.count(k) == 0) {
-      return Status::InvalidArgument("unknown key '" + k + "' in wal '" +
-                                     kind + "' record");
+Status DecodeWalRecord(const Record& rec, WalRecord* out) {
+  const auto* tag = std::find(std::begin(kKindTags), std::end(kKindTags),
+                              rec.tag);
+  if (tag == std::end(kKindTags)) {
+    return LineError(rec.line_number,
+                     "unknown wal record kind '" + rec.tag + "'");
+  }
+  out->kind = static_cast<WalRecord::Kind>(tag - std::begin(kKindTags));
+  const char* codec_key = nullptr;
+  if (out->kind == WalRecord::Kind::kHeader) {
+    codec_key = "v";
+    std::string version;
+    POLYDAB_RETURN_NOT_OK(ReadValue(rec, "v", &version));
+    if (version != kWalVersion) {
+      return LineError(rec.line_number, "wal version skew: file says '" +
+                                            version + "', this build reads '" +
+                                            kWalVersion + "'");
     }
   }
-  for (const auto& [k, v] : numbers) {
-    if (allowed.count(k) == 0) {
-      return Status::InvalidArgument("unknown key '" + k + "' in wal '" +
-                                     kind + "' record");
-    }
-  }
-  return Status::OK();
-}
-
-Status RequireNumber(const std::map<std::string, double>& numbers,
-                     const std::string& key, const std::string& kind,
-                     double* out) {
-  auto it = numbers.find(key);
-  if (it == numbers.end()) {
-    return Status::InvalidArgument("wal '" + kind +
-                                   "' record missing key '" + key + "'");
-  }
-  *out = it->second;
-  return Status::OK();
-}
-
-Status ParseWalLine(const std::string& line, WalRecord* out) {
-  std::map<std::string, std::string> strings;
-  std::map<std::string, double> numbers;
-  POLYDAB_RETURN_NOT_OK(obs::ParseFlatJsonLine(line, &strings, &numbers));
-  auto wit = strings.find("w");
-  if (wit == strings.end()) {
-    return Status::InvalidArgument("wal record has no 'w' kind tag");
-  }
-  const std::string& kind = wit->second;
-  if (kind == "hdr") {
-    POLYDAB_RETURN_NOT_OK(CheckKeys(strings, numbers, {"w", "v"}, kind));
-    auto vit = strings.find("v");
-    if (vit == strings.end()) {
-      return Status::InvalidArgument("wal 'hdr' record missing key 'v'");
-    }
-    if (vit->second != kWalVersion) {
-      return Status::InvalidArgument("wal version skew: file says '" +
-                                     vit->second + "', this build reads '" +
-                                     kWalVersion + "'");
-    }
-    out->kind = WalRecord::Kind::kHeader;
-    return Status::OK();
-  }
-  if (kind == "row") {
-    POLYDAB_RETURN_NOT_OK(
-        CheckKeys(strings, numbers, {"w", "tick", "vals"}, kind));
-    double tick = 0.0;
-    POLYDAB_RETURN_NOT_OK(RequireNumber(numbers, "tick", kind, &tick));
-    auto vit = strings.find("vals");
-    if (vit == strings.end()) {
-      return Status::InvalidArgument("wal 'row' record missing key 'vals'");
-    }
-    out->kind = WalRecord::Kind::kRow;
-    out->tick = static_cast<int>(tick);
-    return DecodeVector(vit->second, &out->values);
-  }
-  if (kind == "ack") {
-    POLYDAB_RETURN_NOT_OK(
-        CheckKeys(strings, numbers, {"w", "time", "item", "seq"}, kind));
-    double time = 0.0, item = 0.0, seq = 0.0;
-    POLYDAB_RETURN_NOT_OK(RequireNumber(numbers, "time", kind, &time));
-    POLYDAB_RETURN_NOT_OK(RequireNumber(numbers, "item", kind, &item));
-    POLYDAB_RETURN_NOT_OK(RequireNumber(numbers, "seq", kind, &seq));
-    out->kind = WalRecord::Kind::kAck;
-    out->time = time;
-    out->item = static_cast<int>(item);
-    out->seq = static_cast<int64_t>(seq);
-    return Status::OK();
-  }
-  if (kind == "churn") {
-    POLYDAB_RETURN_NOT_OK(
-        CheckKeys(strings, numbers, {"w", "tick", "op", "id"}, kind));
-    double tick = 0.0, id = 0.0;
-    POLYDAB_RETURN_NOT_OK(RequireNumber(numbers, "tick", kind, &tick));
-    POLYDAB_RETURN_NOT_OK(RequireNumber(numbers, "id", kind, &id));
-    auto oit = strings.find("op");
-    if (oit == strings.end()) {
-      return Status::InvalidArgument("wal 'churn' record missing key 'op'");
-    }
-    out->kind = WalRecord::Kind::kChurn;
-    out->tick = static_cast<int>(tick);
-    out->op = oit->second;
-    out->query_id = static_cast<int>(id);
-    return Status::OK();
-  }
-  if (kind == "crash") {
-    POLYDAB_RETURN_NOT_OK(
-        CheckKeys(strings, numbers, {"w", "tick", "eid", "cause"}, kind));
-    double tick = 0.0, eid = 0.0, cause = 0.0;
-    POLYDAB_RETURN_NOT_OK(RequireNumber(numbers, "tick", kind, &tick));
-    POLYDAB_RETURN_NOT_OK(RequireNumber(numbers, "eid", kind, &eid));
-    POLYDAB_RETURN_NOT_OK(RequireNumber(numbers, "cause", kind, &cause));
-    out->kind = WalRecord::Kind::kCrash;
-    out->tick = static_cast<int>(tick);
-    out->event_id = static_cast<uint64_t>(eid);
-    out->cause = static_cast<uint64_t>(cause);
-    return Status::OK();
-  }
-  return Status::InvalidArgument("unknown wal record kind '" + kind + "'");
+  return ReadFields(rec, codec_key,
+                    [&](auto& v) { WalRecord::Fields(*out, v); });
 }
 
 }  // namespace
 
-void AppendWalHeader(std::FILE* f) {
-  std::fprintf(f, "{\"w\":\"hdr\",\"v\":\"%s\"}\n", kWalVersion);
-}
-
-void AppendWalRow(std::FILE* f, int tick, const Vector& values) {
-  const std::string vals = EncodeVector(values);
-  std::fprintf(f, "{\"w\":\"row\",\"tick\":%d,\"vals\":\"%s\"}\n", tick,
-               vals.c_str());
-}
-
-void AppendWalAck(std::FILE* f, double time, int item, int64_t seq) {
-  std::fprintf(f, "{\"w\":\"ack\",\"time\":%s,\"item\":%d,\"seq\":%lld}\n",
-               obs::JsonNumber(time).c_str(), item,
-               static_cast<long long>(seq));
-}
-
-void AppendWalChurn(std::FILE* f, int tick, const std::string& op,
-                    int query_id) {
-  std::fprintf(f, "{\"w\":\"churn\",\"tick\":%d,\"op\":\"%s\",\"id\":%d}\n",
-               tick, op.c_str(), query_id);
-}
-
-void AppendWalCrash(std::FILE* f, int tick, uint64_t event_id,
-                    uint64_t cause) {
-  std::fprintf(f, "{\"w\":\"crash\",\"tick\":%d,\"eid\":%llu,\"cause\":%llu}\n",
-               tick, static_cast<unsigned long long>(event_id),
-               static_cast<unsigned long long>(cause));
+void AppendWal(std::FILE* f, const WalRecord& r) {
+  LineWriter w("w", kKindTags[static_cast<int>(r.kind)]);
+  if (r.kind == WalRecord::Kind::kHeader) w("v", std::string(kWalVersion));
+  WalRecord::Fields(r, w);
+  std::string line = w.Finish();
+  line += '\n';
+  std::fwrite(line.data(), 1, line.size(), f);
 }
 
 Status LoadWal(const std::string& path, std::vector<WalRecord>* out) {
   out->clear();
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open '" + path + "'");
-  }
-  std::string text;
-  char buf[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::Internal("read error on '" + path + "'");
-
+  std::vector<Record> recs;
+  POLYDAB_RETURN_NOT_OK(ReadRecords(path, "wal", "w", &recs));
   bool saw_header = false;
-  size_t start = 0;
-  int64_t line_number = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    const bool terminated = end != std::string::npos;
-    if (!terminated) end = text.size();
-    const std::string line = text.substr(start, end - start);
-    start = end + 1;
-    ++line_number;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    if (!terminated) {
-      return LineError(line_number,
-                       "truncated record at end of file (no trailing "
-                       "newline; partial write?)");
-    }
-    WalRecord rec;
-    Status parsed = ParseWalLine(line, &rec);
-    if (!parsed.ok()) return LineError(line_number, parsed.message());
-    if (rec.kind == WalRecord::Kind::kHeader) {
+  for (const Record& rec : recs) {
+    WalRecord r;
+    POLYDAB_RETURN_NOT_OK(DecodeWalRecord(rec, &r));
+    if (r.kind == WalRecord::Kind::kHeader) {
       saw_header = true;
       continue;  // headers carry no state; one per engine invocation
     }
     if (!saw_header) {
-      return LineError(line_number, "wal record before any 'hdr' record");
+      return LineError(rec.line_number, "wal record before any 'hdr' record");
     }
-    out->push_back(std::move(rec));
+    out->push_back(std::move(r));
   }
   if (!saw_header) {
     return Status::InvalidArgument("'" + path +

@@ -25,31 +25,56 @@
 
 namespace polydab::recovery {
 
-/// One parsed WAL record. Fields are populated per kind; unused fields
-/// keep their zero values.
+/// One WAL record, written by AppendWal and parsed by LoadWal. Fields
+/// are populated per kind; unused fields keep their zero values.
 struct WalRecord {
   enum class Kind { kHeader, kRow, kAck, kChurn, kCrash };
   Kind kind = Kind::kHeader;
   int tick = 0;           ///< kRow / kChurn / kCrash
-  Vector values;          ///< kRow: the full source row for the tick
+  Vector values{};        ///< kRow: the full source row for the tick
   double time = 0.0;      ///< kAck: simulated send time
   int item = -1;          ///< kAck
   int64_t seq = 0;        ///< kAck: acknowledged sequence number
-  std::string op;         ///< kChurn: register | modify | deregister
+  std::string op{};       ///< kChurn: register | modify | deregister
   int query_id = 0;       ///< kChurn
   uint64_t event_id = 0;  ///< kCrash: trace id of the coord_crash event
   uint64_t cause = 0;     ///< kCrash: latest checkpoint_end id (0 if none)
+
+  /// The kind's field list, in wire order after the "w" tag
+  /// (recovery/record.h). The header carries only the codec's version
+  /// key "v".
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    switch (s.kind) {
+      case Kind::kHeader:
+        break;
+      case Kind::kRow:
+        v("tick", s.tick);
+        v("vals", s.values);
+        break;
+      case Kind::kAck:
+        v("time", s.time);
+        v("item", s.item);
+        v("seq", s.seq);
+        break;
+      case Kind::kChurn:
+        v("tick", s.tick);
+        v("op", s.op);
+        v("id", s.query_id);
+        break;
+      case Kind::kCrash:
+        v("tick", s.tick);
+        v("eid", s.event_id);
+        v("cause", s.cause);
+        break;
+    }
+  }
 };
 
-/// Append an opened-for-append WAL stream's header line. Call once per
-/// engine invocation; the loader accepts headers anywhere in the file.
-void AppendWalHeader(std::FILE* f);
-void AppendWalRow(std::FILE* f, int tick, const Vector& values);
-void AppendWalAck(std::FILE* f, double time, int item, int64_t seq);
-void AppendWalChurn(std::FILE* f, int tick, const std::string& op,
-                    int query_id);
-void AppendWalCrash(std::FILE* f, int tick, uint64_t event_id,
-                    uint64_t cause);
+/// Append one record line to an opened-for-append WAL stream. Write a
+/// kHeader record once per engine invocation; the loader accepts headers
+/// anywhere in the file.
+void AppendWal(std::FILE* f, const WalRecord& r);
 
 /// Parse a whole WAL file. Strict: unknown record kinds, unknown keys,
 /// missing fields, version skew and a truncated final line are all

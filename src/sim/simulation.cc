@@ -21,7 +21,6 @@
 #include "obs/slo.h"
 #include "obs/timeseries.h"
 #include "recovery/checkpoint.h"
-#include "recovery/codec.h"
 #include "recovery/recovery.h"
 #include "recovery/wal.h"
 #include "rt/lane_pool.h"
@@ -34,63 +33,44 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-enum class EventType {
+// Event::type values. The event record is the checkpoint's 'ev' record
+// (recovery/checkpoint.h), so the heap array is the snapshot verbatim.
+enum EventType : int {
   kRefresh,
   kDabChange,
   kAckArrive,   // fault mode: coordinator ack reaching the source
   kHeartbeat,   // fault mode: source liveness signal reaching C
 };
+// value: refresh: item value; dab-change: new filter width. seq: 0 =
+// unsequenced (fault-free runs, DAB changes).
+using Event = recovery::CheckpointEvent;
 
-struct Event {
-  double time;
-  EventType type;
-  int item;      // kHeartbeat: the source id
-  double value;  // refresh: item value; dab-change: new filter width
-  // Causal-trace bookkeeping, 0 when tracing is off: the id of the
-  // refresh_emitted / dab_change_sent event this message corresponds to,
-  // and the total coordinator-queue wait accumulated across deferrals.
-  uint64_t trace_id = 0;
-  double wait = 0.0;
-  // Fault mode: the refresh/ack sequence number; 0 = unsequenced
-  // (fault-free runs, DAB changes).
-  int64_t seq = 0;
-
-  bool operator>(const Event& other) const { return time > other.time; }
-};
-
-/// Fault mode: a source's latest unacked refresh of one item, kept for
-/// timeout retransmission. Replaced wholesale when a newer value pushes
-/// (the newer seq supersedes the older one).
 /// In-flight message queue. Drop-in for the former
-/// `std::priority_queue<Event, std::vector<Event>, std::greater<Event>>`:
-/// the standard specifies priority_queue::push as push_back + push_heap
-/// and ::pop as pop_heap + pop_back, so this explicit heap is
-/// bit-identical to it — while exposing the underlying array, which the
-/// crash-recovery checkpoint (src/recovery/) serializes verbatim and
-/// restores without re-heapifying (docs/RECOVERY.md).
+/// `std::priority_queue<Event, std::vector<Event>, std::greater<Event>>`
+/// ordered by time: the standard specifies priority_queue::push as
+/// push_back + push_heap and ::pop as pop_heap + pop_back, so this
+/// explicit heap is bit-identical to it — while exposing the underlying
+/// array, which the crash-recovery checkpoint (src/recovery/) serializes
+/// verbatim and restores without re-heapifying (docs/RECOVERY.md).
 struct EventQueue {
-  std::vector<Event> c;  // valid heap under std::greater<Event>
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return a.time > b.time;
+    }
+  };
+  std::vector<Event> c;  // valid heap under Later
 
   bool empty() const { return c.empty(); }
   size_t size() const { return c.size(); }
   const Event& top() const { return c.front(); }
   void push(Event e) {
     c.push_back(e);
-    std::push_heap(c.begin(), c.end(), std::greater<Event>{});
+    std::push_heap(c.begin(), c.end(), Later{});
   }
   void pop() {
-    std::pop_heap(c.begin(), c.end(), std::greater<Event>{});
+    std::pop_heap(c.begin(), c.end(), Later{});
     c.pop_back();
   }
-};
-
-struct PendingRefresh {
-  int64_t seq = 0;
-  double value = 0.0;
-  uint64_t emit_id = 0;   // latest emission (refresh_emitted / retransmit)
-  double next_retx = 0.0;
-  int attempts = 0;
-  bool live = false;
 };
 
 /// Whole simulation state; method-free aggregation kept local to this TU.
@@ -439,13 +419,14 @@ Result<SimMetrics> RunSimulation(
     void operator()(std::FILE* f) const { std::fclose(f); }
   };
   std::unique_ptr<std::FILE, FileCloser> wal_file;
+  using WalKind = recovery::WalRecord::Kind;
   if (rec != nullptr && !rec->wal_path.empty()) {
     wal_file.reset(std::fopen(rec->wal_path.c_str(), "a"));
     if (wal_file == nullptr) {
       return Status::InvalidArgument("cannot open WAL '" + rec->wal_path +
                                      "' for appending");
     }
-    recovery::AppendWalHeader(wal_file.get());
+    recovery::AppendWal(wal_file.get(), {.kind = WalKind::kHeader});
   }
   // Replay bookkeeping, filled by the restore block below. Declared this
   // early because the ack/churn lambdas capture them: audit records are
@@ -631,20 +612,10 @@ Result<SimMetrics> RunSimulation(
             std::to_string(queries[qi].id) + ")");
       }
     }
-    std::vector<PolynomialQuery> restored;
-    restored.reserve(ckpt->queries.size());
+    queries.clear();
     for (const recovery::CheckpointQuery& cq : ckpt->queries) {
-      PolynomialQuery q;
-      q.id = cq.id;
-      q.qab = cq.qab;
-      Status ps = recovery::DecodePolynomial(cq.poly, &q.p);
-      if (!ps.ok()) {
-        return Status::InvalidArgument(
-            "restart: bad query polynomial in checkpoint: " + ps.message());
-      }
-      restored.push_back(std::move(q));
+      queries.push_back(PolynomialQuery{cq.id, cq.poly, cq.qab});
     }
-    queries = std::move(restored);
   }
 
   if (!rec_restart) {
@@ -696,10 +667,7 @@ Result<SimMetrics> RunSimulation(
     st.item_queries = ckpt->item_queries;
     st.item_home_shard = ckpt->item_home_shard;
     st.item_shards = ckpt->item_shards;
-    st.query_shard.resize(queries.size());
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      st.query_shard[qi] = ckpt->queries[qi].shard;
-    }
+    st.query_shard.resize(queries.size());  // restored with the slots below
   }
   st.shard_free_at.assign(static_cast<size_t>(num_shards), 0.0);
   if (trace != nullptr && sharded) {
@@ -738,35 +706,19 @@ Result<SimMetrics> RunSimulation(
 
   // --- Fault-mode protocol state (docs/ROBUSTNESS.md). Sized only when
   // the fault layer is active; every use below is behind `fault_mode`. ---
-  std::vector<int64_t> next_seq;          // item -> next refresh seq (from 1)
-  std::vector<PendingRefresh> pending;    // item -> latest unacked refresh
-  std::vector<int64_t> delivered_seq;     // item -> highest seq delivered at C
-  std::vector<double> crashed_until;      // source -> down until this time
-  std::vector<uint64_t> crash_event;      // source -> trace id of the crash
-  std::vector<double> next_heartbeat;     // source -> next heartbeat time
-  std::vector<double> last_contact;       // source -> last contact seen at C
-  std::vector<uint64_t> contact_event;    // source -> trace id of the contact
-  std::vector<uint8_t> item_expired;      // item -> lease currently lapsed?
-  std::vector<uint64_t> expire_event;     // item -> trace id of the expiry
-  std::vector<int64_t> drop_seq;          // item -> max dropped data seq
-  std::vector<uint64_t> drop_eid;         // item -> trace id of that drop
+  // The item and source tables are the checkpoint's 'if' and 'src'
+  // records (recovery/checkpoint.h), so snapshot and restore copy them
+  // whole. A fresh source's first heartbeat fires at tick 1 and its t=0
+  // install counts as contact.
+  std::vector<recovery::CheckpointItemFault> item_fault;  // item -> state
+  std::vector<recovery::CheckpointSource> source_fault;   // source -> state
   std::vector<int> degraded_items;        // query -> # of its expired items
   std::vector<uint64_t> degrade_event;    // query -> trace id of the degrade
   std::vector<std::vector<int>> source_items;  // source -> its queried items
   if (fault_mode) {
-    next_seq.assign(n_items, 1);
-    pending.assign(n_items, PendingRefresh{});
-    delivered_seq.assign(n_items, 0);
-    drop_seq.assign(n_items, 0);
-    drop_eid.assign(n_items, 0);
-    item_expired.assign(n_items, 0);
-    expire_event.assign(n_items, 0);
+    item_fault.assign(n_items, recovery::CheckpointItemFault{});
     const size_t ns = static_cast<size_t>(num_sources);
-    crashed_until.assign(ns, 0.0);
-    crash_event.assign(ns, 0);
-    next_heartbeat.assign(ns, 0.0);  // first heartbeat fires at tick 1
-    last_contact.assign(ns, 0.0);    // t=0 install counts as contact
-    contact_event.assign(ns, 0);
+    source_fault.assign(ns, recovery::CheckpointSource{});
     source_items.resize(ns);
     for (size_t i = 0; i < n_items; ++i) {
       if (!st.item_queries[i].empty()) {
@@ -794,45 +746,12 @@ Result<SimMetrics> RunSimulation(
         return Status::InvalidArgument(
             "restart: checkpoint source-table size mismatch");
       }
-      for (size_t s = 0; s < ckpt->sources.size(); ++s) {
-        const recovery::CheckpointSource& cs = ckpt->sources[s];
-        if (cs.source != static_cast<int>(s)) {
-          return Status::InvalidArgument(
-              "restart: checkpoint source records out of order");
-        }
-        crashed_until[s] = cs.crashed_until;
-        crash_event[s] = cs.crash_event;
-        next_heartbeat[s] = cs.next_heartbeat;
-        last_contact[s] = cs.last_contact;
-        contact_event[s] = cs.contact_event;
-      }
       if (ckpt->item_fault.size() != n_items) {
         return Status::InvalidArgument(
             "restart: checkpoint item-fault table size mismatch");
       }
-      for (size_t i = 0; i < ckpt->item_fault.size(); ++i) {
-        const recovery::CheckpointItemFault& cf = ckpt->item_fault[i];
-        if (cf.item != static_cast<int>(i)) {
-          return Status::InvalidArgument(
-              "restart: checkpoint item-fault records out of order");
-        }
-        next_seq[i] = cf.next_seq;
-        delivered_seq[i] = cf.delivered_seq;
-        drop_seq[i] = cf.drop_seq;
-        drop_eid[i] = cf.drop_eid;
-        item_expired[i] = cf.expired ? 1 : 0;
-        expire_event[i] = cf.expire_event;
-        pending[i].live = cf.pending_live;
-        pending[i].seq = cf.pending_seq;
-        pending[i].value = cf.pending_value;
-        pending[i].emit_id = cf.pending_emit_id;
-        pending[i].next_retx = cf.pending_next_retx;
-        pending[i].attempts = cf.pending_attempts;
-      }
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        degraded_items[qi] = ckpt->queries[qi].degraded_items;
-        degrade_event[qi] = ckpt->queries[qi].degrade_event;
-      }
+      source_fault = ckpt->sources;
+      item_fault = ckpt->item_fault;
     } else if (!ckpt->sources.empty() || !ckpt->item_fault.empty()) {
       return Status::InvalidArgument(
           "restart: checkpoint carries fault tables but the fault layer "
@@ -846,14 +765,14 @@ Result<SimMetrics> RunSimulation(
   // degraded service once every one of its expired items recovered.
   auto record_contact = [&](int s, double t, uint64_t cid) {
     const size_t ss = static_cast<size_t>(s);
-    last_contact[ss] = t;
-    contact_event[ss] = cid;
+    source_fault[ss].last_contact = t;
+    source_fault[ss].contact_event = cid;
     for (int item : source_items[ss]) {
-      const size_t it = static_cast<size_t>(item);
-      if (item_expired[it] == 0) continue;
-      item_expired[it] = 0;
-      expire_event[it] = 0;
-      for (int qi : st.item_queries[it]) {
+      recovery::CheckpointItemFault& f = item_fault[static_cast<size_t>(item)];
+      if (!f.expired) continue;
+      f.expired = false;
+      f.expire_event = 0;
+      for (int qi : st.item_queries[static_cast<size_t>(item)]) {
         const size_t q = static_cast<size_t>(qi);
         if (--degraded_items[q] == 0) {
           if (trace != nullptr) {
@@ -884,7 +803,7 @@ Result<SimMetrics> RunSimulation(
       if (ins.fault_drops != nullptr) ins.fault_drops->Inc();
       // Per-item send seqs are non-decreasing (pending holds only the
       // latest), so this drop is the item's newest outstanding loss.
-      drop_seq[item] = seq;
+      item_fault[item].drop_seq = seq;
       if (trace != nullptr) {
         obs::TraceEvent e;
         e.time = now;
@@ -896,7 +815,7 @@ Result<SimMetrics> RunSimulation(
         e.a = value;
         e.b = static_cast<double>(klass);
         e.flag = static_cast<int32_t>(seq);
-        drop_eid[item] = trace->Emit(e);
+        item_fault[item].drop_eid = trace->Emit(e);
       }
       return;
     }
@@ -936,7 +855,8 @@ Result<SimMetrics> RunSimulation(
     // Audit record only: restart replay regenerates acks deterministically
     // from the rows, so the loader never feeds these back.
     if (wal_file != nullptr && replay_done) {
-      recovery::AppendWalAck(wal_file.get(), now, item, seq);
+      recovery::AppendWal(wal_file.get(), {.kind = WalKind::kAck, .time = now,
+                                           .item = item, .seq = seq});
     }
     if (faults.DropMessage()) {
       ++metrics.fault_drops;
@@ -1042,42 +962,23 @@ Result<SimMetrics> RunSimulation(
             "restart: checkpoint part records for slot " +
             std::to_string(cp.slot) + " out of order");
       }
-      core::PlanPart part;
-      part.subquery.id = queries[slot].id;
-      part.subquery.qab = cp.pqab;
-      Status ps = recovery::DecodePolynomial(cp.poly, &part.subquery.p);
-      if (!ps.ok()) {
+      if (cp.primary.size() != cp.vars.size() ||
+          cp.secondary.size() != cp.vars.size() ||
+          cp.anchor.size() != cp.vars.size()) {
         return Status::InvalidArgument(
-            "restart: bad part polynomial in checkpoint: " + ps.message());
+            "restart: checkpoint part DAB or anchor widths disagree with "
+            "its variable list");
       }
-      part.dabs.vars.reserve(cp.vars.size());
-      for (int v : cp.vars) {
-        part.dabs.vars.push_back(static_cast<VarId>(v));
-      }
-      POLYDAB_RETURN_NOT_OK(
-          recovery::DecodeVector(cp.primary, &part.dabs.primary));
-      POLYDAB_RETURN_NOT_OK(
-          recovery::DecodeVector(cp.secondary, &part.dabs.secondary));
+      core::PlanPart part;
+      part.subquery = PolynomialQuery{queries[slot].id, cp.poly, cp.pqab};
+      part.dabs.vars = cp.vars;
+      part.dabs.primary = cp.primary;
+      part.dabs.secondary = cp.secondary;
       part.dabs.recompute_rate = cp.recompute_rate;
       part.dabs.single_dab = cp.single_dab;
       part.dabs.never_stale = cp.never_stale;
-      if (part.dabs.primary.size() != part.dabs.vars.size() ||
-          part.dabs.secondary.size() != part.dabs.vars.size()) {
-        return Status::InvalidArgument(
-            "restart: checkpoint part DAB widths disagree with its "
-            "variable list");
-      }
-      Vector anchor;
-      POLYDAB_RETURN_NOT_OK(recovery::DecodeVector(cp.anchor, &anchor));
-      if (anchor.size() != part.dabs.vars.size()) {
-        return Status::InvalidArgument(
-            "restart: checkpoint part anchor width mismatch");
-      }
       st.plans[slot].parts.push_back(std::move(part));
-      st.anchors[slot].push_back(std::move(anchor));
-    }
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      st.violated_time[qi] = ckpt->queries[qi].violated_time;
+      st.anchors[slot].push_back(cp.anchor);
     }
     if (ckpt->min_primary.size() != n_items ||
         ckpt->installed_dab.size() != n_items) {
@@ -1379,7 +1280,9 @@ Result<SimMetrics> RunSimulation(
     emit_plan_patch(reg_id);
     ship_churn_changes(items, reg_id, q.id, lane);
     if (wal_file != nullptr && replay_done) {
-      recovery::AppendWalChurn(wal_file.get(), cur_tick, "register", q.id);
+      recovery::AppendWal(wal_file.get(), {.kind = WalKind::kChurn,
+                                           .tick = cur_tick, .op = "register",
+                                           .query_id = q.id});
     }
     return Status::OK();
   };
@@ -1424,7 +1327,9 @@ Result<SimMetrics> RunSimulation(
     emit_plan_patch(mod_id);
     ship_churn_changes(queries[q].p.Variables(), mod_id, query_id, lane);
     if (wal_file != nullptr && replay_done) {
-      recovery::AppendWalChurn(wal_file.get(), cur_tick, "modify", query_id);
+      recovery::AppendWal(wal_file.get(), {.kind = WalKind::kChurn,
+                                           .tick = cur_tick, .op = "modify",
+                                           .query_id = query_id});
     }
     return Status::OK();
   };
@@ -1465,8 +1370,9 @@ Result<SimMetrics> RunSimulation(
     emit_plan_patch(de_id);
     ship_churn_changes(items, de_id, /*q_id=*/-1, /*q_lane=*/-1);
     if (wal_file != nullptr && replay_done) {
-      recovery::AppendWalChurn(wal_file.get(), cur_tick, "deregister",
-                               query_id);
+      recovery::AppendWal(wal_file.get(), {.kind = WalKind::kChurn,
+                                           .tick = cur_tick, .op = "deregister",
+                                           .query_id = query_id});
     }
     return Status::OK();
   };
@@ -1548,8 +1454,9 @@ Result<SimMetrics> RunSimulation(
       if (ev.type == EventType::kAckArrive) {
         // Source side: the ack clears the retransmit obligation for this
         // seq and anything older (a newer pending seq stays live).
-        PendingRefresh& p = pending[static_cast<size_t>(ev.item)];
-        if (p.live && ev.seq >= p.seq) p.live = false;
+        recovery::CheckpointItemFault& f =
+            item_fault[static_cast<size_t>(ev.item)];
+        if (f.pending_live && ev.seq >= f.pending_seq) f.pending_live = false;
         continue;
       }
       if (ev.type == EventType::kHeartbeat) {
@@ -1583,7 +1490,7 @@ Result<SimMetrics> RunSimulation(
         continue;
       }
       if (fault_mode && ev.seq != 0 &&
-          ev.seq <= delivered_seq[static_cast<size_t>(ev.item)]) {
+          ev.seq <= item_fault[static_cast<size_t>(ev.item)].delivered_seq) {
         // An already-delivered seq (injected duplicate, or a retransmit
         // that raced its own ack): suppressed without the QAB-check cost,
         // but still a liveness contact, and re-acked in case the earlier
@@ -1636,7 +1543,7 @@ Result<SimMetrics> RunSimulation(
         arrival_id = trace->Emit(e);
       }
       if (fault_mode && ev.seq != 0) {
-        delivered_seq[static_cast<size_t>(ev.item)] = ev.seq;
+        item_fault[static_cast<size_t>(ev.item)].delivered_seq = ev.seq;
         record_contact(ev.item % num_sources, ev.time, arrival_id);
         send_ack(ev.item, ev.seq, ev.time, arrival_id);
       }
@@ -1914,7 +1821,7 @@ Result<SimMetrics> RunSimulation(
       recovery::CheckpointQuery cq;
       cq.id = queries[qi].id;
       cq.qab = queries[qi].qab;
-      cq.poly = recovery::EncodePolynomial(queries[qi].p);
+      cq.poly = queries[qi].p;
       cq.alive = q_alive[qi] != 0;
       cq.reg_tick = q_reg_tick[qi];
       cq.dereg_tick = q_dereg_tick[qi] == std::numeric_limits<int>::max()
@@ -1936,18 +1843,15 @@ Result<SimMetrics> RunSimulation(
         recovery::CheckpointPart cp;
         cp.slot = static_cast<int>(qi);
         cp.part = static_cast<int>(pi);
-        cp.poly = recovery::EncodePolynomial(part.subquery.p);
+        cp.poly = part.subquery.p;
         cp.pqab = part.subquery.qab;
-        cp.vars.reserve(part.dabs.vars.size());
-        for (VarId v : part.dabs.vars) {
-          cp.vars.push_back(static_cast<int>(v));
-        }
-        cp.primary = recovery::EncodeVector(part.dabs.primary);
-        cp.secondary = recovery::EncodeVector(part.dabs.secondary);
+        cp.vars = part.dabs.vars;
+        cp.primary = part.dabs.primary;
+        cp.secondary = part.dabs.secondary;
         cp.recompute_rate = part.dabs.recompute_rate;
         cp.single_dab = part.dabs.single_dab;
         cp.never_stale = part.dabs.never_stale;
-        cp.anchor = recovery::EncodeVector(st.anchors[qi][pi]);
+        cp.anchor = st.anchors[qi][pi];
         snap.parts.push_back(std::move(cp));
       }
     }
@@ -1960,50 +1864,9 @@ Result<SimMetrics> RunSimulation(
     snap.item_queries = st.item_queries;
     snap.item_shards = st.item_shards;
     snap.shard_free_at = st.shard_free_at;
-    snap.events.reserve(st.events.c.size());
-    for (const Event& ev : st.events.c) {
-      recovery::CheckpointEvent ce;
-      ce.time = ev.time;
-      ce.type = static_cast<int>(ev.type);
-      ce.item = ev.item;
-      ce.value = ev.value;
-      ce.trace_id = ev.trace_id;
-      ce.wait = ev.wait;
-      ce.seq = ev.seq;
-      snap.events.push_back(ce);
-    }
-    if (fault_mode) {
-      snap.sources.reserve(static_cast<size_t>(num_sources));
-      for (int s = 0; s < num_sources; ++s) {
-        const size_t ss = static_cast<size_t>(s);
-        recovery::CheckpointSource cs;
-        cs.source = s;
-        cs.crashed_until = crashed_until[ss];
-        cs.crash_event = crash_event[ss];
-        cs.next_heartbeat = next_heartbeat[ss];
-        cs.last_contact = last_contact[ss];
-        cs.contact_event = contact_event[ss];
-        snap.sources.push_back(cs);
-      }
-      snap.item_fault.reserve(n_items);
-      for (size_t i = 0; i < n_items; ++i) {
-        recovery::CheckpointItemFault cf;
-        cf.item = static_cast<int>(i);
-        cf.next_seq = next_seq[i];
-        cf.delivered_seq = delivered_seq[i];
-        cf.drop_seq = drop_seq[i];
-        cf.drop_eid = drop_eid[i];
-        cf.expired = item_expired[i] != 0;
-        cf.expire_event = expire_event[i];
-        cf.pending_live = pending[i].live;
-        cf.pending_seq = pending[i].seq;
-        cf.pending_value = pending[i].value;
-        cf.pending_emit_id = pending[i].emit_id;
-        cf.pending_next_retx = pending[i].next_retx;
-        cf.pending_attempts = pending[i].attempts;
-        snap.item_fault.push_back(cf);
-      }
-    }
+    snap.events = st.events.c;
+    snap.sources = source_fault;
+    snap.item_fault = item_fault;
     if (config.registry != nullptr) {
       for (const obs::MetricRegistry::Entry& en : config.registry->Entries()) {
         recovery::CheckpointInstrument ci;
@@ -2050,22 +1913,24 @@ Result<SimMetrics> RunSimulation(
   // driver — plus the post-checkpoint rows to re-run. ----
   if (rec_restart) {
     last_ckpt_end_id = ckpt->ckpt_end_id;
-    {
-      Vector qvals(queries.size());
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        qvals[qi] = ckpt->queries[qi].query_value;
-      }
-      view_eval.RestoreState(st.view, std::move(qvals),
-                             ckpt->updates_since_rebase);
-    }
+    Vector qvals(queries.size());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       const recovery::CheckpointQuery& cq = ckpt->queries[qi];
+      qvals[qi] = cq.query_value;
+      st.query_shard[qi] = cq.shard;
+      st.violated_time[qi] = cq.violated_time;
       last_user_value[qi] = cq.last_user_value;
       q_alive[qi] = cq.alive ? 1 : 0;
       q_reg_tick[qi] = cq.reg_tick;
       q_dereg_tick[qi] =
           cq.dereg_tick < 0 ? std::numeric_limits<int>::max() : cq.dereg_tick;
+      if (fault_mode) {
+        degraded_items[qi] = cq.degraded_items;
+        degrade_event[qi] = cq.degrade_event;
+      }
     }
+    view_eval.RestoreState(st.view, std::move(qvals),
+                           ckpt->updates_since_rebase);
     if (ckpt->dqi_built) {
       // Rebuild the dynamic index by replaying membership: every slot is
       // added in slot order (so dqi slot i == query index i, the
@@ -2079,14 +1944,7 @@ Result<SimMetrics> RunSimulation(
         }
       }
     }
-    st.events.c.clear();
-    st.events.c.reserve(ckpt->events.size());
-    for (const recovery::CheckpointEvent& ce : ckpt->events) {
-      Event ev{ce.time, static_cast<EventType>(ce.type), ce.item, ce.value,
-               ce.trace_id, ce.wait};
-      ev.seq = ce.seq;
-      st.events.c.push_back(ev);
-    }
+    st.events.c = ckpt->events;
     {
       std::istringstream in(ckpt->delay_rng);
       in >> delays.rng().engine();
@@ -2262,8 +2120,9 @@ Result<SimMetrics> RunSimulation(
           xid = trace->Emit(e);
         }
         if (wal_file != nullptr) {
-          recovery::AppendWalCrash(wal_file.get(), tick, xid,
-                                   last_ckpt_end_id);
+          recovery::AppendWal(wal_file.get(),
+                              {.kind = WalKind::kCrash, .tick = tick,
+                               .event_id = xid, .cause = last_ckpt_end_id});
           std::fflush(wal_file.get());
         }
         rec->crashed = true;
@@ -2278,7 +2137,8 @@ Result<SimMetrics> RunSimulation(
         if (!*more) break;
       }
       if (wal_file != nullptr) {
-        recovery::AppendWalRow(wal_file.get(), tick, row);
+        recovery::AppendWal(wal_file.get(), {.kind = WalKind::kRow,
+                                             .tick = tick, .values = row});
       }
     }
     ++ticks_seen;
@@ -2404,10 +2264,10 @@ Result<SimMetrics> RunSimulation(
     if (fault_mode && config.fault.crash_prob > 0.0) {
       for (int s = 0; s < num_sources; ++s) {
         const size_t ss = static_cast<size_t>(s);
-        if (crashed_until[ss] > now) continue;  // already down
+        if (source_fault[ss].crashed_until > now) continue;  // already down
         if (!faults.CrashNow()) continue;
         const double dur = faults.CrashDuration();
-        crashed_until[ss] = now + dur;
+        source_fault[ss].crashed_until = now + dur;
         if (trace != nullptr) {
           trace->SetNow(now);
           obs::TraceEvent e;
@@ -2416,7 +2276,7 @@ Result<SimMetrics> RunSimulation(
           e.node = tnode;
           e.source = s;
           e.a = dur;
-          crash_event[ss] = trace->Emit(e);
+          source_fault[ss].crash_event = trace->Emit(e);
         }
       }
     }
@@ -2429,10 +2289,11 @@ Result<SimMetrics> RunSimulation(
         if (fault_mode) {
           // A crashed source neither pushes nor records the value as
           // pushed: the drift persists, so recovery pushes immediately.
-          if (crashed_until[item % static_cast<size_t>(num_sources)] > now) {
+          if (source_fault[item % static_cast<size_t>(num_sources)]
+                  .crashed_until > now) {
             continue;
           }
-          seq = next_seq[item]++;
+          seq = item_fault[item].next_seq++;
         }
         uint64_t emit_id = 0;
         if (trace != nullptr) {
@@ -2452,9 +2313,13 @@ Result<SimMetrics> RunSimulation(
         if (fault_mode) {
           // Register the retransmit obligation before the send: the
           // source cannot know the copy will be lost.
-          pending[item] =
-              PendingRefresh{seq, st.source_value[item], emit_id,
-                             now + config.fault.retx_timeout_s, 0, true};
+          recovery::CheckpointItemFault& f = item_fault[item];
+          f.pending_live = true;
+          f.pending_seq = seq;
+          f.pending_value = st.source_value[item];
+          f.pending_emit_id = emit_id;
+          f.pending_next_retx = now + config.fault.retx_timeout_s;
+          f.pending_attempts = 0;
           send_data(item, st.source_value[item], seq, emit_id,
                     /*klass=*/0, now);
         } else {
@@ -2471,11 +2336,11 @@ Result<SimMetrics> RunSimulation(
     //     backoff, gap capped at 8x) and per-source heartbeats.
     if (fault_mode) {
       for (size_t item = 0; item < n_items; ++item) {
-        PendingRefresh& p = pending[item];
-        if (!p.live || now < p.next_retx) continue;
+        recovery::CheckpointItemFault& f = item_fault[item];
+        if (!f.pending_live || now < f.pending_next_retx) continue;
         const size_t src = item % static_cast<size_t>(num_sources);
-        if (crashed_until[src] > now) continue;  // source down
-        ++p.attempts;
+        if (source_fault[src].crashed_until > now) continue;  // source down
+        ++f.pending_attempts;
         ++metrics.retransmits;
         if (ins.retransmits != nullptr) ins.retransmits->Inc();
         uint64_t rid = 0;
@@ -2487,27 +2352,28 @@ Result<SimMetrics> RunSimulation(
           e.node = tnode;
           e.source = static_cast<int32_t>(src);
           e.item = static_cast<int32_t>(item);
-          e.cause = p.emit_id;  // the previous emission of this seq
-          e.a = p.value;
-          e.b = static_cast<double>(p.attempts);
-          e.flag = static_cast<int32_t>(p.seq);
+          e.cause = f.pending_emit_id;  // the previous emission of this seq
+          e.a = f.pending_value;
+          e.b = static_cast<double>(f.pending_attempts);
+          e.flag = static_cast<int32_t>(f.pending_seq);
           rid = trace->Emit(e);
         }
-        p.next_retx = now + config.fault.retx_timeout_s *
-                                static_cast<double>(
-                                    1 << std::min(p.attempts, 3));
-        p.emit_id = rid;  // the next retransmit chains from this one
-        send_data(item, p.value, p.seq, rid, /*klass=*/1, now);
+        f.pending_next_retx =
+            now + config.fault.retx_timeout_s *
+                      static_cast<double>(1 << std::min(f.pending_attempts, 3));
+        f.pending_emit_id = rid;  // the next retransmit chains from this one
+        send_data(item, f.pending_value, f.pending_seq, rid, /*klass=*/1, now);
       }
       for (int s = 0; s < num_sources; ++s) {
         const size_t ss = static_cast<size_t>(s);
         // The heartbeat timer freezes during a crash (no advance), so a
         // recovering source announces itself on its first live tick.
-        if (source_items[ss].empty() || crashed_until[ss] > now ||
-            now < next_heartbeat[ss]) {
+        recovery::CheckpointSource& sf = source_fault[ss];
+        if (source_items[ss].empty() || sf.crashed_until > now ||
+            now < sf.next_heartbeat) {
           continue;
         }
-        next_heartbeat[ss] = now + config.fault.heartbeat_s;
+        sf.next_heartbeat = now + config.fault.heartbeat_s;
         if (faults.DropMessage()) {
           ++metrics.fault_drops;
           if (ins.fault_drops != nullptr) ins.fault_drops->Inc();
@@ -2543,7 +2409,7 @@ Result<SimMetrics> RunSimulation(
     //     item, or as unboundable otherwise (core::WideningFor).
     if (fault_mode) {
       for (size_t item = 0; item < n_items; ++item) {
-        if (st.item_queries[item].empty() || item_expired[item] != 0) {
+        if (st.item_queries[item].empty() || item_fault[item].expired) {
           continue;
         }
         const size_t src = item % static_cast<size_t>(num_sources);
@@ -2555,8 +2421,8 @@ Result<SimMetrics> RunSimulation(
         const double deadline =
             config.fault.lease_s +
             std::min(drift_time, 3.0 * config.fault.lease_s);
-        if (now - last_contact[src] <= deadline) continue;
-        item_expired[item] = 1;
+        if (now - source_fault[src].last_contact <= deadline) continue;
+        item_fault[item].expired = true;
         ++metrics.lease_expiries;
         if (ins.lease_expiries != nullptr) ins.lease_expiries->Inc();
         uint64_t xid = 0;
@@ -2568,11 +2434,11 @@ Result<SimMetrics> RunSimulation(
           e.node = tnode;
           e.source = static_cast<int32_t>(src);
           e.item = static_cast<int32_t>(item);
-          e.a = last_contact[src];
+          e.a = source_fault[src].last_contact;
           e.b = deadline;
           xid = trace->Emit(e);
         }
-        expire_event[item] = xid;
+        item_fault[item].expire_event = xid;
         for (int qi : st.item_queries[item]) {
           const size_t q = static_cast<size_t>(qi);
           if (degraded_items[q]++ != 0) continue;  // already degraded
@@ -2643,14 +2509,15 @@ Result<SimMetrics> RunSimulation(
               for (VarId v : queries[qi].p.Variables()) {
                 const size_t it = static_cast<size_t>(v);
                 const size_t s = it % static_cast<size_t>(num_sources);
-                if (crashed_until[s] > now) {
+                if (source_fault[s].crashed_until > now) {
                   e.flag = 2;
-                  e.cause = crash_event[s];
+                  e.cause = source_fault[s].crash_event;
                   break;
                 }
-                if (drop_seq[it] > delivered_seq[it]) {
+                const recovery::CheckpointItemFault& f = item_fault[it];
+                if (f.drop_seq > f.delivered_seq) {
                   e.flag = 2;
-                  e.cause = drop_eid[it];
+                  e.cause = f.drop_eid;
                   break;
                 }
               }

@@ -78,3 +78,78 @@ string(SUBSTRING "${wal_contents}" 0 ${wcut} wal_truncated)
 file(WRITE ${SCRATCH}/wal_truncated.jsonl "${wal_truncated}")
 expect_reject("a truncated WAL" "truncated record"
               ${CKPT} --wal=${SCRATCH}/wal_truncated.jsonl)
+
+# The last two cases edit one field of the latest block and re-sign it, so
+# the strict field decode and the diff, not the digest, are what see the
+# edit. fnv1a32(<out> <text>): the format's block digest (FNV-1a 32 over
+# the block's bytes, every line with its newline).
+function(fnv1a32 out text)
+  string(HEX "${text}" hex)
+  string(LENGTH "${hex}" n)
+  set(h 2166136261)
+  set(i 0)
+  while(i LESS n)
+    string(SUBSTRING "${hex}" ${i} 2 byte)
+    math(EXPR h "((${h} ^ 0x${byte}) * 16777619) & 0xFFFFFFFF")
+    math(EXPR i "${i} + 2")
+  endwhile()
+  set(${out} ${h} PARENT_SCOPE)
+endfunction()
+
+string(FIND "${ckpt_contents}" "{\"t\":\"hdr\"" hdr_at REVERSE)
+string(FIND "${ckpt_contents}" "{\"t\":\"end\"" end_at REVERSE)
+math(EXPR body_len "${end_at} - ${hdr_at}")
+string(SUBSTRING "${ckpt_contents}" 0 ${hdr_at} ckpt_prefix)
+string(SUBSTRING "${ckpt_contents}" ${hdr_at} ${body_len} ckpt_body)
+string(SUBSTRING "${ckpt_contents}" ${end_at} -1 ckpt_footer)
+
+# write_resigned(<path> <body>): the file with its latest block replaced
+# by <body> under a recomputed digest footer.
+function(write_resigned path body)
+  fnv1a32(digest "${body}")
+  string(REGEX REPLACE "\"digest\":[0-9]+" "\"digest\":${digest}"
+         footer "${ckpt_footer}")
+  file(WRITE ${path} "${ckpt_prefix}${body}${footer}")
+endfunction()
+
+# 6. A header integer its field cannot hold: the snapshot tick made
+# non-integral must be refused by name, never truncated.
+string(REGEX REPLACE "^(\\{\"t\":\"hdr\",\"v\":\"[^\"]*\",\"tick\":[0-9]+)"
+       "\\1.5" fractional_body "${ckpt_body}")
+if(fractional_body STREQUAL ckpt_body)
+  message(FATAL_ERROR "latest block header has no integral tick to edit")
+endif()
+write_resigned(${SCRATCH}/ckpt_fractional_tick.jsonl "${fractional_body}")
+expect_reject("a non-integral header tick" "key 'tick' holds"
+              ${SCRATCH}/ckpt_fractional_tick.jsonl)
+
+# 7. polydab_ckpt diff must catch a one-field change of a queued event: the
+# first event record's seq, re-signed so the copy still validates.
+string(FIND "${ckpt_body}" "{\"t\":\"ev\"" ev_at)
+if(ev_at EQUAL -1)
+  message(FATAL_ERROR "latest block has no event record to edit")
+endif()
+string(SUBSTRING "${ckpt_body}" ${ev_at} -1 ev_tail)
+string(FIND "${ev_tail}" "\n" ev_len)
+string(SUBSTRING "${ev_tail}" 0 ${ev_len} ev_line)
+string(REGEX REPLACE "\"seq\":([0-9]+)}$" "\"seq\":9\\1}" ev_edited
+       "${ev_line}")
+if(ev_edited STREQUAL ev_line)
+  message(FATAL_ERROR "first event record has no seq to edit: ${ev_line}")
+endif()
+string(SUBSTRING "${ckpt_body}" 0 ${ev_at} ev_before)
+math(EXPR ev_after_at "${ev_at} + ${ev_len}")
+string(SUBSTRING "${ckpt_body}" ${ev_after_at} -1 ev_after)
+write_resigned(${SCRATCH}/ckpt_event_seq.jsonl
+               "${ev_before}${ev_edited}${ev_after}")
+execute_process(COMMAND ${CKPT_TOOL} diff ${CKPT}
+                        ${SCRATCH}/ckpt_event_seq.jsonl
+                RESULT_VARIABLE status
+                OUTPUT_VARIABLE out ERROR_VARIABLE err)
+string(REGEX MATCH "ev\\[[0-9]+\\]\\.seq: " named "${out}")
+if(NOT status EQUAL 1 OR NOT named)
+  message(FATAL_ERROR
+    "polydab_ckpt diff missed a one-field event change (exit ${status}):\n"
+    "${out}${err}")
+endif()
+message(STATUS "diff caught a one-field event change (exit 1)")
