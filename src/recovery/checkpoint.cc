@@ -51,24 +51,26 @@ std::vector<std::string> BuildBlockLines(const CheckpointState& st) {
   }
   {
     LineWriter w("t", "met");
-    CheckpointState::MetricFields(st, w);
+    RunCounters::Fields(st.metrics, w);
     lines.push_back(w.Finish());
   }
   WriteList("q", "slot", st.queries, &lines);
   WriteList("part", nullptr, st.parts, &lines);
   {
     LineWriter w("t", "items");
-    CheckpointState::ItemFields(st, w);
+    CheckpointItems::Fields(st.items, w);
     lines.push_back(w.Finish());
   }
-  for (size_t i = 0; i < st.item_queries.size(); ++i) {
-    const bool has_q = !st.item_queries[i].empty();
-    const bool has_s = i < st.item_shards.size() && !st.item_shards[i].empty();
+  const CheckpointItems& items = st.items;
+  for (size_t i = 0; i < items.item_queries.size(); ++i) {
+    const bool has_q = !items.item_queries[i].empty();
+    const bool has_s =
+        i < items.item_shards.size() && !items.item_shards[i].empty();
     if (!has_q && !has_s) continue;
     LineWriter w("t", "iq");
     w("i", i);
-    if (has_q) w("q", st.item_queries[i]);
-    if (has_s) w("s", st.item_shards[i]);
+    if (has_q) w("q", items.item_queries[i]);
+    if (has_s) w("s", items.item_shards[i]);
     lines.push_back(w.Finish());
   }
   WriteList("ev", nullptr, st.events, &lines);
@@ -128,10 +130,10 @@ Status ReadItemRow(const Record& rec, CheckpointState* st) {
   }
   const size_t item = static_cast<size_t>(i);
   if (rec.strings.count("q") != 0) {
-    POLYDAB_RETURN_NOT_OK(ReadValue(rec, "q", &st->item_queries[item]));
+    POLYDAB_RETURN_NOT_OK(ReadValue(rec, "q", &st->items.item_queries[item]));
   }
   if (rec.strings.count("s") != 0) {
-    POLYDAB_RETURN_NOT_OK(ReadValue(rec, "s", &st->item_shards[item]));
+    POLYDAB_RETURN_NOT_OK(ReadValue(rec, "s", &st->items.item_shards[item]));
   }
   return Status::OK();
 }
@@ -191,19 +193,20 @@ Status DecodeBlock(const std::vector<const Record*>& recs,
       if (st->num_items < 0) {
         return LineError(rec.line_number, "ckpt 'hdr' item count is negative");
       }
-      st->item_queries.resize(static_cast<size_t>(st->num_items));
-      st->item_shards.resize(static_cast<size_t>(st->num_items));
+      st->items.item_queries.resize(static_cast<size_t>(st->num_items));
+      st->items.item_shards.resize(static_cast<size_t>(st->num_items));
     } else if (rec.tag == "met") {
       POLYDAB_RETURN_NOT_OK(ReadFields(
           rec, nullptr,
-          [&](auto& v) { CheckpointState::MetricFields(*st, v); }));
+          [&](auto& v) { RunCounters::Fields(st->metrics, v); }));
     } else if (rec.tag == "q") {
       POLYDAB_RETURN_NOT_OK(ReadListRecord(rec, "slot", &st->queries));
     } else if (rec.tag == "part") {
       POLYDAB_RETURN_NOT_OK(ReadListRecord(rec, nullptr, &st->parts));
     } else if (rec.tag == "items") {
       POLYDAB_RETURN_NOT_OK(ReadFields(
-          rec, nullptr, [&](auto& v) { CheckpointState::ItemFields(*st, v); }));
+          rec, nullptr,
+          [&](auto& v) { CheckpointItems::Fields(st->items, v); }));
     } else if (rec.tag == "iq") {
       POLYDAB_RETURN_NOT_OK(ReadItemRow(rec, st));
     } else if (rec.tag == "ev") {
@@ -339,10 +342,10 @@ std::string SummarizeCheckpoint(const CheckpointState& st) {
     }
   };
   print("hdr", [&](auto& v) { CheckpointState::HeaderFields(st, v); });
-  print("met", [&](auto& v) { CheckpointState::MetricFields(st, v); });
+  print("met", [&](auto& v) { RunCounters::Fields(st.metrics, v); });
   size_t live = 0;
   for (const CheckpointQuery& q : st.queries) {
-    if (q.alive) ++live;
+    if (q.slot.alive) ++live;
   }
   out += "queries " + std::to_string(live) + " live / " +
          std::to_string(st.queries.size()) + " slots\n";
@@ -401,22 +404,25 @@ int DiffCheckpoints(const CheckpointState& a, const CheckpointState& b,
   using State = CheckpointState;
   d.Compare("hdr", a, b,
            [](const State& s, auto& v) { State::HeaderFields(s, v); });
-  d.Compare("met", a, b,
-           [](const State& s, auto& v) { State::MetricFields(s, v); });
+  d.Compare("met", a.metrics, b.metrics,
+            [](const RunCounters& s, auto& v) { RunCounters::Fields(s, v); });
   d.List("q", a.queries, b.queries);
   d.List("part", a.parts, b.parts);
-  d.Compare("items", a, b,
-           [](const State& s, auto& v) { State::ItemFields(s, v); });
-  d.Report("iq.size", std::to_string(a.item_queries.size()),
-           std::to_string(b.item_queries.size()));
+  const CheckpointItems& ia = a.items;
+  const CheckpointItems& ib = b.items;
+  d.Compare("items", ia, ib, [](const CheckpointItems& s, auto& v) {
+    CheckpointItems::Fields(s, v);
+  });
+  d.Report("iq.size", std::to_string(ia.item_queries.size()),
+           std::to_string(ib.item_queries.size()));
   for (size_t i = 0;
-       i < a.item_queries.size() && i < b.item_queries.size(); ++i) {
+       i < ia.item_queries.size() && i < ib.item_queries.size(); ++i) {
     const std::string p = "iq[" + std::to_string(i) + "].";
-    d.Report(p + "q", EncodeInts(a.item_queries[i]),
-             EncodeInts(b.item_queries[i]));
-    if (i < a.item_shards.size() && i < b.item_shards.size()) {
-      d.Report(p + "s", EncodeInts(a.item_shards[i]),
-               EncodeInts(b.item_shards[i]));
+    d.Report(p + "q", EncodeInts(ia.item_queries[i]),
+             EncodeInts(ib.item_queries[i]));
+    if (i < ia.item_shards.size() && i < ib.item_shards.size()) {
+      d.Report(p + "s", EncodeInts(ia.item_shards[i]),
+               EncodeInts(ib.item_shards[i]));
     }
   }
   d.List("ev", a.events, b.events);

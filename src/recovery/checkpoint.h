@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "recovery/codec.h"
 #include "recovery/record.h"
+#include "recovery/run_counters.h"
 
 /// \file checkpoint.h
 /// Durable coordinator snapshots (docs/RECOVERY.md). A checkpoint block
@@ -33,20 +34,29 @@
 
 namespace polydab::recovery {
 
-/// One query slot (live or dead — dead slots keep their index).
+/// The coordinator's mutable state for one query slot (live or dead —
+/// dead slots keep their index). The engine keeps one per slot, beside
+/// its query vector, and the checkpoint carries it whole inside
+/// CheckpointQuery.
+struct QuerySlot {
+  bool alive = true;
+  int reg_tick = 0;
+  int dereg_tick = -1;    ///< -1 = never deregistered
+  double violated_time = 0.0;   ///< sampled seconds the QAB was violated
+  double last_user_value = 0.0; ///< query value last pushed to the user
+  int shard = 0;          ///< coordinator lane (-1 once dead under churn)
+  int degraded_items = 0;    ///< fault mode: items degrading this query
+  uint64_t degrade_event = 0;  ///< fault mode: trace id of the degrade
+};
+
+/// One query slot: the query itself, its slot state, and the incremental
+/// evaluator's delta-chain value for it.
 struct CheckpointQuery {
   int id = 0;
   double qab = 0.0;
   Polynomial poly;
-  bool alive = true;
-  int reg_tick = 0;
-  int dereg_tick = -1;    ///< -1 = never deregistered (INT_MAX in-engine)
-  double violated_time = 0.0;
-  double last_user_value = 0.0;
-  int shard = 0;          ///< coordinator lane
-  double query_value = 0.0;  ///< incremental evaluator's delta-chain value
-  int degraded_items = 0;    ///< fault mode: items degrading this query
-  uint64_t degrade_event = 0;
+  QuerySlot slot;
+  double query_value = 0.0;
 
   /// Record 'q', written after the codec's positional "slot" key.
   template <class S, class V>
@@ -54,15 +64,15 @@ struct CheckpointQuery {
     v("id", s.id);
     v("qab", s.qab);
     v("poly", s.poly);
-    v("alive", s.alive);
-    v("reg", s.reg_tick);
-    v("dereg", s.dereg_tick);
-    v("viol", s.violated_time);
-    v("lastv", s.last_user_value);
-    v("shard", s.shard);
+    v("alive", s.slot.alive);
+    v("reg", s.slot.reg_tick);
+    v("dereg", s.slot.dereg_tick);
+    v("viol", s.slot.violated_time);
+    v("lastv", s.slot.last_user_value);
+    v("shard", s.slot.shard);
     v("qval", s.query_value);
-    v("degi", s.degraded_items);
-    v("dege", s.degrade_event);
+    v("degi", s.slot.degraded_items);
+    v("dege", s.slot.degrade_event);
   }
 };
 
@@ -214,6 +224,33 @@ struct CheckpointInstrument {
   }
 };
 
+/// The coordinator's item-indexed tables and lane clocks. The engine
+/// keeps one of these; the checkpoint carries it whole.
+struct CheckpointItems {
+  Vector view;            ///< the coordinator's item values
+  Vector source_value;    ///< true current value per item
+  Vector last_pushed;     ///< value at each item's last push
+  Vector installed_dab;   ///< active source filter; +inf for unused items
+  Vector min_primary;     ///< EQI merge target; +inf for unused items
+  std::vector<int> item_home_shard;            ///< -1 for unused items
+  std::vector<std::vector<int>> item_queries;  ///< query slots per item
+  std::vector<std::vector<int>> item_shards;   ///< sorted lanes per item
+  Vector shard_free_at;   ///< per-lane busy-until clock
+
+  /// Record 'items'. item_queries and item_shards travel as sparse 'iq'
+  /// rows instead (one per item that has either).
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("view", s.view);
+    v("src", s.source_value);
+    v("pushed", s.last_pushed);
+    v("inst", s.installed_dab);
+    v("minp", s.min_primary);
+    v("home", s.item_home_shard);
+    v("free", s.shard_free_at);
+  }
+};
+
 /// A full snapshot. Plain data; the engine builds/applies it, this module
 /// only moves it to and from disk.
 struct CheckpointState {
@@ -229,32 +266,10 @@ struct CheckpointState {
   bool dqi_built = false;      ///< dynamic query index existed (churn ran)
   int64_t updates_since_rebase = 0;  ///< incremental evaluator drift clock
 
-  // SimMetrics, field for field.
-  int64_t refreshes = 0;
-  int64_t recomputations = 0;
-  int64_t dab_change_messages = 0;
-  int64_t user_notifications = 0;
-  int64_t solver_failures = 0;
-  int64_t fault_drops = 0;
-  int64_t retransmits = 0;
-  int64_t duplicates_suppressed = 0;
-  int64_t lease_expiries = 0;
-  double degraded_query_seconds = 0.0;
-
+  RunCounters metrics;
   std::vector<CheckpointQuery> queries;
   std::vector<CheckpointPart> parts;
-
-  // Item-indexed coordinator vectors.
-  Vector view;
-  Vector source_value;
-  Vector last_pushed;
-  Vector installed_dab;   ///< +inf for unconstrained items
-  Vector min_primary;     ///< +inf for unconstrained items
-  std::vector<int> item_home_shard;
-  std::vector<std::vector<int>> item_queries;  ///< query slots per item
-  std::vector<std::vector<int>> item_shards;   ///< lanes per item
-  Vector shard_free_at;
-
+  CheckpointItems items;
   std::vector<CheckpointEvent> events;         ///< heap array, verbatim
   std::vector<CheckpointSource> sources;       ///< fault mode only
   std::vector<CheckpointItemFault> item_fault; ///< fault mode only
@@ -284,34 +299,6 @@ struct CheckpointState {
     v("delay_rng", s.delay_rng);
     v("fault_rng", s.fault_rng);
     v("svc", s.service_state);
-  }
-
-  /// Record 'met'.
-  template <class S, class V>
-  static void MetricFields(S& s, V& v) {
-    v("refreshes", s.refreshes);
-    v("recomputations", s.recomputations);
-    v("dab_changes", s.dab_change_messages);
-    v("notifications", s.user_notifications);
-    v("solver_failures", s.solver_failures);
-    v("drops", s.fault_drops);
-    v("retransmits", s.retransmits);
-    v("dups", s.duplicates_suppressed);
-    v("leases", s.lease_expiries);
-    v("degraded_s", s.degraded_query_seconds);
-  }
-
-  /// Record 'items'. item_queries and item_shards travel as sparse 'iq'
-  /// rows instead (one per item that has either).
-  template <class S, class V>
-  static void ItemFields(S& s, V& v) {
-    v("view", s.view);
-    v("src", s.source_value);
-    v("pushed", s.last_pushed);
-    v("inst", s.installed_dab);
-    v("minp", s.min_primary);
-    v("home", s.item_home_shard);
-    v("free", s.shard_free_at);
   }
 };
 

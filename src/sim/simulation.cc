@@ -1,22 +1,22 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <ostream>
-#include <queue>
 #include <sstream>
 #include <utility>
 
 #include "common/hash.h"
 #include "core/multi_query.h"
-#include "gp/solve_engine.h"
 #include "core/query_index.h"
 #include "core/validator.h"
+#include "gp/solve_engine.h"
 #include "obs/json_util.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
@@ -32,6 +32,9 @@ namespace polydab::sim {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+using K = obs::TraceEventKind;
+using WalKind = recovery::WalRecord::Kind;
 
 // Event::type values. The event record is the checkpoint's 'ev' record
 // (recovery/checkpoint.h), so the heap array is the snapshot verbatim.
@@ -61,7 +64,6 @@ struct EventQueue {
   std::vector<Event> c;  // valid heap under Later
 
   bool empty() const { return c.empty(); }
-  size_t size() const { return c.size(); }
   const Event& top() const { return c.front(); }
   void push(Event e) {
     c.push_back(e);
@@ -72,53 +74,6 @@ struct EventQueue {
     c.pop_back();
   }
 };
-
-/// Whole simulation state; method-free aggregation kept local to this TU.
-struct State {
-  std::vector<std::vector<int>> item_queries;  // item -> query indices
-
-  // Source side.
-  Vector source_value;    // true current value per item
-  Vector last_pushed;     // value at last push per item
-  Vector installed_dab;   // filter width currently active at the source
-
-  // Coordinator side. Each query's plan consists of one or two
-  // independently maintained parts (two under Half and Half, §III-B.2);
-  // anchors[q][p] holds the item values the part's DABs were computed at.
-  Vector view;  // C's item values
-  std::vector<core::QueryPlan> plans;
-  std::vector<std::vector<Vector>> anchors;
-  Vector min_primary;  // EQI merge target per item
-
-  // Coordinator lanes (sharded coordinator; one lane == the historical
-  // serial resource). Queries are pinned to lanes; an item's *home* lane
-  // is the lane of the first query referencing it (-1: unused item), and
-  // item_shards lists every lane with a query referencing the item, so
-  // cross-lane EQI merges know which lanes a barrier must join.
-  std::vector<int> query_shard;               // query index -> lane
-  std::vector<int> item_home_shard;           // item -> home lane
-  std::vector<std::vector<int>> item_shards;  // item -> sorted unique lanes
-  std::vector<double> shard_free_at;          // per-lane busy-until time
-
-  // Bookkeeping.
-  std::vector<double> violated_time;  // per query: fidelity loss
-  EventQueue events;
-};
-
-/// Minimum primary DAB for one item across every part of every plan that
-/// references it (the EQI merge of §IV).
-double ItemMinPrimary(const State& st, int item) {
-  double m = kInf;
-  for (int qi : st.item_queries[static_cast<size_t>(item)]) {
-    for (const core::PlanPart& part : st.plans[static_cast<size_t>(qi)].parts) {
-      const int idx = part.dabs.IndexOf(static_cast<VarId>(item));
-      if (idx >= 0) {
-        m = std::min(m, part.dabs.primary[static_cast<size_t>(idx)]);
-      }
-    }
-  }
-  return m;
-}
 
 /// Cached `sim.*` instrument pointers, resolved once per run. All null
 /// when no registry is attached, so every recording site is one branch.
@@ -149,6 +104,7 @@ struct SimInstruments {
   obs::Histogram* tick_refreshes = nullptr;
   obs::Histogram* tick_recomputations = nullptr;
 
+  SimInstruments() = default;
   SimInstruments(obs::MetricRegistry* reg, bool fault_active) {
     if (reg == nullptr) return;
     if (fault_active) {
@@ -182,40 +138,2014 @@ struct SimInstruments {
   }
 };
 
-/// ServiceOps implementation handed to the churn driver: thin forwarding
-/// shims over lambdas local to the run (they capture the whole engine
-/// state), so the churn transaction logic stays next to the event loop it
-/// mutates.
-class EngineOps final : public ServiceOps {
- public:
-  const Vector* view = nullptr;
-  const Vector* rates = nullptr;
-  std::function<Result<core::QueryPlan>(const PolynomialQuery&)> trial;
-  std::function<Status(const PolynomialQuery&, core::QueryPlan, double, int)>
-      register_fn;
-  std::function<Status(int, double, core::QueryPlan)> modify_fn;
-  std::function<Status(int)> deregister_fn;
-  std::function<void(int, double, double, int)> reject_fn;
+/// Bump a SimMetrics counter and its registry mirror together.
+void Count(int64_t& field, obs::Counter* mirror) {
+  ++field;
+  if (mirror != nullptr) mirror->Inc();
+}
 
-  const Vector& View() const override { return *view; }
-  const Vector& Rates() const override { return *rates; }
-  Result<core::QueryPlan> TrialPlan(const PolynomialQuery& query) override {
-    return trial(query);
-  }
-  Status Register(const PolynomialQuery& query, core::QueryPlan plan,
-                  double admission_estimate, int degrade_attempts) override {
-    return register_fn(query, std::move(plan), admission_estimate,
-                       degrade_attempts);
-  }
-  Status Modify(int query_id, double new_qab, core::QueryPlan plan) override {
-    return modify_fn(query_id, new_qab, std::move(plan));
-  }
-  Status Deregister(int query_id) override { return deregister_fn(query_id); }
-  void AdmissionReject(int query_id, double estimate, double budget,
-                       int reason) override {
-    reject_fn(query_id, estimate, budget, reason);
+/// One distinct solve of a refresh service (docs/CONCURRENCY.md): the
+/// stale parts whose solve inputs are bitwise equal share it.
+struct SolveGroup {
+  const core::PlanPart* leader = nullptr;  // the part actually solved
+  uint64_t hash = 0;                       // core::ReplanInputsHash
+  Result<QueryDabs> result{Status::Internal("rt: job not yet run")};
+  gp::SolveRecord solve;
+  int slot = 0;  // pool worker, or pool.workers() for the event loop
+  uint64_t epoch = 0;
+  bool shared = false;  // other stale parts install copies of `result`
+
+  // The one call site of core::ReplanPart in the refresh service, on a
+  // worker or inline.
+  void Solve(const Vector& view, const Vector& rates,
+             const core::PlannerConfig& cfg) {
+    result = core::ReplanPart(*leader, view, rates, cfg, &solve);
   }
 };
+
+// A stale part found by pass 1, in oracle order: the position of its
+// query in the item's query list, the part, the refreshed item's slot in
+// the part's DABs, the anchor its drift was measured from and the group
+// whose solve it installs.
+struct StalePart {
+  size_t k = 0;
+  size_t pi = 0;
+  size_t idx = 0;
+  double anchor = 0.0;
+  size_t group = 0;
+};
+
+/// Reinstate an RNG stream from its checkpoint text.
+Status RestoreRng(const std::string& state, const char* name, Rng* rng) {
+  std::istringstream in(state);
+  in >> rng->engine();
+  if (in.fail()) {
+    return Status::InvalidArgument(std::string("restart: bad ") + name +
+                                   "-RNG stream state in checkpoint");
+  }
+  return Status::OK();
+}
+
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+
+/// The coordinator of §V's push simulation (docs/DESIGN.md, "Engine").
+/// Its state is the checkpoint's records — the query slots, the item
+/// tables, the event heap, the run counters and the fault protocol's
+/// per-source and per-item tables (recovery/checkpoint.h) — so a snapshot
+/// copies them whole and a restart reinstates them whole. Its methods are
+/// the protocol steps, and it is the ServiceOps the churn driver calls.
+class Coordinator final : public ServiceOps {
+ public:
+  Coordinator(const std::vector<PolynomialQuery>& queries,
+              workload::TickSource& source, const Vector& rates,
+              const SimConfig& config);
+  // Pool jobs hold references into the members.
+  Coordinator(const Coordinator&) = delete;
+  Coordinator& operator=(const Coordinator&) = delete;
+
+  /// Everything before tick 1: the WAL, telemetry, the lane pool, and
+  /// either the t=0 plan or the restore of a checkpoint.
+  Status Start();
+  /// The tick loop to end of stream (or to the injected crash), then the
+  /// run's final accounting.
+  Result<SimMetrics> Run();
+
+  // ServiceOps (docs/SERVICE.md).
+  const Vector& View() const override { return items_.view; }
+  const Vector& Rates() const override { return rates_; }
+  Result<core::QueryPlan> TrialPlan(const PolynomialQuery& query) override;
+  Status Register(const PolynomialQuery& query, core::QueryPlan plan,
+                  double admission_estimate, int degrade_attempts) override;
+  Status Modify(int query_id, double new_qab, core::QueryPlan plan) override;
+  Status Deregister(int query_id) override;
+  void AdmissionReject(int query_id, double estimate, double budget,
+                       int reason) override;
+
+ private:
+  enum class Row { kLive, kEnd, kCrash };
+
+  // Start-up.
+  void ConfigureTelemetry();
+  Status StartFresh();
+  Status Restore();
+  Status StageReplay();
+  void InitFaultTables();
+  void AssignLanes(const std::vector<int>& lanes);
+  void AddQueryInfo(size_t qi);
+
+  // The tick loop.
+  Result<Row> NextRow(int tick, Vector* row);
+  Status Tick(int tick, const Vector& row);
+  Status DeliverUntil(double now);
+  Status ArriveRefresh(const Event& ev);
+  void CollectStaleParts(const Event& ev);
+  Status NotifyAndInstall(const Event& ev, uint64_t arrival_id);
+  void SettleLanes(double t, size_t home_lane);
+  Status AaoSolve(double now);
+  void PushSources(const Vector& row, double now);
+  void SampleFidelity(double now);
+  Status Checkpoint(int tick, double now);
+  recovery::CheckpointState BuildCheckpoint(int tick, uint64_t end_id);
+  SimMetrics Finish();
+
+  // Filters: the EQI merge (§IV) and filter shipping.
+  double ItemMinPrimary(size_t item) const;
+  void AnchorPart(size_t qi, size_t pi);
+  void ShipDabChanges(size_t qi, size_t pi, double now, uint64_t cause_id,
+                      bool emit_item_barriers);
+  void ShipChurnChanges(const std::vector<VarId>& items, uint64_t cause_id,
+                        int q_id, int q_lane);
+  void ShipFilter(size_t item, double fresh, double old_width, double now,
+                  uint64_t cause_id, int32_t query, int32_t part,
+                  int32_t shard);
+
+  // The fault protocol (docs/ROBUSTNESS.md).
+  void SendData(size_t item, double value, int64_t seq, uint64_t emit_id,
+                int klass, double now);
+  void SendAck(int item, int64_t seq, double now, uint64_t cause_id);
+  void RecordContact(int s, double t, uint64_t cid);
+  void InjectStalls(double now);
+  void CrashSources(double now);
+  void Retransmit(double now);
+  void Heartbeat(double now);
+  void ExpireLeases(double now);
+
+  // Churn transactions.
+  int FindLive(int query_id) const;
+  void EnsureDqi();
+  void RefreshPartition();
+  void ChargeLane(size_t qi);
+  void EmitPlanPatch(uint64_t cause_id);
+  void AppendChurnWal(const char* op, int query_id);
+
+  /// Stamp the node and emit; 0 when untraced. EmitNow first moves the
+  /// sink's clock to the event's time.
+  uint64_t Emit(obs::TraceEvent e) {
+    if (trace_ == nullptr) return 0;
+    e.node = tnode_;
+    return trace_->Emit(e);
+  }
+  uint64_t EmitNow(const obs::TraceEvent& e) {
+    if (trace_ != nullptr) trace_->SetNow(e.time);
+    return Emit(e);
+  }
+  /// A query's lane as traced events carry it (-1 on a serial run).
+  int32_t Lane(size_t qi) const { return sharded_ ? slots_[qi].shard : -1; }
+
+  // Inputs and run constants.
+  const SimConfig& config_;
+  workload::TickSource& source_;
+  const Vector& rates_;
+  const size_t n_items_;
+  const int num_shards_;
+  const bool sharded_;
+  const bool aao_mode_;
+  const bool fault_mode_;
+  const int num_sources_;  // which source pushes an item: attribution only
+  recovery::RecoveryConfig* const rec_;
+  const recovery::CheckpointState* const ckpt_;  // restart snapshot or null
+  obs::TraceSink* const trace_;
+  const int32_t tnode_;
+  // The config fingerprint sealed into every checkpoint block; a restart
+  // refuses a snapshot taken under a different engine config. The
+  // recovery knobs are absent from Describe(), so a crashed run and its
+  // restart fingerprint identically.
+  const uint32_t config_fp_;
+
+  // Randomness: the fault layer owns a second forked stream, so injection
+  // decisions and protocol-message delays never perturb the main delay
+  // draws, and an inactive config takes no fault branch at all.
+  Rng master_;
+  DelayModel delays_;
+  FaultModel faults_;
+
+  SimInstruments ins_;
+  // Memoizing solve server (gp/solve_engine.h, docs/SOLVER.md), attached
+  // through SolverOptions::engine so every GP solve of the run routes
+  // through it. Declared before the pool, which holds a pointer to it.
+  gp::SolveEngine solve_engine_;
+  // The planner config with the registry, engine and trace propagated;
+  // groups solve under solve_cfg_, which has no trace, and the event loop
+  // emits each part's planner_replan event at its oracle slot.
+  core::PlannerConfig planner_cfg_;
+  core::PlannerConfig solve_cfg_;
+  const bool recompute_every_refresh_;
+  std::unique_ptr<std::FILE, FileCloser> wal_file_;
+
+  // Coordinator state: the checkpoint's records. `queries_` is the one
+  // copy of each polynomial; slots are append-only, so a deregistered
+  // query keeps its index with `alive` off and its plan empty.
+  std::vector<PolynomialQuery> queries_;
+  std::vector<recovery::QuerySlot> slots_;
+  std::vector<core::QueryPlan> plans_;
+  // anchors_[q][p]: the item values part p's DABs were computed at.
+  std::vector<std::vector<Vector>> anchors_;
+  recovery::CheckpointItems items_;
+  EventQueue events_;
+  SimMetrics metrics_;
+  std::vector<recovery::CheckpointItemFault> item_fault_;  // fault mode
+  std::vector<recovery::CheckpointSource> source_fault_;   // fault mode
+  std::vector<std::vector<int>> source_items_;  // source -> queried items
+  // Incremental view-side query evaluation: the coordinator's values only
+  // change on refresh arrivals, so fidelity checks patch affected queries.
+  std::optional<core::IncrementalEvaluator> view_eval_;
+  // Built at the first churn op, seeded with every slot in slot order, so
+  // slot i of the dynamic index is query index i.
+  std::unique_ptr<core::DynamicQueryIndex> dqi_;
+  int ticks_seen_ = 1;  // rows consumed so far, tick 0 included
+  int cur_tick_ = 0;    // the churn transactions' logical clock
+  double cur_now_ = 0.0;
+  int64_t aao_next_tick_ = 0;
+  core::AaoSolution last_aao_;
+  bool have_aao_ = false;
+  int64_t tick_refresh_base_ = 0;  // per-tick rate histogram snapshots
+  int64_t tick_recompute_base_ = 0;
+
+  // Restart replay: audit records are only appended once the replay span
+  // is exhausted, so a restart never re-writes rows the WAL already holds.
+  uint64_t last_ckpt_end_id_ = 0;
+  const recovery::WalRecord* crash_marker_ = nullptr;
+  std::vector<const recovery::WalRecord*> replay_rows_;
+  bool replay_done_ = true;
+  size_t replay_idx_ = 0;
+
+  // Per-service scratch: busy time accrued on each lane while servicing
+  // one refresh, the pre-service lane clocks (the shard-barrier time
+  // payload), which lanes a barrier joined, and the solve pipeline's
+  // groups (a deque: workers hold entry pointers) and stale parts.
+  std::vector<double> lane_busy_;
+  std::vector<double> pre_free_;
+  std::vector<uint8_t> barrier_lane_;
+  bool barrier_any_ = false;
+  std::deque<SolveGroup> solve_groups_;
+  std::vector<StalePart> stale_parts_;
+  int64_t solve_jobs_dispatched_ = 0;
+  // Declared last: its destructor joins every worker before anything a
+  // job closure references is destroyed, however the run exits. Workers
+  // lock the pool's control mutex on every job, so it gets its own cache
+  // line, apart from the per-service scratch the event loop writes.
+  alignas(64) rt::LanePool pool_;
+};
+
+gp::SolveEngine::Options EngineOptions(const SimConfig& config) {
+  gp::SolveEngine::Options opt;
+  opt.cache_entries = config.solve_cache;
+  opt.registry = config.registry;
+  return opt;
+}
+
+uint32_t ConfigFingerprint(const SimConfig& config) {
+  const std::string desc = config.Describe();
+  return Fnv1a32(desc.data(), desc.size());
+}
+
+Coordinator::Coordinator(const std::vector<PolynomialQuery>& queries,
+                         workload::TickSource& source, const Vector& rates,
+                         const SimConfig& config)
+    : config_(config),
+      source_(source),
+      rates_(rates),
+      n_items_(source.num_items()),
+      num_shards_(config.coord_shards),
+      sharded_(config.coord_shards > 1),
+      aao_mode_(config.aao_period_s > 0.0),
+      fault_mode_(config.fault.active()),
+      num_sources_(std::max(1, config.num_sources)),
+      rec_(config.recovery),
+      ckpt_(config.recovery != nullptr ? config.recovery->restart : nullptr),
+      trace_(config.trace),
+      tnode_(config.trace_node),
+      config_fp_(ConfigFingerprint(config)),
+      master_(config.seed),
+      delays_(config.delays, master_.Fork()),
+      faults_(config.fault, master_.Fork()),
+      solve_engine_(EngineOptions(config)),
+      planner_cfg_(config.planner),
+      recompute_every_refresh_(config.planner.method !=
+                               core::AssignmentMethod::kDualDab),
+      queries_(queries),
+      lane_busy_(static_cast<size_t>(config.coord_shards), 0.0),
+      pre_free_(static_cast<size_t>(config.coord_shards), 0.0),
+      barrier_lane_(static_cast<size_t>(config.coord_shards), 0) {
+  // One SimConfig::registry / trace assignment instruments the whole
+  // stack: the planner and, through it, the GP solver.
+  if (planner_cfg_.registry == nullptr) planner_cfg_.registry = config.registry;
+  if (planner_cfg_.dual.solver.registry == nullptr) {
+    planner_cfg_.dual.solver.registry = planner_cfg_.registry;
+  }
+  if (config.solve_cache > 0 && planner_cfg_.dual.solver.engine == nullptr) {
+    planner_cfg_.dual.solver.engine = &solve_engine_;
+  }
+  if (planner_cfg_.trace == nullptr) {
+    planner_cfg_.trace = trace_;
+    planner_cfg_.trace_node = tnode_;
+  }
+  solve_cfg_ = planner_cfg_;
+  solve_cfg_.trace = nullptr;
+  if (aao_mode_) aao_next_tick_ = static_cast<int64_t>(config.aao_period_s);
+}
+
+Status Coordinator::Start() {
+  if (rec_ != nullptr && !rec_->wal_path.empty()) {
+    wal_file_.reset(std::fopen(rec_->wal_path.c_str(), "a"));
+    if (wal_file_ == nullptr) {
+      return Status::InvalidArgument("cannot open WAL '" + rec_->wal_path +
+                                     "' for appending");
+    }
+    recovery::AppendWal(wal_file_.get(), {.kind = WalKind::kHeader});
+  }
+  ins_ = SimInstruments(config_.registry, fault_mode_);
+  ConfigureTelemetry();
+  // The refresh service's solve pipeline (docs/CONCURRENCY.md): threads =
+  // 0 never starts the pool, so every group is the event loop's to solve.
+  if (config_.threads > 0) {
+    rt::LanePool::Options rt_opt;
+    rt_opt.workers = config_.threads;
+    POLYDAB_RETURN_NOT_OK(pool_.Start(rt_opt));
+    if (trace_ != nullptr) {
+      // Stripped again by canonicalization (obs/trace_canon.h), so the
+      // canonical trace's info block matches the threads = 0 oracle's.
+      trace_->SetInfo("rt_threads", std::to_string(config_.threads));
+    }
+  }
+  return ckpt_ != nullptr ? Restore() : StartFresh();
+}
+
+void Coordinator::ConfigureTelemetry() {
+  if (trace_ != nullptr) {
+    trace_->SetNow(0.0);
+    trace_->SetInfo("origin", "sim");
+    trace_->SetInfo("method", core::Name(planner_cfg_.method));
+    trace_->SetInfo("mu", obs::JsonNumber(planner_cfg_.dual.mu));
+    trace_->SetInfo("sim_config", config_.Describe());
+    if (fault_mode_) {
+      // The offline verifier needs the item -> source mapping and the
+      // protocol constants to re-derive crash windows, retransmit chains
+      // and lease deadlines (obs/trace_check.cc).
+      trace_->SetInfo("fault_config", config_.fault.Describe());
+      trace_->SetInfo("num_sources", std::to_string(num_sources_));
+      trace_->SetInfo("fault_retx_timeout_s",
+                      obs::JsonNumber(config_.fault.retx_timeout_s));
+      trace_->SetInfo("fault_heartbeat_s",
+                      obs::JsonNumber(config_.fault.heartbeat_s));
+      trace_->SetInfo("fault_lease_s", obs::JsonNumber(config_.fault.lease_s));
+    }
+    if (sharded_) {
+      trace_->SetInfo("coord_shards", std::to_string(num_shards_));
+      trace_->SetInfo("shard_policy", Name(config_.shard_policy));
+    }
+  }
+  // Windowed series telemetry (obs/timeseries.h): install the recorder
+  // as the sink's observer before any emission so window 0 sees the t=0
+  // initial installs, and stamp the metadata the checker's alerting mode
+  // needs to replay the series from the events alone.
+  obs::SeriesRecorder* const series = config_.series;
+  if (series != nullptr) {
+    trace_->SetInfo("series_window_s",
+                    std::to_string(series->config().window_ticks));
+    if (!series->config().rules.empty()) {
+      trace_->SetInfo("slo_rules",
+                      obs::CanonicalSloRules(series->config().rules));
+    }
+    if (series->config().breakdown) trace_->SetInfo("series_breakdown", "1");
+    series->SetInitialQueries(static_cast<int64_t>(queries_.size()));
+    series->SetAlertSink(trace_);
+    trace_->SetObserver(series);
+  }
+}
+
+/// Lane partition: pin each slot to \p lanes' entry (-1 for a dead slot,
+/// never read since dead slots leave item_queries), make each item's home
+/// the lane of its first query, and list every lane with a query on the
+/// item so cross-lane EQI merges know which lanes a barrier joins.
+void Coordinator::AssignLanes(const std::vector<int>& lanes) {
+  for (size_t qi = 0; qi < slots_.size(); ++qi) slots_[qi].shard = lanes[qi];
+  items_.item_home_shard.assign(n_items_, -1);
+  for (size_t i = 0; i < n_items_; ++i) {
+    std::vector<int>& item_lanes = items_.item_shards[i];
+    item_lanes.clear();
+    const std::vector<int>& qs = items_.item_queries[i];
+    if (qs.empty()) continue;
+    items_.item_home_shard[i] = slots_[static_cast<size_t>(qs[0])].shard;
+    for (int qi : qs) {
+      item_lanes.push_back(slots_[static_cast<size_t>(qi)].shard);
+    }
+    std::sort(item_lanes.begin(), item_lanes.end());
+    item_lanes.erase(std::unique(item_lanes.begin(), item_lanes.end()),
+                     item_lanes.end());
+  }
+}
+
+void Coordinator::AddQueryInfo(size_t qi) {
+  if (trace_ == nullptr) return;
+  obs::TraceQueryInfo info;
+  info.query = queries_[qi].id;
+  info.node = tnode_;
+  info.shard = Lane(qi);
+  info.qab = queries_[qi].qab;
+  for (VarId v : queries_[qi].p.Variables()) {
+    info.items.push_back(static_cast<int32_t>(v));
+  }
+  trace_->AddQueryInfo(std::move(info));
+}
+
+/// The fault protocol's tables, sized only in fault mode. A fresh
+/// source's first heartbeat fires at tick 1 and its t=0 install counts as
+/// contact.
+void Coordinator::InitFaultTables() {
+  if (!fault_mode_) return;
+  const size_t ns = static_cast<size_t>(num_sources_);
+  item_fault_.assign(n_items_, recovery::CheckpointItemFault{});
+  source_fault_.assign(ns, recovery::CheckpointSource{});
+  source_items_.resize(ns);
+  for (size_t i = 0; i < n_items_; ++i) {
+    if (!items_.item_queries[i].empty()) {
+      source_items_[i % ns].push_back(static_cast<int>(i));
+    }
+  }
+}
+
+Status Coordinator::StartFresh() {
+  items_.item_queries.resize(n_items_);
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    for (VarId v : queries_[qi].p.Variables()) {
+      if (static_cast<size_t>(v) >= n_items_) {
+        return Status::InvalidArgument(
+            "query references item beyond trace set");
+      }
+      items_.item_queries[static_cast<size_t>(v)].push_back(
+          static_cast<int>(qi));
+    }
+  }
+  // With a single lane every query lands on lane 0 and the event loop
+  // reduces to the historical serial coordinator bit-identically.
+  slots_.resize(queries_.size());
+  items_.item_shards.resize(n_items_);
+  {
+    core::QueryIndex qindex(queries_, n_items_);
+    AssignLanes(config_.shard_policy == ShardPolicy::kQueryHash
+                    ? qindex.ShardByQueryId(num_shards_)
+                    : qindex.ShardByComponent(num_shards_));
+  }
+  items_.shard_free_at.assign(static_cast<size_t>(num_shards_), 0.0);
+
+  // Tick 0: the initial snapshot every party starts in agreement on.
+  Vector row;
+  auto first = source_.Next(&row);
+  if (!first.ok()) return first.status();
+  if (!*first) return Status::InvalidArgument("trace too short");
+  items_.source_value = row;
+  items_.last_pushed = row;
+  items_.view = row;
+  InitFaultTables();
+
+  // Initial planning: time zero, not counted as recomputation; the
+  // initial filters are installed synchronously.
+  plans_.resize(queries_.size());
+  anchors_.resize(queries_.size());
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    auto plan =
+        core::PlanQueryParts(queries_[qi], items_.view, rates_, planner_cfg_);
+    if (!plan.ok()) {
+      return Status::Internal("initial planning failed for query " +
+                              std::to_string(queries_[qi].id) + ": " +
+                              plan.status().ToString());
+    }
+    plans_[qi] = std::move(plan).value();
+    anchors_[qi].resize(plans_[qi].parts.size());
+    for (size_t pi = 0; pi < plans_[qi].parts.size(); ++pi) {
+      AnchorPart(qi, pi);
+    }
+    if (config_.paranoid_validation) {
+      Status valid = core::ValidatePlan(plans_[qi], items_.view);
+      if (!valid.ok()) {
+        return Status::Internal("plan validation failed for query " +
+                                std::to_string(queries_[qi].id) + ": " +
+                                valid.ToString());
+      }
+    }
+  }
+  items_.min_primary.resize(n_items_);
+  items_.installed_dab.resize(n_items_);
+  for (size_t i = 0; i < n_items_; ++i) {
+    items_.min_primary[i] = ItemMinPrimary(i);
+    items_.installed_dab[i] = items_.min_primary[i];
+  }
+  for (size_t qi = 0; qi < queries_.size(); ++qi) AddQueryInfo(qi);
+  // Items no query uses keep an infinite width and never refresh, so
+  // their installs are not recorded.
+  for (size_t i = 0; i < n_items_; ++i) {
+    if (std::isinf(items_.installed_dab[i])) continue;
+    Emit({.kind = K::kDabChangeInstalled, .item = static_cast<int32_t>(i),
+          .a = items_.installed_dab[i]});
+  }
+  // §I-B: each refresh pushes the query results whose QAB the change
+  // would violate relative to what the user last saw.
+  view_eval_.emplace(queries_, items_.view);
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    slots_[qi].last_user_value = view_eval_->QueryValue(qi);
+  }
+  return Status::OK();
+}
+
+/// Restart: reinstate the snapshot's records whole — the caller must hand
+/// the same initial query set, and every width, fingerprint and mode the
+/// snapshot carries is checked against this run first — then stage the
+/// WAL replay. The t=0 solves, query infos and install events all live in
+/// the crashed run's trace.
+Status Coordinator::Restore() {
+  const recovery::CheckpointState& ck = *ckpt_;
+  if (ck.config_fp != config_fp_) {
+    return Status::InvalidArgument(
+        "restart: checkpoint was taken under a different engine config "
+        "(fingerprint mismatch)");
+  }
+  if (static_cast<size_t>(ck.num_items) != n_items_) {
+    return Status::InvalidArgument(
+        "restart: checkpoint item count " + std::to_string(ck.num_items) +
+        " != trace set width " + std::to_string(n_items_));
+  }
+  if (ck.num_sources != num_sources_) {
+    return Status::InvalidArgument("restart: checkpoint source count mismatch");
+  }
+  if (ck.num_shards != num_shards_) {
+    return Status::InvalidArgument("restart: checkpoint shard count mismatch");
+  }
+  if (ck.fault_mode != fault_mode_) {
+    return Status::InvalidArgument(
+        "restart: checkpoint fault-mode flag mismatch");
+  }
+  if (ck.queries.size() < queries_.size()) {
+    return Status::InvalidArgument(
+        "restart: checkpoint has fewer query slots than the initial "
+        "workload");
+  }
+  // Only the prefix ids are checkable: churn may have modified bodies.
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    if (ck.queries[qi].id != queries_[qi].id) {
+      return Status::InvalidArgument(
+          "restart: initial query slot " + std::to_string(qi) +
+          " id mismatch (checkpoint " + std::to_string(ck.queries[qi].id) +
+          ", workload " + std::to_string(queries_[qi].id) + ")");
+    }
+  }
+  const recovery::CheckpointItems& ci = ck.items;
+  if (ci.item_queries.size() != n_items_ ||
+      ci.item_home_shard.size() != n_items_ ||
+      ci.item_shards.size() != n_items_) {
+    return Status::InvalidArgument(
+        "restart: checkpoint item-table width mismatch");
+  }
+  if (ci.source_value.size() != n_items_ ||
+      ci.last_pushed.size() != n_items_ || ci.view.size() != n_items_) {
+    return Status::InvalidArgument(
+        "restart: checkpoint value-vector width mismatch");
+  }
+  if (ci.min_primary.size() != n_items_ ||
+      ci.installed_dab.size() != n_items_) {
+    return Status::InvalidArgument(
+        "restart: checkpoint DAB-vector width mismatch");
+  }
+  if (ci.shard_free_at.size() != static_cast<size_t>(num_shards_)) {
+    return Status::InvalidArgument(
+        "restart: checkpoint lane-clock width mismatch");
+  }
+  if (fault_mode_) {
+    if (ck.sources.size() != static_cast<size_t>(num_sources_)) {
+      return Status::InvalidArgument(
+          "restart: checkpoint source-table size mismatch");
+    }
+    if (ck.item_fault.size() != n_items_) {
+      return Status::InvalidArgument(
+          "restart: checkpoint item-fault table size mismatch");
+    }
+  } else if (!ck.sources.empty() || !ck.item_fault.empty()) {
+    return Status::InvalidArgument(
+        "restart: checkpoint carries fault tables but the fault layer "
+        "is inactive");
+  }
+
+  // The slot vector: the initial queries plus any churn-registered slots.
+  queries_.clear();
+  Vector qvals;
+  for (const recovery::CheckpointQuery& cq : ck.queries) {
+    queries_.push_back(PolynomialQuery{cq.id, cq.poly, cq.qab});
+    slots_.push_back(cq.slot);
+    qvals.push_back(cq.query_value);
+  }
+  items_ = ci;
+  static_cast<recovery::RunCounters&>(metrics_) = ck.metrics;
+  InitFaultTables();
+  if (fault_mode_) {
+    source_fault_ = ck.sources;
+    item_fault_ = ck.item_fault;
+  }
+  plans_.resize(queries_.size());
+  anchors_.resize(queries_.size());
+  for (const recovery::CheckpointPart& cp : ck.parts) {
+    if (cp.slot < 0 || static_cast<size_t>(cp.slot) >= queries_.size()) {
+      return Status::InvalidArgument(
+          "restart: checkpoint part references slot " +
+          std::to_string(cp.slot) + " out of range");
+    }
+    const size_t slot = static_cast<size_t>(cp.slot);
+    if (static_cast<size_t>(cp.part) != plans_[slot].parts.size()) {
+      return Status::InvalidArgument(
+          "restart: checkpoint part records for slot " +
+          std::to_string(cp.slot) + " out of order");
+    }
+    if (cp.primary.size() != cp.vars.size() ||
+        cp.secondary.size() != cp.vars.size() ||
+        cp.anchor.size() != cp.vars.size()) {
+      return Status::InvalidArgument(
+          "restart: checkpoint part DAB or anchor widths disagree with "
+          "its variable list");
+    }
+    core::PlanPart part;
+    part.subquery = PolynomialQuery{queries_[slot].id, cp.poly, cp.pqab};
+    part.dabs.vars = cp.vars;
+    part.dabs.primary = cp.primary;
+    part.dabs.secondary = cp.secondary;
+    part.dabs.recompute_rate = cp.recompute_rate;
+    part.dabs.single_dab = cp.single_dab;
+    part.dabs.never_stale = cp.never_stale;
+    plans_[slot].parts.push_back(std::move(part));
+    anchors_[slot].push_back(cp.anchor);
+  }
+  view_eval_.emplace(queries_, items_.view);
+  view_eval_->RestoreState(items_.view, std::move(qvals),
+                           ck.updates_since_rebase);
+  if (ck.dqi_built) {
+    // Replay membership: every slot is added in slot order, then the dead
+    // ones removed. ComponentMin and the shard assignment are
+    // content-determined, so the rebuilt index answers identically.
+    EnsureDqi();
+    for (size_t qi = 0; qi < queries_.size(); ++qi) {
+      if (!slots_[qi].alive) dqi_->RemoveQuery(static_cast<int>(qi));
+    }
+  }
+  events_.c = ck.events;
+  POLYDAB_RETURN_NOT_OK(RestoreRng(ck.delay_rng, "delay", &delays_.rng()));
+  POLYDAB_RETURN_NOT_OK(RestoreRng(ck.fault_rng, "fault", &faults_.rng()));
+  if (config_.registry != nullptr) {
+    for (const recovery::CheckpointInstrument& ins : ck.instruments) {
+      if (ins.kind == 'c') {
+        obs::Counter* c = config_.registry->GetCounter(ins.name);
+        c->Add(ins.count - c->value());
+      } else if (ins.kind == 'g') {
+        config_.registry->GetGauge(ins.name)->Set(ins.value);
+      } else {
+        config_.registry->GetHistogram(ins.name)->RestoreState(
+            ins.buckets, ins.count, ins.sum, ins.raw_min, ins.raw_max);
+      }
+    }
+  } else if (!ck.instruments.empty()) {
+    return Status::InvalidArgument(
+        "restart: checkpoint carries registry instruments but the "
+        "restart has no metric registry attached");
+  }
+  if (config_.service != nullptr) {
+    POLYDAB_RETURN_NOT_OK(config_.service->RestoreState(ck.service_state));
+  } else if (!ck.service_state.empty()) {
+    return Status::InvalidArgument(
+        "restart: checkpoint carries service-driver state but no "
+        "service driver is attached");
+  }
+  if (trace_ != nullptr) {
+    if (ck.trace_next_id == 0) {
+      return Status::InvalidArgument(
+          "restart: checkpoint was taken untraced but the restart has a "
+          "trace sink");
+    }
+    // Continue event numbering where the snapshot left off, and hold
+    // back query infos while replaying: the crashed trace already has
+    // every info recorded before the crash.
+    trace_->SetNextId(ck.trace_next_id);
+    trace_->SuppressQueryInfos(true);
+  } else if (ck.trace_next_id != 0) {
+    return Status::InvalidArgument(
+        "restart: checkpoint was taken traced but the restart has no "
+        "trace sink");
+  }
+  ticks_seen_ = ck.ticks_seen;
+  tick_refresh_base_ = metrics_.refreshes;
+  tick_recompute_base_ = metrics_.recomputations;
+  last_ckpt_end_id_ = ck.ckpt_end_id;
+  return StageReplay();
+}
+
+/// Stage the replay: every WAL row after the snapshot and before the
+/// crash marker, in tick order, gap-free.
+Status Coordinator::StageReplay() {
+  const int ckpt_tick = ckpt_->tick;
+  crash_marker_ = recovery::LastCrashMarker(*rec_->wal);
+  if (crash_marker_ == nullptr) {
+    return Status::InvalidArgument(
+        "restart: WAL has no crash marker (the crashed run did not "
+        "terminate through the injector)");
+  }
+  if (crash_marker_->tick <= ckpt_tick) {
+    return Status::InvalidArgument(
+        "restart: WAL crash marker (tick " +
+        std::to_string(crash_marker_->tick) +
+        ") precedes the checkpoint (tick " + std::to_string(ckpt_tick) +
+        "); checkpoint and WAL files disagree");
+  }
+  if (crash_marker_->cause != last_ckpt_end_id_) {
+    return Status::InvalidArgument(
+        "restart: WAL crash marker cites checkpoint_end id " +
+        std::to_string(crash_marker_->cause) +
+        " but the loaded snapshot's is " +
+        std::to_string(last_ckpt_end_id_));
+  }
+  int expect = ckpt_tick + 1;
+  for (const recovery::WalRecord& r : *rec_->wal) {
+    if (r.kind != WalKind::kRow) continue;
+    if (r.tick <= ckpt_tick || r.tick >= crash_marker_->tick) continue;
+    if (r.tick != expect) {
+      return Status::InvalidArgument(
+          "restart: WAL rows are not contiguous (expected tick " +
+          std::to_string(expect) + ", found tick " + std::to_string(r.tick) +
+          ")");
+    }
+    if (r.values.size() != n_items_) {
+      return Status::InvalidArgument(
+          "restart: WAL row at tick " + std::to_string(r.tick) +
+          " has width " + std::to_string(r.values.size()) + ", expected " +
+          std::to_string(n_items_));
+    }
+    replay_rows_.push_back(&r);
+    ++expect;
+  }
+  if (expect != crash_marker_->tick) {
+    return Status::InvalidArgument(
+        "restart: WAL is missing rows between the checkpoint (tick " +
+        std::to_string(ckpt_tick) + ") and the crash (tick " +
+        std::to_string(crash_marker_->tick) + ")");
+  }
+  replay_done_ = false;
+  return Status::OK();
+}
+
+Result<SimMetrics> Coordinator::Run() {
+  Vector row;
+  for (int tick = ckpt_ != nullptr ? ckpt_->tick + 1 : 1;; ++tick) {
+    Result<Row> got = NextRow(tick, &row);
+    if (!got.ok()) return got.status();
+    if (*got == Row::kEnd) break;
+    if (*got == Row::kCrash) {
+      // The partial metrics go back to the caller; rec->crashed tells
+      // the tool this was the injector, not a normal end of trace.
+      POLYDAB_RETURN_NOT_OK(pool_.Quiesce());
+      pool_.Stop();
+      return metrics_;
+    }
+    POLYDAB_RETURN_NOT_OK(Tick(tick, row));
+  }
+  if (ticks_seen_ < 2) return Status::InvalidArgument("trace too short");
+  // Shutdown barrier: every dispatched solve has been consumed by its
+  // service, so this reports only a latched failure, then parks and joins
+  // the workers before the final metrics are read.
+  POLYDAB_RETURN_NOT_OK(pool_.Quiesce());
+  pool_.Stop();
+  return Finish();
+}
+
+/// The tick's source row: a logged row while a restart replays, else the
+/// live source's next row, unless the crash injector fires first.
+Result<Coordinator::Row> Coordinator::NextRow(int tick, Vector* row) {
+  if (!replay_done_ && replay_idx_ >= replay_rows_.size()) {
+    // WAL exhausted: this is exactly the crashed run's crash instant.
+    // Re-emit the coord_crash replica — its id must reproduce the
+    // marker's, a built-in replay-determinism self-check — then mark the
+    // recovery boundary and fall through to live consumption.
+    replay_done_ = true;
+    if (trace_ != nullptr) {
+      const double ct = static_cast<double>(tick);
+      const uint64_t xid = EmitNow({.time = ct, .kind = K::kCoordCrash,
+                                    .cause = last_ckpt_end_id_, .flag = tick});
+      if (xid != crash_marker_->event_id) {
+        return Status::Internal(
+            "recovery replay diverged: coord_crash replica got event id " +
+            std::to_string(xid) + " but the crashed run recorded " +
+            std::to_string(crash_marker_->event_id));
+      }
+      Emit({.time = ct, .kind = K::kRecoveryReplay, .cause = xid,
+            .a = static_cast<double>(replay_rows_.size()),
+            .b = static_cast<double>(ckpt_->tick)});
+      trace_->SuppressQueryInfos(false);
+    }
+  }
+  if (!replay_done_) {
+    const recovery::WalRecord* wr = replay_rows_[replay_idx_++];
+    if (wr->tick != tick) {
+      return Status::Internal("recovery replay desynchronized at tick " +
+                              std::to_string(tick));
+    }
+    *row = wr->values;
+    return Row::kLive;
+  }
+  if (rec_ != nullptr && rec_->crash_at_tick == tick) {
+    // Injected coordinator crash: top of the tick, before the tick's row
+    // is consumed, so the WAL's last row is tick - 1 and the restart
+    // resumes by replaying up to exactly here.
+    const uint64_t xid = EmitNow({.time = static_cast<double>(tick),
+                                  .kind = K::kCoordCrash,
+                                  .cause = last_ckpt_end_id_, .flag = tick});
+    if (wal_file_ != nullptr) {
+      recovery::AppendWal(wal_file_.get(),
+                          {.kind = WalKind::kCrash, .tick = tick,
+                           .event_id = xid, .cause = last_ckpt_end_id_});
+      std::fflush(wal_file_.get());
+    }
+    rec_->crashed = true;
+    rec_->crash_event_id = xid;
+    return Row::kCrash;
+  }
+  auto more = source_.Next(row);
+  if (!more.ok()) return more.status();
+  if (!*more) return Row::kEnd;
+  if (wal_file_ != nullptr) {
+    recovery::AppendWal(wal_file_.get(),
+                        {.kind = WalKind::kRow, .tick = tick, .values = *row});
+  }
+  return Row::kLive;
+}
+
+Status Coordinator::Tick(int tick, const Vector& row) {
+  ++ticks_seen_;
+  const double now = static_cast<double>(tick);
+
+  // 1. Deliver everything that arrived since the last tick.
+  POLYDAB_RETURN_NOT_OK(DeliverUntil(now));
+
+  // 1a. Injected coordinator-lane stalls, after delivery: messages
+  //     already in by `now` predate the stall.
+  if (fault_mode_ && config_.fault.stall_prob > 0.0) InjectStalls(now);
+
+  // 1b. Runtime churn, after message delivery and before source pushes,
+  //     so a query registered this tick sees (and filters) this tick's
+  //     values.
+  if (config_.service != nullptr) {
+    cur_tick_ = tick;
+    cur_now_ = now;
+    if (trace_ != nullptr) trace_->SetNow(now);
+    POLYDAB_RETURN_NOT_OK(config_.service->OnTick(tick, now, *this));
+  }
+
+  // 2. Figure-7 mode: periodic joint AAO recomputation.
+  if (aao_mode_ && tick >= aao_next_tick_) {
+    POLYDAB_RETURN_NOT_OK(AaoSolve(now));
+  }
+
+  // 3. Sources advance to this tick's trace values and push filtered
+  //    changes. Fault mode first settles which sources are down this
+  //    tick, and afterwards runs the reliability protocol: timeout
+  //    retransmissions and per-source heartbeats.
+  if (fault_mode_ && config_.fault.crash_prob > 0.0) CrashSources(now);
+  PushSources(row, now);
+  if (fault_mode_) {
+    Retransmit(now);
+    Heartbeat(now);
+  }
+
+  // 3b. Zero-delay messages generated this tick arrive "instantly":
+  //     deliver them before sampling fidelity so that a zero-delay
+  //     network preserves Condition 1 exactly.
+  POLYDAB_RETURN_NOT_OK(DeliverUntil(now));
+
+  // 3c. Source leases.
+  if (fault_mode_) ExpireLeases(now);
+
+  // 4. Fidelity sample: is each query's QAB currently met at C?
+  if (tick % config_.fidelity_stride == 0) SampleFidelity(now);
+
+  // 5. Per-tick activity rates (events per simulated second).
+  if (ins_.tick_refreshes != nullptr) {
+    ins_.tick_refreshes->Record(
+        static_cast<double>(metrics_.refreshes - tick_refresh_base_));
+    ins_.tick_recomputations->Record(
+        static_cast<double>(metrics_.recomputations - tick_recompute_base_));
+    tick_refresh_base_ = metrics_.refreshes;
+    tick_recompute_base_ = metrics_.recomputations;
+  }
+
+  // 6. Window closes happen here, at the tick boundary and outside any
+  //    Emit, so SLO alert events carry time = the boundary and precede
+  //    every later-timed event (the trace stays time-monotonic).
+  if (config_.series != nullptr) config_.series->OnTickEnd(now);
+
+  // 7. Durable checkpoint at the configured simulated-time cadence.
+  //    `replay_done_` is always true by now (the replay span never
+  //    contains a cadence tick, since the snapshot tick is itself the
+  //    last cadence multiple before the crash), kept as a guard.
+  if (rec_ != nullptr && !rec_->checkpoint_path.empty() && replay_done_ &&
+      tick % rec_->interval_s == 0) {
+    POLYDAB_RETURN_NOT_OK(Checkpoint(tick, now));
+  }
+  return Status::OK();
+}
+
+/// Deliver all messages with arrival time <= now. DAB-change events that
+/// a recomputation emits at `now` (e.g. under zero delays) are picked up
+/// within the same call. Non-OK only when a pool job failed: the abort
+/// latched in the pool surfaces at the next epoch await.
+Status Coordinator::DeliverUntil(double now) {
+  while (!events_.empty() && events_.top().time <= now) {
+    const Event ev = events_.top();
+    events_.pop();
+    switch (ev.type) {
+      case kDabChange:
+        items_.installed_dab[static_cast<size_t>(ev.item)] = ev.value;
+        Emit({.time = ev.time, .kind = K::kDabChangeInstalled, .item = ev.item,
+              .cause = ev.trace_id, .a = ev.value});
+        break;
+      case kAckArrive: {
+        // Source side: the ack clears the retransmit obligation for this
+        // seq and anything older (a newer pending seq stays live).
+        recovery::CheckpointItemFault& f =
+            item_fault_[static_cast<size_t>(ev.item)];
+        if (f.pending_live && ev.seq >= f.pending_seq) f.pending_live = false;
+        break;
+      }
+      case kHeartbeat:
+        // Liveness only: heartbeats cost the coordinator nothing and do
+        // not queue behind lane work. Event.item carries the source id.
+        RecordContact(ev.item, ev.time,
+                      EmitNow({.time = ev.time, .kind = K::kHeartbeat,
+                               .source = ev.item}));
+        break;
+      default:
+        POLYDAB_RETURN_NOT_OK(ArriveRefresh(ev));
+    }
+  }
+  return Status::OK();
+}
+
+/// A refresh reaching its item's home lane: queue behind the lane's
+/// earlier work, suppress an already-delivered seq, else service it — the
+/// §III-A.2 secondary-range check, recompute and §IV merge.
+Status Coordinator::ArriveRefresh(const Event& ev) {
+  // Each coordinator lane is a serial resource: a refresh that arrives
+  // while its item's home lane is still busy waits in that lane's queue.
+  // This queueing is what turns recomputation volume into fidelity loss
+  // (§V-B.1); with one lane, every refresh waits for everything.
+  const size_t item = static_cast<size_t>(ev.item);
+  const int home = items_.item_home_shard[item];
+  const size_t home_lane = static_cast<size_t>(home < 0 ? 0 : home);
+  const double free_at = items_.shard_free_at[home_lane];
+  if (ev.time < free_at) {
+    Event deferred = ev;
+    deferred.time = free_at;
+    deferred.wait += free_at - ev.time;
+    events_.push(deferred);
+    return Status::OK();
+  }
+  const int32_t source = ev.item % num_sources_;
+  const int32_t shard = sharded_ ? static_cast<int32_t>(home_lane) : -1;
+  if (fault_mode_ && ev.seq != 0 &&
+      ev.seq <= item_fault_[item].delivered_seq) {
+    // An already-delivered seq (injected duplicate, or a retransmit that
+    // raced its own ack): suppressed without the QAB-check cost, but
+    // still a liveness contact, and re-acked in case the earlier ack was
+    // the casualty.
+    Count(metrics_.duplicates_suppressed, ins_.duplicates_suppressed);
+    const uint64_t dup_id = EmitNow({.time = ev.time, .kind = K::kDupSuppressed,
+                                     .source = source, .item = ev.item,
+                                     .shard = shard, .cause = ev.trace_id,
+                                     .a = ev.value,
+                                     .flag = static_cast<int32_t>(ev.seq)});
+    RecordContact(source, ev.time, dup_id);
+    SendAck(ev.item, ev.seq, ev.time, dup_id);
+    return Status::OK();
+  }
+  // Refresh processing begins. The full queue wait — summed across every
+  // deferral — is recorded exactly once, now that it is known.
+  if (ins_.queue_wait != nullptr && ev.wait > 0.0) {
+    ins_.queue_wait->Record(ev.wait);
+  }
+  Count(metrics_.refreshes, ins_.refreshes);
+  const uint64_t arrival_id = EmitNow({.time = ev.time,
+                                       .kind = K::kRefreshArrived,
+                                       .source = source, .item = ev.item,
+                                       .shard = shard, .cause = ev.trace_id,
+                                       .a = ev.value, .b = ev.wait,
+                                       .flag = static_cast<int32_t>(ev.seq)});
+  if (fault_mode_ && ev.seq != 0) {
+    item_fault_[item].delivered_seq = ev.seq;
+    RecordContact(source, ev.time, arrival_id);
+    SendAck(ev.item, ev.seq, ev.time, arrival_id);
+  }
+  std::fill(lane_busy_.begin(), lane_busy_.end(), 0.0);
+  pre_free_ = items_.shard_free_at;
+  std::fill(barrier_lane_.begin(), barrier_lane_.end(), 0);
+  barrier_any_ = false;
+  lane_busy_[home_lane] = delays_.Check();
+  items_.view[item] = ev.value;
+  view_eval_->Update(static_cast<VarId>(ev.item), ev.value);
+  CollectStaleParts(ev);
+  POLYDAB_RETURN_NOT_OK(NotifyAndInstall(ev, arrival_id));
+  SettleLanes(ev.time, home_lane);
+  return Status::OK();
+}
+
+/// Pass 1, the service's one staleness walk: visit the parts this refresh
+/// makes stale in oracle order, with no RNG draw and no emission. Stale
+/// parts are grouped by bitwise-equal solve inputs (core::SameReplanInputs;
+/// the hash only picks candidates) and each group's leader is solved once.
+/// Groups go round-robin to slots 0..workers: the pool workers, then the
+/// event loop, which solves its share inline once the others are
+/// dispatched. Solvers read the view, the rates and the leader part
+/// concurrently; the event loop mutates none of them until the group's
+/// epoch is awaited in pass 2. A part's anchors and secondary DABs only
+/// move at its own install and each part is stale at most once per
+/// service, so the set pass 1 records is the set pass 2 installs.
+void Coordinator::CollectStaleParts(const Event& ev) {
+  const std::vector<int>& item_qs =
+      items_.item_queries[static_cast<size_t>(ev.item)];
+  solve_groups_.clear();
+  stale_parts_.clear();
+  const int loop_slot = pool_.workers();
+  const size_t slots = static_cast<size_t>(loop_slot) + 1;
+  for (size_t k = 0; k < item_qs.size(); ++k) {
+    const size_t qi = static_cast<size_t>(item_qs[k]);
+    core::QueryPlan& plan = plans_[qi];
+    for (size_t pi = 0; pi < plan.parts.size(); ++pi) {
+      core::PlanPart& part = plan.parts[pi];
+      const int idx = part.dabs.IndexOf(static_cast<VarId>(ev.item));
+      if (idx < 0) continue;
+      // Value-independent assignments (LAQs) never go stale.
+      if (part.dabs.never_stale) continue;
+      // Single-DAB schemes are stale on every refresh; Dual-DAB only once
+      // the value escapes the part's secondary range.
+      double anchor = 0.0;
+      if (!recompute_every_refresh_) {
+        anchor = anchors_[qi][pi][static_cast<size_t>(idx)];
+        const double drift = std::fabs(ev.value - anchor);
+        const double limit = part.dabs.secondary[static_cast<size_t>(idx)] *
+                             (1.0 + config_.violation_tol);
+        if (drift <= limit) continue;
+      }
+      const uint64_t hash = core::ReplanInputsHash(part);
+      size_t g = 0;
+      while (g < solve_groups_.size() &&
+             !(solve_groups_[g].hash == hash &&
+               core::SameReplanInputs(*solve_groups_[g].leader, part))) {
+        ++g;
+      }
+      stale_parts_.push_back({k, pi, static_cast<size_t>(idx), anchor, g});
+      if (g < solve_groups_.size()) {
+        solve_groups_[g].shared = true;
+        continue;
+      }
+      SolveGroup& group = solve_groups_.emplace_back();
+      group.leader = &part;
+      group.hash = hash;
+      group.slot = static_cast<int>(g % slots);
+      if (group.slot == loop_slot) continue;
+      const bool abort_job = ++solve_jobs_dispatched_ == config_.rt_fail_at;
+      group.epoch = pool_.Dispatch(
+          group.slot, [&group, &view = items_.view, &rates = rates_,
+                       &cfg = solve_cfg_, abort_job]() {
+            if (abort_job) {
+              return Status::Internal(
+                  "rt: injected worker abort (rt_fail_at)");
+            }
+            group.Solve(view, rates, cfg);
+            return Status::OK();
+          });
+    }
+  }
+  for (SolveGroup& group : solve_groups_) {
+    if (group.slot == loop_slot) group.Solve(items_.view, rates_, solve_cfg_);
+  }
+}
+
+/// Pass 2: notify users, then install pass 1's stale parts in the order
+/// it found them.
+Status Coordinator::NotifyAndInstall(const Event& ev, uint64_t arrival_id) {
+  const std::vector<int>& item_qs =
+      items_.item_queries[static_cast<size_t>(ev.item)];
+  size_t next_stale = 0;
+  for (size_t k = 0; k < item_qs.size(); ++k) {
+    const size_t qi = static_cast<size_t>(item_qs[k]);
+    recovery::QuerySlot& slot = slots_[qi];
+    const size_t lane = static_cast<size_t>(slot.shard);
+    const int32_t query = queries_[qi].id;
+    // Push the fresh result to the user when it drifted past the QAB
+    // since the last notification.
+    const double qv = view_eval_->QueryValue(qi);
+    const double prev_user = slot.last_user_value;
+    if (std::fabs(qv - prev_user) > queries_[qi].qab) {
+      slot.last_user_value = qv;
+      Count(metrics_.user_notifications, ins_.user_notifications);
+      Emit({.time = ev.time, .kind = K::kUserNotification, .item = ev.item,
+            .query = query, .shard = Lane(qi), .cause = arrival_id, .a = qv,
+            .b = prev_user});
+      lane_busy_[lane] += delays_.Push();
+    }
+    for (; next_stale < stale_parts_.size() && stale_parts_[next_stale].k == k;
+         ++next_stale) {
+      const StalePart& sp = stale_parts_[next_stale];
+      const int32_t pi = static_cast<int32_t>(sp.pi);
+      core::PlanPart& part = plans_[qi].parts[sp.pi];
+      // Under Dual-DAB the recomputation's cause is the secondary
+      // violation; under single-DAB staleness it is the arrival itself.
+      uint64_t cause = arrival_id;
+      if (!recompute_every_refresh_) {
+        cause = Emit({.time = ev.time, .kind = K::kSecondaryViolation,
+                      .item = ev.item, .query = query, .part = pi,
+                      .shard = Lane(qi), .cause = arrival_id, .a = ev.value,
+                      .b = sp.anchor, .c = part.dabs.secondary[sp.idx]});
+      }
+      // This part's assignment is stale (§I-B): recompute it, warm-started
+      // from the previous assignment.
+      Count(metrics_.recomputations, ins_.recomputations);
+      if (ins_.recomputations != nullptr) {
+        (recompute_every_refresh_ ? ins_.cause_single_dab_staleness
+                                  : ins_.cause_secondary_escape)
+            ->Inc();
+      }
+      const uint64_t start_id = Emit({.time = ev.time,
+                                      .kind = K::kRecomputeStart,
+                                      .item = ev.item, .query = query,
+                                      .part = pi, .shard = Lane(qi),
+                                      .cause = cause});
+      lane_busy_[lane] += delays_.RecomputeCpu();
+      // The epoch await is the only synchronization a result needs before
+      // its install. A part other than its group's leader installs a copy
+      // of the leader's result — exact, because ReplanPart is a pure
+      // function of the inputs the group shares plus the view and rates
+      // every solve of this service reads.
+      SolveGroup& group = solve_groups_[sp.group];
+      if (group.slot < pool_.workers()) {
+        POLYDAB_RETURN_NOT_OK(pool_.AwaitEpoch(group.slot, group.epoch));
+      }
+      Result<QueryDabs> fresh =
+          group.leader != &part
+              ? core::ReplanPartByCopy(part, group.result, group.solve,
+                                       planner_cfg_)
+          : group.shared ? Result<QueryDabs>(group.result)
+                         : std::move(group.result);
+      core::TraceReplan(planner_cfg_, part, fresh.ok());
+      const uint64_t end_id = Emit({.time = ev.time, .kind = K::kRecomputeEnd,
+                                    .item = ev.item, .query = query, .part = pi,
+                                    .shard = Lane(qi), .cause = start_id,
+                                    .flag = fresh.ok() ? 1 : 0});
+      if (!fresh.ok()) {
+        Count(metrics_.solver_failures, ins_.solver_failures);
+        continue;  // keep the stale plan; better than none
+      }
+      part.dabs = std::move(fresh).value();
+      if (config_.paranoid_validation) {
+        // Only the freshly replanned part is anchored at the current
+        // view; sibling parts keep their own (older) anchors.
+        Status valid = core::ValidatePart(part, items_.view);
+        POLYDAB_CHECK(valid.ok());
+      }
+      AnchorPart(qi, sp.pi);
+      ShipDabChanges(qi, sp.pi, ev.time, end_id, /*emit_item_barriers=*/true);
+    }
+  }
+  return Status::OK();
+}
+
+/// End of service: the home lane ran from the arrival; a lane that got
+/// work dispatched from here starts once it drains its own earlier work.
+/// Lanes a barrier joined then advance together.
+void Coordinator::SettleLanes(double t, size_t home_lane) {
+  std::vector<double>& free_at = items_.shard_free_at;
+  free_at[home_lane] = t + lane_busy_[home_lane];
+  if (!sharded_) return;
+  for (size_t s = 0; s < free_at.size(); ++s) {
+    if (s == home_lane || lane_busy_[s] == 0.0) continue;
+    const double start = std::max(t, pre_free_[s]);
+    if (ins_.shard_dispatch_wait != nullptr && start > t) {
+      ins_.shard_dispatch_wait->Record(start - t);
+    }
+    free_at[s] = start + lane_busy_[s];
+  }
+  if (!barrier_any_) return;
+  double joined = 0.0;
+  for (size_t s = 0; s < free_at.size(); ++s) {
+    if (barrier_lane_[s] != 0) joined = std::max(joined, free_at[s]);
+  }
+  for (size_t s = 0; s < free_at.size(); ++s) {
+    if (barrier_lane_[s] != 0) free_at[s] = joined;
+  }
+}
+
+/// Figure 7's AAO-T mode: every query's DABs recomputed jointly.
+Status Coordinator::AaoSolve(double now) {
+  aao_next_tick_ +=
+      std::max<int64_t>(1, static_cast<int64_t>(config_.aao_period_s));
+  // Epoch barrier at the AAO global barrier: every lane's dispatched
+  // solves must have completed before the joint solve reads and rewrites
+  // all plans. (Each service already awaits its own jobs, so this quiesce
+  // is a cheap invariant, not a stall.)
+  POLYDAB_RETURN_NOT_OK(pool_.Quiesce());
+  if (trace_ != nullptr) trace_->SetNow(now);
+  auto joint = core::SolveAao(queries_, items_.view, rates_, planner_cfg_.dual,
+                              have_aao_ ? &last_aao_ : nullptr);
+  const uint64_t aao_id = Emit({.time = now, .kind = K::kAaoSolve,
+                                .a = static_cast<double>(queries_.size()),
+                                .flag = joint.ok() ? 1 : 0});
+  if (!joint.ok()) {
+    Count(metrics_.solver_failures, ins_.solver_failures);
+    return Status::OK();
+  }
+  last_aao_ = *joint;
+  have_aao_ = true;
+  if (sharded_) {
+    // The joint solve reads and replaces every query's plan: one global
+    // barrier joins every lane before any filter ships.
+    std::vector<double>& free_at = items_.shard_free_at;
+    double joined = now;
+    for (double f : free_at) joined = std::max(joined, f);
+    if (ins_.shard_barriers != nullptr) ins_.shard_barriers->Inc();
+    Emit({.time = now, .kind = K::kShardBarrier, .cause = aao_id, .a = joined,
+          .b = static_cast<double>(free_at.size())});
+    free_at.assign(free_at.size(), joined);
+  }
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    Count(metrics_.recomputations, ins_.recomputations);
+    if (ins_.cause_aao_periodic != nullptr) ins_.cause_aao_periodic->Inc();
+    const obs::TraceEvent start{.time = now, .kind = K::kRecomputeStart,
+                                .query = queries_[qi].id, .part = 0,
+                                .shard = Lane(qi), .cause = aao_id};
+    obs::TraceEvent end = start;
+    end.kind = K::kRecomputeEnd;
+    end.cause = Emit(start);
+    end.flag = 1;  // the joint solve already succeeded
+    Emit(end);
+    plans_[qi].parts.assign(1,
+                            core::PlanPart{queries_[qi], joint->per_query[qi]});
+    anchors_[qi].resize(1);
+    AnchorPart(qi, 0);
+  }
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    ShipDabChanges(qi, 0, now, aao_id, /*emit_item_barriers=*/false);
+  }
+  return Status::OK();
+}
+
+void Coordinator::PushSources(const Vector& row, double now) {
+  for (size_t item = 0; item < n_items_; ++item) {
+    items_.source_value[item] = row[item];
+    const double dab = items_.installed_dab[item];
+    if (std::isinf(dab)) continue;  // item unused by any query
+    const double value = items_.source_value[item];
+    if (!(std::fabs(value - items_.last_pushed[item]) > dab)) continue;
+    const size_t src = item % static_cast<size_t>(num_sources_);
+    int64_t seq = 0;
+    if (fault_mode_) {
+      // A crashed source neither pushes nor records the value as pushed:
+      // the drift persists, so recovery pushes immediately.
+      if (source_fault_[src].crashed_until > now) continue;
+      seq = item_fault_[item].next_seq++;
+    }
+    const uint64_t emit_id = Emit({.time = now, .kind = K::kRefreshEmitted,
+                                   .source = static_cast<int32_t>(src),
+                                   .item = static_cast<int32_t>(item),
+                                   .a = value, .b = dab,
+                                   .c = items_.last_pushed[item],
+                                   .flag = static_cast<int32_t>(seq)});
+    items_.last_pushed[item] = value;
+    if (fault_mode_) {
+      // Register the retransmit obligation before the send: the source
+      // cannot know the copy will be lost.
+      recovery::CheckpointItemFault& f = item_fault_[item];
+      f.pending_live = true;
+      f.pending_seq = seq;
+      f.pending_value = value;
+      f.pending_emit_id = emit_id;
+      f.pending_next_retx = now + config_.fault.retx_timeout_s;
+      f.pending_attempts = 0;
+      SendData(item, value, seq, emit_id, /*klass=*/0, now);
+    } else {
+      const double delay = delays_.Push() + delays_.Network();
+      if (ins_.message_delay != nullptr) ins_.message_delay->Record(delay);
+      events_.push(Event{now + delay, kRefresh, static_cast<int>(item), value,
+                         emit_id, 0.0});
+    }
+  }
+}
+
+void Coordinator::SampleFidelity(double now) {
+  const int stride = config_.fidelity_stride;
+  int64_t sampled = 0;
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    recovery::QuerySlot& slot = slots_[qi];
+    // Deregistered queries owe no fidelity (their slots persist only for
+    // index stability).
+    if (!slot.alive) continue;
+    ++sampled;
+    const bool degraded = fault_mode_ && slot.degraded_items > 0;
+    if (degraded) {
+      metrics_.degraded_query_seconds += static_cast<double>(stride);
+      if (ins_.degraded_query_seconds != nullptr) {
+        ins_.degraded_query_seconds->Add(stride);
+      }
+    }
+    const PolynomialQuery& q = queries_[qi];
+    const double at_source = q.p.Evaluate(items_.source_value);
+    const double at_coord = view_eval_->QueryValue(qi);
+    if (!(std::fabs(at_source - at_coord) >
+          q.qab * (1.0 + config_.violation_tol))) {
+      continue;
+    }
+    slot.violated_time += stride;
+    if (trace_ == nullptr) continue;
+    obs::TraceEvent e{.time = now, .kind = K::kFidelityViolation, .query = q.id,
+                      .a = at_source, .b = at_coord, .c = q.qab};
+    if (degraded) {
+      // flag 1: the query is in declared-degraded service; the violation
+      // is covered by the degradation announcement.
+      e.flag = 1;
+      e.cause = slot.degrade_event;
+    } else if (fault_mode_) {
+      // flag 2: a concrete fault explains the stale view. The
+      // deterministic blame scan (first item in Variables() order whose
+      // source is mid-crash, else whose newest loss is still undelivered)
+      // is mirrored exactly by the offline verifier. flag stays 0 for
+      // benign violations (message in flight, stale plan after solver
+      // failure).
+      for (VarId v : q.p.Variables()) {
+        const size_t it = static_cast<size_t>(v);
+        const recovery::CheckpointSource& src =
+            source_fault_[it % static_cast<size_t>(num_sources_)];
+        const recovery::CheckpointItemFault& f = item_fault_[it];
+        if (src.crashed_until > now || f.drop_seq > f.delivered_seq) {
+          e.flag = 2;
+          e.cause = src.crashed_until > now ? src.crash_event : f.drop_eid;
+          break;
+        }
+      }
+    }
+    Emit(e);
+  }
+  if (config_.series != nullptr) config_.series->AddFidelitySamples(sampled);
+}
+
+/// Durable checkpoint (docs/RECOVERY.md), taken at the tick boundary —
+/// the lane pool holds no in-flight work between ticks, so the snapshot is
+/// a consistent cut even under threads > 0 — and bracketed by
+/// checkpoint_begin / checkpoint_end events whose ids the snapshot itself
+/// records; the restart continues numbering after them.
+Status Coordinator::Checkpoint(int tick, double now) {
+  const uint64_t begin_id = EmitNow({.time = now, .kind = K::kCheckpointBegin,
+                                     .a = static_cast<double>(tick)});
+  const uint64_t end_id = begin_id == 0 ? 0 : begin_id + 1;
+  POLYDAB_RETURN_NOT_OK(recovery::WriteCheckpoint(
+      BuildCheckpoint(tick, end_id), rec_->checkpoint_path));
+  if (wal_file_ != nullptr) std::fflush(wal_file_.get());
+  if (trace_ != nullptr &&
+      Emit({.time = now, .kind = K::kCheckpointEnd, .cause = begin_id}) !=
+          end_id) {
+    return Status::Internal(
+        "checkpoint events interleaved with a concurrent emission");
+  }
+  last_ckpt_end_id_ = end_id;
+  return Status::OK();
+}
+
+/// The coordinator's full mutable state at the end of \p tick. `end_id`
+/// is the id the checkpoint_end event will get (0 untraced); the restart
+/// resumes event numbering at end_id + 1.
+recovery::CheckpointState Coordinator::BuildCheckpoint(int tick,
+                                                       uint64_t end_id) {
+  recovery::CheckpointState snap;
+  snap.tick = tick;
+  snap.ticks_seen = ticks_seen_;
+  snap.config_fp = config_fp_;
+  snap.num_items = static_cast<int>(n_items_);
+  snap.num_sources = num_sources_;
+  snap.num_shards = num_shards_;
+  snap.trace_next_id = end_id == 0 ? 0 : end_id + 1;
+  snap.ckpt_end_id = end_id;
+  snap.fault_mode = fault_mode_;
+  snap.dqi_built = dqi_ != nullptr;
+  snap.updates_since_rebase = view_eval_->updates_since_rebase();
+  snap.metrics = metrics_;
+  snap.queries.reserve(queries_.size());
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    const PolynomialQuery& q = queries_[qi];
+    snap.queries.push_back(
+        {q.id, q.qab, q.p, slots_[qi], view_eval_->QueryValue(qi)});
+  }
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    for (size_t pi = 0; pi < plans_[qi].parts.size(); ++pi) {
+      const core::PlanPart& part = plans_[qi].parts[pi];
+      snap.parts.push_back({static_cast<int>(qi), static_cast<int>(pi),
+                            part.subquery.p, part.subquery.qab,
+                            part.dabs.vars, part.dabs.primary,
+                            part.dabs.secondary, part.dabs.recompute_rate,
+                            part.dabs.single_dab, part.dabs.never_stale,
+                            anchors_[qi][pi]});
+    }
+  }
+  snap.items = items_;
+  snap.events = events_.c;
+  snap.sources = source_fault_;
+  snap.item_fault = item_fault_;
+  if (config_.registry != nullptr) {
+    for (const obs::MetricRegistry::Entry& en : config_.registry->Entries()) {
+      recovery::CheckpointInstrument ci;
+      ci.name = en.name;
+      switch (en.kind) {
+        case obs::InstrumentKind::kCounter:
+          ci.kind = 'c';
+          ci.count = en.counter->value();
+          break;
+        case obs::InstrumentKind::kGauge:
+          ci.kind = 'g';
+          ci.value = en.gauge->value();
+          break;
+        case obs::InstrumentKind::kHistogram:
+          ci.kind = 'h';
+          en.histogram->SnapshotState(&ci.buckets, &ci.count, &ci.sum,
+                                      &ci.raw_min, &ci.raw_max);
+          break;
+      }
+      snap.instruments.push_back(std::move(ci));
+    }
+  }
+  std::ostringstream delay_rng, fault_rng;
+  delay_rng << delays_.rng().engine();
+  fault_rng << faults_.rng().engine();
+  snap.delay_rng = delay_rng.str();
+  snap.fault_rng = fault_rng.str();
+  if (config_.service != nullptr) {
+    snap.service_state = config_.service->SnapshotState();
+  }
+  return snap;
+}
+
+SimMetrics Coordinator::Finish() {
+  // Per-query fidelity loss over the query's own registration interval:
+  // sampled ticks run from max(reg, 1) through min(dereg - 1, last tick).
+  // For a query registered at tick 0 and never deregistered this is the
+  // historical ticks - 1 denominator, bit for bit. A query whose interval
+  // contains no sampled tick contributes zero loss.
+  double loss_sum = 0.0;
+  for (const recovery::QuerySlot& slot : slots_) {
+    const int first = std::max(slot.reg_tick, 1);
+    const int last = slot.dereg_tick < 0
+                         ? ticks_seen_ - 1
+                         : std::min(slot.dereg_tick - 1, ticks_seen_ - 1);
+    const int denom = last - first + 1;
+    if (denom <= 0) continue;
+    loss_sum += 100.0 * slot.violated_time / static_cast<double>(denom);
+  }
+  metrics_.mean_fidelity_loss_pct =
+      loss_sum / static_cast<double>(queries_.size());
+  if (obs::MetricRegistry* reg = config_.registry; reg != nullptr) {
+    reg->GetGauge("sim.run.queries")
+        ->Set(static_cast<double>(queries_.size()));
+    reg->GetGauge("sim.run.items")->Set(static_cast<double>(n_items_));
+    reg->GetGauge("sim.run.ticks")->Set(static_cast<double>(ticks_seen_));
+    reg->GetGauge("sim.run.coord_shards")
+        ->Set(static_cast<double>(num_shards_));
+    reg->GetGauge("sim.fidelity.mean_loss_pct")
+        ->Set(metrics_.mean_fidelity_loss_pct);
+  }
+  if (config_.series != nullptr) {
+    // Close the trailing partial window and write the series totals.
+    // After the end-of-run gauges above, so the final window's registry
+    // samples capture them.
+    config_.series->Finalize(static_cast<double>(ticks_seen_ - 1));
+  }
+  if (trace_ != nullptr) {
+    // Trailing self-description: the replay verifier re-derives each of
+    // these fields from the raw events and demands exact equality.
+    obs::TraceRunSummary s;
+    s.node = tnode_;
+    s.queries = static_cast<int64_t>(queries_.size());
+    s.ticks = ticks_seen_;
+    s.fidelity_stride = config_.fidelity_stride;
+    s.violation_tol = config_.violation_tol;
+    s.refreshes = metrics_.refreshes;
+    s.recomputations = metrics_.recomputations;
+    s.dab_change_messages = metrics_.dab_change_messages;
+    s.user_notifications = metrics_.user_notifications;
+    s.solver_failures = metrics_.solver_failures;
+    s.mean_fidelity_loss_pct = metrics_.mean_fidelity_loss_pct;
+    s.fault_drops = metrics_.fault_drops;
+    s.retransmits = metrics_.retransmits;
+    s.duplicates_suppressed = metrics_.duplicates_suppressed;
+    s.lease_expiries = metrics_.lease_expiries;
+    s.degraded_query_seconds = metrics_.degraded_query_seconds;
+    trace_->AddRunSummary(s);
+  }
+  return metrics_;
+}
+
+/// Minimum primary DAB for one item across every part of every plan that
+/// references it (the EQI merge of §IV).
+double Coordinator::ItemMinPrimary(size_t item) const {
+  double m = kInf;
+  for (int qi : items_.item_queries[item]) {
+    for (const core::PlanPart& part : plans_[static_cast<size_t>(qi)].parts) {
+      const int idx = part.dabs.IndexOf(static_cast<VarId>(item));
+      if (idx >= 0) {
+        m = std::min(m, part.dabs.primary[static_cast<size_t>(idx)]);
+      }
+    }
+  }
+  return m;
+}
+
+void Coordinator::AnchorPart(size_t qi, size_t pi) {
+  const std::vector<VarId>& vars = plans_[qi].parts[pi].dabs.vars;
+  Vector& anchor = anchors_[qi][pi];
+  anchor.resize(vars.size());
+  for (size_t i = 0; i < vars.size(); ++i) {
+    anchor[i] = items_.view[static_cast<size_t>(vars[i])];
+  }
+}
+
+/// After part (qi, pi) was replanned at time `now`, refresh the EQI merge
+/// over its items and ship changed filters to the sources. `cause_id`
+/// links each sent filter to the recompute_end / aao_solve trace event
+/// that produced it. When a merged item's queries span several lanes, the
+/// merge reads plans owned by other lanes, so a shard barrier joins them
+/// first; the AAO path passes `emit_item_barriers` = false because it
+/// already synchronized every lane through one global barrier.
+void Coordinator::ShipDabChanges(size_t qi, size_t pi, double now,
+                                 uint64_t cause_id, bool emit_item_barriers) {
+  for (VarId v : plans_[qi].parts[pi].dabs.vars) {
+    const size_t item = static_cast<size_t>(v);
+    const double fresh = ItemMinPrimary(item);
+    const double old_width = items_.min_primary[item];
+    if (!(std::fabs(fresh - old_width) > 1e-9 * std::max(1.0, old_width))) {
+      continue;
+    }
+    items_.min_primary[item] = fresh;
+    const std::vector<int>& lanes = items_.item_shards[item];
+    if (emit_item_barriers && sharded_ && lanes.size() > 1) {
+      double bt = now;
+      for (int s : lanes) {
+        bt = std::max(bt, pre_free_[static_cast<size_t>(s)]);
+        barrier_lane_[static_cast<size_t>(s)] = 1;
+      }
+      barrier_any_ = true;
+      if (ins_.shard_barriers != nullptr) ins_.shard_barriers->Inc();
+      Emit({.time = now, .kind = K::kShardBarrier,
+            .item = static_cast<int32_t>(item), .cause = cause_id, .a = bt,
+            .b = static_cast<double>(lanes.size())});
+    }
+    ShipFilter(item, fresh, old_width, now, cause_id, queries_[qi].id,
+               static_cast<int32_t>(pi), Lane(qi));
+  }
+}
+
+/// Refresh the EQI merge over \p items after a churn op and ship changed
+/// filters. Like ShipDabChanges, minus barrier emission: a churn op is a
+/// control-plane transaction whose lane-time charge already covers the
+/// repartition, and the merge here runs against the post-transaction
+/// partition. An item whose last query departed is retired silently —
+/// the coordinator drops the subscription in the same transaction, so no
+/// filter message crosses the network.
+void Coordinator::ShipChurnChanges(const std::vector<VarId>& items,
+                                   uint64_t cause_id, int q_id, int q_lane) {
+  for (VarId v : items) {
+    const size_t item = static_cast<size_t>(v);
+    const double fresh =
+        items_.item_queries[item].empty() ? kInf : ItemMinPrimary(item);
+    const double old_width = items_.min_primary[item];
+    const bool changed =
+        std::isinf(fresh) != std::isinf(old_width) ||
+        (!std::isinf(fresh) &&
+         std::fabs(fresh - old_width) > 1e-9 * std::max(1.0, old_width));
+    if (!changed) continue;
+    items_.min_primary[item] = fresh;
+    if (std::isinf(fresh)) {
+      items_.installed_dab[item] = kInf;
+      continue;
+    }
+    const bool by_query = q_id >= 0;  // a deregistration ships unowned
+    ShipFilter(item, fresh, old_width, cur_now_, cause_id,
+               by_query ? q_id : -1, -1, sharded_ && by_query ? q_lane : -1);
+  }
+}
+
+/// Send one filter-change message for \p item: count it, draw its delay
+/// and queue its install. A previously retired item has an infinite old
+/// width, recorded as 0 so the serialized trace stays finite.
+void Coordinator::ShipFilter(size_t item, double fresh, double old_width,
+                             double now, uint64_t cause_id, int32_t query,
+                             int32_t part, int32_t shard) {
+  Count(metrics_.dab_change_messages, ins_.dab_change_messages);
+  const double delay = delays_.Check() + delays_.Network();
+  if (ins_.message_delay != nullptr) ins_.message_delay->Record(delay);
+  const uint64_t sent_id =
+      Emit({.time = now, .kind = K::kDabChangeSent,
+            .item = static_cast<int32_t>(item), .query = query, .part = part,
+            .shard = shard, .cause = cause_id, .a = fresh,
+            .b = std::isinf(old_width) ? 0.0 : old_width});
+  events_.push(Event{now + delay, kDabChange, static_cast<int>(item), fresh,
+                     sent_id, 0.0});
+}
+
+/// Send one data-refresh copy (klass 0: first copy, 1: retransmit)
+/// through the fault layer. The first copy draws its delay from the main
+/// stream — exactly the draws a fault-free run makes — so protocol_only
+/// runs keep the data path's timings; retransmit copies and all injected
+/// extras draw from the fault stream.
+void Coordinator::SendData(size_t item, double value, int64_t seq,
+                           uint64_t emit_id, int klass, double now) {
+  if (faults_.DropMessage()) {
+    Count(metrics_.fault_drops, ins_.fault_drops);
+    // Per-item send seqs are non-decreasing (pending holds only the
+    // latest), so this drop is the item's newest outstanding loss.
+    item_fault_[item].drop_seq = seq;
+    item_fault_[item].drop_eid =
+        Emit({.time = now, .kind = K::kFaultDrop,
+              .source = static_cast<int32_t>(item) % num_sources_,
+              .item = static_cast<int32_t>(item), .cause = emit_id, .a = value,
+              .b = static_cast<double>(klass),
+              .flag = static_cast<int32_t>(seq)});
+    return;
+  }
+  double delay = klass == 0 ? delays_.Push() + delays_.Network()
+                            : faults_.ProtocolDelay(config_.delays);
+  delay += faults_.ExtraDelay();
+  if (ins_.message_delay != nullptr) ins_.message_delay->Record(delay);
+  if (klass == 0 && faults_.DuplicateMessage()) {
+    // The duplicate copy races the original on its own delay draw.
+    const double dup_delay =
+        faults_.ProtocolDelay(config_.delays) + faults_.ExtraDelay();
+    events_.push(Event{now + dup_delay, kRefresh, static_cast<int>(item),
+                       value, emit_id, 0.0, seq});
+  }
+  events_.push(Event{now + delay, kRefresh, static_cast<int>(item), value,
+                     emit_id, 0.0, seq});
+}
+
+/// The coordinator acks delivered (or suppressed-duplicate) seq `seq` of
+/// `item` back to its source; the ack itself can be dropped.
+void Coordinator::SendAck(int item, int64_t seq, double now,
+                          uint64_t cause_id) {
+  const uint64_t ack_id = Emit({.time = now, .kind = K::kAck, .item = item,
+                                .cause = cause_id,
+                                .flag = static_cast<int32_t>(seq)});
+  // Audit record only: restart replay regenerates acks deterministically
+  // from the rows, so the loader never feeds these back.
+  if (wal_file_ != nullptr && replay_done_) {
+    recovery::AppendWal(wal_file_.get(), {.kind = WalKind::kAck, .time = now,
+                                          .item = item, .seq = seq});
+  }
+  if (faults_.DropMessage()) {
+    Count(metrics_.fault_drops, ins_.fault_drops);
+    Emit({.time = now,
+          .kind = K::kFaultDrop,
+          .source = item % num_sources_,
+          .item = item,
+          .cause = ack_id,
+          .b = 2.0,  // message class: ack
+          .flag = static_cast<int32_t>(seq)});
+    return;
+  }
+  events_.push(Event{now + faults_.ProtocolDelay(config_.delays) +
+                         faults_.ExtraDelay(),
+                     kAckArrive, item, 0.0, ack_id, 0.0, seq});
+}
+
+/// Contact from source `s` observed at the coordinator (a delivered or
+/// suppressed refresh, or a heartbeat): refresh the lease and recover any
+/// of the source's items whose lease had lapsed. A query leaves degraded
+/// service once every one of its expired items recovered.
+void Coordinator::RecordContact(int s, double t, uint64_t cid) {
+  const size_t ss = static_cast<size_t>(s);
+  source_fault_[ss].last_contact = t;
+  source_fault_[ss].contact_event = cid;
+  for (int item : source_items_[ss]) {
+    recovery::CheckpointItemFault& f = item_fault_[static_cast<size_t>(item)];
+    if (!f.expired) continue;
+    f.expired = false;
+    f.expire_event = 0;
+    for (int qi : items_.item_queries[static_cast<size_t>(item)]) {
+      recovery::QuerySlot& slot = slots_[static_cast<size_t>(qi)];
+      if (--slot.degraded_items != 0) continue;
+      Emit({.time = t, .kind = K::kRecover, .source = s,
+            .query = queries_[static_cast<size_t>(qi)].id, .cause = cid});
+      slot.degrade_event = 0;
+    }
+  }
+}
+
+/// Injected coordinator-lane stalls: the lane's busy-until clock jumps
+/// forward, so queued refreshes defer behind the outage.
+void Coordinator::InjectStalls(double now) {
+  std::vector<double>& free_at = items_.shard_free_at;
+  for (size_t s = 0; s < free_at.size(); ++s) {
+    if (!faults_.StallNow()) continue;
+    const double dur = faults_.StallDuration();
+    free_at[s] = std::max(free_at[s], now) + dur;
+    EmitNow({.time = now, .kind = K::kLaneStall,
+             .shard = sharded_ ? static_cast<int32_t>(s) : -1, .a = dur});
+  }
+}
+
+/// A crashed source keeps drifting but emits nothing (pushes,
+/// retransmits, heartbeats) until its outage window passes.
+void Coordinator::CrashSources(double now) {
+  for (int s = 0; s < num_sources_; ++s) {
+    recovery::CheckpointSource& sf = source_fault_[static_cast<size_t>(s)];
+    if (sf.crashed_until > now) continue;  // already down
+    if (!faults_.CrashNow()) continue;
+    const double dur = faults_.CrashDuration();
+    sf.crashed_until = now + dur;
+    sf.crash_event =
+        EmitNow({.time = now, .kind = K::kCrash, .source = s, .a = dur});
+  }
+}
+
+/// Timeout retransmissions: exponential backoff, gap capped at 8x.
+void Coordinator::Retransmit(double now) {
+  for (size_t item = 0; item < n_items_; ++item) {
+    recovery::CheckpointItemFault& f = item_fault_[item];
+    if (!f.pending_live || now < f.pending_next_retx) continue;
+    const size_t src = item % static_cast<size_t>(num_sources_);
+    if (source_fault_[src].crashed_until > now) continue;  // source down
+    ++f.pending_attempts;
+    Count(metrics_.retransmits, ins_.retransmits);
+    const uint64_t rid =
+        EmitNow({.time = now,
+                 .kind = K::kRetransmit,
+                 .source = static_cast<int32_t>(src),
+                 .item = static_cast<int32_t>(item),
+                 .cause = f.pending_emit_id,  // this seq's previous emission
+                 .a = f.pending_value,
+                 .b = static_cast<double>(f.pending_attempts),
+                 .flag = static_cast<int32_t>(f.pending_seq)});
+    f.pending_next_retx =
+        now + config_.fault.retx_timeout_s *
+                  static_cast<double>(1 << std::min(f.pending_attempts, 3));
+    f.pending_emit_id = rid;  // the next retransmit chains from this one
+    SendData(item, f.pending_value, f.pending_seq, rid, /*klass=*/1, now);
+  }
+}
+
+/// Per-source heartbeats. The timer freezes during a crash (no advance),
+/// so a recovering source announces itself on its first live tick.
+void Coordinator::Heartbeat(double now) {
+  for (int s = 0; s < num_sources_; ++s) {
+    const size_t ss = static_cast<size_t>(s);
+    recovery::CheckpointSource& sf = source_fault_[ss];
+    if (source_items_[ss].empty() || sf.crashed_until > now ||
+        now < sf.next_heartbeat) {
+      continue;
+    }
+    sf.next_heartbeat = now + config_.fault.heartbeat_s;
+    if (faults_.DropMessage()) {
+      Count(metrics_.fault_drops, ins_.fault_drops);
+      EmitNow({.time = now,
+               .kind = K::kFaultDrop,
+               .source = s,
+               .b = 3.0});  // message class: heartbeat
+      continue;
+    }
+    events_.push(Event{now + faults_.ProtocolDelay(config_.delays) +
+                           faults_.ExtraDelay(),
+                       kHeartbeat, s, 0.0, 0, 0.0});
+  }
+}
+
+/// Source leases: an item whose source has been silent past lease_s plus
+/// the item's worst-case drift time (from its installed DAB and the ddm
+/// rate, capped at 3x lease_s) is declared stale; each affected query
+/// degrades — gracefully, with a widening rate |dQ/d(item)|, when the
+/// query is linear in the item, or as unboundable otherwise
+/// (core::WideningFor).
+void Coordinator::ExpireLeases(double now) {
+  for (size_t item = 0; item < n_items_; ++item) {
+    if (items_.item_queries[item].empty() || item_fault_[item].expired) {
+      continue;
+    }
+    const size_t src = item % static_cast<size_t>(num_sources_);
+    const double rate = std::max(rates_[item], core::kMinRate);
+    double drift_time = items_.installed_dab[item] / rate;
+    if (planner_cfg_.dual.ddm == core::DataDynamicsModel::kRandomWalk) {
+      drift_time *= drift_time;
+    }
+    const double deadline = config_.fault.lease_s +
+                            std::min(drift_time, 3.0 * config_.fault.lease_s);
+    if (now - source_fault_[src].last_contact <= deadline) continue;
+    item_fault_[item].expired = true;
+    Count(metrics_.lease_expiries, ins_.lease_expiries);
+    const uint64_t xid = EmitNow({.time = now, .kind = K::kLeaseExpire,
+                                  .source = static_cast<int32_t>(src),
+                                  .item = static_cast<int32_t>(item),
+                                  .a = source_fault_[src].last_contact,
+                                  .b = deadline});
+    item_fault_[item].expire_event = xid;
+    for (int qi : items_.item_queries[item]) {
+      const size_t q = static_cast<size_t>(qi);
+      if (slots_[q].degraded_items++ != 0) continue;  // already degraded
+      uint64_t did = 0;
+      if (trace_ != nullptr) {
+        const core::StalenessWidening w = core::WideningFor(
+            queries_[q], static_cast<VarId>(item), items_.view);
+        did = Emit({.time = now, .kind = K::kDegrade,
+                    .item = static_cast<int32_t>(item), .query = queries_[q].id,
+                    .cause = xid, .a = w.sensitivity, .b = rate,
+                    .flag = w.boundable ? 1 : 0});
+      }
+      slots_[q].degrade_event = did;
+    }
+  }
+}
+
+int Coordinator::FindLive(int query_id) const {
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    if (slots_[i].alive && queries_[i].id == query_id) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
+/// Built lazily at the first churn op, which keeps the no-churn path free
+/// of the construction work.
+void Coordinator::EnsureDqi() {
+  if (dqi_ != nullptr) return;
+  dqi_ = std::make_unique<core::DynamicQueryIndex>(
+      n_items_, config_.plan_maintenance == PlanMaintenance::kRebuild
+                    ? core::DynamicQueryIndex::Maintenance::kRebuild
+                    : core::DynamicQueryIndex::Maintenance::kIncremental);
+  for (const PolynomialQuery& q : queries_) {
+    dqi_->AddQuery(q.id, q.p.Variables());
+  }
+}
+
+/// Re-derive the lane partition from the dynamic index after a churn
+/// event.
+void Coordinator::RefreshPartition() {
+  AssignLanes(dqi_->ShardAssignment(
+      num_shards_, config_.shard_policy == ShardPolicy::kEqiComponents));
+}
+
+/// Plan installation is coordinator work: charge the query's lane one
+/// recompute per plan part, exactly as a secondary-violation replan would.
+void Coordinator::ChargeLane(size_t qi) {
+  double busy = 0.0;
+  for (size_t pi = 0; pi < plans_[qi].parts.size(); ++pi) {
+    busy += delays_.RecomputeCpu();
+  }
+  double& free_at =
+      items_.shard_free_at[static_cast<size_t>(slots_[qi].shard)];
+  free_at = std::max(cur_now_, free_at) + busy;
+}
+
+/// The plan_patch invariant: after every churn event, hash the complete
+/// live plan state (id, lane, EQI component label, QAB) in ascending-id
+/// order. The offline checker re-derives components and lanes from
+/// scratch and recomputes the same digest, which is what holds
+/// incremental maintenance to from-scratch-rebuild equality.
+void Coordinator::EmitPlanPatch(uint64_t cause_id) {
+  if (trace_ == nullptr) return;
+  std::vector<std::pair<int, size_t>> live;  // (query id, slot)
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    if (slots_[qi].alive) live.emplace_back(queries_[qi].id, qi);
+  }
+  std::sort(live.begin(), live.end());  // live ids are unique
+  uint32_t digest = kFnv1a32Seed;
+  for (const auto& [id, qi] : live) {
+    digest = HashPlanRecord(digest, id, slots_[qi].shard,
+                            dqi_->ComponentMin(static_cast<int>(qi)),
+                            queries_[qi].qab);
+  }
+  Emit({.time = cur_now_, .kind = K::kPlanPatch, .cause = cause_id,
+        .a = static_cast<double>(dqi_->num_active()),
+        .b = static_cast<double>(dqi_->num_components()),
+        .flag = static_cast<int32_t>(digest)});
+}
+
+void Coordinator::AppendChurnWal(const char* op, int query_id) {
+  if (wal_file_ == nullptr || !replay_done_) return;
+  recovery::AppendWal(wal_file_.get(), {.kind = WalKind::kChurn,
+                                        .tick = cur_tick_, .op = op,
+                                        .query_id = query_id});
+}
+
+Result<core::QueryPlan> Coordinator::TrialPlan(const PolynomialQuery& q) {
+  for (VarId v : q.p.Variables()) {
+    if (static_cast<size_t>(v) >= n_items_) {
+      return Status::InvalidArgument(
+          "candidate query references item beyond universe");
+    }
+  }
+  return core::PlanQueryParts(q, items_.view, rates_, planner_cfg_);
+}
+
+Status Coordinator::Register(const PolynomialQuery& q, core::QueryPlan plan,
+                             double estimate, int degrade_attempts) {
+  for (VarId v : q.p.Variables()) {
+    if (static_cast<size_t>(v) >= n_items_) {
+      return Status::InvalidArgument(
+          "registered query references item beyond universe");
+    }
+  }
+  if (FindLive(q.id) >= 0) {
+    return Status::InvalidArgument("query id already registered: " +
+                                   std::to_string(q.id));
+  }
+  EnsureDqi();
+  const size_t qi = queries_.size();
+  queries_.push_back(q);
+  slots_.push_back({.reg_tick = cur_tick_});
+  plans_.push_back(std::move(plan));
+  anchors_.emplace_back(plans_[qi].parts.size());
+  for (size_t pi = 0; pi < plans_[qi].parts.size(); ++pi) AnchorPart(qi, pi);
+  const std::vector<VarId> items = q.p.Variables();
+  for (VarId v : items) {
+    items_.item_queries[static_cast<size_t>(v)].push_back(
+        static_cast<int>(qi));
+  }
+  dqi_->AddQuery(q.id, items);
+  RefreshPartition();
+  view_eval_->AddQuery(q);
+  slots_[qi].last_user_value = view_eval_->QueryValue(qi);
+  AddQueryInfo(qi);
+  const uint64_t reg_id = Emit({.time = cur_now_, .kind = K::kQueryRegister,
+                                .query = q.id, .shard = Lane(qi), .a = q.qab,
+                                .b = estimate, .flag = degrade_attempts});
+  ChargeLane(qi);
+  EmitPlanPatch(reg_id);
+  ShipChurnChanges(items, reg_id, q.id, slots_[qi].shard);
+  AppendChurnWal("register", q.id);
+  return Status::OK();
+}
+
+Status Coordinator::Modify(int query_id, double new_qab,
+                           core::QueryPlan plan) {
+  const int qi = FindLive(query_id);
+  if (qi < 0) {
+    return Status::InvalidArgument("modify of unknown query id: " +
+                                   std::to_string(query_id));
+  }
+  const size_t q = static_cast<size_t>(qi);
+  const double old_qab = queries_[q].qab;
+  queries_[q].qab = new_qab;
+  plans_[q] = std::move(plan);
+  anchors_[q].resize(plans_[q].parts.size());
+  for (size_t pi = 0; pi < plans_[q].parts.size(); ++pi) AnchorPart(q, pi);
+  EnsureDqi();
+  RefreshPartition();
+  const uint64_t mod_id = Emit({.time = cur_now_, .kind = K::kQueryModify,
+                                .query = query_id, .shard = Lane(q),
+                                .a = new_qab, .b = old_qab});
+  ChargeLane(q);
+  EmitPlanPatch(mod_id);
+  ShipChurnChanges(queries_[q].p.Variables(), mod_id, query_id,
+                   slots_[q].shard);
+  AppendChurnWal("modify", query_id);
+  return Status::OK();
+}
+
+Status Coordinator::Deregister(int query_id) {
+  const int qi = FindLive(query_id);
+  if (qi < 0) {
+    return Status::InvalidArgument("deregister of unknown query id: " +
+                                   std::to_string(query_id));
+  }
+  const size_t q = static_cast<size_t>(qi);
+  EnsureDqi();
+  // The pre-removal lane stamps the trace event; afterwards the slot has
+  // no lane.
+  const int32_t lane = Lane(q);
+  slots_[q].alive = false;
+  slots_[q].dereg_tick = cur_tick_;
+  const std::vector<VarId> items = queries_[q].p.Variables();
+  for (VarId v : items) {
+    std::vector<int>& qs = items_.item_queries[static_cast<size_t>(v)];
+    qs.erase(std::remove(qs.begin(), qs.end(), qi), qs.end());
+  }
+  plans_[q].parts.clear();
+  anchors_[q].clear();
+  dqi_->RemoveQuery(qi);
+  RefreshPartition();
+  const uint64_t de_id = Emit({.time = cur_now_, .kind = K::kQueryDeregister,
+                               .query = query_id, .shard = lane});
+  // Dropping a query is bookkeeping, not solver work: no lane charge.
+  EmitPlanPatch(de_id);
+  ShipChurnChanges(items, de_id, /*q_id=*/-1, /*q_lane=*/-1);
+  AppendChurnWal("deregister", query_id);
+  return Status::OK();
+}
+
+void Coordinator::AdmissionReject(int query_id, double estimate,
+                                  double budget, int reason) {
+  // A duplicate-id attempt while the id is live is dropped rather than
+  // traced: the checker's invariant is that a rejected id is not active.
+  // The admission layer counts it either way.
+  if (FindLive(query_id) >= 0) return;
+  Emit({.time = cur_now_, .kind = K::kAdmissionReject, .query = query_id,
+        .a = estimate, .b = budget, .flag = reason});
+}
 
 }  // namespace
 
@@ -267,6 +2197,96 @@ std::ostream& operator<<(std::ostream& os, const SimConfig& config) {
   return os << config.Describe();
 }
 
+Status SimConfig::Validate() const {
+  if (coord_shards < 1) {
+    return Status::InvalidArgument("coord_shards must be >= 1");
+  }
+  if (threads < 0) return Status::InvalidArgument("threads must be >= 0");
+  if (rt_fail_at < 0) {
+    return Status::InvalidArgument("rt_fail_at must be >= 0");
+  }
+  if (threads == 0 && rt_fail_at != 0) {
+    // It counts pool-dispatched solve jobs, and threads = 0 has none.
+    return Status::InvalidArgument("rt_fail_at requires threads > 0");
+  }
+  if (solve_cache < 0) {
+    return Status::InvalidArgument("solve_cache must be >= 0");
+  }
+  if (fidelity_stride < 1) {
+    return Status::InvalidArgument("fidelity_stride must be >= 1, got " +
+                                   std::to_string(fidelity_stride));
+  }
+  // The period becomes an int tick count; NaN fails both comparisons.
+  if (!(aao_period_s >= 0.0 && aao_period_s <= INT_MAX)) {
+    return Status::InvalidArgument(
+        "aao_period_s must be 0 (off) or a finite period in (0, " +
+        std::to_string(INT_MAX) + "] seconds, got " +
+        obs::JsonNumber(aao_period_s));
+  }
+  // A malformed delay or fault config would otherwise surface as a NaN
+  // epidemic or a hard CHECK abort deep inside a run.
+  POLYDAB_RETURN_NOT_OK(delays.Validate());
+  POLYDAB_RETURN_NOT_OK(fault.Validate());
+  const bool aao_mode = aao_period_s > 0.0;
+  if (service != nullptr) {
+    // Churn rewrites the query set mid-run; the AAO joint solve and the
+    // fault-protocol side tables both assume a fixed set.
+    if (aao_mode) {
+      return Status::InvalidArgument(
+          "service churn cannot be combined with AAO-periodic mode");
+    }
+    if (fault.active()) {
+      return Status::InvalidArgument(
+          "service churn cannot be combined with fault injection");
+    }
+  }
+  if (series != nullptr) {
+    // The recorder folds the event stream, so it is meaningless without
+    // one; and a replay-mode (derive_samples) recorder re-derives its
+    // sample grid from events instead of taking the engine's feed.
+    if (trace == nullptr) {
+      return Status::InvalidArgument(
+          "series recording requires a trace sink");
+    }
+    if (trace_node != -1) {
+      return Status::InvalidArgument(
+          "series recording is single-coordinator only");
+    }
+    if (series->config().derive_samples) {
+      return Status::InvalidArgument(
+          "series recorder is configured for replay (derive_samples); "
+          "engine runs feed samples directly");
+    }
+    if (series->finalized()) {
+      return Status::InvalidArgument("series recorder already finalized");
+    }
+  }
+  if (recovery != nullptr) {
+    // Restart correctness rests on re-running the tick loop with
+    // identical inputs, so modes that would need extra non-checkpointed
+    // state are rejected outright rather than half-supported. The solve
+    // memo needs none: a hit is bitwise-verified and replays the solve's
+    // stats, so a cold cache after restart changes only its hit counters.
+    POLYDAB_RETURN_NOT_OK(recovery->Validate());
+    if (series != nullptr) {
+      return Status::InvalidArgument(
+          "crash recovery is incompatible with series recording (the "
+          "recorder's window fold is not checkpointed)");
+    }
+    if (aao_mode) {
+      return Status::InvalidArgument(
+          "crash recovery is incompatible with AAO mode (the joint "
+          "allocation is not checkpointed)");
+    }
+    if (rt_fail_at > 0) {
+      return Status::InvalidArgument(
+          "crash recovery is incompatible with rt_fail_at fault injection "
+          "(the dispatch counter is not checkpointed)");
+    }
+  }
+  return Status::OK();
+}
+
 Result<SimMetrics> RunSimulation(const std::vector<PolynomialQuery>& queries,
                                  const workload::TraceSet& traces,
                                  const Vector& rates,
@@ -285,59 +2305,18 @@ Result<SimMetrics> RunSimulation(const std::vector<PolynomialQuery>& queries,
   return RunSimulation(queries, source, rates, config);
 }
 
-Result<SimMetrics> RunSimulation(
-    const std::vector<PolynomialQuery>& initial_queries,
-    workload::TickSource& source, const Vector& rates,
-    const SimConfig& config) {
-  if (initial_queries.empty()) {
+Result<SimMetrics> RunSimulation(const std::vector<PolynomialQuery>& queries,
+                                 workload::TickSource& source,
+                                 const Vector& rates,
+                                 const SimConfig& config) {
+  if (queries.empty()) {
     return Status::InvalidArgument("no queries to simulate");
   }
-  // Runtime churn appends to (and edits QABs inside) this local copy;
-  // every reference below reads it, so a run without churn sees exactly
-  // the caller's set.
-  std::vector<PolynomialQuery> queries = initial_queries;
-  const size_t n_items = source.num_items();
-  if (rates.size() < n_items) {
+  if (rates.size() < source.num_items()) {
     return Status::InvalidArgument("rates vector smaller than item count");
   }
-  if (config.coord_shards < 1) {
-    return Status::InvalidArgument("coord_shards must be >= 1");
-  }
-  if (config.threads < 0) {
-    return Status::InvalidArgument("threads must be >= 0");
-  }
-  if (config.rt_fail_at < 0) {
-    return Status::InvalidArgument("rt_fail_at must be >= 0");
-  }
-  if (config.threads == 0 && config.rt_fail_at != 0) {
-    // It counts pool-dispatched solve jobs, and threads = 0 has none.
-    return Status::InvalidArgument("rt_fail_at requires threads > 0");
-  }
-  if (config.solve_cache < 0) {
-    return Status::InvalidArgument("solve_cache must be >= 0");
-  }
-  // A malformed delay or fault config would otherwise surface as a NaN
-  // epidemic or a hard CHECK abort deep inside a run; reject it up front
-  // with a diagnostic naming the field.
-  POLYDAB_RETURN_NOT_OK(config.delays.Validate());
-  POLYDAB_RETURN_NOT_OK(config.fault.Validate());
-  const int num_shards = config.coord_shards;
-  const bool sharded = num_shards > 1;
-  const bool aao_mode = config.aao_period_s > 0.0;
-  if (config.service != nullptr) {
-    // Churn rewrites the query set mid-run; the AAO joint solve and the
-    // fault-protocol side tables both assume a fixed set. Keeping the
-    // combinations out keeps both features' byte-identity oracles intact.
-    if (aao_mode) {
-      return Status::InvalidArgument(
-          "service churn cannot be combined with AAO-periodic mode");
-    }
-    if (config.fault.active()) {
-      return Status::InvalidArgument(
-          "service churn cannot be combined with fault injection");
-    }
-  }
-  if (aao_mode) {
+  POLYDAB_RETURN_NOT_OK(config.Validate());
+  if (config.aao_period_s > 0.0) {
     for (const PolynomialQuery& q : queries) {
       if (!q.IsPositiveCoefficient()) {
         return Status::InvalidArgument(
@@ -345,2315 +2324,9 @@ Result<SimMetrics> RunSimulation(
       }
     }
   }
-  if (config.series != nullptr) {
-    // The recorder folds the event stream, so it is meaningless without
-    // one; and a replay-mode (derive_samples) recorder re-derives its
-    // sample grid from events instead of taking the engine's feed.
-    if (config.trace == nullptr) {
-      return Status::InvalidArgument(
-          "series recording requires a trace sink");
-    }
-    if (config.trace_node != -1) {
-      return Status::InvalidArgument(
-          "series recording is single-coordinator only");
-    }
-    if (config.series->config().derive_samples) {
-      return Status::InvalidArgument(
-          "series recorder is configured for replay (derive_samples); "
-          "engine runs feed samples directly");
-    }
-    if (config.series->finalized()) {
-      return Status::InvalidArgument("series recorder already finalized");
-    }
-  }
-  // Crash-recovery layer (src/recovery/, docs/RECOVERY.md). Restart
-  // correctness rests on re-running the tick loop with identical inputs,
-  // so engine modes that would need extra non-checkpointed state — series
-  // fold offsets, the AAO joint solution, the rt fault-injection dispatch
-  // counter — are rejected outright rather than half-supported. The solve
-  // memo needs none: a hit is bitwise-verified and replays the solve's
-  // stats, so a cold cache after restart changes only its hit counters.
-  recovery::RecoveryConfig* const rec = config.recovery;
-  if (rec != nullptr) {
-    POLYDAB_RETURN_NOT_OK(rec->Validate());
-    if (config.series != nullptr) {
-      return Status::InvalidArgument(
-          "crash recovery is incompatible with series recording (the "
-          "recorder's window fold is not checkpointed)");
-    }
-    if (config.aao_period_s > 0.0) {
-      return Status::InvalidArgument(
-          "crash recovery is incompatible with AAO mode (the joint "
-          "allocation is not checkpointed)");
-    }
-    if (config.rt_fail_at > 0) {
-      return Status::InvalidArgument(
-          "crash recovery is incompatible with rt_fail_at fault injection "
-          "(the dispatch counter is not checkpointed)");
-    }
-  }
-  const bool rec_restart = rec != nullptr && rec->restarting();
-  const recovery::CheckpointState* const ckpt =
-      rec_restart ? rec->restart : nullptr;
-  const bool rec_ckpt = rec != nullptr && !rec->checkpoint_path.empty();
-
-  Rng master(config.seed);
-  DelayModel delays(config.delays, master.Fork());
-  // The fault layer owns a second forked stream: injection decisions and
-  // protocol-message delays never perturb the main delay draws, so a
-  // zero-probability (protocol_only) chaos run keeps the data path's
-  // timings, and an inactive config takes no fault branch at all.
-  FaultModel faults(config.fault, master.Fork());
-  const bool fault_mode = config.fault.active();
-
-  // Recovery: the config fingerprint sealed into every checkpoint block;
-  // a restart refuses a snapshot taken under a different engine config.
-  // The recovery knobs themselves are absent from Describe(), so a
-  // crashed run and its restart — which differ only in those knobs —
-  // fingerprint identically, as intended: they are control inputs, not
-  // state-bearing configuration.
-  const std::string config_desc = config.Describe();
-  const uint32_t config_fp =
-      Fnv1a32(config_desc.data(), config_desc.size());
-  struct FileCloser {
-    void operator()(std::FILE* f) const { std::fclose(f); }
-  };
-  std::unique_ptr<std::FILE, FileCloser> wal_file;
-  using WalKind = recovery::WalRecord::Kind;
-  if (rec != nullptr && !rec->wal_path.empty()) {
-    wal_file.reset(std::fopen(rec->wal_path.c_str(), "a"));
-    if (wal_file == nullptr) {
-      return Status::InvalidArgument("cannot open WAL '" + rec->wal_path +
-                                     "' for appending");
-    }
-    recovery::AppendWal(wal_file.get(), {.kind = WalKind::kHeader});
-  }
-  // Replay bookkeeping, filled by the restore block below. Declared this
-  // early because the ack/churn lambdas capture them: audit records are
-  // only appended once the replay span is exhausted (`replay_done`), so a
-  // restart never re-writes rows the WAL already holds.
-  uint64_t last_ckpt_end_id = 0;
-  const recovery::WalRecord* crash_marker = nullptr;
-  std::vector<const recovery::WalRecord*> replay_rows;
-  bool replay_done = true;
-  size_t replay_idx = 0;
-
-  // Telemetry: cache instruments once and propagate the registry into the
-  // planner (and through it the GP solver) so one SimConfig::registry
-  // assignment instruments the whole stack.
-  SimInstruments ins(config.registry, fault_mode);
-  core::PlannerConfig planner_cfg = config.planner;
-  if (planner_cfg.registry == nullptr) {
-    planner_cfg.registry = config.registry;
-  }
-  if (planner_cfg.dual.solver.registry == nullptr) {
-    planner_cfg.dual.solver.registry = planner_cfg.registry;
-  }
-
-  // Memoizing solve server (gp/solve_engine.h, docs/SOLVER.md).
-  // Attached through SolverOptions::engine, so every GP solve in the run
-  // — per-part replans, plan-time solves, AAO joint solves, rt workers —
-  // routes through the one shared engine; every result is bit-identical
-  // to the direct path by construction. Declared before the lane pool so
-  // it outlives the workers that hold a pointer to it.
-  const bool engine_on = config.solve_cache > 0;
-  gp::SolveEngine::Options engine_opt;
-  engine_opt.cache_entries = config.solve_cache;
-  engine_opt.registry = config.registry;
-  gp::SolveEngine solve_engine(engine_opt);
-  if (engine_on && planner_cfg.dual.solver.engine == nullptr) {
-    planner_cfg.dual.solver.engine = &solve_engine;
-  }
-
-  // Causal event trace (obs/trace.h): propagated into the planner like
-  // the registry. Every emission site below is one branch when off.
-  obs::TraceSink* const trace = config.trace;
-  const int32_t tnode = config.trace_node;
-  if (planner_cfg.trace == nullptr) {
-    planner_cfg.trace = trace;
-    planner_cfg.trace_node = tnode;
-  }
-  // Which source pushes an item's refreshes; purely an attribution label.
-  const int num_sources = std::max(1, config.num_sources);
-  if (trace != nullptr) {
-    trace->SetNow(0.0);
-    trace->SetInfo("origin", "sim");
-    trace->SetInfo("method", core::Name(planner_cfg.method));
-    trace->SetInfo("mu", obs::JsonNumber(planner_cfg.dual.mu));
-    trace->SetInfo("sim_config", config.Describe());
-    if (fault_mode) {
-      // The offline verifier needs the item -> source mapping and the
-      // protocol constants to re-derive crash windows, retransmit chains
-      // and lease deadlines (obs/trace_check.cc).
-      trace->SetInfo("fault_config", config.fault.Describe());
-      trace->SetInfo("num_sources", std::to_string(num_sources));
-      trace->SetInfo("fault_retx_timeout_s",
-                     obs::JsonNumber(config.fault.retx_timeout_s));
-      trace->SetInfo("fault_heartbeat_s",
-                     obs::JsonNumber(config.fault.heartbeat_s));
-      trace->SetInfo("fault_lease_s", obs::JsonNumber(config.fault.lease_s));
-    }
-  }
-  // Windowed series telemetry (obs/timeseries.h): install the recorder
-  // as the sink's observer before any emission so window 0 sees the t=0
-  // initial installs, and stamp the metadata the checker's alerting mode
-  // needs to replay the series from the events alone.
-  if (config.series != nullptr) {
-    trace->SetInfo("series_window_s",
-                   std::to_string(config.series->config().window_ticks));
-    const std::vector<obs::SloRule>& slo_rules = config.series->config().rules;
-    if (!slo_rules.empty()) {
-      trace->SetInfo("slo_rules", obs::CanonicalSloRules(slo_rules));
-    }
-    if (config.series->config().breakdown) {
-      trace->SetInfo("series_breakdown", "1");
-    }
-    config.series->SetInitialQueries(static_cast<int64_t>(queries.size()));
-    config.series->SetAlertSink(trace);
-    trace->SetObserver(config.series);
-  }
-
-  State st;
-
-  // The refresh service's solve pipeline (docs/CONCURRENCY.md). Pass 1
-  // walks the parts a refresh makes stale, groups them by bitwise-equal
-  // solve inputs and solves each group once, spread over the lane pool's
-  // workers (src/rt/) and the event loop itself; pass 2 installs the
-  // results in oracle order. threads = 0 never starts the pool, so every
-  // group is the event loop's to solve inline. The pool is declared after
-  // `st` and after `solve_groups` so its destructor joins every worker
-  // before anything a job closure references is destroyed, however the
-  // run exits.
-  struct SolveGroup {
-    const core::PlanPart* leader = nullptr;  // the part actually solved
-    uint64_t hash = 0;                       // core::ReplanInputsHash
-    Result<QueryDabs> result{Status::Internal("rt: job not yet run")};
-    gp::SolveRecord solve;
-    int slot = 0;  // pool worker, or pool.workers() for the event loop
-    uint64_t epoch = 0;
-    bool shared = false;  // other stale parts install copies of `result`
-
-    // The one call site of core::ReplanPart in the refresh service, on a
-    // worker or inline.
-    void Solve(const Vector& view, const Vector& rates,
-               const core::PlannerConfig& cfg) {
-      result = core::ReplanPart(*leader, view, rates, cfg, &solve);
-    }
-  };
-  // A stale part found by pass 1, in oracle order: the position of its
-  // query in the item's query list, the part, the refreshed item's slot
-  // in the part's DABs, the anchor its drift was measured from and the
-  // group whose solve it installs.
-  struct StalePart {
-    size_t k = 0;
-    size_t pi = 0;
-    size_t idx = 0;
-    double anchor = 0.0;
-    size_t group = 0;
-  };
-  std::deque<SolveGroup> solve_groups;  // deque: workers hold entry pointers
-  std::vector<StalePart> stale_parts;
-  int64_t solve_jobs_dispatched = 0;
-  // Groups solve without the trace: the event loop emits each part's
-  // planner_replan event at its oracle slot in pass 2.
-  core::PlannerConfig solve_cfg = planner_cfg;
-  solve_cfg.trace = nullptr;
-  rt::LanePool pool;
-  if (config.threads > 0) {
-    rt::LanePool::Options rt_opt;
-    rt_opt.workers = config.threads;
-    POLYDAB_RETURN_NOT_OK(pool.Start(rt_opt));
-    if (trace != nullptr) {
-      // Stripped again by canonicalization (obs/trace_canon.h), so the
-      // canonical trace's info block matches the threads = 0 oracle's.
-      trace->SetInfo("rt_threads", std::to_string(config.threads));
-    }
-  }
-
-  // Restart: rebuild the full slot vector — the initial queries plus any
-  // churn-registered slots — from the snapshot before any structure keyed
-  // by query index is built. The caller must hand the same initial set;
-  // only the prefix ids are checkable (churn may have modified bodies).
-  if (rec_restart) {
-    if (ckpt->config_fp != config_fp) {
-      return Status::InvalidArgument(
-          "restart: checkpoint was taken under a different engine config "
-          "(fingerprint mismatch)");
-    }
-    if (static_cast<size_t>(ckpt->num_items) != n_items) {
-      return Status::InvalidArgument(
-          "restart: checkpoint item count " +
-          std::to_string(ckpt->num_items) + " != trace set width " +
-          std::to_string(n_items));
-    }
-    if (ckpt->num_sources != num_sources) {
-      return Status::InvalidArgument(
-          "restart: checkpoint source count mismatch");
-    }
-    if (ckpt->num_shards != num_shards) {
-      return Status::InvalidArgument(
-          "restart: checkpoint shard count mismatch");
-    }
-    if (ckpt->fault_mode != fault_mode) {
-      return Status::InvalidArgument(
-          "restart: checkpoint fault-mode flag mismatch");
-    }
-    if (ckpt->queries.size() < queries.size()) {
-      return Status::InvalidArgument(
-          "restart: checkpoint has fewer query slots than the initial "
-          "workload");
-    }
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      if (ckpt->queries[qi].id != queries[qi].id) {
-        return Status::InvalidArgument(
-            "restart: initial query slot " + std::to_string(qi) +
-            " id mismatch (checkpoint " +
-            std::to_string(ckpt->queries[qi].id) + ", workload " +
-            std::to_string(queries[qi].id) + ")");
-      }
-    }
-    queries.clear();
-    for (const recovery::CheckpointQuery& cq : ckpt->queries) {
-      queries.push_back(PolynomialQuery{cq.id, cq.poly, cq.qab});
-    }
-  }
-
-  if (!rec_restart) {
-    st.item_queries.resize(n_items);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      for (VarId v : queries[qi].p.Variables()) {
-        if (static_cast<size_t>(v) >= n_items) {
-          return Status::InvalidArgument(
-              "query references item beyond trace set");
-        }
-        st.item_queries[static_cast<size_t>(v)].push_back(
-            static_cast<int>(qi));
-      }
-    }
-
-    // Lane partition. With a single lane every query lands on lane 0 and
-    // the event loop below reduces to the historical serial coordinator
-    // (bit-identically: same iteration order, same RNG draw order, same
-    // floating-point accumulation sequence).
-    {
-      core::QueryIndex qindex(queries, n_items);
-      st.query_shard = config.shard_policy == ShardPolicy::kQueryHash
-                           ? qindex.ShardByQueryId(num_shards)
-                           : qindex.ShardByComponent(num_shards);
-    }
-    st.item_home_shard.assign(n_items, -1);
-    st.item_shards.resize(n_items);
-    for (size_t i = 0; i < n_items; ++i) {
-      const auto& qs = st.item_queries[i];
-      if (qs.empty()) continue;
-      st.item_home_shard[i] = st.query_shard[static_cast<size_t>(qs[0])];
-      auto& lanes = st.item_shards[i];
-      for (int qi : qs) {
-        lanes.push_back(st.query_shard[static_cast<size_t>(qi)]);
-      }
-      std::sort(lanes.begin(), lanes.end());
-      lanes.erase(std::unique(lanes.begin(), lanes.end()), lanes.end());
-    }
-  } else {
-    // These structures evolve under churn (dead slots leave, modified
-    // polynomials move items), so they are restored verbatim rather than
-    // rebuilt from the slot vector.
-    if (ckpt->item_queries.size() != n_items ||
-        ckpt->item_home_shard.size() != n_items ||
-        ckpt->item_shards.size() != n_items) {
-      return Status::InvalidArgument(
-          "restart: checkpoint item-table width mismatch");
-    }
-    st.item_queries = ckpt->item_queries;
-    st.item_home_shard = ckpt->item_home_shard;
-    st.item_shards = ckpt->item_shards;
-    st.query_shard.resize(queries.size());  // restored with the slots below
-  }
-  st.shard_free_at.assign(static_cast<size_t>(num_shards), 0.0);
-  if (trace != nullptr && sharded) {
-    trace->SetInfo("coord_shards", std::to_string(num_shards));
-    trace->SetInfo("shard_policy", Name(config.shard_policy));
-  }
-
-  // Tick 0: the initial snapshot every party starts in agreement on. On
-  // restart the tool has already positioned the source past every
-  // consumed tick; the snapshot carries the three value vectors.
-  Vector row;
-  if (!rec_restart) {
-    {
-      auto first = source.Next(&row);
-      if (!first.ok()) return first.status();
-      if (!*first) return Status::InvalidArgument("trace too short");
-    }
-    st.source_value = row;
-    st.last_pushed = st.source_value;
-    st.view = st.source_value;
-  } else {
-    if (ckpt->source_value.size() != n_items ||
-        ckpt->last_pushed.size() != n_items || ckpt->view.size() != n_items) {
-      return Status::InvalidArgument(
-          "restart: checkpoint value-vector width mismatch");
-    }
-    st.source_value = ckpt->source_value;
-    st.last_pushed = ckpt->last_pushed;
-    st.view = ckpt->view;
-  }
-  st.plans.resize(queries.size());
-  st.anchors.resize(queries.size());
-  st.violated_time.assign(queries.size(), 0.0);
-
-  SimMetrics metrics;
-
-  // --- Fault-mode protocol state (docs/ROBUSTNESS.md). Sized only when
-  // the fault layer is active; every use below is behind `fault_mode`. ---
-  // The item and source tables are the checkpoint's 'if' and 'src'
-  // records (recovery/checkpoint.h), so snapshot and restore copy them
-  // whole. A fresh source's first heartbeat fires at tick 1 and its t=0
-  // install counts as contact.
-  std::vector<recovery::CheckpointItemFault> item_fault;  // item -> state
-  std::vector<recovery::CheckpointSource> source_fault;   // source -> state
-  std::vector<int> degraded_items;        // query -> # of its expired items
-  std::vector<uint64_t> degrade_event;    // query -> trace id of the degrade
-  std::vector<std::vector<int>> source_items;  // source -> its queried items
-  if (fault_mode) {
-    item_fault.assign(n_items, recovery::CheckpointItemFault{});
-    const size_t ns = static_cast<size_t>(num_sources);
-    source_fault.assign(ns, recovery::CheckpointSource{});
-    source_items.resize(ns);
-    for (size_t i = 0; i < n_items; ++i) {
-      if (!st.item_queries[i].empty()) {
-        source_items[i % ns].push_back(static_cast<int>(i));
-      }
-    }
-    degraded_items.assign(queries.size(), 0);
-    degrade_event.assign(queries.size(), 0);
-  }
-
-  if (rec_restart) {
-    // Counters and the fault-protocol tables resume from the snapshot.
-    metrics.refreshes = ckpt->refreshes;
-    metrics.recomputations = ckpt->recomputations;
-    metrics.dab_change_messages = ckpt->dab_change_messages;
-    metrics.user_notifications = ckpt->user_notifications;
-    metrics.solver_failures = ckpt->solver_failures;
-    metrics.fault_drops = ckpt->fault_drops;
-    metrics.retransmits = ckpt->retransmits;
-    metrics.duplicates_suppressed = ckpt->duplicates_suppressed;
-    metrics.lease_expiries = ckpt->lease_expiries;
-    metrics.degraded_query_seconds = ckpt->degraded_query_seconds;
-    if (fault_mode) {
-      if (ckpt->sources.size() != static_cast<size_t>(num_sources)) {
-        return Status::InvalidArgument(
-            "restart: checkpoint source-table size mismatch");
-      }
-      if (ckpt->item_fault.size() != n_items) {
-        return Status::InvalidArgument(
-            "restart: checkpoint item-fault table size mismatch");
-      }
-      source_fault = ckpt->sources;
-      item_fault = ckpt->item_fault;
-    } else if (!ckpt->sources.empty() || !ckpt->item_fault.empty()) {
-      return Status::InvalidArgument(
-          "restart: checkpoint carries fault tables but the fault layer "
-          "is inactive");
-    }
-  }
-
-  // Contact from source `s` observed at the coordinator (a delivered or
-  // suppressed refresh, or a heartbeat): refresh the lease and recover
-  // any of the source's items whose lease had lapsed. A query leaves
-  // degraded service once every one of its expired items recovered.
-  auto record_contact = [&](int s, double t, uint64_t cid) {
-    const size_t ss = static_cast<size_t>(s);
-    source_fault[ss].last_contact = t;
-    source_fault[ss].contact_event = cid;
-    for (int item : source_items[ss]) {
-      recovery::CheckpointItemFault& f = item_fault[static_cast<size_t>(item)];
-      if (!f.expired) continue;
-      f.expired = false;
-      f.expire_event = 0;
-      for (int qi : st.item_queries[static_cast<size_t>(item)]) {
-        const size_t q = static_cast<size_t>(qi);
-        if (--degraded_items[q] == 0) {
-          if (trace != nullptr) {
-            obs::TraceEvent e;
-            e.time = t;
-            e.kind = obs::TraceEventKind::kRecover;
-            e.node = tnode;
-            e.source = s;
-            e.query = queries[q].id;
-            e.cause = cid;
-            trace->Emit(e);
-          }
-          degrade_event[q] = 0;
-        }
-      }
-    }
-  };
-
-  // Send one data-refresh copy (klass 0: first copy, 1: retransmit)
-  // through the fault layer. The first copy draws its delay from the main
-  // stream — exactly the draws a fault-free run makes — so protocol_only
-  // runs keep the data path's timings; retransmit copies and all
-  // injected extras draw from the fault stream.
-  auto send_data = [&](size_t item, double value, int64_t seq,
-                       uint64_t emit_id, int klass, double now) {
-    if (faults.DropMessage()) {
-      ++metrics.fault_drops;
-      if (ins.fault_drops != nullptr) ins.fault_drops->Inc();
-      // Per-item send seqs are non-decreasing (pending holds only the
-      // latest), so this drop is the item's newest outstanding loss.
-      item_fault[item].drop_seq = seq;
-      if (trace != nullptr) {
-        obs::TraceEvent e;
-        e.time = now;
-        e.kind = obs::TraceEventKind::kFaultDrop;
-        e.node = tnode;
-        e.source = static_cast<int32_t>(item) % num_sources;
-        e.item = static_cast<int32_t>(item);
-        e.cause = emit_id;
-        e.a = value;
-        e.b = static_cast<double>(klass);
-        e.flag = static_cast<int32_t>(seq);
-        item_fault[item].drop_eid = trace->Emit(e);
-      }
-      return;
-    }
-    double delay = klass == 0 ? delays.Push() + delays.Network()
-                              : faults.ProtocolDelay(config.delays);
-    delay += faults.ExtraDelay();
-    if (ins.message_delay != nullptr) ins.message_delay->Record(delay);
-    if (klass == 0 && faults.DuplicateMessage()) {
-      // The duplicate copy races the original on its own delay draw.
-      const double dup_delay =
-          faults.ProtocolDelay(config.delays) + faults.ExtraDelay();
-      Event dup{now + dup_delay, EventType::kRefresh,
-                static_cast<int>(item), value, emit_id, 0.0};
-      dup.seq = seq;
-      st.events.push(dup);
-    }
-    Event ev{now + delay, EventType::kRefresh, static_cast<int>(item),
-             value, emit_id, 0.0};
-    ev.seq = seq;
-    st.events.push(ev);
-  };
-
-  // Coordinator acks delivered (or suppressed-duplicate) seq `seq` of
-  // `item` back to its source; the ack itself can be dropped.
-  auto send_ack = [&](int item, int64_t seq, double now, uint64_t cause_id) {
-    uint64_t ack_id = 0;
-    if (trace != nullptr) {
-      obs::TraceEvent e;
-      e.time = now;
-      e.kind = obs::TraceEventKind::kAck;
-      e.node = tnode;
-      e.item = item;
-      e.cause = cause_id;
-      e.flag = static_cast<int32_t>(seq);
-      ack_id = trace->Emit(e);
-    }
-    // Audit record only: restart replay regenerates acks deterministically
-    // from the rows, so the loader never feeds these back.
-    if (wal_file != nullptr && replay_done) {
-      recovery::AppendWal(wal_file.get(), {.kind = WalKind::kAck, .time = now,
-                                           .item = item, .seq = seq});
-    }
-    if (faults.DropMessage()) {
-      ++metrics.fault_drops;
-      if (ins.fault_drops != nullptr) ins.fault_drops->Inc();
-      if (trace != nullptr) {
-        obs::TraceEvent e;
-        e.time = now;
-        e.kind = obs::TraceEventKind::kFaultDrop;
-        e.node = tnode;
-        e.source = item % num_sources;
-        e.item = item;
-        e.cause = ack_id;
-        e.b = 2.0;  // message class: ack
-        e.flag = static_cast<int32_t>(seq);
-        trace->Emit(e);
-      }
-      return;
-    }
-    Event ack{now + faults.ProtocolDelay(config.delays) + faults.ExtraDelay(),
-              EventType::kAckArrive, item, 0.0, ack_id, 0.0};
-    ack.seq = seq;
-    st.events.push(ack);
-  };
-
-  auto anchor_part = [&](size_t qi, size_t pi) {
-    const core::PlanPart& part = st.plans[qi].parts[pi];
-    Vector& anchor = st.anchors[qi][pi];
-    anchor.resize(part.dabs.vars.size());
-    for (size_t i = 0; i < part.dabs.vars.size(); ++i) {
-      anchor[i] = st.view[static_cast<size_t>(part.dabs.vars[i])];
-    }
-  };
-
-  // Initial planning (time zero; not counted as recomputation, and the
-  // initial filters are installed synchronously). A restart skips this
-  // wholesale — the t=0 solves, query infos, and install events all live
-  // in the crashed run's trace — and reinstates plans, anchors, and the
-  // per-item merge state bit-exactly from the snapshot instead.
-  if (!rec_restart) {
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      auto plan = core::PlanQueryParts(queries[qi], st.view, rates,
-                                       planner_cfg);
-      if (!plan.ok()) {
-        return Status::Internal("initial planning failed for query " +
-                                std::to_string(queries[qi].id) + ": " +
-                                plan.status().ToString());
-      }
-      st.plans[qi] = std::move(plan).value();
-      st.anchors[qi].resize(st.plans[qi].parts.size());
-      for (size_t pi = 0; pi < st.plans[qi].parts.size(); ++pi) {
-        anchor_part(qi, pi);
-      }
-      if (config.paranoid_validation) {
-        Status valid = core::ValidatePlan(st.plans[qi], st.view);
-        if (!valid.ok()) {
-          return Status::Internal("plan validation failed for query " +
-                                  std::to_string(queries[qi].id) + ": " +
-                                  valid.ToString());
-        }
-      }
-    }
-    st.min_primary.resize(n_items);
-    st.installed_dab.resize(n_items);
-    for (size_t i = 0; i < n_items; ++i) {
-      st.min_primary[i] = ItemMinPrimary(st, static_cast<int>(i));
-      st.installed_dab[i] = st.min_primary[i];
-    }
-    if (trace != nullptr) {
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        obs::TraceQueryInfo info;
-        info.query = queries[qi].id;
-        info.node = tnode;
-        if (sharded) info.shard = st.query_shard[qi];
-        info.qab = queries[qi].qab;
-        for (VarId v : queries[qi].p.Variables()) {
-          info.items.push_back(static_cast<int32_t>(v));
-        }
-        trace->AddQueryInfo(std::move(info));
-      }
-      // The initial plan's filters install synchronously at time zero
-      // (cause 0); items no query uses keep an infinite width and never
-      // refresh, so they are not recorded.
-      for (size_t i = 0; i < n_items; ++i) {
-        if (std::isinf(st.installed_dab[i])) continue;
-        obs::TraceEvent e;
-        e.kind = obs::TraceEventKind::kDabChangeInstalled;
-        e.node = tnode;
-        e.item = static_cast<int32_t>(i);
-        e.a = st.installed_dab[i];
-        trace->Emit(e);
-      }
-    }
-  } else {
-    for (const recovery::CheckpointPart& cp : ckpt->parts) {
-      if (cp.slot < 0 || static_cast<size_t>(cp.slot) >= queries.size()) {
-        return Status::InvalidArgument(
-            "restart: checkpoint part references slot " +
-            std::to_string(cp.slot) + " out of range");
-      }
-      const size_t slot = static_cast<size_t>(cp.slot);
-      if (static_cast<size_t>(cp.part) != st.plans[slot].parts.size()) {
-        return Status::InvalidArgument(
-            "restart: checkpoint part records for slot " +
-            std::to_string(cp.slot) + " out of order");
-      }
-      if (cp.primary.size() != cp.vars.size() ||
-          cp.secondary.size() != cp.vars.size() ||
-          cp.anchor.size() != cp.vars.size()) {
-        return Status::InvalidArgument(
-            "restart: checkpoint part DAB or anchor widths disagree with "
-            "its variable list");
-      }
-      core::PlanPart part;
-      part.subquery = PolynomialQuery{queries[slot].id, cp.poly, cp.pqab};
-      part.dabs.vars = cp.vars;
-      part.dabs.primary = cp.primary;
-      part.dabs.secondary = cp.secondary;
-      part.dabs.recompute_rate = cp.recompute_rate;
-      part.dabs.single_dab = cp.single_dab;
-      part.dabs.never_stale = cp.never_stale;
-      st.plans[slot].parts.push_back(std::move(part));
-      st.anchors[slot].push_back(cp.anchor);
-    }
-    if (ckpt->min_primary.size() != n_items ||
-        ckpt->installed_dab.size() != n_items) {
-      return Status::InvalidArgument(
-          "restart: checkpoint DAB-vector width mismatch");
-    }
-    st.min_primary = ckpt->min_primary;
-    st.installed_dab = ckpt->installed_dab;
-  }
-
-  // Per-service scratch for the lane clocks: busy time accrued on each
-  // lane while servicing one refresh, the pre-service lane clocks (the
-  // shard-barrier time payload — the instant every involved lane has
-  // drained its earlier work), and which lanes a barrier joined.
-  std::vector<double> lane_busy(static_cast<size_t>(num_shards), 0.0);
-  std::vector<double> pre_free(static_cast<size_t>(num_shards), 0.0);
-  std::vector<uint8_t> barrier_lane(static_cast<size_t>(num_shards), 0);
-  bool barrier_any = false;
-
-  // After part (qi, pi) was replanned at time `now`, refresh the EQI merge
-  // over its items and ship changed filters to the sources. `cause_id`
-  // links each sent filter to the recompute_end / aao_solve trace event
-  // that produced it (0 when tracing is off). When a merged item's queries
-  // span several lanes, the merge reads plans owned by other lanes, so a
-  // shard barrier joins them first; the AAO path passes
-  // `emit_item_barriers` = false because it already synchronized every
-  // lane through one global barrier.
-  auto ship_dab_changes = [&](size_t qi, size_t pi, double now,
-                              uint64_t cause_id, bool emit_item_barriers) {
-    for (VarId v : st.plans[qi].parts[pi].dabs.vars) {
-      const size_t item = static_cast<size_t>(v);
-      const double fresh = ItemMinPrimary(st, static_cast<int>(item));
-      if (std::fabs(fresh - st.min_primary[item]) >
-          1e-9 * std::max(1.0, st.min_primary[item])) {
-        const double old_width = st.min_primary[item];
-        st.min_primary[item] = fresh;
-        if (emit_item_barriers && sharded && st.item_shards[item].size() > 1) {
-          double bt = now;
-          for (int s : st.item_shards[item]) {
-            bt = std::max(bt, pre_free[static_cast<size_t>(s)]);
-            barrier_lane[static_cast<size_t>(s)] = 1;
-          }
-          barrier_any = true;
-          if (ins.shard_barriers != nullptr) ins.shard_barriers->Inc();
-          if (trace != nullptr) {
-            obs::TraceEvent e;
-            e.time = now;
-            e.kind = obs::TraceEventKind::kShardBarrier;
-            e.node = tnode;
-            e.item = static_cast<int32_t>(item);
-            e.cause = cause_id;
-            e.a = bt;
-            e.b = static_cast<double>(st.item_shards[item].size());
-            trace->Emit(e);
-          }
-        }
-        ++metrics.dab_change_messages;
-        if (ins.dab_change_messages != nullptr) ins.dab_change_messages->Inc();
-        const double delay = delays.Check() + delays.Network();
-        if (ins.message_delay != nullptr) ins.message_delay->Record(delay);
-        uint64_t sent_id = 0;
-        if (trace != nullptr) {
-          obs::TraceEvent e;
-          e.time = now;
-          e.kind = obs::TraceEventKind::kDabChangeSent;
-          e.node = tnode;
-          e.item = static_cast<int32_t>(item);
-          e.query = queries[qi].id;
-          e.part = static_cast<int32_t>(pi);
-          if (sharded) e.shard = st.query_shard[qi];
-          e.cause = cause_id;
-          e.a = fresh;
-          e.b = old_width;
-          sent_id = trace->Emit(e);
-        }
-        st.events.push(Event{now + delay, EventType::kDabChange,
-                             static_cast<int>(item), fresh, sent_id, 0.0});
-      }
-    }
-  };
-
-  // Incremental view-side query evaluation: the coordinator's values only
-  // change on refresh arrivals, so the per-tick fidelity check patches
-  // affected queries instead of re-evaluating everything.
-  core::IncrementalEvaluator view_eval(queries, st.view);
-
-  // §I-B: for each refresh, the coordinator checks which QABs would be
-  // violated relative to the value last sent to the user, and pushes those
-  // query results. last_user_value tracks what each user last saw.
-  Vector last_user_value(queries.size());
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    last_user_value[qi] = view_eval.QueryValue(qi);
-  }
-
-  // --- Runtime churn state (docs/SERVICE.md). Slots are append-only:
-  // a deregistered query keeps its index (q_alive flips off and its plan
-  // empties), so every parallel per-query array stays index-stable. All
-  // of this is inert — allocated but never branched on — when no service
-  // driver is attached or the driver never issues an op, which is what
-  // keeps a zero-churn run byte-identical to the historical path. ---
-  std::vector<uint8_t> q_alive(queries.size(), 1);
-  std::vector<int> q_reg_tick(queries.size(), 0);
-  std::vector<int> q_dereg_tick(queries.size(),
-                                std::numeric_limits<int>::max());
-  std::unique_ptr<core::DynamicQueryIndex> dqi;
-  int cur_tick = 0;     // logical clock for the churn transaction lambdas
-  double cur_now = 0.0;
-
-  // Lazily built at the first churn op; seeded with every live slot in
-  // slot order so slot i of the dynamic index is query index i. Building
-  // it on demand (rather than always) keeps the no-churn path free of the
-  // extra construction work.
-  auto ensure_dqi = [&]() {
-    if (dqi != nullptr) return;
-    dqi = std::make_unique<core::DynamicQueryIndex>(
-        n_items, config.plan_maintenance == PlanMaintenance::kRebuild
-                     ? core::DynamicQueryIndex::Maintenance::kRebuild
-                     : core::DynamicQueryIndex::Maintenance::kIncremental);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      dqi->AddQuery(queries[qi].id, queries[qi].p.Variables());
-    }
-  };
-
-  // Re-derive the lane partition and the per-item lane tables from the
-  // dynamic index after a churn event. Dead slots get lane -1; they are
-  // never referenced from item_queries, so the -1 is never read.
-  auto refresh_partition = [&]() {
-    st.query_shard = dqi->ShardAssignment(
-        num_shards, config.shard_policy == ShardPolicy::kEqiComponents);
-    st.item_home_shard.assign(n_items, -1);
-    for (size_t i = 0; i < n_items; ++i) {
-      auto& lanes = st.item_shards[i];
-      lanes.clear();
-      const auto& qs = st.item_queries[i];
-      if (qs.empty()) continue;
-      st.item_home_shard[i] = st.query_shard[static_cast<size_t>(qs[0])];
-      for (int qi : qs) {
-        lanes.push_back(st.query_shard[static_cast<size_t>(qi)]);
-      }
-      std::sort(lanes.begin(), lanes.end());
-      lanes.erase(std::unique(lanes.begin(), lanes.end()), lanes.end());
-    }
-  };
-
-  // The plan_patch invariant: after every churn event, hash the complete
-  // live plan state (id, lane, EQI component label, QAB) in ascending-id
-  // order. The offline checker re-derives components and lanes from
-  // scratch and recomputes the same digest, which is what holds
-  // incremental maintenance to from-scratch-rebuild equality.
-  auto emit_plan_patch = [&](uint64_t cause_id) {
-    if (trace == nullptr) return;
-    std::vector<size_t> live;
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      if (q_alive[qi] != 0) live.push_back(qi);
-    }
-    std::sort(live.begin(), live.end(),
-              [&](size_t a, size_t b) { return queries[a].id < queries[b].id; });
-    uint32_t digest = kFnv1a32Seed;
-    for (size_t qi : live) {
-      digest = HashPlanRecord(digest, queries[qi].id, st.query_shard[qi],
-                              dqi->ComponentMin(static_cast<int>(qi)),
-                              queries[qi].qab);
-    }
-    obs::TraceEvent e;
-    e.time = cur_now;
-    e.kind = obs::TraceEventKind::kPlanPatch;
-    e.node = tnode;
-    e.cause = cause_id;
-    e.a = static_cast<double>(dqi->num_active());
-    e.b = static_cast<double>(dqi->num_components());
-    e.flag = static_cast<int32_t>(digest);
-    trace->Emit(e);
-  };
-
-  // Refresh the EQI merge over \p items after a churn op and ship changed
-  // filters. Like ship_dab_changes, minus barrier emission: a churn op is
-  // a control-plane transaction whose lane-time charge already covers the
-  // repartition, and the merge here runs against the post-transaction
-  // partition. An item whose last query departed is retired silently —
-  // the coordinator drops the subscription in the same transaction, so no
-  // filter message crosses the network.
-  auto ship_churn_changes = [&](const std::vector<VarId>& items,
-                                uint64_t cause_id, int q_id, int q_lane) {
-    for (VarId v : items) {
-      const size_t item = static_cast<size_t>(v);
-      const double fresh = st.item_queries[item].empty()
-                               ? kInf
-                               : ItemMinPrimary(st, static_cast<int>(item));
-      const double old_width = st.min_primary[item];
-      const bool changed =
-          std::isinf(fresh) != std::isinf(old_width) ||
-          (!std::isinf(fresh) &&
-           std::fabs(fresh - old_width) > 1e-9 * std::max(1.0, old_width));
-      if (!changed) continue;
-      st.min_primary[item] = fresh;
-      if (std::isinf(fresh)) {
-        st.installed_dab[item] = kInf;
-        continue;
-      }
-      ++metrics.dab_change_messages;
-      if (ins.dab_change_messages != nullptr) ins.dab_change_messages->Inc();
-      const double delay = delays.Check() + delays.Network();
-      if (ins.message_delay != nullptr) ins.message_delay->Record(delay);
-      uint64_t sent_id = 0;
-      if (trace != nullptr) {
-        obs::TraceEvent e;
-        e.time = cur_now;
-        e.kind = obs::TraceEventKind::kDabChangeSent;
-        e.node = tnode;
-        e.item = static_cast<int32_t>(item);
-        if (q_id >= 0) e.query = q_id;
-        if (sharded && q_id >= 0) e.shard = q_lane;
-        e.cause = cause_id;
-        e.a = fresh;
-        // A previously-retired item has an infinite merged width; record
-        // 0 so the serialized trace stays finite.
-        e.b = std::isinf(old_width) ? 0.0 : old_width;
-        sent_id = trace->Emit(e);
-      }
-      st.events.push(Event{cur_now + delay, EventType::kDabChange,
-                           static_cast<int>(item), fresh, sent_id, 0.0});
-    }
-  };
-
-  auto find_live = [&](int query_id) -> int {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      if (q_alive[i] != 0 && queries[i].id == query_id) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  };
-
-  auto do_register = [&](const PolynomialQuery& q, core::QueryPlan plan,
-                         double estimate, int degrade_attempts) -> Status {
-    for (VarId v : q.p.Variables()) {
-      if (static_cast<size_t>(v) >= n_items) {
-        return Status::InvalidArgument(
-            "registered query references item beyond universe");
-      }
-    }
-    if (find_live(q.id) >= 0) {
-      return Status::InvalidArgument("query id already registered: " +
-                                     std::to_string(q.id));
-    }
-    ensure_dqi();
-    const size_t qi = queries.size();
-    queries.push_back(q);
-    q_alive.push_back(1);
-    q_reg_tick.push_back(cur_tick);
-    q_dereg_tick.push_back(std::numeric_limits<int>::max());
-    st.plans.push_back(std::move(plan));
-    st.anchors.emplace_back();
-    st.anchors[qi].resize(st.plans[qi].parts.size());
-    for (size_t pi = 0; pi < st.plans[qi].parts.size(); ++pi) {
-      anchor_part(qi, pi);
-    }
-    st.violated_time.push_back(0.0);
-    const std::vector<VarId> items = q.p.Variables();
-    for (VarId v : items) {
-      st.item_queries[static_cast<size_t>(v)].push_back(
-          static_cast<int>(qi));
-    }
-    dqi->AddQuery(q.id, items);
-    refresh_partition();
-    const int lane = st.query_shard[qi];
-    view_eval.AddQuery(q);
-    last_user_value.push_back(view_eval.QueryValue(qi));
-    uint64_t reg_id = 0;
-    if (trace != nullptr) {
-      obs::TraceQueryInfo info;
-      info.query = q.id;
-      info.node = tnode;
-      if (sharded) info.shard = lane;
-      info.qab = q.qab;
-      for (VarId v : items) info.items.push_back(static_cast<int32_t>(v));
-      trace->AddQueryInfo(std::move(info));
-      obs::TraceEvent e;
-      e.time = cur_now;
-      e.kind = obs::TraceEventKind::kQueryRegister;
-      e.node = tnode;
-      e.query = q.id;
-      if (sharded) e.shard = lane;
-      e.a = q.qab;
-      e.b = estimate;
-      e.flag = degrade_attempts;
-      reg_id = trace->Emit(e);
-    }
-    // Plan installation is coordinator work: charge the query's lane one
-    // recompute per plan part, exactly as a secondary-violation replan
-    // would.
-    double busy = 0.0;
-    for (size_t pi = 0; pi < st.plans[qi].parts.size(); ++pi) {
-      busy += delays.RecomputeCpu();
-    }
-    const size_t lane_s = static_cast<size_t>(lane);
-    st.shard_free_at[lane_s] =
-        std::max(cur_now, st.shard_free_at[lane_s]) + busy;
-    emit_plan_patch(reg_id);
-    ship_churn_changes(items, reg_id, q.id, lane);
-    if (wal_file != nullptr && replay_done) {
-      recovery::AppendWal(wal_file.get(), {.kind = WalKind::kChurn,
-                                           .tick = cur_tick, .op = "register",
-                                           .query_id = q.id});
-    }
-    return Status::OK();
-  };
-
-  auto do_modify = [&](int query_id, double new_qab,
-                       core::QueryPlan plan) -> Status {
-    const int qi = find_live(query_id);
-    if (qi < 0) {
-      return Status::InvalidArgument("modify of unknown query id: " +
-                                     std::to_string(query_id));
-    }
-    const size_t q = static_cast<size_t>(qi);
-    const double old_qab = queries[q].qab;
-    queries[q].qab = new_qab;
-    st.plans[q] = std::move(plan);
-    st.anchors[q].resize(st.plans[q].parts.size());
-    for (size_t pi = 0; pi < st.plans[q].parts.size(); ++pi) {
-      anchor_part(q, pi);
-    }
-    ensure_dqi();
-    refresh_partition();
-    const int lane = st.query_shard[q];
-    uint64_t mod_id = 0;
-    if (trace != nullptr) {
-      obs::TraceEvent e;
-      e.time = cur_now;
-      e.kind = obs::TraceEventKind::kQueryModify;
-      e.node = tnode;
-      e.query = query_id;
-      if (sharded) e.shard = lane;
-      e.a = new_qab;
-      e.b = old_qab;
-      mod_id = trace->Emit(e);
-    }
-    double busy = 0.0;
-    for (size_t pi = 0; pi < st.plans[q].parts.size(); ++pi) {
-      busy += delays.RecomputeCpu();
-    }
-    const size_t lane_s = static_cast<size_t>(lane);
-    st.shard_free_at[lane_s] =
-        std::max(cur_now, st.shard_free_at[lane_s]) + busy;
-    emit_plan_patch(mod_id);
-    ship_churn_changes(queries[q].p.Variables(), mod_id, query_id, lane);
-    if (wal_file != nullptr && replay_done) {
-      recovery::AppendWal(wal_file.get(), {.kind = WalKind::kChurn,
-                                           .tick = cur_tick, .op = "modify",
-                                           .query_id = query_id});
-    }
-    return Status::OK();
-  };
-
-  auto do_deregister = [&](int query_id) -> Status {
-    const int qi = find_live(query_id);
-    if (qi < 0) {
-      return Status::InvalidArgument("deregister of unknown query id: " +
-                                     std::to_string(query_id));
-    }
-    const size_t q = static_cast<size_t>(qi);
-    ensure_dqi();
-    // The pre-removal lane stamps the trace event; afterwards the slot
-    // has no lane.
-    const int lane = st.query_shard[q];
-    q_alive[q] = 0;
-    q_dereg_tick[q] = cur_tick;
-    const std::vector<VarId> items = queries[q].p.Variables();
-    for (VarId v : items) {
-      auto& qs = st.item_queries[static_cast<size_t>(v)];
-      qs.erase(std::remove(qs.begin(), qs.end(), qi), qs.end());
-    }
-    st.plans[q].parts.clear();
-    st.anchors[q].clear();
-    dqi->RemoveQuery(qi);
-    refresh_partition();
-    uint64_t de_id = 0;
-    if (trace != nullptr) {
-      obs::TraceEvent e;
-      e.time = cur_now;
-      e.kind = obs::TraceEventKind::kQueryDeregister;
-      e.node = tnode;
-      e.query = query_id;
-      if (sharded) e.shard = lane;
-      de_id = trace->Emit(e);
-    }
-    // Dropping a query is bookkeeping, not solver work: no lane charge.
-    emit_plan_patch(de_id);
-    ship_churn_changes(items, de_id, /*q_id=*/-1, /*q_lane=*/-1);
-    if (wal_file != nullptr && replay_done) {
-      recovery::AppendWal(wal_file.get(), {.kind = WalKind::kChurn,
-                                           .tick = cur_tick, .op = "deregister",
-                                           .query_id = query_id});
-    }
-    return Status::OK();
-  };
-
-  auto do_trial = [&](const PolynomialQuery& q) -> Result<core::QueryPlan> {
-    for (VarId v : q.p.Variables()) {
-      if (static_cast<size_t>(v) >= n_items) {
-        return Status::InvalidArgument(
-            "candidate query references item beyond universe");
-      }
-    }
-    return core::PlanQueryParts(q, st.view, rates, planner_cfg);
-  };
-
-  auto do_reject = [&](int query_id, double estimate, double budget,
-                       int reason) {
-    // A duplicate-id attempt while the id is live is dropped rather than
-    // traced: the checker's invariant is that a rejected id is not
-    // active. The admission layer counts it either way.
-    if (find_live(query_id) >= 0) return;
-    if (trace != nullptr) {
-      obs::TraceEvent e;
-      e.time = cur_now;
-      e.kind = obs::TraceEventKind::kAdmissionReject;
-      e.node = tnode;
-      e.query = query_id;
-      e.a = estimate;
-      e.b = budget;
-      e.flag = reason;
-      trace->Emit(e);
-    }
-  };
-
-  EngineOps ops;
-  ops.view = &st.view;
-  ops.rates = &rates;
-  ops.trial = do_trial;
-  ops.register_fn = do_register;
-  ops.modify_fn = do_modify;
-  ops.deregister_fn = do_deregister;
-  ops.reject_fn = do_reject;
-
-  int aao_next_tick =
-      aao_mode ? static_cast<int>(config.aao_period_s)
-               : std::numeric_limits<int>::max();
-  core::AaoSolution last_aao;
-  bool have_aao = false;
-
-  // Single-DAB schemes (Optimal Refresh, WSDAB) recompute on *every*
-  // refresh: their correctness condition covers drift from the exact
-  // anchor values only, so any view change stales the assignment (§I-B,
-  // Figure 2). The Dual-DAB scheme recomputes only when a value escapes
-  // its secondary range (§III-A.2).
-  const bool recompute_every_refresh =
-      planner_cfg.method != core::AssignmentMethod::kDualDab;
-
-  // Deliver all messages with arrival time <= now. DAB-change events that
-  // a recomputation emits at `now` (e.g. under zero delays) are picked up
-  // within the same call. Non-OK only when a pool job failed: the abort
-  // latched in the pool surfaces at the next epoch await.
-  auto deliver_until = [&](double now) -> Status {
-    while (!st.events.empty() && st.events.top().time <= now) {
-      const Event ev = st.events.top();
-      st.events.pop();
-      if (ev.type == EventType::kDabChange) {
-        st.installed_dab[static_cast<size_t>(ev.item)] = ev.value;
-        if (trace != nullptr) {
-          obs::TraceEvent e;
-          e.time = ev.time;
-          e.kind = obs::TraceEventKind::kDabChangeInstalled;
-          e.node = tnode;
-          e.item = ev.item;
-          e.cause = ev.trace_id;
-          e.a = ev.value;
-          trace->Emit(e);
-        }
-        continue;
-      }
-      if (ev.type == EventType::kAckArrive) {
-        // Source side: the ack clears the retransmit obligation for this
-        // seq and anything older (a newer pending seq stays live).
-        recovery::CheckpointItemFault& f =
-            item_fault[static_cast<size_t>(ev.item)];
-        if (f.pending_live && ev.seq >= f.pending_seq) f.pending_live = false;
-        continue;
-      }
-      if (ev.type == EventType::kHeartbeat) {
-        // Liveness only: heartbeats cost the coordinator nothing and do
-        // not queue behind lane work. Event.item carries the source id.
-        uint64_t hb_id = 0;
-        if (trace != nullptr) {
-          trace->SetNow(ev.time);
-          obs::TraceEvent e;
-          e.time = ev.time;
-          e.kind = obs::TraceEventKind::kHeartbeat;
-          e.node = tnode;
-          e.source = ev.item;
-          hb_id = trace->Emit(e);
-        }
-        record_contact(ev.item, ev.time, hb_id);
-        continue;
-      }
-      // Each coordinator lane is a serial resource: a refresh that arrives
-      // while its item's home lane is still busy (checking earlier
-      // refreshes, recomputing DABs) waits in that lane's queue. This
-      // queueing is what turns recomputation volume into fidelity loss
-      // (§V-B.1); with one lane, every refresh waits for everything.
-      const int home = st.item_home_shard[static_cast<size_t>(ev.item)];
-      const size_t home_lane = static_cast<size_t>(home < 0 ? 0 : home);
-      if (ev.time < st.shard_free_at[home_lane]) {
-        Event deferred = ev;
-        deferred.time = st.shard_free_at[home_lane];
-        deferred.wait += st.shard_free_at[home_lane] - ev.time;
-        st.events.push(deferred);
-        continue;
-      }
-      if (fault_mode && ev.seq != 0 &&
-          ev.seq <= item_fault[static_cast<size_t>(ev.item)].delivered_seq) {
-        // An already-delivered seq (injected duplicate, or a retransmit
-        // that raced its own ack): suppressed without the QAB-check cost,
-        // but still a liveness contact, and re-acked in case the earlier
-        // ack was the casualty.
-        ++metrics.duplicates_suppressed;
-        if (ins.duplicates_suppressed != nullptr) {
-          ins.duplicates_suppressed->Inc();
-        }
-        uint64_t dup_id = 0;
-        if (trace != nullptr) {
-          trace->SetNow(ev.time);
-          obs::TraceEvent e;
-          e.time = ev.time;
-          e.kind = obs::TraceEventKind::kDupSuppressed;
-          e.node = tnode;
-          e.source = ev.item % num_sources;
-          e.item = ev.item;
-          if (sharded) e.shard = static_cast<int32_t>(home_lane);
-          e.cause = ev.trace_id;
-          e.a = ev.value;
-          e.flag = static_cast<int32_t>(ev.seq);
-          dup_id = trace->Emit(e);
-        }
-        record_contact(ev.item % num_sources, ev.time, dup_id);
-        send_ack(ev.item, ev.seq, ev.time, dup_id);
-        continue;
-      }
-      // Refresh processing begins. The full queue wait — summed across
-      // every deferral this refresh went through — is recorded exactly
-      // once, now that it is known.
-      if (ins.queue_wait != nullptr && ev.wait > 0.0) {
-        ins.queue_wait->Record(ev.wait);
-      }
-      ++metrics.refreshes;
-      if (ins.refreshes != nullptr) ins.refreshes->Inc();
-      uint64_t arrival_id = 0;
-      if (trace != nullptr) {
-        trace->SetNow(ev.time);
-        obs::TraceEvent e;
-        e.time = ev.time;
-        e.kind = obs::TraceEventKind::kRefreshArrived;
-        e.node = tnode;
-        e.source = ev.item % num_sources;
-        e.item = ev.item;
-        if (sharded) e.shard = static_cast<int32_t>(home_lane);
-        e.cause = ev.trace_id;
-        e.a = ev.value;
-        e.b = ev.wait;
-        if (ev.seq != 0) e.flag = static_cast<int32_t>(ev.seq);
-        arrival_id = trace->Emit(e);
-      }
-      if (fault_mode && ev.seq != 0) {
-        item_fault[static_cast<size_t>(ev.item)].delivered_seq = ev.seq;
-        record_contact(ev.item % num_sources, ev.time, arrival_id);
-        send_ack(ev.item, ev.seq, ev.time, arrival_id);
-      }
-      std::fill(lane_busy.begin(), lane_busy.end(), 0.0);
-      pre_free = st.shard_free_at;
-      std::fill(barrier_lane.begin(), barrier_lane.end(), 0);
-      barrier_any = false;
-      lane_busy[home_lane] = delays.Check();
-      st.view[static_cast<size_t>(ev.item)] = ev.value;
-      view_eval.Update(static_cast<VarId>(ev.item), ev.value);
-      // Pass 1, the service's one staleness walk: visit the parts this
-      // refresh makes stale in oracle order, with no RNG draw and no
-      // emission. Stale parts are grouped by bitwise-equal solve inputs
-      // (core::SameReplanInputs; the hash only picks candidates) and each
-      // group's leader is solved once. Groups go round-robin to slots
-      // 0..workers: the pool workers, then the event loop, which solves
-      // its share inline once the others are dispatched. Solvers read
-      // st.view / rates / the leader part concurrently; the event loop
-      // mutates none of them until the group's epoch is awaited in pass 2.
-      // A part's anchors and secondary DABs only move at its own install
-      // and each part is stale at most once per service, so the set pass
-      // 1 records is the set pass 2 installs.
-      const std::vector<int>& item_qs =
-          st.item_queries[static_cast<size_t>(ev.item)];
-      solve_groups.clear();
-      stale_parts.clear();
-      const int loop_slot = pool.workers();
-      const size_t slots = static_cast<size_t>(loop_slot) + 1;
-      for (size_t k = 0; k < item_qs.size(); ++k) {
-        const size_t qi = static_cast<size_t>(item_qs[k]);
-        core::QueryPlan& plan = st.plans[qi];
-        for (size_t pi = 0; pi < plan.parts.size(); ++pi) {
-          core::PlanPart& part = plan.parts[pi];
-          const int idx = part.dabs.IndexOf(static_cast<VarId>(ev.item));
-          if (idx < 0) continue;
-          // Value-independent assignments (LAQs) never go stale.
-          if (part.dabs.never_stale) continue;
-          // Single-DAB schemes are stale on every refresh; Dual-DAB only
-          // once the value escapes the part's secondary range.
-          double anchor = 0.0;
-          if (!recompute_every_refresh) {
-            anchor = st.anchors[qi][pi][static_cast<size_t>(idx)];
-            const double drift = std::fabs(ev.value - anchor);
-            const double limit =
-                part.dabs.secondary[static_cast<size_t>(idx)] *
-                (1.0 + config.violation_tol);
-            if (drift <= limit) continue;
-          }
-          const uint64_t hash = core::ReplanInputsHash(part);
-          size_t g = 0;
-          while (g < solve_groups.size() &&
-                 !(solve_groups[g].hash == hash &&
-                   core::SameReplanInputs(*solve_groups[g].leader, part))) {
-            ++g;
-          }
-          stale_parts.push_back(
-              {k, pi, static_cast<size_t>(idx), anchor, g});
-          if (g < solve_groups.size()) {
-            solve_groups[g].shared = true;
-            continue;
-          }
-          SolveGroup& group = solve_groups.emplace_back();
-          group.leader = &part;
-          group.hash = hash;
-          group.slot = static_cast<int>(g % slots);
-          if (group.slot == loop_slot) continue;
-          const bool abort_job =
-              ++solve_jobs_dispatched == config.rt_fail_at;
-          group.epoch = pool.Dispatch(
-              group.slot, [&group, &view = st.view, &rates, &solve_cfg,
-                           abort_job]() {
-                if (abort_job) {
-                  return Status::Internal(
-                      "rt: injected worker abort (rt_fail_at)");
-                }
-                group.Solve(view, rates, solve_cfg);
-                return Status::OK();
-              });
-        }
-      }
-      for (SolveGroup& group : solve_groups) {
-        if (group.slot == loop_slot) group.Solve(st.view, rates, solve_cfg);
-      }
-      // Pass 2: notify users, then install pass 1's stale parts in the
-      // order it found them.
-      size_t next_stale = 0;
-      for (size_t k = 0; k < item_qs.size(); ++k) {
-        const size_t qi = static_cast<size_t>(item_qs[k]);
-        const size_t lane = static_cast<size_t>(st.query_shard[qi]);
-        // Push the fresh result to the user when it drifted past the QAB
-        // since the last notification.
-        const double qv = view_eval.QueryValue(qi);
-        const double prev_user = last_user_value[qi];
-        if (std::fabs(qv - prev_user) > queries[qi].qab) {
-          last_user_value[qi] = qv;
-          ++metrics.user_notifications;
-          if (ins.user_notifications != nullptr) ins.user_notifications->Inc();
-          if (trace != nullptr) {
-            obs::TraceEvent e;
-            e.time = ev.time;
-            e.kind = obs::TraceEventKind::kUserNotification;
-            e.node = tnode;
-            e.item = ev.item;
-            e.query = queries[qi].id;
-            if (sharded) e.shard = static_cast<int32_t>(lane);
-            e.cause = arrival_id;
-            e.a = qv;
-            e.b = prev_user;
-            trace->Emit(e);
-          }
-          lane_busy[lane] += delays.Push();
-        }
-        for (; next_stale < stale_parts.size() &&
-               stale_parts[next_stale].k == k;
-             ++next_stale) {
-          const StalePart& sp = stale_parts[next_stale];
-          const size_t pi = sp.pi;
-          core::PlanPart& part = st.plans[qi].parts[pi];
-          // Under Dual-DAB the recomputation's cause is the secondary
-          // violation; under single-DAB staleness it is the arrival
-          // itself.
-          uint64_t recompute_cause = arrival_id;
-          if (!recompute_every_refresh && trace != nullptr) {
-            obs::TraceEvent e;
-            e.time = ev.time;
-            e.kind = obs::TraceEventKind::kSecondaryViolation;
-            e.node = tnode;
-            e.item = ev.item;
-            e.query = queries[qi].id;
-            e.part = static_cast<int32_t>(pi);
-            if (sharded) e.shard = static_cast<int32_t>(lane);
-            e.cause = arrival_id;
-            e.a = ev.value;
-            e.b = sp.anchor;
-            e.c = part.dabs.secondary[sp.idx];
-            recompute_cause = trace->Emit(e);
-          }
-          // This part's assignment is stale (§I-B): recompute it.
-          // Warm-starting from the previous assignment keeps each
-          // re-solve cheap even when every refresh triggers one.
-          ++metrics.recomputations;
-          if (ins.recomputations != nullptr) {
-            ins.recomputations->Inc();
-            (recompute_every_refresh ? ins.cause_single_dab_staleness
-                                     : ins.cause_secondary_escape)
-                ->Inc();
-          }
-          uint64_t start_id = 0;
-          if (trace != nullptr) {
-            obs::TraceEvent e;
-            e.time = ev.time;
-            e.kind = obs::TraceEventKind::kRecomputeStart;
-            e.node = tnode;
-            e.item = ev.item;
-            e.query = queries[qi].id;
-            e.part = static_cast<int32_t>(pi);
-            if (sharded) e.shard = static_cast<int32_t>(lane);
-            e.cause = recompute_cause;
-            start_id = trace->Emit(e);
-          }
-          lane_busy[lane] += delays.RecomputeCpu();
-          // The epoch await is the only synchronization a result needs
-          // before its install. A part other than its group's leader
-          // installs a copy of the leader's result — exact, because
-          // ReplanPart is a pure function of the inputs the group shares
-          // plus the view and rates every solve of this service reads.
-          SolveGroup& group = solve_groups[sp.group];
-          if (group.slot < pool.workers()) {
-            POLYDAB_RETURN_NOT_OK(pool.AwaitEpoch(group.slot, group.epoch));
-          }
-          Result<QueryDabs> fresh =
-              group.leader != &part
-                  ? core::ReplanPartByCopy(part, group.result, group.solve,
-                                           planner_cfg)
-              : group.shared ? Result<QueryDabs>(group.result)
-                             : std::move(group.result);
-          core::TraceReplan(planner_cfg, part, fresh.ok());
-          uint64_t end_id = 0;
-          if (trace != nullptr) {
-            obs::TraceEvent e;
-            e.time = ev.time;
-            e.kind = obs::TraceEventKind::kRecomputeEnd;
-            e.node = tnode;
-            e.item = ev.item;
-            e.query = queries[qi].id;
-            e.part = static_cast<int32_t>(pi);
-            if (sharded) e.shard = static_cast<int32_t>(lane);
-            e.cause = start_id;
-            e.flag = fresh.ok() ? 1 : 0;
-            end_id = trace->Emit(e);
-          }
-          if (!fresh.ok()) {
-            ++metrics.solver_failures;
-            if (ins.solver_failures != nullptr) ins.solver_failures->Inc();
-            continue;  // keep the stale plan; better than none
-          }
-          part.dabs = std::move(fresh).value();
-          if (config.paranoid_validation) {
-            // Only the freshly replanned part is anchored at the current
-            // view; sibling parts keep their own (older) anchors.
-            Status valid = core::ValidatePart(part, st.view);
-            POLYDAB_CHECK(valid.ok());
-          }
-          anchor_part(qi, pi);
-          ship_dab_changes(qi, pi, ev.time, end_id,
-                           /*emit_item_barriers=*/true);
-        }
-      }
-      // End of service: the home lane ran from the arrival; a lane that
-      // got work dispatched from here starts once it drains its own
-      // earlier work. Lanes a barrier joined then advance together.
-      st.shard_free_at[home_lane] = ev.time + lane_busy[home_lane];
-      if (sharded) {
-        for (size_t s = 0; s < st.shard_free_at.size(); ++s) {
-          if (s == home_lane || lane_busy[s] == 0.0) continue;
-          const double start = std::max(ev.time, pre_free[s]);
-          if (ins.shard_dispatch_wait != nullptr && start > ev.time) {
-            ins.shard_dispatch_wait->Record(start - ev.time);
-          }
-          st.shard_free_at[s] = start + lane_busy[s];
-        }
-        if (barrier_any) {
-          double joined = 0.0;
-          for (size_t s = 0; s < st.shard_free_at.size(); ++s) {
-            if (barrier_lane[s] != 0) {
-              joined = std::max(joined, st.shard_free_at[s]);
-            }
-          }
-          for (size_t s = 0; s < st.shard_free_at.size(); ++s) {
-            if (barrier_lane[s] != 0) st.shard_free_at[s] = joined;
-          }
-        }
-      }
-    }
-    return Status::OK();
-  };
-
-  // Per-tick activity snapshots for the rate histograms.
-  int64_t tick_refresh_base = 0;
-  int64_t tick_recompute_base = 0;
-
-  // Rows consumed from the source so far (tick 0 included); the
-  // streaming run length is discovered, not declared.
-  int ticks_seen = 1;
-
-  // Assemble a full snapshot of the coordinator's mutable state at the
-  // end of tick `tick` (docs/RECOVERY.md). `end_id` is the id the
-  // checkpoint_end event will get (0 untraced); the restart resumes event
-  // numbering at end_id + 1.
-  auto build_checkpoint = [&](int tick, uint64_t end_id) {
-    recovery::CheckpointState snap;
-    snap.tick = tick;
-    snap.ticks_seen = ticks_seen;
-    snap.config_fp = config_fp;
-    snap.num_items = static_cast<int>(n_items);
-    snap.num_sources = num_sources;
-    snap.num_shards = num_shards;
-    snap.trace_next_id = end_id == 0 ? 0 : end_id + 1;
-    snap.ckpt_end_id = end_id;
-    snap.fault_mode = fault_mode;
-    snap.dqi_built = dqi != nullptr;
-    snap.updates_since_rebase = view_eval.updates_since_rebase();
-    snap.refreshes = metrics.refreshes;
-    snap.recomputations = metrics.recomputations;
-    snap.dab_change_messages = metrics.dab_change_messages;
-    snap.user_notifications = metrics.user_notifications;
-    snap.solver_failures = metrics.solver_failures;
-    snap.fault_drops = metrics.fault_drops;
-    snap.retransmits = metrics.retransmits;
-    snap.duplicates_suppressed = metrics.duplicates_suppressed;
-    snap.lease_expiries = metrics.lease_expiries;
-    snap.degraded_query_seconds = metrics.degraded_query_seconds;
-    snap.queries.reserve(queries.size());
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      recovery::CheckpointQuery cq;
-      cq.id = queries[qi].id;
-      cq.qab = queries[qi].qab;
-      cq.poly = queries[qi].p;
-      cq.alive = q_alive[qi] != 0;
-      cq.reg_tick = q_reg_tick[qi];
-      cq.dereg_tick = q_dereg_tick[qi] == std::numeric_limits<int>::max()
-                          ? -1
-                          : q_dereg_tick[qi];
-      cq.violated_time = st.violated_time[qi];
-      cq.last_user_value = last_user_value[qi];
-      cq.shard = st.query_shard[qi];
-      cq.query_value = view_eval.QueryValue(qi);
-      if (fault_mode) {
-        cq.degraded_items = degraded_items[qi];
-        cq.degrade_event = degrade_event[qi];
-      }
-      snap.queries.push_back(std::move(cq));
-    }
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      for (size_t pi = 0; pi < st.plans[qi].parts.size(); ++pi) {
-        const core::PlanPart& part = st.plans[qi].parts[pi];
-        recovery::CheckpointPart cp;
-        cp.slot = static_cast<int>(qi);
-        cp.part = static_cast<int>(pi);
-        cp.poly = part.subquery.p;
-        cp.pqab = part.subquery.qab;
-        cp.vars = part.dabs.vars;
-        cp.primary = part.dabs.primary;
-        cp.secondary = part.dabs.secondary;
-        cp.recompute_rate = part.dabs.recompute_rate;
-        cp.single_dab = part.dabs.single_dab;
-        cp.never_stale = part.dabs.never_stale;
-        cp.anchor = st.anchors[qi][pi];
-        snap.parts.push_back(std::move(cp));
-      }
-    }
-    snap.view = st.view;
-    snap.source_value = st.source_value;
-    snap.last_pushed = st.last_pushed;
-    snap.installed_dab = st.installed_dab;
-    snap.min_primary = st.min_primary;
-    snap.item_home_shard = st.item_home_shard;
-    snap.item_queries = st.item_queries;
-    snap.item_shards = st.item_shards;
-    snap.shard_free_at = st.shard_free_at;
-    snap.events = st.events.c;
-    snap.sources = source_fault;
-    snap.item_fault = item_fault;
-    if (config.registry != nullptr) {
-      for (const obs::MetricRegistry::Entry& en : config.registry->Entries()) {
-        recovery::CheckpointInstrument ci;
-        ci.name = en.name;
-        switch (en.kind) {
-          case obs::InstrumentKind::kCounter:
-            ci.kind = 'c';
-            ci.count = en.counter->value();
-            break;
-          case obs::InstrumentKind::kGauge:
-            ci.kind = 'g';
-            ci.value = en.gauge->value();
-            break;
-          case obs::InstrumentKind::kHistogram:
-            ci.kind = 'h';
-            en.histogram->SnapshotState(&ci.buckets, &ci.count, &ci.sum,
-                                        &ci.raw_min, &ci.raw_max);
-            break;
-        }
-        snap.instruments.push_back(std::move(ci));
-      }
-    }
-    {
-      std::ostringstream os;
-      os << delays.rng().engine();
-      snap.delay_rng = os.str();
-    }
-    {
-      std::ostringstream os;
-      os << faults.rng().engine();
-      snap.fault_rng = os.str();
-    }
-    if (config.service != nullptr) {
-      snap.service_state = config.service->SnapshotState();
-    }
-    return snap;
-  };
-
-  // ---- Restart: apply the remaining snapshot state and stage the WAL
-  // replay. Everything structural (queries, plans, lanes, fault tables)
-  // was restored above; what's left is the exact mutable tail — the
-  // evaluator's delta chain, user-visible values, churn clocks, the
-  // in-flight event heap, both RNG streams, telemetry, and the service
-  // driver — plus the post-checkpoint rows to re-run. ----
-  if (rec_restart) {
-    last_ckpt_end_id = ckpt->ckpt_end_id;
-    Vector qvals(queries.size());
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const recovery::CheckpointQuery& cq = ckpt->queries[qi];
-      qvals[qi] = cq.query_value;
-      st.query_shard[qi] = cq.shard;
-      st.violated_time[qi] = cq.violated_time;
-      last_user_value[qi] = cq.last_user_value;
-      q_alive[qi] = cq.alive ? 1 : 0;
-      q_reg_tick[qi] = cq.reg_tick;
-      q_dereg_tick[qi] =
-          cq.dereg_tick < 0 ? std::numeric_limits<int>::max() : cq.dereg_tick;
-      if (fault_mode) {
-        degraded_items[qi] = cq.degraded_items;
-        degrade_event[qi] = cq.degrade_event;
-      }
-    }
-    view_eval.RestoreState(st.view, std::move(qvals),
-                           ckpt->updates_since_rebase);
-    if (ckpt->dqi_built) {
-      // Rebuild the dynamic index by replaying membership: every slot is
-      // added in slot order (so dqi slot i == query index i, the
-      // ensure_dqi invariant), then the dead ones removed. ComponentMin
-      // and the shard assignment are content-determined, so the rebuilt
-      // index answers identically to the crashed run's.
-      ensure_dqi();
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        if (q_alive[qi] == 0) {
-          dqi->RemoveQuery(static_cast<int>(qi));
-        }
-      }
-    }
-    st.events.c = ckpt->events;
-    {
-      std::istringstream in(ckpt->delay_rng);
-      in >> delays.rng().engine();
-      if (in.fail()) {
-        return Status::InvalidArgument(
-            "restart: bad delay-RNG stream state in checkpoint");
-      }
-    }
-    {
-      std::istringstream in(ckpt->fault_rng);
-      in >> faults.rng().engine();
-      if (in.fail()) {
-        return Status::InvalidArgument(
-            "restart: bad fault-RNG stream state in checkpoint");
-      }
-    }
-    if (config.registry != nullptr) {
-      for (const recovery::CheckpointInstrument& ci : ckpt->instruments) {
-        if (ci.kind == 'c') {
-          obs::Counter* c = config.registry->GetCounter(ci.name);
-          c->Add(ci.count - c->value());
-        } else if (ci.kind == 'g') {
-          config.registry->GetGauge(ci.name)->Set(ci.value);
-        } else {
-          config.registry->GetHistogram(ci.name)->RestoreState(
-              ci.buckets, ci.count, ci.sum, ci.raw_min, ci.raw_max);
-        }
-      }
-    } else if (!ckpt->instruments.empty()) {
-      return Status::InvalidArgument(
-          "restart: checkpoint carries registry instruments but the "
-          "restart has no metric registry attached");
-    }
-    if (config.service != nullptr) {
-      POLYDAB_RETURN_NOT_OK(config.service->RestoreState(ckpt->service_state));
-    } else if (!ckpt->service_state.empty()) {
-      return Status::InvalidArgument(
-          "restart: checkpoint carries service-driver state but no "
-          "service driver is attached");
-    }
-    if (trace != nullptr) {
-      if (ckpt->trace_next_id == 0) {
-        return Status::InvalidArgument(
-            "restart: checkpoint was taken untraced but the restart has a "
-            "trace sink");
-      }
-      // Continue event numbering where the snapshot left off, and hold
-      // back query infos while replaying: the crashed trace already has
-      // every info recorded before the crash.
-      trace->SetNextId(ckpt->trace_next_id);
-      trace->SuppressQueryInfos(true);
-    } else if (ckpt->trace_next_id != 0) {
-      return Status::InvalidArgument(
-          "restart: checkpoint was taken traced but the restart has no "
-          "trace sink");
-    }
-    ticks_seen = ckpt->ticks_seen;
-    if (ckpt->shard_free_at.size() != static_cast<size_t>(num_shards)) {
-      return Status::InvalidArgument(
-          "restart: checkpoint lane-clock width mismatch");
-    }
-    st.shard_free_at = ckpt->shard_free_at;
-    tick_refresh_base = metrics.refreshes;
-    tick_recompute_base = metrics.recomputations;
-    // Stage the replay: every WAL row after the snapshot and before the
-    // crash marker, in tick order, gap-free.
-    crash_marker = recovery::LastCrashMarker(*rec->wal);
-    if (crash_marker == nullptr) {
-      return Status::InvalidArgument(
-          "restart: WAL has no crash marker (the crashed run did not "
-          "terminate through the injector)");
-    }
-    if (crash_marker->tick <= ckpt->tick) {
-      return Status::InvalidArgument(
-          "restart: WAL crash marker (tick " +
-          std::to_string(crash_marker->tick) +
-          ") precedes the checkpoint (tick " + std::to_string(ckpt->tick) +
-          "); checkpoint and WAL files disagree");
-    }
-    if (crash_marker->cause != last_ckpt_end_id) {
-      return Status::InvalidArgument(
-          "restart: WAL crash marker cites checkpoint_end id " +
-          std::to_string(crash_marker->cause) +
-          " but the loaded snapshot's is " +
-          std::to_string(last_ckpt_end_id));
-    }
-    int expect = ckpt->tick + 1;
-    for (const recovery::WalRecord& r : *rec->wal) {
-      if (r.kind != recovery::WalRecord::Kind::kRow) continue;
-      if (r.tick <= ckpt->tick || r.tick >= crash_marker->tick) continue;
-      if (r.tick != expect) {
-        return Status::InvalidArgument(
-            "restart: WAL rows are not contiguous (expected tick " +
-            std::to_string(expect) + ", found tick " +
-            std::to_string(r.tick) + ")");
-      }
-      if (r.values.size() != n_items) {
-        return Status::InvalidArgument(
-            "restart: WAL row at tick " + std::to_string(r.tick) +
-            " has width " + std::to_string(r.values.size()) +
-            ", expected " + std::to_string(n_items));
-      }
-      replay_rows.push_back(&r);
-      ++expect;
-    }
-    if (expect != crash_marker->tick) {
-      return Status::InvalidArgument(
-          "restart: WAL is missing rows between the checkpoint (tick " +
-          std::to_string(ckpt->tick) + ") and the crash (tick " +
-          std::to_string(crash_marker->tick) + ")");
-    }
-    replay_done = false;
-  }
-
-  for (int tick = rec_restart ? ckpt->tick + 1 : 1;; ++tick) {
-    if (!replay_done && replay_idx >= replay_rows.size()) {
-      // WAL exhausted: this is exactly the crashed run's crash instant.
-      // Re-emit the coord_crash replica — its id must reproduce the
-      // marker's, a built-in replay-determinism self-check — then mark
-      // the recovery boundary and fall through to live consumption.
-      replay_done = true;
-      if (trace != nullptr) {
-        const double ct = static_cast<double>(tick);
-        trace->SetNow(ct);
-        obs::TraceEvent e;
-        e.time = ct;
-        e.kind = obs::TraceEventKind::kCoordCrash;
-        e.node = tnode;
-        e.cause = last_ckpt_end_id;
-        e.flag = tick;
-        const uint64_t xid = trace->Emit(e);
-        if (xid != crash_marker->event_id) {
-          return Status::Internal(
-              "recovery replay diverged: coord_crash replica got event id " +
-              std::to_string(xid) + " but the crashed run recorded " +
-              std::to_string(crash_marker->event_id));
-        }
-        obs::TraceEvent r2;
-        r2.time = ct;
-        r2.kind = obs::TraceEventKind::kRecoveryReplay;
-        r2.node = tnode;
-        r2.cause = xid;
-        r2.a = static_cast<double>(replay_rows.size());
-        r2.b = static_cast<double>(ckpt->tick);
-        trace->Emit(r2);
-        trace->SuppressQueryInfos(false);
-      }
-    }
-    if (!replay_done) {
-      const recovery::WalRecord* wr = replay_rows[replay_idx++];
-      if (wr->tick != tick) {
-        return Status::Internal("recovery replay desynchronized at tick " +
-                                std::to_string(tick));
-      }
-      row = wr->values;
-    } else {
-      if (rec != nullptr && rec->crash_at_tick == tick) {
-        // --- Injected coordinator crash: top of the tick, before the
-        // tick's row is consumed, so the WAL's last row is tick - 1 and
-        // the restart resumes by replaying up to exactly here. The
-        // partial metrics go back to the caller; rec->crashed tells the
-        // tool this was the injector, not a normal end-of-trace. ---
-        uint64_t xid = 0;
-        if (trace != nullptr) {
-          const double ct = static_cast<double>(tick);
-          trace->SetNow(ct);
-          obs::TraceEvent e;
-          e.time = ct;
-          e.kind = obs::TraceEventKind::kCoordCrash;
-          e.node = tnode;
-          e.cause = last_ckpt_end_id;
-          e.flag = tick;
-          xid = trace->Emit(e);
-        }
-        if (wal_file != nullptr) {
-          recovery::AppendWal(wal_file.get(),
-                              {.kind = WalKind::kCrash, .tick = tick,
-                               .event_id = xid, .cause = last_ckpt_end_id});
-          std::fflush(wal_file.get());
-        }
-        rec->crashed = true;
-        rec->crash_event_id = xid;
-        POLYDAB_RETURN_NOT_OK(pool.Quiesce());
-        pool.Stop();
-        return metrics;
-      }
-      {
-        auto more = source.Next(&row);
-        if (!more.ok()) return more.status();
-        if (!*more) break;
-      }
-      if (wal_file != nullptr) {
-        recovery::AppendWal(wal_file.get(), {.kind = WalKind::kRow,
-                                             .tick = tick, .values = row});
-      }
-    }
-    ++ticks_seen;
-    const double now = static_cast<double>(tick);
-
-    // 1. Deliver everything that arrived since the last tick.
-    POLYDAB_RETURN_NOT_OK(deliver_until(now));
-
-    // 1a. Injected coordinator-lane stalls: the lane's busy-until clock
-    //     jumps forward, so queued refreshes defer behind the outage.
-    //     After delivery — messages already in by `now` predate the
-    //     stall, and the trace stays time-monotonic.
-    if (fault_mode && config.fault.stall_prob > 0.0) {
-      for (size_t s = 0; s < st.shard_free_at.size(); ++s) {
-        if (!faults.StallNow()) continue;
-        const double dur = faults.StallDuration();
-        st.shard_free_at[s] = std::max(st.shard_free_at[s], now) + dur;
-        if (trace != nullptr) {
-          trace->SetNow(now);
-          obs::TraceEvent e;
-          e.time = now;
-          e.kind = obs::TraceEventKind::kLaneStall;
-          e.node = tnode;
-          if (sharded) e.shard = static_cast<int32_t>(s);
-          e.a = dur;
-          trace->Emit(e);
-        }
-      }
-    }
-
-    // 1b. Runtime churn: hand the service driver the engine ops, after
-    //     message delivery and before source pushes, so a query
-    //     registered this tick sees (and filters) this tick's values.
-    if (config.service != nullptr) {
-      cur_tick = tick;
-      cur_now = now;
-      if (trace != nullptr) trace->SetNow(now);
-      POLYDAB_RETURN_NOT_OK(config.service->OnTick(tick, now, ops));
-    }
-
-    // 2. Figure-7 mode: periodic joint AAO recomputation.
-    if (aao_mode && tick >= aao_next_tick) {
-      aao_next_tick += std::max(1, static_cast<int>(config.aao_period_s));
-      // Epoch barrier at the AAO global barrier: every lane's dispatched
-      // solves must have completed before the joint solve reads and
-      // rewrites all plans. (Each service already awaits its own jobs, so
-      // this quiesce is a cheap invariant, not a stall.)
-      POLYDAB_RETURN_NOT_OK(pool.Quiesce());
-      if (trace != nullptr) trace->SetNow(now);
-      auto joint = core::SolveAao(queries, st.view, rates,
-                                  planner_cfg.dual,
-                                  have_aao ? &last_aao : nullptr);
-      uint64_t aao_id = 0;
-      if (trace != nullptr) {
-        obs::TraceEvent e;
-        e.time = now;
-        e.kind = obs::TraceEventKind::kAaoSolve;
-        e.node = tnode;
-        e.a = static_cast<double>(queries.size());
-        e.flag = joint.ok() ? 1 : 0;
-        aao_id = trace->Emit(e);
-      }
-      if (!joint.ok()) {
-        ++metrics.solver_failures;
-        if (ins.solver_failures != nullptr) ins.solver_failures->Inc();
-      } else {
-        last_aao = *joint;
-        have_aao = true;
-        if (sharded) {
-          // The joint solve reads and replaces every query's plan: one
-          // global barrier joins every lane before any filter ships.
-          double joined = now;
-          for (double f : st.shard_free_at) joined = std::max(joined, f);
-          if (ins.shard_barriers != nullptr) ins.shard_barriers->Inc();
-          if (trace != nullptr) {
-            obs::TraceEvent e;
-            e.time = now;
-            e.kind = obs::TraceEventKind::kShardBarrier;
-            e.node = tnode;
-            e.cause = aao_id;
-            e.a = joined;
-            e.b = static_cast<double>(st.shard_free_at.size());
-            trace->Emit(e);
-          }
-          st.shard_free_at.assign(st.shard_free_at.size(), joined);
-        }
-        for (size_t qi = 0; qi < queries.size(); ++qi) {
-          ++metrics.recomputations;  // each query's DABs were recomputed
-          if (ins.recomputations != nullptr) {
-            ins.recomputations->Inc();
-            ins.cause_aao_periodic->Inc();
-          }
-          if (trace != nullptr) {
-            obs::TraceEvent e;
-            e.time = now;
-            e.kind = obs::TraceEventKind::kRecomputeStart;
-            e.node = tnode;
-            e.query = queries[qi].id;
-            e.part = 0;
-            if (sharded) e.shard = st.query_shard[qi];
-            e.cause = aao_id;
-            const uint64_t start_id = trace->Emit(e);
-            e.kind = obs::TraceEventKind::kRecomputeEnd;
-            e.cause = start_id;
-            e.flag = 1;  // the joint solve already succeeded
-            trace->Emit(e);
-          }
-          st.plans[qi].parts.assign(
-              1, core::PlanPart{queries[qi], joint->per_query[qi]});
-          st.anchors[qi].resize(1);
-          anchor_part(qi, 0);
-        }
-        for (size_t qi = 0; qi < queries.size(); ++qi) {
-          ship_dab_changes(qi, 0, now, aao_id, /*emit_item_barriers=*/false);
-        }
-      }
-    }
-
-    // 3. Sources advance to this tick's trace values and push filtered
-    //    changes. Fault mode first settles which sources are down this
-    //    tick: a crashed source keeps drifting but emits nothing (pushes,
-    //    retransmits, heartbeats) until its outage window passes.
-    if (fault_mode && config.fault.crash_prob > 0.0) {
-      for (int s = 0; s < num_sources; ++s) {
-        const size_t ss = static_cast<size_t>(s);
-        if (source_fault[ss].crashed_until > now) continue;  // already down
-        if (!faults.CrashNow()) continue;
-        const double dur = faults.CrashDuration();
-        source_fault[ss].crashed_until = now + dur;
-        if (trace != nullptr) {
-          trace->SetNow(now);
-          obs::TraceEvent e;
-          e.time = now;
-          e.kind = obs::TraceEventKind::kCrash;
-          e.node = tnode;
-          e.source = s;
-          e.a = dur;
-          source_fault[ss].crash_event = trace->Emit(e);
-        }
-      }
-    }
-    for (size_t item = 0; item < n_items; ++item) {
-      st.source_value[item] = row[item];
-      const double dab = st.installed_dab[item];
-      if (std::isinf(dab)) continue;  // item unused by any query
-      if (std::fabs(st.source_value[item] - st.last_pushed[item]) > dab) {
-        int64_t seq = 0;
-        if (fault_mode) {
-          // A crashed source neither pushes nor records the value as
-          // pushed: the drift persists, so recovery pushes immediately.
-          if (source_fault[item % static_cast<size_t>(num_sources)]
-                  .crashed_until > now) {
-            continue;
-          }
-          seq = item_fault[item].next_seq++;
-        }
-        uint64_t emit_id = 0;
-        if (trace != nullptr) {
-          obs::TraceEvent e;
-          e.time = now;
-          e.kind = obs::TraceEventKind::kRefreshEmitted;
-          e.node = tnode;
-          e.source = static_cast<int32_t>(item) % num_sources;
-          e.item = static_cast<int32_t>(item);
-          e.a = st.source_value[item];
-          e.b = dab;
-          e.c = st.last_pushed[item];
-          if (seq != 0) e.flag = static_cast<int32_t>(seq);
-          emit_id = trace->Emit(e);
-        }
-        st.last_pushed[item] = st.source_value[item];
-        if (fault_mode) {
-          // Register the retransmit obligation before the send: the
-          // source cannot know the copy will be lost.
-          recovery::CheckpointItemFault& f = item_fault[item];
-          f.pending_live = true;
-          f.pending_seq = seq;
-          f.pending_value = st.source_value[item];
-          f.pending_emit_id = emit_id;
-          f.pending_next_retx = now + config.fault.retx_timeout_s;
-          f.pending_attempts = 0;
-          send_data(item, st.source_value[item], seq, emit_id,
-                    /*klass=*/0, now);
-        } else {
-          const double delay = delays.Push() + delays.Network();
-          if (ins.message_delay != nullptr) ins.message_delay->Record(delay);
-          st.events.push(Event{now + delay, EventType::kRefresh,
-                               static_cast<int>(item), st.source_value[item],
-                               emit_id, 0.0});
-        }
-      }
-    }
-
-    // 3a. Reliability protocol: timeout retransmissions (exponential
-    //     backoff, gap capped at 8x) and per-source heartbeats.
-    if (fault_mode) {
-      for (size_t item = 0; item < n_items; ++item) {
-        recovery::CheckpointItemFault& f = item_fault[item];
-        if (!f.pending_live || now < f.pending_next_retx) continue;
-        const size_t src = item % static_cast<size_t>(num_sources);
-        if (source_fault[src].crashed_until > now) continue;  // source down
-        ++f.pending_attempts;
-        ++metrics.retransmits;
-        if (ins.retransmits != nullptr) ins.retransmits->Inc();
-        uint64_t rid = 0;
-        if (trace != nullptr) {
-          trace->SetNow(now);
-          obs::TraceEvent e;
-          e.time = now;
-          e.kind = obs::TraceEventKind::kRetransmit;
-          e.node = tnode;
-          e.source = static_cast<int32_t>(src);
-          e.item = static_cast<int32_t>(item);
-          e.cause = f.pending_emit_id;  // the previous emission of this seq
-          e.a = f.pending_value;
-          e.b = static_cast<double>(f.pending_attempts);
-          e.flag = static_cast<int32_t>(f.pending_seq);
-          rid = trace->Emit(e);
-        }
-        f.pending_next_retx =
-            now + config.fault.retx_timeout_s *
-                      static_cast<double>(1 << std::min(f.pending_attempts, 3));
-        f.pending_emit_id = rid;  // the next retransmit chains from this one
-        send_data(item, f.pending_value, f.pending_seq, rid, /*klass=*/1, now);
-      }
-      for (int s = 0; s < num_sources; ++s) {
-        const size_t ss = static_cast<size_t>(s);
-        // The heartbeat timer freezes during a crash (no advance), so a
-        // recovering source announces itself on its first live tick.
-        recovery::CheckpointSource& sf = source_fault[ss];
-        if (source_items[ss].empty() || sf.crashed_until > now ||
-            now < sf.next_heartbeat) {
-          continue;
-        }
-        sf.next_heartbeat = now + config.fault.heartbeat_s;
-        if (faults.DropMessage()) {
-          ++metrics.fault_drops;
-          if (ins.fault_drops != nullptr) ins.fault_drops->Inc();
-          if (trace != nullptr) {
-            trace->SetNow(now);
-            obs::TraceEvent e;
-            e.time = now;
-            e.kind = obs::TraceEventKind::kFaultDrop;
-            e.node = tnode;
-            e.source = s;
-            e.b = 3.0;  // message class: heartbeat
-            trace->Emit(e);
-          }
-          continue;
-        }
-        st.events.push(
-            Event{now + faults.ProtocolDelay(config.delays) +
-                      faults.ExtraDelay(),
-                  EventType::kHeartbeat, s, 0.0, 0, 0.0});
-      }
-    }
-
-    // 3b. Zero-delay messages generated this tick arrive "instantly":
-    //     deliver them before sampling fidelity so that a zero-delay
-    //     network preserves Condition 1 exactly.
-    POLYDAB_RETURN_NOT_OK(deliver_until(now));
-
-    // 3c. Source leases: an item whose source has been silent past
-    //     lease_s plus the item's worst-case drift time (from its
-    //     installed DAB and the ddm rate, capped at 3x lease_s) is
-    //     declared stale; each affected query degrades — gracefully, with
-    //     a widening rate |dQ/d(item)|, when the query is linear in the
-    //     item, or as unboundable otherwise (core::WideningFor).
-    if (fault_mode) {
-      for (size_t item = 0; item < n_items; ++item) {
-        if (st.item_queries[item].empty() || item_fault[item].expired) {
-          continue;
-        }
-        const size_t src = item % static_cast<size_t>(num_sources);
-        const double rate = std::max(rates[item], core::kMinRate);
-        double drift_time = st.installed_dab[item] / rate;
-        if (planner_cfg.dual.ddm == core::DataDynamicsModel::kRandomWalk) {
-          drift_time *= drift_time;
-        }
-        const double deadline =
-            config.fault.lease_s +
-            std::min(drift_time, 3.0 * config.fault.lease_s);
-        if (now - source_fault[src].last_contact <= deadline) continue;
-        item_fault[item].expired = true;
-        ++metrics.lease_expiries;
-        if (ins.lease_expiries != nullptr) ins.lease_expiries->Inc();
-        uint64_t xid = 0;
-        if (trace != nullptr) {
-          trace->SetNow(now);
-          obs::TraceEvent e;
-          e.time = now;
-          e.kind = obs::TraceEventKind::kLeaseExpire;
-          e.node = tnode;
-          e.source = static_cast<int32_t>(src);
-          e.item = static_cast<int32_t>(item);
-          e.a = source_fault[src].last_contact;
-          e.b = deadline;
-          xid = trace->Emit(e);
-        }
-        item_fault[item].expire_event = xid;
-        for (int qi : st.item_queries[item]) {
-          const size_t q = static_cast<size_t>(qi);
-          if (degraded_items[q]++ != 0) continue;  // already degraded
-          uint64_t did = 0;
-          if (trace != nullptr) {
-            const core::StalenessWidening w = core::WideningFor(
-                queries[q], static_cast<VarId>(item), st.view);
-            obs::TraceEvent e;
-            e.time = now;
-            e.kind = obs::TraceEventKind::kDegrade;
-            e.node = tnode;
-            e.item = static_cast<int32_t>(item);
-            e.query = queries[q].id;
-            e.cause = xid;
-            e.a = w.sensitivity;
-            e.b = rate;
-            e.flag = w.boundable ? 1 : 0;
-            did = trace->Emit(e);
-          }
-          degrade_event[q] = did;
-        }
-      }
-    }
-
-    // 4. Fidelity sample: is each query's QAB currently met at C?
-    if (tick % config.fidelity_stride == 0) {
-      int64_t sampled = 0;
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        // Deregistered queries owe no fidelity (their slots persist only
-        // for index stability).
-        if (q_alive[qi] == 0) continue;
-        ++sampled;
-        const bool degraded =
-            fault_mode && degraded_items[qi] > 0;
-        if (degraded) {
-          metrics.degraded_query_seconds +=
-              static_cast<double>(config.fidelity_stride);
-          if (ins.degraded_query_seconds != nullptr) {
-            ins.degraded_query_seconds->Add(config.fidelity_stride);
-          }
-        }
-        const double at_source = queries[qi].p.Evaluate(st.source_value);
-        const double at_coord = view_eval.QueryValue(qi);
-        if (std::fabs(at_source - at_coord) >
-            queries[qi].qab * (1.0 + config.violation_tol)) {
-          st.violated_time[qi] += config.fidelity_stride;
-          if (trace != nullptr) {
-            obs::TraceEvent e;
-            e.time = now;
-            e.kind = obs::TraceEventKind::kFidelityViolation;
-            e.node = tnode;
-            e.query = queries[qi].id;
-            e.a = at_source;
-            e.b = at_coord;
-            e.c = queries[qi].qab;
-            if (degraded) {
-              // flag 1: the query is in declared-degraded service; the
-              // violation is covered by the degradation announcement.
-              e.flag = 1;
-              e.cause = degrade_event[qi];
-            } else if (fault_mode) {
-              // flag 2: a concrete fault explains the stale view. The
-              // deterministic blame scan (first item in Variables()
-              // order whose source is mid-crash, else whose newest loss
-              // is still undelivered) is mirrored exactly by the
-              // offline verifier. flag stays 0 for benign violations
-              // (message in flight, stale plan after solver failure).
-              for (VarId v : queries[qi].p.Variables()) {
-                const size_t it = static_cast<size_t>(v);
-                const size_t s = it % static_cast<size_t>(num_sources);
-                if (source_fault[s].crashed_until > now) {
-                  e.flag = 2;
-                  e.cause = source_fault[s].crash_event;
-                  break;
-                }
-                const recovery::CheckpointItemFault& f = item_fault[it];
-                if (f.drop_seq > f.delivered_seq) {
-                  e.flag = 2;
-                  e.cause = f.drop_eid;
-                  break;
-                }
-              }
-            }
-            trace->Emit(e);
-          }
-        }
-      }
-      if (config.series != nullptr) {
-        config.series->AddFidelitySamples(sampled);
-      }
-    }
-
-    // 5. Per-tick activity rates (events per simulated second).
-    if (ins.tick_refreshes != nullptr) {
-      ins.tick_refreshes->Record(
-          static_cast<double>(metrics.refreshes - tick_refresh_base));
-      ins.tick_recomputations->Record(
-          static_cast<double>(metrics.recomputations - tick_recompute_base));
-      tick_refresh_base = metrics.refreshes;
-      tick_recompute_base = metrics.recomputations;
-    }
-
-    // 6. Window closes happen here, at the tick boundary and outside any
-    //    Emit, so SLO alert events carry time = the boundary and precede
-    //    every later-timed event (the trace stays time-monotonic).
-    if (config.series != nullptr) {
-      config.series->OnTickEnd(now);
-    }
-
-    // 7. Durable checkpoint at the configured simulated-time cadence
-    //    (docs/RECOVERY.md). Taken at the tick boundary — the lane pool
-    //    holds no in-flight work between ticks, so the snapshot is a
-    //    consistent cut even under threads > 0 — and bracketed by
-    //    checkpoint_begin / checkpoint_end events whose ids the snapshot
-    //    itself records; the restart continues numbering after them.
-    //    `replay_done` is always true by now (the replay span never
-    //    contains a cadence tick, since the snapshot tick is itself the
-    //    last cadence multiple before the crash), kept as a guard.
-    if (rec_ckpt && replay_done && tick % rec->interval_s == 0) {
-      uint64_t begin_id = 0;
-      if (trace != nullptr) {
-        trace->SetNow(now);
-        obs::TraceEvent e;
-        e.time = now;
-        e.kind = obs::TraceEventKind::kCheckpointBegin;
-        e.node = tnode;
-        e.a = static_cast<double>(tick);
-        begin_id = trace->Emit(e);
-      }
-      const uint64_t end_id = begin_id == 0 ? 0 : begin_id + 1;
-      POLYDAB_RETURN_NOT_OK(recovery::WriteCheckpoint(
-          build_checkpoint(tick, end_id), rec->checkpoint_path));
-      if (wal_file != nullptr) std::fflush(wal_file.get());
-      if (trace != nullptr) {
-        obs::TraceEvent e;
-        e.time = now;
-        e.kind = obs::TraceEventKind::kCheckpointEnd;
-        e.node = tnode;
-        e.cause = begin_id;
-        const uint64_t got = trace->Emit(e);
-        if (got != end_id) {
-          return Status::Internal(
-              "checkpoint events interleaved with a concurrent emission");
-        }
-      }
-      last_ckpt_end_id = end_id;
-    }
-  }
-
-  if (ticks_seen < 2) {
-    return Status::InvalidArgument("trace too short");
-  }
-
-  // Shutdown barrier: every dispatched solve has been consumed by its
-  // service, so this reports only a latched failure, then parks and joins
-  // the workers before the final metrics are read.
-  POLYDAB_RETURN_NOT_OK(pool.Quiesce());
-  pool.Stop();
-
-  // Per-query fidelity loss over the query's own registration interval:
-  // sampled ticks run from max(reg, 1) through min(dereg - 1, last tick).
-  // For a query registered at tick 0 and never deregistered this is the
-  // historical ticks - 1 denominator, bit for bit. A query whose interval
-  // contains no sampled tick contributes zero loss.
-  double loss_sum = 0.0;
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const int first = std::max(q_reg_tick[qi], 1);
-    const int last = std::min(q_dereg_tick[qi] - 1, ticks_seen - 1);
-    const int denom = last - first + 1;
-    if (denom <= 0) continue;
-    loss_sum += 100.0 * st.violated_time[qi] / static_cast<double>(denom);
-  }
-  metrics.mean_fidelity_loss_pct =
-      loss_sum / static_cast<double>(queries.size());
-  if (config.registry != nullptr) {
-    config.registry->GetGauge("sim.run.queries")
-        ->Set(static_cast<double>(queries.size()));
-    config.registry->GetGauge("sim.run.items")
-        ->Set(static_cast<double>(n_items));
-    config.registry->GetGauge("sim.run.ticks")
-        ->Set(static_cast<double>(ticks_seen));
-    config.registry->GetGauge("sim.run.coord_shards")
-        ->Set(static_cast<double>(num_shards));
-    config.registry->GetGauge("sim.fidelity.mean_loss_pct")
-        ->Set(metrics.mean_fidelity_loss_pct);
-  }
-  if (config.series != nullptr) {
-    // Close the trailing partial window and write the series totals.
-    // After the end-of-run gauges above, so the final window's registry
-    // samples capture them.
-    config.series->Finalize(static_cast<double>(ticks_seen - 1));
-  }
-  if (trace != nullptr) {
-    // Trailing self-description: the replay verifier re-derives each of
-    // these fields from the raw events and demands exact equality.
-    obs::TraceRunSummary s;
-    s.node = tnode;
-    s.queries = static_cast<int64_t>(queries.size());
-    s.ticks = ticks_seen;
-    s.fidelity_stride = config.fidelity_stride;
-    s.violation_tol = config.violation_tol;
-    s.refreshes = metrics.refreshes;
-    s.recomputations = metrics.recomputations;
-    s.dab_change_messages = metrics.dab_change_messages;
-    s.user_notifications = metrics.user_notifications;
-    s.solver_failures = metrics.solver_failures;
-    s.mean_fidelity_loss_pct = metrics.mean_fidelity_loss_pct;
-    s.fault_drops = metrics.fault_drops;
-    s.retransmits = metrics.retransmits;
-    s.duplicates_suppressed = metrics.duplicates_suppressed;
-    s.lease_expiries = metrics.lease_expiries;
-    s.degraded_query_seconds = metrics.degraded_query_seconds;
-    trace->AddRunSummary(s);
-  }
-  return metrics;
+  Coordinator coordinator(queries, source, rates, config);
+  POLYDAB_RETURN_NOT_OK(coordinator.Start());
+  return coordinator.Run();
 }
 
 }  // namespace polydab::sim

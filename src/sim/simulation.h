@@ -10,6 +10,7 @@
 #include "core/planner.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "recovery/run_counters.h"
 #include "sim/delay_model.h"
 #include "sim/fault_model.h"
 #include "workload/tick_source.h"
@@ -167,7 +168,8 @@ struct SimConfig {
   /// kDualDab, all queries' DABs are recomputed jointly (SolveAao) every
   /// aao_period_s; between periods, per-query secondary violations are
   /// repaired with individual Dual-DAB solves. Each query refreshed by a
-  /// joint solve counts as one recomputation.
+  /// joint solve counts as one recomputation. 0 = off; otherwise finite
+  /// and at most INT_MAX (Validate()).
   double aao_period_s = 0.0;
   /// Coordinator lanes. 1 (the default) is the serial coordinator of
   /// §V-B.1 — one busy-until clock, every recomputation blocks every
@@ -215,7 +217,7 @@ struct SimConfig {
   /// (see `threads`), so the memo serves only repeats across services,
   /// at every thread count. Excluded from Describe() like `threads`.
   int solve_cache = 0;
-  /// Evaluate fidelity every N ticks (1 = every second).
+  /// Evaluate fidelity every N ticks (1 = every second); >= 1.
   int fidelity_stride = 1;
   /// Relative slack when testing secondary-range violations, guarding
   /// against pure round-off retriggering.
@@ -254,17 +256,18 @@ struct SimConfig {
   /// alert events land before any later-timed event), and stamps the
   /// series metadata (`series_window_s`, `slo_rules`, `series_breakdown`)
   /// into the trace info so the checker's alerting mode can replay the
-  /// series exactly. Requires `trace` (alerts are emitted into it); a
-  /// single-coordinator run only. Null (the default) leaves the run
-  /// byte-identical to a series-free one. Not owned; must outlive the run.
+  /// series exactly. Requires `trace` (alerts are emitted into it); the
+  /// modes it rejects are listed in Validate(). Null (the default) leaves
+  /// the run byte-identical to a series-free one. Not owned; must outlive
+  /// the run.
   obs::SeriesRecorder* series = nullptr;
   /// Optional runtime churn driver (docs/SERVICE.md): called once per
   /// tick to register/modify/deregister queries through ServiceOps. Null
   /// (the default) — and equally a driver that never issues an op —
   /// leaves the run byte-identical (trace, metrics, registry) to the
   /// historical fixed-query path; every churn site below is gated on a
-  /// churn op actually happening. Incompatible with aao_period_s > 0 and
-  /// with active fault injection. Not owned; must outlive the run.
+  /// churn op actually happening. The modes it rejects are listed in
+  /// Validate(). Not owned; must outlive the run.
   ServiceHooks* service = nullptr;
   /// Plan-maintenance strategy for runtime churn; ignored without a
   /// service driver. kRebuild is the from-scratch reference the churn
@@ -276,35 +279,35 @@ struct SimConfig {
   /// coordinator crash, and a restart path that resumes a crashed run
   /// bit-identically. Null (the default) leaves the run byte-identical
   /// (trace, metrics, registry) to a build without the recovery layer.
-  /// Incompatible with `series`, aao_period_s > 0 and rt_fail_at > 0.
-  /// Not owned; must outlive the run; `crashed`/`crash_event_id` are
-  /// written back as outputs.
+  /// The modes it rejects are listed in Validate(). Not owned; must
+  /// outlive the run; `crashed`/`crash_event_id` are written back as
+  /// outputs.
   recovery::RecoveryConfig* recovery = nullptr;
 
   /// One-line rendering of the full configuration, for run reports and
   /// test-failure messages.
   std::string Describe() const;
+
+  /// The one home of the config-only mode rules, checked without a run:
+  /// field ranges (coord_shards >= 1; threads, rt_fail_at and solve_cache
+  /// >= 0; rt_fail_at 0 unless threads > 0; fidelity_stride >= 1;
+  /// aao_period_s 0 or finite in (0, INT_MAX]), the delay, fault and
+  /// recovery configs' own Validate(), and the rejected mode combinations:
+  /// churn x {AAO, fault injection}; series without a trace sink, on an
+  /// overlay node, or with a replay-mode or finalized recorder; recovery x
+  /// {series, AAO, rt_fail_at}. RunSimulation calls it first, and
+  /// polydab_experiment calls it before opening any output. Rules that
+  /// need the queries or the tick source stay in RunSimulation.
+  Status Validate() const;
 };
 
 std::ostream& operator<<(std::ostream& os, const SimConfig& config);
 
-struct SimMetrics {
-  int64_t refreshes = 0;          ///< refresh messages arriving at C
-  int64_t recomputations = 0;     ///< per-query DAB recomputation events
-  int64_t dab_change_messages = 0;///< C -> source filter updates sent
-  int64_t user_notifications = 0; ///< query results pushed to users
-  int64_t solver_failures = 0;    ///< plans kept stale due to solve errors
+/// The paper's four metrics plus the fault-mode counters. The counters
+/// are the checkpoint's 'met' record (recovery/run_counters.h), which the
+/// engine counts into directly; the fidelity mean is derived at the end.
+struct SimMetrics : recovery::RunCounters {
   double mean_fidelity_loss_pct = 0.0;  ///< mean over queries, in percent
-
-  // Fault-mode counters (all zero when SimConfig::fault is inactive).
-  int64_t fault_drops = 0;            ///< injected message losses
-  int64_t retransmits = 0;            ///< refresh copies re-sent after timeout
-  int64_t duplicates_suppressed = 0;  ///< already-delivered seqs ignored at C
-  int64_t lease_expiries = 0;         ///< per-item source leases lapsed
-  /// Sum over queries of seconds spent in degraded service (lease expired
-  /// on one of the query's items and not yet recovered), accumulated at
-  /// fidelity_stride granularity.
-  double degraded_query_seconds = 0.0;
 
   /// The paper's total cost metric: refreshes + mu * recomputations.
   /// The default μ is the shared core::kDefaultMu constant so every

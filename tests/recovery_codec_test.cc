@@ -422,10 +422,10 @@ TEST_F(RecoveryCodecTest, DiffReportsEveryField) {
   using Perturb = void (*)(CheckpointState*);
   const std::pair<const char*, Perturb> cases[] = {
       {"hdr.ckpt_end_id", [](CheckpointState* s) { s->ckpt_end_id += 1; }},
-      {"q[0].reg", [](CheckpointState* s) { s->queries[0].reg_tick += 1; }},
-      {"q[0].dereg", [](CheckpointState* s) { s->queries[0].dereg_tick = 5; }},
+      {"q[0].reg", [](CheckpointState* s) { s->queries[0].slot.reg_tick += 1; }},
+      {"q[0].dereg", [](CheckpointState* s) { s->queries[0].slot.dereg_tick = 5; }},
       {"q[0].dege",
-       [](CheckpointState* s) { s->queries[0].degrade_event += 1; }},
+       [](CheckpointState* s) { s->queries[0].slot.degrade_event += 1; }},
       {"part[0].slot", [](CheckpointState* s) { s->parts[0].slot += 1; }},
       {"part[0].part", [](CheckpointState* s) { s->parts[0].part += 1; }},
       {"part[0].pqab", [](CheckpointState* s) { s->parts[0].pqab *= 2.0; }},
@@ -436,9 +436,9 @@ TEST_F(RecoveryCodecTest, DiffReportsEveryField) {
        [](CheckpointState* s) { s->parts[0].never_stale ^= true; }},
       {"ev[0].wait", [](CheckpointState* s) { s->events[0].wait += 1.0; }},
       {"ev[0].seq", [](CheckpointState* s) { s->events[0].seq += 1; }},
-      {"items.home", [](CheckpointState* s) { s->item_home_shard[0] += 1; }},
-      {"iq[0].q", [](CheckpointState* s) { s->item_queries[0].push_back(7); }},
-      {"iq[0].s", [](CheckpointState* s) { s->item_shards[0].push_back(3); }},
+      {"items.home", [](CheckpointState* s) { s->items.item_home_shard[0] += 1; }},
+      {"iq[0].q", [](CheckpointState* s) { s->items.item_queries[0].push_back(7); }},
+      {"iq[0].s", [](CheckpointState* s) { s->items.item_shards[0].push_back(3); }},
       {"src[0].cu",
        [](CheckpointState* s) { s->sources[0].crashed_until += 1.0; }},
       {"src[0].ce", [](CheckpointState* s) { s->sources[0].crash_event += 1; }},

@@ -63,10 +63,13 @@ class SeriesDiffTest : public ::testing::Test {
   /// One seeded dual-DAB run with a capture sink; when \p window > 0 a
   /// SeriesRecorder observes the run with the given rule DSL.
   Run RunOnce(int64_t window, const std::string& rules_text,
-              bool breakdown = false) {
+              bool breakdown = false, int shards = 1,
+              sim::ShardPolicy policy = sim::ShardPolicy::kEqiComponents) {
     sim::SimConfig c;
     c.planner.method = core::AssignmentMethod::kDualDab;
     c.seed = 77;
+    c.coord_shards = shards;
+    c.shard_policy = policy;
     TraceSink sink;
     c.trace = &sink;
     SeriesConfig sc;
@@ -115,6 +118,28 @@ TEST_F(SeriesDiffTest, ReplayReproducesEngineSeriesExactly) {
   auto report = obs::CheckTrace(run.trace, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->ok()) << report->ToText(run.trace);
+}
+
+TEST_F(SeriesDiffTest, ShardedCoordinatorSeriesReplaysExactly) {
+  // The series fold is lane-blind: a 4-lane coordinator emits one
+  // time-ordered stream, so the replay and the alerting-mode checker
+  // reproduce its series under either partition policy.
+  for (sim::ShardPolicy policy :
+       {sim::ShardPolicy::kEqiComponents, sim::ShardPolicy::kQueryHash}) {
+    SCOPED_TRACE(sim::Name(policy));
+    const Run run = RunOnce(
+        5, "sim.coordinator.refreshes > 3 for 2; sim.run.live_queries < 1",
+        /*breakdown=*/true, /*shards=*/4, policy);
+    ASSERT_TRUE(run.series.has_totals);
+    Result<SeriesFile> replay = obs::FoldTraceSeries(run.trace);
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    EXPECT_EQ(*replay, run.series);
+    obs::TraceCheckOptions options;
+    options.series = &run.series;
+    auto report = obs::CheckTrace(run.trace, options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->ok()) << report->ToText(run.trace);
+  }
 }
 
 TEST_F(SeriesDiffTest, RecorderLeavesEventStreamUntouched) {

@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cmath>
+#include <functional>
+#include <limits>
+
+#include "obs/timeseries.h"
+#include "obs/trace.h"
+#include "recovery/recovery.h"
 #include "sim/simulation.h"
 #include "workload/query_gen.h"
 #include "workload/rate_estimator.h"
@@ -249,6 +257,123 @@ TEST_F(SimTest, GeneralQueriesRunThroughHeuristics) {
     auto m = RunSimulation(*arb, traces_, rates_, c);
     ASSERT_TRUE(m.ok()) << m.status().ToString();
     EXPECT_NEAR(m->mean_fidelity_loss_pct, 0.0, 1e-9);
+  }
+}
+
+/// A churn driver that never issues an op.
+class IdleService final : public ServiceHooks {
+ public:
+  Status OnTick(int, double, ServiceOps&) override { return Status::OK(); }
+};
+
+TEST(SimConfigValidateTest, EveryRuleAcceptsAndRejects) {
+  // One accepted and one rejected config per rule, checked without a run.
+  obs::TraceSink sink;
+  obs::SeriesRecorder recorder{obs::SeriesConfig{}};
+  obs::SeriesConfig replay_config;
+  replay_config.derive_samples = true;
+  obs::SeriesRecorder replay_recorder(replay_config);
+  obs::SeriesRecorder finalized_recorder{obs::SeriesConfig{}};
+  finalized_recorder.Finalize(0.0);
+  IdleService service;
+  recovery::RecoveryConfig rc;
+  rc.checkpoint_path = "unused.ckpt";
+  recovery::RecoveryConfig bad_rc;
+  bad_rc.interval_s = 0;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* rule;
+    std::function<void(SimConfig&)> accepted;
+    std::function<void(SimConfig&)> rejected;
+  };
+  const Case cases[] = {
+      {"coord_shards >= 1", [](SimConfig& c) { c.coord_shards = 4; },
+       [](SimConfig& c) { c.coord_shards = 0; }},
+      {"threads >= 0", [](SimConfig& c) { c.threads = 2; },
+       [](SimConfig& c) { c.threads = -1; }},
+      {"rt_fail_at >= 0",
+       [](SimConfig& c) { c.threads = 2; c.rt_fail_at = 3; },
+       [](SimConfig& c) { c.threads = 2; c.rt_fail_at = -1; }},
+      {"rt_fail_at needs threads",
+       [](SimConfig& c) { c.threads = 1; c.rt_fail_at = 1; },
+       [](SimConfig& c) { c.rt_fail_at = 3; }},
+      {"solve_cache >= 0", [](SimConfig& c) { c.solve_cache = 64; },
+       [](SimConfig& c) { c.solve_cache = -1; }},
+      {"fidelity_stride >= 1", [](SimConfig& c) { c.fidelity_stride = 5; },
+       [](SimConfig& c) { c.fidelity_stride = 0; }},
+      {"fidelity_stride not negative",
+       [](SimConfig& c) { c.fidelity_stride = 1; },
+       [](SimConfig& c) { c.fidelity_stride = -3; }},
+      {"aao_period_s not negative", [](SimConfig& c) { c.aao_period_s = 60; },
+       [](SimConfig& c) { c.aao_period_s = -5; }},
+      {"aao_period_s not NaN", [](SimConfig& c) { c.aao_period_s = 0.5; },
+       [nan](SimConfig& c) { c.aao_period_s = nan; }},
+      {"aao_period_s finite", [](SimConfig& c) { c.aao_period_s = INT_MAX; },
+       [inf](SimConfig& c) { c.aao_period_s = inf; }},
+      {"aao_period_s <= INT_MAX", [](SimConfig& c) { c.aao_period_s = 0; },
+       [](SimConfig& c) { c.aao_period_s = 1e12; }},
+      {"delay config", [](SimConfig& c) { c.delays.zero_delay = true; },
+       [](SimConfig& c) { c.delays.node_node_mean = -1.0; }},
+      {"fault config", [](SimConfig& c) { c.fault.drop_prob = 0.2; },
+       [](SimConfig& c) { c.fault.drop_prob = 1.5; }},
+      {"churn x AAO", [&](SimConfig& c) { c.service = &service; },
+       [&](SimConfig& c) { c.service = &service; c.aao_period_s = 60; }},
+      {"churn x fault injection",
+       [&](SimConfig& c) { c.service = &service; },
+       [&](SimConfig& c) { c.service = &service; c.fault.drop_prob = 0.1; }},
+      {"series needs a trace sink",
+       [&](SimConfig& c) { c.series = &recorder; c.trace = &sink; },
+       [&](SimConfig& c) { c.series = &recorder; }},
+      {"series on the sharded coordinator, not an overlay node",
+       [&](SimConfig& c) {
+         c.series = &recorder; c.trace = &sink; c.coord_shards = 4;
+       },
+       [&](SimConfig& c) {
+         c.series = &recorder; c.trace = &sink; c.trace_node = 3;
+       }},
+      {"series recorder in engine mode",
+       [&](SimConfig& c) { c.series = &recorder; c.trace = &sink; },
+       [&](SimConfig& c) { c.series = &replay_recorder; c.trace = &sink; }},
+      {"series recorder not finalized",
+       [&](SimConfig& c) { c.series = &recorder; c.trace = &sink; },
+       [&](SimConfig& c) {
+         c.series = &finalized_recorder; c.trace = &sink;
+       }},
+      {"recovery config", [&](SimConfig& c) { c.recovery = &rc; },
+       [&](SimConfig& c) { c.recovery = &bad_rc; }},
+      {"recovery x series", [&](SimConfig& c) { c.recovery = &rc; },
+       [&](SimConfig& c) {
+         c.recovery = &rc; c.series = &recorder; c.trace = &sink;
+       }},
+      {"recovery x AAO", [&](SimConfig& c) { c.recovery = &rc; },
+       [&](SimConfig& c) { c.recovery = &rc; c.aao_period_s = 60; }},
+      {"recovery x rt_fail_at",
+       [&](SimConfig& c) { c.recovery = &rc; c.threads = 2; },
+       [&](SimConfig& c) {
+         c.recovery = &rc; c.threads = 2; c.rt_fail_at = 3;
+       }},
+  };
+  EXPECT_TRUE(SimConfig().Validate().ok());
+  for (const Case& rule : cases) {
+    SimConfig ok_config, bad_config;
+    rule.accepted(ok_config);
+    rule.rejected(bad_config);
+    EXPECT_TRUE(ok_config.Validate().ok())
+        << rule.rule << ": " << ok_config.Validate().ToString();
+    EXPECT_FALSE(bad_config.Validate().ok()) << rule.rule;
+  }
+}
+
+TEST_F(SimTest, FidelityStrideBelowOneIsRejectedNotRun) {
+  // Stride 0 used to divide by zero (SIGFPE) and -3 returned a negative
+  // fidelity loss.
+  for (int stride : {0, -3}) {
+    SimConfig c = Config(core::AssignmentMethod::kDualDab, 5.0);
+    c.fidelity_stride = stride;
+    auto m = RunSimulation(queries_, traces_, rates_, c);
+    EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument)
+        << "stride=" << stride;
   }
 }
 

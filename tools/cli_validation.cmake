@@ -2,7 +2,7 @@
 # diagnostic on stderr, before any simulation work; a valid invocation
 # must still succeed. Driven by ctest (experiment_rejects_bad_args).
 #
-# Expects: -DEXPERIMENT=<binary>
+# Expects: -DEXPERIMENT=<binary> -DTRACECHECK=<polydab_tracecheck binary>
 
 # Each bad case: "<label>;<arg...>" — cmake lists are ';'-separated, so
 # multi-arg cases just add more elements after the label.
@@ -33,6 +33,10 @@ set(bad_cases
   "negative admit-budget\;admit-budget=-1"
   "bad admit-policy\;admit-policy=maybe"
   "retired maintenance key\;maintenance=rebuild"
+  "negative aao-period\;aao-period=-5"
+  "NaN aao-period\;aao-period=nan"
+  "infinite aao-period\;aao-period=inf"
+  "aao-period above INT_MAX\;aao-period=1e12"
   "churn with joint AAO\;churn-rate=0.1\;aao-period=60"
   "churn with fault injection\;churn-rate=0.1\;fault-drop=0.1"
   "ingest with canned traces\;ingest=a.csv\;traces=b.csv"
@@ -49,7 +53,6 @@ set(bad_cases
   "unknown slo metric\;series-out=s.jsonl\;slo=sim.bogus.metric > 5"
   "slo missing threshold\;series-out=s.jsonl\;slo=sim.coordinator.refreshes >"
   "zero slo for-count\;series-out=s.jsonl\;slo=sim.coordinator.refreshes > 5 for 0"
-  "series with sharded coordinator\;series-out=s.jsonl\;coord-shards=2"
   "negative threads\;threads=-1"
   "non-numeric threads\;threads=two"
   "retired rt-queue-cap key\;rt-queue-cap=64"
@@ -226,3 +229,33 @@ if(NOT serial_series STREQUAL threaded_series)
   message(FATAL_ERROR "threaded series file differs from the serial one")
 endif()
 message(STATUS "threaded series invocation accepted (exit 0)")
+
+# Series recording on the sharded coordinator, under both shard policies:
+# the offline replay must re-derive the recorded series exactly.
+foreach(shards IN ITEMS 2 4)
+  foreach(policy IN ITEMS eqi hash)
+    set(stem ${CMAKE_CURRENT_BINARY_DIR}/cli_series_s${shards}_${policy})
+    execute_process(COMMAND ${EXPERIMENT} queries=6 items=12 ticks=80
+                    coord-shards=${shards} shard-policy=${policy}
+                    trace-out=${stem}_trace.jsonl
+                    series-out=${stem}.jsonl series-window-s=5
+                    series-breakdown=1
+                    "slo=sim.coordinator.refreshes >= 0 for 2"
+                    RESULT_VARIABLE status
+                    OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    if(NOT status EQUAL 0)
+      message(FATAL_ERROR "sharded series invocation (coord-shards="
+        "${shards} shard-policy=${policy}) failed (exit ${status}):\n"
+        "${out}${err}")
+    endif()
+    execute_process(COMMAND ${TRACECHECK} ${stem}_trace.jsonl
+                    --series=${stem}.jsonl
+                    RESULT_VARIABLE status
+                    OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    if(NOT status EQUAL 0)
+      message(FATAL_ERROR "tracecheck rejected the sharded series run "
+        "(coord-shards=${shards} shard-policy=${policy}):\n${out}${err}")
+    endif()
+  endforeach()
+endforeach()
+message(STATUS "sharded series invocations accepted and replayed (exit 0)")

@@ -23,7 +23,8 @@
 //                    (one column per item, one row per second)
 //   delay_ms=X       mean node-node delay (110)
 //   recompute_ms=X   coordinator CPU per recomputation (2)
-//   aao_period=X     seconds between joint AAO solves; 0 = EQI (0)
+//   aao_period=X     seconds between joint AAO solves, finite and at
+//                    most INT_MAX; 0 = EQI (0)
 //   coord-shards=N   coordinator lanes, >= 1; 1 = the serial
 //                    coordinator (1)
 //   shard-policy=eqi|hash   query partition: EQI component grouping or
@@ -95,8 +96,8 @@
 //                    trace-out (without, the events are observed and
 //                    discarded, never buffered). Render with
 //                    polydab_monitor; cross-verify with
-//                    polydab_tracecheck --series=. Single-coordinator
-//                    runs only (coord-shards=1)
+//                    polydab_tracecheck --series=. Works at any
+//                    coord-shards
 //   series-window-s=N  window width in whole simulated seconds, >= 1;
 //                    requires series-out (1)
 //   slo=RULES        ';'-separated SLO rules over the per-window metrics
@@ -131,10 +132,12 @@
 //                    combined trace to trace-out; requires restart-from
 //                    and trace-out
 //
-// Arguments are validated before any work happens: a malformed argument
-// (no '='), an unknown key, a non-numeric value for a numeric key, an
-// unknown enum value, or coord-shards < 1 all fail fast with a message
-// on stderr and exit status 2. Runtime failures exit 1; success exits 0.
+// Arguments are validated before any output file is touched: a malformed
+// argument (no '='), an unknown key, a non-numeric value for a numeric
+// key or an unknown enum value fails fast, and the engine's own mode
+// rules (sim::SimConfig::Validate, e.g. coord-shards < 1 or churn with
+// aao-period) are checked once the config is built. Each exits 2 with a
+// message on stderr. Runtime failures exit 1; success exits 0.
 
 #include <algorithm>
 #include <cmath>
@@ -290,64 +293,19 @@ int main(int argc, char** argv) {
   if (ddm != "mono" && ddm != "walk") {
     Die("unknown ddm '" + ddm + "' (want mono|walk)");
   }
-  const int coord_shards = GetInt(args, "coord_shards", 1);
-  if (coord_shards < 1) {
-    Die("coord-shards must be >= 1, got " + std::to_string(coord_shards));
-  }
   const std::string shard_policy = Get(args, "shard_policy", "eqi");
   if (shard_policy != "eqi" && shard_policy != "hash") {
     Die("unknown shard-policy '" + shard_policy + "' (want eqi|hash)");
   }
-  // Real-thread runtime knobs (src/rt/, docs/CONCURRENCY.md). The
-  // rt- key only means anything on a threaded run, so naming it with
-  // threads=0 is treated as the typo it probably is.
   const int threads = GetInt(args, "threads", 0);
-  if (threads < 0) {
-    Die("threads must be >= 0, got " + std::to_string(threads));
-  }
-  const int rt_fail_at = GetInt(args, "rt_fail_at", 0);
-  if (args.count("rt_fail_at") != 0 && threads == 0) {
-    Die("rt-fail-at requires threads > 0");
-  }
-  if (rt_fail_at < 0) {
-    Die("rt-fail-at must be >= 0, got " + std::to_string(rt_fail_at));
-  }
-  const int solve_cache = GetInt(args, "solve_cache", 0);
-  if (solve_cache < 0) {
-    Die("solve-cache must be >= 0, got " + std::to_string(solve_cache));
-  }
   obs::FoldGroupBy flame_group_by = obs::FoldGroupBy::kQuery;
   if (!obs::ParseFoldGroupBy(Get(args, "flame_group_by", "query"),
                              &flame_group_by)) {
     Die("unknown flame-group-by '" + Get(args, "flame_group_by", "") +
         "' (want query|item|lane)");
   }
-  // Fault knobs (docs/ROBUSTNESS.md): validated here like every other
-  // argument so a typo exits 2 before any simulation work; the sim-side
-  // FaultConfig::Validate would also reject them, but only at exit 1.
-  const double fault_drop = GetDouble(args, "fault_drop", 0.0);
-  if (!(fault_drop >= 0.0 && fault_drop <= 1.0)) {
-    Die("fault-drop must be a probability in [0,1], got " +
-        Get(args, "fault_drop", ""));
-  }
-  const double fault_crash = GetDouble(args, "fault_crash", 0.0);
-  if (!(fault_crash >= 0.0 && fault_crash <= 1.0)) {
-    Die("fault-crash must be a probability in [0,1], got " +
-        Get(args, "fault_crash", ""));
-  }
-  const double retx_timeout_s = GetDouble(args, "retx_timeout_s", 2.0);
-  if (!(retx_timeout_s > 0.0) || !std::isfinite(retx_timeout_s)) {
-    Die("retx-timeout-s must be a positive duration, got " +
-        Get(args, "retx_timeout_s", ""));
-  }
-  const double lease_s = GetDouble(args, "lease_s", 15.0);
-  if (!(lease_s > 0.0) || !std::isfinite(lease_s)) {
-    Die("lease-s must be a positive duration, got " +
-        Get(args, "lease_s", ""));
-  }
   // Service-churn knobs (docs/SERVICE.md), validated to exit 2 before
   // any work like everything above.
-  const double aao_period = GetDouble(args, "aao_period", 0.0);
   const double churn_rate = GetDouble(args, "churn_rate", 0.0);
   if (!(churn_rate >= 0.0) || !std::isfinite(churn_rate)) {
     Die("churn-rate must be a non-negative rate, got " +
@@ -379,13 +337,6 @@ int main(int argc, char** argv) {
         "' (want reject|degrade)");
   }
   const std::string ingest = Get(args, "ingest", "");
-  if (churn_rate > 0.0 && aao_period > 0.0) {
-    Die("churn-rate cannot be combined with aao-period (the joint AAO "
-        "solve assumes a fixed query set)");
-  }
-  if (churn_rate > 0.0 && (fault_drop > 0.0 || fault_crash > 0.0)) {
-    Die("churn-rate cannot be combined with fault injection");
-  }
   if (!ingest.empty() && !Get(args, "traces", "").empty()) {
     Die("ingest and traces are mutually exclusive");
   }
@@ -419,9 +370,6 @@ int main(int argc, char** argv) {
     Die("series-breakdown must be 0 or 1, got " +
         Get(args, "series_breakdown", ""));
   }
-  if (!series_out.empty() && coord_shards != 1) {
-    Die("series-out is single-coordinator only (coord-shards=1)");
-  }
   std::vector<obs::SloRule> slo_rules;
   const std::string slo_text = Get(args, "slo", "");
   if (!slo_text.empty()) {
@@ -432,11 +380,9 @@ int main(int argc, char** argv) {
     }
     slo_rules = std::move(*parsed);
   }
-  // Crash-recovery knobs (docs/RECOVERY.md), validated to exit 2 before
-  // any work like everything above. The engine's RecoveryConfig::Validate
-  // re-checks the same constraints, but only at exit 1 — failing here
-  // keeps the contract that a bad command line never touches an output
-  // file.
+  // Crash-recovery knobs (docs/RECOVERY.md). Their mode rules live in
+  // SimConfig::Validate, checked below once the config is built; these are
+  // the command line's own spelling rules.
   const std::string ckpt_out = Get(args, "ckpt_out", "");
   const std::string wal_out = Get(args, "wal_out", "");
   const std::string restart_from = Get(args, "restart_from", "");
@@ -449,24 +395,9 @@ int main(int argc, char** argv) {
   if (args.count("ckpt_interval_s") != 0 && ckpt_out.empty()) {
     Die("ckpt-interval-s requires ckpt-out");
   }
-  if (ckpt_interval_s < 1) {
-    Die("ckpt-interval-s must be >= 1, got " +
-        Get(args, "ckpt_interval_s", ""));
-  }
   if (args.count("coord_crash_at") != 0 && coord_crash_at < 1) {
     Die("coord-crash-at must be >= 1, got " +
         Get(args, "coord_crash_at", ""));
-  }
-  if (coord_crash_at > 0 && (ckpt_out.empty() || wal_out.empty())) {
-    Die("coord-crash-at requires ckpt-out and wal-out (nothing to restart "
-        "from otherwise)");
-  }
-  if (coord_crash_at > 0 && !restart_from.empty()) {
-    Die("coord-crash-at cannot be combined with restart-from in one "
-        "invocation");
-  }
-  if (!restart_from.empty() && wal_out.empty()) {
-    Die("restart-from requires wal-out (the log whose rows are replayed)");
   }
   if (!merge_trace.empty() && restart_from.empty()) {
     Die("merge-trace requires restart-from");
@@ -474,22 +405,10 @@ int main(int argc, char** argv) {
   if (!merge_trace.empty() && Get(args, "trace_out", "").empty()) {
     Die("merge-trace requires trace-out (where the merged trace goes)");
   }
-  if (recovery_active) {
-    if (!series_out.empty()) {
-      Die("recovery knobs cannot be combined with series-out (the recorder "
-          "folds a single uninterrupted emission order)");
-    }
-    if (aao_period > 0.0) {
-      Die("recovery knobs cannot be combined with aao-period");
-    }
-    if (rt_fail_at > 0) {
-      Die("recovery knobs cannot be combined with rt-fail-at");
-    }
-    if ((coord_crash_at > 0 || !restart_from.empty()) &&
-        !Get(args, "flame_out", "").empty()) {
-      Die("flame-out cannot fold a partial (crashed or restarted) run; "
-          "fold the merged trace offline with polydab_flame");
-    }
+  if ((coord_crash_at > 0 || !restart_from.empty()) &&
+      !Get(args, "flame_out", "").empty()) {
+    Die("flame-out cannot fold a partial (crashed or restarted) run; "
+        "fold the merged trace offline with polydab_flame");
   }
 
   // Universe: synthesize traces, replay a CSV trace set (traces=path), or
@@ -594,19 +513,19 @@ int main(int argc, char** argv) {
   config.delays.node_node_mean = GetDouble(args, "delay_ms", 110.0) / 1000.0;
   config.delays.recompute_cpu_s =
       GetDouble(args, "recompute_ms", 2.0) / 1000.0;
-  config.aao_period_s = aao_period;
-  config.coord_shards = coord_shards;
+  config.aao_period_s = GetDouble(args, "aao_period", 0.0);
+  config.coord_shards = GetInt(args, "coord_shards", 1);
   config.shard_policy = shard_policy == "hash"
                             ? sim::ShardPolicy::kQueryHash
                             : sim::ShardPolicy::kEqiComponents;
   config.seed = seed;
-  config.fault.drop_prob = fault_drop;
-  config.fault.crash_prob = fault_crash;
-  config.fault.retx_timeout_s = retx_timeout_s;
-  config.fault.lease_s = lease_s;
+  config.fault.drop_prob = GetDouble(args, "fault_drop", 0.0);
+  config.fault.crash_prob = GetDouble(args, "fault_crash", 0.0);
+  config.fault.retx_timeout_s = GetDouble(args, "retx_timeout_s", 2.0);
+  config.fault.lease_s = GetDouble(args, "lease_s", 15.0);
   config.threads = threads;
-  config.rt_fail_at = rt_fail_at;
-  config.solve_cache = solve_cache;
+  config.rt_fail_at = GetInt(args, "rt_fail_at", 0);
+  config.solve_cache = GetInt(args, "solve_cache", 0);
 
   // Telemetry: attach a registry when a report was requested, so the run
   // records solver/planner/simulator instruments (docs/OBSERVABILITY.md).
@@ -664,9 +583,10 @@ int main(int argc, char** argv) {
 
   // Crash recovery (docs/RECOVERY.md): the knob bundle is attached only
   // when a recovery key was named, so knob-free runs stay byte-identical
-  // to builds without the recovery layer. A restart loads the latest
-  // complete snapshot and the parsed WAL here; the engine validates their
-  // consistency and replays the logged rows itself.
+  // to builds without the recovery layer. A restart points at the
+  // snapshot and WAL record buffers now and fills them once the config
+  // has validated; the engine checks their consistency and replays the
+  // logged rows itself.
   recovery::RecoveryConfig rc;
   recovery::CheckpointState ckpt_state;
   std::vector<recovery::WalRecord> wal_records;
@@ -677,46 +597,56 @@ int main(int argc, char** argv) {
     rc.interval_s = ckpt_interval_s;
     rc.crash_at_tick = coord_crash_at;
     if (!restart_from.empty()) {
-      Status loaded =
-          recovery::LoadLatestCheckpoint(restart_from, &ckpt_state);
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "restart-from: %s\n",
-                     loaded.ToString().c_str());
-        return 1;
-      }
-      loaded = recovery::LoadWal(wal_out, &wal_records);
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "wal-out: %s\n", loaded.ToString().c_str());
-        return 1;
-      }
-      const recovery::WalRecord* crash =
-          recovery::LastCrashMarker(wal_records);
-      if (crash == nullptr) {
-        std::fprintf(stderr,
-                     "restart-from: WAL '%s' carries no crash marker (the "
-                     "previous invocation did not terminate via "
-                     "coord-crash-at)\n",
-                     wal_out.c_str());
-        return 1;
-      }
-      restart_crash_tick = crash->tick;
       rc.restart = &ckpt_state;
-      rc.wal = &wal_records;
+      if (!wal_out.empty()) rc.wal = &wal_records;
     }
     config.recovery = &rc;
   }
 
-  // Causal event trace, streamed to disk as the run progresses
-  // (docs/OBSERVABILITY.md "Event tracing"); verify offline with
-  // polydab_tracecheck. flame-out needs the events too: with trace-out it
-  // re-reads the streamed file, without it the sink captures in memory.
+  // Causal event trace (docs/OBSERVABILITY.md "Event tracing"); verify
+  // offline with polydab_tracecheck. flame-out needs the events too: with
+  // trace-out it re-reads the saved file, without it the sink captures in
+  // memory.
   const std::string trace_out = Get(args, "trace_out", "");
   const std::string flame_out = Get(args, "flame_out", "");
   obs::TraceSink sink;
+  if (!trace_out.empty() || !flame_out.empty() || !series_out.empty()) {
+    config.trace = &sink;
+  }
+
+  // The engine's mode rules, checked before any input file of a restart is
+  // read or any output file is opened.
+  Status valid = config.Validate();
+  if (!valid.ok()) Die(valid.ToString());
+
+  if (!restart_from.empty()) {
+    Status loaded = recovery::LoadLatestCheckpoint(restart_from, &ckpt_state);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "restart-from: %s\n", loaded.ToString().c_str());
+      return 1;
+    }
+    loaded = recovery::LoadWal(wal_out, &wal_records);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "wal-out: %s\n", loaded.ToString().c_str());
+      return 1;
+    }
+    const recovery::WalRecord* crash = recovery::LastCrashMarker(wal_records);
+    if (crash == nullptr) {
+      std::fprintf(stderr,
+                   "restart-from: WAL '%s' carries no crash marker (the "
+                   "previous invocation did not terminate via "
+                   "coord-crash-at)\n",
+                   wal_out.c_str());
+      return 1;
+    }
+    restart_crash_tick = crash->tick;
+  }
+
   // A threaded run's trace is captured in memory and canonicalized
   // (obs/trace_canon.h drops its rt_* info keys) before anything reaches
-  // disk; streaming is the threads=0 path only. A restarted run also captures in memory — its
-  // events must be merged with the crashed invocation's before saving.
+  // disk; streaming is the threads=0 path only. A restarted run also
+  // captures in memory — its events must be merged with the crashed
+  // invocation's before saving.
   if (!trace_out.empty() && threads == 0 && restart_from.empty()) {
     Status streaming = sink.StreamTo(trace_out);
     if (!streaming.ok()) {
@@ -724,10 +654,9 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (!trace_out.empty() || !flame_out.empty() || !series_out.empty()) {
+  if (config.trace != nullptr) {
     sink.SetInfo("tool", "polydab_experiment");
     sink.SetInfo("kind", kind);
-    config.trace = &sink;
     // Series-only runs need the event *stream* (the recorder observes
     // every Emit) but not the trace itself: discard mode never buffers.
     if (trace_out.empty() && flame_out.empty()) sink.SetDiscard(true);
