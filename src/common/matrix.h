@@ -83,6 +83,11 @@ class Matrix {
 /// ridge, up to a bounded number of attempts. Returns kNotConverged if no
 /// ridge in range produces a valid factorization.
 ///
+/// Only the lower triangle and the diagonal of \p a are read: the ridge's
+/// scale, the factorization and both substitutions never look above the
+/// diagonal, so a caller may build just that half (the GP solver's Newton
+/// systems do) and leave anything at all, NaN included, in the rest.
+///
 /// \p factor is scratch for the Cholesky factor and \p x is resized to n;
 /// both are fully overwritten, so whatever they held before (any size)
 /// never changes a bit of the result. Once both have the capacity for an

@@ -132,8 +132,10 @@ void AddGradient(double w_grad, const Vector& g, Vector* grad) {
 }
 
 /// hess += w_hess * (Σ w_k a_k a_kᵀ − g gᵀ) + w_outer * g gᵀ from the
-/// weights and gradient SoftmaxGradient left in \p ws. \p hess is n x n
-/// and every exponent variable of \p p is below n (ValidateGpProblem).
+/// weights and gradient SoftmaxGradient left in \p ws, on the lower
+/// triangle and diagonal only: SolveCholesky reads nothing else
+/// (common/matrix.h). \p hess is n x n and every exponent variable of
+/// \p p is below n (ValidateGpProblem).
 void AddHessian(const SoaPosy& p, double w_hess, double w_outer,
                 const Workspace& ws, Matrix* hess) {
   const size_t n = ws.g.size();
@@ -145,12 +147,13 @@ void AddHessian(const SoaPosy& p, double w_hess, double w_outer,
       const int lo = p.term_off[static_cast<size_t>(k)];
       const int hi = p.term_off[static_cast<size_t>(k) + 1];
       for (int ii = lo; ii < hi; ++ii) {
-        double* row =
-            h + static_cast<size_t>(p.exp_var[static_cast<size_t>(ii)]) * n;
+        const int vi = p.exp_var[static_cast<size_t>(ii)];
+        double* row = h + static_cast<size_t>(vi) * n;
         const double ei = p.exp_coef[static_cast<size_t>(ii)];
         for (int jj = lo; jj < hi; ++jj) {
-          row[p.exp_var[static_cast<size_t>(jj)]] +=
-              wk * ei * p.exp_coef[static_cast<size_t>(jj)];
+          const int vj = p.exp_var[static_cast<size_t>(jj)];
+          if (vj > vi) continue;
+          row[vj] += wk * ei * p.exp_coef[static_cast<size_t>(jj)];
         }
       }
     }
@@ -161,7 +164,7 @@ void AddHessian(const SoaPosy& p, double w_hess, double w_outer,
     for (size_t i = 0; i < n; ++i) {
       if (ws.g[i] == 0.0) continue;
       double* row = h + i * n;
-      for (size_t j = 0; j < n; ++j) {
+      for (size_t j = 0; j <= i; ++j) {
         if (ws.g[j] == 0.0) continue;
         row[j] += wo * ws.g[i] * ws.g[j];
       }
@@ -347,12 +350,12 @@ Result<Vector> PhaseOne(const ConvexGp& cg, const SolverOptions& opt,
         // Hessian weights for the y-block: H_i/gap + g_i g_iᵀ/gap².
         ws->hblock.Resize(n, n);
         AddHessian(c, inv, inv * inv, *ws, &ws->hblock);
+        // Lower triangle only, like AddHessian.
         for (size_t i = 0; i < n; ++i) {
           ws->grad[i] += inv * ws->g[i];
-          for (size_t j = 0; j < n; ++j) {
+          for (size_t j = 0; j <= i; ++j) {
             ws->hess(i, j) += ws->hblock(i, j);
           }
-          ws->hess(i, n) += -inv * inv * ws->g[i];
           ws->hess(n, i) += -inv * inv * ws->g[i];
         }
         ws->grad[n] += -inv;

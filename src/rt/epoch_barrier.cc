@@ -1,5 +1,7 @@
 #include "rt/epoch_barrier.h"
 
+#include "rt/spin_wait.h"
+
 namespace polydab::rt {
 
 EpochBarrier::EpochBarrier(int lanes) {
@@ -21,6 +23,11 @@ void EpochBarrier::Arrive(int lane) {
 
 void EpochBarrier::AwaitEpoch(int lane, uint64_t epoch) const {
   const Lane& l = *lanes_[static_cast<size_t>(lane)];
+  if (SpinUntil([&] {
+        return l.completed.load(std::memory_order_acquire) >= epoch;
+      })) {
+    return;
+  }
   uint64_t done = l.completed.load(std::memory_order_acquire);
   while (done < epoch) {
     l.completed.wait(done, std::memory_order_acquire);

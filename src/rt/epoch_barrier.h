@@ -19,9 +19,10 @@
 ///
 /// Memory model: Arrive() is a release increment and the await side reads
 /// with acquire, so everything the worker wrote while executing the job
-/// happens-before AwaitEpoch's return. Blocking uses C++20 atomic
-/// wait/notify on the per-lane `completed` word (futex-backed), so an
-/// idle await burns no CPU.
+/// happens-before AwaitEpoch's return. AwaitEpoch spins for
+/// rt::kSpinBudget (spin_wait.h), then blocks with C++20 atomic
+/// wait/notify on the per-lane `completed` word (futex-backed), so a long
+/// await burns no CPU.
 
 namespace polydab::rt {
 

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "rt/spin_wait.h"
+
 namespace polydab::rt {
 
 LanePool::~LanePool() { Stop(); }
@@ -105,8 +107,16 @@ void LanePool::WorkerLoop(int w) {
       barrier_->Arrive(w);
       continue;
     }
-    // Ring empty: park on the eventcount. The fence pairs with
-    // Dispatch's — see there.
+    // Ring empty: spin for the budget — the next service's job usually
+    // lands within it, and a spinning worker costs Dispatch no wake —
+    // then park on the eventcount. The fence pairs with Dispatch's — see
+    // there.
+    if (SpinUntil([&] {
+          return !me.ring->EmptyApprox() ||
+                 control_.state() != RunState::kRunning;
+        })) {
+      continue;
+    }
     me.sleeping.store(true, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     {

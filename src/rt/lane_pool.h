@@ -32,12 +32,13 @@
 /// run, which is how a worker abort surfaces as a `status=failed` partial
 /// metrics report (tools/partial_metrics.cmake).
 ///
-/// Idle workers park on a per-worker eventcount (sleeping flag + condvar)
-/// rather than spinning; Dispatch wakes them with a Dekker-style seq_cst
-/// fence pair, so either the producer observes `sleeping` and notifies,
-/// or the parking worker observes the pushed job in its re-check — no
-/// lost wakeups, and no mutex on the dispatch fast path while the worker
-/// is busy.
+/// A worker whose ring runs empty spins for rt::kSpinBudget
+/// (spin_wait.h), then parks on a per-worker eventcount (sleeping flag +
+/// condvar); Dispatch wakes it with a Dekker-style seq_cst fence pair, so
+/// either the producer observes `sleeping` and notifies, or the parking
+/// worker observes the pushed job in its re-check — no lost wakeups, and
+/// no mutex on the dispatch fast path while the worker is busy or
+/// spinning.
 
 namespace polydab::rt {
 
@@ -63,6 +64,13 @@ class LanePool {
   Status Start(const Options& options);
 
   int workers() const { return static_cast<int>(threads_.size()); }
+
+  /// Whether worker \p w is parked on its eventcount (it ran out of work
+  /// and its spin budget). For tests and status; racy by nature.
+  bool parked(int w) const {
+    return workers_[static_cast<size_t>(w)]->sleeping.load(
+        std::memory_order_relaxed);
+  }
 
   /// Enqueue \p job on worker \p w's ring and return its epoch (the
   /// value to pass to AwaitEpoch). Blocks (yield-spin) while the ring is

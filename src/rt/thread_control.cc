@@ -61,11 +61,11 @@ void ThreadControl::RequestStop() {
 }
 
 RunState ThreadControl::state() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return state_;
+  return state_.load(std::memory_order_acquire);
 }
 
 bool ThreadControl::AwaitRunnable() {
+  if (state() == RunState::kRunning) return true;
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return state_ != RunState::kPaused; });
   return state_ == RunState::kRunning ||

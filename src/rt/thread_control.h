@@ -1,6 +1,7 @@
 #ifndef POLYDAB_RT_THREAD_CONTROL_H_
 #define POLYDAB_RT_THREAD_CONTROL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -25,7 +26,9 @@
 /// Workers call AwaitRunnable() between jobs: it returns true immediately
 /// while running, blocks while paused, and returns false once stopping —
 /// the worker's signal to exit its loop. All waiting is condvar-based;
-/// every transition notifies.
+/// every transition notifies. The state is written under the mutex but
+/// read lock-free, so the running fast path and a spinning worker's
+/// state() polls never touch the mutex.
 
 namespace polydab::rt {
 
@@ -58,7 +61,7 @@ class ThreadControl {
  private:
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  RunState state_ = RunState::kIdle;
+  std::atomic<RunState> state_{RunState::kIdle};  // written under mu_
   uint64_t transitions_ = 0;
 };
 

@@ -23,6 +23,7 @@
 #include "recovery/checkpoint.h"
 #include "recovery/recovery.h"
 #include "recovery/wal.h"
+#include "rt/claim_queue.h"
 #include "rt/lane_pool.h"
 
 #include "common/logging.h"
@@ -151,12 +152,10 @@ struct SolveGroup {
   uint64_t hash = 0;                       // core::ReplanInputsHash
   Result<QueryDabs> result{Status::Internal("rt: job not yet run")};
   gp::SolveRecord solve;
-  int slot = 0;  // pool worker, or pool.workers() for the event loop
-  uint64_t epoch = 0;
   bool shared = false;  // other stale parts install copies of `result`
 
-  // The one call site of core::ReplanPart in the refresh service, on a
-  // worker or inline.
+  // The one call site of core::ReplanPart in the refresh service, run by
+  // whichever thread claims the group.
   void Solve(const Vector& view, const Vector& rates,
              const core::PlannerConfig& cfg) {
     result = core::ReplanPart(*leader, view, rates, cfg, &solve);
@@ -173,6 +172,15 @@ struct StalePart {
   size_t idx = 0;
   double anchor = 0.0;
   size_t group = 0;
+};
+
+/// Where one primary width of an item's EQI merge lives: part `part` of
+/// slot `slot`'s plan, at `var` in its DABs.
+struct MinSource {
+  int slot = 0;
+  int part = 0;
+  int var = 0;
+  bool operator==(const MinSource&) const = default;
 };
 
 /// Reinstate an RNG stream from its checkpoint text.
@@ -241,6 +249,7 @@ class Coordinator final : public ServiceOps {
   Status DeliverUntil(double now);
   Status ArriveRefresh(const Event& ev);
   void CollectStaleParts(const Event& ev);
+  void SolveGroupAt(size_t g);
   Status NotifyAndInstall(const Event& ev, uint64_t arrival_id);
   void SettleLanes(double t, size_t home_lane);
   Status AaoSolve(double now);
@@ -251,6 +260,10 @@ class Coordinator final : public ServiceOps {
   SimMetrics Finish();
 
   // Filters: the EQI merge (§IV) and filter shipping.
+  void ScanMinSources(size_t item, std::vector<MinSource>* out) const;
+  void IndexMinSources(const std::vector<VarId>& items);
+  void IndexAllMinSources();
+  void CheckMinSources(const std::vector<VarId>& items) const;
   double ItemMinPrimary(size_t item) const;
   void AnchorPart(size_t qi, size_t pi);
   void ShipDabChanges(size_t qi, size_t pi, double now, uint64_t cause_id,
@@ -348,6 +361,10 @@ class Coordinator final : public ServiceOps {
   std::vector<recovery::CheckpointItemFault> item_fault_;  // fault mode
   std::vector<recovery::CheckpointSource> source_fault_;   // fault mode
   std::vector<std::vector<int>> source_items_;  // source -> queried items
+  // The EQI merge's index, derived from item_queries and the plans and
+  // never checkpointed: where each item's primary widths live, in the
+  // order a walk of its queries' parts meets them.
+  std::vector<std::vector<MinSource>> min_sources_;
   // Incremental view-side query evaluation: the coordinator's values only
   // change on refresh arrivals, so fidelity checks patch affected queries.
   std::optional<core::IncrementalEvaluator> view_eval_;
@@ -374,18 +391,21 @@ class Coordinator final : public ServiceOps {
   // Per-service scratch: busy time accrued on each lane while servicing
   // one refresh, the pre-service lane clocks (the shard-barrier time
   // payload), which lanes a barrier joined, and the solve pipeline's
-  // groups (a deque: workers hold entry pointers) and stale parts.
+  // groups, stale parts, claim queue and claim jobs' epochs.
   std::vector<double> lane_busy_;
   std::vector<double> pre_free_;
   std::vector<uint8_t> barrier_lane_;
   bool barrier_any_ = false;
   std::deque<SolveGroup> solve_groups_;
   std::vector<StalePart> stale_parts_;
+  std::vector<uint64_t> claim_epochs_;  // one per worker sent a claim job
   int64_t solve_jobs_dispatched_ = 0;
+  rt::ClaimQueue solve_claims_;
   // Declared last: its destructor joins every worker before anything a
   // job closure references is destroyed, however the run exits. Workers
-  // lock the pool's control mutex on every job, so it gets its own cache
-  // line, apart from the per-service scratch the event loop writes.
+  // read the pool's control state on every job and while they spin, so it
+  // gets its own cache line, apart from the per-service scratch the event
+  // loop writes.
   alignas(64) rt::LanePool pool_;
 };
 
@@ -627,6 +647,7 @@ Status Coordinator::StartFresh() {
       }
     }
   }
+  IndexAllMinSources();
   items_.min_primary.resize(n_items_);
   items_.installed_dab.resize(n_items_);
   for (size_t i = 0; i < n_items_; ++i) {
@@ -774,6 +795,7 @@ Status Coordinator::Restore() {
     plans_[slot].parts.push_back(std::move(part));
     anchors_[slot].push_back(cp.anchor);
   }
+  IndexAllMinSources();
   view_eval_.emplace(queries_, items_.view);
   view_eval_->RestoreState(items_.view, std::move(qvals),
                            ck.updates_since_rebase);
@@ -1155,20 +1177,19 @@ Status Coordinator::ArriveRefresh(const Event& ev) {
 /// makes stale in oracle order, with no RNG draw and no emission. Stale
 /// parts are grouped by bitwise-equal solve inputs (core::SameReplanInputs;
 /// the hash only picks candidates) and each group's leader is solved once.
-/// Groups go round-robin to slots 0..workers: the pool workers, then the
-/// event loop, which solves its share inline once the others are
-/// dispatched. Solvers read the view, the rates and the leader part
-/// concurrently; the event loop mutates none of them until the group's
-/// epoch is awaited in pass 2. A part's anchors and secondary DABs only
-/// move at its own install and each part is stale at most once per
-/// service, so the set pass 1 records is the set pass 2 installs.
+/// Groups are solved through a claim queue in group order: when there is
+/// more than one, pool workers get one job each that claims and solves
+/// groups until none is left, and pass 2 claims alongside. Solvers read
+/// the view, the rates and the leader part concurrently; the event loop
+/// mutates none of them until the group is done. A part's anchors and
+/// secondary DABs only move at its own install and each part is stale at
+/// most once per service, so the set pass 1 records is the set pass 2
+/// installs.
 void Coordinator::CollectStaleParts(const Event& ev) {
   const std::vector<int>& item_qs =
       items_.item_queries[static_cast<size_t>(ev.item)];
   solve_groups_.clear();
   stale_parts_.clear();
-  const int loop_slot = pool_.workers();
-  const size_t slots = static_cast<size_t>(loop_slot) + 1;
   for (size_t k = 0; k < item_qs.size(); ++k) {
     const size_t qi = static_cast<size_t>(item_qs[k]);
     core::QueryPlan& plan = plans_[qi];
@@ -1203,24 +1224,30 @@ void Coordinator::CollectStaleParts(const Event& ev) {
       SolveGroup& group = solve_groups_.emplace_back();
       group.leader = &part;
       group.hash = hash;
-      group.slot = static_cast<int>(g % slots);
-      if (group.slot == loop_slot) continue;
-      const bool abort_job = ++solve_jobs_dispatched_ == config_.rt_fail_at;
-      group.epoch = pool_.Dispatch(
-          group.slot, [&group, &view = items_.view, &rates = rates_,
-                       &cfg = solve_cfg_, abort_job]() {
-            if (abort_job) {
-              return Status::Internal(
-                  "rt: injected worker abort (rt_fail_at)");
-            }
-            group.Solve(view, rates, cfg);
-            return Status::OK();
-          });
     }
   }
-  for (SolveGroup& group : solve_groups_) {
-    if (group.slot == loop_slot) group.Solve(items_.view, rates_, solve_cfg_);
+  // One claim job per worker, but none for a lone group and never more
+  // than the groups the event loop leaves: it claims one itself.
+  const size_t groups = solve_groups_.size();
+  const size_t jobs =
+      groups < 2 ? 0 : std::min<size_t>(pool_.workers(), groups - 1);
+  solve_claims_.Reset(groups);
+  claim_epochs_.resize(jobs);
+  for (size_t w = 0; w < jobs; ++w) {
+    const bool abort_job = ++solve_jobs_dispatched_ == config_.rt_fail_at;
+    claim_epochs_[w] =
+        pool_.Dispatch(static_cast<int>(w), [this, abort_job]() {
+          if (abort_job) {
+            return Status::Internal("rt: injected worker abort (rt_fail_at)");
+          }
+          solve_claims_.Drain([this](size_t g) { SolveGroupAt(g); });
+          return Status::OK();
+        });
   }
+}
+
+void Coordinator::SolveGroupAt(size_t g) {
+  solve_groups_[g].Solve(items_.view, rates_, solve_cfg_);
 }
 
 /// Pass 2: notify users, then install pass 1's stale parts in the order
@@ -1274,15 +1301,14 @@ Status Coordinator::NotifyAndInstall(const Event& ev, uint64_t arrival_id) {
                                       .part = pi, .shard = Lane(qi),
                                       .cause = cause});
       lane_busy_[lane] += delays_.RecomputeCpu();
-      // The epoch await is the only synchronization a result needs before
-      // its install. A part other than its group's leader installs a copy
-      // of the leader's result — exact, because ReplanPart is a pure
-      // function of the inputs the group shares plus the view and rates
-      // every solve of this service reads.
+      // The group's done flag is the only synchronization a result needs
+      // before its install; until it is set, the event loop solves the
+      // next unclaimed group itself. A part other than its group's leader
+      // installs a copy of the leader's result — exact, because
+      // ReplanPart is a pure function of the inputs the group shares plus
+      // the view and rates every solve of this service reads.
+      solve_claims_.Await(sp.group, [this](size_t g) { SolveGroupAt(g); });
       SolveGroup& group = solve_groups_[sp.group];
-      if (group.slot < pool_.workers()) {
-        POLYDAB_RETURN_NOT_OK(pool_.AwaitEpoch(group.slot, group.epoch));
-      }
       Result<QueryDabs> fresh =
           group.leader != &part
               ? core::ReplanPartByCopy(part, group.result, group.solve,
@@ -1308,6 +1334,12 @@ Status Coordinator::NotifyAndInstall(const Event& ev, uint64_t arrival_id) {
       AnchorPart(qi, sp.pi);
       ShipDabChanges(qi, sp.pi, ev.time, end_id, /*emit_item_barriers=*/true);
     }
+  }
+  // Every group is done, but a claim job may still be looking for one:
+  // the next service's Reset must not run under it.
+  for (size_t w = 0; w < claim_epochs_.size(); ++w) {
+    POLYDAB_RETURN_NOT_OK(
+        pool_.AwaitEpoch(static_cast<int>(w), claim_epochs_[w]));
   }
   return Status::OK();
 }
@@ -1385,6 +1417,7 @@ Status Coordinator::AaoSolve(double now) {
     anchors_[qi].resize(1);
     AnchorPart(qi, 0);
   }
+  IndexAllMinSources();
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
     ShipDabChanges(qi, 0, now, aao_id, /*emit_item_barriers=*/false);
   }
@@ -1642,17 +1675,62 @@ SimMetrics Coordinator::Finish() {
   return metrics_;
 }
 
+/// Where \p item's primary widths live: every part of every plan that
+/// references it, in the order the item's query list and each plan's
+/// parts are walked.
+void Coordinator::ScanMinSources(size_t item,
+                                 std::vector<MinSource>* out) const {
+  out->clear();
+  for (int qi : items_.item_queries[item]) {
+    const std::vector<core::PlanPart>& parts =
+        plans_[static_cast<size_t>(qi)].parts;
+    for (size_t pi = 0; pi < parts.size(); ++pi) {
+      const int idx = parts[pi].dabs.IndexOf(static_cast<VarId>(item));
+      if (idx >= 0) out->push_back({qi, static_cast<int>(pi), idx});
+    }
+  }
+}
+
+/// Rebuild the index of \p items after their query lists or the shape of
+/// one of their queries' plans changed. A replan keeps a part's variables,
+/// so an install needs no update.
+void Coordinator::IndexMinSources(const std::vector<VarId>& items) {
+  for (VarId v : items) {
+    const size_t item = static_cast<size_t>(v);
+    ScanMinSources(item, &min_sources_[item]);
+  }
+}
+
+void Coordinator::IndexAllMinSources() {
+  min_sources_.resize(n_items_);
+  for (size_t i = 0; i < n_items_; ++i) ScanMinSources(i, &min_sources_[i]);
+}
+
+/// Paranoid validation, before every merge an install or a churn op
+/// ships: the index of \p items must list exactly what a brute-force walk
+/// finds, in walk order, so the indexed minimum equals the scan's bit for
+/// bit.
+void Coordinator::CheckMinSources(const std::vector<VarId>& items) const {
+  if (!config_.paranoid_validation) return;
+  std::vector<MinSource> scan;
+  for (VarId v : items) {
+    const size_t item = static_cast<size_t>(v);
+    ScanMinSources(item, &scan);
+    POLYDAB_CHECK(scan == min_sources_[item]);
+  }
+}
+
 /// Minimum primary DAB for one item across every part of every plan that
-/// references it (the EQI merge of §IV).
+/// references it (the EQI merge of §IV), read through the index. The
+/// minimum runs over the scan's values in the scan's order, so it is the
+/// scan's result exactly.
 double Coordinator::ItemMinPrimary(size_t item) const {
   double m = kInf;
-  for (int qi : items_.item_queries[item]) {
-    for (const core::PlanPart& part : plans_[static_cast<size_t>(qi)].parts) {
-      const int idx = part.dabs.IndexOf(static_cast<VarId>(item));
-      if (idx >= 0) {
-        m = std::min(m, part.dabs.primary[static_cast<size_t>(idx)]);
-      }
-    }
+  for (const MinSource& src : min_sources_[item]) {
+    const core::PlanPart& part =
+        plans_[static_cast<size_t>(src.slot)].parts[static_cast<size_t>(
+            src.part)];
+    m = std::min(m, part.dabs.primary[static_cast<size_t>(src.var)]);
   }
   return m;
 }
@@ -1675,6 +1753,7 @@ void Coordinator::AnchorPart(size_t qi, size_t pi) {
 /// already synchronized every lane through one global barrier.
 void Coordinator::ShipDabChanges(size_t qi, size_t pi, double now,
                                  uint64_t cause_id, bool emit_item_barriers) {
+  CheckMinSources(plans_[qi].parts[pi].dabs.vars);
   for (VarId v : plans_[qi].parts[pi].dabs.vars) {
     const size_t item = static_cast<size_t>(v);
     const double fresh = ItemMinPrimary(item);
@@ -1710,6 +1789,7 @@ void Coordinator::ShipDabChanges(size_t qi, size_t pi, double now,
 /// filter message crosses the network.
 void Coordinator::ShipChurnChanges(const std::vector<VarId>& items,
                                    uint64_t cause_id, int q_id, int q_lane) {
+  CheckMinSources(items);
   for (VarId v : items) {
     const size_t item = static_cast<size_t>(v);
     const double fresh =
@@ -2065,6 +2145,7 @@ Status Coordinator::Register(const PolynomialQuery& q, core::QueryPlan plan,
     items_.item_queries[static_cast<size_t>(v)].push_back(
         static_cast<int>(qi));
   }
+  IndexMinSources(items);
   dqi_->AddQuery(q.id, items);
   RefreshPartition();
   view_eval_->AddQuery(q);
@@ -2093,6 +2174,8 @@ Status Coordinator::Modify(int query_id, double new_qab,
   plans_[q] = std::move(plan);
   anchors_[q].resize(plans_[q].parts.size());
   for (size_t pi = 0; pi < plans_[q].parts.size(); ++pi) AnchorPart(q, pi);
+  const std::vector<VarId> items = queries_[q].p.Variables();
+  IndexMinSources(items);
   EnsureDqi();
   RefreshPartition();
   const uint64_t mod_id = Emit({.time = cur_now_, .kind = K::kQueryModify,
@@ -2100,8 +2183,7 @@ Status Coordinator::Modify(int query_id, double new_qab,
                                 .a = new_qab, .b = old_qab});
   ChargeLane(q);
   EmitPlanPatch(mod_id);
-  ShipChurnChanges(queries_[q].p.Variables(), mod_id, query_id,
-                   slots_[q].shard);
+  ShipChurnChanges(items, mod_id, query_id, slots_[q].shard);
   AppendChurnWal("modify", query_id);
   return Status::OK();
 }
@@ -2126,6 +2208,7 @@ Status Coordinator::Deregister(int query_id) {
   }
   plans_[q].parts.clear();
   anchors_[q].clear();
+  IndexMinSources(items);
   dqi_->RemoveQuery(qi);
   RefreshPartition();
   const uint64_t de_id = Emit({.time = cur_now_, .kind = K::kQueryDeregister,

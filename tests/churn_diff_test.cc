@@ -194,6 +194,39 @@ TEST_F(ChurnDiffTest, IncrementalMatchesRebuildBitForBit) {
   }
 }
 
+TEST_F(ChurnDiffTest, IndexedMinMergeMatchesTheScanUnderParanoidChurn) {
+  // Paranoid validation re-walks the EQI merge's sources after every
+  // install and every churn op and aborts (POLYDAB_CHECK) when the
+  // index disagrees with the walk, so a register, modify or deregister
+  // that skipped an index update fails this run. The checks must not
+  // change the run either: only the config line differs.
+  std::string rendered[2];
+  sim::SimMetrics metrics[2];
+  for (int paranoid = 0; paranoid < 2; ++paranoid) {
+    obs::TraceSink sink;
+    QueryService service(AdmissionConfig{}, Schedule(11), nullptr,
+                         sim::PlanMaintenance::kIncremental);
+    sim::SimConfig c = Config(core::AssignmentMethod::kDualDab, 4,
+                              sim::PlanMaintenance::kIncremental);
+    c.shard_policy = sim::ShardPolicy::kQueryHash;
+    c.paranoid_validation = paranoid != 0;
+    c.trace = &sink;
+    c.service = &service;
+    auto m = sim::RunSimulation(queries_, traces_, rates_, c);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    EXPECT_GT(m->recomputations, 0);
+    EXPECT_GT(service.registrations(), 0);
+    EXPECT_GT(service.modifications(), 0);
+    EXPECT_GT(service.deregistrations(), 0);
+    metrics[paranoid] = *m;
+    obs::TraceFile trace = sink.Collect();
+    ASSERT_EQ(trace.info.erase("sim_config"), 1u);  // names the flag
+    rendered[paranoid] = obs::TraceToJsonLines(trace);
+  }
+  EXPECT_EQ(rendered[1], rendered[0]);
+  ExpectMetricsEqual(metrics[1], metrics[0], "paranoid vs plain");
+}
+
 TEST_F(ChurnDiffTest, ChurnTracecheckGreenAndRederivesMetrics) {
   for (int shards : {1, 2}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));

@@ -1,6 +1,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <tuple>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -203,6 +204,36 @@ TEST(MatrixTest, CholeskyScratchThatHeldALargerMatrixGivesFreshBits) {
     Vector fresh_x;
     ASSERT_TRUE(SolveCholesky(a, b, 0.0, &fresh_factor, &fresh_x).ok());
     EXPECT_TRUE(SameBits(x, fresh_x)) << "n=" << a.rows();
+  }
+}
+
+TEST(MatrixTest, CholeskyReadsOnlyTheLowerTriangle) {
+  // The GP solver builds only the lower half of its Newton systems, so
+  // whatever sits above the diagonal must not change a bit of the
+  // solution: the direct solve, the ridge-retry solve and an explicit
+  // ridge, each with the strict upper triangle filled with NaN.
+  Matrix spd(4, 4);
+  for (size_t i = 0; i < 4; ++i) {
+    for (size_t j = 0; j < 4; ++j) {
+      spd(i, j) = 1.0 / static_cast<double>(i + j + 1);
+    }
+    spd(i, i) += 0.5;
+  }
+  const Vector b4 = {1, -2, 3, 0.5};
+  for (const auto& [a, b, reg] :
+       {std::tuple{spd, b4, 0.0}, std::tuple{RankOne(), Vector{1, 2}, 0.0},
+        std::tuple{spd, b4, 1e-3}}) {
+    Matrix lower = a;
+    for (size_t i = 0; i < a.rows(); ++i) {
+      for (size_t j = i + 1; j < a.cols(); ++j) lower(i, j) = std::nan("");
+    }
+    Matrix factor;
+    Vector full_x;
+    Vector lower_x;
+    ASSERT_TRUE(SolveCholesky(a, b, reg, &factor, &full_x).ok());
+    ASSERT_TRUE(SolveCholesky(lower, b, reg, &factor, &lower_x).ok());
+    EXPECT_TRUE(SameBits(full_x, lower_x)) << "n=" << a.rows();
+    for (double v : lower_x) EXPECT_TRUE(std::isfinite(v));
   }
 }
 

@@ -14,10 +14,16 @@
 //    with a worker spinning through AwaitRunnable.
 //  * LanePool: dispatch flood across workers, first-failure latching,
 //    pause/resume soak, stop-with-queued-jobs shutdown (must not hang),
-//    a never-started pool's barriers, status lines.
+//    a never-started pool's barriers, status lines, spin-then-park (an
+//    idle worker parks past the spin budget and a later Dispatch wakes
+//    it; Stop during the spin joins promptly).
+//  * ClaimQueue: pool workers and the dispatcher share a batch in index
+//    order; every item runs exactly once and the dispatcher's in-order
+//    awaits see each result, at 0, 1, 2 and 4 workers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -28,8 +34,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "rt/claim_queue.h"
 #include "rt/epoch_barrier.h"
 #include "rt/lane_pool.h"
+#include "rt/spin_wait.h"
 #include "rt/spsc_queue.h"
 #include "rt/thread_control.h"
 
@@ -437,6 +445,164 @@ TEST(LanePoolTest, StartStopSoak) {
     ASSERT_TRUE(pool.Quiesce().ok());
     EXPECT_EQ(ran.load(), 10);
     (void)last;
+    pool.Stop();
+  }
+}
+
+/// Poll \p cond every 50 µs for up to \p limit; its final answer.
+template <class Cond>
+bool Eventually(Cond cond, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!cond()) {
+    if (std::chrono::steady_clock::now() >= deadline) return cond();
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  return true;
+}
+
+TEST(LanePoolTest, IdleWorkerParksPastTheSpinBudgetAndDispatchWakesIt) {
+  // Idle gaps straddle the spin budget: some jobs land while the worker
+  // still spins (no wake needed), others after it parked (Dispatch must
+  // wake it). A lost wakeup hangs an AwaitEpoch and fails via the test
+  // timeout.
+  LanePool pool;
+  LanePool::Options o;
+  o.workers = 1;
+  ASSERT_TRUE(pool.Start(o).ok());
+  Rng rng(17);
+  std::atomic<int64_t> ran{0};
+  for (int round = 0; round < 300; ++round) {
+    if (round % 10 == 0) {
+      // Wait out the budget: the worker must park, then wake on demand.
+      ASSERT_TRUE(Eventually([&] { return pool.parked(0); },
+                             std::chrono::milliseconds(5000)))
+          << "round " << round;
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(
+          static_cast<int64_t>(rng.Uniform(0.0, 2.0 * kSpinBudget.count()))));
+    }
+    const uint64_t epoch = pool.Dispatch(0, [&ran] {
+      ran.fetch_add(1, std::memory_order_relaxed);
+      return Status::OK();
+    });
+    ASSERT_TRUE(pool.AwaitEpoch(0, epoch).ok());
+    ASSERT_EQ(ran.load(), round + 1);
+  }
+  pool.Stop();
+}
+
+TEST(LanePoolTest, StopWhileSpinningJoinsPromptly) {
+  // Right after its job a worker spins on the ring; Stop must end the
+  // spin at once instead of waiting it out (or spinning forever).
+  for (int round = 0; round < 50; ++round) {
+    LanePool pool;
+    LanePool::Options o;
+    o.workers = 2;
+    ASSERT_TRUE(pool.Start(o).ok());
+    uint64_t epochs[2] = {};
+    for (int w = 0; w < 2; ++w) {
+      epochs[w] = pool.Dispatch(w, [] { return Status::OK(); });
+    }
+    for (int w = 0; w < 2; ++w) ASSERT_TRUE(pool.AwaitEpoch(w, epochs[w]).ok());
+    const auto t0 = std::chrono::steady_clock::now();
+    pool.Stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
+        << "round " << round;
+    EXPECT_EQ(pool.state(), RunState::kStopping);
+  }
+}
+
+// ---------------------------------------------------------- ClaimQueue
+
+TEST(ClaimQueueTest, WorkersAndDispatcherSolveEachGroupOnceInOrder) {
+  // The refresh service's shape: a batch of groups, one claim job per
+  // worker (at most one per group beyond the first), and a dispatcher
+  // walking stale parts in oracle order — a part's group is numbered by
+  // its first appearance, later parts may repeat earlier groups — and
+  // awaiting each part's group before reading its result. Every group
+  // must run exactly once, the walk must see every result (a plain
+  // write, published only by the done flag), and with no workers the
+  // dispatcher must solve each group lazily, at its first part.
+  for (int workers : {0, 1, 2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    LanePool pool;
+    if (workers > 0) {
+      LanePool::Options o;
+      o.workers = workers;
+      ASSERT_TRUE(pool.Start(o).ok());
+    }
+    ClaimQueue claims;
+    Rng rng(100 + static_cast<uint64_t>(workers));
+    std::vector<std::atomic<int>> runs(40);
+    std::vector<int64_t> result(40);
+    int64_t by_workers = 0;
+    const std::thread::id dispatcher = std::this_thread::get_id();
+    std::vector<uint8_t> on_worker(40);
+    for (int round = 0; round < 200; ++round) {
+      // The oracle-order walk: 1..40 parts over groups numbered by first
+      // appearance.
+      const int64_t parts = rng.UniformInt(1, 40);
+      std::vector<size_t> walk;
+      size_t groups = 0;
+      for (int64_t p = 0; p < parts; ++p) {
+        const bool repeat = groups > 0 && rng.Uniform(0.0, 1.0) < 0.4;
+        walk.push_back(repeat ? static_cast<size_t>(rng.UniformInt(
+                                    0, static_cast<int64_t>(groups) - 1))
+                              : groups++);
+      }
+      for (size_t g = 0; g < groups; ++g) {
+        runs[g].store(0, std::memory_order_relaxed);
+        result[g] = -1;
+      }
+      auto solve = [&](size_t g) {
+        // A few microseconds of work, so claims really interleave.
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::microseconds(5);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        result[g] = static_cast<int64_t>(g * g + 7);
+        on_worker[g] = std::this_thread::get_id() != dispatcher;
+        runs[g].fetch_add(1, std::memory_order_relaxed);
+      };
+      claims.Reset(groups);
+      const size_t jobs =
+          std::min(static_cast<size_t>(workers), groups - 1);
+      std::vector<uint64_t> epochs(jobs);
+      for (size_t w = 0; w < jobs; ++w) {
+        epochs[w] = pool.Dispatch(static_cast<int>(w), [&] {
+          claims.Drain(solve);
+          return Status::OK();
+        });
+      }
+      std::vector<size_t> seen;
+      for (size_t g : walk) {
+        const bool first =
+            std::find(seen.begin(), seen.end(), g) == seen.end();
+        if (workers == 0 && first) {
+          ASSERT_FALSE(claims.done(g)) << "solved before its first part";
+        }
+        claims.Await(g, solve);
+        ASSERT_TRUE(claims.done(g));
+        ASSERT_EQ(result[g], static_cast<int64_t>(g * g + 7));
+        if (workers == 0 && first && g + 1 < groups) {
+          ASSERT_FALSE(claims.done(g + 1)) << "solved ahead of the walk";
+        }
+        seen.push_back(g);
+      }
+      ASSERT_EQ(seen, walk);
+      for (size_t w = 0; w < jobs; ++w) {
+        ASSERT_TRUE(pool.AwaitEpoch(static_cast<int>(w), epochs[w]).ok());
+      }
+      for (size_t g = 0; g < groups; ++g) {
+        ASSERT_EQ(runs[g].load(), 1) << "round " << round << " group " << g;
+        by_workers += on_worker[g];
+      }
+    }
+    if (workers == 0) {
+      EXPECT_EQ(by_workers, 0);
+    } else {
+      EXPECT_GT(by_workers, 0) << "no worker ever claimed a group";
+    }
     pool.Stop();
   }
 }

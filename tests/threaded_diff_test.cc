@@ -345,9 +345,11 @@ TEST_F(ThreadedDiffTest, WorkerAbortFailsTheRunWithTheInjectedError) {
   // rt_fail_at counts pool-dispatched jobs only. Two queries over the
   // same two items, each registered by four users: under Optimal Refresh
   // every service of either item has 8 stale parts in 2 distinct groups.
-  // With one worker, group 0 goes to the pool and group 1 is the event
-  // loop's inline share, so a run dispatches recomputations / 8 jobs —
-  // not /4 (inline solves counted) and not /1 (copies counted).
+  // A service sends each worker one claim job, at most one per group
+  // beyond the first, so with one worker it dispatches exactly one job
+  // however the two claimants split the groups: a run dispatches
+  // recomputations / 8 jobs — not /4 (one job per group) and not /1
+  // (copies counted).
   const Vector v0 = traces_.Snapshot(0);
   const Polynomial pa =
       Polynomial::FromMonomial(Monomial(1.0, {{0, 1}, {1, 1}}));
@@ -476,7 +478,7 @@ TEST_F(DuplicatedQueryTest, DedupedServicesMatchOracle) {
       SimMetrics oracle_metrics;
       const std::string oracle = RunRendered(base, &oracle_metrics);
       ASSERT_FALSE(oracle.empty());
-      for (int threads : {1, 2, 3}) {
+      for (int threads : {1, 2, 3, 4}) {
         SCOPED_TRACE(std::string(dc.name) +
                      " shards=" + std::to_string(shards) +
                      " threads=" + std::to_string(threads));
@@ -488,6 +490,48 @@ TEST_F(DuplicatedQueryTest, DedupedServicesMatchOracle) {
         EXPECT_EQ(got, oracle);
         ExpectMetricsEqual(got_metrics, oracle_metrics, "vs oracle");
       }
+    }
+  }
+}
+
+TEST_F(DuplicatedQueryTest, ServicesWithMoreGroupsThanClaimantsMatchOracle) {
+  // Twelve distinct queries on items 0-2, each registered by two users:
+  // under Optimal Refresh every refresh of those items has 12 groups, more
+  // than the event loop plus four workers can hold one apiece, so
+  // claimants come back for more and pass 2 overtakes unfinished groups.
+  const Vector v0 = traces_.Snapshot(0);
+  std::vector<PolynomialQuery> base;
+  for (int k = 0; k < 12; ++k) {
+    const Polynomial p =
+        Polynomial::FromMonomial(Monomial(1.0 + 0.25 * k, {{0, 1}, {1, 1}})) +
+        Polynomial::FromMonomial(Monomial(0.5, {{k % 2, 1}, {2, 1}}));
+    base.push_back({k, p, (0.005 + 0.001 * k) * p.Evaluate(v0)});
+  }
+  std::vector<PolynomialQuery> twice;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (PolynomialQuery q : base) {
+      q.id = static_cast<int>(twice.size());
+      twice.push_back(std::move(q));
+    }
+  }
+  queries_ = twice;
+  for (core::AssignmentMethod method :
+       {core::AssignmentMethod::kOptimalRefresh,
+        core::AssignmentMethod::kDualDab}) {
+    SimMetrics oracle_metrics;
+    const std::string oracle =
+        RunRendered(Config(method, 1, 0), &oracle_metrics);
+    ASSERT_FALSE(oracle.empty());
+    ASSERT_GT(oracle_metrics.recomputations, 0);
+    for (int threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::string(core::Name(method)) +
+                   " threads=" + std::to_string(threads));
+      SimMetrics got_metrics;
+      const std::string got =
+          RunRendered(Config(method, 1, threads), &got_metrics);
+      ASSERT_FALSE(got.empty());
+      EXPECT_EQ(got, oracle);
+      ExpectMetricsEqual(got_metrics, oracle_metrics, "vs threads=0");
     }
   }
 }

@@ -13,6 +13,8 @@ set(bad_cases
   "coord-shards=0\;coord-shards=0"
   "negative coord-shards\;coord-shards=-2"
   "non-numeric coord-shards\;coord-shards=four"
+  "coord-shards past INT_MAX\;coord-shards=4294967298"
+  "ticks past INT_MAX\;ticks=2147483648"
   "bad shard policy\;shard-policy=roundrobin"
   "bad rates\;rates=median"
   "bad method\;method=greedy"

@@ -36,7 +36,7 @@
 //                    metrics and the canonicalized trace byte-identical
 //                    to the threads=0 run under the same seed. 0 = no
 //                    pool: the event loop solves every re-solve itself (0)
-//   rt-fail-at=K     test hook: abort the K-th dispatched solve job
+//   rt-fail-at=K     test hook: abort the K-th dispatched claim job
 //                    inside its worker (1-based), exercising the pool's
 //                    failure path; requires threads > 0; 0 = never (0)
 //   solve-cache=N    solve engine (gp/solve_engine.h, docs/SOLVER.md)
@@ -140,6 +140,8 @@
 // message on stderr. Runtime failures exit 1; success exits 0.
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -239,9 +241,13 @@ int GetInt(const std::map<std::string, std::string>& args,
   auto it = args.find(key);
   if (it == args.end()) return dflt;
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(it->second.c_str(), &end, 10);
   if (it->second.empty() || end == nullptr || *end != '\0') {
     Die("invalid integer '" + it->second + "' for " + key);
+  }
+  if (errno == ERANGE || v < INT_MIN || v > INT_MAX) {
+    Die("integer '" + it->second + "' out of range for " + key);
   }
   return static_cast<int>(v);
 }
