@@ -3,23 +3,24 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
 /// \file json_util.h
-/// Shared primitives for the JSON-lines formats src/obs/ reads and writes
-/// (run reports, event traces): escaping, shortest-round-trip number
-/// rendering, and a parser for the flat one-line objects the writers emit
-/// (string keys mapping to string or number values — no nesting, no
-/// arrays). Keeping both directions here is what makes ParseJsonLines /
-/// ParseTraceJsonLines exact inverses of their writers without a JSON
-/// library dependency.
+/// The primitives under the record codec (record.h): escaping,
+/// shortest-round-trip number rendering, and a parser for the flat
+/// one-line objects the writers emit (string keys mapping to string or
+/// number values — no nesting, no arrays). Keeping both directions here
+/// is what makes every reader an exact inverse of its writer without a
+/// JSON library dependency.
 
 namespace polydab::obs {
 
-/// Escape a string for a JSON string literal (quotes, backslashes,
-/// control characters — instrument names and info values never need more).
-std::string JsonEscape(const std::string& s);
+/// Append \p s escaped for a JSON string literal (quotes, backslashes,
+/// control characters — instrument names and info values never need more)
+/// to \p out.
+void AppendJsonEscaped(std::string_view s, std::string* out);
 
 /// Shortest decimal representation that round-trips the double exactly
 /// (so reports and traces re-parse bit-identically).

@@ -4,9 +4,16 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "obs/json_util.h"
-
 namespace polydab::obs {
+
+namespace {
+
+constexpr NameOf<InstrumentKind> kKindNames[] = {
+    {InstrumentKind::kCounter, "counter"},
+    {InstrumentKind::kGauge, "gauge"},
+    {InstrumentKind::kHistogram, "histogram"}};
+
+}  // namespace
 
 RunReport RunReport::FromRegistry(const MetricRegistry& registry) {
   RunReport report;
@@ -38,33 +45,10 @@ RunReport RunReport::FromRegistry(const MetricRegistry& registry) {
 
 std::string RunReport::ToJsonLines() const {
   std::string out;
-  for (const auto& [key, value] : info) {
-    out += "{\"type\":\"info\",\"key\":\"" + JsonEscape(key) +
-           "\",\"value\":\"" + JsonEscape(value) + "\"}\n";
-  }
-  char buf[64];
+  AppendInfoLines(info, &out);
   for (const Entry& e : entries) {
-    switch (e.kind) {
-      case InstrumentKind::kCounter:
-        std::snprintf(buf, sizeof(buf), "%" PRId64, e.counter_value);
-        out += "{\"type\":\"counter\",\"name\":\"" + JsonEscape(e.name) +
-               "\",\"value\":" + buf + "}\n";
-        break;
-      case InstrumentKind::kGauge:
-        out += "{\"type\":\"gauge\",\"name\":\"" + JsonEscape(e.name) +
-               "\",\"value\":" + JsonNumber(e.gauge_value) + "}\n";
-        break;
-      case InstrumentKind::kHistogram:
-        std::snprintf(buf, sizeof(buf), "%" PRId64, e.count);
-        out += "{\"type\":\"histogram\",\"name\":\"" + JsonEscape(e.name) +
-               "\",\"count\":" + buf + ",\"sum\":" + JsonNumber(e.sum) +
-               ",\"min\":" + JsonNumber(e.min) +
-               ",\"max\":" + JsonNumber(e.max) +
-               ",\"p50\":" + JsonNumber(e.p50) +
-               ",\"p90\":" + JsonNumber(e.p90) +
-               ",\"p99\":" + JsonNumber(e.p99) + "}\n";
-        break;
-    }
+    AppendRecordLine("type", NameFor<InstrumentKind>(kKindNames, e.kind), e,
+                     &out);
   }
   return out;
 }
@@ -104,76 +88,23 @@ std::string RunReport::ToText() const {
 }
 
 Status RunReport::WriteJsonLines(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open '" + path + "' for writing");
-  }
-  const std::string body = ToJsonLines();
-  const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  const bool ok = written == body.size() && std::fclose(f) == 0;
-  if (!ok) return Status::Internal("short write to '" + path + "'");
-  return Status::OK();
+  return WriteFileText(path, ToJsonLines());
 }
 
 Result<RunReport> RunReport::ParseJsonLines(const std::string& text) {
   RunReport report;
-  size_t start = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(start, end - start);
-    start = end + 1;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-
-    std::map<std::string, std::string> strings;
-    std::map<std::string, double> numbers;
-    POLYDAB_RETURN_NOT_OK(ParseFlatJsonLine(line, &strings, &numbers));
-    auto type_it = strings.find("type");
-    if (type_it == strings.end()) {
-      return Status::InvalidArgument("report line missing type: " + line);
-    }
-    const std::string& type = type_it->second;
-    if (type == "info") {
-      report.info[strings["key"]] = strings["value"];
-      continue;
-    }
-    Entry e;
-    auto name_it = strings.find("name");
-    if (name_it == strings.end()) {
-      return Status::InvalidArgument("report line missing name: " + line);
-    }
-    e.name = name_it->second;
-    auto num = [&numbers, &line](const char* field) -> Result<double> {
-      auto it = numbers.find(field);
-      if (it == numbers.end()) {
-        return Status::InvalidArgument("report line missing '" +
-                                       std::string(field) + "': " + line);
-      }
-      return it->second;
-    };
-    if (type == "counter") {
-      e.kind = InstrumentKind::kCounter;
-      POLYDAB_ASSIGN_OR_RETURN(double v, num("value"));
-      e.counter_value = static_cast<int64_t>(v);
-    } else if (type == "gauge") {
-      e.kind = InstrumentKind::kGauge;
-      POLYDAB_ASSIGN_OR_RETURN(e.gauge_value, num("value"));
-    } else if (type == "histogram") {
-      e.kind = InstrumentKind::kHistogram;
-      POLYDAB_ASSIGN_OR_RETURN(double count, num("count"));
-      e.count = static_cast<int64_t>(count);
-      POLYDAB_ASSIGN_OR_RETURN(e.sum, num("sum"));
-      POLYDAB_ASSIGN_OR_RETURN(e.min, num("min"));
-      POLYDAB_ASSIGN_OR_RETURN(e.max, num("max"));
-      POLYDAB_ASSIGN_OR_RETURN(e.p50, num("p50"));
-      POLYDAB_ASSIGN_OR_RETURN(e.p90, num("p90"));
-      POLYDAB_ASSIGN_OR_RETURN(e.p99, num("p99"));
-    } else {
-      return Status::InvalidArgument("unknown report line type '" + type +
-                                     "'");
-    }
-    report.entries.push_back(std::move(e));
-  }
+  POLYDAB_RETURN_NOT_OK(
+      ForEachRecord(text, "report", "type", [&](const Record& rec) {
+        if (rec.tag == "info") return ReadInfo(rec, &report.info);
+        Entry e;
+        if (!ValueFor<InstrumentKind>(kKindNames, rec.tag, &e.kind)) {
+          return UnknownRecordType(rec);
+        }
+        POLYDAB_RETURN_NOT_OK(
+            ReadFields(rec, nullptr, [&](auto& v) { Entry::Fields(e, v); }));
+        report.entries.push_back(std::move(e));
+        return Status::OK();
+      }));
   return report;
 }
 

@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "obs/metrics.h"
+#include "obs/record.h"
 
 /// \file run_report.h
 /// Point-in-time snapshot of a MetricRegistry plus free-form run metadata,
@@ -33,6 +34,30 @@ struct RunReport {
     double p50 = 0.0;
     double p90 = 0.0;
     double p99 = 0.0;
+
+    /// The record's field list (obs/record.h); the record's type tag is
+    /// the kind's name ("counter", "gauge" or "histogram").
+    template <class S, class V>
+    static void Fields(S& s, V& v) {
+      v("name", s.name);
+      switch (s.kind) {
+        case InstrumentKind::kCounter:
+          v("value", s.counter_value);
+          break;
+        case InstrumentKind::kGauge:
+          v("value", s.gauge_value);
+          break;
+        case InstrumentKind::kHistogram:
+          v("count", s.count);
+          v("sum", s.sum);
+          v("min", s.min);
+          v("max", s.max);
+          v("p50", s.p50);
+          v("p90", s.p90);
+          v("p99", s.p99);
+          break;
+      }
+    }
   };
 
   /// Free-form metadata (config description, trace file, seed...),
@@ -56,7 +81,9 @@ struct RunReport {
   /// Write ToJsonLines() to \p path (truncating).
   Status WriteJsonLines(const std::string& path) const;
 
-  /// Inverse of ToJsonLines; rejects malformed lines with InvalidArgument.
+  /// Inverse of ToJsonLines. Strict: malformed lines, unknown record types
+  /// or keys, missing keys and non-integral counts are InvalidArgument
+  /// naming the line.
   static Result<RunReport> ParseJsonLines(const std::string& text);
 
   /// Entry lookup by instrument name; nullptr when absent.

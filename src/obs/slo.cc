@@ -24,26 +24,9 @@ Status BadRule(const std::string& rule, const std::string& why) {
   return Status::InvalidArgument("bad SLO rule \"" + rule + "\": " + why);
 }
 
-bool ParseOp(const std::string& tok, SloOp* op) {
-  if (tok == ">") *op = SloOp::kGt;
-  else if (tok == "<") *op = SloOp::kLt;
-  else if (tok == ">=") *op = SloOp::kGe;
-  else if (tok == "<=") *op = SloOp::kLe;
-  else return false;
-  return true;
-}
-
 }  // namespace
 
-const char* Name(SloOp op) {
-  switch (op) {
-    case SloOp::kGt: return ">";
-    case SloOp::kLt: return "<";
-    case SloOp::kGe: return ">=";
-    case SloOp::kLe: return "<=";
-  }
-  return "?";
-}
+const char* Name(SloOp op) { return NameFor<SloOp>(kSloOpNames, op); }
 
 Result<std::vector<SloRule>> ParseSloRules(
     const std::string& text, const std::vector<std::string>& known_metrics) {
@@ -79,7 +62,7 @@ Result<std::vector<SloRule>> ParseSloRules(
                                     "\" (known: " + all + ")");
       }
     }
-    if (!ParseOp(toks[1], &rule.op)) {
+    if (!ValueFor<SloOp>(kSloOpNames, toks[1], &rule.op)) {
       return BadRule(segment,
                      "unknown operator \"" + toks[1] + "\" (>, <, >=, <=)");
     }

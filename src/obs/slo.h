@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/record.h"
 
 /// \file slo.h
 /// Declarative service-level objectives over the windowed series
@@ -26,6 +27,10 @@ namespace polydab::obs {
 /// Comparison operator of a rule. Serialized as ">", "<", ">=", "<=".
 enum class SloOp : uint8_t { kGt, kLt, kGe, kLe };
 
+inline constexpr NameOf<SloOp> kSloOpNames[] = {
+    {SloOp::kGt, ">"}, {SloOp::kLt, "<"}, {SloOp::kGe, ">="},
+    {SloOp::kLe, "<="}};
+
 /// Serialization name of \p op.
 const char* Name(SloOp op);
 
@@ -38,6 +43,16 @@ struct SloRule {
   int64_t windows = 1;
 
   bool operator==(const SloRule&) const = default;
+
+  /// The series file's `slo_rule` record (obs/record.h), after the
+  /// rule's position under "index".
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("metric", s.metric);
+    v("op", Named{s.op, kSloOpNames});
+    v("threshold", s.threshold);
+    v("windows", s.windows);
+  }
 };
 
 /// Parse ';'-separated rules. Every metric name must appear in
@@ -69,6 +84,21 @@ struct SloAlert {
   uint64_t cause = 0;      ///< last event folded before the close (0: none)
 
   bool operator==(const SloAlert&) const = default;
+
+  /// The series file's `alert` record (obs/record.h).
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    static constexpr NameOf<bool> kStates[] = {{true, "fire"},
+                                               {false, "resolve"}};
+    v("index", s.window);
+    v("t", s.time);
+    v("rule", s.rule);
+    v("state", Named{s.fire, kStates});
+    v("value", s.value);
+    v("threshold", s.threshold);
+    v("consecutive", s.consecutive);
+    v("cause", Omit{s.cause, 0});
+  }
 };
 
 /// The online fire/resolve state machine: one consecutive-breach counter

@@ -60,8 +60,8 @@
 namespace polydab::obs {
 
 /// One closed window. JSON field names of the metric fields are the full
-/// instrument-style names returned by SeriesMetricNames(); rule DSL
-/// metrics resolve against the same names via SeriesMetricValue().
+/// instrument-style names of MetricFields, which SeriesMetricNames() and
+/// SeriesMetricValue() walk; rule DSL metrics resolve against them.
 struct SeriesWindow {
   int64_t index = 0;
   double start = 0.0;  ///< exclusive (except window 0, which includes 0)
@@ -89,6 +89,42 @@ struct SeriesWindow {
   double queue_wait_p99 = 0.0;
 
   bool operator==(const SeriesWindow&) const = default;
+
+  /// The `window` record's field list (obs/record.h): the bounds, then
+  /// the metrics, each omitted at zero.
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("index", s.index);
+    v("start", s.start);
+    v("end", s.end);
+    auto omit_zero = [&v](const char* key, auto& m) { v(key, Omit{m, 0}); };
+    MetricFields(s, omit_zero);
+  }
+  /// The per-window metric catalog, in serialization order.
+  template <class S, class V>
+  static void MetricFields(S& s, V& v) {
+    v("sim.coordinator.refreshes", s.refreshes);
+    v("sim.coordinator.recomputations", s.recomputations);
+    v("sim.coordinator.dab_change_messages", s.dab_changes);
+    v("sim.coordinator.user_notifications", s.notifications);
+    v("sim.coordinator.solver_failures", s.solver_failures);
+    v("sim.fidelity.violations", s.violations);
+    v("sim.fidelity.samples", s.samples);
+    v("sim.fidelity.violation_rate", s.violation_rate);
+    v("sim.run.live_queries", s.live_queries);
+    v("svc.service.registrations", s.registrations);
+    v("svc.service.deregistrations", s.deregistrations);
+    v("svc.service.modifications", s.modifications);
+    v("svc.service.rejections", s.rejections);
+    v("sim.fault.drops", s.fault_drops);
+    v("sim.fault.retransmits", s.retransmits);
+    v("sim.fault.duplicates_suppressed", s.dups_suppressed);
+    v("sim.fault.lease_expiries", s.lease_expiries);
+    v("sim.coordinator.queue_wait_count", s.queue_wait_count);
+    v("sim.coordinator.queue_wait_p50", s.queue_wait_p50);
+    v("sim.coordinator.queue_wait_p90", s.queue_wait_p90);
+    v("sim.coordinator.queue_wait_p99", s.queue_wait_p99);
+  }
 };
 
 /// One dimensional breakdown row (`SeriesConfig::breakdown`): the share
@@ -103,6 +139,17 @@ struct SeriesDimRow {
   int64_t notifications = 0;
 
   bool operator==(const SeriesDimRow&) const = default;
+
+  /// The `window_dim` record's field list (obs/record.h).
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("index", s.index);
+    v("dim", s.dim);
+    v("id", s.id);
+    v("refreshes", Omit{s.refreshes, 0});
+    v("recomputations", Omit{s.recomputations, 0});
+    v("notifications", Omit{s.notifications, 0});
+  }
 };
 
 /// One per-window registry instrument sample (`SeriesConfig::registry`):
@@ -116,6 +163,15 @@ struct SeriesSample {
   double value = 0.0;
 
   bool operator==(const SeriesSample&) const = default;
+
+  /// The `sample` record's field list (obs/record.h).
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("index", s.index);
+    v("name", s.name);
+    v("kind", s.kind);
+    v("value", s.value);
+  }
 };
 
 /// Whole-run sums of the windows' integer counters, written as the
@@ -144,6 +200,37 @@ struct SeriesTotals {
   int64_t alerts_resolved = 0;
 
   bool operator==(const SeriesTotals&) const = default;
+
+  /// The `series_summary` record's field list (obs/record.h); every
+  /// count but `windows` is omitted at zero.
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("windows", s.windows);
+    auto omit_zero = [&v](const char* key, auto& m) { v(key, Omit{m, 0}); };
+    WindowSums(s, omit_zero);
+    v("alerts_fired", Omit{s.alerts_fired, 0});
+    v("alerts_resolved", Omit{s.alerts_resolved, 0});
+  }
+  /// The sums of SeriesWindow members of the same names, in wire order.
+  template <class S, class V>
+  static void WindowSums(S& s, V& v) {
+    v("refreshes", s.refreshes);
+    v("recomputations", s.recomputations);
+    v("dab_changes", s.dab_changes);
+    v("notifications", s.notifications);
+    v("solver_failures", s.solver_failures);
+    v("violations", s.violations);
+    v("samples", s.samples);
+    v("registrations", s.registrations);
+    v("deregistrations", s.deregistrations);
+    v("modifications", s.modifications);
+    v("rejections", s.rejections);
+    v("fault_drops", s.fault_drops);
+    v("retransmits", s.retransmits);
+    v("dups_suppressed", s.dups_suppressed);
+    v("lease_expiries", s.lease_expiries);
+    v("queue_wait_count", s.queue_wait_count);
+  }
 };
 
 /// A recorded (or parsed) series: metadata, the rule set, the closed
@@ -177,8 +264,8 @@ Result<SeriesFile> LoadSeriesFile(const std::string& path);
 /// polydab_monitor uses it to render a series straight from a trace.
 Result<SeriesFile> FoldTraceSeries(const TraceFile& trace);
 
-/// The per-window metric catalog: every name an SLO rule may reference,
-/// in serialization order.
+/// The per-window metric catalog (SeriesWindow::MetricFields): every name
+/// an SLO rule may reference, in serialization order.
 const std::vector<std::string>& SeriesMetricNames();
 /// Value of catalog metric \p name in \p w; 0 for unknown names (callers
 /// validate names via SeriesMetricNames / ParseSloRules first).

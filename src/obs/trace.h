@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/record.h"
 
 /// \file trace.h
 /// Causal event tracing for the coordinator protocol. Where
@@ -97,6 +98,8 @@ enum class TraceEventKind : uint8_t {
                         ///< (cause = kCoordCrash, a = rows, b = ckpt tick)
 };
 
+/// Every kind with its serialization name, in enum order.
+std::span<const NameOf<TraceEventKind>> TraceEventKindNames();
 /// Serialization name, e.g. "refresh_arrived".
 const char* Name(TraceEventKind kind);
 /// Inverse of Name; false when the name is unknown.
@@ -221,6 +224,26 @@ struct TraceEvent {
   int32_t flag = 0;     ///< kind-specific discrete payload (e.g. outcome)
 
   bool operator==(const TraceEvent&) const = default;
+
+  /// The `event` record's field list (obs/record.h).
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("id", s.id);
+    v("t", s.time);
+    v("kind", Named{s.kind, TraceEventKindNames()});
+    v("node", Omit{s.node, -1});
+    v("source", Omit{s.source, -1});
+    v("item", Omit{s.item, -1});
+    v("query", Omit{s.query, -1});
+    v("part", Omit{s.part, -1});
+    v("shard", Omit{s.shard, -1});
+    v("thread", Omit{s.thread, -1});
+    v("cause", Omit{s.cause, 0});
+    v("a", Omit{s.a, 0.0});
+    v("b", Omit{s.b, 0.0});
+    v("c", Omit{s.c, 0.0});
+    v("flag", Omit{s.flag, 0});
+  }
 };
 
 /// Items of one query, recorded so the offline reader can attribute
@@ -235,6 +258,16 @@ struct TraceQueryInfo {
   std::vector<int32_t> items;
 
   bool operator==(const TraceQueryInfo&) const = default;
+
+  /// The `query_info` record's field list (obs/record.h).
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("query", s.query);
+    v("node", Omit{s.node, -1});
+    v("shard", Omit{s.shard, -1});
+    v("qab", Omit{s.qab, 0.0});
+    v("items", s.items);
+  }
 };
 
 /// The trailing self-description a traced run appends: final metrics plus
@@ -262,6 +295,35 @@ struct TraceRunSummary {
   double degraded_query_seconds = 0.0;
 
   bool operator==(const TraceRunSummary&) const = default;
+
+  /// The `run_summary` record's field list (obs/record.h): the run shape,
+  /// then the totals.
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("node", s.node);
+    v("queries", s.queries);
+    v("ticks", s.ticks);
+    v("fidelity_stride", s.fidelity_stride);
+    v("violation_tol", s.violation_tol);
+    Counters(s, v);
+  }
+  /// The totals, in wire order. obs::TraceDerivedStats (trace_check.h)
+  /// holds the same members re-derived from the events, so the checker
+  /// and the folder walk this list over both.
+  template <class S, class V>
+  static void Counters(S& s, V& v) {
+    v("refreshes", s.refreshes);
+    v("recomputations", s.recomputations);
+    v("dab_change_messages", s.dab_change_messages);
+    v("user_notifications", s.user_notifications);
+    v("solver_failures", s.solver_failures);
+    v("mean_fidelity_loss_pct", s.mean_fidelity_loss_pct);
+    v("fault_drops", Omit{s.fault_drops, 0});
+    v("retransmits", Omit{s.retransmits, 0});
+    v("duplicates_suppressed", Omit{s.duplicates_suppressed, 0});
+    v("lease_expiries", Omit{s.lease_expiries, 0});
+    v("degraded_query_seconds", Omit{s.degraded_query_seconds, 0.0});
+  }
 };
 
 /// A parsed (or captured) trace: free-form metadata, the event sequence

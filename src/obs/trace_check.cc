@@ -97,8 +97,9 @@ class Checker {
         if (parsed.ok()) {
           slo_rule_count_ = parsed->size();
         } else {
-          Fail("slo_rules info key is malformed: " +
-               parsed.status().message());
+          slo_rules_error_ = "slo_rules info key is malformed: " +
+                             parsed.status().message();
+          Fail(slo_rules_error_);
         }
       }
     }
@@ -237,6 +238,9 @@ class Checker {
   /// query's registration interval to reproduce the engine's per-query
   /// fidelity denominators.
   bool churn_mode() const { return churn_mode_; }
+  /// The failure a malformed slo_rules info key was reported as ("" if
+  /// none).
+  const std::string& slo_rules_error() const { return slo_rules_error_; }
   int64_t RegTick(int32_t node, int32_t query) const {
     auto it = reg_tick_.find(Key(node, query));
     return it == reg_tick_.end() ? 0 : it->second;
@@ -1494,6 +1498,7 @@ class Checker {
   bool churn_mode_ = false;
   bool series_mode_ = false;   // info series_window_s present
   size_t slo_rule_count_ = 0;  // parsed from info slo_rules
+  std::string slo_rules_error_;
   int coord_shards_count_ = 1;
   bool policy_component_ = true;
   std::set<int64_t> churn_reg_keys_;   // (node,query) registered mid-run
@@ -1593,34 +1598,13 @@ void DiffSummary(const TraceRunSummary& s, const TraceDerivedStats& d,
                                  std::to_string(s.node) + "): " + what);
     }
   };
-  auto diff_count = [&](const char* name, int64_t derived,
-                        int64_t recorded) {
-    if (derived != recorded) {
-      fail(std::string(name) + " replayed as " + std::to_string(derived) +
-           " but recorded as " + std::to_string(recorded));
+  const std::vector<SummaryCounter> replayed = SummaryCounters(d);
+  const std::vector<SummaryCounter> recorded = SummaryCounters(s);
+  for (size_t i = 0; i < recorded.size(); ++i) {
+    if (replayed[i].Differs(recorded[i])) {
+      fail(std::string(recorded[i].key) + " replayed as " +
+           replayed[i].Text() + " but recorded as " + recorded[i].Text());
     }
-  };
-  diff_count("refreshes", d.refreshes, s.refreshes);
-  diff_count("recomputations", d.recomputations, s.recomputations);
-  diff_count("dab_change_messages", d.dab_change_messages,
-             s.dab_change_messages);
-  diff_count("user_notifications", d.user_notifications,
-             s.user_notifications);
-  diff_count("solver_failures", d.solver_failures, s.solver_failures);
-  if (d.mean_fidelity_loss_pct != s.mean_fidelity_loss_pct) {
-    fail("mean_fidelity_loss_pct replayed as " +
-         std::to_string(d.mean_fidelity_loss_pct) + " but recorded as " +
-         std::to_string(s.mean_fidelity_loss_pct));
-  }
-  diff_count("fault_drops", d.fault_drops, s.fault_drops);
-  diff_count("retransmits", d.retransmits, s.retransmits);
-  diff_count("duplicates_suppressed", d.duplicates_suppressed,
-             s.duplicates_suppressed);
-  diff_count("lease_expiries", d.lease_expiries, s.lease_expiries);
-  if (d.degraded_query_seconds != s.degraded_query_seconds) {
-    fail("degraded_query_seconds replayed as " +
-         std::to_string(d.degraded_query_seconds) + " but recorded as " +
-         std::to_string(s.degraded_query_seconds));
   }
 }
 
@@ -1635,7 +1619,7 @@ void DiffRunReport(const TraceFile& trace,
   auto origin_it = trace.info.find("origin");
   const bool relay =
       origin_it != trace.info.end() && origin_it->second == "relay";
-  const char* prefix = relay ? "net.relay." : "sim.coordinator.";
+  const std::string prefix = relay ? "net.relay." : "sim.coordinator.";
 
   const TraceDerivedStats total = DeriveTotalStats(trace);
   auto fail = [&](const std::string& what) {
@@ -1644,51 +1628,41 @@ void DiffRunReport(const TraceFile& trace,
       report->failures.push_back("run report: " + what);
     }
   };
-  auto diff_counter = [&](const char* metric, int64_t derived_value) {
-    const RunReport::Entry* e = rr.Find(std::string(prefix) + metric);
+  auto diff_counter = [&](const std::string& metric, int64_t derived_value) {
+    const RunReport::Entry* e = rr.Find(metric);
     if (e == nullptr) {
-      fail(std::string("missing counter ") + prefix + metric);
+      fail("missing counter " + metric);
       return;
     }
     if (e->counter_value != derived_value) {
-      fail(std::string(prefix) + metric + " replayed as " +
-           std::to_string(derived_value) + " but reported as " +
-           std::to_string(e->counter_value));
+      fail(metric + " replayed as " + std::to_string(derived_value) +
+           " but reported as " + std::to_string(e->counter_value));
     }
   };
-  diff_counter("refreshes", total.refreshes);
-  diff_counter("recomputations", total.recomputations);
-  diff_counter("dab_change_messages", total.dab_change_messages);
-  diff_counter("solver_failures", total.solver_failures);
-  if (!relay) diff_counter("user_notifications", total.user_notifications);
+  diff_counter(prefix + "refreshes", total.refreshes);
+  diff_counter(prefix + "recomputations", total.recomputations);
+  diff_counter(prefix + "dab_change_messages", total.dab_change_messages);
+  diff_counter(prefix + "solver_failures", total.solver_failures);
+  if (!relay) {
+    diff_counter(prefix + "user_notifications", total.user_notifications);
+  }
 
   // Fault-mode runs register the sim.fault.* counters; their values must
   // mirror the replayed totals exactly (conservation, satellite (f) of
   // docs/ROBUSTNESS.md). degraded_query_seconds is summed over the
   // per-summary derivations, since it needs each summary's sample grid.
   if (!relay && trace.info.find("fault_config") != trace.info.end()) {
-    auto diff_fault = [&](const char* metric, int64_t derived_value) {
-      const RunReport::Entry* e =
-          rr.Find(std::string("sim.fault.") + metric);
-      if (e == nullptr) {
-        fail(std::string("missing counter sim.fault.") + metric);
-        return;
-      }
-      if (e->counter_value != derived_value) {
-        fail(std::string("sim.fault.") + metric + " replayed as " +
-             std::to_string(derived_value) + " but reported as " +
-             std::to_string(e->counter_value));
-      }
-    };
-    diff_fault("drops", total.fault_drops);
-    diff_fault("retransmits", total.retransmits);
-    diff_fault("duplicates_suppressed", total.duplicates_suppressed);
-    diff_fault("lease_expiries", total.lease_expiries);
+    diff_counter("sim.fault.drops", total.fault_drops);
+    diff_counter("sim.fault.retransmits", total.retransmits);
+    diff_counter("sim.fault.duplicates_suppressed",
+                 total.duplicates_suppressed);
+    diff_counter("sim.fault.lease_expiries", total.lease_expiries);
     double degraded = 0.0;
     for (const TraceDerivedStats& d : derived) {
       degraded += d.degraded_query_seconds;
     }
-    diff_fault("degraded_query_seconds", static_cast<int64_t>(degraded));
+    diff_counter("sim.fault.degraded_query_seconds",
+                 static_cast<int64_t>(degraded));
   }
 
   if (trace.summaries.size() == 1 && derived.size() == 1) {
@@ -1710,50 +1684,23 @@ void DiffRunReport(const TraceFile& trace,
 /// provided, every row of the series file written by the same run —
 /// matches the re-derivation exactly.
 void CheckSeries(const TraceFile& trace, const TraceCheckOptions& options,
-                 TraceCheckReport* report) {
+                 const Checker& checker, TraceCheckReport* report) {
   auto fail = [&](const std::string& what) {
     ++report->failure_count;
     if (report->failures.size() < options.max_failures) {
       report->failures.push_back("series: " + what);
     }
   };
-  const auto wit = trace.info.find("series_window_s");
-  char* end = nullptr;
-  const long window = std::strtol(wit->second.c_str(), &end, 10);
-  if (end == wit->second.c_str() || *end != '\0' || window < 1) {
-    fail("series_window_s info \"" + wit->second +
-         "\" is not a positive integer");
+  Result<SeriesFile> folded = FoldTraceSeries(trace);
+  if (!folded.ok()) {
+    // The Checker already reported a malformed slo_rules key.
+    if (folded.status().message() != checker.slo_rules_error()) {
+      fail(folded.status().message());
+    }
     return;
   }
-  if (trace.summaries.size() != 1) {
-    fail("series traces must carry exactly one run summary, found " +
-         std::to_string(trace.summaries.size()));
-    return;
-  }
+  const SeriesFile& derived = *folded;
   const TraceRunSummary& s = trace.summaries[0];
-
-  SeriesConfig cfg;
-  cfg.window_ticks = window;
-  cfg.breakdown = trace.info.find("series_breakdown") != trace.info.end();
-  cfg.derive_samples = true;
-  cfg.fidelity_stride = s.fidelity_stride >= 1 ? s.fidelity_stride : 1;
-  const auto rit = trace.info.find("slo_rules");
-  if (rit != trace.info.end()) {
-    auto parsed = ParseSloRules(rit->second, SeriesMetricNames());
-    if (!parsed.ok()) return;  // already failed in the Checker constructor
-    cfg.rules = std::move(parsed).value();
-  }
-  SeriesRecorder replay(cfg);
-  // Live queries at t=0: every query_info record that was not registered
-  // by a churn event.
-  int64_t initial = static_cast<int64_t>(trace.queries.size());
-  for (const TraceEvent& e : trace.events) {
-    if (e.kind == TraceEventKind::kQueryRegister) --initial;
-  }
-  replay.SetInitialQueries(initial);
-  for (const TraceEvent& e : trace.events) replay.OnEvent(e);
-  replay.Finalize(static_cast<double>(s.ticks - 1));
-  const SeriesFile& derived = replay.file();
 
   // Every recorded alert event must match the replay's transition list
   // element-wise — same order, same rule, same window end, same observed
@@ -2084,7 +2031,7 @@ Result<TraceCheckReport> CheckTrace(const TraceFile& trace,
     DiffRunReport(trace, report.derived, *options.report, &report, options);
   }
   if (trace.info.find("series_window_s") != trace.info.end()) {
-    CheckSeries(trace, options, &report);
+    CheckSeries(trace, options, checker, &report);
   } else if (options.series != nullptr) {
     ++report.failure_count;
     if (report.failures.size() < options.max_failures) {

@@ -128,6 +128,38 @@ void AccumulateDerivedStats(const TraceEvent& e, TraceDerivedStats* d);
 /// not a message class.
 TraceDerivedStats DeriveTotalStats(const TraceFile& trace);
 
+/// One run-summary total, as the replay diffs compare and print it.
+struct SummaryCounter {
+  const char* key;
+  bool integral;  ///< an int64 count (else the double `value`)
+  int64_t count;
+  double value;
+
+  bool Differs(const SummaryCounter& o) const {
+    return count != o.count || value != o.value;
+  }
+  std::string Text() const {
+    return integral ? std::to_string(count) : std::to_string(value);
+  }
+};
+
+/// TraceRunSummary::Counters walked over \p s — a TraceRunSummary or a
+/// TraceDerivedStats, which holds the same members — in wire order.
+template <class S>
+std::vector<SummaryCounter> SummaryCounters(const S& s) {
+  std::vector<SummaryCounter> out;
+  auto collect = [&out](const char* key, const auto& field) {
+    const auto& m = Member(field);
+    if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(m)>>) {
+      out.push_back({key, true, m, 0.0});
+    } else {
+      out.push_back({key, false, 0, m});
+    }
+  };
+  TraceRunSummary::Counters(s, collect);
+  return out;
+}
+
 /// Per-query cost attribution.
 struct TraceQueryCost {
   int32_t query = -1;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <unordered_map>
 
@@ -11,6 +12,11 @@
 namespace polydab::obs {
 
 namespace {
+
+constexpr NameOf<FoldGroupBy> kGroupByNames[] = {
+    {FoldGroupBy::kQuery, "query"},
+    {FoldGroupBy::kItem, "item"},
+    {FoldGroupBy::kLane, "lane"}};
 
 /// (node, id) composite key, as in trace_check.cc.
 int64_t Key(int32_t node, int32_t other) {
@@ -267,62 +273,35 @@ class Folder {
   /// (trace_check.h::AccumulateDerivedStats), and — when the trace
   /// carries run summaries — the totals the producing run recorded.
   void CheckConservation(TraceFoldReport* report) const {
-    auto fail = [report](const char* what, int64_t folded,
-                         int64_t derived, const char* against) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "%s: folded %" PRId64 " but %s %s %" PRId64, what,
-                    folded, against, "says", derived);
-      report->conservation_failures.push_back(buf);
-    };
-    const TraceDerivedStats d = DeriveTotalStats(trace_);
-    auto diff = [&](const char* what, int64_t folded, int64_t derived) {
-      if (folded != derived) fail(what, folded, derived, "the replay");
-    };
-    diff("refreshes", attributed_.refreshes, d.refreshes);
-    diff("recomputations", attributed_.recomputations, d.recomputations);
-    diff("dab_change_messages", attributed_.dab_change_messages,
-         d.dab_change_messages);
-    diff("user_notifications", attributed_.user_notifications,
-         d.user_notifications);
-    diff("fault_drops", attributed_.fault_drops, d.fault_drops);
-    diff("retransmits", attributed_.retransmits, d.retransmits);
-    diff("duplicates_suppressed", attributed_.duplicates_suppressed,
-         d.duplicates_suppressed);
-    diff("lease_expiries", attributed_.lease_expiries, d.lease_expiries);
-    if (!trace_.summaries.empty()) {
-      TraceDerivedStats s;
-      for (const TraceRunSummary& rs : trace_.summaries) {
-        s.refreshes += rs.refreshes;
-        s.recomputations += rs.recomputations;
-        s.dab_change_messages += rs.dab_change_messages;
-        s.user_notifications += rs.user_notifications;
-        s.fault_drops += rs.fault_drops;
-        s.retransmits += rs.retransmits;
-        s.duplicates_suppressed += rs.duplicates_suppressed;
-        s.lease_expiries += rs.lease_expiries;
-      }
-      auto diff_summary = [&](const char* what, int64_t folded,
-                              int64_t recorded) {
-        if (folded != recorded) {
-          fail(what, folded, recorded, "the run_summary");
+    const std::vector<SummaryCounter> folded = SummaryCounters(attributed_);
+    auto diff = [&](const std::vector<SummaryCounter>& counts,
+                    const char* against) {
+      for (size_t i = 0; i < folded.size(); ++i) {
+        const SummaryCounter& f = folded[i];
+        // The folder attributes messages only: the doubles are
+        // per-summary quantities and solver failures recompute outcomes.
+        if (!f.integral || std::strcmp(f.key, "solver_failures") == 0 ||
+            !f.Differs(counts[i])) {
+          continue;
         }
-      };
-      diff_summary("refreshes", attributed_.refreshes, s.refreshes);
-      diff_summary("recomputations", attributed_.recomputations,
-                   s.recomputations);
-      diff_summary("dab_change_messages", attributed_.dab_change_messages,
-                   s.dab_change_messages);
-      diff_summary("user_notifications", attributed_.user_notifications,
-                   s.user_notifications);
-      diff_summary("fault_drops", attributed_.fault_drops, s.fault_drops);
-      diff_summary("retransmits", attributed_.retransmits, s.retransmits);
-      diff_summary("duplicates_suppressed",
-                   attributed_.duplicates_suppressed,
-                   s.duplicates_suppressed);
-      diff_summary("lease_expiries", attributed_.lease_expiries,
-                   s.lease_expiries);
+        char buf[160];
+        std::snprintf(buf, sizeof(buf),
+                      "%s: folded %" PRId64 " but %s says %" PRId64, f.key,
+                      f.count, against, counts[i].count);
+        report->conservation_failures.push_back(buf);
+      }
+    };
+    diff(SummaryCounters(DeriveTotalStats(trace_)), "the replay");
+    if (trace_.summaries.empty()) return;
+    std::vector<SummaryCounter> recorded =
+        SummaryCounters(TraceDerivedStats{});
+    for (const TraceRunSummary& rs : trace_.summaries) {
+      const std::vector<SummaryCounter> one = SummaryCounters(rs);
+      for (size_t i = 0; i < one.size(); ++i) {
+        recorded[i].count += one[i].count;
+      }
     }
+    diff(recorded, "the run_summary");
   }
 
   const TraceFile& trace_;
@@ -370,23 +349,11 @@ std::vector<const FoldAttributionRow*> TopByCost(
 }  // namespace
 
 const char* Name(FoldGroupBy group_by) {
-  switch (group_by) {
-    case FoldGroupBy::kQuery: return "query";
-    case FoldGroupBy::kItem: return "item";
-    case FoldGroupBy::kLane: return "lane";
-  }
-  return "?";
+  return NameFor<FoldGroupBy>(kGroupByNames, group_by);
 }
 
 bool ParseFoldGroupBy(const std::string& name, FoldGroupBy* out) {
-  for (FoldGroupBy g :
-       {FoldGroupBy::kQuery, FoldGroupBy::kItem, FoldGroupBy::kLane}) {
-    if (name == Name(g)) {
-      *out = g;
-      return true;
-    }
-  }
-  return false;
+  return ValueFor<FoldGroupBy>(kGroupByNames, name, out);
 }
 
 std::string TraceFoldReport::ToFolded() const {
@@ -404,49 +371,35 @@ std::string TraceFoldReport::ToFolded() const {
 std::string TraceFoldReport::ToJson() const {
   std::string out;
   out.reserve(stacks.size() * 96 + 1024);
-  char buf[256];
-  out += "{\"type\":\"fold_info\",\"mu\":" + JsonNumber(mu) +
-         ",\"group_by\":\"" + Name(group_by) + "\"";
-  std::snprintf(buf, sizeof(buf),
-                ",\"events\":%" PRId64 ",\"sharded\":%d}\n", events,
-                sharded ? 1 : 0);
-  out += buf;
+  AppendLine("type", "fold_info", [&](LineWriter& w) {
+    w("mu", mu);
+    w("group_by", Named{group_by, kGroupByNames});
+    w("events", events);
+    w("sharded", sharded);
+  }, &out);
   for (const FoldedStack& s : stacks) {
-    out += "{\"type\":\"stack\",\"frames\":\"" + JsonEscape(s.frames) +
-           "\"";
-    std::snprintf(buf, sizeof(buf), ",\"count\":%" PRId64, s.count);
-    out += buf;
-    out += ",\"weight\":" + JsonNumber(s.weight) + "}\n";
+    AppendRecordLine("type", "stack", s, &out);
   }
   auto table = [&](const char* by,
                    const std::vector<FoldAttributionRow>& rows) {
     for (const FoldAttributionRow& r : rows) {
-      std::snprintf(buf, sizeof(buf),
-                    "{\"type\":\"attribution\",\"by\":\"%s\",\"key\":%d,"
-                    "\"refreshes\":%" PRId64 ",\"recomputations\":%" PRId64
-                    ",\"dab_changes\":%" PRId64 ",\"notifications\":%" PRId64
-                    ",\"barriers\":%" PRId64 ",\"cost\":",
-                    by, r.key, r.refreshes, r.recomputations, r.dab_changes,
-                    r.notifications, r.barriers);
-      out += buf;
-      out += JsonNumber(r.cost) + "}\n";
+      AppendLine("type", "attribution", [&](LineWriter& w) {
+        w("by", std::string(by));
+        FoldAttributionRow::Fields(r, w);
+      }, &out);
     }
   };
   table("query", by_query);
   table("item", by_item);
   table("lane", by_lane);
-  std::snprintf(buf, sizeof(buf),
-                "{\"type\":\"totals\",\"refreshes\":%" PRId64
-                ",\"recomputations\":%" PRId64
-                ",\"dab_change_messages\":%" PRId64
-                ",\"user_notifications\":%" PRId64
-                ",\"barrier_events\":%" PRId64
-                ",\"conservation_failures\":%zu}\n",
-                attributed.refreshes, attributed.recomputations,
-                attributed.dab_change_messages,
-                attributed.user_notifications, barrier_events,
-                conservation_failures.size());
-  out += buf;
+  AppendLine("type", "totals", [&](LineWriter& w) {
+    w("refreshes", attributed.refreshes);
+    w("recomputations", attributed.recomputations);
+    w("dab_change_messages", attributed.dab_change_messages);
+    w("user_notifications", attributed.user_notifications);
+    w("barrier_events", barrier_events);
+    w("conservation_failures", conservation_failures.size());
+  }, &out);
   return out;
 }
 

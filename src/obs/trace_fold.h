@@ -78,6 +78,14 @@ struct FoldedStack {
   std::string frames;
   int64_t count = 0;
   double weight = 0.0;
+
+  /// The JSON summary's `stack` record (obs/record.h).
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("frames", s.frames);
+    v("count", s.count);
+    v("weight", s.weight);
+  }
 };
 
 /// One row of an attribution table: message counts and total cost for one
@@ -94,6 +102,19 @@ struct FoldAttributionRow {
   /// refreshes + mu * recomputations — the paper's total-cost metric,
   /// restricted to this row.
   double cost = 0.0;
+
+  /// The JSON summary's `attribution` record (obs/record.h), after the
+  /// table's name under "by".
+  template <class S, class V>
+  static void Fields(S& s, V& v) {
+    v("key", s.key);
+    v("refreshes", s.refreshes);
+    v("recomputations", s.recomputations);
+    v("dab_changes", s.dab_changes);
+    v("notifications", s.notifications);
+    v("barriers", s.barriers);
+    v("cost", s.cost);
+  }
 };
 
 struct TraceFoldReport {

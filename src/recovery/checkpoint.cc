@@ -99,56 +99,30 @@ uint32_t BlockDigest(const std::vector<std::string>& lines) {
   return h;
 }
 
-/// Decode one record line into a new element of \p out. With an
-/// \p index_key, the record's positional index must be out->size().
-template <class R>
-Status ReadListRecord(const Record& rec, const char* index_key,
-                      std::vector<R>* out) {
-  R r;
-  POLYDAB_RETURN_NOT_OK(
-      ReadFields(rec, index_key, [&](auto& v) { R::Fields(r, v); }));
-  if (index_key != nullptr) {
-    size_t i = 0;
-    POLYDAB_RETURN_NOT_OK(ReadValue(rec, index_key, &i));
-    if (i != out->size()) {
-      return LineError(rec.line_number,
-                       "ckpt '" + rec.tag + "' records out of order");
-    }
-  }
-  out->push_back(std::move(r));
-  return Status::OK();
-}
-
 /// Sparse item-table row: the item's query slots and lanes, each key
 /// present only when non-empty.
 Status ReadItemRow(const Record& rec, CheckpointState* st) {
-  POLYDAB_RETURN_NOT_OK(CheckKeys(rec, "i", {"q", "s"}));
   int i = 0;
   POLYDAB_RETURN_NOT_OK(ReadValue(rec, "i", &i));
   if (i < 0 || i >= st->num_items) {
     return LineError(rec.line_number, "ckpt 'iq' item out of range");
   }
   const size_t item = static_cast<size_t>(i);
-  if (rec.strings.count("q") != 0) {
-    POLYDAB_RETURN_NOT_OK(ReadValue(rec, "q", &st->items.item_queries[item]));
-  }
-  if (rec.strings.count("s") != 0) {
-    POLYDAB_RETURN_NOT_OK(ReadValue(rec, "s", &st->items.item_shards[item]));
-  }
-  return Status::OK();
+  return ReadFields(rec, "i", [&](auto& v) {
+    v("q", obs::Omit{st->items.item_queries[item], {}});
+    v("s", obs::Omit{st->items.item_shards[item], {}});
+  });
 }
+
+constexpr obs::NameOf<char> kInstrumentKinds[] = {
+    {'c', "c"}, {'g', "g"}, {'h', "h"}};
 
 Status ReadInstrument(const Record& rec, CheckpointState* st) {
   CheckpointInstrument ins;
-  std::string kind;
-  POLYDAB_RETURN_NOT_OK(ReadValue(rec, "k", &kind));
-  if (kind != "c" && kind != "g" && kind != "h") {
-    return LineError(rec.line_number,
-                     "unknown instrument kind '" + kind + "'");
-  }
-  ins.kind = kind[0];
-  POLYDAB_RETURN_NOT_OK(ReadFields(
-      rec, "k", [&](auto& v) { CheckpointInstrument::Fields(ins, v); }));
+  POLYDAB_RETURN_NOT_OK(ReadFields(rec, nullptr, [&](auto& v) {
+    v("k", obs::Named{ins.kind, kInstrumentKinds});  // picks the list below
+    CheckpointInstrument::Fields(ins, v);
+  }));
   st->instruments.push_back(std::move(ins));
   return Status::OK();
 }
@@ -218,8 +192,7 @@ Status DecodeBlock(const std::vector<const Record*>& recs,
     } else if (rec.tag == "reg") {
       POLYDAB_RETURN_NOT_OK(ReadInstrument(rec, st));
     } else {
-      return LineError(rec.line_number,
-                       "unknown ckpt record type '" + rec.tag + "'");
+      return obs::UnknownRecordType(rec);
     }
   }
   CountCheck counts{*recs.front(), Status::OK()};

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "obs/json_util.h"
@@ -13,34 +12,7 @@ namespace polydab::recovery {
 
 namespace {
 
-/// Split \p s on \p sep, keeping empty pieces out (the encoders never
-/// emit doubled separators, so an empty piece is a format error flagged
-/// by the per-token decoders).
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t end = s.find(sep, start);
-    if (end == std::string::npos) end = s.size();
-    out.push_back(s.substr(start, end - start));
-    start = end + 1;
-  }
-  return out;
-}
-
-/// Decimal integer token in [lo, hi].
-Status DecodeLong(const std::string& tok, long long* out,
-                  long long lo = std::numeric_limits<long long>::min(),
-                  long long hi = std::numeric_limits<long long>::max()) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(tok.c_str(), &end, 10);
-  if (errno != 0 || end == tok.c_str() || *end != '\0' || v < lo || v > hi) {
-    return Status::InvalidArgument("bad integer token '" + tok + "'");
-  }
-  *out = v;
-  return Status::OK();
-}
+using obs::DecodeLong;
 
 constexpr long long kIntMin = std::numeric_limits<int>::min();
 constexpr long long kIntMax = std::numeric_limits<int>::max();
@@ -88,30 +60,10 @@ std::string EncodeVector(const Vector& v) {
 Status DecodeVector(const std::string& s, Vector* out) {
   out->clear();
   if (s.empty()) return Status::OK();
-  for (const std::string& tok : Split(s, ' ')) {
+  for (const std::string& tok : obs::SplitTokens(s, ' ')) {
     double v = 0.0;
     POLYDAB_RETURN_NOT_OK(DecodeDouble(tok, &v));
     out->push_back(v);
-  }
-  return Status::OK();
-}
-
-std::string EncodeInts(const std::vector<int>& v) {
-  std::string out;
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ' ';
-    out += std::to_string(v[i]);
-  }
-  return out;
-}
-
-Status DecodeInts(const std::string& s, std::vector<int>* out) {
-  out->clear();
-  if (s.empty()) return Status::OK();
-  for (const std::string& tok : Split(s, ' ')) {
-    long long v = 0;
-    POLYDAB_RETURN_NOT_OK(DecodeLong(tok, &v, kIntMin, kIntMax));
-    out->push_back(static_cast<int>(v));
   }
   return Status::OK();
 }
@@ -130,7 +82,7 @@ std::string EncodeBuckets(const Buckets& b) {
 Status DecodeBuckets(const std::string& s, Buckets* out) {
   out->clear();
   if (s.empty()) return Status::OK();
-  for (const std::string& tok : Split(s, ' ')) {
+  for (const std::string& tok : obs::SplitTokens(s, ' ')) {
     const size_t colon = tok.find(':');
     if (colon == std::string::npos) {
       return Status::InvalidArgument("bad bucket token '" + tok + "'");
@@ -167,7 +119,7 @@ Status DecodePolynomial(const std::string& s, Polynomial* out) {
     return Status::OK();
   }
   std::vector<Monomial> terms;
-  for (const std::string& term : Split(s, '|')) {
+  for (const std::string& term : obs::SplitTokens(s, '|')) {
     const size_t at = term.find('@');
     if (at == std::string::npos) {
       return Status::InvalidArgument("polynomial term '" + term +
@@ -178,7 +130,7 @@ Status DecodePolynomial(const std::string& s, Polynomial* out) {
     std::vector<std::pair<VarId, int>> powers;
     const std::string rest = term.substr(at + 1);
     if (!rest.empty()) {
-      for (const std::string& vp : Split(rest, ',')) {
+      for (const std::string& vp : obs::SplitTokens(rest, ',')) {
         const size_t colon = vp.find(':');
         if (colon == std::string::npos) {
           return Status::InvalidArgument("polynomial power '" + vp +

@@ -8,10 +8,11 @@
 
 #include "common/matrix.h"
 #include "common/status.h"
+#include "obs/record.h"
 #include "poly/polynomial.h"
 
 /// \file codec.h
-/// Token codecs shared by the checkpoint and WAL formats. The on-disk
+/// Token codecs of the checkpoint and WAL formats. The on-disk
 /// records are the flat one-line JSON objects json_util.h already reads
 /// and writes; anything vector- or polynomial-shaped is packed into a
 /// single JSON *string* field as space/punctuation-separated tokens, so
@@ -33,9 +34,9 @@ Status DecodeDouble(const std::string& tok, double* out);
 std::string EncodeVector(const Vector& v);
 Status DecodeVector(const std::string& s, Vector* out);
 
-/// Space-separated decimal integers ("" for an empty vector).
-std::string EncodeInts(const std::vector<int>& v);
-Status DecodeInts(const std::string& s, std::vector<int>* out);
+/// The int-list codec is the shared record codec's (obs/record.h).
+using obs::DecodeInts;
+using obs::EncodeInts;
 
 /// Histogram buckets: (bucket index, count) pairs, non-empty buckets only.
 using Buckets = std::vector<std::pair<int, int64_t>>;

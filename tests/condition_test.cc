@@ -92,6 +92,14 @@ struct ExpansionCase {
   int max_exp;
 };
 
+// The case's ctest name: gtest_discover_tests names a parameterized case
+// by its printed value, and gtest's default print of a struct dumps its
+// bytes, padding included.
+void PrintTo(const ExpansionCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_vars" << c.num_vars << "_terms" << c.num_terms
+      << "_exp" << c.max_exp;
+}
+
 class ExpansionProperty : public ::testing::TestWithParam<ExpansionCase> {};
 
 TEST_P(ExpansionProperty, SingleMatchesDirectEvaluation) {

@@ -204,6 +204,13 @@ struct DualCase {
   double mu;
 };
 
+// The case's ctest name: gtest_discover_tests names a parameterized case
+// by its printed value, and gtest's default print of a struct dumps its
+// bytes, padding included.
+void PrintTo(const DualCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_mu" << c.mu;
+}
+
 class DualDabProperty : public ::testing::TestWithParam<DualCase> {};
 
 TEST_P(DualDabProperty, AssignmentAlwaysValid) {

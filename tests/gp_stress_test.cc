@@ -21,6 +21,14 @@ struct StressCase {
   int terms_per_posy;
 };
 
+// The case's ctest name: gtest_discover_tests names a parameterized case
+// by its printed value, and gtest's default print of a struct dumps its
+// bytes, padding included.
+void PrintTo(const StressCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_vars" << c.num_vars << "_cons"
+      << c.num_constraints << "_terms" << c.terms_per_posy;
+}
+
 class GpStress : public ::testing::TestWithParam<StressCase> {
  protected:
   /// Random posynomial whose terms reference a few of the variables with

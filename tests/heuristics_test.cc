@@ -184,6 +184,15 @@ struct HeuristicCase {
   bool dependent;  // share items between P1 and P2
 };
 
+// The case's ctest name: gtest_discover_tests names a parameterized case
+// by its printed value, and gtest's default print of a struct dumps its
+// bytes, padding included.
+void PrintTo(const HeuristicCase& c, std::ostream* os) {
+  *os << "seed" << c.seed
+      << (c.heuristic == GeneralPqHeuristic::kHalfAndHalf ? "_hh" : "_ds")
+      << (c.dependent ? "_dependent" : "_independent");
+}
+
 class HeuristicProperty : public ::testing::TestWithParam<HeuristicCase> {};
 
 TEST_P(HeuristicProperty, DriftWithinQab) {

@@ -95,6 +95,13 @@ struct DegreeCase {
   double mu;
 };
 
+// The case's ctest name: gtest_discover_tests names a parameterized case
+// by its printed value, and gtest's default print of a struct dumps its
+// bytes, padding included.
+void PrintTo(const DegreeCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_mu" << c.mu;
+}
+
 class HighDegreeProperty : public ::testing::TestWithParam<DegreeCase> {};
 
 TEST_P(HighDegreeProperty, SolvesAndValidates) {

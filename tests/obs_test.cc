@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
+#include "record_test_util.h"
 
 namespace polydab::obs {
 namespace {
@@ -279,6 +280,16 @@ TEST(RunReportTest, JsonLinesRoundTripIsExact) {
   }
   // Re-serializing the parsed report reproduces the bytes.
   EXPECT_EQ(parsed->ToJsonLines(), text);
+}
+
+TEST(RunReportTest, ReaderRejectsNonIntegersAndUnknownKeys) {
+  testing_util::ExpectStrictRecords(
+      MakeSampleReport().ToJsonLines(),
+      {{"counter", "value", false}, {"histogram", "count", false}},
+      {"info", "counter", "gauge", "histogram"},
+      [](const std::string& text) {
+        return RunReport::ParseJsonLines(text).status();
+      });
 }
 
 TEST(RunReportTest, ParseRejectsMalformedLines) {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -214,6 +215,26 @@ TEST_F(SeriesDiffTest, CheckTraceRejectsTamperedSeriesFile) {
   auto report = obs::CheckTrace(run.trace, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_FALSE(report->ok());
+}
+
+TEST_F(SeriesDiffTest, CheckTraceReportsEachSeriesConfigFaultOnce) {
+  Run run = RunOnce(5, "");
+  auto count = [](const obs::TraceCheckReport& r, const std::string& what) {
+    return std::count_if(
+        r.failures.begin(), r.failures.end(),
+        [&](const std::string& f) { return f.find(what) != f.npos; });
+  };
+  const std::string rules = "slo_rules info key is malformed";
+  run.trace.info["slo_rules"] = "no.such.metric > 1";
+  auto report = obs::CheckTrace(run.trace);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(count(*report, rules), 1);
+  run.trace.info["series_window_s"] = "0";
+  report = obs::CheckTrace(run.trace);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(count(*report, rules), 1);
+  EXPECT_EQ(count(*report, "series_window_s info \"0\" is not a positive"),
+            1);
 }
 
 TEST_F(SeriesDiffTest, SeriesJsonRoundTripsOnRealRun) {

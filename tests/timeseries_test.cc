@@ -13,6 +13,7 @@
 #include "obs/slo.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "record_test_util.h"
 
 namespace polydab::obs {
 namespace {
@@ -167,6 +168,14 @@ SeriesFile MakeSampleSeries() {
   w1.recomputations = 2;
   w1.live_queries = 4;
   f.windows.push_back(w1);
+  SeriesWindow w2;  // every metric off zero, so every key is on the line
+  w2.index = 2;
+  w2.start = 3.5;
+  w2.end = 5.5;
+  auto count_up = [k = 0](const char*, auto& m) mutable { m = ++k; };
+  SeriesWindow::MetricFields(w2, count_up);
+  w2.violation_rate = 0.1;
+  f.windows.push_back(w2);
 
   SeriesDimRow dim;
   dim.index = 0;
@@ -174,12 +183,33 @@ SeriesFile MakeSampleSeries() {
   dim.id = 7;
   dim.refreshes = 3;
   f.dims.push_back(dim);
+  SeriesDimRow lane;
+  lane.index = 2;
+  lane.dim = "lane";
+  lane.id = 0;
+  lane.recomputations = 2;
+  lane.notifications = 1;
+  f.dims.push_back(lane);
+  SeriesDimRow source = lane;
+  source.dim = "source";
+  source.id = 3;
+  source.refreshes = 1;
+  f.dims.push_back(source);
 
   SeriesSample sample;
   sample.index = 1;
   sample.name = "core.planner.plans";
   sample.kind = "counter";
   sample.value = 2.0;
+  f.samples.push_back(sample);
+  sample.index = 2;
+  sample.name = "sim.run.live_queries";
+  sample.kind = "gauge";
+  sample.value = 8.0;
+  f.samples.push_back(sample);
+  sample.name = "gp.solver.solve_seconds";
+  sample.kind = "histogram";
+  sample.value = 3.0;
   f.samples.push_back(sample);
 
   SloAlert alert;
@@ -192,14 +222,17 @@ SeriesFile MakeSampleSeries() {
   alert.consecutive = 2;
   alert.cause = 42;
   f.alerts.push_back(alert);
+  SloAlert resolve;  // consecutive and cause at zero
+  resolve.window = 2;
+  resolve.time = 5.5;
+  resolve.value = 1.0;
+  resolve.threshold = 2.0;
+  f.alerts.push_back(resolve);
 
-  f.totals.windows = 2;
-  f.totals.refreshes = 3;
-  f.totals.recomputations = 2;
-  f.totals.violations = 1;
-  f.totals.samples = 8;
-  f.totals.queue_wait_count = 3;
+  f.totals.windows = 3;
+  SeriesTotals::WindowSums(f.totals, count_up);
   f.totals.alerts_fired = 1;
+  f.totals.alerts_resolved = 1;
   f.has_totals = true;
   return f;
 }
@@ -212,6 +245,40 @@ TEST(SeriesJsonTest, RoundTripIsExact) {
   EXPECT_EQ(*parsed, f);
   // Re-serializing the parse reproduces the bytes.
   EXPECT_EQ(SeriesToJsonLines(*parsed), text);
+}
+
+TEST(SeriesJsonTest, ReaderRejectsNonIntegersAndUnknownKeys) {
+  std::vector<testing_util::IntField> fields = {
+      {"slo_rule", "index", false}, {"slo_rule", "windows", false},
+      {"window", "index", false},   {"window_dim", "index", false},
+      {"window_dim", "id", true},   {"window_dim", "refreshes", false},
+      {"window_dim", "recomputations", false},
+      {"window_dim", "notifications", false},
+      {"sample", "index", false},   {"alert", "index", false},
+      {"alert", "rule", true},      {"alert", "consecutive", false},
+      {"alert", "cause", false},    {"series_summary", "windows", false},
+      {"series_summary", "alerts_fired", false},
+      {"series_summary", "alerts_resolved", false},
+  };
+  const SeriesWindow w;
+  auto window_int = [&fields](const char* key, const auto& m) {
+    if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(m)>>) {
+      fields.push_back({"window", key, false});
+    }
+  };
+  SeriesWindow::MetricFields(w, window_int);
+  const SeriesTotals t;
+  auto total = [&fields](const char* key, int64_t) {
+    fields.push_back({"series_summary", key, false});
+  };
+  SeriesTotals::WindowSums(t, total);
+  testing_util::ExpectStrictRecords(
+      SeriesToJsonLines(MakeSampleSeries()), fields,
+      {"info", "slo_rule", "window", "window_dim", "sample", "alert",
+       "series_summary"},
+      [](const std::string& text) {
+        return ParseSeriesJsonLines(text).status();
+      });
 }
 
 TEST(SeriesJsonTest, ParserRejectsCorruption) {

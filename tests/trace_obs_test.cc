@@ -13,6 +13,7 @@
 
 #include "obs/trace.h"
 #include "obs/trace_check.h"
+#include "record_test_util.h"
 
 namespace polydab::obs {
 namespace {
@@ -38,9 +39,14 @@ TraceFile MakeSampleFile() {
   TraceQueryInfo q;
   q.query = 3;
   q.node = 2;
+  q.shard = 1;
   q.qab = 0.125;
   q.items = {7, 11, 42};
   f.queries.push_back(q);
+  TraceQueryInfo bare;  // node, shard and qab at their defaults
+  bare.query = 4;
+  f.queries.push_back(bare);
+  // Every field off its default, so every key is on the line.
   TraceEvent e;
   e.id = 1;
   e.time = 0.1;  // not exactly representable: exercises the round-trip
@@ -50,7 +56,9 @@ TraceFile MakeSampleFile() {
   e.item = 7;
   e.query = 3;
   e.part = 1;
-  e.cause = 0;
+  e.shard = 4;
+  e.thread = 1;
+  e.cause = 9;
   e.a = 3.141592653589793;
   e.b = 1e-300;
   e.c = 1e17;
@@ -74,6 +82,13 @@ TraceFile MakeSampleFile() {
   s.solver_failures = 1;
   s.mean_fidelity_loss_pct = 0.372915;
   f.summaries.push_back(s);
+  s.node = 3;  // a fault-mode summary: the omit-at-zero counters set
+  s.fault_drops = 4;
+  s.retransmits = 5;
+  s.duplicates_suppressed = 6;
+  s.lease_expiries = 7;
+  s.degraded_query_seconds = 12.5;
+  f.summaries.push_back(s);
   return f;
 }
 
@@ -82,17 +97,59 @@ TEST(TraceJsonTest, WriteParseIsExactInverse) {
   const std::string text = TraceToJsonLines(f);
   auto parsed = ParseTraceJsonLines(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->info, f.info);
-  ASSERT_EQ(parsed->queries.size(), 1u);
-  EXPECT_EQ(parsed->queries[0], f.queries[0]);
-  ASSERT_EQ(parsed->events.size(), 2u);
   // operator== compares every field, doubles bitwise.
-  EXPECT_EQ(parsed->events[0], f.events[0]);
-  EXPECT_EQ(parsed->events[1], f.events[1]);
-  ASSERT_EQ(parsed->summaries.size(), 1u);
-  EXPECT_EQ(parsed->summaries[0], f.summaries[0]);
+  EXPECT_EQ(parsed->info, f.info);
+  EXPECT_EQ(parsed->queries, f.queries);
+  EXPECT_EQ(parsed->events, f.events);
+  EXPECT_EQ(parsed->summaries, f.summaries);
   // Re-serializing the parsed trace reproduces the bytes.
   EXPECT_EQ(TraceToJsonLines(*parsed), text);
+}
+
+TEST(TraceJsonTest, ReaderRejectsNonIntegersAndUnknownKeys) {
+  const std::vector<testing_util::IntField> fields = {
+      {"event", "id", false},
+      {"event", "node", true},
+      {"event", "source", true},
+      {"event", "item", true},
+      {"event", "query", true},
+      {"event", "part", true},
+      {"event", "shard", true},
+      {"event", "thread", true},
+      {"event", "cause", false},
+      {"event", "flag", true},
+      {"query_info", "query", true},
+      {"query_info", "node", true},
+      {"query_info", "shard", true},
+      {"run_summary", "node", true},
+      {"run_summary", "queries", false},
+      {"run_summary", "ticks", false},
+      {"run_summary", "fidelity_stride", false},
+      {"run_summary", "refreshes", false},
+      {"run_summary", "recomputations", false},
+      {"run_summary", "dab_change_messages", false},
+      {"run_summary", "user_notifications", false},
+      {"run_summary", "solver_failures", false},
+      // The first run_summary line omits the fault counters at zero.
+  };
+  testing_util::ExpectStrictRecords(
+      TraceToJsonLines(MakeSampleFile()), fields,
+      {"info", "query_info", "event", "run_summary"},
+      [](const std::string& text) {
+        return ParseTraceJsonLines(text).status();
+      });
+  // The fault counters, on a summary that carries them.
+  TraceFile faulty = MakeSampleFile();
+  faulty.summaries.erase(faulty.summaries.begin());
+  testing_util::ExpectStrictRecords(
+      TraceToJsonLines(faulty),
+      {{"run_summary", "fault_drops", false},
+       {"run_summary", "retransmits", false},
+       {"run_summary", "duplicates_suppressed", false},
+       {"run_summary", "lease_expiries", false}},
+      {}, [](const std::string& text) {
+        return ParseTraceJsonLines(text).status();
+      });
 }
 
 TEST(TraceJsonTest, ParseRejectsCorruptInput) {

@@ -31,6 +31,7 @@
 
 #include "common/status.h"
 #include "obs/json_util.h"
+#include "obs/record.h"
 
 using namespace polydab;
 
@@ -40,23 +41,6 @@ struct BenchRow {
   std::map<std::string, std::string> strings;
   std::map<std::string, double> numbers;
 };
-
-Result<std::string> ReadFileToString(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open '" + path + "'");
-  }
-  std::string text;
-  char buf[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::Internal("read error on '" + path + "'");
-  return text;
-}
 
 /// Parse a BENCH_*.json array-of-flat-objects file: '[' and ']' on their
 /// own lines, one object per line in between, optionally ','-terminated.
@@ -165,7 +149,7 @@ int main(int argc, char** argv) {
   std::vector<BenchRow> files[2];
   const std::string* paths[2] = {&baseline_path, &current_path};
   for (int i = 0; i < 2; ++i) {
-    Result<std::string> text = ReadFileToString(*paths[i]);
+    Result<std::string> text = obs::ReadFileText(*paths[i]);
     if (!text.ok()) {
       std::fprintf(stderr, "%s: %s\n", paths[i]->c_str(),
                    text.status().ToString().c_str());

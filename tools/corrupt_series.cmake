@@ -1,7 +1,9 @@
 # Tampers with a valid series file — rewrites every per-window
 # sim.coordinator.refreshes value — and checks that the trace checker's
 # alerting mode (--series=) rejects the result with a nonzero exit: the
-# re-derived windows no longer match the file. Driven by ctest
+# re-derived windows no longer match the file. A series summary whose
+# window count N becomes N.5 (which truncates back to N) must be rejected
+# by the strict reader, naming the key. Driven by ctest
 # (monitor_rejects_tampered_series).
 #
 # Expects: -DTRACE=<series trace> -DSERIES=<valid series file>
@@ -25,6 +27,24 @@ if(status EQUAL 0)
   message(FATAL_ERROR "tracecheck accepted a tampered series file:\n${out}${err}")
 endif()
 message(STATUS "tracecheck rejected tampered series (exit ${status})")
+
+string(REGEX REPLACE "(\"type\":\"series_summary\",\"windows\":[0-9]+)"
+       "\\1.5" fractional "${contents}")
+if(fractional STREQUAL contents)
+  message(FATAL_ERROR "series file has no series_summary windows count")
+endif()
+file(WRITE ${OUT} "${fractional}")
+execute_process(COMMAND ${TRACECHECK} ${TRACE} --series=${OUT} --quiet
+                RESULT_VARIABLE status
+                OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(status EQUAL 0)
+  message(FATAL_ERROR
+    "tracecheck accepted a fractional window count:\n${out}${err}")
+endif()
+if(NOT err MATCHES "key 'windows' holds [0-9]+\\.5")
+  message(FATAL_ERROR "diagnostic does not name the windows key:\n${err}")
+endif()
+message(STATUS "tracecheck rejected windows=N.5 (exit ${status})")
 
 # The untouched file must still pass, so the rejection above is really
 # about the tampering and not the invocation.

@@ -39,6 +39,7 @@
 #include <cstring>
 #include <string>
 
+#include "obs/record.h"
 #include "obs/run_report.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -46,27 +47,6 @@
 #include "obs/trace_check.h"
 
 using namespace polydab;
-
-namespace {
-
-Result<std::string> ReadFileToString(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open '" + path + "'");
-  }
-  std::string text;
-  char buf[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::Internal("read error on '" + path + "'");
-  return text;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string trace_path;
@@ -115,7 +95,7 @@ int main(int argc, char** argv) {
   options.mu = mu;
   obs::RunReport report;
   if (!report_path.empty()) {
-    Result<std::string> text = ReadFileToString(report_path);
+    Result<std::string> text = obs::ReadFileText(report_path);
     if (!text.ok()) {
       std::fprintf(stderr, "report: %s\n",
                    text.status().ToString().c_str());
