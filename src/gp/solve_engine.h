@@ -42,7 +42,7 @@
 /// against the engine-off oracle (`tests/solve_engine_diff_test.cc`); on a
 /// cache hit the engine replays the solve's `gp.solver.*` stats so the
 /// telemetry totals match an engine-less run exactly. The engine is
-/// thread-safe: `rt::LanePool` workers share one instance, with the
+/// thread-safe: `rt::BatchPool` workers share one instance, with the
 /// actual Newton work running outside the lock.
 
 namespace polydab::gp {

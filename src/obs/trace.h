@@ -32,9 +32,9 @@
 ///  * Emit is cheap: an id assignment plus a struct store into a
 ///    preallocated ring segment, under the sink mutex. The segment
 ///    flushes to an attached JSON-lines file when full (streaming mode)
-///    or grows (capture mode). Emit is thread-safe — the real-thread
-///    lane runtime (src/rt/, docs/CONCURRENCY.md) emits from pool
-///    workers concurrently with the event loop — and the id is assigned
+///    or grows (capture mode). Emit is thread-safe — any thread may
+///    emit concurrently with the event loop (the worker pool's solvers
+///    run without a sink, docs/CONCURRENCY.md) — and the id is assigned
 ///    inside the critical section, so the buffered/streamed record order
 ///    always equals id order.
 ///  * The on-disk format is JSON-lines with an exact-inverse parser, in

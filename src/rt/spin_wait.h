@@ -29,6 +29,7 @@ inline void CpuRelax() {
 /// its last answer. The caller parks when this returns false.
 template <class Ready>
 bool SpinUntil(Ready&& ready) {
+  if (ready()) return true;  // no clock read when already ready
   const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
   while (!ready()) {
     if (std::chrono::steady_clock::now() >= deadline) return ready();

@@ -23,8 +23,7 @@
 #include "recovery/checkpoint.h"
 #include "recovery/recovery.h"
 #include "recovery/wal.h"
-#include "rt/claim_queue.h"
-#include "rt/lane_pool.h"
+#include "rt/batch_pool.h"
 
 #include "common/logging.h"
 
@@ -249,7 +248,6 @@ class Coordinator final : public ServiceOps {
   Status DeliverUntil(double now);
   Status ArriveRefresh(const Event& ev);
   void CollectStaleParts(const Event& ev);
-  void SolveGroupAt(size_t g);
   Status NotifyAndInstall(const Event& ev, uint64_t arrival_id);
   void SettleLanes(double t, size_t home_lane);
   Status AaoSolve(double now);
@@ -391,22 +389,16 @@ class Coordinator final : public ServiceOps {
   // Per-service scratch: busy time accrued on each lane while servicing
   // one refresh, the pre-service lane clocks (the shard-barrier time
   // payload), which lanes a barrier joined, and the solve pipeline's
-  // groups, stale parts, claim queue and claim jobs' epochs.
+  // groups and stale parts.
   std::vector<double> lane_busy_;
   std::vector<double> pre_free_;
   std::vector<uint8_t> barrier_lane_;
   bool barrier_any_ = false;
   std::deque<SolveGroup> solve_groups_;
   std::vector<StalePart> stale_parts_;
-  std::vector<uint64_t> claim_epochs_;  // one per worker sent a claim job
-  int64_t solve_jobs_dispatched_ = 0;
-  rt::ClaimQueue solve_claims_;
   // Declared last: its destructor joins every worker before anything a
-  // job closure references is destroyed, however the run exits. Workers
-  // read the pool's control state on every job and while they spin, so it
-  // gets its own cache line, apart from the per-service scratch the event
-  // loop writes.
-  alignas(64) rt::LanePool pool_;
+  // batch references is destroyed, however the run exits.
+  rt::BatchPool pool_;
 };
 
 gp::SolveEngine::Options EngineOptions(const SimConfig& config) {
@@ -481,9 +473,7 @@ Status Coordinator::Start() {
   // The refresh service's solve pipeline (docs/CONCURRENCY.md): threads =
   // 0 never starts the pool, so every group is the event loop's to solve.
   if (config_.threads > 0) {
-    rt::LanePool::Options rt_opt;
-    rt_opt.workers = config_.threads;
-    POLYDAB_RETURN_NOT_OK(pool_.Start(rt_opt));
+    POLYDAB_RETURN_NOT_OK(pool_.Start(config_.threads));
     if (trace_ != nullptr) {
       // Stripped again by canonicalization (obs/trace_canon.h), so the
       // canonical trace's info block matches the threads = 0 oracle's.
@@ -920,18 +910,11 @@ Result<SimMetrics> Coordinator::Run() {
     if (*got == Row::kCrash) {
       // The partial metrics go back to the caller; rec->crashed tells
       // the tool this was the injector, not a normal end of trace.
-      POLYDAB_RETURN_NOT_OK(pool_.Quiesce());
-      pool_.Stop();
       return metrics_;
     }
     POLYDAB_RETURN_NOT_OK(Tick(tick, row));
   }
   if (ticks_seen_ < 2) return Status::InvalidArgument("trace too short");
-  // Shutdown barrier: every dispatched solve has been consumed by its
-  // service, so this reports only a latched failure, then parks and joins
-  // the workers before the final metrics are read.
-  POLYDAB_RETURN_NOT_OK(pool_.Quiesce());
-  pool_.Stop();
   return Finish();
 }
 
@@ -1072,8 +1055,8 @@ Status Coordinator::Tick(int tick, const Vector& row) {
 
 /// Deliver all messages with arrival time <= now. DAB-change events that
 /// a recomputation emits at `now` (e.g. under zero delays) are picked up
-/// within the same call. Non-OK only when a pool job failed: the abort
-/// latched in the pool surfaces at the next epoch await.
+/// within the same call. Non-OK only when a woken pool worker failed
+/// (rt_fail_at): the service reports it as it closes its batch.
 Status Coordinator::DeliverUntil(double now) {
   while (!events_.empty() && events_.top().time <= now) {
     const Event ev = events_.top();
@@ -1177,8 +1160,8 @@ Status Coordinator::ArriveRefresh(const Event& ev) {
 /// makes stale in oracle order, with no RNG draw and no emission. Stale
 /// parts are grouped by bitwise-equal solve inputs (core::SameReplanInputs;
 /// the hash only picks candidates) and each group's leader is solved once.
-/// Groups are solved through a claim queue in group order: when there is
-/// more than one, pool workers get one job each that claims and solves
+/// The groups form one batch of the worker pool, claimed in group order:
+/// when there is more than one, Open wakes workers that claim and solve
 /// groups until none is left, and pass 2 claims alongside. Solvers read
 /// the view, the rates and the leader part concurrently; the event loop
 /// mutates none of them until the group is done. A part's anchors and
@@ -1226,28 +1209,11 @@ void Coordinator::CollectStaleParts(const Event& ev) {
       group.hash = hash;
     }
   }
-  // One claim job per worker, but none for a lone group and never more
-  // than the groups the event loop leaves: it claims one itself.
-  const size_t groups = solve_groups_.size();
-  const size_t jobs =
-      groups < 2 ? 0 : std::min<size_t>(pool_.workers(), groups - 1);
-  solve_claims_.Reset(groups);
-  claim_epochs_.resize(jobs);
-  for (size_t w = 0; w < jobs; ++w) {
-    const bool abort_job = ++solve_jobs_dispatched_ == config_.rt_fail_at;
-    claim_epochs_[w] =
-        pool_.Dispatch(static_cast<int>(w), [this, abort_job]() {
-          if (abort_job) {
-            return Status::Internal("rt: injected worker abort (rt_fail_at)");
-          }
-          solve_claims_.Drain([this](size_t g) { SolveGroupAt(g); });
-          return Status::OK();
-        });
-  }
-}
-
-void Coordinator::SolveGroupAt(size_t g) {
-  solve_groups_[g].Solve(items_.view, rates_, solve_cfg_);
+  pool_.Open(solve_groups_.size(),
+             [this](size_t g) {
+               solve_groups_[g].Solve(items_.view, rates_, solve_cfg_);
+             },
+             config_.rt_fail_at);
 }
 
 /// Pass 2: notify users, then install pass 1's stale parts in the order
@@ -1307,7 +1273,7 @@ Status Coordinator::NotifyAndInstall(const Event& ev, uint64_t arrival_id) {
       // installs a copy of the leader's result — exact, because
       // ReplanPart is a pure function of the inputs the group shares plus
       // the view and rates every solve of this service reads.
-      solve_claims_.Await(sp.group, [this](size_t g) { SolveGroupAt(g); });
+      pool_.Await(sp.group);
       SolveGroup& group = solve_groups_[sp.group];
       Result<QueryDabs> fresh =
           group.leader != &part
@@ -1335,13 +1301,9 @@ Status Coordinator::NotifyAndInstall(const Event& ev, uint64_t arrival_id) {
       ShipDabChanges(qi, sp.pi, ev.time, end_id, /*emit_item_barriers=*/true);
     }
   }
-  // Every group is done, but a claim job may still be looking for one:
-  // the next service's Reset must not run under it.
-  for (size_t w = 0; w < claim_epochs_.size(); ++w) {
-    POLYDAB_RETURN_NOT_OK(
-        pool_.AwaitEpoch(static_cast<int>(w), claim_epochs_[w]));
-  }
-  return Status::OK();
+  // Every group is done; Close waits out the workers still looking for
+  // one and reports an rt_fail_at abort.
+  return pool_.Close();
 }
 
 /// End of service: the home lane ran from the arrival; a lane that got
@@ -1373,11 +1335,6 @@ void Coordinator::SettleLanes(double t, size_t home_lane) {
 Status Coordinator::AaoSolve(double now) {
   aao_next_tick_ +=
       std::max<int64_t>(1, static_cast<int64_t>(config_.aao_period_s));
-  // Epoch barrier at the AAO global barrier: every lane's dispatched
-  // solves must have completed before the joint solve reads and rewrites
-  // all plans. (Each service already awaits its own jobs, so this quiesce
-  // is a cheap invariant, not a stall.)
-  POLYDAB_RETURN_NOT_OK(pool_.Quiesce());
   if (trace_ != nullptr) trace_->SetNow(now);
   auto joint = core::SolveAao(queries_, items_.view, rates_, planner_cfg_.dual,
                               have_aao_ ? &last_aao_ : nullptr);
@@ -2289,7 +2246,7 @@ Status SimConfig::Validate() const {
     return Status::InvalidArgument("rt_fail_at must be >= 0");
   }
   if (threads == 0 && rt_fail_at != 0) {
-    // It counts pool-dispatched solve jobs, and threads = 0 has none.
+    // It counts woken pool workers, and threads = 0 has none.
     return Status::InvalidArgument("rt_fail_at requires threads > 0");
   }
   if (solve_cache < 0) {

@@ -187,9 +187,9 @@ struct SimConfig {
   /// installs the results in exact oracle order, copying each group's
   /// result to its other parts. 0 (the default) starts no pool: the
   /// event loop solves every group inline. With N >= 1 the run starts an
-  /// rt::LanePool of N `std::jthread` workers; a service with more than
-  /// one group sends workers claim jobs, and they and the event loop
-  /// claim groups in oracle order (rt/claim_queue.h), the event loop
+  /// rt::BatchPool of N `std::jthread` workers; a service with g > 1
+  /// groups wakes min(N, g - 1) of them, and they and the event loop
+  /// claim groups in oracle order (rt/batch_pool.h), the event loop
   /// waiting on a group's done flag just before its install.
   /// Virtual time, RNG draws, trace emission and all protocol decisions
   /// stay on the event-loop thread, so metrics, registry totals and the
@@ -202,14 +202,14 @@ struct SimConfig {
   /// `rt_threads` info key, stripped by canonicalization.
   int threads = 0;
   /// Fault hook for the worker-abort path (tools/partial_metrics.cmake):
-  /// the k-th claim job dispatched to a pool worker (1-based, in dispatch
-  /// order; at most one per worker per service, none for a service with
-  /// one group; the groups the event loop claims and the copies installed
-  /// for duplicate parts are not jobs) fails
-  /// with an internal error inside the worker, which latches the pool
-  /// failure and aborts the run through the normal status=failed partial
-  /// metrics machinery. 0 (the default) = never. Must be >= 0, and 0
-  /// when threads = 0 (no job is ever dispatched).
+  /// the k-th pool worker woken over the run (1-based, in wake order; at
+  /// most one per worker per service, none for a service with one group;
+  /// the groups the event loop claims and the copies installed for
+  /// duplicate parts are not wake-ups) claims nothing and fails with an
+  /// internal error, which latches the pool failure and aborts the run
+  /// through the normal status=failed partial metrics machinery. 0 (the
+  /// default) = never. Must be >= 0, and 0 when threads = 0 (no worker is
+  /// ever woken).
   int64_t rt_fail_at = 0;
   /// Capacity, in entries, of the solve engine's exact-match LRU memo;
   /// 0 (the default) disables it. A hit replays a memoized solution and

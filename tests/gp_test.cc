@@ -1,4 +1,5 @@
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -190,6 +191,13 @@ TEST(GpSolverTest, FractionalAndNegativeExponents) {
 struct WeightCase {
   double a, b, s;
 };
+
+// The case's ctest name: gtest_discover_tests names a parameterized case
+// by its printed value, and gtest's default print of a struct dumps its
+// bytes.
+void PrintTo(const WeightCase& c, std::ostream* os) {
+  *os << "a" << c.a << "_b" << c.b << "_s" << c.s;
+}
 
 class GpWeightSweep : public ::testing::TestWithParam<WeightCase> {};
 

@@ -1,25 +1,21 @@
-// Seeded concurrency stress matrix for the real-thread lane runtime
-// primitives (src/rt/, docs/CONCURRENCY.md). Each section pairs
-// single-thread property tests against a model with genuinely concurrent
-// stress loops; the binary carries the `threads` ctest label, so the
-// threads-tsan / threads-asan presets run exactly these races under the
-// sanitizers.
+// Seeded concurrency stress matrix for the refresh service's worker pool
+// (src/rt/batch_pool.h, docs/CONCURRENCY.md). The binary carries the
+// `threads` ctest label, so the threads-tsan / threads-asan presets (and
+// threads-tsan-stress, which repeats them) run exactly these races under
+// the sanitizers.
 //
-//  * SpscQueue: wraparound / full / empty properties vs a model deque,
-//    then a two-thread ordered-transfer stress (every value arrives,
-//    in order, exactly once — FIFO + no loss + no duplication).
-//  * EpochBarrier: per-lane epoch accounting, join/leave churn with
-//    workers arriving from short-lived threads, AwaitQuiesce.
-//  * ThreadControl: the legal transition lattice, a pause/resume soak
-//    with a worker spinning through AwaitRunnable.
-//  * LanePool: dispatch flood across workers, first-failure latching,
-//    pause/resume soak, stop-with-queued-jobs shutdown (must not hang),
-//    a never-started pool's barriers, status lines, spin-then-park (an
-//    idle worker parks past the spin budget and a later Dispatch wakes
-//    it; Stop during the spin joins promptly).
-//  * ClaimQueue: pool workers and the dispatcher share a batch in index
-//    order; every item runs exactly once and the dispatcher's in-order
-//    awaits see each result, at 0, 1, 2 and 4 workers.
+//  * BatchPool lifecycle: start validation, a never-started pool (the
+//    simulator's threads = 0) running every item on the owner, start/stop
+//    cycling, Stop during a worker's spin.
+//  * Wake-up: Open(n) wakes exactly min(workers, n - 1) workers, the count
+//    rt_fail_at indexes; an idle worker parks past the spin budget and a
+//    later Open wakes it (a lost wake-up hangs Close).
+//  * Batches: thousands of back-to-back Open/Await/Close rounds run every
+//    item exactly once and leave no worker inside when Close returns; the
+//    first failure latches while later batches still drain.
+//  * The claim queue: workers and the owner share a batch in index order;
+//    every item runs exactly once and the owner's in-order awaits see each
+//    result, at 0, 1, 2 and 4 workers.
 
 #include <gtest/gtest.h>
 
@@ -27,516 +23,275 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <functional>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
-#include "rt/claim_queue.h"
-#include "rt/epoch_barrier.h"
-#include "rt/lane_pool.h"
+#include "rt/batch_pool.h"
 #include "rt/spin_wait.h"
-#include "rt/spsc_queue.h"
-#include "rt/thread_control.h"
 
 namespace polydab::rt {
 namespace {
 
-// ---------------------------------------------------------------- SPSC
-
-TEST(SpscQueueTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SpscQueue<int>(1).capacity(), 2u);
-  EXPECT_EQ(SpscQueue<int>(2).capacity(), 2u);
-  EXPECT_EQ(SpscQueue<int>(3).capacity(), 4u);
-  EXPECT_EQ(SpscQueue<int>(256).capacity(), 256u);
-  EXPECT_EQ(SpscQueue<int>(257).capacity(), 512u);
-}
-
-TEST(SpscQueueTest, FullAndEmptyBoundaries) {
-  SpscQueue<int> q(4);
-  int out = -1;
-  EXPECT_FALSE(q.TryPop(&out));  // empty from the start
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.TryPush(i));
-  EXPECT_FALSE(q.TryPush(99));  // full
-  EXPECT_EQ(q.SizeApprox(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(q.TryPop(&out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(q.TryPop(&out));
-  EXPECT_TRUE(q.EmptyApprox());
-}
-
-TEST(SpscQueueTest, FailedPushLeavesTheValueIntact) {
-  // Regression: TryPush used to take its argument by value, consuming a
-  // moved-in payload even when the ring was full — the caller's retry
-  // loop then pushed an empty object. LanePool::Dispatch silently lost
-  // jobs this way whenever a ring filled (the worker still Arrive()d on
-  // the empty pop, so the epoch accounting looked perfectly healthy).
-  SpscQueue<std::function<int()>> q(2);
-  ASSERT_TRUE(q.TryPush([] { return 1; }));
-  ASSERT_TRUE(q.TryPush([] { return 2; }));
-  std::function<int()> job = [] { return 3; };
-  EXPECT_FALSE(q.TryPush(std::move(job)));  // full: must not consume job
-  ASSERT_TRUE(job != nullptr);
-  EXPECT_EQ(job(), 3);
-  std::function<int()> out;
-  ASSERT_TRUE(q.TryPop(&out));
-  EXPECT_EQ(out(), 1);
-  ASSERT_TRUE(q.TryPush(std::move(job)));  // retry succeeds with payload
-  ASSERT_TRUE(q.TryPop(&out));
-  EXPECT_EQ(out(), 2);
-  ASSERT_TRUE(q.TryPop(&out));
-  EXPECT_EQ(out(), 3);
-}
-
-TEST(SpscQueueTest, SeededRandomOpsMatchModelDequeAcrossWraparound) {
-  // Single-threaded property test: a long seeded push/pop mix against a
-  // model deque. The ring is tiny so the indices wrap thousands of
-  // times, covering the tail-head masking arithmetic.
-  SpscQueue<int64_t> q(4);
-  std::deque<int64_t> model;
-  Rng rng(1234);
-  int64_t next = 0;
-  for (int step = 0; step < 50000; ++step) {
-    if (rng.Bernoulli(0.55)) {
-      const bool pushed = q.TryPush(next);
-      EXPECT_EQ(pushed, model.size() < q.capacity()) << "step " << step;
-      if (pushed) model.push_back(next++);
-    } else {
-      int64_t out = -1;
-      const bool popped = q.TryPop(&out);
-      ASSERT_EQ(popped, !model.empty()) << "step " << step;
-      if (popped) {
-        ASSERT_EQ(out, model.front()) << "step " << step;
-        model.pop_front();
-      }
-    }
-    ASSERT_EQ(q.SizeApprox(), model.size()) << "step " << step;
+/// Busy-wait \p us microseconds, so claims really interleave.
+void BusyFor(int64_t us) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+  while (std::chrono::steady_clock::now() < until) {
   }
 }
 
-TEST(SpscQueueTest, TwoThreadTransferIsOrderedAndLossless) {
-  // The real race: one producer hammering TryPush, one consumer hammering
-  // TryPop, through a ring much smaller than the transfer. FIFO order,
-  // no loss, no duplication — checked by requiring the consumer to see
-  // exactly 0,1,2,...,N-1.
-  constexpr int64_t kCount = 200000;
-  SpscQueue<int64_t> q(8);
-  std::atomic<bool> ok{true};
-  std::thread consumer([&] {
-    int64_t expect = 0;
-    while (expect < kCount) {
-      int64_t out = -1;
-      if (!q.TryPop(&out)) {
-        std::this_thread::yield();
-        continue;
-      }
-      if (out != expect) {
-        ok.store(false);
-        return;
-      }
-      ++expect;
-    }
-  });
-  for (int64_t i = 0; i < kCount; ++i) {
-    while (!q.TryPush(i)) std::this_thread::yield();
-  }
-  consumer.join();
-  EXPECT_TRUE(ok.load());
-  EXPECT_TRUE(q.EmptyApprox());
-}
+// ----------------------------------------------------------- lifecycle
 
-// -------------------------------------------------------- EpochBarrier
-
-TEST(EpochBarrierTest, AnnounceReturnsMonotonicPerLaneEpochs) {
-  EpochBarrier b(2);
-  EXPECT_EQ(b.Announce(0), 1u);
-  EXPECT_EQ(b.Announce(0), 2u);
-  EXPECT_EQ(b.Announce(1), 1u);  // lanes are independent
-  EXPECT_EQ(b.dispatched(0), 2u);
-  EXPECT_EQ(b.completed(0), 0u);
-  b.Arrive(0);
-  b.Arrive(0);
-  b.Arrive(1);
-  b.AwaitEpoch(0, 2);  // already satisfied: returns immediately
-  b.AwaitQuiesce();
-  EXPECT_EQ(b.completed(0), 2u);
-}
-
-TEST(EpochBarrierTest, AwaitEpochBlocksUntilTheWorkerArrives) {
-  EpochBarrier b(1);
-  const uint64_t epoch = b.Announce(0);
-  std::atomic<bool> arrived{false};
-  std::thread worker([&] {
-    // Give the waiter a chance to actually block on the futex.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    arrived.store(true, std::memory_order_release);
-    b.Arrive(0);
-  });
-  b.AwaitEpoch(0, epoch);
-  EXPECT_TRUE(arrived.load(std::memory_order_acquire));
-  worker.join();
-}
-
-TEST(EpochBarrierTest, JoinLeaveChurnKeepsCountersConsistent) {
-  // Workers come and go as short-lived threads, each completing a random
-  // seeded batch on its lane; the dispatcher announces everything up
-  // front and quiesces at the end. Per-lane conservation must hold.
-  constexpr int kLanes = 4;
-  constexpr int kRounds = 25;
-  EpochBarrier b(kLanes);
-  Rng rng(99);
-  uint64_t announced[kLanes] = {0, 0, 0, 0};
-  for (int round = 0; round < kRounds; ++round) {
-    std::vector<std::thread> workers;
-    for (int lane = 0; lane < kLanes; ++lane) {
-      const int batch = static_cast<int>(rng.UniformInt(1, 8));
-      uint64_t last = 0;
-      for (int i = 0; i < batch; ++i) last = b.Announce(lane);
-      announced[lane] = last;
-      workers.emplace_back([&b, lane, batch] {
-        for (int i = 0; i < batch; ++i) b.Arrive(lane);
-      });
-    }
-    b.AwaitQuiesce();
-    for (int lane = 0; lane < kLanes; ++lane) {
-      EXPECT_EQ(b.completed(lane), announced[lane]) << "lane " << lane;
-      EXPECT_EQ(b.dispatched(lane), announced[lane]) << "lane " << lane;
-    }
-    for (std::thread& w : workers) w.join();
-  }
-}
-
-// ------------------------------------------------------- ThreadControl
-
-TEST(ThreadControlTest, TransitionLattice) {
-  ThreadControl c;
-  EXPECT_EQ(c.state(), RunState::kIdle);
-  EXPECT_FALSE(c.Pause().ok());   // idle: only Start is legal
-  EXPECT_FALSE(c.Resume().ok());
-  ASSERT_TRUE(c.Start().ok());
-  EXPECT_EQ(c.state(), RunState::kRunning);
-  EXPECT_FALSE(c.Start().ok());   // already running
-  EXPECT_FALSE(c.Resume().ok());  // not paused
-  ASSERT_TRUE(c.Pause().ok());
-  EXPECT_EQ(c.state(), RunState::kPaused);
-  EXPECT_FALSE(c.Pause().ok());   // already paused
-  ASSERT_TRUE(c.Resume().ok());
-  EXPECT_EQ(c.state(), RunState::kRunning);
-  c.RequestStop();
-  EXPECT_EQ(c.state(), RunState::kStopping);
-  c.RequestStop();  // idempotent
-  EXPECT_EQ(c.state(), RunState::kStopping);
-  EXPECT_FALSE(c.Start().ok());  // terminal
-  EXPECT_EQ(std::string(Name(RunState::kStopping)), "stopping");
-}
-
-TEST(ThreadControlTest, StatusLineNamesStateAndCountsTransitions) {
-  ThreadControl c;
-  EXPECT_EQ(c.StatusLine(), "state=idle transitions=0");
-  ASSERT_TRUE(c.Start().ok());
-  ASSERT_TRUE(c.Pause().ok());
-  EXPECT_EQ(c.StatusLine(), "state=paused transitions=2");
-}
-
-TEST(ThreadControlTest, PauseResumeSoakWithASpinningWorker) {
-  // A worker spins through AwaitRunnable while the owner flips
-  // pause/resume many times, then stops. The worker must (a) never run
-  // while paused — checked by parking proof below — and (b) observe the
-  // stop and exit.
-  ThreadControl c;
-  ASSERT_TRUE(c.Start().ok());
-  std::atomic<int64_t> iterations{0};
-  std::thread worker([&] {
-    while (c.AwaitRunnable()) {
-      iterations.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::yield();
-    }
-  });
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(c.Pause().ok());
-    // While paused, AwaitRunnable blocks: the iteration counter can
-    // advance at most once more (a worker mid-iteration finishes it).
-    const int64_t at_pause = iterations.load(std::memory_order_relaxed);
-    std::this_thread::yield();
-    EXPECT_LE(iterations.load(std::memory_order_relaxed), at_pause + 1);
-    ASSERT_TRUE(c.Resume().ok());
-  }
-  c.RequestStop();
-  worker.join();
-  EXPECT_FALSE(c.AwaitRunnable());  // stopping: immediate false
-}
-
-// ------------------------------------------------------------ LanePool
-
-TEST(LanePoolTest, StartValidatesOptions) {
+TEST(BatchPoolTest, StartValidatesWorkers) {
   {
-    LanePool pool;
-    LanePool::Options o;
-    o.workers = 0;
-    EXPECT_FALSE(pool.Start(o).ok());
+    BatchPool pool;
+    EXPECT_FALSE(pool.Start(0).ok());
+    EXPECT_FALSE(pool.Start(-1).ok());
+    EXPECT_EQ(pool.workers(), 0);
   }
-  {
-    LanePool pool;
-    LanePool::Options o;
-    o.queue_capacity = 0;
-    EXPECT_FALSE(pool.Start(o).ok());
-  }
-  {
-    LanePool pool;
-    LanePool::Options o;
-    o.workers = 2;
-    ASSERT_TRUE(pool.Start(o).ok());
-    EXPECT_FALSE(pool.Start(o).ok());  // already running
-    EXPECT_EQ(pool.workers(), 2);
-    pool.Stop();
-  }
-}
-
-TEST(LanePoolTest, NeverStartedPoolQuiescesAndStopsCleanly) {
-  // The simulator's threads = 0 run keeps an unstarted pool: zero
-  // workers, so every solve is inline, and the AAO and shutdown barriers
-  // must pass straight through it.
-  LanePool pool;
+  BatchPool pool;
+  ASSERT_TRUE(pool.Start(2).ok());
+  EXPECT_FALSE(pool.Start(2).ok());  // already started
+  EXPECT_EQ(pool.workers(), 2);
+  pool.Stop();
+  EXPECT_FALSE(pool.Start(2).ok());  // a stopped pool stays stopped
   EXPECT_EQ(pool.workers(), 0);
-  EXPECT_TRUE(pool.Quiesce().ok());
-  EXPECT_TRUE(pool.Quiesce().ok());
+}
+
+TEST(BatchPoolTest, NeverStartedPoolRunsEveryItemInline) {
+  // The simulator's threads = 0 run keeps an unstarted pool: every item
+  // runs on the owner, lazily at its Await or else at Close, and the
+  // fault hook has no worker to fail.
+  BatchPool pool;
+  const std::thread::id owner = std::this_thread::get_id();
+  std::vector<int> runs(8);
+  bool off_owner = false;
+  auto work = [&](size_t i) {
+    ++runs[i];
+    off_owner |= std::this_thread::get_id() != owner;
+  };
+  pool.Open(8, work, /*fail_at=*/1);
+  EXPECT_FALSE(pool.done(0));  // nothing runs before it is needed
+  pool.Await(2);
+  EXPECT_TRUE(pool.done(2));
+  EXPECT_FALSE(pool.done(3));
+  EXPECT_EQ(runs, (std::vector<int>{1, 1, 1, 0, 0, 0, 0, 0}));
+  ASSERT_TRUE(pool.Close().ok());
+  EXPECT_EQ(runs, std::vector<int>(8, 1));
+  EXPECT_FALSE(off_owner);
+  pool.Open(0, work);
+  EXPECT_TRUE(pool.Close().ok());
   pool.Stop();
   pool.Stop();  // idempotent
-  EXPECT_TRUE(pool.Quiesce().ok());
   EXPECT_EQ(pool.workers(), 0);
 }
 
-TEST(LanePoolTest, DispatchFloodCompletesEveryJobOnItsWorker) {
-  // Flood all workers with tiny jobs through deliberately small rings,
-  // await every epoch, and check per-worker sums: each job ran exactly
-  // once on the worker it was dispatched to.
-  constexpr int kWorkers = 3;
-  constexpr int kJobsPerWorker = 5000;
-  LanePool pool;
-  LanePool::Options o;
-  o.workers = kWorkers;
-  o.queue_capacity = 4;
-  ASSERT_TRUE(pool.Start(o).ok());
-  std::atomic<int64_t> sums[kWorkers] = {};
-  uint64_t last_epoch[kWorkers] = {};
-  for (int j = 0; j < kJobsPerWorker; ++j) {
-    for (int w = 0; w < kWorkers; ++w) {
-      last_epoch[w] = pool.Dispatch(w, [&sums, w, j] {
-        sums[w].fetch_add(j, std::memory_order_relaxed);
-        return Status::OK();
-      });
-    }
-  }
-  for (int w = 0; w < kWorkers; ++w) {
-    ASSERT_TRUE(pool.AwaitEpoch(w, last_epoch[w]).ok());
-  }
-  ASSERT_TRUE(pool.Quiesce().ok());
-  constexpr int64_t kWant =
-      static_cast<int64_t>(kJobsPerWorker) * (kJobsPerWorker - 1) / 2;
-  for (int w = 0; w < kWorkers; ++w) {
-    EXPECT_EQ(sums[w].load(), kWant) << "worker " << w;
-  }
-  EXPECT_EQ(pool.StatusLine(),
-            "state=running workers=3 dispatched=15000 completed=15000 "
-            "failed=0");
-  pool.Stop();
-  EXPECT_EQ(pool.state(), RunState::kStopping);
-}
-
-TEST(LanePoolTest, FirstFailureLatchesAndLaterAwaitsReportIt) {
-  LanePool pool;
-  LanePool::Options o;
-  o.workers = 2;
-  ASSERT_TRUE(pool.Start(o).ok());
-  const uint64_t ok_epoch = pool.Dispatch(0, [] { return Status::OK(); });
-  ASSERT_TRUE(pool.AwaitEpoch(0, ok_epoch).ok());
-  const uint64_t bad_epoch = pool.Dispatch(
-      1, [] { return Status::Internal("first boom"); });
-  const Status failed = pool.AwaitEpoch(1, bad_epoch);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_NE(failed.ToString().find("first boom"), std::string::npos);
-  // A later failure does not overwrite the latch; a healthy worker's
-  // await reports the pool-wide failure too.
-  const uint64_t second = pool.Dispatch(
-      1, [] { return Status::Internal("second boom"); });
-  const Status still = pool.AwaitEpoch(1, second);
-  ASSERT_FALSE(still.ok());
-  EXPECT_NE(still.ToString().find("first boom"), std::string::npos);
-  EXPECT_FALSE(pool.Quiesce().ok());
-  EXPECT_NE(pool.StatusLine().find("failed=1"), std::string::npos);
-  pool.Stop();
-}
-
-TEST(LanePoolTest, PauseResumeSoakPreservesEveryJob) {
-  // Interleave dispatching with pause/resume churn: paused workers hold
-  // their queued jobs until Resume, and nothing is lost or doubled.
-  // Each round stays under the ring capacity and drains after Resume —
-  // dispatching past a full ring while paused would (by the documented
-  // Dispatch contract) block forever.
-  LanePool pool;
-  LanePool::Options o;
-  o.workers = 2;
-  o.queue_capacity = 64;
-  ASSERT_TRUE(pool.Start(o).ok());
-  std::atomic<int64_t> ran{0};
-  for (int round = 0; round < 50; ++round) {
-    ASSERT_TRUE(pool.Pause().ok());
-    uint64_t last[2] = {0, 0};
-    for (int j = 0; j < 20; ++j) {
-      const int w = j % 2;
-      last[w] = pool.Dispatch(w, [&ran] {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
-      });
-    }
-    ASSERT_TRUE(pool.Resume().ok());
-    ASSERT_TRUE(pool.AwaitEpoch(0, last[0]).ok());
-    ASSERT_TRUE(pool.AwaitEpoch(1, last[1]).ok());
-    ASSERT_EQ(ran.load(), (round + 1) * 20) << "round " << round;
-  }
-  ASSERT_TRUE(pool.Quiesce().ok());
-  EXPECT_EQ(ran.load(), 50 * 20);
-  pool.Stop();
-}
-
-TEST(LanePoolTest, StopWithQueuedJobsDoesNotHang) {
-  // Pause so the queued jobs cannot drain, then Stop: the pool must
-  // abandon the queue and join promptly instead of waiting for work
-  // that will never run. (A hang here fails via the test timeout.)
-  LanePool pool;
-  LanePool::Options o;
-  o.workers = 2;
-  o.queue_capacity = 64;
-  ASSERT_TRUE(pool.Start(o).ok());
-  ASSERT_TRUE(pool.Pause().ok());
-  std::atomic<int64_t> ran{0};
-  for (int j = 0; j < 32; ++j) {
-    pool.Dispatch(j % 2, [&ran] {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    });
-  }
-  pool.Stop();
-  // Abandoned jobs are allowed (Stop documents it); doubled ones never.
-  EXPECT_LE(ran.load(), 32);
-}
-
-TEST(LanePoolTest, StartStopSoak) {
-  // Rapid lifecycle churn: spawn, do a little work, tear down, many
+TEST(BatchPoolTest, StartStopSoak) {
+  // Rapid lifecycle churn: spawn, run a few batches, tear down, many
   // times. Under TSan this is the lane that catches init/shutdown races.
   for (int round = 0; round < 30; ++round) {
-    LanePool pool;
-    LanePool::Options o;
-    o.workers = 1 + round % 3;
-    o.queue_capacity = 8;
-    ASSERT_TRUE(pool.Start(o).ok());
+    BatchPool pool;
+    ASSERT_TRUE(pool.Start(1 + round % 3).ok());
     std::atomic<int64_t> ran{0};
-    uint64_t last = 0;
-    for (int j = 0; j < 10; ++j) {
-      last = pool.Dispatch(j % pool.workers(), [&ran] {
+    for (int batch = 0; batch < 10; ++batch) {
+      pool.Open(static_cast<size_t>(batch), [&ran](size_t) {
         ran.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
       });
+      ASSERT_TRUE(pool.Close().ok());
     }
-    ASSERT_TRUE(pool.Quiesce().ok());
-    EXPECT_EQ(ran.load(), 10);
-    (void)last;
+    EXPECT_EQ(ran.load(), 45);
     pool.Stop();
   }
 }
 
-/// Poll \p cond every 50 µs for up to \p limit; its final answer.
-template <class Cond>
-bool Eventually(Cond cond, std::chrono::milliseconds limit) {
-  const auto deadline = std::chrono::steady_clock::now() + limit;
-  while (!cond()) {
-    if (std::chrono::steady_clock::now() >= deadline) return cond();
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  return true;
-}
-
-TEST(LanePoolTest, IdleWorkerParksPastTheSpinBudgetAndDispatchWakesIt) {
-  // Idle gaps straddle the spin budget: some jobs land while the worker
-  // still spins (no wake needed), others after it parked (Dispatch must
-  // wake it). A lost wakeup hangs an AwaitEpoch and fails via the test
-  // timeout.
-  LanePool pool;
-  LanePool::Options o;
-  o.workers = 1;
-  ASSERT_TRUE(pool.Start(o).ok());
-  Rng rng(17);
-  std::atomic<int64_t> ran{0};
-  for (int round = 0; round < 300; ++round) {
-    if (round % 10 == 0) {
-      // Wait out the budget: the worker must park, then wake on demand.
-      ASSERT_TRUE(Eventually([&] { return pool.parked(0); },
-                             std::chrono::milliseconds(5000)))
-          << "round " << round;
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          static_cast<int64_t>(rng.Uniform(0.0, 2.0 * kSpinBudget.count()))));
-    }
-    const uint64_t epoch = pool.Dispatch(0, [&ran] {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    });
-    ASSERT_TRUE(pool.AwaitEpoch(0, epoch).ok());
-    ASSERT_EQ(ran.load(), round + 1);
-  }
-  pool.Stop();
-}
-
-TEST(LanePoolTest, StopWhileSpinningJoinsPromptly) {
-  // Right after its job a worker spins on the ring; Stop must end the
-  // spin at once instead of waiting it out (or spinning forever).
+TEST(BatchPoolTest, StopWhileSpinningJoinsPromptly) {
+  // Right after a batch its workers spin on their wake words; Stop must
+  // end the spin at once instead of waiting it out (or spinning forever).
   for (int round = 0; round < 50; ++round) {
-    LanePool pool;
-    LanePool::Options o;
-    o.workers = 2;
-    ASSERT_TRUE(pool.Start(o).ok());
-    uint64_t epochs[2] = {};
-    for (int w = 0; w < 2; ++w) {
-      epochs[w] = pool.Dispatch(w, [] { return Status::OK(); });
-    }
-    for (int w = 0; w < 2; ++w) ASSERT_TRUE(pool.AwaitEpoch(w, epochs[w]).ok());
+    BatchPool pool;
+    ASSERT_TRUE(pool.Start(2).ok());
+    pool.Open(3, [](size_t) {});
+    ASSERT_TRUE(pool.Close().ok());
     const auto t0 = std::chrono::steady_clock::now();
     pool.Stop();
     EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
         << "round " << round;
-    EXPECT_EQ(pool.state(), RunState::kStopping);
   }
 }
 
-// ---------------------------------------------------------- ClaimQueue
+// -------------------------------------------------------------- wake-up
+
+TEST(BatchPoolTest, OpenWakesOneWorkerPerItemBeyondTheFirst) {
+  // rt_fail_at indexes woken workers, so the count is the contract: with
+  // fail_at = k on a fresh pool, Close fails exactly when Open woke at
+  // least k workers. Only woken workers run items, and a failing worker
+  // runs none.
+  for (int workers : {1, 2, 3, 4}) {
+    for (size_t n : {0, 1, 2, 3, 5, 8}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " n=" + std::to_string(n));
+      const int64_t woken =
+          n < 2 ? 0 : std::min<int64_t>(workers, static_cast<int64_t>(n) - 1);
+      for (int64_t fail_at : {woken, woken + 1}) {
+        if (fail_at == 0) continue;
+        BatchPool pool;
+        ASSERT_TRUE(pool.Start(workers).ok());
+        std::mutex mu;
+        std::set<std::thread::id> runners;
+        pool.Open(
+            n,
+            [&](size_t) {
+              BusyFor(20);
+              std::lock_guard<std::mutex> lock(mu);
+              runners.insert(std::this_thread::get_id());
+            },
+            fail_at);
+        for (size_t i = 0; i < n; ++i) pool.Await(i);
+        const Status closed = pool.Close();
+        EXPECT_EQ(closed.ok(), fail_at > woken) << "fail_at=" << fail_at;
+        if (!closed.ok()) {
+          EXPECT_NE(closed.ToString().find("injected worker abort"),
+                    std::string::npos);
+        }
+        // Runners: the owner plus the woken workers that did not fail.
+        EXPECT_LE(static_cast<int64_t>(runners.size()),
+                  1 + woken - (closed.ok() ? 0 : 1));
+      }
+    }
+  }
+  // The count runs over the pool's life: two 3-worker wakes, then the
+  // fourth woken worker is the second batch's first.
+  BatchPool pool;
+  ASSERT_TRUE(pool.Start(3).ok());
+  pool.Open(4, [](size_t) {}, /*fail_at=*/4);
+  EXPECT_TRUE(pool.Close().ok());
+  pool.Open(2, [](size_t) {}, /*fail_at=*/4);
+  EXPECT_FALSE(pool.Close().ok());
+}
+
+TEST(BatchPoolTest, IdleWorkerParksPastTheSpinBudgetAndOpenWakesIt) {
+  // Idle gaps straddle the spin budget: some batches open while the
+  // worker still spins (no wake-up needed), others long after it parked
+  // (Open must wake it). Close waits for the woken worker to leave, so a
+  // lost wake-up hangs it and fails via the test timeout.
+  BatchPool pool;
+  ASSERT_TRUE(pool.Start(1).ok());
+  Rng rng(17);
+  std::atomic<int64_t> ran{0};
+  for (int round = 0; round < 300; ++round) {
+    const auto gap =
+        round % 10 == 0
+            ? 20 * kSpinBudget
+            : std::chrono::microseconds(static_cast<int64_t>(
+                  rng.Uniform(0.0, 2.0 * kSpinBudget.count())));
+    std::this_thread::sleep_for(gap);
+    pool.Open(2, [&ran](size_t) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+    pool.Await(1);
+    ASSERT_TRUE(pool.Close().ok());
+    ASSERT_EQ(ran.load(), 2 * (round + 1));
+  }
+  pool.Stop();
+}
+
+// -------------------------------------------------------------- batches
+
+TEST(BatchPoolTest, BackToBackBatchesRunEveryItemOnce) {
+  // Each item stamps its run count and owner round with plain writes that
+  // the owner reads once Close returns and the next round rewrites: a
+  // worker still inside a closed batch, or an item run twice or never,
+  // fails the check or (under TSan) races on the stamp.
+  constexpr int kRounds = 4000;
+  constexpr size_t kMaxItems = 48;
+  BatchPool pool;
+  ASSERT_TRUE(pool.Start(3).ok());
+  std::vector<int> runs(kMaxItems, 0);
+  std::vector<int> owner(kMaxItems, -1);
+  Rng rng(7);
+  for (int round = 0; round < kRounds; ++round) {
+    const size_t n = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(kMaxItems)));
+    const bool slow = rng.Bernoulli(0.25);
+    pool.Open(n, [&runs, &owner, round, slow](size_t i) {
+      if (slow) BusyFor(2);
+      ++runs[i];
+      owner[i] = round;
+    });
+    // Await a random prefix of the items; Close runs or waits out the rest.
+    const size_t awaited =
+        n == 0 ? 0
+               : static_cast<size_t>(
+                     rng.UniformInt(0, static_cast<int64_t>(n)));
+    for (size_t i = 0; i < awaited; ++i) {
+      pool.Await(i);
+      ASSERT_EQ(owner[i], round) << "round " << round << " item " << i;
+    }
+    ASSERT_TRUE(pool.Close().ok());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(runs[i], 1) << "round " << round << " item " << i;
+      ASSERT_EQ(owner[i], round) << "round " << round << " item " << i;
+      runs[i] = 0;
+    }
+  }
+  pool.Stop();
+}
+
+TEST(BatchPoolTest, FirstFailureLatchesAndLaterBatchesStillDrain) {
+  BatchPool pool;
+  ASSERT_TRUE(pool.Start(2).ok());
+  std::atomic<int64_t> ran{0};
+  auto work = [&ran](size_t) {
+    BusyFor(5);
+    ran.fetch_add(1, std::memory_order_relaxed);
+  };
+  pool.Open(6, work);
+  ASSERT_TRUE(pool.Close().ok());
+  // The fourth worker woken over the pool's life, the second of this
+  // batch, fails; the others claim its share.
+  pool.Open(6, work, /*fail_at=*/4);
+  const Status failed = pool.Close();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.ToString().find("injected worker abort"),
+            std::string::npos);
+  EXPECT_EQ(ran.load(), 12);
+  // Later batches run every item, and Close keeps reporting the latch.
+  for (int batch = 0; batch < 20; ++batch) {
+    pool.Open(6, work, /*fail_at=*/4);
+    for (size_t i = 0; i < 6; ++i) pool.Await(i);
+    const Status still = pool.Close();
+    ASSERT_FALSE(still.ok());
+    EXPECT_EQ(still.ToString(), failed.ToString());
+  }
+  EXPECT_EQ(ran.load(), 12 + 20 * 6);
+  pool.Stop();
+}
+
+// ---------------------------------------------------------- claim queue
 
 TEST(ClaimQueueTest, WorkersAndDispatcherSolveEachGroupOnceInOrder) {
-  // The refresh service's shape: a batch of groups, one claim job per
-  // worker (at most one per group beyond the first), and a dispatcher
-  // walking stale parts in oracle order — a part's group is numbered by
-  // its first appearance, later parts may repeat earlier groups — and
-  // awaiting each part's group before reading its result. Every group
-  // must run exactly once, the walk must see every result (a plain
-  // write, published only by the done flag), and with no workers the
-  // dispatcher must solve each group lazily, at its first part.
+  // The refresh service's shape: a batch of groups and an owner walking
+  // stale parts in oracle order — a part's group is numbered by its first
+  // appearance, later parts may repeat earlier groups — and awaiting each
+  // part's group before reading its result. Every group must run exactly
+  // once, the walk must see every result (a plain write, published only
+  // by the done flag), and with no workers the owner must solve each
+  // group lazily, at its first part.
   for (int workers : {0, 1, 2, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    LanePool pool;
+    BatchPool pool;
     if (workers > 0) {
-      LanePool::Options o;
-      o.workers = workers;
-      ASSERT_TRUE(pool.Start(o).ok());
+      ASSERT_TRUE(pool.Start(workers).ok());
     }
-    ClaimQueue claims;
     Rng rng(100 + static_cast<uint64_t>(workers));
     std::vector<std::atomic<int>> runs(40);
     std::vector<int64_t> result(40);
     int64_t by_workers = 0;
-    const std::thread::id dispatcher = std::this_thread::get_id();
+    const std::thread::id owner = std::this_thread::get_id();
     std::vector<uint8_t> on_worker(40);
     for (int round = 0; round < 200; ++round) {
       // The oracle-order walk: 1..40 parts over groups numbered by first
@@ -554,45 +309,29 @@ TEST(ClaimQueueTest, WorkersAndDispatcherSolveEachGroupOnceInOrder) {
         runs[g].store(0, std::memory_order_relaxed);
         result[g] = -1;
       }
-      auto solve = [&](size_t g) {
-        // A few microseconds of work, so claims really interleave.
-        const auto until =
-            std::chrono::steady_clock::now() + std::chrono::microseconds(5);
-        while (std::chrono::steady_clock::now() < until) {
-        }
+      pool.Open(groups, [&](size_t g) {
+        BusyFor(5);
         result[g] = static_cast<int64_t>(g * g + 7);
-        on_worker[g] = std::this_thread::get_id() != dispatcher;
+        on_worker[g] = std::this_thread::get_id() != owner;
         runs[g].fetch_add(1, std::memory_order_relaxed);
-      };
-      claims.Reset(groups);
-      const size_t jobs =
-          std::min(static_cast<size_t>(workers), groups - 1);
-      std::vector<uint64_t> epochs(jobs);
-      for (size_t w = 0; w < jobs; ++w) {
-        epochs[w] = pool.Dispatch(static_cast<int>(w), [&] {
-          claims.Drain(solve);
-          return Status::OK();
-        });
-      }
+      });
       std::vector<size_t> seen;
       for (size_t g : walk) {
         const bool first =
             std::find(seen.begin(), seen.end(), g) == seen.end();
         if (workers == 0 && first) {
-          ASSERT_FALSE(claims.done(g)) << "solved before its first part";
+          ASSERT_FALSE(pool.done(g)) << "solved before its first part";
         }
-        claims.Await(g, solve);
-        ASSERT_TRUE(claims.done(g));
+        pool.Await(g);
+        ASSERT_TRUE(pool.done(g));
         ASSERT_EQ(result[g], static_cast<int64_t>(g * g + 7));
         if (workers == 0 && first && g + 1 < groups) {
-          ASSERT_FALSE(claims.done(g + 1)) << "solved ahead of the walk";
+          ASSERT_FALSE(pool.done(g + 1)) << "solved ahead of the walk";
         }
         seen.push_back(g);
       }
       ASSERT_EQ(seen, walk);
-      for (size_t w = 0; w < jobs; ++w) {
-        ASSERT_TRUE(pool.AwaitEpoch(static_cast<int>(w), epochs[w]).ok());
-      }
+      ASSERT_TRUE(pool.Close().ok());
       for (size_t g = 0; g < groups; ++g) {
         ASSERT_EQ(runs[g].load(), 1) << "round " << round << " group " << g;
         by_workers += on_worker[g];

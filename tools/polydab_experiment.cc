@@ -36,8 +36,8 @@
 //                    metrics and the canonicalized trace byte-identical
 //                    to the threads=0 run under the same seed. 0 = no
 //                    pool: the event loop solves every re-solve itself (0)
-//   rt-fail-at=K     test hook: abort the K-th dispatched claim job
-//                    inside its worker (1-based), exercising the pool's
+//   rt-fail-at=K     test hook: abort the K-th pool worker woken over
+//                    the run (1-based), exercising the pool's
 //                    failure path; requires threads > 0; 0 = never (0)
 //   solve-cache=N    solve engine (gp/solve_engine.h, docs/SOLVER.md)
 //                    exact-match LRU memo capacity in entries; hits
