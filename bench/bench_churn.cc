@@ -21,36 +21,25 @@
 namespace polydab::bench {
 namespace {
 
-struct Row {
-  const char* maintenance;
-  double churn_rate;
-  int64_t registrations;
-  int64_t deregistrations;
-  int64_t modifications;
-  int64_t recomputations;
-  double loss_pct;
-  int64_t maint_count;
-  double maint_p50_us;
-  double maint_p90_us;
-  double maint_p99_us;
-  double wall_seconds;
-};
-
-void Run() {
+Status Run() {
   const int num_items = 50;
-  const Universe u =
-      MakeUniverse(workload::TraceKind::kGbmStock, 9002, num_items);
+  POLYDAB_ASSIGN_OR_RETURN(
+      const Universe u,
+      MakeUniverse(workload::TraceKind::kGbmStock, 9002, num_items,
+                   ByScale(2000, 2000, 10000)));
   workload::QueryGenConfig qc;
   qc.num_items = num_items;
   Rng qrng(49);
-  const int nq = FullScale() ? 100 : 20;
-  auto queries = *workload::GeneratePortfolioQueries(nq, qc, u.initial,
-                                                     &qrng);
+  const int nq = ByScale(20, 20, 100);
+  POLYDAB_ASSIGN_OR_RETURN(
+      const std::vector<PolynomialQuery> queries,
+      workload::GeneratePortfolioQueries(nq, qc, u.initial, &qrng));
 
-  const std::vector<double> churn_rates =
-      FullScale() ? std::vector<double>{0.05, 0.2, 0.5, 1.0}
-                  : std::vector<double>{0.05, 0.2, 0.5};
-  std::vector<Row> rows;
+  const std::vector<double> churn_rates = ByScale<std::vector<double>>(
+      {0.05, 0.2, 0.5}, {0.05, 0.2, 0.5}, {0.05, 0.2, 0.5, 1.0});
+  Table t({"maintenance", "rate", "regs", "deregs", "mods", "recomps",
+           "loss%", "maint_n", "p50_us", "p90_us", "p99_us", "wall_s"});
+  std::vector<BenchRow> json;
   HarnessTimer timer;
 
   for (sim::PlanMaintenance maintenance :
@@ -63,16 +52,13 @@ void Run() {
       cc.horizon_s = static_cast<double>(u.traces.num_ticks);
       cc.num_items = num_items;
       Rng crng(7);
-      auto schedule = workload::GenerateChurnSchedule(cc, u.initial, &crng);
-      if (!schedule.ok()) {
-        std::fprintf(stderr, "churn: %s\n",
-                     schedule.status().ToString().c_str());
-        continue;
-      }
+      POLYDAB_ASSIGN_OR_RETURN(
+          std::vector<workload::ChurnOp> schedule,
+          workload::GenerateChurnSchedule(cc, u.initial, &crng));
 
       obs::MetricRegistry reg;
-      svc::QueryService service(svc::AdmissionConfig{},
-                                std::move(*schedule), &reg, maintenance);
+      svc::QueryService service(svc::AdmissionConfig{}, std::move(schedule),
+                                &reg, maintenance);
       sim::SimConfig c;
       c.planner.method = core::AssignmentMethod::kDualDab;
       c.planner.dual.mu = core::kDefaultMu;
@@ -80,84 +66,49 @@ void Run() {
       c.registry = &reg;
       c.service = &service;
       c.plan_maintenance = maintenance;
-      const std::string section = std::string("bench.run.") +
-                                  Name(maintenance) + "." + Fmt(rate, 2);
-      sim::SimMetrics m;
-      {
-        auto t = timer.Section(section);
-        auto r = sim::RunSimulation(queries, u.traces, u.rates, c);
-        if (!r.ok()) {
-          std::fprintf(stderr, "%s: %s\n", section.c_str(),
-                       r.status().ToString().c_str());
-          continue;
-        }
-        m = *r;
-      }
+      obs::ScopedTimer timed = timer.Section(
+          std::string("bench.run.") + Name(maintenance) + "." + Fmt(rate, 2));
+      POLYDAB_ASSIGN_OR_RETURN(
+          const sim::SimMetrics m,
+          sim::RunSimulation(queries, u.traces, u.rates, c));
+      const double wall_seconds = timed.Stop();
       const obs::Histogram* h = reg.GetHistogram(
           maintenance == sim::PlanMaintenance::kIncremental
               ? "svc.plan_maintenance.incremental_seconds"
               : "svc.plan_maintenance.rebuild_seconds");
-      rows.push_back(Row{Name(maintenance), rate, service.registrations(),
-                         service.deregistrations(), service.modifications(),
-                         m.recomputations, m.mean_fidelity_loss_pct,
-                         h->count(), h->Quantile(0.5) * 1e6,
-                         h->Quantile(0.9) * 1e6, h->Quantile(0.99) * 1e6,
-                         timer.registry()->GetHistogram(section)->sum()});
+      t.AddRow({Name(maintenance), Fmt(rate, 2),
+                Fmt(service.registrations()), Fmt(service.deregistrations()),
+                Fmt(service.modifications()), Fmt(m.recomputations),
+                Fmt(m.mean_fidelity_loss_pct, 3), Fmt(h->count()),
+                Fmt(h->Quantile(0.5) * 1e6, 1), Fmt(h->Quantile(0.9) * 1e6, 1),
+                Fmt(h->Quantile(0.99) * 1e6, 1), Fmt(wall_seconds, 3)});
+      json.push_back(
+          BenchRow()
+              .Str("maintenance", Name(maintenance))
+              .Num("churn_rate", rate)
+              .Num("registrations", service.registrations())
+              .Num("deregistrations", service.deregistrations())
+              .Num("modifications", service.modifications())
+              .Num("recomputations", m.recomputations)
+              .Num("mean_fidelity_loss_pct", m.mean_fidelity_loss_pct)
+              .Num("plan_maintenance_count", h->count())
+              .Num("plan_maintenance_p50_s", h->Quantile(0.5))
+              .Num("plan_maintenance_p90_s", h->Quantile(0.9))
+              .Num("plan_maintenance_p99_s", h->Quantile(0.99))
+              .Num("wall_seconds", wall_seconds));
     }
   }
 
-  Table t({"maintenance", "rate", "regs", "deregs", "mods", "recomps",
-           "loss%", "maint_n", "p50_us", "p90_us", "p99_us", "wall_s"});
-  for (const Row& r : rows) {
-    t.AddRow({r.maintenance, Fmt(r.churn_rate, 2), Fmt(r.registrations),
-              Fmt(r.deregistrations), Fmt(r.modifications),
-              Fmt(r.recomputations), Fmt(r.loss_pct, 3), Fmt(r.maint_count),
-              Fmt(r.maint_p50_us, 1), Fmt(r.maint_p90_us, 1),
-              Fmt(r.maint_p99_us, 1), Fmt(r.wall_seconds, 3)});
-  }
   std::printf("=== Service churn sweep (%d base PPQs, %d items) ===\n", nq,
               num_items);
   t.Print();
   timer.PrintSummary();
-
-  const char* path = "BENCH_churn.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "[\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        f,
-        "  {\"maintenance\": \"%s\", \"churn_rate\": %.17g, "
-        "\"registrations\": %lld, \"deregistrations\": %lld, "
-        "\"modifications\": %lld, \"recomputations\": %lld, "
-        "\"mean_fidelity_loss_pct\": %.17g, "
-        "\"plan_maintenance_count\": %lld, "
-        "\"plan_maintenance_p50_s\": %.17g, "
-        "\"plan_maintenance_p90_s\": %.17g, "
-        "\"plan_maintenance_p99_s\": %.17g, "
-        "\"wall_seconds\": %.6f}%s\n",
-        r.maintenance, r.churn_rate,
-        static_cast<long long>(r.registrations),
-        static_cast<long long>(r.deregistrations),
-        static_cast<long long>(r.modifications),
-        static_cast<long long>(r.recomputations), r.loss_pct,
-        static_cast<long long>(r.maint_count), r.maint_p50_us / 1e6,
-        r.maint_p90_us / 1e6, r.maint_p99_us / 1e6, r.wall_seconds,
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu rows)\n", path, rows.size());
+  return WriteBenchJson("BENCH_churn.json", json);
 }
 
 }  // namespace
 }  // namespace polydab::bench
 
 int main() {
-  polydab::bench::Run();
-  return 0;
+  return polydab::bench::ExitCode("bench_churn", polydab::bench::Run());
 }

@@ -15,29 +15,22 @@
 namespace polydab::bench {
 namespace {
 
-struct Row {
-  const char* method;
-  const char* policy;
-  int shards;
-  int64_t refreshes;
-  int64_t recomputations;
-  int64_t barriers;
-  double loss_pct;
-  double queue_wait_mean_s;
-  double dispatch_wait_mean_s;
-  double wall_seconds;
-};
-
-void Run() {
-  const Universe u = MakeUniverse(workload::TraceKind::kGbmStock, 9001);
+Status Run() {
+  POLYDAB_ASSIGN_OR_RETURN(
+      const Universe u,
+      MakeUniverse(workload::TraceKind::kGbmStock, 9001, 100,
+                   ByScale(2000, 2000, 10000)));
   workload::QueryGenConfig qc;
   Rng qrng(48);
-  const int nq = FullScale() ? 200 : 50;
-  auto queries = *workload::GeneratePortfolioQueries(nq, qc, u.initial,
-                                                     &qrng);
+  const int nq = ByScale(50, 50, 200);
+  POLYDAB_ASSIGN_OR_RETURN(
+      const std::vector<PolynomialQuery> queries,
+      workload::GeneratePortfolioQueries(nq, qc, u.initial, &qrng));
 
   const std::vector<int> shard_counts = {1, 2, 4, 8};
-  std::vector<Row> rows;
+  Table t({"method", "policy", "shards", "refreshes", "recomps", "barriers",
+           "loss%", "queue_wait_ms", "dispatch_ms", "wall_s"});
+  std::vector<BenchRow> json;
   HarnessTimer timer;
 
   for (core::AssignmentMethod method :
@@ -57,83 +50,54 @@ void Run() {
         c.seed = 99;
         obs::MetricRegistry reg;
         c.registry = &reg;
-        const std::string section = std::string("bench.run.") +
-                                    core::Name(method) + "." +
-                                    Name(policy) + "." +
-                                    std::to_string(shards);
-        sim::SimMetrics m;
-        {
-          auto t = timer.Section(section);
-          auto r = sim::RunSimulation(queries, u.traces, u.rates, c);
-          if (!r.ok()) {
-            std::fprintf(stderr, "%s: %s\n", section.c_str(),
-                         r.status().ToString().c_str());
-            continue;
-          }
-          m = *r;
-        }
+        obs::ScopedTimer timed = timer.Section(
+            std::string("bench.run.") + core::Name(method) + "." +
+            Name(policy) + "." + std::to_string(shards));
+        POLYDAB_ASSIGN_OR_RETURN(
+            const sim::SimMetrics m,
+            sim::RunSimulation(queries, u.traces, u.rates, c));
+        const double wall_seconds = timed.Stop();
         const obs::Histogram* qw =
             reg.GetHistogram("sim.coordinator.queue_wait_seconds");
         const obs::Histogram* dw =
             reg.GetHistogram("sim.coordinator.shard_dispatch_wait_seconds");
-        rows.push_back(Row{
-            core::Name(method), Name(policy), shards, m.refreshes,
-            m.recomputations,
-            reg.GetCounter("sim.coordinator.shard_barriers")->value(),
-            m.mean_fidelity_loss_pct,
-            qw->count() > 0 ? qw->mean() : 0.0,
-            dw->count() > 0 ? dw->mean() : 0.0,
-            timer.registry()->GetHistogram(section)->sum()});
+        const int64_t barriers =
+            reg.GetCounter("sim.coordinator.shard_barriers")->value();
+        const double queue_wait_s = qw->count() > 0 ? qw->mean() : 0.0;
+        const double dispatch_wait_s = dw->count() > 0 ? dw->mean() : 0.0;
+        t.AddRow({core::Name(method), Name(policy),
+                  Fmt(static_cast<int64_t>(shards)), Fmt(m.refreshes),
+                  Fmt(m.recomputations), Fmt(barriers),
+                  Fmt(m.mean_fidelity_loss_pct, 3),
+                  Fmt(queue_wait_s * 1000.0, 3),
+                  Fmt(dispatch_wait_s * 1000.0, 3), Fmt(wall_seconds, 3)});
+        json.push_back(
+            BenchRow()
+                .Str("method", core::Name(method))
+                .Str("policy", Name(policy))
+                .Num("shards", shards)
+                .Num("refreshes", m.refreshes)
+                .Num("recomputations", m.recomputations)
+                .Num("shard_barriers", barriers)
+                .Num("mean_fidelity_loss_pct", m.mean_fidelity_loss_pct)
+                .Num("queue_wait_mean_s", queue_wait_s)
+                .Num("dispatch_wait_mean_s", dispatch_wait_s)
+                .Num("wall_seconds", wall_seconds));
       }
     }
   }
 
-  Table t({"method", "policy", "shards", "refreshes", "recomps", "barriers",
-           "loss%", "queue_wait_ms", "dispatch_ms", "wall_s"});
-  for (const Row& r : rows) {
-    t.AddRow({r.method, r.policy, Fmt(static_cast<int64_t>(r.shards)),
-              Fmt(r.refreshes), Fmt(r.recomputations), Fmt(r.barriers),
-              Fmt(r.loss_pct, 3), Fmt(r.queue_wait_mean_s * 1000.0, 3),
-              Fmt(r.dispatch_wait_mean_s * 1000.0, 3),
-              Fmt(r.wall_seconds, 3)});
-  }
   std::printf("=== Sharded coordinator sweep (%d PPQs, recompute 20 ms) "
               "===\n",
               nq);
   t.Print();
   timer.PrintSummary();
-
-  const char* path = "BENCH_coord_shards.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "[\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        f,
-        "  {\"method\": \"%s\", \"policy\": \"%s\", \"shards\": %d, "
-        "\"refreshes\": %lld, \"recomputations\": %lld, "
-        "\"shard_barriers\": %lld, \"mean_fidelity_loss_pct\": %.17g, "
-        "\"queue_wait_mean_s\": %.17g, \"dispatch_wait_mean_s\": %.17g, "
-        "\"wall_seconds\": %.6f}%s\n",
-        r.method, r.policy, r.shards, static_cast<long long>(r.refreshes),
-        static_cast<long long>(r.recomputations),
-        static_cast<long long>(r.barriers), r.loss_pct,
-        r.queue_wait_mean_s, r.dispatch_wait_mean_s, r.wall_seconds,
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu rows)\n", path, rows.size());
+  return WriteBenchJson("BENCH_coord_shards.json", json);
 }
 
 }  // namespace
 }  // namespace polydab::bench
 
 int main() {
-  polydab::bench::Run();
-  return 0;
+  return polydab::bench::ExitCode("bench_coord_shards", polydab::bench::Run());
 }

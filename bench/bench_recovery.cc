@@ -14,7 +14,6 @@
 // REPRO_FULL=1 the paper scale, default in between.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -28,42 +27,17 @@
 namespace polydab::bench {
 namespace {
 
-bool QuickScale() {
-  const char* env = std::getenv("POLYDAB_BENCH_QUICK");
-  return env != nullptr && env[0] == '1';
-}
-
-struct Row {
-  int interval_s;   // 0 = recovery off
-  int restarted;    // 1 = the crash-and-restart leg
-  int64_t refreshes;
-  int64_t recomputations;
-  int64_t dab_changes;
-  int64_t notifications;
-  double loss_pct;
-  int64_t ckpt_blocks;
-  int64_t wal_rows;
-  double wall_seconds;
-};
-
 int64_t CountCkptBlocks(const std::string& path) {
   recovery::CheckpointState state;
   // A load that fails (no file) means zero blocks for the off row.
   if (!recovery::LoadLatestCheckpoint(path, &state).ok()) return 0;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return 0;
+  Result<std::string> text = obs::ReadFileText(path);
+  if (!text.ok()) return 0;
   int64_t blocks = 0;
-  int c;
-  std::string line;
-  while ((c = std::fgetc(f)) != EOF) {
-    if (c != '\n') {
-      line.push_back(static_cast<char>(c));
-      continue;
-    }
-    if (line.find("\"t\":\"hdr\"") != std::string::npos) ++blocks;
-    line.clear();
+  for (size_t at = text->find("\"t\":\"hdr\""); at != std::string::npos;
+       at = text->find("\"t\":\"hdr\"", at + 1)) {
+    ++blocks;
   }
-  std::fclose(f);
   return blocks;
 }
 
@@ -77,17 +51,19 @@ int64_t CountWalRows(const std::string& path) {
   return rows;
 }
 
-int Run() {
-  const int items = QuickScale() ? 24 : 60;
-  const int ticks = QuickScale() ? 400 : (FullScale() ? 10000 : 2000);
-  const int nq = QuickScale() ? 12 : (FullScale() ? 120 : 60);
-  const Universe u =
-      MakeUniverse(workload::TraceKind::kGbmStock, 9001, items, ticks);
+Status Run() {
+  const int items = ByScale(24, 60, 60);
+  const int ticks = ByScale(400, 2000, 10000);
+  const int nq = ByScale(12, 60, 120);
+  POLYDAB_ASSIGN_OR_RETURN(
+      const Universe u,
+      MakeUniverse(workload::TraceKind::kGbmStock, 9001, items, ticks));
   workload::QueryGenConfig qc;
   qc.num_items = items;
   Rng qrng(48);
-  auto queries = *workload::GeneratePortfolioQueries(nq, qc, u.initial,
-                                                     &qrng);
+  POLYDAB_ASSIGN_OR_RETURN(
+      const std::vector<PolynomialQuery> queries,
+      workload::GeneratePortfolioQueries(nq, qc, u.initial, &qrng));
 
   const std::string ckpt_path = "BENCH_recovery.ckpt";
   const std::string wal_path = "BENCH_recovery.wal";
@@ -99,8 +75,48 @@ int Run() {
     return c;
   };
 
-  std::vector<Row> rows;
+  Table table({"interval_s", "restart", "refreshes", "recomps", "ckpt_blocks",
+               "wal_rows", "loss%", "wall_s", "overhead%"});
+  std::vector<BenchRow> json;
   HarnessTimer timer;
+  sim::SimMetrics oracle;
+  double off_wall = 0.0;
+  // The first row is the recovery-off oracle. Zero-perturbation
+  // contract: cadence and crash-recovery are invisible to every
+  // protocol-level outcome.
+  auto add_row = [&](int interval, int restarted,
+                     const sim::SimMetrics& m, double wall_seconds) {
+    if (json.empty()) {
+      oracle = m;
+      off_wall = wall_seconds;
+    }
+    POLYDAB_RETURN_NOT_OK(SameCounters(
+        "interval=" + std::to_string(interval) +
+            " restarted=" + std::to_string(restarted),
+        oracle, m));
+    const int64_t blocks = CountCkptBlocks(ckpt_path);
+    const int64_t wal_rows = CountWalRows(wal_path);
+    table.AddRow({Fmt(static_cast<int64_t>(interval)),
+                  Fmt(static_cast<int64_t>(restarted)), Fmt(m.refreshes),
+                  Fmt(m.recomputations), Fmt(blocks), Fmt(wal_rows),
+                  Fmt(m.mean_fidelity_loss_pct, 3), Fmt(wall_seconds, 3),
+                  Fmt(off_wall > 0.0
+                          ? 100.0 * (wall_seconds - off_wall) / off_wall
+                          : 0.0,
+                      1)});
+    json.push_back(BenchRow()
+                       .Num("interval", interval)
+                       .Num("restarted", restarted)
+                       .Num("refreshes", m.refreshes)
+                       .Num("recomputations", m.recomputations)
+                       .Num("dab_changes", m.dab_change_messages)
+                       .Num("user_notifications", m.user_notifications)
+                       .Num("mean_fidelity_loss_pct", m.mean_fidelity_loss_pct)
+                       .Num("ckpt_blocks", blocks)
+                       .Num("wal_rows", wal_rows)
+                       .Num("wall_seconds", wall_seconds));
+    return Status::OK();
+  };
 
   // Cadence sweep: off, hourly-ish, aggressive, pathological.
   for (int interval : {0, 60, 20, 5}) {
@@ -114,24 +130,11 @@ int Run() {
       rc.interval_s = interval;
       c.recovery = &rc;
     }
-    const std::string section =
-        "bench.run.ckpt_interval." + std::to_string(interval);
-    sim::SimMetrics m;
-    {
-      auto t = timer.Section(section);
-      auto r = sim::RunSimulation(queries, u.traces, u.rates, c);
-      if (!r.ok()) {
-        std::fprintf(stderr, "%s: %s\n", section.c_str(),
-                     r.status().ToString().c_str());
-        return 1;
-      }
-      m = *r;
-    }
-    rows.push_back(Row{interval, 0, m.refreshes, m.recomputations,
-                       m.dab_change_messages, m.user_notifications,
-                       m.mean_fidelity_loss_pct,
-                       CountCkptBlocks(ckpt_path), CountWalRows(wal_path),
-                       timer.registry()->GetHistogram(section)->sum()});
+    obs::ScopedTimer timed = timer.Section(
+        "bench.run.ckpt_interval." + std::to_string(interval));
+    POLYDAB_ASSIGN_OR_RETURN(const sim::SimMetrics m,
+                             sim::RunSimulation(queries, u.traces, u.rates, c));
+    POLYDAB_RETURN_NOT_OK(add_row(interval, 0, m, timed.Stop()));
   }
 
   // Crash-and-restart leg: crash at mid-run under the 20 s cadence, then
@@ -148,24 +151,18 @@ int Run() {
     sim::SimConfig c = base_config();
     c.recovery = &crash_rc;
     auto crashed = sim::RunSimulation(queries, u.traces, u.rates, c);
-    if (!crashed.ok() || !crash_rc.crashed) {
-      std::fprintf(stderr, "crash leg failed: %s\n",
-                   crashed.ok() ? "injector never fired"
-                                : crashed.status().ToString().c_str());
-      return 1;
+    if (!crashed.ok()) return crashed.status();
+    if (!crash_rc.crashed) {
+      return Status::Internal("crash leg: injector never fired");
     }
 
     recovery::CheckpointState ckpt;
     std::vector<recovery::WalRecord> wal;
-    if (!recovery::LoadLatestCheckpoint(ckpt_path, &ckpt).ok() ||
-        !recovery::LoadWal(wal_path, &wal).ok()) {
-      std::fprintf(stderr, "restart leg: cannot load ckpt/wal\n");
-      return 1;
-    }
+    POLYDAB_RETURN_NOT_OK(recovery::LoadLatestCheckpoint(ckpt_path, &ckpt));
+    POLYDAB_RETURN_NOT_OK(recovery::LoadWal(wal_path, &wal));
     const recovery::WalRecord* marker = recovery::LastCrashMarker(wal);
     if (marker == nullptr) {
-      std::fprintf(stderr, "restart leg: WAL carries no crash marker\n");
-      return 1;
+      return Status::Internal("restart leg: WAL carries no crash marker");
     }
     recovery::RecoveryConfig restart_rc;
     restart_rc.checkpoint_path = ckpt_path;
@@ -180,101 +177,28 @@ int Run() {
     for (int t = 0; t < marker->tick; ++t) {
       auto got = src.Next(&skip);
       if (!got.ok() || !*got) {
-        std::fprintf(stderr, "restart leg: source too short\n");
-        return 1;
+        return Status::Internal("restart leg: source too short");
       }
     }
-    const std::string section = "bench.run.restart";
-    sim::SimMetrics m;
-    {
-      auto t = timer.Section(section);
-      auto r = sim::RunSimulation(queries, src, u.rates, rcfg);
-      if (!r.ok()) {
-        std::fprintf(stderr, "%s: %s\n", section.c_str(),
-                     r.status().ToString().c_str());
-        return 1;
-      }
-      m = *r;
-    }
-    rows.push_back(Row{20, 1, m.refreshes, m.recomputations,
-                       m.dab_change_messages, m.user_notifications,
-                       m.mean_fidelity_loss_pct,
-                       CountCkptBlocks(ckpt_path), CountWalRows(wal_path),
-                       timer.registry()->GetHistogram(section)->sum()});
+    obs::ScopedTimer timed = timer.Section("bench.run.restart");
+    POLYDAB_ASSIGN_OR_RETURN(const sim::SimMetrics m,
+                             sim::RunSimulation(queries, src, u.rates, rcfg));
+    POLYDAB_RETURN_NOT_OK(add_row(20, 1, m, timed.Stop()));
   }
   std::remove(ckpt_path.c_str());
   std::remove(wal_path.c_str());
 
-  // Zero-perturbation contract: cadence and crash-recovery are invisible
-  // to every protocol-level outcome. Fail hard on any drift.
-  for (const Row& r : rows) {
-    const Row& base = rows.front();
-    if (r.refreshes != base.refreshes ||
-        r.recomputations != base.recomputations ||
-        r.dab_changes != base.dab_changes ||
-        r.notifications != base.notifications ||
-        r.loss_pct != base.loss_pct) {
-      std::fprintf(stderr,
-                   "interval=%d restarted=%d diverged from the "
-                   "recovery-off oracle (e.g. recomputations %lld vs "
-                   "%lld)\n",
-                   r.interval_s, r.restarted,
-                   static_cast<long long>(r.recomputations),
-                   static_cast<long long>(base.recomputations));
-      return 1;
-    }
-  }
-
-  Table t({"interval_s", "restart", "refreshes", "recomps", "ckpt_blocks",
-           "wal_rows", "loss%", "wall_s", "overhead%"});
-  const double off_wall = rows.front().wall_seconds;
-  for (const Row& r : rows) {
-    t.AddRow({Fmt(static_cast<int64_t>(r.interval_s)),
-              Fmt(static_cast<int64_t>(r.restarted)), Fmt(r.refreshes),
-              Fmt(r.recomputations), Fmt(r.ckpt_blocks), Fmt(r.wal_rows),
-              Fmt(r.loss_pct, 3), Fmt(r.wall_seconds, 3),
-              Fmt(off_wall > 0.0
-                      ? 100.0 * (r.wall_seconds - off_wall) / off_wall
-                      : 0.0,
-                  1)});
-  }
   std::printf("=== Durable-state overhead sweep (%d PPQs, %d items, "
               "%d ticks) ===\n",
               nq, items, ticks);
-  t.Print();
+  table.Print();
   timer.PrintSummary();
-
-  const char* path = "BENCH_recovery.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  std::fprintf(f, "[\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        f,
-        "  {\"interval\": %d, \"restarted\": %d, \"refreshes\": %lld, "
-        "\"recomputations\": %lld, \"dab_changes\": %lld, "
-        "\"user_notifications\": %lld, \"mean_fidelity_loss_pct\": %.17g, "
-        "\"ckpt_blocks\": %lld, \"wal_rows\": %lld, "
-        "\"wall_seconds\": %.6f}%s\n",
-        r.interval_s, r.restarted, static_cast<long long>(r.refreshes),
-        static_cast<long long>(r.recomputations),
-        static_cast<long long>(r.dab_changes),
-        static_cast<long long>(r.notifications), r.loss_pct,
-        static_cast<long long>(r.ckpt_blocks),
-        static_cast<long long>(r.wal_rows), r.wall_seconds,
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu rows)\n", path, rows.size());
-  return 0;
+  return WriteBenchJson("BENCH_recovery.json", json);
 }
 
 }  // namespace
 }  // namespace polydab::bench
 
-int main() { return polydab::bench::Run(); }
+int main() {
+  return polydab::bench::ExitCode("bench_recovery", polydab::bench::Run());
+}

@@ -18,7 +18,6 @@
 // speedup column on a machine with cores to spare.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -28,39 +27,27 @@
 namespace polydab::bench {
 namespace {
 
-bool QuickScale() {
-  const char* env = std::getenv("POLYDAB_BENCH_QUICK");
-  return env != nullptr && env[0] == '1';
-}
-
-struct Row {
-  int threads;
-  int64_t refreshes;
-  int64_t recomputations;
-  int64_t dab_changes;
-  int64_t notifications;
-  int64_t solver_failures;
-  double loss_pct;
-  double wall_seconds;
-};
-
-int Run() {
-  const int items = QuickScale() ? 30 : 100;
-  const int ticks = QuickScale() ? 300 : (FullScale() ? 10000 : 2000);
-  const int nq = QuickScale() ? 20 : (FullScale() ? 200 : 100);
-  const Universe u =
-      MakeUniverse(workload::TraceKind::kGbmStock, 9001, items, ticks);
+Status Run() {
+  const int items = ByScale(30, 100, 100);
+  const int ticks = ByScale(300, 2000, 10000);
+  const int nq = ByScale(20, 100, 200);
+  POLYDAB_ASSIGN_OR_RETURN(
+      const Universe u,
+      MakeUniverse(workload::TraceKind::kGbmStock, 9001, items, ticks));
   workload::QueryGenConfig qc;
   qc.num_items = items;
   Rng qrng(48);
-  auto queries = *workload::GeneratePortfolioQueries(nq, qc, u.initial,
-                                                     &qrng);
+  POLYDAB_ASSIGN_OR_RETURN(
+      const std::vector<PolynomialQuery> queries,
+      workload::GeneratePortfolioQueries(nq, qc, u.initial, &qrng));
 
-  const std::vector<int> thread_counts = {0, 1, 2, 4, 8};
-  std::vector<Row> rows;
+  Table t({"threads", "refreshes", "recomps", "dab_changes", "notifs",
+           "loss%", "wall_s", "speedup"});
+  std::vector<BenchRow> json;
   HarnessTimer timer;
-
-  for (int threads : thread_counts) {
+  sim::SimMetrics oracle;
+  double serial_wall = 0.0;
+  for (int threads : {0, 1, 2, 4, 8}) {
     sim::SimConfig c;
     // Recompute on every refresh: maximizes the solve volume the pool
     // can overlap.
@@ -70,92 +57,46 @@ int Run() {
     c.shard_policy = sim::ShardPolicy::kQueryHash;
     c.threads = threads;
     c.seed = 99;
-    const std::string section =
-        "bench.run.threads." + std::to_string(threads);
-    sim::SimMetrics m;
-    {
-      auto t = timer.Section(section);
-      auto r = sim::RunSimulation(queries, u.traces, u.rates, c);
-      if (!r.ok()) {
-        std::fprintf(stderr, "%s: %s\n", section.c_str(),
-                     r.status().ToString().c_str());
-        return 1;
-      }
-      m = *r;
+    obs::ScopedTimer timed =
+        timer.Section("bench.run.threads." + std::to_string(threads));
+    POLYDAB_ASSIGN_OR_RETURN(const sim::SimMetrics m,
+                             sim::RunSimulation(queries, u.traces, u.rates, c));
+    const double wall_seconds = timed.Stop();
+    if (threads == 0) {
+      oracle = m;
+      serial_wall = wall_seconds;
     }
-    rows.push_back(Row{threads, m.refreshes, m.recomputations,
-                       m.dab_change_messages, m.user_notifications,
-                       m.solver_failures, m.mean_fidelity_loss_pct,
-                       timer.registry()->GetHistogram(section)->sum()});
-  }
-
-  // The contract the whole PR hangs on: the thread count is invisible to
-  // every protocol-level outcome. A single diverged counter makes the
-  // wall-clock column meaningless, so fail hard.
-  for (const Row& r : rows) {
-    const Row& base = rows.front();
-    if (r.refreshes != base.refreshes ||
-        r.recomputations != base.recomputations ||
-        r.dab_changes != base.dab_changes ||
-        r.notifications != base.notifications ||
-        r.solver_failures != base.solver_failures ||
-        r.loss_pct != base.loss_pct) {
-      std::fprintf(stderr,
-                   "threads=%d diverged from the threads=0 oracle "
-                   "(e.g. recomputations %lld vs %lld)\n",
-                   r.threads, static_cast<long long>(r.recomputations),
-                   static_cast<long long>(base.recomputations));
-      return 1;
-    }
-  }
-
-  Table t({"threads", "refreshes", "recomps", "dab_changes", "notifs",
-           "loss%", "wall_s", "speedup"});
-  const double serial_wall = rows.front().wall_seconds;
-  for (const Row& r : rows) {
-    t.AddRow({Fmt(static_cast<int64_t>(r.threads)), Fmt(r.refreshes),
-              Fmt(r.recomputations), Fmt(r.dab_changes),
-              Fmt(r.notifications), Fmt(r.loss_pct, 3),
-              Fmt(r.wall_seconds, 3),
-              Fmt(r.wall_seconds > 0.0 ? serial_wall / r.wall_seconds
-                                       : 0.0,
-                  2)});
+    // The runtime's contract: the thread count is invisible to every
+    // protocol-level outcome.
+    POLYDAB_RETURN_NOT_OK(
+        SameCounters("threads=" + std::to_string(threads), oracle, m));
+    t.AddRow({Fmt(static_cast<int64_t>(threads)), Fmt(m.refreshes),
+              Fmt(m.recomputations), Fmt(m.dab_change_messages),
+              Fmt(m.user_notifications), Fmt(m.mean_fidelity_loss_pct, 3),
+              Fmt(wall_seconds, 3),
+              Fmt(wall_seconds > 0.0 ? serial_wall / wall_seconds : 0.0, 2)});
+    json.push_back(BenchRow()
+                       .Num("threads", threads)
+                       .Num("refreshes", m.refreshes)
+                       .Num("recomputations", m.recomputations)
+                       .Num("dab_changes", m.dab_change_messages)
+                       .Num("user_notifications", m.user_notifications)
+                       .Num("solver_failures", m.solver_failures)
+                       .Num("mean_fidelity_loss_pct", m.mean_fidelity_loss_pct)
+                       .Num("wall_seconds", wall_seconds));
   }
   std::printf("=== Real-thread lane runtime sweep (%d PPQs, %d items, "
               "%d ticks, 8 hash lanes) ===\n",
               nq, items, ticks);
   t.Print();
   timer.PrintSummary();
-
-  const char* path = "BENCH_threaded_coord.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  std::fprintf(f, "[\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        f,
-        "  {\"threads\": %d, \"refreshes\": %lld, "
-        "\"recomputations\": %lld, \"dab_changes\": %lld, "
-        "\"user_notifications\": %lld, \"solver_failures\": %lld, "
-        "\"mean_fidelity_loss_pct\": %.17g, \"wall_seconds\": %.6f}%s\n",
-        r.threads, static_cast<long long>(r.refreshes),
-        static_cast<long long>(r.recomputations),
-        static_cast<long long>(r.dab_changes),
-        static_cast<long long>(r.notifications),
-        static_cast<long long>(r.solver_failures), r.loss_pct,
-        r.wall_seconds, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu rows)\n", path, rows.size());
-  return 0;
+  return WriteBenchJson("BENCH_threaded_coord.json", json);
 }
 
 }  // namespace
 }  // namespace polydab::bench
 
-int main() { return polydab::bench::Run(); }
+int main() {
+  return polydab::bench::ExitCode("bench_threaded_coord",
+                                  polydab::bench::Run());
+}

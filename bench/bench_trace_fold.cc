@@ -24,7 +24,7 @@ namespace {
 /// measurement).
 const obs::TraceFile& LargeTrace() {
   static const obs::TraceFile trace = [] {
-    Universe u = MakeUniverse(workload::TraceKind::kGbmStock, 5001,
+    Universe u = *MakeUniverse(workload::TraceKind::kGbmStock, 5001,
                               /*num_items=*/60, /*num_ticks=*/500);
     workload::QueryGenConfig qc;
     qc.num_items = 60;

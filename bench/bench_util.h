@@ -4,31 +4,43 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
+#include "obs/json_util.h"
 #include "obs/metrics.h"
+#include "obs/record.h"
 #include "obs/run_report.h"
+#include "sim/simulation.h"
 #include "workload/query_gen.h"
 #include "workload/rate_estimator.h"
 #include "workload/trace.h"
 
 /// \file bench_util.h
-/// Shared scaffolding for the per-figure reproduction harnesses. Each
-/// bench binary regenerates one table/figure of the paper's §V; shapes
-/// (orderings, ratios, crossovers) are the reproduction target, not
-/// absolute numbers (see EXPERIMENTS.md).
-///
-/// Default parameters are scaled down so the whole suite runs in minutes
-/// on a laptop; set REPRO_FULL=1 for the paper's full scale (100 items,
-/// 10 000 s traces, up to 1 000 queries).
+/// Shared scaffolding for the bench harnesses: the run scale, the §V
+/// experimental universe, the table printer, the BENCH_*.json row writer
+/// and the harness wall-clock footer. bench_paper regenerates the
+/// paper's §V tables and figures; shapes (orderings, ratios, crossovers)
+/// are the reproduction target, not absolute numbers (see EXPERIMENTS.md).
 
 namespace polydab::bench {
 
-/// True when the paper-scale run was requested via REPRO_FULL=1.
-inline bool FullScale() {
-  const char* env = std::getenv("REPRO_FULL");
-  return env != nullptr && env[0] == '1';
+/// The value for the run scale the environment selects: the default is
+/// scaled down so a sweep runs in minutes; POLYDAB_BENCH_QUICK=1 selects
+/// the seconds-long scale the ctest gates run, REPRO_FULL=1 the paper's
+/// full scale (100 items, 10 000 s traces, up to 1 000 queries). Quick
+/// wins when both are set.
+template <typename T>
+T ByScale(T quick, T dflt, T full) {
+  auto set = [](const char* name) {
+    const char* env = std::getenv(name);
+    return env != nullptr && env[0] == '1';
+  };
+  if (set("POLYDAB_BENCH_QUICK")) return quick;
+  if (set("REPRO_FULL")) return full;
+  return dflt;
 }
 
 /// Standard experimental universe of §V-A: items, traces and rate
@@ -39,25 +51,18 @@ struct Universe {
   Vector initial;     ///< snapshot at tick 0 (query QABs derive from it)
 };
 
-inline Universe MakeUniverse(workload::TraceKind kind, uint64_t seed,
-                             int num_items = 100, int num_ticks = 0) {
-  if (num_ticks == 0) num_ticks = FullScale() ? 10000 : 2000;
+inline Result<Universe> MakeUniverse(workload::TraceKind kind, uint64_t seed,
+                                     int num_items, int num_ticks) {
   Rng rng(seed);
   workload::TraceSetConfig tc;
   tc.kind = kind;
   tc.num_items = num_items;
   tc.num_ticks = num_ticks;
   Universe u;
-  u.traces = *workload::GenerateTraceSet(tc, &rng);
-  u.rates = *workload::EstimateRates(u.traces, 60);
+  POLYDAB_ASSIGN_OR_RETURN(u.traces, workload::GenerateTraceSet(tc, &rng));
+  POLYDAB_ASSIGN_OR_RETURN(u.rates, workload::EstimateRates(u.traces, 60));
   u.initial = u.traces.Snapshot(0);
   return u;
-}
-
-/// Query-count sweep used by the multi-query figures.
-inline std::vector<int> QueryCounts() {
-  if (FullScale()) return {200, 400, 600, 800, 1000};
-  return {25, 50, 100, 200};
 }
 
 /// Simple fixed-width table printer.
@@ -98,7 +103,80 @@ inline std::string Fmt(double v, int decimals = 1) {
 
 inline std::string Fmt(int64_t v) { return std::to_string(v); }
 
-/// Wall-clock accounting for the figure harnesses, on the obs instruments
+/// One row of a BENCH_*.json file: a flat JSON object, fields in the order
+/// added. Numbers print in the shortest form that round-trips, so
+/// bench_compare compares deterministic fields bit for bit.
+class BenchRow {
+ public:
+  BenchRow& Str(std::string_view key, std::string_view value) {
+    Key(key);
+    body_ += '"';
+    obs::AppendJsonEscaped(value, &body_);
+    body_ += '"';
+    return *this;
+  }
+  template <typename Number>
+  BenchRow& Num(std::string_view key, Number value) {
+    Key(key);
+    body_ += obs::JsonNumber(static_cast<double>(value));
+    return *this;
+  }
+  std::string ToJson() const { return "{" + body_ + "}"; }
+
+ private:
+  void Key(std::string_view key) {
+    if (!body_.empty()) body_ += ", ";
+    body_ += '"';
+    obs::AppendJsonEscaped(key, &body_);
+    body_ += "\": ";
+  }
+  std::string body_;
+};
+
+/// Write \p rows as the JSON array of one-line objects bench_compare
+/// parses, and say so on stdout.
+inline Status WriteBenchJson(const std::string& path,
+                             const std::vector<BenchRow>& rows) {
+  std::string text = "[\n";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    text += "  " + rows[i].ToJson() + (i + 1 < rows.size() ? ",\n" : "\n");
+  }
+  text += "]\n";
+  POLYDAB_RETURN_NOT_OK(obs::WriteFileText(path, text));
+  std::printf("\nwrote %s (%zu rows)\n", path.c_str(), rows.size());
+  return Status::OK();
+}
+
+/// OK when \p m matches the \p oracle run on every deterministic protocol
+/// counter. A sweep over a knob that must move only wall clock (threads,
+/// solve cache, checkpoint cadence) fails hard otherwise: one diverged
+/// counter makes its wall-clock columns meaningless.
+inline Status SameCounters(const std::string& run,
+                           const sim::SimMetrics& oracle,
+                           const sim::SimMetrics& m) {
+  if (m.refreshes == oracle.refreshes &&
+      m.recomputations == oracle.recomputations &&
+      m.dab_change_messages == oracle.dab_change_messages &&
+      m.user_notifications == oracle.user_notifications &&
+      m.solver_failures == oracle.solver_failures &&
+      m.mean_fidelity_loss_pct == oracle.mean_fidelity_loss_pct) {
+    return Status::OK();
+  }
+  return Status::Internal(run + " diverged from the oracle run (e.g. " +
+                          "recomputations " +
+                          std::to_string(m.recomputations) + " vs " +
+                          std::to_string(oracle.recomputations) + ")");
+}
+
+/// The bench binaries' exit status: 0 on success, else 1 with \p status on
+/// stderr.
+inline int ExitCode(const char* bench, const Status& status) {
+  if (status.ok()) return 0;
+  std::fprintf(stderr, "%s: %s\n", bench, status.ToString().c_str());
+  return 1;
+}
+
+/// Wall-clock accounting for the bench harnesses, on the obs instruments
 /// instead of ad-hoc clock arithmetic: time each run with Section() (RAII,
 /// or call Stop() early), then PrintSummary() renders the collected
 /// histograms — count, mean, and tail quantiles per section — as a footer,
@@ -110,10 +188,6 @@ class HarnessTimer {
   obs::ScopedTimer Section(const std::string& name) {
     return obs::ScopedTimer(registry_.GetHistogram(name));
   }
-
-  /// Registry for passing into SimConfig/PlannerConfig/SolverOptions when
-  /// a bench also wants the library-internal instruments.
-  obs::MetricRegistry* registry() { return &registry_; }
 
   void PrintSummary(const std::string& title = "harness wall-clock") {
     std::printf("\n=== %s ===\n%s", title.c_str(),

@@ -342,14 +342,13 @@ TEST_F(ThreadedDiffTest, WorkerAbortFailsTheRunWithTheInjectedError) {
     EXPECT_NE(m.status().ToString().find("abort"), std::string::npos)
         << m.status().ToString();
   }
-  // rt_fail_at counts pool-dispatched jobs only. Two queries over the
-  // same two items, each registered by four users: under Optimal Refresh
-  // every service of either item has 8 stale parts in 2 distinct groups.
-  // A service sends each worker one claim job, at most one per group
-  // beyond the first, so with one worker it dispatches exactly one job
-  // however the two claimants split the groups: a run dispatches
-  // recomputations / 8 jobs — not /4 (one job per group) and not /1
-  // (copies counted).
+  // rt_fail_at counts woken workers only. Two queries over the same two
+  // items, each registered by four users: under Optimal Refresh every
+  // service of either item has 8 stale parts in 2 distinct groups. A
+  // service wakes at most one worker per group beyond the first, so with
+  // one worker it wakes exactly one however the event loop and the
+  // worker split the groups: a run wakes recomputations / 8 workers — not
+  // /4 (one wake-up per group) and not /1 (copies counted).
   const Vector v0 = traces_.Snapshot(0);
   const Polynomial pa =
       Polynomial::FromMonomial(Monomial(1.0, {{0, 1}, {1, 1}}));
