@@ -52,9 +52,9 @@ struct PlannerConfig {
   obs::MetricRegistry* registry = nullptr;
   /// Optional causal event trace (obs/trace.h): emits planner_plan /
   /// planner_replan events stamped with the sink's logical clock. The
-  /// driving simulator sets both fields; `trace_node` tags the events
-  /// with the coordinator the planner is working for. Null = off.
-  /// Not owned.
+  /// driving simulator sets `trace`; the relay overlay (net/relay.h) also
+  /// sets `trace_node` to the overlay node the planner is working for.
+  /// Null = off. Not owned.
   obs::TraceSink* trace = nullptr;
   int32_t trace_node = -1;
 

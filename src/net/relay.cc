@@ -57,6 +57,7 @@ Result<RelayMetrics> RunRelayOverlay(
   if (config.num_coordinators <= 0 || config.fanout < 1) {
     return Status::InvalidArgument("bad overlay shape");
   }
+  POLYDAB_RETURN_NOT_OK(config.delays.Validate());
   const size_t n_items = traces.num_items();
   const int n_nodes = config.num_coordinators;
 

@@ -9,19 +9,17 @@
 #include "workload/trace.h"
 
 /// \file relay.h
-/// Faithful coherency-preserving dissemination overlay in the style of
-/// Shah et al. [6] (TKDE 2004), which the paper uses for its Figure 8(c)
-/// network experiments. Coordinators form a tree; the sources feed the
-/// root. Every node installs, per data item, a *filter requirement* equal
-/// to the minimum primary DAB over (a) the query plans it hosts itself and
-/// (b) the requirements of its children. A node forwards a refresh to a
-/// child only when the change escapes that child's requirement, so each
-/// edge carries exactly the traffic the subtree below it needs — the
-/// coherency-preserving property of [6].
-///
-/// dissemination.h keeps the cheaper depth-scaled-delay approximation used
-/// by the Figure 8(c) sweep; RelayOverlay is the reference implementation
-/// the approximation is validated against (see net_test.cc).
+/// The coherency-preserving dissemination overlay of Shah et al. [6]
+/// (TKDE 2004), which the paper uses for its Figure 8(c) network
+/// experiments (bench_paper fig8c). Coordinators form a tree; the sources
+/// feed the root. Every node installs, per data item, a *filter
+/// requirement* equal to the minimum primary DAB over (a) the query plans
+/// it hosts itself and (b) the requirements of its children. A node
+/// forwards a refresh to a child only when the change escapes that child's
+/// requirement, so each edge carries exactly the traffic the subtree below
+/// it needs — the coherency-preserving property of [6]. Delays are network
+/// only: a node's recomputations occupy it for no time, so fidelity loss
+/// here comes from hop delays alone.
 
 namespace polydab::net {
 
@@ -61,7 +59,9 @@ struct RelayMetrics {
 
 /// \brief Run the overlay: queries are placed round-robin on coordinators;
 /// sources replay \p traces; refreshes relay down the tree respecting each
-/// subtree's filter requirements.
+/// subtree's filter requirements. InvalidArgument on an empty query set,
+/// a non-positive coordinator count or fanout, or delays that
+/// DelayConfig::Validate rejects.
 Result<RelayMetrics> RunRelayOverlay(
     const std::vector<PolynomialQuery>& queries,
     const workload::TraceSet& traces, const Vector& rates,

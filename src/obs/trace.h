@@ -201,11 +201,6 @@ bool ParseTraceEventKind(const std::string& name, TraceEventKind* out);
 /// processed on — on arrivals, violations, recomputes, DAB-change sends
 /// and user notifications; serial runs leave it at -1 and emit byte-wise
 /// the same records as before the field existed.
-///
-/// `thread` names the pool worker that emitted an event. Real-thread runs
-/// (sim/simulation.h, threads > 0; docs/CONCURRENCY.md) emit everything
-/// on the event loop, so no run of this engine sets it; the field stays
-/// so that obs::CanonicalizeThreadedTrace can reject traces that do.
 struct TraceEvent {
   uint64_t id = 0;      ///< assigned by the sink; strictly increasing from 1
   double time = 0.0;    ///< simulation seconds
@@ -216,7 +211,6 @@ struct TraceEvent {
   int32_t query = -1;   ///< query id (PolynomialQuery::id, not index)
   int32_t part = -1;    ///< plan part index within the query
   int32_t shard = -1;   ///< coordinator lane (-1: serial / not lane work)
-  int32_t thread = -1;  ///< emitting pool worker (-1: the event-loop thread)
   uint64_t cause = 0;   ///< id of the triggering event; 0 = none
   double a = 0.0;       ///< kind-specific payload (see above)
   double b = 0.0;
@@ -237,7 +231,6 @@ struct TraceEvent {
     v("query", Omit{s.query, -1});
     v("part", Omit{s.part, -1});
     v("shard", Omit{s.shard, -1});
-    v("thread", Omit{s.thread, -1});
     v("cause", Omit{s.cause, 0});
     v("a", Omit{s.a, 0.0});
     v("b", Omit{s.b, 0.0});

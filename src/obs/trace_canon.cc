@@ -9,14 +9,6 @@
 namespace polydab::obs {
 
 Status CanonicalizeThreadedTrace(TraceFile* trace) {
-  for (const TraceEvent& e : trace->events) {
-    if (e.thread != -1) {
-      return Status::InvalidArgument(
-          "trace_canon: event id=" + std::to_string(e.id) +
-          " is tagged with thread " + std::to_string(e.thread) +
-          "; threaded runs emit every event on the event loop");
-    }
-  }
   for (auto it = trace->info.begin(); it != trace->info.end();) {
     if (it->first.rfind("rt_", 0) == 0) {
       it = trace->info.erase(it);

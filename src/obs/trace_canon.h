@@ -22,8 +22,8 @@ namespace polydab::obs {
 /// keys, after which the trace is byte-identical (TraceToJsonLines) to
 /// the oracle's for the same seed and config — the property
 /// tests/threaded_diff_test.cc pins. Idempotent, and a no-op on serial
-/// traces. InvalidArgument when any event carries a `thread` tag, which
-/// no run of this engine emits.
+/// traces. Always OK now that events carry no thread tag; the Status
+/// stays for its callers.
 Status CanonicalizeThreadedTrace(TraceFile* trace);
 
 /// Remove the crash-recovery bookkeeping events (checkpoint_begin,

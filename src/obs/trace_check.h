@@ -13,8 +13,8 @@
 
 /// \file trace_check.h
 /// Offline replay verification of a causal event trace (trace.h). Given a
-/// TraceFile recorded by sim/simulation.cc (or net/relay.cc /
-/// net/dissemination.cc), CheckTrace independently:
+/// TraceFile recorded by sim/simulation.cc (or net/relay.cc), CheckTrace
+/// independently:
 ///
 ///  (a) re-derives every SimMetrics field from the raw events and diffs
 ///      the result against the trailing run_summary records (and, when

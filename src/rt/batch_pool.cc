@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "rt/spin_wait.h"
 
 namespace polydab::rt {
 
@@ -48,25 +47,15 @@ void BatchPool::Open(size_t n, Work work, int64_t fail_at) {
 
 void BatchPool::Await(size_t i) {
   POLYDAB_DCHECK(i < n_);
-  std::atomic<uint32_t>& done = done_[i];
-  while (done.load(std::memory_order_acquire) == 0) {
-    if (RunNext()) continue;
-    if (SpinUntil([&] { return done.load(std::memory_order_acquire); })) {
-      return;
-    }
-    done.wait(0, std::memory_order_acquire);
+  while (!done(i)) {
+    if (!RunNext()) owner_.Park([&] { return done(i); });
   }
 }
 
 Status BatchPool::Close() {
   while (RunNext()) {
   }
-  auto left = [&] { return inside_.load(std::memory_order_acquire) == 0; };
-  if (!SpinUntil(left)) {
-    for (uint32_t v; (v = inside_.load(std::memory_order_acquire)) != 0;) {
-      inside_.wait(v, std::memory_order_acquire);
-    }
-  }
+  owner_.Park([&] { return inside_.load(std::memory_order_acquire) == 0; });
   return failure_;
 }
 
@@ -76,25 +65,16 @@ void BatchPool::Stop() {
   threads_.clear();  // jthread dtor joins
 }
 
-void BatchPool::Wake::Bump() {
-  {
-    // Under the mutex, so a worker between its last check and its sleep
-    // cannot miss the bump; the release publishes the batch.
-    std::lock_guard<std::mutex> lock(mu);
-    word.fetch_add(1, std::memory_order_release);
-  }
-  // No syscall unless the worker is parked.
-  cv.notify_one();
-}
-
 bool BatchPool::RunNext() {
   if (next_.load(std::memory_order_relaxed) >= n_) return false;
   const size_t i = next_.fetch_add(1, std::memory_order_relaxed);
   if (i >= n_) return false;
   work_(i);
-  done_[i].store(1, std::memory_order_release);
-  // No syscall unless the owner is parked on the flag.
-  done_[i].notify_all();
+  // The owner may be parked in Await on this item.
+  owner_.Bump([&] {
+    done_[i].store(1, std::memory_order_release);
+    return true;
+  });
   return true;
 }
 
@@ -107,10 +87,7 @@ void BatchPool::WorkerLoop(size_t w) {
   for (;;) {
     // The next batch usually opens within the spin budget, and a
     // spinning worker costs Open no wake-up.
-    if (!SpinUntil(woken)) {
-      std::unique_lock<std::mutex> lock(wake.mu);
-      wake.cv.wait(lock, woken);
-    }
+    wake.Park(woken);
     seen = wake.word.load(std::memory_order_acquire);
     if (stop_.load(std::memory_order_relaxed)) return;
     if (w != fail_worker_) {
@@ -119,10 +96,11 @@ void BatchPool::WorkerLoop(size_t w) {
     } else if (failure_.ok()) {
       failure_ = Status::Internal("rt: injected worker abort (rt_fail_at)");
     }
-    // Leaving: after this the worker touches nothing of the batch.
-    if (inside_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      inside_.notify_one();
-    }
+    // Leaving: after this the worker touches nothing of the batch. The
+    // last to leave wakes the owner, which may be parked in Close.
+    owner_.Bump([this] {
+      return inside_.fetch_sub(1, std::memory_order_acq_rel) == 1;
+    });
   }
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "rt/spin_wait.h"
 
 /// \file batch_pool.h
 /// The refresh service's worker pool (docs/CONCURRENCY.md): `std::jthread`
@@ -30,12 +31,9 @@
 /// the batch only between its wake-up and its leaving, so the owner may
 /// reuse everything the batch referenced once Close returns.
 ///
-/// Every blocking wait spins for rt::kSpinBudget first (spin_wait.h), then
-/// parks: a worker on its own wake word's condition variable, the owner
-/// with C++20 `atomic::wait` on an item's `done` flag or on the count of
-/// workers inside. (libstdc++'s `atomic::wait` yields the CPU before it
-/// sleeps, and a thread that yielded can wake milliseconds late while its
-/// waker keeps running, as the owner does right after Open.)
+/// Every blocking wait, the owner's and the workers', spins for
+/// rt::kSpinBudget (spin_wait.h) and then parks on the waiter's own Wake,
+/// which the waker bumps to publish what the waiter waits for.
 
 namespace polydab::rt {
 
@@ -83,14 +81,43 @@ class BatchPool {
   void Stop();
 
  private:
-  // One worker's wake word, bumped under `mu` by Open (and Stop) and
-  // read lock-free while the worker spins; own cache line.
+  // One thread's parking spot; own cache line. The waiter parks until
+  // its predicate holds, and a waker changes what the predicate reads
+  // only inside Bump, under the mutex, so no change can fall between the
+  // waiter's last check and its sleep. A worker waits for a new `word`
+  // (Open and Stop bump it); the owner for an item's done flag, which its
+  // claimant sets through the owner's Bump, or for no worker inside,
+  // which each leaving worker counts down the same way.
   struct alignas(64) Wake {
     std::atomic<uint32_t> word{0};
     std::mutex mu;
     std::condition_variable cv;
 
-    void Bump();
+    // Run \p publish under the mutex; wake the waiter when it returns
+    // true, i.e. when the waiter's predicate may now hold.
+    template <class Publish>
+    void Bump(Publish&& publish) {
+      bool wake = false;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        wake = publish();
+      }
+      // No syscall unless the waiter is parked.
+      if (wake) cv.notify_one();
+    }
+    void Bump() {
+      Bump([this] {
+        word.fetch_add(1, std::memory_order_release);
+        return true;
+      });
+    }
+    // Spin for kSpinBudget, then sleep until a Bump makes ready() true.
+    template <class Ready>
+    void Park(Ready&& ready) {
+      if (SpinUntil(ready)) return;
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, ready);
+    }
   };
 
   void WorkerLoop(size_t w);
@@ -113,6 +140,7 @@ class BatchPool {
   Status failure_;
   std::atomic<bool> stop_{false};
   std::unique_ptr<Wake[]> wake_;
+  Wake owner_;
   std::vector<std::jthread> threads_;
 };
 

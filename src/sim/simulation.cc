@@ -291,11 +291,10 @@ class Coordinator final : public ServiceOps {
   void EmitPlanPatch(uint64_t cause_id);
   void AppendChurnWal(const char* op, int query_id);
 
-  /// Stamp the node and emit; 0 when untraced. EmitNow first moves the
-  /// sink's clock to the event's time.
-  uint64_t Emit(obs::TraceEvent e) {
+  /// Emit; 0 when untraced. EmitNow first moves the sink's clock to the
+  /// event's time.
+  uint64_t Emit(const obs::TraceEvent& e) {
     if (trace_ == nullptr) return 0;
-    e.node = tnode_;
     return trace_->Emit(e);
   }
   uint64_t EmitNow(const obs::TraceEvent& e) {
@@ -318,7 +317,6 @@ class Coordinator final : public ServiceOps {
   recovery::RecoveryConfig* const rec_;
   const recovery::CheckpointState* const ckpt_;  // restart snapshot or null
   obs::TraceSink* const trace_;
-  const int32_t tnode_;
   // The config fingerprint sealed into every checkpoint block; a restart
   // refuses a snapshot taken under a different engine config. The
   // recovery knobs are absent from Describe(), so a crashed run and its
@@ -428,7 +426,6 @@ Coordinator::Coordinator(const std::vector<PolynomialQuery>& queries,
       rec_(config.recovery),
       ckpt_(config.recovery != nullptr ? config.recovery->restart : nullptr),
       trace_(config.trace),
-      tnode_(config.trace_node),
       config_fp_(ConfigFingerprint(config)),
       master_(config.seed),
       delays_(config.delays, master_.Fork()),
@@ -450,10 +447,7 @@ Coordinator::Coordinator(const std::vector<PolynomialQuery>& queries,
   if (config.solve_cache > 0 && planner_cfg_.dual.solver.engine == nullptr) {
     planner_cfg_.dual.solver.engine = &solve_engine_;
   }
-  if (planner_cfg_.trace == nullptr) {
-    planner_cfg_.trace = trace_;
-    planner_cfg_.trace_node = tnode_;
-  }
+  if (planner_cfg_.trace == nullptr) planner_cfg_.trace = trace_;
   solve_cfg_ = planner_cfg_;
   solve_cfg_.trace = nullptr;
   if (aao_mode_) aao_next_tick_ = static_cast<int64_t>(config.aao_period_s);
@@ -552,7 +546,6 @@ void Coordinator::AddQueryInfo(size_t qi) {
   if (trace_ == nullptr) return;
   obs::TraceQueryInfo info;
   info.query = queries_[qi].id;
-  info.node = tnode_;
   info.shard = Lane(qi);
   info.qab = queries_[qi].qab;
   for (VarId v : queries_[qi].p.Variables()) {
@@ -1611,7 +1604,6 @@ SimMetrics Coordinator::Finish() {
     // Trailing self-description: the replay verifier re-derives each of
     // these fields from the raw events and demands exact equality.
     obs::TraceRunSummary s;
-    s.node = tnode_;
     s.queries = static_cast<int64_t>(queries_.size());
     s.ticks = ticks_seen_;
     s.fidelity_stride = config_.fidelity_stride;
@@ -2287,10 +2279,6 @@ Status SimConfig::Validate() const {
     if (trace == nullptr) {
       return Status::InvalidArgument(
           "series recording requires a trace sink");
-    }
-    if (trace_node != -1) {
-      return Status::InvalidArgument(
-          "series recording is single-coordinator only");
     }
     if (series->config().derive_samples) {
       return Status::InvalidArgument(

@@ -247,10 +247,6 @@ struct SimConfig {
   /// Null (the default) keeps every emission site behind one branch.
   /// Not owned; must outlive the run.
   obs::TraceSink* trace = nullptr;
-  /// Node id stamped on traced events; overlay drivers that run one
-  /// simulation per coordinator into a shared sink (net/dissemination.cc)
-  /// set it so the streams stay separable. -1 = single coordinator.
-  int32_t trace_node = -1;
   /// Optional windowed time-series recorder (obs/timeseries.h,
   /// docs/OBSERVABILITY.md "Time series, SLOs and monitoring"). When set,
   /// the run installs it as the trace sink's observer, feeds it fidelity

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
-#include "net/dissemination.h"
+#include <cmath>
+#include <string>
+
 #include "net/relay.h"
+#include "obs/metrics.h"
+#include "obs/run_report.h"
 #include "obs/trace.h"
 #include "obs/trace_check.h"
+#include "sim/simulation.h"
 #include "workload/query_gen.h"
 #include "workload/rate_estimator.h"
 
@@ -28,69 +33,125 @@ class NetTest : public ::testing::Test {
                                                    traces_.Snapshot(0), &rng);
   }
 
+  /// Run the relay over \p queries with a trace sink and \p registry;
+  /// the trace must replay green and re-derive RelayMetrics exactly.
+  void RunTraced(const std::vector<PolynomialQuery>& queries,
+                 RelayConfig config, obs::TraceFile* trace,
+                 obs::MetricRegistry* registry, RelayMetrics* out) {
+    obs::TraceSink sink;
+    config.trace = &sink;
+    config.registry = registry;
+    auto m = RunRelayOverlay(queries, traces_, rates_, config);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    *out = *m;
+    *trace = sink.Collect();
+    ASSERT_EQ(trace->summaries.size(), 1u);
+    auto report = obs::CheckTrace(*trace);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->ok()) << report->ToText(*trace);
+    ASSERT_EQ(report->derived.size(), 1u);
+    EXPECT_EQ(report->derived[0].refreshes, m->refreshes);
+    EXPECT_EQ(report->derived[0].recomputations, m->recomputations);
+    EXPECT_EQ(report->derived[0].dab_change_messages,
+              m->dab_change_messages);
+    EXPECT_EQ(report->derived[0].solver_failures, m->solver_failures);
+    EXPECT_EQ(report->derived[0].mean_fidelity_loss_pct,
+              m->mean_fidelity_loss_pct);
+  }
+
   workload::TraceSet traces_;
   Vector rates_;
   std::vector<PolynomialQuery> queries_;
 };
 
 TEST_F(NetTest, MetricsSumAcrossCoordinators) {
-  DisseminationConfig dc;
-  dc.num_coordinators = 4;
-  dc.sim.planner.method = core::AssignmentMethod::kDualDab;
-  dc.sim.planner.dual.mu = 5.0;
-  auto m = RunDissemination(queries_, traces_, rates_, dc);
-  ASSERT_TRUE(m.ok()) << m.status().ToString();
-  int64_t refreshes = 0, recomps = 0;
-  for (const auto& pc : m->per_coordinator) {
-    refreshes += pc.refreshes;
-    recomps += pc.recomputations;
+  // The net.relay.* counters mirror RelayMetrics, the per-node arrival
+  // samples sum to the overlay's refreshes, and tracecheck's run-report
+  // diff takes its relay branch and agrees.
+  RelayConfig rc;
+  rc.num_coordinators = 4;
+  rc.planner.dual.mu = 5.0;
+  obs::TraceFile trace;
+  obs::MetricRegistry registry;
+  RelayMetrics m;
+  ASSERT_NO_FATAL_FAILURE(RunTraced(queries_, rc, &trace, &registry, &m));
+  EXPECT_GT(m.recomputations, 0);
+
+  obs::RunReport rr = obs::RunReport::FromRegistry(registry);
+  auto counter = [&](const std::string& name) {
+    const obs::RunReport::Entry* e = rr.Find(name);
+    EXPECT_NE(e, nullptr) << name;
+    return e == nullptr ? -1 : e->counter_value;
+  };
+  EXPECT_EQ(counter("net.relay.refreshes"), m.refreshes);
+  EXPECT_EQ(counter("net.relay.recomputations"), m.recomputations);
+  EXPECT_EQ(counter("net.relay.dab_change_messages"), m.dab_change_messages);
+  EXPECT_EQ(counter("net.relay.solver_failures"), m.solver_failures);
+  const obs::RunReport::Entry* loss =
+      rr.Find("net.relay.fidelity.mean_loss_pct");
+  ASSERT_NE(loss, nullptr);
+  EXPECT_EQ(loss->gauge_value, m.mean_fidelity_loss_pct);
+  const obs::RunReport::Entry* arrivals = rr.Find("net.relay.node_arrivals");
+  ASSERT_NE(arrivals, nullptr);
+  EXPECT_EQ(arrivals->count, 4);
+  EXPECT_EQ(arrivals->sum, static_cast<double>(m.refreshes));
+
+  obs::TraceCheckOptions opt;
+  opt.report = &rr;
+  auto check = obs::CheckTrace(trace, opt);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_TRUE(check->ok()) << check->ToText(trace);
+
+  // A report that disagrees with the trace fails under the relay's names.
+  for (obs::RunReport::Entry& e : rr.entries) {
+    if (e.name == "net.relay.recomputations") ++e.counter_value;
   }
-  EXPECT_EQ(m->total.refreshes, refreshes);
-  EXPECT_EQ(m->total.recomputations, recomps);
-  EXPECT_GT(m->total.refreshes, 0);
+  check = obs::CheckTrace(trace, opt);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  ASSERT_FALSE(check->ok());
+  EXPECT_NE(check->ToText(trace).find("net.relay.recomputations"),
+            std::string::npos)
+      << check->ToText(trace);
 }
 
 TEST_F(NetTest, EveryCoordinatorGetsQueries) {
-  DisseminationConfig dc;
-  dc.num_coordinators = 4;
-  auto m = RunDissemination(queries_, traces_, rates_, dc);
-  ASSERT_TRUE(m.ok());
-  for (const auto& pc : m->per_coordinator) {
-    EXPECT_GT(pc.refreshes, 0);  // 12 queries over 4 coordinators: 3 each
+  // Round-robin placement: 12 queries over 4 nodes, query k on node k % 4,
+  // read back from the trace's query_info records.
+  RelayConfig rc;
+  rc.num_coordinators = 4;
+  rc.planner.dual.mu = 5.0;
+  obs::TraceFile trace;
+  obs::MetricRegistry registry;
+  RelayMetrics m;
+  ASSERT_NO_FATAL_FAILURE(RunTraced(queries_, rc, &trace, &registry, &m));
+  ASSERT_EQ(trace.queries.size(), queries_.size());
+  std::vector<int> hosted(4, 0);
+  for (size_t k = 0; k < trace.queries.size(); ++k) {
+    const obs::TraceQueryInfo& q = trace.queries[k];
+    EXPECT_EQ(q.query, queries_[k].id);
+    EXPECT_EQ(q.node, static_cast<int32_t>(k % 4)) << "query " << q.query;
+    ++hosted[static_cast<size_t>(q.node)];
   }
+  EXPECT_EQ(hosted, std::vector<int>(4, 3));
 }
 
 TEST_F(NetTest, MoreCoordinatorsThanQueriesIsFine) {
-  DisseminationConfig dc;
-  dc.num_coordinators = 20;  // more than the 12 queries
-  auto m = RunDissemination(queries_, traces_, rates_, dc);
-  ASSERT_TRUE(m.ok());
-  EXPECT_GT(m->total.refreshes, 0);
+  // 10 nodes, 3 queries: nodes 3..9 host nothing.
+  const std::vector<PolynomialQuery> three(queries_.begin(),
+                                           queries_.begin() + 3);
+  RelayConfig rc;
+  rc.num_coordinators = 10;
+  rc.planner.dual.mu = 5.0;
+  obs::TraceFile trace;
+  obs::MetricRegistry registry;
+  RelayMetrics m;
+  ASSERT_NO_FATAL_FAILURE(RunTraced(three, rc, &trace, &registry, &m));
+  EXPECT_GT(m.refreshes, 0);
+  ASSERT_EQ(trace.queries.size(), 3u);
+  for (size_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(trace.queries[k].node, static_cast<int32_t>(k));
+  }
 }
-
-TEST_F(NetTest, DualDabBeatsOptimalRefreshOnOverlayToo) {
-  DisseminationConfig dual;
-  dual.num_coordinators = 4;
-  dual.sim.planner.method = core::AssignmentMethod::kDualDab;
-  dual.sim.planner.dual.mu = 5.0;
-  DisseminationConfig opt = dual;
-  opt.sim.planner.method = core::AssignmentMethod::kOptimalRefresh;
-  auto md = RunDissemination(queries_, traces_, rates_, dual);
-  auto mo = RunDissemination(queries_, traces_, rates_, opt);
-  ASSERT_TRUE(md.ok());
-  ASSERT_TRUE(mo.ok());
-  EXPECT_LT(md->total.recomputations, mo->total.recomputations);
-}
-
-TEST_F(NetTest, RejectsBadConfig) {
-  DisseminationConfig dc;
-  dc.num_coordinators = 0;
-  EXPECT_FALSE(RunDissemination(queries_, traces_, rates_, dc).ok());
-  dc.num_coordinators = 2;
-  dc.fanout = 0;
-  EXPECT_FALSE(RunDissemination(queries_, traces_, rates_, dc).ok());
-}
-
 
 TEST_F(NetTest, RelayOverlayZeroDelayKeepsFidelity) {
   RelayConfig rc;
@@ -134,6 +195,47 @@ TEST_F(NetTest, RelayDualBeatsOptimalRefreshOnRecomputations) {
   EXPECT_LT(md->recomputations, mo->recomputations);
 }
 
+TEST_F(NetTest, DualDabBeatsOptimalRefreshOnOverlayToo) {
+  // Figure 8(c)'s overlay shape: 10 coordinators in a fanout-3 tree with
+  // the default per-hop delays.
+  RelayConfig dual;
+  dual.num_coordinators = 10;
+  dual.fanout = 3;
+  dual.planner.method = core::AssignmentMethod::kDualDab;
+  dual.planner.dual.mu = 5.0;
+  RelayConfig opt = dual;
+  opt.planner.method = core::AssignmentMethod::kOptimalRefresh;
+  auto md = RunRelayOverlay(queries_, traces_, rates_, dual);
+  auto mo = RunRelayOverlay(queries_, traces_, rates_, opt);
+  ASSERT_TRUE(md.ok()) << md.status().ToString();
+  ASSERT_TRUE(mo.ok()) << mo.status().ToString();
+  EXPECT_LT(md->recomputations, mo->recomputations);
+}
+
+TEST_F(NetTest, RelayAgreesWithApproximationOnOrdering) {
+  // The single-coordinator simulation approximates the overlay as one
+  // node with no relay hops; it and the relay must agree on the scheme
+  // ordering Figure 8(c) measures.
+  sim::SimConfig sc;
+  sc.planner.dual.mu = 5.0;
+  RelayConfig rc;
+  rc.num_coordinators = 4;
+  rc.planner.dual.mu = 5.0;
+
+  sc.planner.method = core::AssignmentMethod::kDualDab;
+  rc.planner.method = core::AssignmentMethod::kDualDab;
+  auto approx_dual = sim::RunSimulation(queries_, traces_, rates_, sc);
+  auto relay_dual = RunRelayOverlay(queries_, traces_, rates_, rc);
+  sc.planner.method = core::AssignmentMethod::kOptimalRefresh;
+  rc.planner.method = core::AssignmentMethod::kOptimalRefresh;
+  auto approx_opt = sim::RunSimulation(queries_, traces_, rates_, sc);
+  auto relay_opt = RunRelayOverlay(queries_, traces_, rates_, rc);
+  ASSERT_TRUE(approx_dual.ok() && relay_dual.ok() && approx_opt.ok() &&
+              relay_opt.ok());
+  EXPECT_LT(approx_dual->recomputations, approx_opt->recomputations);
+  EXPECT_LT(relay_dual->recomputations, relay_opt->recomputations);
+}
+
 TEST_F(NetTest, RelayTraceReplayVerifies) {
   // The overlay's causal trace must satisfy the offline verifier's
   // invariants, and the replayed totals must match RelayMetrics exactly.
@@ -141,100 +243,10 @@ TEST_F(NetTest, RelayTraceReplayVerifies) {
   rc.num_coordinators = 4;
   rc.planner.method = core::AssignmentMethod::kDualDab;
   rc.planner.dual.mu = 5.0;
-  obs::TraceSink sink;
-  rc.trace = &sink;
-  auto m = RunRelayOverlay(queries_, traces_, rates_, rc);
-  ASSERT_TRUE(m.ok()) << m.status().ToString();
-  const obs::TraceFile trace = sink.Collect();
-  ASSERT_EQ(trace.summaries.size(), 1u);
-  auto report = obs::CheckTrace(trace);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->ok()) << report->ToText(trace);
-  ASSERT_EQ(report->derived.size(), 1u);
-  EXPECT_EQ(report->derived[0].refreshes, m->refreshes);
-  EXPECT_EQ(report->derived[0].recomputations, m->recomputations);
-  EXPECT_EQ(report->derived[0].dab_change_messages, m->dab_change_messages);
-  EXPECT_EQ(report->derived[0].solver_failures, m->solver_failures);
-  EXPECT_EQ(report->derived[0].mean_fidelity_loss_pct,
-            m->mean_fidelity_loss_pct);
-}
-
-TEST_F(NetTest, DisseminationTraceHasOneSummaryPerCoordinator) {
-  // Sequential per-coordinator runs share one sink; node tags keep the
-  // interleaved streams separable and each coordinator self-validates.
-  DisseminationConfig dc;
-  dc.num_coordinators = 3;
-  dc.sim.planner.method = core::AssignmentMethod::kDualDab;
-  dc.sim.planner.dual.mu = 5.0;
-  obs::TraceSink sink;
-  dc.sim.trace = &sink;
-  auto m = RunDissemination(queries_, traces_, rates_, dc);
-  ASSERT_TRUE(m.ok()) << m.status().ToString();
-  const obs::TraceFile trace = sink.Collect();
-  ASSERT_EQ(trace.summaries.size(), 3u);
-  auto report = obs::CheckTrace(trace);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->ok()) << report->ToText(trace);
-  ASSERT_EQ(report->derived.size(), 3u);
-  for (size_t c = 0; c < 3; ++c) {
-    const sim::SimMetrics& pc = m->per_coordinator[c];
-    EXPECT_EQ(report->derived[c].refreshes, pc.refreshes) << c;
-    EXPECT_EQ(report->derived[c].recomputations, pc.recomputations) << c;
-    EXPECT_EQ(report->derived[c].dab_change_messages,
-              pc.dab_change_messages)
-        << c;
-  }
-}
-
-TEST_F(NetTest, ShardedDisseminationTraceReplayVerifies) {
-  // Each coordinator runs its own sharded lane set; the shared trace then
-  // interleaves several nodes' lane streams, and the verifier's per-lane
-  // and cross-shard checks must hold per node.
-  DisseminationConfig dc;
-  dc.num_coordinators = 3;
-  dc.sim.planner.method = core::AssignmentMethod::kDualDab;
-  dc.sim.planner.dual.mu = 5.0;
-  dc.sim.coord_shards = 2;
-  dc.sim.shard_policy = sim::ShardPolicy::kQueryHash;
-  obs::TraceSink sink;
-  dc.sim.trace = &sink;
-  auto m = RunDissemination(queries_, traces_, rates_, dc);
-  ASSERT_TRUE(m.ok()) << m.status().ToString();
-  const obs::TraceFile trace = sink.Collect();
-  auto report = obs::CheckTrace(trace);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->ok()) << report->ToText(trace);
-  int64_t notifications = 0;
-  for (const auto& pc : m->per_coordinator) {
-    notifications += pc.user_notifications;
-  }
-  EXPECT_EQ(m->total.user_notifications, notifications);
-  EXPECT_GT(notifications, 0);
-}
-
-TEST_F(NetTest, RelayAgreesWithApproximationOnOrdering) {
-  // The fast depth-delay approximation (dissemination.h) and the faithful
-  // relay must agree on the scheme ordering it is used to measure.
-  DisseminationConfig dc;
-  dc.num_coordinators = 4;
-  dc.sim.planner.dual.mu = 5.0;
-  RelayConfig rc;
-  rc.num_coordinators = 4;
-  rc.planner.dual.mu = 5.0;
-
-  dc.sim.planner.method = core::AssignmentMethod::kDualDab;
-  rc.planner.method = core::AssignmentMethod::kDualDab;
-  auto approx_dual = RunDissemination(queries_, traces_, rates_, dc);
-  auto relay_dual = RunRelayOverlay(queries_, traces_, rates_, rc);
-  dc.sim.planner.method = core::AssignmentMethod::kOptimalRefresh;
-  rc.planner.method = core::AssignmentMethod::kOptimalRefresh;
-  auto approx_opt = RunDissemination(queries_, traces_, rates_, dc);
-  auto relay_opt = RunRelayOverlay(queries_, traces_, rates_, rc);
-  ASSERT_TRUE(approx_dual.ok() && relay_dual.ok() && approx_opt.ok() &&
-              relay_opt.ok());
-  EXPECT_LT(approx_dual->total.recomputations,
-            approx_opt->total.recomputations);
-  EXPECT_LT(relay_dual->recomputations, relay_opt->recomputations);
+  obs::TraceFile trace;
+  obs::MetricRegistry registry;
+  RelayMetrics m;
+  ASSERT_NO_FATAL_FAILURE(RunTraced(queries_, rc, &trace, &registry, &m));
 }
 
 TEST_F(NetTest, RelayRejectsBadConfig) {
@@ -246,6 +258,23 @@ TEST_F(NetTest, RelayRejectsBadConfig) {
   EXPECT_FALSE(RunRelayOverlay(queries_, traces_, rates_, rc).ok());
   rc.fanout = 2;
   EXPECT_FALSE(RunRelayOverlay({}, traces_, rates_, rc).ok());
+}
+
+TEST_F(NetTest, RejectsBadConfig) {
+  // Delay models that would poison or abort the run's samplers are
+  // rejected up front, naming the field.
+  RelayConfig rc;
+  rc.num_coordinators = 2;
+  rc.delays.node_node_mean = -0.1;
+  Result<RelayMetrics> m = RunRelayOverlay(queries_, traces_, rates_, rc);
+  ASSERT_FALSE(m.ok());
+  EXPECT_NE(m.status().ToString().find("node_node_mean"), std::string::npos)
+      << m.status().ToString();
+  rc.delays = sim::DelayConfig{};
+  rc.delays.pareto_shape = std::nan("");
+  EXPECT_FALSE(RunRelayOverlay(queries_, traces_, rates_, rc).ok());
+  rc.delays = sim::DelayConfig{};
+  EXPECT_TRUE(RunRelayOverlay(queries_, traces_, rates_, rc).ok());
 }
 
 }  // namespace

@@ -9,7 +9,8 @@
 //    cycling, Stop during a worker's spin.
 //  * Wake-up: Open(n) wakes exactly min(workers, n - 1) workers, the count
 //    rt_fail_at indexes; an idle worker parks past the spin budget and a
-//    later Open wakes it (a lost wake-up hangs Close).
+//    later Open wakes it, and an owner parked in Await or Close is woken
+//    by the worker it waits for (a lost wake-up hangs the test).
 //  * Batches: thousands of back-to-back Open/Await/Close rounds run every
 //    item exactly once and leave no worker inside when Close returns; the
 //    first failure latches while later batches still drain.
@@ -196,6 +197,63 @@ TEST(BatchPoolTest, IdleWorkerParksPastTheSpinBudgetAndOpenWakesIt) {
     ASSERT_TRUE(pool.Close().ok());
     ASSERT_EQ(ran.load(), 2 * (round + 1));
   }
+  pool.Stop();
+}
+
+TEST(BatchPoolTest, OwnerParksPastTheSpinBudgetAndAWorkerWakesIt) {
+  // Workers hold the items the owner needs for 20 spin budgets, so the
+  // owner runs out of items and parks: in Await until the worker running
+  // the awaited item bumps it, in Close until the last worker leaves. No
+  // other bump comes, so a lost wake-up hangs the test.
+  BatchPool pool;
+  ASSERT_TRUE(pool.Start(2).ok());
+  using Clock = std::chrono::steady_clock;
+  int long_awaits = 0;
+  int long_closes = 0;
+  for (int round = 0; round < 20; ++round) {
+    // Await(0): the workers hold items 0 and 1, and item 1 keeps its
+    // worker inside the batch until Await(0) returns, so only item 0's
+    // done bump can wake the owner. The owner runs item 2.
+    std::atomic<int> started{0};
+    std::atomic<bool> release{false};
+    pool.Open(3, [&](size_t i) {
+      if (i == 2) return;
+      started.fetch_add(1, std::memory_order_relaxed);
+      if (i == 0) {
+        std::this_thread::sleep_for(20 * kSpinBudget);
+        return;
+      }
+      while (!release.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+    while (started.load(std::memory_order_relaxed) < 2) {
+      std::this_thread::yield();
+    }
+    auto t0 = Clock::now();
+    pool.Await(0);
+    long_awaits += Clock::now() - t0 > kSpinBudget ? 1 : 0;
+    release.store(true, std::memory_order_release);
+    ASSERT_TRUE(pool.Close().ok());
+
+    // Close: one worker holds item 0, the owner runs item 1 and then
+    // waits for the worker to leave.
+    started.store(0, std::memory_order_relaxed);
+    pool.Open(2, [&](size_t i) {
+      if (i != 0) return;
+      started.fetch_add(1, std::memory_order_relaxed);
+      std::this_thread::sleep_for(20 * kSpinBudget);
+    });
+    while (started.load(std::memory_order_relaxed) < 1) {
+      std::this_thread::yield();
+    }
+    t0 = Clock::now();
+    ASSERT_TRUE(pool.Close().ok());
+    long_closes += Clock::now() - t0 > kSpinBudget ? 1 : 0;
+  }
+  // Waits past the spin budget: the owner was parked when woken.
+  EXPECT_GT(long_awaits, 0);
+  EXPECT_GT(long_closes, 0);
   pool.Stop();
 }
 

@@ -325,13 +325,6 @@ TEST(SimConfigValidateTest, EveryRuleAcceptsAndRejects) {
       {"series needs a trace sink",
        [&](SimConfig& c) { c.series = &recorder; c.trace = &sink; },
        [&](SimConfig& c) { c.series = &recorder; }},
-      {"series on the sharded coordinator, not an overlay node",
-       [&](SimConfig& c) {
-         c.series = &recorder; c.trace = &sink; c.coord_shards = 4;
-       },
-       [&](SimConfig& c) {
-         c.series = &recorder; c.trace = &sink; c.trace_node = 3;
-       }},
       {"series recorder in engine mode",
        [&](SimConfig& c) { c.series = &recorder; c.trace = &sink; },
        [&](SimConfig& c) { c.series = &replay_recorder; c.trace = &sink; }},

@@ -305,17 +305,14 @@ TEST_F(ThreadedDiffTest, DefaultConfigKeepsSerialGoldens) {
 }
 
 TEST_F(ThreadedDiffTest, SerialTracesCarryNoThreadVocabulary) {
-  // threads=0 must emit byte-wise the same records as before the thread
-  // field existed: no thread stamps, no rt_* info keys.
+  // threads=0 traces carry no thread vocabulary: no "thread" key, no
+  // rt_* info keys.
   obs::TraceSink sink;
   SimConfig c = Config(core::AssignmentMethod::kDualDab, 2, 0);
   c.trace = &sink;
   ASSERT_TRUE(RunSimulation(queries_, traces_, rates_, c).ok());
   const obs::TraceFile trace = sink.Collect();
   EXPECT_EQ(trace.info.count("rt_threads"), 0u);
-  for (const obs::TraceEvent& e : trace.events) {
-    EXPECT_EQ(e.thread, -1);
-  }
   const std::string rendered = obs::TraceToJsonLines(trace);
   EXPECT_EQ(rendered.find("\"thread\""), std::string::npos);
   EXPECT_EQ(rendered.find("rt_"), std::string::npos);
@@ -402,17 +399,28 @@ TEST_F(ThreadedDiffTest, RawThreadedTraceMatchesOracleUpToRtInfoKeys) {
 }
 
 TEST_F(ThreadedDiffTest, CanonicalizerRejectsThreadTaggedEvents) {
+  // Events carry no thread field, so a thread tag cannot reach
+  // CanonicalizeThreadedTrace: the strict trace reader that loads its
+  // input rejects a "thread" key on an event as an unknown key.
   obs::TraceSink sink;
   SimConfig c = Config(core::AssignmentMethod::kDualDab, 2, 2);
   c.trace = &sink;
   ASSERT_TRUE(RunSimulation(queries_, traces_, rates_, c).ok());
-  obs::TraceFile trace = sink.Collect();
-  ASSERT_FALSE(trace.events.empty());
-  trace.events.back().thread = 0;
-  Status canon = obs::CanonicalizeThreadedTrace(&trace);
-  ASSERT_FALSE(canon.ok());
-  EXPECT_NE(canon.ToString().find("thread"), std::string::npos)
-      << canon.ToString();
+  const std::string text = obs::TraceToJsonLines(sink.Collect());
+  const std::string head = "{\"type\":\"event\"";
+  const size_t last_event = text.rfind(head);
+  ASSERT_NE(last_event, std::string::npos);
+  std::string tagged = text;
+  tagged.insert(last_event + head.size(), ",\"thread\":0");
+  auto parsed = obs::ParseTraceJsonLines(tagged);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().ToString().find("unknown key 'thread'"),
+            std::string::npos)
+      << parsed.status().ToString();
+
+  auto clean = obs::ParseTraceJsonLines(text);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_TRUE(obs::CanonicalizeThreadedTrace(&*clean).ok());
 }
 
 /// The shared fixture's workload with every query registered by four
