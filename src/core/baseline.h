@@ -24,6 +24,12 @@ namespace polydab::core {
 Result<QueryDabs> SolveWsDab(const PolynomialQuery& query,
                              const Vector& values);
 
+/// What SolveWsDab's bisection returns for a step test that holds exactly
+/// up to \p last: 100 halvings of [0, \p hi] that keep the upper half
+/// while the midpoint d satisfies d ≤ last. That is \p last itself when
+/// the halvings provably end on it, else the replayed halvings' result.
+double BisectToLast(double hi, double last);
+
 }  // namespace polydab::core
 
 #endif  // POLYDAB_CORE_BASELINE_H_

@@ -1,5 +1,6 @@
 #include "obs/json_util.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,27 +28,30 @@ void AppendJsonEscaped(std::string_view s, std::string* out) {
 }
 
 std::string JsonNumber(double v) {
+  char buf[40];
   // Fast path: integral values in the exactly-representable range (tick
   // times, counts, zero-valued payloads — most of a trace file) print
   // directly, no parse-back needed.
   if (v >= -9007199254740992.0 && v <= 9007199254740992.0) {
     const long long i = static_cast<long long>(v);
     if (static_cast<double>(i) == v) {
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%lld", i);
-      return buf;
+      return std::string(buf, std::to_chars(buf, buf + sizeof(buf), i).ptr);
     }
   }
-  // Shortest round-trip form: %g trims trailing zeros, so 15 significant
-  // digits already yields "0.1"-style short output; only values that
-  // genuinely need 16 or 17 digits retry.
-  char buf[40];
+  // Shortest round-trip form: general format with a precision is %.*g, so
+  // it trims trailing zeros and 15 significant digits already yields
+  // "0.1"-style short output; only values that genuinely need 16 or 17
+  // digits retry.
+  char* end = buf;
   for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    char* end = nullptr;
-    if (std::strtod(buf, &end) == v) return buf;
+    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                        prec)
+              .ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == v) break;
   }
-  return buf;  // non-finite: %g prints "inf"/"nan", accepted by the parser
+  return std::string(buf, end);  // non-finite: "inf"/"nan", as %g prints
 }
 
 namespace {

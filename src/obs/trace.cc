@@ -83,6 +83,10 @@ Result<TraceFile> ParseTraceJsonLines(const std::string& text) {
           return ReadListRecord(rec, nullptr, &trace.queries);
         }
         if (rec.tag == "run_summary") {
+          if (!trace.summaries.empty()) {
+            return LineError(rec.line_number,
+                             "a second run_summary (a trace has one)");
+          }
           return ReadListRecord(rec, nullptr, &trace.summaries);
         }
         if (rec.tag == "info") return ReadInfo(rec, &trace.info);

@@ -320,7 +320,9 @@ struct TraceRunSummary {
 };
 
 /// A parsed (or captured) trace: free-form metadata, the event sequence
-/// in emission (id) order, per-query item sets, and run summaries.
+/// in emission (id) order, per-query item sets, and the run summary: one
+/// for a finished run (node −1, covering every event and query), none for
+/// a truncated one.
 struct TraceFile {
   std::map<std::string, std::string> info;
   std::vector<TraceQueryInfo> queries;
@@ -336,7 +338,8 @@ std::string TraceToJsonLines(const TraceFile& trace);
 
 /// Inverse of TraceToJsonLines. Also accepts streamed files (TraceSink
 /// with a file attached), whose record order may interleave; rejects
-/// malformed lines, unknown record types and unknown event kinds.
+/// malformed lines, unknown record types, unknown event kinds and a second
+/// run_summary.
 Result<TraceFile> ParseTraceJsonLines(const std::string& text);
 
 /// File-level convenience wrappers.

@@ -26,8 +26,8 @@ class Checker {
       : trace_(trace), options_(options), report_(report) {
     origin_it_ = trace.info.find("origin");
     method_it_ = trace.info.find("method");
-    for (const TraceRunSummary& s : trace.summaries) {
-      tol_by_node_.emplace(s.node, s.violation_tol);
+    if (!trace.summaries.empty()) {
+      violation_tol_ = trace.summaries[0].violation_tol;
     }
     for (const TraceQueryInfo& q : trace.queries) {
       query_info_[Key(q.node, q.query)] = &q;
@@ -320,15 +320,9 @@ class Checker {
     }
   }
 
-  /// The violation tolerance the producing run used for this node's
+  /// The violation tolerance the producing run used for its
   /// secondary-range and fidelity checks.
-  double TolFor(int32_t node) const {
-    auto it = tol_by_node_.find(node);
-    if (it != tol_by_node_.end()) return it->second;
-    it = tol_by_node_.find(-1);
-    if (it != tol_by_node_.end()) return it->second;
-    return 0.0;
-  }
+  double violation_tol() const { return violation_tol_; }
 
   const TraceEvent* Cause(const TraceEvent& e) {
     if (e.cause == 0) {
@@ -639,7 +633,7 @@ class Checker {
         CheckQueryLane(e);
         // The value must really lie outside the secondary range around
         // the anchor — the exact §III-A.2 test the coordinator ran.
-        const double limit = e.c * (1.0 + TolFor(e.node));
+        const double limit = e.c * (1.0 + violation_tol());
         if (!(std::fabs(e.a - e.b) > limit)) {
           FailEvent(e, "value " + std::to_string(e.a) +
                            " is within the secondary range (anchor " +
@@ -830,7 +824,7 @@ class Checker {
                              std::to_string(qab));
           }
         }
-        const double limit = e.c * (1.0 + TolFor(e.node));
+        const double limit = e.c * (1.0 + violation_tol());
         if (!(std::fabs(e.a - e.b) > limit)) {
           FailEvent(e, "sampled drift |" + std::to_string(e.a) + " - " +
                            std::to_string(e.b) +
@@ -1422,7 +1416,7 @@ class Checker {
   std::map<std::string, std::string>::const_iterator origin_it_;
   std::map<std::string, std::string>::const_iterator method_it_;
   std::unordered_map<uint64_t, const TraceEvent*> by_id_;
-  std::map<int32_t, double> tol_by_node_;
+  double violation_tol_ = 0.0;
   std::map<int64_t, const TraceQueryInfo*> query_info_;
 
   std::map<int32_t, double> last_time_;        // node -> last event time
@@ -1518,25 +1512,17 @@ class Checker {
   std::map<int32_t, int64_t> dyn_num_components_;  // node -> #components
 };
 
-bool InScope(const TraceRunSummary& s, const TraceEvent& e) {
-  return s.node == -1 || e.node == s.node;
-}
-
-/// Re-derive the producing run's SimMetrics for one summary's scope,
-/// reproducing the simulator's arithmetic (and its query iteration order,
-/// fixed by the query_info emission order) operation for operation so the
-/// comparison can demand bit-exact equality.
+/// Re-derive the producing run's SimMetrics (the one summary \p s covers
+/// every event and query of the trace), reproducing the simulator's
+/// arithmetic (and its query iteration order, fixed by the query_info
+/// emission order) operation for operation so the comparison can demand
+/// bit-exact equality.
 TraceDerivedStats Derive(const TraceFile& trace, const TraceRunSummary& s,
                          const Checker& checker) {
-  TraceDerivedStats d;
-  for (const TraceEvent& e : trace.events) {
-    if (!InScope(s, e)) continue;
-    AccumulateDerivedStats(e, &d);
-  }
+  TraceDerivedStats d = DeriveTotalStats(trace);
   if (s.ticks >= 2 && s.queries > 0) {
     double loss_sum = 0.0;
     for (const TraceQueryInfo& q : trace.queries) {
-      if (s.node != -1 && q.node != s.node) continue;
       // k stride-sized increments of an integer-valued double are exact,
       // so the product reproduces the simulator's accumulated sum.
       const double violated_time =
@@ -1566,7 +1552,6 @@ TraceDerivedStats Derive(const TraceFile& trace, const TraceRunSummary& s,
   // the last transition with time <= t.
   if (s.ticks >= 2 && s.fidelity_stride > 0) {
     for (const TraceQueryInfo& q : trace.queries) {
-      if (s.node != -1 && q.node != s.node) continue;
       const auto* deltas = checker.DegradeDeltas(q.node, q.query);
       if (deltas == nullptr) continue;
       size_t di = 0;
@@ -1609,11 +1594,8 @@ void DiffSummary(const TraceRunSummary& s, const TraceDerivedStats& d,
 }
 
 /// Cross-check the derived totals against a telemetry run report from the
-/// same run (counters are summed over nodes by construction; the fidelity
-/// gauge is last-write-wins, so it is only compared for single-summary
-/// traces).
-void DiffRunReport(const TraceFile& trace,
-                   const std::vector<TraceDerivedStats>& derived,
+/// same run.
+void DiffRunReport(const TraceFile& trace, const TraceDerivedStats& derived,
                    const RunReport& rr, TraceCheckReport* report,
                    const TraceCheckOptions& options) {
   auto origin_it = trace.info.find("origin");
@@ -1621,7 +1603,6 @@ void DiffRunReport(const TraceFile& trace,
       origin_it != trace.info.end() && origin_it->second == "relay";
   const std::string prefix = relay ? "net.relay." : "sim.coordinator.";
 
-  const TraceDerivedStats total = DeriveTotalStats(trace);
   auto fail = [&](const std::string& what) {
     ++report->failure_count;
     if (report->failures.size() < options.max_failures) {
@@ -1639,43 +1620,37 @@ void DiffRunReport(const TraceFile& trace,
            " but reported as " + std::to_string(e->counter_value));
     }
   };
-  diff_counter(prefix + "refreshes", total.refreshes);
-  diff_counter(prefix + "recomputations", total.recomputations);
-  diff_counter(prefix + "dab_change_messages", total.dab_change_messages);
-  diff_counter(prefix + "solver_failures", total.solver_failures);
+  diff_counter(prefix + "refreshes", derived.refreshes);
+  diff_counter(prefix + "recomputations", derived.recomputations);
+  diff_counter(prefix + "dab_change_messages", derived.dab_change_messages);
+  diff_counter(prefix + "solver_failures", derived.solver_failures);
   if (!relay) {
-    diff_counter(prefix + "user_notifications", total.user_notifications);
+    diff_counter(prefix + "user_notifications", derived.user_notifications);
   }
 
   // Fault-mode runs register the sim.fault.* counters; their values must
   // mirror the replayed totals exactly (conservation, satellite (f) of
-  // docs/ROBUSTNESS.md). degraded_query_seconds is summed over the
-  // per-summary derivations, since it needs each summary's sample grid.
+  // docs/ROBUSTNESS.md). degraded_query_seconds comes from the summary's
+  // sample grid.
   if (!relay && trace.info.find("fault_config") != trace.info.end()) {
-    diff_counter("sim.fault.drops", total.fault_drops);
-    diff_counter("sim.fault.retransmits", total.retransmits);
+    diff_counter("sim.fault.drops", derived.fault_drops);
+    diff_counter("sim.fault.retransmits", derived.retransmits);
     diff_counter("sim.fault.duplicates_suppressed",
-                 total.duplicates_suppressed);
-    diff_counter("sim.fault.lease_expiries", total.lease_expiries);
-    double degraded = 0.0;
-    for (const TraceDerivedStats& d : derived) {
-      degraded += d.degraded_query_seconds;
-    }
+                 derived.duplicates_suppressed);
+    diff_counter("sim.fault.lease_expiries", derived.lease_expiries);
     diff_counter("sim.fault.degraded_query_seconds",
-                 static_cast<int64_t>(degraded));
+                 static_cast<int64_t>(derived.degraded_query_seconds));
   }
 
-  if (trace.summaries.size() == 1 && derived.size() == 1) {
-    const char* gauge_name = relay ? "net.relay.fidelity.mean_loss_pct"
-                                   : "sim.fidelity.mean_loss_pct";
-    const RunReport::Entry* g = rr.Find(gauge_name);
-    if (g == nullptr) {
-      fail(std::string("missing gauge ") + gauge_name);
-    } else if (g->gauge_value != derived[0].mean_fidelity_loss_pct) {
-      fail(std::string(gauge_name) + " replayed as " +
-           std::to_string(derived[0].mean_fidelity_loss_pct) +
-           " but reported as " + std::to_string(g->gauge_value));
-    }
+  const char* gauge_name = relay ? "net.relay.fidelity.mean_loss_pct"
+                                 : "sim.fidelity.mean_loss_pct";
+  const RunReport::Entry* g = rr.Find(gauge_name);
+  if (g == nullptr) {
+    fail(std::string("missing gauge ") + gauge_name);
+  } else if (g->gauge_value != derived.mean_fidelity_loss_pct) {
+    fail(std::string(gauge_name) + " replayed as " +
+         std::to_string(derived.mean_fidelity_loss_pct) +
+         " but reported as " + std::to_string(g->gauge_value));
   }
 }
 
@@ -1933,15 +1908,14 @@ std::string TraceCheckReport::ToText(const TraceFile& trace) const {
                 ok() ? "OK" : "FAILED", events, trace.queries.size(),
                 trace.summaries.size(), failure_count);
   out += buf;
-  for (size_t i = 0; i < derived.size() && i < trace.summaries.size();
-       ++i) {
-    const TraceDerivedStats& d = derived[i];
+  if (!trace.summaries.empty()) {
+    const TraceDerivedStats& d = derived;
     std::snprintf(buf, sizeof(buf),
                   "node %d: refreshes=%" PRId64 " recomputations=%" PRId64
                   " dab_changes=%" PRId64 " notifications=%" PRId64
                   " solver_failures=%" PRId64
                   " fidelity_loss=%.4f%% cost=%.0f\n",
-                  trace.summaries[i].node, d.refreshes, d.recomputations,
+                  trace.summaries[0].node, d.refreshes, d.recomputations,
                   d.dab_change_messages, d.user_notifications,
                   d.solver_failures, d.mean_fidelity_loss_pct,
                   static_cast<double>(d.refreshes) +
@@ -1956,7 +1930,7 @@ std::string TraceCheckReport::ToText(const TraceFile& trace) const {
                     "node %d faults: drops=%" PRId64 " retransmits=%" PRId64
                     " dups_suppressed=%" PRId64 " lease_expiries=%" PRId64
                     " degraded_query_seconds=%.0f\n",
-                    trace.summaries[i].node, d.fault_drops, d.retransmits,
+                    trace.summaries[0].node, d.fault_drops, d.retransmits,
                     d.duplicates_suppressed, d.lease_expiries,
                     d.degraded_query_seconds);
       out += buf;
@@ -2007,26 +1981,21 @@ Result<TraceCheckReport> CheckTrace(const TraceFile& trace,
   Checker checker(trace, options, &report);
   checker.Run();
 
-  for (const TraceRunSummary& s : trace.summaries) {
-    TraceDerivedStats d = Derive(trace, s, checker);
-    // The summary's query count must cover exactly the query_info records
-    // in its scope, or the fidelity re-derivation is meaningless.
-    int64_t in_scope = 0;
-    for (const TraceQueryInfo& q : trace.queries) {
-      if (s.node == -1 || q.node == s.node) ++in_scope;
+  const TraceRunSummary& s = trace.summaries[0];
+  report.derived = Derive(trace, s, checker);
+  // The summary's query count must cover exactly the query_info records,
+  // or the fidelity re-derivation is meaningless.
+  const auto queries = static_cast<int64_t>(trace.queries.size());
+  if (queries != s.queries) {
+    ++report.failure_count;
+    if (report.failures.size() < options.max_failures) {
+      report.failures.push_back(
+          "run_summary (node " + std::to_string(s.node) + "): claims " +
+          std::to_string(s.queries) + " queries but the trace has " +
+          std::to_string(queries) + " query_info records");
     }
-    if (in_scope != s.queries) {
-      ++report.failure_count;
-      if (report.failures.size() < options.max_failures) {
-        report.failures.push_back(
-            "run_summary (node " + std::to_string(s.node) + "): claims " +
-            std::to_string(s.queries) + " queries but the trace has " +
-            std::to_string(in_scope) + " query_info records in scope");
-      }
-    }
-    DiffSummary(s, d, &report, options);
-    report.derived.push_back(d);
   }
+  DiffSummary(s, report.derived, &report, options);
   if (options.report != nullptr) {
     DiffRunReport(trace, report.derived, *options.report, &report, options);
   }

@@ -17,7 +17,7 @@
 /// independently:
 ///
 ///  (a) re-derives every SimMetrics field from the raw events and diffs
-///      the result against the trailing run_summary records (and, when
+///      the result against the trailing run_summary record (and, when
 ///      provided, against a metrics run report from the same run);
 ///  (b) checks the protocol invariants of §III-A.2 — every recomputation
 ///      is caused by a recorded secondary-range violation (dual-DAB) or
@@ -93,7 +93,7 @@ struct TraceCheckOptions {
   size_t max_failures = 64;
 };
 
-/// SimMetrics re-derived from raw events for one summary's scope.
+/// SimMetrics re-derived from raw events and the run summary's shape.
 struct TraceDerivedStats {
   int64_t refreshes = 0;
   int64_t recomputations = 0;
@@ -124,8 +124,8 @@ double ResolveTraceMu(const TraceFile& trace, double mu_option);
 void AccumulateDerivedStats(const TraceEvent& e, TraceDerivedStats* d);
 
 /// Message totals re-derived from the raw events across every node of the
-/// trace. mean_fidelity_loss_pct stays 0 — it is a per-summary quantity,
-/// not a message class.
+/// trace. mean_fidelity_loss_pct stays 0 — it needs the run summary's
+/// shape, and is not a message class.
 TraceDerivedStats DeriveTotalStats(const TraceFile& trace);
 
 /// One run-summary total, as the replay diffs compare and print it.
@@ -181,19 +181,19 @@ struct TraceCheckReport {
   int64_t failure_count = 0;  ///< total, including unlisted
   int64_t events = 0;
   double mu = 0.0;  ///< the mu the attribution used
-  /// Derived stats per run summary, in summary order (node -1 covers
-  /// every event, as in the single-coordinator simulator).
-  std::vector<TraceDerivedStats> derived;
+  /// The run's stats, re-derived from the events and query_info records
+  /// that the trace's one run summary covers.
+  TraceDerivedStats derived;
   std::vector<TraceQueryCost> queries;
 
   bool ok() const { return failure_count == 0; }
-  /// Multi-line rendering: verdict, per-summary replay diffs, failures,
+  /// Multi-line rendering: verdict, the summary's replay diff, failures,
   /// per-query attribution table.
   std::string ToText(const TraceFile& trace) const;
 };
 
 /// \brief Replay \p trace and verify it. Returns a non-OK status only
-/// when the trace is structurally unusable (no run_summary records);
+/// when the trace is structurally unusable (no run_summary record);
 /// protocol violations are reported through TraceCheckReport::failures.
 Result<TraceCheckReport> CheckTrace(const TraceFile& trace,
                                     const TraceCheckOptions& options = {});

@@ -271,7 +271,7 @@ class Folder {
   /// Conservation: the folded per-class counts must equal the totals an
   /// independent replay derives from the very same events
   /// (trace_check.h::AccumulateDerivedStats), and — when the trace
-  /// carries run summaries — the totals the producing run recorded.
+  /// carries its run summary — the totals the producing run recorded.
   void CheckConservation(TraceFoldReport* report) const {
     const std::vector<SummaryCounter> folded = SummaryCounters(attributed_);
     auto diff = [&](const std::vector<SummaryCounter>& counts,
@@ -279,7 +279,7 @@ class Folder {
       for (size_t i = 0; i < folded.size(); ++i) {
         const SummaryCounter& f = folded[i];
         // The folder attributes messages only: the doubles are
-        // per-summary quantities and solver failures recompute outcomes.
+        // run-shape quantities and solver failures recompute outcomes.
         if (!f.integral || std::strcmp(f.key, "solver_failures") == 0 ||
             !f.Differs(counts[i])) {
           continue;
@@ -293,15 +293,7 @@ class Folder {
     };
     diff(SummaryCounters(DeriveTotalStats(trace_)), "the replay");
     if (trace_.summaries.empty()) return;
-    std::vector<SummaryCounter> recorded =
-        SummaryCounters(TraceDerivedStats{});
-    for (const TraceRunSummary& rs : trace_.summaries) {
-      const std::vector<SummaryCounter> one = SummaryCounters(rs);
-      for (size_t i = 0; i < one.size(); ++i) {
-        recorded[i].count += one[i].count;
-      }
-    }
-    diff(recorded, "the run_summary");
+    diff(SummaryCounters(trace_.summaries[0]), "the run_summary");
   }
 
   const TraceFile& trace_;

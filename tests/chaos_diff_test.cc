@@ -209,17 +209,17 @@ void RunChaosAndVerify(const std::vector<PolynomialQuery>& queries,
   auto check = obs::CheckTrace(trace, opt);
   ASSERT_TRUE(check.ok()) << check.status().ToString();
   EXPECT_TRUE(check->ok()) << check->ToText(trace);
-  ASSERT_EQ(check->derived.size(), 1u);
-  EXPECT_EQ(check->derived[0].refreshes, m->refreshes);
-  EXPECT_EQ(check->derived[0].recomputations, m->recomputations);
-  EXPECT_EQ(check->derived[0].mean_fidelity_loss_pct,
+  ASSERT_EQ(trace.summaries.size(), 1u);
+  EXPECT_EQ(check->derived.refreshes, m->refreshes);
+  EXPECT_EQ(check->derived.recomputations, m->recomputations);
+  EXPECT_EQ(check->derived.mean_fidelity_loss_pct,
             m->mean_fidelity_loss_pct);
-  EXPECT_EQ(check->derived[0].fault_drops, m->fault_drops);
-  EXPECT_EQ(check->derived[0].retransmits, m->retransmits);
-  EXPECT_EQ(check->derived[0].duplicates_suppressed,
+  EXPECT_EQ(check->derived.fault_drops, m->fault_drops);
+  EXPECT_EQ(check->derived.retransmits, m->retransmits);
+  EXPECT_EQ(check->derived.duplicates_suppressed,
             m->duplicates_suppressed);
-  EXPECT_EQ(check->derived[0].lease_expiries, m->lease_expiries);
-  EXPECT_EQ(check->derived[0].degraded_query_seconds,
+  EXPECT_EQ(check->derived.lease_expiries, m->lease_expiries);
+  EXPECT_EQ(check->derived.degraded_query_seconds,
             m->degraded_query_seconds);
   if (metrics_out != nullptr) *metrics_out = *m;
   if (trace_out != nullptr) *trace_out = trace;

@@ -199,13 +199,13 @@ void RunAndVerify(const std::vector<PolynomialQuery>& queries,
   auto check = obs::CheckTrace(trace);
   ASSERT_TRUE(check.ok()) << check.status().ToString();
   EXPECT_TRUE(check->ok()) << check->ToText(trace);
-  ASSERT_EQ(check->derived.size(), 1u);
-  EXPECT_EQ(check->derived[0].refreshes, m->refreshes);
-  EXPECT_EQ(check->derived[0].recomputations, m->recomputations);
-  EXPECT_EQ(check->derived[0].dab_change_messages, m->dab_change_messages);
-  EXPECT_EQ(check->derived[0].user_notifications, m->user_notifications);
-  EXPECT_EQ(check->derived[0].solver_failures, m->solver_failures);
-  EXPECT_EQ(check->derived[0].mean_fidelity_loss_pct,
+  ASSERT_EQ(trace.summaries.size(), 1u);
+  EXPECT_EQ(check->derived.refreshes, m->refreshes);
+  EXPECT_EQ(check->derived.recomputations, m->recomputations);
+  EXPECT_EQ(check->derived.dab_change_messages, m->dab_change_messages);
+  EXPECT_EQ(check->derived.user_notifications, m->user_notifications);
+  EXPECT_EQ(check->derived.solver_failures, m->solver_failures);
+  EXPECT_EQ(check->derived.mean_fidelity_loss_pct,
             m->mean_fidelity_loss_pct);
 }
 

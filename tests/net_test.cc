@@ -49,13 +49,12 @@ class NetTest : public ::testing::Test {
     auto report = obs::CheckTrace(*trace);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_TRUE(report->ok()) << report->ToText(*trace);
-    ASSERT_EQ(report->derived.size(), 1u);
-    EXPECT_EQ(report->derived[0].refreshes, m->refreshes);
-    EXPECT_EQ(report->derived[0].recomputations, m->recomputations);
-    EXPECT_EQ(report->derived[0].dab_change_messages,
+    EXPECT_EQ(report->derived.refreshes, m->refreshes);
+    EXPECT_EQ(report->derived.recomputations, m->recomputations);
+    EXPECT_EQ(report->derived.dab_change_messages,
               m->dab_change_messages);
-    EXPECT_EQ(report->derived[0].solver_failures, m->solver_failures);
-    EXPECT_EQ(report->derived[0].mean_fidelity_loss_pct,
+    EXPECT_EQ(report->derived.solver_failures, m->solver_failures);
+    EXPECT_EQ(report->derived.mean_fidelity_loss_pct,
               m->mean_fidelity_loss_pct);
   }
 

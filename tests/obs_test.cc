@@ -1,16 +1,23 @@
 // Tests for the src/obs/ telemetry subsystem: instrument accuracy,
 // registry semantics, ScopedTimer nesting, the RunReport JSON-lines
-// round-trip, and the null-registry (telemetry off) path.
+// round-trip, the null-registry (telemetry off) path, and JSON number
+// formatting.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/json_util.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
@@ -453,6 +460,68 @@ TEST(TraceSinkTest, ConcurrentStreamedEmitsKeepFileIdOrder) {
             static_cast<size_t>(kThreads) * kPerThread);
   for (size_t i = 0; i < loaded->events.size(); ++i) {
     ASSERT_EQ(loaded->events[i].id, i + 1) << "file position " << i;
+  }
+}
+
+/// JsonNumber as it was written over printf and strtod; the to_chars form
+/// must print every double to the same bytes.
+std::string PrintfJsonNumber(double v) {
+  if (v >= -9007199254740992.0 && v <= 9007199254740992.0) {
+    const long long i = static_cast<long long>(v);
+    if (static_cast<double>(i) == v) {
+      char buf[24];
+      std::snprintf(buf, sizeof(buf), "%lld", i);
+      return buf;
+    }
+  }
+  char buf[40];
+  for (int prec = 15; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    char* end = nullptr;
+    if (std::strtod(buf, &end) == v) return buf;
+  }
+  return buf;
+}
+
+TEST(JsonNumberTest, MatchesPrintfFormOnEveryClassOfDouble) {
+  std::vector<double> values = {
+      0.0, -0.0, 0.1, -0.1, 1.0 / 3.0, 123456.789, 1e21, 1e-7, 1e308,
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      9007199254740992.0 - 1.0, 9007199254740992.0, 9007199254740992.0 + 2.0,
+      -9007199254740992.0 - 2.0, -1.0, -42.0, -9007199254740991.0,
+      9223372036854775808.0, -9223372036854775808.0};
+  // Powers of two over the whole exponent range, subnormals included, and
+  // the doubles on either side of each.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (double x : {p, std::nextafter(p, 0.0),
+                     std::nextafter(p, std::numeric_limits<double>::max())}) {
+      values.push_back(x);
+      values.push_back(-x);
+    }
+  }
+  // Seeded sweep: arbitrary bit patterns (every exponent, subnormals and
+  // non-finite values among them), a few orders of magnitude around one,
+  // and integers of every size.
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> mag(-12.0, 12.0);
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back(std::bit_cast<double>(rng()));
+    values.push_back(std::pow(10.0, mag(rng)) * ((rng() & 1) ? 1.0 : -1.0));
+    values.push_back(
+        static_cast<double>(static_cast<int64_t>(rng()) >> (rng() % 64)));
+  }
+  for (double v : values) {
+    ASSERT_EQ(JsonNumber(v), PrintfJsonNumber(v))
+        << "bits " << std::bit_cast<uint64_t>(v);
   }
 }
 

@@ -215,8 +215,7 @@ void RunAndCheckTrace(const std::vector<PolynomialQuery>& queries,
   auto report = obs::CheckTrace(trace);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->ok()) << report->ToText(trace);
-  ASSERT_EQ(report->derived.size(), 1u);
-  const obs::TraceDerivedStats& d = report->derived[0];
+  const obs::TraceDerivedStats& d = report->derived;
   EXPECT_EQ(d.refreshes, m->refreshes);
   EXPECT_EQ(d.recomputations, m->recomputations);
   EXPECT_EQ(d.dab_change_messages, m->dab_change_messages);

@@ -81,28 +81,51 @@ TraceFile MakeSampleFile() {
   s.solver_failures = 1;
   s.mean_fidelity_loss_pct = 0.372915;
   f.summaries.push_back(s);
-  s.node = 3;  // a fault-mode summary: the omit-at-zero counters set
+  return f;
+}
+
+/// The sample with a fault-mode summary: the omit-at-zero counters set.
+TraceFile MakeFaultSampleFile() {
+  TraceFile f = MakeSampleFile();
+  TraceRunSummary& s = f.summaries[0];
   s.fault_drops = 4;
   s.retransmits = 5;
   s.duplicates_suppressed = 6;
   s.lease_expiries = 7;
   s.degraded_query_seconds = 12.5;
-  f.summaries.push_back(s);
   return f;
 }
 
 TEST(TraceJsonTest, WriteParseIsExactInverse) {
-  const TraceFile f = MakeSampleFile();
-  const std::string text = TraceToJsonLines(f);
-  auto parsed = ParseTraceJsonLines(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  // operator== compares every field, doubles bitwise.
-  EXPECT_EQ(parsed->info, f.info);
-  EXPECT_EQ(parsed->queries, f.queries);
-  EXPECT_EQ(parsed->events, f.events);
-  EXPECT_EQ(parsed->summaries, f.summaries);
-  // Re-serializing the parsed trace reproduces the bytes.
-  EXPECT_EQ(TraceToJsonLines(*parsed), text);
+  for (const TraceFile& f : {MakeSampleFile(), MakeFaultSampleFile()}) {
+    const std::string text = TraceToJsonLines(f);
+    auto parsed = ParseTraceJsonLines(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    // operator== compares every field, doubles bitwise.
+    EXPECT_EQ(parsed->info, f.info);
+    EXPECT_EQ(parsed->queries, f.queries);
+    EXPECT_EQ(parsed->events, f.events);
+    EXPECT_EQ(parsed->summaries, f.summaries);
+    // Re-serializing the parsed trace reproduces the bytes.
+    EXPECT_EQ(TraceToJsonLines(*parsed), text);
+  }
+}
+
+TEST(TraceJsonTest, ReaderRejectsASecondRunSummary) {
+  // Every producer writes one run summary covering the whole run; two
+  // (here a plain one, then a fault-mode one) is a malformed file.
+  TraceFile two = MakeSampleFile();
+  two.summaries.push_back(MakeFaultSampleFile().summaries[0]);
+  two.summaries[1].node = 3;
+  const std::string text = TraceToJsonLines(two);
+  const auto lines = std::count(text.begin(), text.end(), '\n');
+  const Status st = ParseTraceJsonLines(text).status();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.message().rfind("line " + std::to_string(lines) + ": ", 0),
+            0u)
+      << st.ToString();
+  EXPECT_NE(st.message().find("second run_summary"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(TraceJsonTest, ReaderRejectsNonIntegersAndUnknownKeys) {
@@ -128,7 +151,7 @@ TEST(TraceJsonTest, ReaderRejectsNonIntegersAndUnknownKeys) {
       {"run_summary", "dab_change_messages", false},
       {"run_summary", "user_notifications", false},
       {"run_summary", "solver_failures", false},
-      // The first run_summary line omits the fault counters at zero.
+      // The sample's run_summary line omits the fault counters at zero.
   };
   testing_util::ExpectStrictRecords(
       TraceToJsonLines(MakeSampleFile()), fields,
@@ -145,10 +168,8 @@ TEST(TraceJsonTest, ReaderRejectsNonIntegersAndUnknownKeys) {
             std::string::npos)
       << thread_key.ToString();
   // The fault counters, on a summary that carries them.
-  TraceFile faulty = MakeSampleFile();
-  faulty.summaries.erase(faulty.summaries.begin());
   testing_util::ExpectStrictRecords(
-      TraceToJsonLines(faulty),
+      TraceToJsonLines(MakeFaultSampleFile()),
       {{"run_summary", "fault_drops", false},
        {"run_summary", "retransmits", false},
        {"run_summary", "duplicates_suppressed", false},
@@ -371,13 +392,12 @@ TEST(TraceCheckTest, ValidEpisodePassesAllInvariants) {
   auto report = CheckTrace(f);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->ok()) << report->ToText(f);
-  ASSERT_EQ(report->derived.size(), 1u);
-  EXPECT_EQ(report->derived[0].refreshes, 1);
-  EXPECT_EQ(report->derived[0].recomputations, 1);
-  EXPECT_EQ(report->derived[0].dab_change_messages, 1);
-  EXPECT_EQ(report->derived[0].user_notifications, 1);
-  EXPECT_EQ(report->derived[0].solver_failures, 0);
-  EXPECT_DOUBLE_EQ(report->derived[0].mean_fidelity_loss_pct, 20.0);
+  EXPECT_EQ(report->derived.refreshes, 1);
+  EXPECT_EQ(report->derived.recomputations, 1);
+  EXPECT_EQ(report->derived.dab_change_messages, 1);
+  EXPECT_EQ(report->derived.user_notifications, 1);
+  EXPECT_EQ(report->derived.solver_failures, 0);
+  EXPECT_DOUBLE_EQ(report->derived.mean_fidelity_loss_pct, 20.0);
   // Cost attribution: 1 refresh + mu(5) * 1 recompute, rooted at item 7.
   ASSERT_EQ(report->queries.size(), 1u);
   EXPECT_EQ(report->queries[0].refreshes, 1);
