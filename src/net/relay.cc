@@ -432,7 +432,7 @@ Result<RelayMetrics> RunRelayOverlay(
     s.user_notifications = 0;  // the overlay does not model user pushes
     s.solver_failures = metrics.solver_failures;
     s.mean_fidelity_loss_pct = metrics.mean_fidelity_loss_pct;
-    trace->AddRunSummary(s);
+    POLYDAB_RETURN_NOT_OK(trace->AddRunSummary(s));
   }
 
   if (config.registry != nullptr) {

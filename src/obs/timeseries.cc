@@ -4,7 +4,7 @@
 #include <cstdlib>
 
 #include "common/logging.h"
-#include "obs/trace_check.h"
+#include "obs/trace_fold.h"
 
 namespace polydab::obs {
 
@@ -136,7 +136,7 @@ Result<SeriesFile> LoadSeriesFile(const std::string& path) {
 // SeriesRecorder
 
 /// The per-window message-count accumulator, behind a box so timeseries.h
-/// need not include trace_check.h.
+/// need not include trace_fold.h.
 struct SeriesRecorder::DerivedBox {
   TraceDerivedStats stats;
 };
@@ -421,12 +421,10 @@ Result<SeriesFile> FoldTraceSeries(const TraceFile& trace) {
     return Status::InvalidArgument("series_window_s info \"" + wit->second +
                                    "\" is not a positive integer");
   }
-  if (trace.summaries.size() != 1) {
-    return Status::InvalidArgument(
-        "series traces must carry exactly one run summary, found " +
-        std::to_string(trace.summaries.size()));
+  if (!trace.summary) {
+    return Status::InvalidArgument("series trace carries no run summary");
   }
-  const TraceRunSummary& s = trace.summaries[0];
+  const TraceRunSummary& s = *trace.summary;
 
   SeriesConfig cfg;
   cfg.window_ticks = window;

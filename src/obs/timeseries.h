@@ -356,10 +356,10 @@ class SeriesRecorder : public TraceObserver {
   int64_t cur_modifications_ = 0;
   int64_t cur_rejections_ = 0;
   /// refreshes/recomputations/dab_changes/notifications/solver_failures +
-  /// fault counters, accumulated via trace_check.h AccumulateDerivedStats
+  /// fault counters, accumulated via trace_fold.h AccumulateDerivedStats
   /// so the per-window deltas are by construction the checker's own
   /// derivation restricted to the window. Kept behind a pointer so this
-  /// header does not depend on trace_check.h.
+  /// header does not depend on trace_fold.h.
   struct DerivedBox;
   std::unique_ptr<DerivedBox> derived_;
   std::unique_ptr<Histogram> queue_wait_;  ///< fresh per window

@@ -47,6 +47,11 @@ void AppendLines(const char* tag, const std::vector<R>& recs,
   for (const R& r : recs) AppendRecordLine("type", tag, r, out);
 }
 
+void AppendSummaryLine(const std::optional<TraceRunSummary>& summary,
+                       std::string* out) {
+  if (summary) AppendRecordLine("type", "run_summary", *summary, out);
+}
+
 }  // namespace
 
 std::span<const NameOf<TraceEventKind>> TraceEventKindNames() {
@@ -68,7 +73,7 @@ std::string TraceToJsonLines(const TraceFile& trace) {
   AppendInfoLines(trace.info, &out);
   AppendLines("query_info", trace.queries, &out);
   AppendLines("event", trace.events, &out);
-  AppendLines("run_summary", trace.summaries, &out);
+  AppendSummaryLine(trace.summary, &out);
   return out;
 }
 
@@ -83,11 +88,13 @@ Result<TraceFile> ParseTraceJsonLines(const std::string& text) {
           return ReadListRecord(rec, nullptr, &trace.queries);
         }
         if (rec.tag == "run_summary") {
-          if (!trace.summaries.empty()) {
+          if (trace.summary.has_value()) {
             return LineError(rec.line_number,
                              "a second run_summary (a trace has one)");
           }
-          return ReadListRecord(rec, nullptr, &trace.summaries);
+          TraceRunSummary& s = trace.summary.emplace();
+          return ReadFields(rec, nullptr,
+                            [&s](auto& v) { TraceRunSummary::Fields(s, v); });
         }
         if (rec.tag == "info") return ReadInfo(rec, &trace.info);
         return UnknownRecordType(rec);
@@ -168,9 +175,13 @@ void TraceSink::AddQueryInfo(TraceQueryInfo info) {
   queries_.push_back(std::move(info));
 }
 
-void TraceSink::AddRunSummary(const TraceRunSummary& summary) {
+Status TraceSink::AddRunSummary(const TraceRunSummary& summary) {
   std::lock_guard<std::mutex> lock(mu_);
-  summaries_.push_back(summary);
+  if (summary_.has_value()) {
+    return Status::InvalidArgument("trace already holds a run summary");
+  }
+  summary_ = summary;
+  return Status::OK();
 }
 
 Status TraceSink::FlushLocked() {
@@ -198,10 +209,10 @@ Status TraceSink::Finish() {
   }
   finished_ = true;
   Status flushed = FlushLocked();  // also writes info set since last flush
-  // Trailing metadata: query sets and run summaries.
+  // Trailing metadata: query sets and the run summary.
   std::string out;
   AppendLines("query_info", queries_, &out);
-  AppendLines("run_summary", summaries_, &out);
+  AppendSummaryLine(summary_, &out);
   const size_t written = std::fwrite(out.data(), 1, out.size(), file_);
   const bool closed = std::fclose(file_) == 0;
   file_ = nullptr;
@@ -218,7 +229,7 @@ TraceFile TraceSink::Collect() const {
   trace.info = info_;
   trace.queries = queries_;
   trace.events = buffer_;
-  trace.summaries = summaries_;
+  trace.summary = summary_;
   return trace;
 }
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -320,20 +321,20 @@ struct TraceRunSummary {
 };
 
 /// A parsed (or captured) trace: free-form metadata, the event sequence
-/// in emission (id) order, per-query item sets, and the run summary: one
-/// for a finished run (node −1, covering every event and query), none for
-/// a truncated one.
+/// in emission (id) order, per-query item sets, and the run summary:
+/// present for a finished run (covering every event and query), absent
+/// for a truncated one.
 struct TraceFile {
   std::map<std::string, std::string> info;
   std::vector<TraceQueryInfo> queries;
   std::vector<TraceEvent> events;
-  std::vector<TraceRunSummary> summaries;
+  std::optional<TraceRunSummary> summary;
 };
 
 /// Canonical JSON-lines rendering: info lines, query_info lines, event
-/// lines, run_summary lines. Fields at their default values are omitted;
-/// ParseTraceJsonLines inverts this exactly (and re-serializing a parsed
-/// canonical trace reproduces the bytes).
+/// lines, the run_summary line. Fields at their default values are
+/// omitted; ParseTraceJsonLines inverts this exactly (and re-serializing a
+/// parsed canonical trace reproduces the bytes).
 std::string TraceToJsonLines(const TraceFile& trace);
 
 /// Inverse of TraceToJsonLines. Also accepts streamed files (TraceSink
@@ -389,7 +390,8 @@ class TraceSink {
 
   void SetInfo(const std::string& key, const std::string& value);
   void AddQueryInfo(TraceQueryInfo info);
-  void AddRunSummary(const TraceRunSummary& summary);
+  /// Record the run summary; a sink holds one, so a second call fails.
+  Status AddRunSummary(const TraceRunSummary& summary);
 
   /// Restart-from-checkpoint support (src/recovery/): resume id
   /// assignment at \p next_id so a restarted run's events line up with
@@ -440,7 +442,7 @@ class TraceSink {
   std::vector<TraceEvent> buffer_;
   std::map<std::string, std::string> info_;
   std::vector<TraceQueryInfo> queries_;
-  std::vector<TraceRunSummary> summaries_;
+  std::optional<TraceRunSummary> summary_;
   std::FILE* file_ = nullptr;
   std::string path_;
   /// Streaming mode: info entries already written, so late SetInfo calls

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <limits>
 #include <set>
-#include <unordered_map>
 
 #include "common/hash.h"
 #include "obs/json_util.h"
@@ -18,33 +17,32 @@ namespace polydab::obs {
 
 namespace {
 
+/// Count one failure, keeping its message while under the cap.
+void AddFailure(TraceCheckReport* report, const TraceCheckOptions& options,
+                std::string what) {
+  ++report->failure_count;
+  if (report->failures.size() < options.max_failures) {
+    report->failures.push_back(std::move(what));
+  }
+}
+
 /// Mutable checking state threaded through the per-event switch.
 class Checker {
  public:
-  Checker(const TraceFile& trace, const TraceCheckOptions& options,
-          TraceCheckReport* report)
-      : trace_(trace), options_(options), report_(report) {
+  Checker(const TraceFile& trace, const TraceIndex& index,
+          const TraceCheckOptions& options, TraceCheckReport* report)
+      : trace_(trace), index_(index), options_(options), report_(report) {
     origin_it_ = trace.info.find("origin");
     method_it_ = trace.info.find("method");
-    if (!trace.summaries.empty()) {
-      violation_tol_ = trace.summaries[0].violation_tol;
-    }
-    for (const TraceQueryInfo& q : trace.queries) {
-      query_info_[Key(q.node, q.query)] = &q;
-    }
-    // Sharded-coordinator traces (coord_shards > 1) carry lane stamps;
-    // re-derive each item's home lane (the lane of the first query_info
-    // referencing it, matching the simulator's assignment) and the lane
-    // set touching it, so arrivals and cross-lane merges are checkable.
+    if (trace.summary) violation_tol_ = trace.summary->violation_tol;
+    // Sharded-coordinator traces (coord_shards > 1) carry lane stamps,
+    // checked against the partition re-derived from the live query set.
     sharded_ = trace.info.find("coord_shards") != trace.info.end();
-    if (sharded_) {
-      for (const TraceQueryInfo& q : trace.queries) {
-        for (int32_t item : q.items) {
-          item_home_.emplace(Key(q.node, item), q.shard);  // first wins
-          item_lanes_[Key(q.node, item)].insert(q.shard);
-        }
-      }
-    }
+    coord_shards_count_ =
+        sharded_ ? static_cast<int>(InfoNum("coord_shards", 1.0)) : 1;
+    auto pit = trace.info.find("shard_policy");
+    policy_component_ =
+        pit == trace.info.end() || pit->second == "eqi_components";
     // Fault-mode traces (docs/ROBUSTNESS.md) self-describe the protocol
     // constants and the item -> source mapping the reliability checks
     // need; fault events in a trace without the key are themselves
@@ -56,33 +54,12 @@ class Checker {
       retx_timeout_s_ = InfoNum("fault_retx_timeout_s", 0.0);
       for (const TraceQueryInfo& q : trace.queries) {
         for (int32_t item : q.items) {
-          item_queries_[Key(q.node, item)].push_back(q.query);
           if (num_sources_ > 0) {
-            source_items_[Key(q.node, static_cast<int32_t>(
-                                          item % num_sources_))]
+            source_items_[TraceKey(q.node, static_cast<int32_t>(
+                                               item % num_sources_))]
                 .insert(item);
           }
         }
-      }
-    }
-    // Service-churn traces (docs/SERVICE.md) are recognised by the
-    // presence of churn events. Churn-free traces leave churn_mode_
-    // false and take none of the dynamic-state branches below, so they
-    // are checked exactly as before the service layer existed.
-    for (const TraceEvent& e : trace.events) {
-      switch (e.kind) {
-        case TraceEventKind::kQueryRegister:
-          churn_reg_keys_.insert(Key(e.node, e.query));
-          churn_mode_ = true;
-          break;
-        case TraceEventKind::kQueryModify:
-        case TraceEventKind::kQueryDeregister:
-        case TraceEventKind::kAdmissionReject:
-        case TraceEventKind::kPlanPatch:
-          churn_mode_ = true;
-          break;
-        default:
-          break;
       }
     }
     // Series traces (docs/OBSERVABILITY.md "Time series, SLOs and
@@ -103,31 +80,33 @@ class Checker {
         }
       }
     }
-    if (churn_mode_) {
-      coord_shards_count_ =
-          sharded_ ? static_cast<int>(InfoNum("coord_shards", 1.0)) : 1;
-      auto pit = trace.info.find("shard_policy");
-      policy_component_ =
-          pit == trace.info.end() || pit->second == "eqi_components";
-      for (const TraceQueryInfo& q : trace.queries) {
-        const int64_t k = Key(q.node, q.query);
-        dyn_qab_[k] = q.qab;
-        dereg_tick_[k] = std::numeric_limits<int64_t>::max();
-        if (churn_reg_keys_.count(k) != 0) {
-          active_[k] = false;  // registered later by its churn event
-        } else {
-          active_[k] = true;
-          reg_tick_[k] = 0;
-          active_order_[q.node].push_back(&q);
-          for (int32_t item : q.items) {
-            dyn_item_queries_[Key(q.node, item)].push_back(q.query);
-          }
-          partition_dirty_.insert(q.node);
+    // One query-set model (docs/SERVICE.md): a query with a
+    // query_register event joins the live set there; every other
+    // query_info record registers at t = 0 — in a trace without churn,
+    // all of them.
+    std::set<int64_t> registered_later;
+    for (const TraceEvent& e : trace.events) {
+      if (e.kind == TraceEventKind::kQueryRegister) {
+        registered_later.insert(TraceKey(e.node, e.query));
+      }
+    }
+    for (const TraceQueryInfo& q : trace.queries) {
+      const int64_t k = TraceKey(q.node, q.query);
+      live_[k] = {.info = &q, .qab = q.qab};
+      if (registered_later.count(k) == 0) Register(q, 0);
+    }
+    // Their lane stamps are the initial partition, which the rebuild
+    // must reproduce.
+    for (const auto& [node, order] : active_order_) {
+      for (const TraceQueryInfo* q : order) {
+        if (sharded_ && q->shard != DynLane(node, q->query)) {
+          Fail("query_info of query " + std::to_string(q->query) +
+               " records lane " + std::to_string(q->shard) +
+               " but the rebuilt partition assigns lane " +
+               std::to_string(DynLane(node, q->query)));
         }
       }
     }
-    by_id_.reserve(trace.events.size());
-    for (const TraceEvent& e : trace.events) by_id_.emplace(e.id, &e);
   }
 
   void Run() {
@@ -180,7 +159,7 @@ class Checker {
   /// extended by the source's crash outages after the drop, plus slack.
   void CheckDropResolution() {
     for (const DataDrop& d : data_drops_) {
-      auto ri = resolutions_.find(Key(d.node, d.item));
+      auto ri = resolutions_.find(TraceKey(d.node, d.item));
       bool resolved = false;
       if (ri != resolutions_.end()) {
         for (const Resolution& r : ri->second) {
@@ -202,7 +181,7 @@ class Checker {
           2.0;
       if (num_sources_ > 0) {
         auto cw = crash_windows_.find(
-            Key(d.node, static_cast<int32_t>(d.item % num_sources_)));
+            TraceKey(d.node, static_cast<int32_t>(d.item % num_sources_)));
         if (cw != crash_windows_.end()) {
           for (const auto& [start, dur] : cw->second) {
             if (start + dur > d.time) deadline += dur;
@@ -219,53 +198,70 @@ class Checker {
     }
   }
 
-  /// Number of fidelity-violation samples recorded for (node, query).
-  int64_t FidelityViolations(int32_t node, int32_t query) const {
-    auto it = fidelity_counts_.find(Key(node, query));
-    return it == fidelity_counts_.end() ? 0 : it->second;
-  }
-
   /// Degrade/recover transitions for (node, query) as (time, state) in
   /// event order, or null when the query never degraded. Drives the
   /// degraded_query_seconds re-derivation in Derive().
   const std::vector<std::pair<double, int>>* DegradeDeltas(
       int32_t node, int32_t query) const {
-    auto it = degrade_deltas_.find(Key(node, query));
+    auto it = degrade_deltas_.find(TraceKey(node, query));
     return it == degrade_deltas_.end() ? nullptr : &it->second;
   }
 
-  /// Churn traces carry a dynamic query population; Derive() needs each
-  /// query's registration interval to reproduce the engine's per-query
-  /// fidelity denominators.
-  bool churn_mode() const { return churn_mode_; }
   /// The failure a malformed slo_rules info key was reported as ("" if
   /// none).
   const std::string& slo_rules_error() const { return slo_rules_error_; }
-  int64_t RegTick(int32_t node, int32_t query) const {
-    auto it = reg_tick_.find(Key(node, query));
-    return it == reg_tick_.end() ? 0 : it->second;
-  }
-  int64_t DeregTick(int32_t node, int32_t query) const {
-    auto it = dereg_tick_.find(Key(node, query));
-    return it == dereg_tick_.end() ? std::numeric_limits<int64_t>::max()
-                                   : it->second;
+
+  /// One query_info record's place in the live query set
+  /// (docs/SERVICE.md). Derive() turns its violation samples over its
+  /// registration interval into its fidelity loss.
+  struct LiveQuery {
+    const TraceQueryInfo* info = nullptr;
+    bool active = false;
+    double qab = 0.0;  ///< current QAB: query_modify events move it
+    int64_t reg_tick = 0;
+    int64_t dereg_tick = std::numeric_limits<int64_t>::max();
+    int64_t fidelity_violations = 0;  ///< samples recorded
+  };
+  /// The live-set entry of \p q (every query_info record has one).
+  const LiveQuery& Live(const TraceQueryInfo& q) const {
+    return live_.at(TraceKey(q.node, q.query));
   }
 
  private:
-  static int64_t Key(int32_t node, int32_t other) {
-    return (static_cast<int64_t>(node) << 32) |
-           static_cast<int64_t>(static_cast<uint32_t>(other));
+  /// The query_info record of (node, query), or null when none exists.
+  LiveQuery* Find(int32_t node, int32_t query) {
+    auto it = live_.find(TraceKey(node, query));
+    return it == live_.end() ? nullptr : &it->second;
+  }
+  /// Add \p q to the live query set at \p tick.
+  void Register(const TraceQueryInfo& q, int64_t tick) {
+    LiveQuery& live = live_[TraceKey(q.node, q.query)];
+    live.active = true;
+    live.qab = q.qab;
+    live.reg_tick = tick;
+    active_order_[q.node].push_back(&q);
+    for (int32_t item : q.items) {
+      dyn_item_queries_[TraceKey(q.node, item)].push_back(q.query);
+    }
+    partition_dirty_.insert(q.node);
+  }
+  bool Active(int32_t node, int32_t query) {
+    const LiveQuery* q = Find(node, query);
+    return q != nullptr && q->active;
   }
 
-  void Fail(const std::string& what) {
-    ++report_->failure_count;
-    if (report_->failures.size() < options_.max_failures) {
-      report_->failures.push_back(what);
-    }
-  }
+  void Fail(const std::string& what) { AddFailure(report_, options_, what); }
   void FailEvent(const TraceEvent& e, const std::string& what) {
     Fail("event #" + std::to_string(e.id) + " (" + Name(e.kind) +
          ", t=" + std::to_string(e.time) + "): " + what);
+  }
+
+  /// Fault events belong to fault-mode traces only.
+  bool RequireFaultMode(const TraceEvent& e) {
+    if (!fault_mode_) {
+      FailEvent(e, "fault event in a trace without fault_config info");
+    }
+    return fault_mode_;
   }
 
   bool OriginIs(const char* origin) const {
@@ -288,7 +284,7 @@ class Checker {
   /// The source of \p e is mid-crash iff the latest recorded crash window
   /// still covers e.time — the exact float comparison the simulator ran.
   void CheckNotCrashed(const TraceEvent& e) {
-    auto it = crash_state_.find(Key(e.node, e.source));
+    auto it = crash_state_.find(TraceKey(e.node, e.source));
     if (it != crash_state_.end() && it->second.first > e.time) {
       FailEvent(e, "source " + std::to_string(e.source) +
                        " emitted inside its crash window (until " +
@@ -301,16 +297,16 @@ class Checker {
   /// un-expire the source's items, recovering queries whose degraded-item
   /// count drops to zero — mirroring the simulator's record_contact.
   void FaultContact(const TraceEvent& e) {
-    const int64_t skey = Key(e.node, e.source);
+    const int64_t skey = TraceKey(e.node, e.source);
     contact_[skey] = {e.time, e.id};
     auto si = source_items_.find(skey);
     if (si == source_items_.end()) return;
     for (int32_t item : si->second) {
-      auto xi = item_expired_.find(Key(e.node, item));
+      auto xi = item_expired_.find(TraceKey(e.node, item));
       if (xi == item_expired_.end() || !xi->second) continue;
       xi->second = false;
-      for (int32_t q : item_queries_[Key(e.node, item)]) {
-        const int64_t qkey = Key(e.node, q);
+      for (int32_t q : dyn_item_queries_[TraceKey(e.node, item)]) {
+        const int64_t qkey = TraceKey(e.node, q);
         if (--degraded_count_[qkey] == 0) {
           pending_recover_[e.id].insert(qkey);
           degrade_id_[qkey] = 0;
@@ -329,17 +325,17 @@ class Checker {
       FailEvent(e, "missing cause id");
       return nullptr;
     }
-    auto it = by_id_.find(e.cause);
-    if (it == by_id_.end()) {
+    const TraceEvent* c = index_.Event(e.cause);
+    if (c == nullptr) {
       FailEvent(e, "cause #" + std::to_string(e.cause) + " not in trace");
       return nullptr;
     }
-    if (it->second->id >= e.id) {
+    if (c->id >= e.id) {
       FailEvent(e, "cause #" + std::to_string(e.cause) +
                        " does not precede the event");
       return nullptr;
     }
-    return it->second;
+    return c;
   }
   /// Cause that must exist and be of one specific kind.
   const TraceEvent* CauseOfKind(const TraceEvent& e, TraceEventKind kind) {
@@ -382,7 +378,7 @@ class Checker {
     // must be time-monotonic on its own.
     if (e.shard != -1) {
       auto [sit, sfresh] =
-          last_time_shard_.emplace(Key(e.node, e.shard), e.time);
+          last_time_shard_.emplace(TraceKey(e.node, e.shard), e.time);
       if (!sfresh) {
         if (e.time < sit->second) {
           FailEvent(e, "time goes backwards on lane " +
@@ -395,28 +391,15 @@ class Checker {
   }
 
   /// Sharded traces: an event attributed to a query must carry the lane
-  /// that query is pinned to. Static traces read the partition from
-  /// query_info; churn traces re-derive it from the active set, since
+  /// that query is pinned to, re-derived from the live query set, since
   /// registrations and departures move queries between lanes.
   void CheckQueryLane(const TraceEvent& e) {
-    if (!sharded_) return;
-    if (churn_mode_) {
-      auto it = active_.find(Key(e.node, e.query));
-      if (it != active_.end() && it->second) {
-        const int32_t lane = DynLane(e.node, e.query);
-        if (e.shard != lane) {
-          FailEvent(e, "lane " + std::to_string(e.shard) +
-                           " differs from query " + std::to_string(e.query) +
-                           "'s current lane " + std::to_string(lane));
-        }
-      }
-      return;
-    }
-    auto it = query_info_.find(Key(e.node, e.query));
-    if (it != query_info_.end() && e.shard != it->second->shard) {
+    if (!sharded_ || !Active(e.node, e.query)) return;
+    const int32_t lane = DynLane(e.node, e.query);
+    if (e.shard != lane) {
       FailEvent(e, "lane " + std::to_string(e.shard) +
                        " differs from query " + std::to_string(e.query) +
-                       "'s lane " + std::to_string(it->second->shard));
+                       "'s lane " + std::to_string(lane));
     }
   }
 
@@ -466,7 +449,7 @@ class Checker {
       const TraceQueryInfo* q = order[static_cast<size_t>(i)];
       const int32_t comp = comp_min[find(i)];
       const int32_t hashed = policy_component_ ? comp : q->query;
-      const int64_t k = Key(node, q->query);
+      const int64_t k = TraceKey(node, q->query);
       dyn_comp_min_[k] = comp;
       dyn_shard_[k] = static_cast<int32_t>(
           Mix64(static_cast<uint64_t>(static_cast<int64_t>(hashed))) %
@@ -478,16 +461,14 @@ class Checker {
   }
   int32_t DynLane(int32_t node, int32_t query) {
     EnsurePartition(node);
-    auto it = dyn_shard_.find(Key(node, query));
+    auto it = dyn_shard_.find(TraceKey(node, query));
     return it == dyn_shard_.end() ? -1 : it->second;
   }
 
-  /// Churn mode: an event that charges cost to a query may only occur
-  /// inside that query's registration interval.
+  /// An event that charges cost to a query may only occur inside that
+  /// query's registration interval.
   void CheckActiveQuery(const TraceEvent& e) {
-    if (!churn_mode_ || e.query < 0) return;
-    auto it = active_.find(Key(e.node, e.query));
-    if (it == active_.end() || !it->second) {
+    if (e.query >= 0 && !Active(e.node, e.query)) {
       FailEvent(e, "query " + std::to_string(e.query) +
                        " charged outside its registration interval");
     }
@@ -509,7 +490,7 @@ class Checker {
         // overlay's per-subtree requirements change without install
         // events, so this is origin-gated).
         if (OriginIs("sim")) {
-          auto it = installed_.find(Key(e.node, e.item));
+          auto it = installed_.find(TraceKey(e.node, e.item));
           if (it == installed_.end()) {
             FailEvent(e, "refresh emitted for an item with no installed "
                          "filter");
@@ -522,7 +503,7 @@ class Checker {
         // Push chain: this emission's reference value is the previous
         // emission's value on the same (node, source, item) edge.
         const int64_t edge =
-            Key(e.node, e.item) * 31 + static_cast<int64_t>(e.source);
+            TraceKey(e.node, e.item) * 31 + static_cast<int64_t>(e.source);
         auto [it2, fresh] = last_emitted_.emplace(edge, e.a);
         if (!fresh) {
           if (it2->second != e.c) {
@@ -535,7 +516,7 @@ class Checker {
         // Fault mode: emissions are sequence-numbered 1, 2, 3, ... per
         // (node, item), and a crashed source emits nothing.
         if (fault_mode_ && e.flag != 0) {
-          auto& last = last_emit_seq_[Key(e.node, e.item)];
+          auto& last = last_emit_seq_[TraceKey(e.node, e.item)];
           if (e.flag != last + 1) {
             FailEvent(e, "refresh seq " + std::to_string(e.flag) +
                              " does not follow the previous seq " +
@@ -543,7 +524,7 @@ class Checker {
           }
           last = e.flag;
           CheckNotCrashed(e);
-          resolutions_[Key(e.node, e.item)].push_back(
+          resolutions_[TraceKey(e.node, e.item)].push_back(
               {e.id, e.time, e.flag, kResEmitted});
         }
         break;
@@ -581,7 +562,7 @@ class Checker {
         }
         if (e.b < 0.0) FailEvent(e, "negative queue wait");
         if (fault_mode_ && e.flag != 0) {
-          const int64_t ikey = Key(e.node, e.item);
+          const int64_t ikey = TraceKey(e.node, e.item);
           auto& delivered = delivered_seq_[ikey];
           if (e.flag <= delivered) {
             FailEvent(e, "seq " + std::to_string(e.flag) +
@@ -594,30 +575,21 @@ class Checker {
               {e.id, e.time, e.flag, kResDelivered});
           FaultContact(e);
         }
-        if (sharded_) {
-          if (churn_mode_) {
-            // An in-flight refresh for an item whose last query departed
-            // drains on lane 0 (the engine's home < 0 fallback).
-            auto it = dyn_item_queries_.find(Key(e.node, e.item));
-            const int32_t home =
-                it == dyn_item_queries_.end() || it->second.empty()
-                    ? 0
-                    : DynLane(e.node, it->second.front());
-            if (e.shard != home) {
-              FailEvent(e, "arrival on lane " + std::to_string(e.shard) +
-                               " but item " + std::to_string(e.item) +
-                               "'s home lane is " + std::to_string(home));
-            }
-          } else {
-            auto it = item_home_.find(Key(e.node, e.item));
-            if (it == item_home_.end()) {
-              FailEvent(e, "arrival for an item no query_info references");
-            } else if (e.shard != it->second) {
-              FailEvent(e, "arrival on lane " + std::to_string(e.shard) +
-                               " but item " + std::to_string(e.item) +
-                               "'s home lane is " +
-                               std::to_string(it->second));
-            }
+        if (sharded_ && index_.ItemOwner(e.node, e.item) < 0) {
+          FailEvent(e, "arrival for an item no query_info references");
+        } else if (sharded_) {
+          // The item's home is its first live query's lane; an in-flight
+          // refresh for an item whose last query departed drains on lane
+          // 0 (the engine's home < 0 fallback).
+          auto it = dyn_item_queries_.find(TraceKey(e.node, e.item));
+          const int32_t home =
+              it == dyn_item_queries_.end() || it->second.empty()
+                  ? 0
+                  : DynLane(e.node, it->second.front());
+          if (e.shard != home) {
+            FailEvent(e, "arrival on lane " + std::to_string(e.shard) +
+                             " but item " + std::to_string(e.item) +
+                             "'s home lane is " + std::to_string(home));
           }
         }
         break;
@@ -722,26 +694,16 @@ class Checker {
         // through a shard barrier emitted after the change that triggered
         // the send (per-item barrier, or the global AAO barrier).
         if (sharded_ && !churn_cause) {
-          bool multi_lane = false;
-          if (churn_mode_) {
-            auto it = dyn_item_queries_.find(Key(e.node, e.item));
-            if (it != dyn_item_queries_.end()) {
-              std::set<int32_t> lanes;
-              for (int32_t q : it->second) {
-                lanes.insert(DynLane(e.node, q));
-              }
-              multi_lane = lanes.size() > 1;
-            }
-          } else {
-            auto lanes = item_lanes_.find(Key(e.node, e.item));
-            multi_lane =
-                lanes != item_lanes_.end() && lanes->second.size() > 1;
+          std::set<int32_t> lanes;
+          auto it = dyn_item_queries_.find(TraceKey(e.node, e.item));
+          if (it != dyn_item_queries_.end()) {
+            for (int32_t q : it->second) lanes.insert(DynLane(e.node, q));
           }
-          if (multi_lane) {
+          if (lanes.size() > 1) {
             uint64_t barrier = 0;
-            auto bit = latest_barrier_.find(Key(e.node, e.item));
+            auto bit = latest_barrier_.find(TraceKey(e.node, e.item));
             if (bit != latest_barrier_.end()) barrier = bit->second;
-            bit = latest_barrier_.find(Key(e.node, -1));
+            bit = latest_barrier_.find(TraceKey(e.node, -1));
             if (bit != latest_barrier_.end()) {
               barrier = std::max(barrier, bit->second);
             }
@@ -778,7 +740,7 @@ class Checker {
             }
           }
         }
-        installed_[Key(e.node, e.item)] = e.a;
+        installed_[TraceKey(e.node, e.item)] = e.a;
         break;
       }
       case TraceEventKind::kAaoSolve:
@@ -791,37 +753,31 @@ class Checker {
         }
         CheckActiveQuery(e);
         CheckQueryLane(e);
-        auto it = query_info_.find(Key(e.node, e.query));
-        if (it == query_info_.end()) {
+        const LiveQuery* q = Find(e.node, e.query);
+        if (q == nullptr) {
           FailEvent(e, "notification for unknown query " +
                            std::to_string(e.query));
         } else {
-          // Churn mode tracks the QAB through query_modify events;
-          // query_info records only the registration-time value.
-          const double qab = churn_mode_ ? dyn_qab_[Key(e.node, e.query)]
-                                         : it->second->qab;
-          if (!(std::fabs(e.a - e.b) > qab)) {
+          if (!(std::fabs(e.a - e.b) > q->qab)) {
             FailEvent(e, "result drift |" + std::to_string(e.a) + " - " +
                              std::to_string(e.b) +
                              "| does not exceed the QAB " +
-                             std::to_string(qab));
+                             std::to_string(q->qab));
           }
         }
         break;
       }
       case TraceEventKind::kFidelityViolation: {
         CheckActiveQuery(e);
-        auto it = query_info_.find(Key(e.node, e.query));
-        if (it == query_info_.end()) {
+        LiveQuery* q = Find(e.node, e.query);
+        if (q == nullptr) {
           FailEvent(e, "fidelity sample for unknown query " +
                            std::to_string(e.query));
         } else {
-          const double qab = churn_mode_ ? dyn_qab_[Key(e.node, e.query)]
-                                         : it->second->qab;
-          if (qab != e.c) {
+          if (q->qab != e.c) {
             FailEvent(e, "recorded QAB " + std::to_string(e.c) +
                              " differs from the query's QAB " +
-                             std::to_string(qab));
+                             std::to_string(q->qab));
           }
         }
         const double limit = e.c * (1.0 + violation_tol());
@@ -839,19 +795,19 @@ class Checker {
         if (fault_mode_) {
           int32_t want_flag = 0;
           uint64_t want_cause = 0;
-          auto dc = degraded_count_.find(Key(e.node, e.query));
+          auto dc = degraded_count_.find(TraceKey(e.node, e.query));
           if (dc != degraded_count_.end() && dc->second > 0) {
             want_flag = 1;
-            auto di = degrade_id_.find(Key(e.node, e.query));
+            auto di = degrade_id_.find(TraceKey(e.node, e.query));
             if (di != degrade_id_.end()) want_cause = di->second;
-          } else if (it != query_info_.end()) {
+          } else if (q != nullptr) {
             // The simulator's blame scan, item for item: an item's source
             // mid-crash, else an outstanding dropped refresh above the
             // delivered seq. First hit wins.
-            for (int32_t item : it->second->items) {
+            for (int32_t item : q->info->items) {
               if (num_sources_ > 0) {
                 auto cs = crash_state_.find(
-                    Key(e.node,
+                    TraceKey(e.node,
                         static_cast<int32_t>(item % num_sources_)));
                 if (cs != crash_state_.end() &&
                     cs->second.first > e.time) {
@@ -860,9 +816,9 @@ class Checker {
                   break;
                 }
               }
-              auto ds = drop_state_.find(Key(e.node, item));
+              auto ds = drop_state_.find(TraceKey(e.node, item));
               if (ds != drop_state_.end()) {
-                auto del = delivered_seq_.find(Key(e.node, item));
+                auto del = delivered_seq_.find(TraceKey(e.node, item));
                 const int64_t delivered =
                     del == delivered_seq_.end() ? 0 : del->second;
                 if (ds->second.first > delivered) {
@@ -882,7 +838,7 @@ class Checker {
                              std::to_string(want_cause));
           }
         }
-        ++fidelity_counts_[Key(e.node, e.query)];
+        if (q != nullptr) ++q->fidelity_violations;
         break;
       }
       case TraceEventKind::kPlannerPlan:
@@ -910,14 +866,11 @@ class Checker {
           FailEvent(e, std::string("barrier caused by ") + Name(c->kind) +
                            ", expected recompute_end or aao_solve");
         }
-        latest_barrier_[Key(e.node, e.item)] = e.id;
+        latest_barrier_[TraceKey(e.node, e.item)] = e.id;
         break;
       }
       case TraceEventKind::kFaultDrop: {
-        if (!fault_mode_) {
-          FailEvent(e, "fault event in a trace without fault_config info");
-          break;
-        }
+        if (!RequireFaultMode(e)) break;
         const int klass = static_cast<int>(e.b);
         if (klass == 0 || klass == 1) {
           // A dropped data copy links back to the emission (or
@@ -932,7 +885,7 @@ class Checker {
               FailEvent(e, "dropped data copy does not match its emission");
             }
           }
-          drop_state_[Key(e.node, e.item)] = {e.flag, e.id};
+          drop_state_[TraceKey(e.node, e.item)] = {e.flag, e.id};
           data_drops_.push_back({e.node, e.item, e.flag, e.time, e.id});
         } else if (klass == 2) {
           const TraceEvent* c = CauseOfKind(e, TraceEventKind::kAck);
@@ -949,10 +902,7 @@ class Checker {
         break;
       }
       case TraceEventKind::kRetransmit: {
-        if (!fault_mode_) {
-          FailEvent(e, "fault event in a trace without fault_config info");
-          break;
-        }
+        if (!RequireFaultMode(e)) break;
         const TraceEvent* c = Cause(e);
         if (c != nullptr) {
           const bool emitted =
@@ -966,15 +916,12 @@ class Checker {
         }
         if (e.b < 1.0) FailEvent(e, "retransmit attempt must be >= 1");
         CheckNotCrashed(e);
-        resolutions_[Key(e.node, e.item)].push_back(
+        resolutions_[TraceKey(e.node, e.item)].push_back(
             {e.id, e.time, e.flag, kResRetransmit});
         break;
       }
       case TraceEventKind::kAck: {
-        if (!fault_mode_) {
-          FailEvent(e, "fault event in a trace without fault_config info");
-          break;
-        }
+        if (!RequireFaultMode(e)) break;
         // No ack without a delivered (or duplicate-suppressed) refresh of
         // exactly this seq.
         const TraceEvent* c = Cause(e);
@@ -993,10 +940,7 @@ class Checker {
         break;
       }
       case TraceEventKind::kDupSuppressed: {
-        if (!fault_mode_) {
-          FailEvent(e, "fault event in a trace without fault_config info");
-          break;
-        }
+        if (!RequireFaultMode(e)) break;
         const TraceEvent* c = Cause(e);
         if (c != nullptr) {
           const bool emitted =
@@ -1007,7 +951,7 @@ class Checker {
             FailEvent(e, "suppressed copy does not match its emission");
           }
         }
-        const int64_t ikey = Key(e.node, e.item);
+        const int64_t ikey = TraceKey(e.node, e.item);
         auto di = delivered_seq_.find(ikey);
         if (di == delivered_seq_.end() || e.flag > di->second) {
           FailEvent(e, "suppressed seq " + std::to_string(e.flag) +
@@ -1022,10 +966,7 @@ class Checker {
         break;
       }
       case TraceEventKind::kHeartbeat: {
-        if (!fault_mode_) {
-          FailEvent(e, "fault event in a trace without fault_config info");
-          break;
-        }
+        if (!RequireFaultMode(e)) break;
         if (e.source < 0) {
           FailEvent(e, "heartbeat without a source");
           break;
@@ -1034,16 +975,13 @@ class Checker {
         break;
       }
       case TraceEventKind::kCrash: {
-        if (!fault_mode_) {
-          FailEvent(e, "fault event in a trace without fault_config info");
-          break;
-        }
+        if (!RequireFaultMode(e)) break;
         if (!(e.a > 0.0)) {
           FailEvent(e, "crash with a non-positive outage duration");
           break;
         }
         auto [it, fresh] = crash_state_.emplace(
-            Key(e.node, e.source),
+            TraceKey(e.node, e.source),
             std::pair<double, uint64_t>{e.time + e.a, e.id});
         if (!fresh) {
           if (it->second.first > e.time) {
@@ -1052,14 +990,11 @@ class Checker {
           }
           it->second = {e.time + e.a, e.id};
         }
-        crash_windows_[Key(e.node, e.source)].push_back({e.time, e.a});
+        crash_windows_[TraceKey(e.node, e.source)].push_back({e.time, e.a});
         break;
       }
       case TraceEventKind::kLeaseExpire: {
-        if (!fault_mode_) {
-          FailEvent(e, "fault event in a trace without fault_config info");
-          break;
-        }
+        if (!RequireFaultMode(e)) break;
         if (num_sources_ > 0 && e.item % num_sources_ != e.source) {
           FailEvent(e, "item " + std::to_string(e.item) +
                            " does not belong to source " +
@@ -1068,7 +1003,7 @@ class Checker {
         // The recorded last-contact time must be the replay's, the lease
         // must genuinely be past its deadline, and the deadline can only
         // widen the base lease (drift allowance is never negative).
-        auto ci = contact_.find(Key(e.node, e.source));
+        auto ci = contact_.find(TraceKey(e.node, e.source));
         const double last_contact =
             ci == contact_.end() ? 0.0 : ci->second.first;
         if (e.a != last_contact) {
@@ -1087,7 +1022,7 @@ class Checker {
                            std::to_string(lease_s_));
         }
         auto [xi, xfresh] =
-            item_expired_.emplace(Key(e.node, e.item), true);
+            item_expired_.emplace(TraceKey(e.node, e.item), true);
         if (!xfresh) {
           if (xi->second) {
             FailEvent(e, "lease expired twice without an intervening "
@@ -1095,21 +1030,18 @@ class Checker {
           }
           xi->second = true;
         }
-        for (int32_t q : item_queries_[Key(e.node, e.item)]) {
-          const int64_t qkey = Key(e.node, q);
+        for (int32_t q : dyn_item_queries_[TraceKey(e.node, e.item)]) {
+          const int64_t qkey = TraceKey(e.node, q);
           if (degraded_count_[qkey]++ == 0) {
             pending_degrade_[e.id].insert(qkey);
           }
         }
-        resolutions_[Key(e.node, e.item)].push_back(
+        resolutions_[TraceKey(e.node, e.item)].push_back(
             {e.id, e.time, 0, kResLease});
         break;
       }
       case TraceEventKind::kDegrade: {
-        if (!fault_mode_) {
-          FailEvent(e, "fault event in a trace without fault_config info");
-          break;
-        }
+        if (!RequireFaultMode(e)) break;
         const TraceEvent* c = CauseOfKind(e, TraceEventKind::kLeaseExpire);
         if (c != nullptr && (c->node != e.node || c->item != e.item)) {
           FailEvent(e, "degrade does not match its lease expiry's "
@@ -1119,7 +1051,7 @@ class Checker {
           FailEvent(e, "degrade flag must be 0 (unboundable) or 1 "
                        "(boundable)");
         }
-        const int64_t qkey = Key(e.node, e.query);
+        const int64_t qkey = TraceKey(e.node, e.query);
         auto pi = pending_degrade_.find(e.cause);
         if (pi == pending_degrade_.end() || pi->second.erase(qkey) == 0) {
           FailEvent(e, "degrade without a matching 0 -> 1 expired-item "
@@ -1130,10 +1062,7 @@ class Checker {
         break;
       }
       case TraceEventKind::kRecover: {
-        if (!fault_mode_) {
-          FailEvent(e, "fault event in a trace without fault_config info");
-          break;
-        }
+        if (!RequireFaultMode(e)) break;
         const TraceEvent* c = Cause(e);
         if (c != nullptr && c->kind != TraceEventKind::kRefreshArrived &&
             c->kind != TraceEventKind::kDupSuppressed &&
@@ -1141,7 +1070,7 @@ class Checker {
           FailEvent(e, std::string("recover caused by ") + Name(c->kind) +
                            ", expected a coordinator contact");
         }
-        const int64_t qkey = Key(e.node, e.query);
+        const int64_t qkey = TraceKey(e.node, e.query);
         auto pi = pending_recover_.find(e.cause);
         if (pi == pending_recover_.end() || pi->second.erase(qkey) == 0) {
           FailEvent(e, "recover without a matching -> 0 expired-item "
@@ -1150,42 +1079,31 @@ class Checker {
         break;
       }
       case TraceEventKind::kLaneStall: {
-        if (!fault_mode_) {
-          FailEvent(e, "fault event in a trace without fault_config info");
-          break;
-        }
+        if (!RequireFaultMode(e)) break;
         if (!(e.a > 0.0)) {
           FailEvent(e, "lane stall with a non-positive duration");
         }
         break;
       }
       case TraceEventKind::kQueryRegister: {
-        const int64_t k = Key(e.node, e.query);
-        auto qit = query_info_.find(k);
-        if (qit == query_info_.end()) {
+        const LiveQuery* q = Find(e.node, e.query);
+        if (q == nullptr) {
           FailEvent(e, "registration without a query_info record");
           break;
         }
-        if (e.a != qit->second->qab) {
+        const TraceQueryInfo& info = *q->info;
+        if (e.a != info.qab) {
           FailEvent(e, "recorded QAB " + std::to_string(e.a) +
                            " differs from query_info's " +
-                           std::to_string(qit->second->qab));
+                           std::to_string(info.qab));
         }
         if (e.flag < 0) FailEvent(e, "negative degrade-attempt count");
-        auto ait = active_.find(k);
-        if (ait != active_.end() && ait->second) {
+        if (q->active) {
           FailEvent(e, "query " + std::to_string(e.query) +
                            " is already registered");
           break;
         }
-        active_[k] = true;
-        dyn_qab_[k] = qit->second->qab;
-        reg_tick_[k] = static_cast<int64_t>(e.time);
-        active_order_[e.node].push_back(qit->second);
-        for (int32_t item : qit->second->items) {
-          dyn_item_queries_[Key(e.node, item)].push_back(e.query);
-        }
-        partition_dirty_.insert(e.node);
+        Register(info, static_cast<int64_t>(e.time));
         if (sharded_) {
           // The stamped lane is the query's slot in the engine's
           // incrementally-patched partition; the from-scratch rebuild
@@ -1196,9 +1114,8 @@ class Checker {
                              " but the rebuilt partition assigns lane " +
                              std::to_string(lane));
           }
-          if (qit->second->shard != e.shard) {
-            FailEvent(e, "query_info lane " +
-                             std::to_string(qit->second->shard) +
+          if (info.shard != e.shard) {
+            FailEvent(e, "query_info lane " + std::to_string(info.shard) +
                              " differs from the registration lane " +
                              std::to_string(e.shard));
           }
@@ -1206,31 +1123,29 @@ class Checker {
         break;
       }
       case TraceEventKind::kQueryModify: {
-        const int64_t k = Key(e.node, e.query);
-        auto ait = active_.find(k);
-        if (ait == active_.end() || !ait->second) {
+        LiveQuery* q = Find(e.node, e.query);
+        if (q == nullptr || !q->active) {
           FailEvent(e, "modify of a query that is not registered");
           break;
         }
-        if (e.b != dyn_qab_[k]) {
+        if (e.b != q->qab) {
           FailEvent(e, "recorded old QAB " + std::to_string(e.b) +
                            " differs from the replayed current QAB " +
-                           std::to_string(dyn_qab_[k]));
+                           std::to_string(q->qab));
         }
-        dyn_qab_[k] = e.a;
+        q->qab = e.a;
         CheckQueryLane(e);
         break;
       }
       case TraceEventKind::kQueryDeregister: {
-        const int64_t k = Key(e.node, e.query);
-        auto ait = active_.find(k);
-        if (ait == active_.end() || !ait->second) {
+        LiveQuery* q = Find(e.node, e.query);
+        if (q == nullptr || !q->active) {
           FailEvent(e, "deregister of a query that is not registered");
           break;
         }
         CheckQueryLane(e);  // stamped with the pre-removal lane
-        ait->second = false;
-        dereg_tick_[k] = static_cast<int64_t>(e.time);
+        q->active = false;
+        q->dereg_tick = static_cast<int64_t>(e.time);
         auto& order = active_order_[e.node];
         auto oit = std::find_if(order.begin(), order.end(),
                                 [&e](const TraceQueryInfo* q) {
@@ -1238,7 +1153,7 @@ class Checker {
                                 });
         if (oit != order.end()) {
           for (int32_t item : (*oit)->items) {
-            auto& qs = dyn_item_queries_[Key(e.node, item)];
+            auto& qs = dyn_item_queries_[TraceKey(e.node, item)];
             qs.erase(std::remove(qs.begin(), qs.end(), e.query), qs.end());
           }
           order.erase(oit);
@@ -1247,8 +1162,7 @@ class Checker {
         break;
       }
       case TraceEventKind::kAdmissionReject: {
-        auto ait = active_.find(Key(e.node, e.query));
-        if (ait != active_.end() && ait->second) {
+        if (Active(e.node, e.query)) {
           FailEvent(e, "rejected query id " + std::to_string(e.query) +
                            " is currently registered");
         }
@@ -1291,9 +1205,9 @@ class Checker {
                   });
         uint32_t digest = kFnv1a32Seed;
         for (const TraceQueryInfo* q : sorted) {
-          const int64_t k = Key(e.node, q->query);
+          const int64_t k = TraceKey(e.node, q->query);
           digest = HashPlanRecord(digest, q->query, dyn_shard_[k],
-                                  dyn_comp_min_[k], dyn_qab_[k]);
+                                  dyn_comp_min_[k], live_[k].qab);
         }
         if (e.flag != static_cast<int32_t>(digest)) {
           FailEvent(e, "plan digest " + std::to_string(e.flag) +
@@ -1410,23 +1324,19 @@ class Checker {
   }
 
   const TraceFile& trace_;
+  const TraceIndex& index_;
   const TraceCheckOptions& options_;
   TraceCheckReport* report_;
 
   std::map<std::string, std::string>::const_iterator origin_it_;
   std::map<std::string, std::string>::const_iterator method_it_;
-  std::unordered_map<uint64_t, const TraceEvent*> by_id_;
   double violation_tol_ = 0.0;
-  std::map<int64_t, const TraceQueryInfo*> query_info_;
 
   std::map<int32_t, double> last_time_;        // node -> last event time
   std::map<int64_t, double> installed_;        // (node,item) -> width
   std::map<int64_t, double> last_emitted_;     // push-chain edge -> value
   std::map<uint64_t, int> ends_of_start_;      // start id -> #ends
-  std::map<int64_t, int64_t> fidelity_counts_; // (node,query) -> samples
   bool sharded_ = false;
-  std::map<int64_t, int32_t> item_home_;          // (node,item) -> home lane
-  std::map<int64_t, std::set<int32_t>> item_lanes_;
   std::map<int64_t, double> last_time_shard_;     // (node,lane) -> time
   std::map<int64_t, uint64_t> latest_barrier_;    // (node,item) -> barrier id
   int64_t planner_events_ = 0;
@@ -1479,7 +1389,6 @@ class Checker {
   std::map<uint64_t, std::set<int64_t>> pending_degrade_;
   /// contact event id -> (node,query) keys whose recover event is still owed.
   std::map<uint64_t, std::set<int64_t>> pending_recover_;
-  std::map<int64_t, std::vector<int32_t>> item_queries_;  // (node,item)
   std::map<int64_t, std::set<int32_t>> source_items_;     // (node,source)
   /// (node,query) -> (time, state 1=degraded/0=recovered) transitions, in
   /// event order. Exposed through DegradeDeltas for the
@@ -1488,18 +1397,14 @@ class Checker {
   std::vector<DataDrop> data_drops_;
   std::map<int64_t, std::vector<Resolution>> resolutions_;  // (node,item)
 
-  // --- Service-churn replay state (docs/SERVICE.md) ---
-  bool churn_mode_ = false;
   bool series_mode_ = false;   // info series_window_s present
   size_t slo_rule_count_ = 0;  // parsed from info slo_rules
   std::string slo_rules_error_;
+
+  // --- The live query set (docs/SERVICE.md) ---
   int coord_shards_count_ = 1;
   bool policy_component_ = true;
-  std::set<int64_t> churn_reg_keys_;   // (node,query) registered mid-run
-  std::map<int64_t, bool> active_;     // (node,query) -> registered now
-  std::map<int64_t, double> dyn_qab_;  // (node,query) -> current QAB
-  std::map<int64_t, int64_t> reg_tick_;    // (node,query) -> registered at
-  std::map<int64_t, int64_t> dereg_tick_;  // (node,query) -> departed at
+  std::map<int64_t, LiveQuery> live_;  // (node,query)
   /// node -> active query_info records in registration order (the
   /// engine's slot order with dead slots compacted out).
   std::map<int32_t, std::vector<const TraceQueryInfo*>> active_order_;
@@ -1523,25 +1428,20 @@ TraceDerivedStats Derive(const TraceFile& trace, const TraceRunSummary& s,
   if (s.ticks >= 2 && s.queries > 0) {
     double loss_sum = 0.0;
     for (const TraceQueryInfo& q : trace.queries) {
+      const Checker::LiveQuery& live = checker.Live(q);
       // k stride-sized increments of an integer-valued double are exact,
       // so the product reproduces the simulator's accumulated sum.
       const double violated_time =
-          static_cast<double>(checker.FidelityViolations(q.node, q.query) *
-                              s.fidelity_stride);
-      if (checker.churn_mode()) {
-        // Churn runs denominate each query over its own registration
-        // interval, exactly as the engine does.
-        const int64_t first =
-            std::max<int64_t>(checker.RegTick(q.node, q.query), 1);
-        const int64_t last = std::min<int64_t>(
-            checker.DeregTick(q.node, q.query) - 1, s.ticks - 1);
-        const int64_t denom = last - first + 1;
-        if (denom <= 0) continue;
-        loss_sum += 100.0 * violated_time / static_cast<double>(denom);
-      } else {
-        loss_sum +=
-            100.0 * violated_time / static_cast<double>(s.ticks - 1);
-      }
+          static_cast<double>(live.fidelity_violations * s.fidelity_stride);
+      // Each query is denominated over its own registration interval,
+      // exactly as the engine does: ticks 1 .. ticks - 1 for a query live
+      // from the start to the end.
+      const int64_t first = std::max<int64_t>(live.reg_tick, 1);
+      const int64_t last =
+          std::min<int64_t>(live.dereg_tick - 1, s.ticks - 1);
+      const int64_t denom = last - first + 1;
+      if (denom <= 0) continue;
+      loss_sum += 100.0 * violated_time / static_cast<double>(denom);
     }
     d.mean_fidelity_loss_pct = loss_sum / static_cast<double>(s.queries);
   }
@@ -1577,11 +1477,8 @@ void DiffSummary(const TraceRunSummary& s, const TraceDerivedStats& d,
                  TraceCheckReport* report,
                  const TraceCheckOptions& options) {
   auto fail = [&](const std::string& what) {
-    ++report->failure_count;
-    if (report->failures.size() < options.max_failures) {
-      report->failures.push_back("run_summary (node " +
-                                 std::to_string(s.node) + "): " + what);
-    }
+    AddFailure(report, options,
+               "run_summary (node " + std::to_string(s.node) + "): " + what);
   };
   const std::vector<SummaryCounter> replayed = SummaryCounters(d);
   const std::vector<SummaryCounter> recorded = SummaryCounters(s);
@@ -1604,10 +1501,7 @@ void DiffRunReport(const TraceFile& trace, const TraceDerivedStats& derived,
   const std::string prefix = relay ? "net.relay." : "sim.coordinator.";
 
   auto fail = [&](const std::string& what) {
-    ++report->failure_count;
-    if (report->failures.size() < options.max_failures) {
-      report->failures.push_back("run report: " + what);
-    }
+    AddFailure(report, options, "run report: " + what);
   };
   auto diff_counter = [&](const std::string& metric, int64_t derived_value) {
     const RunReport::Entry* e = rr.Find(metric);
@@ -1661,10 +1555,7 @@ void DiffRunReport(const TraceFile& trace, const TraceDerivedStats& derived,
 void CheckSeries(const TraceFile& trace, const TraceCheckOptions& options,
                  const Checker& checker, TraceCheckReport* report) {
   auto fail = [&](const std::string& what) {
-    ++report->failure_count;
-    if (report->failures.size() < options.max_failures) {
-      report->failures.push_back("series: " + what);
-    }
+    AddFailure(report, options, "series: " + what);
   };
   Result<SeriesFile> folded = FoldTraceSeries(trace);
   if (!folded.ok()) {
@@ -1675,7 +1566,7 @@ void CheckSeries(const TraceFile& trace, const TraceCheckOptions& options,
     return;
   }
   const SeriesFile& derived = *folded;
-  const TraceRunSummary& s = trace.summaries[0];
+  const TraceRunSummary& s = *trace.summary;
 
   // Every recorded alert event must match the replay's transition list
   // element-wise — same order, same rule, same window end, same observed
@@ -1801,103 +1692,7 @@ void CheckSeries(const TraceFile& trace, const TraceCheckOptions& options,
   }
 }
 
-std::vector<TraceQueryCost> Attribute(const TraceFile& trace, double mu,
-                                      const Checker& /*checker*/) {
-  std::vector<TraceQueryCost> out;
-  out.reserve(trace.queries.size());
-  auto by_id = [&trace] {
-    std::unordered_map<uint64_t, const TraceEvent*> m;
-    m.reserve(trace.events.size());
-    for (const TraceEvent& e : trace.events) m.emplace(e.id, &e);
-    return m;
-  }();
-  // Root-cause chain of one recomputation: recompute_start -> violation
-  // (dual-DAB) -> arrival -> item, or recompute_start -> arrival -> item
-  // (single-DAB). AAO-caused recomputations have no root item.
-  auto root_item = [&by_id](const TraceEvent& start) -> int32_t {
-    auto it = by_id.find(start.cause);
-    if (it == by_id.end()) return -1;
-    const TraceEvent* c = it->second;
-    if (c->kind == TraceEventKind::kSecondaryViolation) {
-      auto it2 = by_id.find(c->cause);
-      if (it2 == by_id.end()) return c->item;
-      c = it2->second;
-    }
-    return c->kind == TraceEventKind::kRefreshArrived ? c->item : -1;
-  };
-
-  for (const TraceQueryInfo& qinfo : trace.queries) {
-    TraceQueryCost qc;
-    qc.query = qinfo.query;
-    qc.node = qinfo.node;
-    const std::set<int32_t> items(qinfo.items.begin(), qinfo.items.end());
-    std::map<int32_t, int64_t> roots;
-    for (const TraceEvent& e : trace.events) {
-      if (e.kind == TraceEventKind::kRefreshArrived &&
-          e.node == qinfo.node && items.count(e.item) != 0) {
-        ++qc.refreshes;
-      } else if (e.kind == TraceEventKind::kRecomputeStart &&
-                 e.node == qinfo.node && e.query == qinfo.query) {
-        ++qc.recomputations;
-        const int32_t item = root_item(e);
-        if (item >= 0) ++roots[item];
-      }
-    }
-    qc.cost = static_cast<double>(qc.refreshes) +
-              mu * static_cast<double>(qc.recomputations);
-    qc.root_items.assign(roots.begin(), roots.end());
-    std::sort(qc.root_items.begin(), qc.root_items.end(),
-              [](const auto& x, const auto& y) {
-                return x.second != y.second ? x.second > y.second
-                                            : x.first < y.first;
-              });
-    out.push_back(std::move(qc));
-  }
-  return out;
-}
-
 }  // namespace
-
-double ResolveTraceMu(const TraceFile& trace, double mu_option) {
-  if (mu_option >= 0.0) return mu_option;
-  auto it = trace.info.find("mu");
-  if (it != trace.info.end()) {
-    char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end != it->second.c_str() && v >= 0.0) return v;
-  }
-  return 5.0;  // the paper's default recomputation cost (core::kDefaultMu)
-}
-
-void AccumulateDerivedStats(const TraceEvent& e, TraceDerivedStats* d) {
-  switch (e.kind) {
-    case TraceEventKind::kRefreshArrived: ++d->refreshes; break;
-    case TraceEventKind::kRecomputeStart: ++d->recomputations; break;
-    case TraceEventKind::kDabChangeSent: ++d->dab_change_messages; break;
-    case TraceEventKind::kUserNotification: ++d->user_notifications; break;
-    case TraceEventKind::kRecomputeEnd:
-      if (e.flag == 0) ++d->solver_failures;
-      break;
-    case TraceEventKind::kAaoSolve:
-      if (e.flag == 0) ++d->solver_failures;
-      break;
-    case TraceEventKind::kFaultDrop: ++d->fault_drops; break;
-    case TraceEventKind::kRetransmit: ++d->retransmits; break;
-    case TraceEventKind::kDupSuppressed:
-      ++d->duplicates_suppressed;
-      break;
-    case TraceEventKind::kLeaseExpire: ++d->lease_expiries; break;
-    default: break;
-  }
-}
-
-TraceDerivedStats DeriveTotalStats(const TraceFile& trace) {
-  TraceDerivedStats total;
-  for (const TraceEvent& e : trace.events) {
-    AccumulateDerivedStats(e, &total);
-  }
-  return total;
-}
 
 std::string TraceCheckReport::ToText(const TraceFile& trace) const {
   std::string out;
@@ -1906,16 +1701,16 @@ std::string TraceCheckReport::ToText(const TraceFile& trace) const {
                 "trace-check: %s  (%" PRId64 " events, %zu queries, %zu "
                 "run summaries, %" PRId64 " invariant failures)\n",
                 ok() ? "OK" : "FAILED", events, trace.queries.size(),
-                trace.summaries.size(), failure_count);
+                trace.summary ? size_t{1} : size_t{0}, failure_count);
   out += buf;
-  if (!trace.summaries.empty()) {
+  if (trace.summary) {
     const TraceDerivedStats& d = derived;
     std::snprintf(buf, sizeof(buf),
                   "node %d: refreshes=%" PRId64 " recomputations=%" PRId64
                   " dab_changes=%" PRId64 " notifications=%" PRId64
                   " solver_failures=%" PRId64
                   " fidelity_loss=%.4f%% cost=%.0f\n",
-                  trace.summaries[0].node, d.refreshes, d.recomputations,
+                  trace.summary->node, d.refreshes, d.recomputations,
                   d.dab_change_messages, d.user_notifications,
                   d.solver_failures, d.mean_fidelity_loss_pct,
                   static_cast<double>(d.refreshes) +
@@ -1930,7 +1725,7 @@ std::string TraceCheckReport::ToText(const TraceFile& trace) const {
                     "node %d faults: drops=%" PRId64 " retransmits=%" PRId64
                     " dups_suppressed=%" PRId64 " lease_expiries=%" PRId64
                     " degraded_query_seconds=%.0f\n",
-                    trace.summaries[0].node, d.fault_drops, d.retransmits,
+                    trace.summary->node, d.fault_drops, d.retransmits,
                     d.duplicates_suppressed, d.lease_expiries,
                     d.degraded_query_seconds);
       out += buf;
@@ -1940,12 +1735,11 @@ std::string TraceCheckReport::ToText(const TraceFile& trace) const {
     std::snprintf(buf, sizeof(buf),
                   "per-query cost attribution (mu=%g):\n", mu);
     out += buf;
-    for (const TraceQueryCost& q : queries) {
+    for (const FoldAttributionRow& q : queries) {
       std::snprintf(buf, sizeof(buf),
-                    "  query %-4d node %-3d refreshes=%-6" PRId64
+                    "  query %-4d refreshes=%-6" PRId64
                     " recomputations=%-5" PRId64 " cost=%-8.0f root items:",
-                    q.query, q.node, q.refreshes, q.recomputations,
-                    q.cost);
+                    q.key, q.refreshes, q.recomputations, q.cost);
       out += buf;
       size_t shown = 0;
       for (const auto& [item, count] : q.root_items) {
@@ -1970,7 +1764,7 @@ std::string TraceCheckReport::ToText(const TraceFile& trace) const {
 
 Result<TraceCheckReport> CheckTrace(const TraceFile& trace,
                                     const TraceCheckOptions& options) {
-  if (trace.summaries.empty()) {
+  if (!trace.summary) {
     return Status::InvalidArgument(
         "trace has no run_summary records (truncated run?)");
   }
@@ -1978,22 +1772,20 @@ Result<TraceCheckReport> CheckTrace(const TraceFile& trace,
   report.events = static_cast<int64_t>(trace.events.size());
   report.mu = ResolveTraceMu(trace, options.mu);
 
-  Checker checker(trace, options, &report);
+  const TraceIndex index(trace);
+  Checker checker(trace, index, options, &report);
   checker.Run();
 
-  const TraceRunSummary& s = trace.summaries[0];
+  const TraceRunSummary& s = *trace.summary;
   report.derived = Derive(trace, s, checker);
   // The summary's query count must cover exactly the query_info records,
   // or the fidelity re-derivation is meaningless.
   const auto queries = static_cast<int64_t>(trace.queries.size());
   if (queries != s.queries) {
-    ++report.failure_count;
-    if (report.failures.size() < options.max_failures) {
-      report.failures.push_back(
-          "run_summary (node " + std::to_string(s.node) + "): claims " +
-          std::to_string(s.queries) + " queries but the trace has " +
-          std::to_string(queries) + " query_info records");
-    }
+    AddFailure(&report, options,
+               "run_summary (node " + std::to_string(s.node) + "): claims " +
+                   std::to_string(s.queries) + " queries but the trace has " +
+                   std::to_string(queries) + " query_info records");
   }
   DiffSummary(s, report.derived, &report, options);
   if (options.report != nullptr) {
@@ -2002,14 +1794,11 @@ Result<TraceCheckReport> CheckTrace(const TraceFile& trace,
   if (trace.info.find("series_window_s") != trace.info.end()) {
     CheckSeries(trace, options, checker, &report);
   } else if (options.series != nullptr) {
-    ++report.failure_count;
-    if (report.failures.size() < options.max_failures) {
-      report.failures.push_back(
-          "series: a series file was provided but the trace carries no "
-          "series_window_s info key");
-    }
+    AddFailure(&report, options,
+               "series: a series file was provided but the trace carries "
+               "no series_window_s info key");
   }
-  report.queries = Attribute(trace, report.mu, checker);
+  report.queries = FoldTrace(trace, index, {.mu = report.mu}).by_query;
   return report;
 }
 

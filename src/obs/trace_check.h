@@ -2,14 +2,13 @@
 #define POLYDAB_OBS_TRACE_CHECK_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
+#include "obs/trace_fold.h"
 
 /// \file trace_check.h
 /// Offline replay verification of a causal event trace (trace.h). Given a
@@ -25,19 +24,22 @@
 ///      values really lie outside the recorded secondary range; DAB
 ///      changes install only after they were sent; every refresh emission
 ///      really escaped the filter width installed at that moment;
-///  (c) attributes cost per query: refreshes on the query's items plus
-///      mu * its recomputations, with recomputations traced through the
-///      cause chain (recompute -> violation -> arrival -> item) to the
-///      root-cause items;
+///  (c) attributes cost per query through the flamegraph fold's one
+///      cause-chain pass (trace_fold.h): each message is charged to
+///      exactly one query — a refresh to the first query_info reading its
+///      item — so the per-query rows sum to the run totals, and each
+///      recomputation is traced (recompute -> violation -> arrival ->
+///      item) to its root-cause item;
 ///  (d) for sharded-coordinator traces (a `coord_shards` info key): each
 ///      lane's event stream is time-monotonic on its own; every
 ///      query-attributed event carries the lane its query is pinned to
-///      (from the query_info partition) and every arrival the item's home
-///      lane; a recompute ends on the lane it started; and a DAB change
-///      for an item whose queries span several lanes — a cross-lane EQI
-///      merge — only ships after a shard_barrier event later than the
-///      change that triggered it. Serial traces carry no lane stamps and
-///      skip these checks;
+///      and every arrival the item's home lane, both re-derived from the
+///      live query set (the query_info and query_register lane stamps
+///      must equal that partition); a recompute ends on the lane it
+///      started; and a DAB change for an item whose queries span several
+///      lanes — a cross-lane EQI merge — only ships after a shard_barrier
+///      event later than the change that triggered it. Serial traces
+///      carry no lane stamps and skip these checks;
 ///  (e) for fault-mode traces (a `fault_config` info key,
 ///      docs/ROBUSTNESS.md): sequence numbers increase strictly per item;
 ///      no ack without a delivered (or duplicate-suppressed) refresh of
@@ -93,87 +95,6 @@ struct TraceCheckOptions {
   size_t max_failures = 64;
 };
 
-/// SimMetrics re-derived from raw events and the run summary's shape.
-struct TraceDerivedStats {
-  int64_t refreshes = 0;
-  int64_t recomputations = 0;
-  int64_t dab_change_messages = 0;
-  int64_t user_notifications = 0;
-  int64_t solver_failures = 0;
-  double mean_fidelity_loss_pct = 0.0;
-  // Fault-mode counters (docs/ROBUSTNESS.md); all zero for fault-free
-  // traces. degraded_query_seconds is re-derived from the degrade /
-  // recover state machine sampled at the run's fidelity stride, exactly
-  // as the simulator accumulated it.
-  int64_t fault_drops = 0;
-  int64_t retransmits = 0;
-  int64_t duplicates_suppressed = 0;
-  int64_t lease_expiries = 0;
-  double degraded_query_seconds = 0.0;
-};
-
-/// Recomputation price shared by the checker and the folder
-/// (trace_fold.h): an explicit non-negative \p mu_option wins, else the
-/// trace's `mu` info key, else the paper's default of 5.
-double ResolveTraceMu(const TraceFile& trace, double mu_option);
-
-/// Accumulate one event's contribution to the re-derived message counts
-/// (the kind -> SimMetrics-field mapping the replay uses everywhere).
-/// Shared with the flamegraph folder (trace_fold.h), whose conservation
-/// check must compare against exactly the totals this checker re-derives.
-void AccumulateDerivedStats(const TraceEvent& e, TraceDerivedStats* d);
-
-/// Message totals re-derived from the raw events across every node of the
-/// trace. mean_fidelity_loss_pct stays 0 — it needs the run summary's
-/// shape, and is not a message class.
-TraceDerivedStats DeriveTotalStats(const TraceFile& trace);
-
-/// One run-summary total, as the replay diffs compare and print it.
-struct SummaryCounter {
-  const char* key;
-  bool integral;  ///< an int64 count (else the double `value`)
-  int64_t count;
-  double value;
-
-  bool Differs(const SummaryCounter& o) const {
-    return count != o.count || value != o.value;
-  }
-  std::string Text() const {
-    return integral ? std::to_string(count) : std::to_string(value);
-  }
-};
-
-/// TraceRunSummary::Counters walked over \p s — a TraceRunSummary or a
-/// TraceDerivedStats, which holds the same members — in wire order.
-template <class S>
-std::vector<SummaryCounter> SummaryCounters(const S& s) {
-  std::vector<SummaryCounter> out;
-  auto collect = [&out](const char* key, const auto& field) {
-    const auto& m = Member(field);
-    if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(m)>>) {
-      out.push_back({key, true, m, 0.0});
-    } else {
-      out.push_back({key, false, 0, m});
-    }
-  };
-  TraceRunSummary::Counters(s, collect);
-  return out;
-}
-
-/// Per-query cost attribution.
-struct TraceQueryCost {
-  int32_t query = -1;
-  int32_t node = -1;
-  int64_t refreshes = 0;       ///< arrivals of the query's items at its node
-  int64_t recomputations = 0;  ///< recompute starts for this query
-  double cost = 0.0;           ///< refreshes + mu * recomputations
-  /// Root-cause attribution: item -> number of this query's
-  /// recomputations whose cause chain ends at a refresh of that item
-  /// (AAO-caused recomputations have no root item). Sorted by count,
-  /// descending.
-  std::vector<std::pair<int32_t, int64_t>> root_items;
-};
-
 struct TraceCheckReport {
   /// Human-readable invariant violations, at most
   /// TraceCheckOptions::max_failures of them.
@@ -184,7 +105,9 @@ struct TraceCheckReport {
   /// The run's stats, re-derived from the events and query_info records
   /// that the trace's one run summary covers.
   TraceDerivedStats derived;
-  std::vector<TraceQueryCost> queries;
+  /// Per-query cost attribution: FoldTrace's by_query table, in key
+  /// order (-1: messages no query owns).
+  std::vector<FoldAttributionRow> queries;
 
   bool ok() const { return failure_count == 0; }
   /// Multi-line rendering: verdict, the summary's replay diff, failures,

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
-#include <unordered_map>
 
 #include "obs/json_util.h"
 
@@ -18,12 +18,6 @@ constexpr NameOf<FoldGroupBy> kGroupByNames[] = {
     {FoldGroupBy::kItem, "item"},
     {FoldGroupBy::kLane, "lane"}};
 
-/// (node, id) composite key, as in trace_check.cc.
-int64_t Key(int32_t node, int32_t other) {
-  return (static_cast<int64_t>(node) << 32) |
-         static_cast<int64_t>(static_cast<uint32_t>(other));
-}
-
 /// The cause-chain frames beneath the identity frames, plus the root-cause
 /// item the chain resolves to (-1: none, e.g. AAO).
 struct Chain {
@@ -35,19 +29,10 @@ struct Chain {
 /// event contributes to exactly one stack and one row of each table.
 class Folder {
  public:
-  Folder(const TraceFile& trace, double mu, FoldGroupBy group_by)
-      : trace_(trace), mu_(mu), group_by_(group_by) {
+  Folder(const TraceFile& trace, const TraceIndex& index, double mu,
+         FoldGroupBy group_by)
+      : trace_(trace), index_(index), mu_(mu), group_by_(group_by) {
     sharded_ = trace.info.find("coord_shards") != trace.info.end();
-    by_id_.reserve(trace.events.size());
-    for (const TraceEvent& e : trace.events) by_id_.emplace(e.id, &e);
-    // A refresh arrival has no query of its own; it is owned by the first
-    // query_info referencing its item — the same first-wins rule
-    // trace_check uses for item home lanes.
-    for (const TraceQueryInfo& q : trace.queries) {
-      for (int32_t item : q.items) {
-        item_owner_.emplace(Key(q.node, item), q.query);
-      }
-    }
   }
 
   void Run() {
@@ -71,6 +56,14 @@ class Folder {
       return out;
     };
     report.by_query = rows(by_query_);
+    for (FoldAttributionRow& row : report.by_query) {
+      const std::map<int32_t, int64_t>& roots = root_items_[row.key];
+      row.root_items.assign(roots.begin(), roots.end());
+      std::stable_sort(row.root_items.begin(), row.root_items.end(),
+                       [](const auto& x, const auto& y) {
+                         return x.second > y.second;
+                       });
+    }
     report.by_item = rows(by_item_);
     report.by_lane = rows(by_lane_);
     report.attributed = attributed_;
@@ -80,14 +73,9 @@ class Folder {
   }
 
  private:
-  const TraceEvent* Lookup(uint64_t id) const {
-    auto it = by_id_.find(id);
-    return it == by_id_.end() ? nullptr : it->second;
-  }
-
   /// Chain of a recompute_start, walked through its recorded cause.
   Chain StartChain(const TraceEvent& start) const {
-    const TraceEvent* c = Lookup(start.cause);
+    const TraceEvent* c = index_.Event(start.cause);
     if (c == nullptr) return {{"recompute"}, start.item};
     switch (c->kind) {
       case TraceEventKind::kSecondaryViolation:
@@ -105,13 +93,13 @@ class Folder {
   /// sends, shard barriers): the producing recompute's chain plus \p leaf.
   Chain ProducerChain(const TraceEvent& e, const char* leaf,
                       int32_t* producer_query) const {
-    const TraceEvent* c = Lookup(e.cause);
+    const TraceEvent* c = index_.Event(e.cause);
     if (c != nullptr && c->kind == TraceEventKind::kAaoSolve) {
       return {{"aao", leaf}, -1};
     }
     if (c != nullptr && c->kind == TraceEventKind::kRecomputeEnd) {
       if (producer_query != nullptr) *producer_query = c->query;
-      const TraceEvent* start = Lookup(c->cause);
+      const TraceEvent* start = index_.Event(c->cause);
       Chain chain = start != nullptr ? StartChain(*start)
                                      : Chain{{"recompute"}, c->item};
       chain.frames.push_back(leaf);
@@ -123,9 +111,7 @@ class Folder {
   void Fold(const TraceEvent& e) {
     switch (e.kind) {
       case TraceEventKind::kRefreshArrived: {
-        auto it = item_owner_.find(Key(e.node, e.item));
-        const int32_t query = it == item_owner_.end() ? -1 : it->second;
-        Add(query, /*global=*/false, e.item, e.shard,
+        Add(OwnerOf(e), /*global=*/false, e.item, e.shard,
             {{"refresh"}, e.item}, 1.0, &FoldAttributionRow::refreshes);
         ++attributed_.refreshes;
         break;
@@ -134,6 +120,9 @@ class Folder {
         Chain chain = StartChain(e);
         Add(e.query, /*global=*/false, chain.item, e.shard, chain, mu_,
             &FoldAttributionRow::recomputations);
+        if (chain.item >= 0) {
+          ++root_items_[e.query < 0 ? -1 : e.query][chain.item];
+        }
         ++attributed_.recomputations;
         break;
       }
@@ -216,8 +205,7 @@ class Folder {
 
   /// Owning query of an event's item (first query_info referencing it).
   int32_t OwnerOf(const TraceEvent& e) const {
-    auto it = item_owner_.find(Key(e.node, e.item));
-    return it == item_owner_.end() ? -1 : it->second;
+    return index_.ItemOwner(e.node, e.item);
   }
 
   /// Record one message: one stack (identity frames per group_by, then the
@@ -292,21 +280,23 @@ class Folder {
       }
     };
     diff(SummaryCounters(DeriveTotalStats(trace_)), "the replay");
-    if (trace_.summaries.empty()) return;
-    diff(SummaryCounters(trace_.summaries[0]), "the run_summary");
+    if (trace_.summary) {
+      diff(SummaryCounters(*trace_.summary), "the run_summary");
+    }
   }
 
   const TraceFile& trace_;
+  const TraceIndex& index_;
   const double mu_;
   const FoldGroupBy group_by_;
   bool sharded_ = false;
-  std::unordered_map<uint64_t, const TraceEvent*> by_id_;
-  std::map<int64_t, int32_t> item_owner_;  // (node,item) -> first query
 
   std::map<std::string, FoldedStack> stacks_;  // frames -> stack (sorted)
   std::map<int32_t, FoldAttributionRow> by_query_;
   std::map<int32_t, FoldAttributionRow> by_item_;
   std::map<int32_t, FoldAttributionRow> by_lane_;
+  /// query (-1: none) -> root item -> recomputations rooted there.
+  std::map<int32_t, std::map<int32_t, int64_t>> root_items_;
   TraceDerivedStats attributed_;
   int64_t barrier_events_ = 0;
 };
@@ -339,6 +329,67 @@ std::vector<const FoldAttributionRow*> TopByCost(
 }
 
 }  // namespace
+
+double ResolveTraceMu(const TraceFile& trace, double mu_option) {
+  if (mu_option >= 0.0) return mu_option;
+  auto it = trace.info.find("mu");
+  if (it != trace.info.end()) {
+    char* end = nullptr;
+    const double v = std::strtod(it->second.c_str(), &end);
+    if (end != it->second.c_str() && v >= 0.0) return v;
+  }
+  return 5.0;  // the paper's default recomputation cost (core::kDefaultMu)
+}
+
+void AccumulateDerivedStats(const TraceEvent& e, TraceDerivedStats* d) {
+  switch (e.kind) {
+    case TraceEventKind::kRefreshArrived: ++d->refreshes; break;
+    case TraceEventKind::kRecomputeStart: ++d->recomputations; break;
+    case TraceEventKind::kDabChangeSent: ++d->dab_change_messages; break;
+    case TraceEventKind::kUserNotification: ++d->user_notifications; break;
+    case TraceEventKind::kRecomputeEnd:
+      if (e.flag == 0) ++d->solver_failures;
+      break;
+    case TraceEventKind::kAaoSolve:
+      if (e.flag == 0) ++d->solver_failures;
+      break;
+    case TraceEventKind::kFaultDrop: ++d->fault_drops; break;
+    case TraceEventKind::kRetransmit: ++d->retransmits; break;
+    case TraceEventKind::kDupSuppressed:
+      ++d->duplicates_suppressed;
+      break;
+    case TraceEventKind::kLeaseExpire: ++d->lease_expiries; break;
+    default: break;
+  }
+}
+
+TraceDerivedStats DeriveTotalStats(const TraceFile& trace) {
+  TraceDerivedStats total;
+  for (const TraceEvent& e : trace.events) {
+    AccumulateDerivedStats(e, &total);
+  }
+  return total;
+}
+
+TraceIndex::TraceIndex(const TraceFile& trace) {
+  by_id_.reserve(trace.events.size());
+  for (const TraceEvent& e : trace.events) by_id_.emplace(e.id, &e);
+  for (const TraceQueryInfo& q : trace.queries) {
+    for (int32_t item : q.items) {
+      item_owner_.emplace(TraceKey(q.node, item), q.query);
+    }
+  }
+}
+
+const TraceEvent* TraceIndex::Event(uint64_t id) const {
+  auto it = by_id_.find(id);
+  return it == by_id_.end() ? nullptr : it->second;
+}
+
+int32_t TraceIndex::ItemOwner(int32_t node, int32_t item) const {
+  auto it = item_owner_.find(TraceKey(node, item));
+  return it == item_owner_.end() ? -1 : it->second;
+}
 
 const char* Name(FoldGroupBy group_by) {
   return NameFor<FoldGroupBy>(kGroupByNames, group_by);
@@ -436,7 +487,12 @@ std::string TraceFoldReport::ToText() const {
 
 Result<TraceFoldReport> FoldTrace(const TraceFile& trace,
                                   const TraceFoldOptions& options) {
-  Folder folder(trace, ResolveTraceMu(trace, options.mu),
+  return FoldTrace(trace, TraceIndex(trace), options);
+}
+
+TraceFoldReport FoldTrace(const TraceFile& trace, const TraceIndex& index,
+                          const TraceFoldOptions& options) {
+  Folder folder(trace, index, ResolveTraceMu(trace, options.mu),
                 options.group_by);
   folder.Run();
   return folder.Finish();

@@ -3,43 +3,47 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "obs/trace.h"
-#include "obs/trace_check.h"
 
 /// \file trace_fold.h
-/// Cost-attribution flamegraphs from a causal event trace. Where
-/// trace_check.h verifies that the recorded totals are *right*, this layer
-/// answers *where the message budget went*: every message the trace
-/// records — a refresh arrival, a recomputation (priced at mu refresh
-/// units, §III's cost model), a DAB-change send, a user notification — is
-/// folded along its cause chain into one weighted stack of frames,
+/// The one offline cost fold of a causal event trace, and the flamegraphs
+/// drawn from it. Where trace_check.h verifies that the recorded totals
+/// are *right*, this layer answers *where the message budget went*: every
+/// message the trace records — a refresh arrival, a recomputation (priced
+/// at mu refresh units, §III's cost model), a DAB-change send, a user
+/// notification — is folded along its cause chain into one weighted stack
+/// of frames,
 ///
 ///   q<query>;i<item>;L<lane>;refresh;violation;recompute;dab_change
 ///
 /// in the Brendan Gregg folded-stack format, so `flamegraph.pl` (or any
 /// folded-stack consumer) renders the budget per query, per item and per
-/// coordinator lane without re-running the simulation.
+/// coordinator lane without re-running the simulation. The same pass
+/// yields the per-query table CheckTrace reports (trace_check.h), so the
+/// checker and the flamegraph print one attribution.
 ///
 /// The load-bearing correctness property is **conservation**: every
 /// message is attributed to exactly one stack, so the folded per-class
 /// counts must equal — exactly, integer for integer — the totals the
-/// offline replay re-derives from the same events
-/// (trace_check.h::DeriveTotalStats) and the trailing run_summary records.
-/// FoldTrace performs that check itself and reports violations through
-/// TraceFoldReport::conservation_failures; tools/polydab_flame.cc turns
-/// them into a nonzero exit.
+/// offline replay re-derives from the same events (DeriveTotalStats) and
+/// the trailing run_summary records. FoldTrace performs that check itself
+/// and reports violations through TraceFoldReport::conservation_failures;
+/// tools/polydab_flame.cc turns them into a nonzero exit.
 ///
 /// Stack vocabulary:
 ///  * Identity frames come first, ordered by FoldGroupBy: `q<id>` (the
 ///    owning query), `i<id>` (the root-cause item) and `L<id>` (the
 ///    coordinator lane; only in sharded traces, `L_all` for events not
 ///    pinned to one lane). A refresh arrival has no query of its own, so
-///    it is owned by the first query_info referencing its item — the same
-///    deterministic rule trace_check uses for item home lanes — and
-///    `q_unattributed` buckets arrivals no query_info covers.
+///    it is owned by the first query_info referencing its item
+///    (TraceIndex::ItemOwner, the rule the checker's lane checks also
+///    use) and `q_unattributed` buckets arrivals no query_info covers.
 ///  * The cause chain follows: `refresh` (arrival), `refresh;violation;
 ///    recompute` (dual-DAB), `refresh;recompute` (single-DAB staleness),
 ///    `aao;recompute` (periodic joint solve), `...;dab_change`,
@@ -53,6 +57,94 @@
 
 namespace polydab::obs {
 
+/// SimMetrics re-derived from raw events and the run summary's shape.
+struct TraceDerivedStats {
+  int64_t refreshes = 0;
+  int64_t recomputations = 0;
+  int64_t dab_change_messages = 0;
+  int64_t user_notifications = 0;
+  int64_t solver_failures = 0;
+  double mean_fidelity_loss_pct = 0.0;
+  // Fault-mode counters (docs/ROBUSTNESS.md); all zero for fault-free
+  // traces. degraded_query_seconds is re-derived from the degrade /
+  // recover state machine sampled at the run's fidelity stride, exactly
+  // as the simulator accumulated it.
+  int64_t fault_drops = 0;
+  int64_t retransmits = 0;
+  int64_t duplicates_suppressed = 0;
+  int64_t lease_expiries = 0;
+  double degraded_query_seconds = 0.0;
+};
+
+/// Recomputation price shared by the checker and the folder: an explicit
+/// non-negative \p mu_option wins, else the trace's `mu` info key, else
+/// the paper's default of 5.
+double ResolveTraceMu(const TraceFile& trace, double mu_option);
+
+/// Accumulate one event's contribution to the re-derived message counts
+/// (the kind -> SimMetrics-field mapping the replay uses everywhere).
+void AccumulateDerivedStats(const TraceEvent& e, TraceDerivedStats* d);
+
+/// Message totals re-derived from the raw events across every node of the
+/// trace. mean_fidelity_loss_pct stays 0 — it needs the run summary's
+/// shape, and is not a message class.
+TraceDerivedStats DeriveTotalStats(const TraceFile& trace);
+
+/// One run-summary total, as the replay diffs compare and print it.
+struct SummaryCounter {
+  const char* key;
+  bool integral;  ///< an int64 count (else the double `value`)
+  int64_t count;
+  double value;
+
+  bool Differs(const SummaryCounter& o) const {
+    return count != o.count || value != o.value;
+  }
+  std::string Text() const {
+    return integral ? std::to_string(count) : std::to_string(value);
+  }
+};
+
+/// TraceRunSummary::Counters walked over \p s — a TraceRunSummary or a
+/// TraceDerivedStats, which holds the same members — in wire order.
+template <class S>
+std::vector<SummaryCounter> SummaryCounters(const S& s) {
+  std::vector<SummaryCounter> out;
+  auto collect = [&out](const char* key, const auto& field) {
+    const auto& m = Member(field);
+    if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(m)>>) {
+      out.push_back({key, true, m, 0.0});
+    } else {
+      out.push_back({key, false, 0, m});
+    }
+  };
+  TraceRunSummary::Counters(s, collect);
+  return out;
+}
+
+/// (node, id) composite key of the offline passes' per-node tables: id is
+/// an item, query, source or lane.
+inline int64_t TraceKey(int32_t node, int32_t id) {
+  return (static_cast<int64_t>(node) << 32) |
+         static_cast<int64_t>(static_cast<uint32_t>(id));
+}
+
+/// The lookups the checker and the folder share, built once per trace.
+class TraceIndex {
+ public:
+  explicit TraceIndex(const TraceFile& trace);
+
+  /// The event with id \p id, or null when the trace has none.
+  const TraceEvent* Event(uint64_t id) const;
+  /// The first query_info on \p node referencing \p item (first wins, as
+  /// the simulator assigns an item's home lane), or -1 when none does.
+  int32_t ItemOwner(int32_t node, int32_t item) const;
+
+ private:
+  std::unordered_map<uint64_t, const TraceEvent*> by_id_;
+  std::unordered_map<int64_t, int32_t> item_owner_;  // TraceKey -> query
+};
+
 /// Which identity frame roots the folded stacks (and therefore the
 /// flamegraph): per-query (default), per-item, or per-lane.
 enum class FoldGroupBy : uint8_t { kQuery, kItem, kLane };
@@ -65,7 +157,7 @@ bool ParseFoldGroupBy(const std::string& name, FoldGroupBy* out);
 struct TraceFoldOptions {
   /// Recomputation cost in refresh-message units. Negative (default):
   /// use the trace's `mu` info key when present, else the paper's
-  /// default of 5 — the same resolution trace_check applies.
+  /// default of 5 (ResolveTraceMu, which trace_check also applies).
   double mu = -1.0;
   FoldGroupBy group_by = FoldGroupBy::kQuery;
 };
@@ -102,6 +194,11 @@ struct FoldAttributionRow {
   /// refreshes + mu * recomputations — the paper's total-cost metric,
   /// restricted to this row.
   double cost = 0.0;
+  /// Per-query table only, and not serialized: item -> number of the
+  /// query's recomputations whose cause chain roots at a refresh of that
+  /// item (the `i<item>` frame; AAO solves have none), by count
+  /// descending.
+  std::vector<std::pair<int32_t, int64_t>> root_items;
 
   /// The JSON summary's `attribution` record (obs/record.h), after the
   /// table's name under "by".
@@ -165,6 +262,9 @@ struct TraceFoldReport {
 /// and symmetric with CheckTrace.)
 Result<TraceFoldReport> FoldTrace(const TraceFile& trace,
                                   const TraceFoldOptions& options = {});
+/// FoldTrace over an already built \p index of \p trace.
+TraceFoldReport FoldTrace(const TraceFile& trace, const TraceIndex& index,
+                          const TraceFoldOptions& options);
 
 }  // namespace polydab::obs
 

@@ -255,7 +255,7 @@ class Coordinator final : public ServiceOps {
   void SampleFidelity(double now);
   Status Checkpoint(int tick, double now);
   recovery::CheckpointState BuildCheckpoint(int tick, uint64_t end_id);
-  SimMetrics Finish();
+  Result<SimMetrics> Finish();
 
   // Filters: the EQI merge (§IV) and filter shipping.
   void ScanMinSources(size_t item, std::vector<MinSource>* out) const;
@@ -1566,7 +1566,7 @@ recovery::CheckpointState Coordinator::BuildCheckpoint(int tick,
   return snap;
 }
 
-SimMetrics Coordinator::Finish() {
+Result<SimMetrics> Coordinator::Finish() {
   // Per-query fidelity loss over the query's own registration interval:
   // sampled ticks run from max(reg, 1) through min(dereg - 1, last tick).
   // For a query registered at tick 0 and never deregistered this is the
@@ -1619,7 +1619,7 @@ SimMetrics Coordinator::Finish() {
     s.duplicates_suppressed = metrics_.duplicates_suppressed;
     s.lease_expiries = metrics_.lease_expiries;
     s.degraded_query_seconds = metrics_.degraded_query_seconds;
-    trace_->AddRunSummary(s);
+    POLYDAB_RETURN_NOT_OK(trace_->AddRunSummary(s));
   }
   return metrics_;
 }

@@ -1,111 +1,8 @@
 #include "workload/tick_source.h"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 namespace polydab::workload {
-
-namespace {
-
-/// Parse one CSV row into \p out. \p expected = 0 accepts any width
-/// (first data row). Mirrors trace_io.cc's rules: every cell a positive
-/// finite number.
-Status ParseRow(const std::string& line, int line_no, size_t expected,
-                Vector* out) {
-  out->clear();
-  const char* p = line.c_str();
-  while (true) {
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(p, &end);
-    if (end == p) {
-      return Status::InvalidArgument("tick stream line " +
-                                     std::to_string(line_no) +
-                                     ": non-numeric cell");
-    }
-    if (!std::isfinite(v) || v <= 0.0) {
-      return Status::InvalidArgument("tick stream line " +
-                                     std::to_string(line_no) +
-                                     ": values must be positive finite");
-    }
-    out->push_back(v);
-    while (*end == ' ' || *end == '\t') ++end;
-    if (*end == ',') {
-      p = end + 1;
-      continue;
-    }
-    if (*end == '\0' || *end == '\r') break;
-    return Status::InvalidArgument("tick stream line " +
-                                   std::to_string(line_no) +
-                                   ": trailing garbage after cell");
-  }
-  if (expected != 0 && out->size() != expected) {
-    return Status::InvalidArgument(
-        "tick stream line " + std::to_string(line_no) + ": expected " +
-        std::to_string(expected) + " columns, got " +
-        std::to_string(out->size()));
-  }
-  return Status::OK();
-}
-
-bool BlankLine(const std::string& line) {
-  for (char c : line) {
-    if (c != ' ' && c != '\t' && c != '\r') return false;
-  }
-  return true;
-}
-
-/// fgetc that survives signal interruption. On a pipe or socket a blocked
-/// read(2) returns EINTR when a signal lands (stdio does not restart it),
-/// which fgetc surfaces as EOF with ferror set and errno == EINTR —
-/// indistinguishable from a real end-of-stream unless checked. Retrying
-/// after clearerr resumes the read exactly where it stopped; stdio
-/// already reassembles short reads byte by byte, so this is the only gap.
-/// Real errors (and genuine EOF) still come back as EOF for the caller's
-/// ferror handling.
-int GetcRetry(std::FILE* f) {
-  for (;;) {
-    const int c = std::fgetc(f);
-    if (c != EOF) return c;
-    if (std::ferror(f) != 0 && errno == EINTR) {
-      std::clearerr(f);
-      continue;
-    }
-    return EOF;
-  }
-}
-
-/// Probe the first line: a non-numeric first line is a header (the
-/// trace_io.h convention), in which case the next line is the first data
-/// row. On success *first_row holds tick 0 and *num_items its width.
-Status ProbeFirst(const std::string& line1, bool line1_at, int* line_no,
-                  const std::string& line2, bool line2_at, bool* has_header,
-                  Vector* first_row, size_t* num_items) {
-  if (!line1_at) {
-    return Status::InvalidArgument("tick stream is empty");
-  }
-  Status first = ParseRow(line1, 1, 0, first_row);
-  if (first.ok()) {
-    *has_header = false;
-    *line_no = 1;
-  } else {
-    // Treat as header; the second line must then parse.
-    if (!line2_at) {
-      return Status::InvalidArgument(
-          "tick stream has a header but no data rows");
-    }
-    POLYDAB_RETURN_NOT_OK(ParseRow(line2, 2, 0, first_row));
-    *has_header = true;
-    *line_no = 2;
-  }
-  *num_items = first_row->size();
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<bool> TraceSetTickSource::Next(Vector* row) {
   if (tick_ >= set_->num_ticks) return false;
@@ -124,20 +21,21 @@ Result<std::unique_ptr<FileTickSource>> FileTickSource::Open(
   }
   std::unique_ptr<FileTickSource> src(
       new FileTickSource(std::move(stream), path));
-  std::string line1, line2;
-  const bool at1 = static_cast<bool>(std::getline(src->stream_, line1));
-  bool at2 = false;
-  if (at1) {
-    Vector probe;
-    if (!ParseRow(line1, 1, 0, &probe).ok()) {
-      at2 = static_cast<bool>(std::getline(src->stream_, line2));
-    }
-  }
-  POLYDAB_RETURN_NOT_OK(ProbeFirst(line1, at1, &src->line_no_, line2, at2,
-                                   &src->has_header_, &src->first_row_,
-                                   &src->num_items_));
-  src->pending_first_ = true;
+  POLYDAB_RETURN_NOT_OK(src->Rewind());
   return src;
+}
+
+Result<bool> FileTickSource::ReadRow(Vector* row) {
+  std::string line;
+  while (std::getline(stream_, line)) {
+    POLYDAB_ASSIGN_OR_RETURN(const bool data,
+                             rows_.Parse(line, ++line_no_, row));
+    if (data) return true;
+  }
+  if (stream_.bad()) {
+    return Status::Internal("read error on tick stream: " + path_);
+  }
+  return false;
 }
 
 Result<bool> FileTickSource::Next(Vector* row) {
@@ -146,17 +44,7 @@ Result<bool> FileTickSource::Next(Vector* row) {
     *row = first_row_;
     return true;
   }
-  std::string line;
-  while (std::getline(stream_, line)) {
-    ++line_no_;
-    if (BlankLine(line)) continue;
-    POLYDAB_RETURN_NOT_OK(ParseRow(line, line_no_, num_items_, row));
-    return true;
-  }
-  if (stream_.bad()) {
-    return Status::Internal("read error on tick stream: " + path_);
-  }
-  return false;
+  return ReadRow(row);
 }
 
 Status FileTickSource::Rewind() {
@@ -165,85 +53,20 @@ Status FileTickSource::Rewind() {
   if (!stream_) {
     return Status::Internal("cannot rewind tick stream: " + path_);
   }
-  std::string line;
+  rows_ = TraceCsvRows();
   line_no_ = 0;
-  if (has_header_) {
-    std::getline(stream_, line);
-    ++line_no_;
+  // Read the first data row ahead: it fixes num_items, which must not
+  // change across rewinds even if the file changed under us.
+  POLYDAB_ASSIGN_OR_RETURN(const bool data, ReadRow(&first_row_));
+  if (!data) {
+    return Status::InvalidArgument("tick stream has no data rows: " + path_);
   }
-  // Re-read the first data row so num_items stays authoritative even if
-  // the file changed under us.
-  while (std::getline(stream_, line)) {
-    ++line_no_;
-    if (BlankLine(line)) continue;
-    POLYDAB_RETURN_NOT_OK(ParseRow(line, line_no_, num_items_, &first_row_));
-    pending_first_ = true;
-    return Status::OK();
+  if (num_items_ != 0 && rows_.width() != num_items_) {
+    return Status::Internal("tick stream changed width on rewind: " + path_);
   }
-  return Status::Internal("tick stream lost its data rows on rewind: " +
-                          path_);
-}
-
-Result<std::unique_ptr<FdTickSource>> FdTickSource::Adopt(int fd) {
-  std::FILE* file = fdopen(fd, "r");
-  if (file == nullptr) {
-    return Status::InvalidArgument("cannot adopt fd " + std::to_string(fd) +
-                                   " as tick stream: " +
-                                   std::string(std::strerror(errno)));
-  }
-  std::unique_ptr<FdTickSource> src(new FdTickSource(file));
-  auto read_line = [&src](std::string* line) {
-    line->clear();
-    int c;
-    while ((c = GetcRetry(src->file_)) != EOF) {
-      if (c == '\n') return true;
-      line->push_back(static_cast<char>(c));
-    }
-    return !line->empty();
-  };
-  std::string line1, line2;
-  const bool at1 = read_line(&line1);
-  bool at2 = false;
-  if (at1) {
-    Vector probe;
-    if (!ParseRow(line1, 1, 0, &probe).ok()) at2 = read_line(&line2);
-  }
-  bool has_header = false;
-  POLYDAB_RETURN_NOT_OK(ProbeFirst(line1, at1, &src->line_no_, line2, at2,
-                                   &has_header, &src->first_row_,
-                                   &src->num_items_));
-  src->pending_first_ = true;
-  return src;
-}
-
-FdTickSource::~FdTickSource() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-Result<bool> FdTickSource::Next(Vector* row) {
-  if (pending_first_) {
-    pending_first_ = false;
-    *row = first_row_;
-    return true;
-  }
-  std::string line;
-  int c;
-  while (true) {
-    line.clear();
-    while ((c = GetcRetry(file_)) != EOF) {
-      if (c == '\n') break;
-      line.push_back(static_cast<char>(c));
-    }
-    if (c == EOF && std::ferror(file_) != 0) {
-      return Status::Internal("read error on tick stream fd: " +
-                              std::string(std::strerror(errno)));
-    }
-    if (line.empty() && c == EOF) return false;
-    ++line_no_;
-    if (BlankLine(line)) continue;
-    POLYDAB_RETURN_NOT_OK(ParseRow(line, line_no_, num_items_, row));
-    return true;
-  }
+  num_items_ = rows_.width();
+  pending_first_ = true;
+  return Status::OK();
 }
 
 }  // namespace polydab::workload

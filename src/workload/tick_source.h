@@ -1,20 +1,20 @@
 #ifndef POLYDAB_WORKLOAD_TICK_SOURCE_H_
 #define POLYDAB_WORKLOAD_TICK_SOURCE_H_
 
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
 
 #include "common/status.h"
 #include "workload/trace.h"
+#include "workload/trace_io.h"
 
 /// \file tick_source.h
 /// Streaming tick ingest (docs/SERVICE.md). The simulator historically
 /// consumed a fully materialized TraceSet; a long-lived service instead
 /// pulls one dense tick row at a time from an abstract source, so the
-/// same engine can replay a canned set, stream a CSV file of real quote
-/// data, or drain a socket — without holding the whole history in memory.
+/// same engine can replay a canned set or stream a CSV file of real quote
+/// data without holding the whole history in memory.
 /// The canned adapter yields exactly the rows TraceSet::ValueAt would,
 /// which is what keeps the streaming engine byte-identical to the
 /// historical path (tests/churn_diff_test.cc).
@@ -39,7 +39,7 @@ class TickSource {
   virtual Result<bool> Next(Vector* row) = 0;
 
   /// Reposition to tick 0. Replayable sources (canned sets, files)
-  /// support this; one-shot streams (sockets, pipes) return Unsupported.
+  /// support this; a one-shot stream would return Unsupported.
   virtual Status Rewind() = 0;
 };
 
@@ -62,10 +62,12 @@ class TraceSetTickSource : public TickSource {
 };
 
 /// \brief Streams a trace CSV (the trace_io.h format: one row per tick,
-/// one column per item, optional header) without materializing it.
+/// one column per item, optional header) without materializing it. Rows
+/// go through trace_io.h's TraceCsvRows, so a file streams exactly as
+/// LoadTraceSetCsv would load it, or is rejected by both.
 class FileTickSource : public TickSource {
  public:
-  /// Open \p path and probe the first line for width / header detection.
+  /// Open \p path and read its first data row, which fixes the width.
   static Result<std::unique_ptr<FileTickSource>> Open(
       const std::string& path);
 
@@ -77,40 +79,16 @@ class FileTickSource : public TickSource {
   FileTickSource(std::ifstream stream, std::string path) noexcept
       : stream_(std::move(stream)), path_(std::move(path)) {}
 
+  /// The next data row of the file; false at its end.
+  Result<bool> ReadRow(Vector* row);
+
   std::ifstream stream_;
   std::string path_;
+  TraceCsvRows rows_;
   size_t num_items_ = 0;
-  bool has_header_ = false;
-  bool pending_first_ = false;  ///< probed row not yet consumed
+  bool pending_first_ = false;  ///< first row read ahead, not yet consumed
   Vector first_row_;
   int line_no_ = 0;  ///< 1-based line of the last read, for diagnostics
-};
-
-/// \brief Streams rows from an already-open file descriptor (a pipe or a
-/// connected socket). Same wire format as FileTickSource; not rewindable,
-/// so it cannot serve runs that need a second pass over tick 0.
-class FdTickSource : public TickSource {
- public:
-  /// Take ownership of \p fd (closed on destruction) and probe the first
-  /// line for width / header detection.
-  static Result<std::unique_ptr<FdTickSource>> Adopt(int fd);
-
-  ~FdTickSource() override;
-
-  size_t num_items() const override { return num_items_; }
-  Result<bool> Next(Vector* row) override;
-  Status Rewind() override {
-    return Status::Unsupported("fd tick source is not rewindable");
-  }
-
- private:
-  explicit FdTickSource(std::FILE* file) : file_(file) {}
-
-  std::FILE* file_;
-  size_t num_items_ = 0;
-  bool pending_first_ = false;
-  Vector first_row_;
-  int line_no_ = 0;
 };
 
 }  // namespace polydab::workload

@@ -1,5 +1,6 @@
 #include "workload/trace_io.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
@@ -41,61 +42,58 @@ bool ParsePositiveDouble(const std::string& s, double* out) {
 
 }  // namespace
 
+Result<bool> TraceCsvRows::Parse(std::string line, int line_no,
+                                 Vector* row) {
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  const bool blank = std::all_of(line.begin(), line.end(), [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  });
+  if (blank || line[0] == '#') return false;
+
+  const std::vector<std::string> cells = SplitCsvLine(line);
+  row->resize(cells.size());
+  bool numeric = true;
+  for (size_t i = 0; i < cells.size() && numeric; ++i) {
+    numeric = ParsePositiveDouble(cells[i], &(*row)[i]);
+  }
+  const bool first = !seen_content_;
+  seen_content_ = true;
+  if (!numeric) {
+    // A non-numeric first content line is a header of item names;
+    // anywhere else it is an error.
+    if (first) {
+      width_ = cells.size();
+      return false;
+    }
+    return Status::InvalidArgument("line " + std::to_string(line_no) +
+                                   ": expected positive numeric values");
+  }
+  if (width_ == 0) {
+    width_ = cells.size();
+  } else if (cells.size() != width_) {
+    return Status::InvalidArgument(
+        "line " + std::to_string(line_no) + ": expected " +
+        std::to_string(width_) + " columns, got " +
+        std::to_string(cells.size()));
+  }
+  return true;
+}
+
 Result<TraceSet> ParseTraceSetCsv(const std::string& csv) {
   std::istringstream in(csv);
   std::string line;
-  std::vector<std::vector<double>> rows;  // rows[t][item]
-  size_t width = 0;
-  int line_no = 0;
-  bool first_content_line = true;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    // Skip blank lines and comments.
-    bool blank = true;
-    for (char c : line) {
-      if (!std::isspace(static_cast<unsigned char>(c))) {
-        blank = false;
-        break;
-      }
-    }
-    if (blank || line[0] == '#') continue;
-
-    std::vector<std::string> cells = SplitCsvLine(line);
-    std::vector<double> row(cells.size());
-    bool numeric = true;
-    for (size_t i = 0; i < cells.size(); ++i) {
-      if (!ParsePositiveDouble(cells[i], &row[i])) {
-        numeric = false;
-        break;
-      }
-    }
-    if (!numeric) {
-      // A non-numeric first content line is treated as a header of item
-      // names; anywhere else it is an error.
-      if (first_content_line) {
-        width = cells.size();
-        first_content_line = false;
-        continue;
-      }
-      return Status::InvalidArgument(
-          "line " + std::to_string(line_no) +
-          ": expected positive numeric values");
-    }
-    if (width == 0) {
-      width = cells.size();
-    } else if (cells.size() != width) {
-      return Status::InvalidArgument(
-          "line " + std::to_string(line_no) + ": expected " +
-          std::to_string(width) + " columns, got " +
-          std::to_string(cells.size()));
-    }
-    first_content_line = false;
-    rows.push_back(std::move(row));
+  TraceCsvRows reader;
+  std::vector<Vector> rows;  // rows[t][item]
+  Vector row;
+  for (int line_no = 1; std::getline(in, line); ++line_no) {
+    POLYDAB_ASSIGN_OR_RETURN(const bool data,
+                             reader.Parse(line, line_no, &row));
+    if (data) rows.push_back(row);
   }
   if (rows.empty()) {
     return Status::InvalidArgument("CSV contains no data rows");
   }
+  const size_t width = reader.width();
 
   TraceSet out;
   out.num_ticks = static_cast<int>(rows.size());

@@ -19,6 +19,25 @@
 
 namespace polydab::workload {
 
+/// \brief The format's row rules, one line at a time — the one parser
+/// behind both ParseTraceSetCsv and the streaming FileTickSource
+/// (tick_source.h). Blank lines and lines starting with '#' carry no row;
+/// a non-numeric first content line is a header of item names and fixes
+/// the width; every other line must hold exactly that many cells.
+class TraceCsvRows {
+ public:
+  /// Parse line \p line_no (1-based): true with \p row filled for a data
+  /// row, false for a line that carries none, an error for a malformed
+  /// one.
+  Result<bool> Parse(std::string line, int line_no, Vector* row);
+  /// Cells per row, fixed by the header or the first data row; 0 before.
+  size_t width() const { return width_; }
+
+ private:
+  size_t width_ = 0;
+  bool seen_content_ = false;
+};
+
 /// Parse a CSV string into a TraceSet. Rows of differing width, empty
 /// input, or non-positive/non-numeric cells are rejected.
 Result<TraceSet> ParseTraceSetCsv(const std::string& csv);

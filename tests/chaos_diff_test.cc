@@ -134,12 +134,12 @@ TEST_F(ChaosDiffTest, NullFaultTracesCarryNoFaultArtifacts) {
           ASSERT_EQ(e.flag, 0) << "event #" << e.id;
         }
       }
-      for (const obs::TraceRunSummary& s : trace.summaries) {
-        EXPECT_EQ(s.fault_drops, 0);
-        EXPECT_EQ(s.retransmits, 0);
-        EXPECT_EQ(s.duplicates_suppressed, 0);
-        EXPECT_EQ(s.lease_expiries, 0);
-        EXPECT_EQ(s.degraded_query_seconds, 0.0);
+      if (const auto& s = trace.summary) {
+        EXPECT_EQ(s->fault_drops, 0);
+        EXPECT_EQ(s->retransmits, 0);
+        EXPECT_EQ(s->duplicates_suppressed, 0);
+        EXPECT_EQ(s->lease_expiries, 0);
+        EXPECT_EQ(s->degraded_query_seconds, 0.0);
       }
       // The serialized JSONL is what the golden e2e fixtures byte-compare;
       // it must not even mention the fault vocabulary.
@@ -209,7 +209,7 @@ void RunChaosAndVerify(const std::vector<PolynomialQuery>& queries,
   auto check = obs::CheckTrace(trace, opt);
   ASSERT_TRUE(check.ok()) << check.status().ToString();
   EXPECT_TRUE(check->ok()) << check->ToText(trace);
-  ASSERT_EQ(trace.summaries.size(), 1u);
+  ASSERT_TRUE(trace.summary.has_value());
   EXPECT_EQ(check->derived.refreshes, m->refreshes);
   EXPECT_EQ(check->derived.recomputations, m->recomputations);
   EXPECT_EQ(check->derived.mean_fidelity_loss_pct,

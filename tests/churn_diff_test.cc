@@ -15,19 +15,23 @@
 //     the churn invariants: no query charged outside its registration
 //     interval, and every plan_patch digest reproduced by the checker's
 //     own from-scratch partition replay. Deliberate corruptions of
-//     either invariant must be caught.
+//     either invariant must be caught. A churn-free trace is checked as
+//     one whose queries all register at t = 0, so the rejections its
+//     lane stamps and arrivals earn are pinned here too.
 //
 // Admission control is unit-tested against a fake ServiceOps whose
 // TrialPlan costs a query at 1/QAB, making the budget arithmetic exact.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_check.h"
+#include "obs/trace_fold.h"
 #include "sim/simulation.h"
 #include "svc/query_service.h"
 #include "workload/churn_gen.h"
@@ -82,6 +86,17 @@ class ChurnDiffTest : public ::testing::Test {
     c.coord_shards = shards;
     c.plan_maintenance = maintenance;
     return c;
+  }
+
+  /// A churn-free dual-DAB trace of the fixed workload on \p shards
+  /// lanes.
+  obs::TraceFile StaticTrace(int shards) const {
+    obs::TraceSink sink;
+    sim::SimConfig c = Config(core::AssignmentMethod::kDualDab, shards,
+                              sim::PlanMaintenance::kIncremental);
+    c.trace = &sink;
+    EXPECT_TRUE(sim::RunSimulation(queries_, traces_, rates_, c).ok());
+    return sink.Collect();
   }
 
   workload::TraceSet traces_;
@@ -256,7 +271,7 @@ TEST_F(ChurnDiffTest, ChurnTracecheckGreenAndRederivesMetrics) {
     auto check = obs::CheckTrace(trace);
     ASSERT_TRUE(check.ok()) << check.status().ToString();
     EXPECT_TRUE(check->ok()) << check->ToText(trace);
-    ASSERT_EQ(trace.summaries.size(), 1u);
+    ASSERT_TRUE(trace.summary.has_value());
     EXPECT_EQ(check->derived.refreshes, m->refreshes);
     EXPECT_EQ(check->derived.recomputations, m->recomputations);
     EXPECT_EQ(check->derived.dab_change_messages,
@@ -345,6 +360,84 @@ TEST_F(ChurnDiffTest, PlanPatchDigestMismatchIsCaught) {
   auto check = obs::CheckTrace(trace);
   ASSERT_TRUE(check.ok()) << check.status().ToString();
   EXPECT_FALSE(check->ok());
+}
+
+TEST_F(ChurnDiffTest, StaticQueryInfoLaneOffThePartitionIsCaught) {
+  // Every query of a churn-free trace registers at t = 0, so its
+  // query_info lane stamp must be the partition the checker rebuilds.
+  obs::TraceFile trace = StaticTrace(4);
+  auto clean = obs::CheckTrace(trace);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_TRUE(clean->ok()) << clean->ToText(trace);
+  trace.queries[0].shard = (trace.queries[0].shard + 1) % 4;
+  auto check = obs::CheckTrace(trace);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_FALSE(check->ok());
+  EXPECT_NE(check->ToText(trace).find("rebuilt partition"),
+            std::string::npos)
+      << check->ToText(trace);
+}
+
+TEST_F(ChurnDiffTest, StaticArrivalForAnUnreferencedItemIsCaught) {
+  obs::TraceFile trace = StaticTrace(4);
+  size_t arrival = trace.events.size();
+  for (size_t i = 0; i < trace.events.size(); ++i) {
+    if (trace.events[i].kind == obs::TraceEventKind::kRefreshArrived) {
+      arrival = i;
+      break;
+    }
+  }
+  ASSERT_LT(arrival, trace.events.size());
+  trace.events[arrival].item = 24;  // beyond every query's items
+  auto check = obs::CheckTrace(trace);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_FALSE(check->ok());
+  EXPECT_NE(check->ToText(trace).find("no query_info references"),
+            std::string::npos)
+      << check->ToText(trace);
+}
+
+TEST_F(ChurnDiffTest, PerQueryAttributionPartitionsTheRunTotals) {
+  // Items are shared, yet each refresh is charged to one query (the
+  // first reading its item), so CheckTrace's per-query rows sum to the
+  // run totals — and they are the flamegraph fold's rows.
+  std::map<int32_t, int> readers;
+  for (const PolynomialQuery& q : queries_) {
+    for (VarId v : q.p.Variables()) ++readers[static_cast<int32_t>(v)];
+  }
+  int shared = 0;
+  for (const auto& [item, n] : readers) shared += n > 1;
+  ASSERT_GT(shared, 0);
+  for (bool churn : {false, true}) {
+    SCOPED_TRACE(churn ? "churn" : "static");
+    const obs::TraceFile trace =
+        churn ? ChurnTrace(queries_, traces_, rates_, Schedule(11))
+              : StaticTrace(1);
+    auto check = obs::CheckTrace(trace);
+    ASSERT_TRUE(check.ok()) << check.status().ToString();
+    EXPECT_TRUE(check->ok()) << check->ToText(trace);
+    int64_t refreshes = 0;
+    int64_t recomputations = 0;
+    for (const obs::FoldAttributionRow& row : check->queries) {
+      refreshes += row.refreshes;
+      recomputations += row.recomputations;
+    }
+    EXPECT_EQ(refreshes, trace.summary->refreshes);
+    EXPECT_EQ(recomputations, trace.summary->recomputations);
+    auto fold = obs::FoldTrace(trace);
+    ASSERT_TRUE(fold.ok()) << fold.status().ToString();
+    ASSERT_EQ(check->queries.size(), fold->by_query.size());
+    for (size_t i = 0; i < fold->by_query.size(); ++i) {
+      const obs::FoldAttributionRow& got = check->queries[i];
+      const obs::FoldAttributionRow& want = fold->by_query[i];
+      EXPECT_EQ(got.key, want.key);
+      EXPECT_EQ(got.refreshes, want.refreshes) << "query " << want.key;
+      EXPECT_EQ(got.recomputations, want.recomputations)
+          << "query " << want.key;
+      EXPECT_EQ(got.cost, want.cost) << "query " << want.key;
+      EXPECT_EQ(got.root_items, want.root_items) << "query " << want.key;
+    }
+  }
 }
 
 TEST_F(ChurnDiffTest, SeededChurnReplaysByteIdentically) {

@@ -199,7 +199,7 @@ void RunAndVerify(const std::vector<PolynomialQuery>& queries,
   auto check = obs::CheckTrace(trace);
   ASSERT_TRUE(check.ok()) << check.status().ToString();
   EXPECT_TRUE(check->ok()) << check->ToText(trace);
-  ASSERT_EQ(trace.summaries.size(), 1u);
+  ASSERT_TRUE(trace.summary.has_value());
   EXPECT_EQ(check->derived.refreshes, m->refreshes);
   EXPECT_EQ(check->derived.recomputations, m->recomputations);
   EXPECT_EQ(check->derived.dab_change_messages, m->dab_change_messages);

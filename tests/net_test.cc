@@ -45,7 +45,7 @@ class NetTest : public ::testing::Test {
     ASSERT_TRUE(m.ok()) << m.status().ToString();
     *out = *m;
     *trace = sink.Collect();
-    ASSERT_EQ(trace->summaries.size(), 1u);
+    ASSERT_TRUE(trace->summary.has_value());
     auto report = obs::CheckTrace(*trace);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_TRUE(report->ok()) << report->ToText(*trace);

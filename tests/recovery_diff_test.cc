@@ -133,7 +133,7 @@ class RecoveryDiffTest : public ::testing::Test {
 
   /// The tool's merge-trace splice, verbatim: crashed events below the
   /// checkpoint's resume id + every restart event, queries concatenated
-  /// in registration order, summaries from the completed side.
+  /// in registration order, the summary from the completed side.
   static obs::TraceFile Merge(obs::TraceFile crashed, obs::TraceFile restart,
                               uint64_t resume_id) {
     obs::TraceFile merged;
@@ -151,7 +151,7 @@ class RecoveryDiffTest : public ::testing::Test {
                      [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
                        return a.id < b.id;
                      });
-    merged.summaries = std::move(restart.summaries);
+    merged.summary = std::move(restart.summary);
     return merged;
   }
 

@@ -149,7 +149,7 @@ TEST_F(SeriesDiffTest, RecorderLeavesEventStreamUntouched) {
   // no alert event is ever emitted and the streams must be identical.
   const Run observed = RunOnce(1, "sim.run.live_queries < 1");
   EXPECT_EQ(observed.trace.events, plain.trace.events);
-  EXPECT_EQ(observed.trace.summaries, plain.trace.summaries);
+  EXPECT_EQ(observed.trace.summary, plain.trace.summary);
   EXPECT_EQ(observed.trace.queries.size(), plain.trace.queries.size());
   // Only the series info keys differ.
   auto strip = [](std::map<std::string, std::string> info) {

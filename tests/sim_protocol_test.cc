@@ -211,7 +211,7 @@ void RunAndCheckTrace(const std::vector<PolynomialQuery>& queries,
   auto m = RunSimulation(queries, traces, rates, config);
   ASSERT_TRUE(m.ok()) << m.status().ToString();
   const obs::TraceFile trace = sink.Collect();
-  ASSERT_EQ(trace.summaries.size(), 1u);
+  ASSERT_TRUE(trace.summary.has_value());
   auto report = obs::CheckTrace(trace);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->ok()) << report->ToText(trace);

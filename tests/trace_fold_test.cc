@@ -82,7 +82,7 @@ TraceFile MakeSerialEpisode() {
   s.recomputations = 1;
   s.dab_change_messages = 1;
   s.user_notifications = 1;
-  f.summaries.push_back(s);
+  f.summary = s;
   return f;
 }
 
@@ -229,7 +229,7 @@ TraceFile MakeShardedEpisode() {
   s.recomputations = 2;
   s.dab_change_messages = 1;
   s.user_notifications = 0;
-  f.summaries.push_back(s);
+  f.summary = s;
   return f;
 }
 
@@ -280,7 +280,7 @@ TEST(TraceFoldTest, ShardedBarrierAttribution) {
 
 TEST(TraceFoldTest, DetectsSummaryDisagreement) {
   TraceFile f = MakeSerialEpisode();
-  f.summaries[0].refreshes = 999;  // recorded totals now lie
+  f.summary->refreshes = 999;  // recorded totals now lie
   auto report = FoldTrace(f);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->ok());

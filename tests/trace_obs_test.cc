@@ -80,14 +80,14 @@ TraceFile MakeSampleFile() {
   s.user_notifications = 89;
   s.solver_failures = 1;
   s.mean_fidelity_loss_pct = 0.372915;
-  f.summaries.push_back(s);
+  f.summary = s;
   return f;
 }
 
 /// The sample with a fault-mode summary: the omit-at-zero counters set.
 TraceFile MakeFaultSampleFile() {
   TraceFile f = MakeSampleFile();
-  TraceRunSummary& s = f.summaries[0];
+  TraceRunSummary& s = *f.summary;
   s.fault_drops = 4;
   s.retransmits = 5;
   s.duplicates_suppressed = 6;
@@ -105,7 +105,7 @@ TEST(TraceJsonTest, WriteParseIsExactInverse) {
     EXPECT_EQ(parsed->info, f.info);
     EXPECT_EQ(parsed->queries, f.queries);
     EXPECT_EQ(parsed->events, f.events);
-    EXPECT_EQ(parsed->summaries, f.summaries);
+    EXPECT_EQ(parsed->summary, f.summary);
     // Re-serializing the parsed trace reproduces the bytes.
     EXPECT_EQ(TraceToJsonLines(*parsed), text);
   }
@@ -114,10 +114,11 @@ TEST(TraceJsonTest, WriteParseIsExactInverse) {
 TEST(TraceJsonTest, ReaderRejectsASecondRunSummary) {
   // Every producer writes one run summary covering the whole run; two
   // (here a plain one, then a fault-mode one) is a malformed file.
-  TraceFile two = MakeSampleFile();
-  two.summaries.push_back(MakeFaultSampleFile().summaries[0]);
-  two.summaries[1].node = 3;
-  const std::string text = TraceToJsonLines(two);
+  TraceFile second;
+  second.summary = MakeFaultSampleFile().summary;
+  second.summary->node = 3;
+  const std::string text =
+      TraceToJsonLines(MakeSampleFile()) + TraceToJsonLines(second);
   const auto lines = std::count(text.begin(), text.end(), '\n');
   const Status st = ParseTraceJsonLines(text).status();
   ASSERT_FALSE(st.ok());
@@ -283,7 +284,9 @@ TEST(TraceSinkTest, StreamingFlushesAndFinishes) {
     q.qab = 1.0;
     q.items = {1};
     sink.AddQueryInfo(q);
-    sink.AddRunSummary(TraceRunSummary{});
+    ASSERT_TRUE(sink.AddRunSummary(TraceRunSummary{}).ok());
+    // A sink holds one run summary; a second is refused.
+    EXPECT_FALSE(sink.AddRunSummary(TraceRunSummary{}).ok());
     ASSERT_TRUE(sink.Finish().ok());
     EXPECT_TRUE(sink.Finish().ok());  // idempotent
   }
@@ -297,7 +300,7 @@ TEST(TraceSinkTest, StreamingFlushesAndFinishes) {
     EXPECT_EQ(loaded->events[i].item, static_cast<int32_t>(i + 1));
   }
   EXPECT_EQ(loaded->queries.size(), 1u);
-  EXPECT_EQ(loaded->summaries.size(), 1u);
+  EXPECT_TRUE(loaded->summary.has_value());
   std::remove(path.c_str());
 }
 
@@ -383,7 +386,7 @@ TraceFile MakeValidEpisode() {
   // 2 violated samples * stride 1 over (11 - 1) ticks = 20% for the one
   // query.
   s.mean_fidelity_loss_pct = 20.0;
-  sink.AddRunSummary(s);
+  EXPECT_TRUE(sink.AddRunSummary(s).ok());
   return sink.Collect();
 }
 
@@ -467,7 +470,7 @@ TEST(TraceCheckTest, RejectsEmissionInsideInstalledFilter) {
 
 TEST(TraceCheckTest, RejectsSummaryCounterMismatch) {
   TraceFile f = MakeValidEpisode();
-  f.summaries[0].refreshes = 2;
+  f.summary->refreshes = 2;
   auto report = CheckTrace(f);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->ok());
@@ -475,7 +478,7 @@ TEST(TraceCheckTest, RejectsSummaryCounterMismatch) {
 
 TEST(TraceCheckTest, RejectsTraceWithoutSummary) {
   TraceFile f = MakeValidEpisode();
-  f.summaries.clear();
+  f.summary.reset();
   EXPECT_FALSE(CheckTrace(f).ok());
 }
 

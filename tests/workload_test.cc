@@ -1,6 +1,9 @@
 #include <cmath>
+#include <fstream>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -747,6 +750,55 @@ TEST(TickSourceTest, FileSourceRejectsMissingAndMalformedInput) {
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(*first);
   EXPECT_FALSE((*opened)->Next(&row).ok());
+}
+
+/// Every row FileTickSource streams from \p path, or its error.
+Result<std::vector<Vector>> StreamAll(const std::string& path) {
+  POLYDAB_ASSIGN_OR_RETURN(auto source, FileTickSource::Open(path));
+  std::vector<Vector> rows;
+  Vector row;
+  while (true) {
+    POLYDAB_ASSIGN_OR_RETURN(const bool more, source->Next(&row));
+    if (!more) return rows;
+    rows.push_back(row);
+  }
+}
+
+TEST(TickSourceTest, FileSourceReadsTheTraceIoDialect) {
+  // `traces=` loads through LoadTraceSetCsv and `ingest=` streams through
+  // FileTickSource: the same file must give both the same rows, or be
+  // rejected by both.
+  const struct {
+    const char* name;
+    const char* csv;
+    bool valid;
+  } cases[] = {
+      {"comment_mid_file", "1,2\n# gap\n3,4\n", true},
+      {"comment_then_header", "# quotes\nAAA,BBB\n1,2\n3,4\n", true},
+      {"header_narrower_than_rows", "AAA,BBB,CCC\n1,2,3,4\n5,6,7,8\n",
+       false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path =
+        ::testing::TempDir() + "/dialect_" + c.name + ".csv";
+    {
+      std::ofstream out(path);
+      out << c.csv;
+    }
+    auto loaded = LoadTraceSetCsv(path);
+    auto streamed = StreamAll(path);
+    ASSERT_EQ(loaded.ok(), c.valid) << loaded.status().ToString();
+    ASSERT_EQ(streamed.ok(), c.valid) << streamed.status().ToString();
+    if (!c.valid) continue;
+    ASSERT_EQ(streamed->size(), static_cast<size_t>(loaded->num_ticks));
+    for (size_t t = 0; t < streamed->size(); ++t) {
+      ASSERT_EQ((*streamed)[t].size(), loaded->num_items());
+      for (size_t i = 0; i < loaded->num_items(); ++i) {
+        EXPECT_EQ((*streamed)[t][i], loaded->ValueAt(i, static_cast<int>(t)));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -757,9 +757,9 @@ int main(int argc, char** argv) {
             [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
               return a.id < b.id;
             });
-        // Run summaries come from the restart side only: it ran to
+        // The run summary comes from the restart side only: it ran to
         // completion, and its final counters equal the oracle's.
-        merged.summaries = std::move(trace.summaries);
+        merged.summary = std::move(trace.summary);
         trace = std::move(merged);
       }
       if (threads > 0) {
