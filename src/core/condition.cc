@@ -1,5 +1,6 @@
 #include "core/condition.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -7,14 +8,6 @@
 namespace polydab::core {
 
 namespace {
-
-/// A partially expanded symbolic term: numeric coefficient (absorbing data
-/// values and multinomial factors) times a power product of GP variables.
-struct SymTerm {
-  double coef;
-  std::vector<std::pair<int, double>> exps;  // (gp var, exponent)
-  int b_degree;                              // total degree in b variables
-};
 
 double Multinomial(int n, int k1, int k2) {
   // n! / (k1! k2! (n-k1-k2)!) for small n (query degrees are small).
@@ -26,40 +19,78 @@ double Multinomial(int n, int k1, int k2) {
   return fact(n) / (fact(k1) * fact(k2) * fact(n - k1 - k2));
 }
 
-/// Expansion of one factor (V + b)^e or (V + c + b)^e into SymTerms.
-std::vector<SymTerm> ExpandFactor(double value, int exp, int b_index,
-                                  int c_index /* -1 for single-DAB */) {
-  std::vector<SymTerm> out;
-  for (int kb = 0; kb <= exp; ++kb) {
-    const int kc_max = (c_index >= 0) ? exp - kb : 0;
-    for (int kc = 0; kc <= kc_max; ++kc) {
-      const int kv = exp - kb - kc;
-      SymTerm t;
-      t.coef = Multinomial(exp, kb, kc) * std::pow(value, kv);
-      if (kb > 0) t.exps.emplace_back(b_index, static_cast<double>(kb));
-      if (kc > 0) t.exps.emplace_back(c_index, static_cast<double>(kc));
-      t.b_degree = kb;
-      out.push_back(std::move(t));
-    }
-  }
-  return out;
+/// One term of the expansion of a factor (V + b)^e or (V + c + b)^e:
+/// Multinomial(e, kb, kc) · V^(e−kb−kc) · b^kb · c^kc.
+struct FactorTerm {
+  double coef;
+  int kb;
+  int kc;
+};
+
+/// One factor of a monomial: its GP variables and its expansion, entries
+/// [first, first + count) of the build's term table.
+struct Factor {
+  int b_index;
+  int c_index;  // -1 for single-DAB
+  size_t first;
+  size_t count;
+};
+
+/// Number of terms in the expansion of (V + b)^e, or of (V + c + b)^e
+/// when \p dual.
+size_t FactorTerms(int e, bool dual) {
+  return dual ? static_cast<size_t>((e + 1) * (e + 2) / 2)
+              : static_cast<size_t>(e + 1);
 }
 
-std::vector<SymTerm> Convolve(const std::vector<SymTerm>& a,
-                              const std::vector<SymTerm>& b) {
-  std::vector<SymTerm> out;
-  out.reserve(a.size() * b.size());
-  for (const SymTerm& x : a) {
-    for (const SymTerm& y : b) {
-      SymTerm t;
-      t.coef = x.coef * y.coef;
-      t.exps = x.exps;
-      t.exps.insert(t.exps.end(), y.exps.begin(), y.exps.end());
-      t.b_degree = x.b_degree + y.b_degree;
-      out.push_back(std::move(t));
+/// Append the expansion of (V + b)^e or (V + c + b)^e to \p table, in
+/// the order kb = 0..e, then kc = 0..e-kb.
+void ExpandFactor(double value, int exp, bool dual,
+                  std::vector<FactorTerm>* table) {
+  for (int kb = 0; kb <= exp; ++kb) {
+    const int kc_max = dual ? exp - kb : 0;
+    for (int kc = 0; kc <= kc_max; ++kc) {
+      const int kv = exp - kb - kc;
+      table->push_back({Multinomial(exp, kb, kc) * std::pow(value, kv), kb,
+                        kc});
     }
   }
-  return out;
+}
+
+/// Expand one monomial into \p cond. The product of its factors'
+/// expansions is walked by an odometer over the factors, the last one
+/// fastest, and each term's coefficient is multiplied up from 1.0 in
+/// factor order: the term order and the multiply order
+/// ((1.0·c₁)·c₂)·… of a left-to-right convolution of the factors, so the
+/// coefficients are the same bits. The b-free terms are skipped: they are
+/// exactly P(V+c) (resp. P(V)) and cancel in the difference.
+void ExpandMonomial(double mono_coef, double qab,
+                    const std::vector<Factor>& factors,
+                    const std::vector<FactorTerm>& table,
+                    std::vector<size_t>* digits,
+                    std::vector<gp::Posynomial::Exponent>* exps,
+                    gp::Posynomial* cond) {
+  const size_t nf = factors.size();
+  digits->assign(nf, 0);
+  while (true) {
+    double coef = 1.0;
+    int b_degree = 0;
+    exps->clear();
+    for (size_t f = 0; f < nf; ++f) {
+      const Factor& fac = factors[f];
+      const FactorTerm& t = table[fac.first + (*digits)[f]];
+      coef *= t.coef;
+      b_degree += t.kb;
+      if (t.kb > 0) exps->emplace_back(fac.b_index, static_cast<double>(t.kb));
+      if (t.kc > 0) exps->emplace_back(fac.c_index, static_cast<double>(t.kc));
+    }
+    if (b_degree > 0) cond->AddTerm(mono_coef * coef / qab, *exps);
+    size_t f = nf;
+    while (f > 0 && ++(*digits)[f - 1] == factors[f - 1].count) {
+      (*digits)[--f] = 0;
+    }
+    if (f == 0) return;
+  }
 }
 
 Result<gp::Posynomial> BuildCondition(const Polynomial& p,
@@ -75,26 +106,68 @@ Result<gp::Posynomial> BuildCondition(const Polynomial& p,
     return -1;
   };
 
-  gp::Posynomial cond;
+  // Size everything first, so the expansion below allocates nothing per
+  // term: the kept terms of a monomial are all products of its factors'
+  // terms minus the b-free ones, and likewise for their exponent entries
+  // (an entry per nonzero kb and per nonzero kc of each factor term).
+  size_t num_terms = 0;
+  size_t num_exps = 0;
+  size_t max_factors = 0;
+  size_t max_table = 0;
   for (const Monomial& mono : p.terms()) {
-    std::vector<SymTerm> acc = {{1.0, {}, 0}};
+    // all: (terms, exponent entries); free: the same over kb = 0 terms.
+    size_t all_terms = 1, all_exps = 0, free_terms = 1, free_exps = 0;
+    size_t table = 0;
     for (const auto& [var, exp] : mono.powers()) {
-      const int i = index_of(var);
-      if (i < 0) {
+      if (index_of(var) < 0) {
         return Status::InvalidArgument(
             "query variable missing from GP variable map");
       }
-      const double v = values[static_cast<size_t>(var)];
-      acc = Convolve(acc, ExpandFactor(v, exp, map.BIndex(i),
-                                       dual ? map.CIndex(i) : -1));
+      // The factor's n terms, n0 of them with kb = 0, carry nz exponent
+      // entries, nz0 of them on the kb = 0 terms: a b entry on each of the
+      // n - n0 terms with kb > 0 and, under dual, as many c entries by
+      // symmetry; the kb = 0 terms are c^0..c^e.
+      const size_t n = FactorTerms(exp, dual);
+      const size_t e = static_cast<size_t>(exp);
+      const size_t n0 = dual ? e + 1 : 1;
+      const size_t nz = dual ? 2 * (n - n0) : n - n0;
+      const size_t nz0 = dual ? e : 0;
+      all_exps = all_exps * n + nz * all_terms;
+      all_terms *= n;
+      free_exps = free_exps * n0 + nz0 * free_terms;
+      free_terms *= n0;
+      table += n;
     }
-    // Keep only the terms with at least one b factor: the b-free terms are
-    // exactly P(V+c) (resp. P(V)) and cancel in the difference.
-    for (SymTerm& t : acc) {
-      if (t.b_degree == 0) continue;
-      cond.AddTerm(mono.coef() * t.coef / qab, std::move(t.exps));
-    }
+    num_terms += all_terms - free_terms;
+    num_exps += all_exps - free_exps;
+    max_factors = std::max(max_factors, mono.powers().size());
+    max_table = std::max(max_table, table);
   }
+
+  gp::Posynomial cond;
+  cond.Reserve(num_terms, num_exps);
+  std::vector<FactorTerm> table;
+  table.reserve(max_table);
+  std::vector<Factor> factors;
+  factors.reserve(max_factors);
+  std::vector<size_t> digits;
+  digits.reserve(max_factors);
+  std::vector<gp::Posynomial::Exponent> exps;
+  exps.reserve(2 * max_factors);
+  for (const Monomial& mono : p.terms()) {
+    table.clear();
+    factors.clear();
+    for (const auto& [var, exp] : mono.powers()) {
+      const size_t i = static_cast<size_t>(index_of(var));
+      const size_t first = table.size();
+      ExpandFactor(values[static_cast<size_t>(var)], exp, dual, &table);
+      factors.push_back({map.BIndex(i), dual ? map.CIndex(i) : -1, first,
+                         table.size() - first});
+    }
+    ExpandMonomial(mono.coef(), qab, factors, table, &digits, &exps, &cond);
+  }
+  POLYDAB_DCHECK(cond.num_terms() == num_terms &&
+                 cond.exp_vars().size() == num_exps);
   if (cond.empty()) {
     return Status::InvalidArgument(
         "query polynomial has no variable terms; nothing to bound");

@@ -20,6 +20,8 @@ Result<QueryDabs> SolveDualDab(const PolynomialQuery& query,
 
   gp::GpProblem gp_problem;
   gp_problem.num_vars = static_cast<int>(2 * k + 1);
+  gp_problem.objective.Reserve(2 * k + 1, 2 * k + 1);
+  gp_problem.constraints.reserve(2 * k + 1);
 
   // Objective: refresh stream + mu * recompute stream.
   for (size_t i = 0; i < k; ++i) {

@@ -103,21 +103,12 @@ Result<AaoSolution> SolveAao(const std::vector<PolynomialQuery>& queries,
     POLYDAB_ASSIGN_OR_RETURN(
         gp::Posynomial local_cond,
         DualDabCondition(queries[qi].p, values, queries[qi].qab, local));
-    gp::Posynomial cond;
-    for (const gp::GpTerm& t : local_cond.terms()) {
-      std::vector<std::pair<int, double>> exps;
-      exps.reserve(t.exponents.size());
-      for (const auto& [var, exp] : t.exponents) {
-        if (var < static_cast<int>(k)) {
-          exps.emplace_back(shared_index(blk.qvars[static_cast<size_t>(var)]),
-                            exp);
-        } else {
-          exps.emplace_back(blk.c_base + (var - static_cast<int>(k)), exp);
-        }
-      }
-      cond.AddTerm(t.coef, std::move(exps));
-    }
-    gp_problem.constraints.push_back(std::move(cond));
+    local_cond.RemapVars([&](int var) {
+      return var < static_cast<int>(k)
+                 ? shared_index(blk.qvars[static_cast<size_t>(var)])
+                 : blk.c_base + (var - static_cast<int>(k));
+    });
+    gp_problem.constraints.push_back(std::move(local_cond));
 
     // b_x <= c_{q,x} and rate(lambda_x, c_{q,x}) <= R_q.
     for (size_t i = 0; i < k; ++i) {

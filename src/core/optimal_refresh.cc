@@ -18,6 +18,7 @@ Result<QueryDabs> SolveOptimalRefresh(const PolynomialQuery& query,
 
   gp::GpProblem gp_problem;
   gp_problem.num_vars = static_cast<int>(k);
+  gp_problem.objective.Reserve(k, k);
   for (size_t i = 0; i < k; ++i) {
     AddRateTerm(ddm, rates[static_cast<size_t>(map.vars[i])],
                 map.BIndex(i), &gp_problem.objective);

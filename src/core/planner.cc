@@ -28,34 +28,42 @@ void TracePlannerEvent(const PlannerConfig& config, obs::TraceEventKind kind,
   config.trace->Emit(e);
 }
 
-/// PPQ sub-solver for the configured assignment method. The planner's
+/// The Dual-DAB parameters of the planner's GP solves. The planner's
 /// telemetry registry (if any) is propagated into the GP solver options so
 /// one `PlannerConfig::registry` assignment instruments the whole stack.
 /// A non-null \p record receives the GP solve's SolveRecord.
-PpqSolver MakeSubSolver(const Vector& values, const Vector& rates,
-                        const PlannerConfig& config,
-                        gp::SolveRecord* record = nullptr) {
+DualDabParams SubSolverParams(const PlannerConfig& config,
+                              gp::SolveRecord* record) {
   DualDabParams dual = config.dual;
   if (dual.solver.registry == nullptr) dual.solver.registry = config.registry;
   dual.solver.record = record;
-  switch (config.method) {
+  return dual;
+}
+
+/// Solve one PPQ with the configured assignment method.
+Result<QueryDabs> SolvePpq(AssignmentMethod method, const PolynomialQuery& q,
+                           const Vector& values, const Vector& rates,
+                           const DualDabParams& dual, const QueryDabs* warm) {
+  switch (method) {
     case AssignmentMethod::kOptimalRefresh:
-      return [&values, &rates, dual](const PolynomialQuery& q,
-                                     const QueryDabs* w) {
-        return SolveOptimalRefresh(q, values, rates, dual.ddm, dual.solver,
-                                   w);
-      };
+      return SolveOptimalRefresh(q, values, rates, dual.ddm, dual.solver,
+                                 warm);
     case AssignmentMethod::kDualDab:
-      return [&values, &rates, dual](const PolynomialQuery& q,
-                                     const QueryDabs* w) {
-        return SolveDualDab(q, values, rates, dual, w);
-      };
+      return SolveDualDab(q, values, rates, dual, warm);
     case AssignmentMethod::kWsDab:
-      return [&values](const PolynomialQuery& q, const QueryDabs*) {
-        return SolveWsDab(q, values);
-      };
+      return SolveWsDab(q, values);
   }
-  return nullptr;
+  return Status::Internal("unknown assignment method");
+}
+
+/// SolvePpq as the PpqSolver a general-query heuristic calls.
+PpqSolver MakeSubSolver(const Vector& values, const Vector& rates,
+                        const PlannerConfig& config) {
+  return [&values, &rates, method = config.method,
+          dual = SubSolverParams(config, nullptr)](const PolynomialQuery& q,
+                                                   const QueryDabs* w) {
+    return SolvePpq(method, q, values, rates, dual, w);
+  };
 }
 
 /// Decompose a general query into the sub-queries its heuristic solves:
@@ -222,8 +230,8 @@ Result<QueryDabs> ReplanPart(const PlanPart& part, const Vector& values,
   Result<QueryDabs> result =
       part.subquery.IsLinearAggregate()
           ? SolveLaq(part.subquery, rates, config.dual.ddm)
-          : MakeSubSolver(values, rates, config, solve)(part.subquery,
-                                                        &part.dabs);
+          : SolvePpq(config.method, part.subquery, values, rates,
+                     SubSolverParams(config, solve), &part.dabs);
   if (reg != nullptr) RecordReplan(reg, part, result.ok());
   TraceReplan(config, part, result.ok());
   return result;
@@ -271,22 +279,18 @@ uint64_t ReplanInputsHash(const PlanPart& part) {
   return h;
 }
 
-Result<QueryDabs> ReplanPartByCopy(const PlanPart& part,
-                                   const Result<QueryDabs>& result,
-                                   const gp::SolveRecord& solve,
-                                   const PlannerConfig& config) {
+void RecordReplanByCopy(const PlanPart& part, bool ok,
+                        const gp::SolveRecord& solve,
+                        const PlannerConfig& config) {
   obs::MetricRegistry* reg = config.registry;
-  obs::ScopedTimer timer(
-      reg == nullptr ? nullptr
-                     : reg->GetHistogram("core.planner.replan_seconds"));
-  Result<QueryDabs> copy = result;
-  // The solver registry the solving call used (see MakeSubSolver).
+  // The solver registry the solving call used (see SubSolverParams).
   gp::ReplaySolveInstruments(config.dual.solver.registry != nullptr
                                  ? config.dual.solver.registry
                                  : reg,
                              solve);
-  if (reg != nullptr) RecordReplan(reg, part, copy.ok());
-  return copy;
+  if (reg == nullptr) return;
+  reg->GetHistogram("core.planner.replan_seconds")->Record(0.0);
+  RecordReplan(reg, part, ok);
 }
 
 StalenessWidening WideningFor(const PolynomialQuery& query, VarId item,

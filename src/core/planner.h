@@ -100,7 +100,7 @@ Result<QueryPlan> PlanQueryParts(const PolynomialQuery& query,
 /// warm-starting from the part's previous assignment. The part's subquery
 /// is fixed at PlanQueryParts time (the sign split does not depend on
 /// data values). When \p solve is set it receives the GP solve's record
-/// (`solved` stays false for closed-form parts), for ReplanPartByCopy.
+/// (`solved` stays false for closed-form parts), for RecordReplanByCopy.
 Result<QueryDabs> ReplanPart(const PlanPart& part, const Vector& values,
                              const Vector& rates,
                              const PlannerConfig& config,
@@ -125,17 +125,17 @@ bool SameReplanInputs(const PlanPart& a, const PlanPart& b);
 /// inputs give equal digests; it only buckets, never decides equality.
 uint64_t ReplanInputsHash(const PlanPart& part);
 
-/// \brief ReplanPart for a part whose inputs are bitwise equal
-/// (SameReplanInputs) to one already re-solved under the same values,
-/// rates and config: returns a copy of that call's \p result, and counts
-/// into `config.registry` the `core.planner.*` and `gp.solver.*`
-/// increments ReplanPart would have made, replaying \p solve (the record
-/// the solving call filled) the way a memo hit does. The replan latency
-/// sample times the copy. Emits no trace event.
-Result<QueryDabs> ReplanPartByCopy(const PlanPart& part,
-                                   const Result<QueryDabs>& result,
-                                   const gp::SolveRecord& solve,
-                                   const PlannerConfig& config);
+/// \brief The instruments of a ReplanPart call for a part whose inputs
+/// are bitwise equal (SameReplanInputs) to one already re-solved under the
+/// same values, rates and config, whose result (\p ok) the caller installs
+/// itself: counts into `config.registry` the `core.planner.*` and
+/// `gp.solver.*` increments ReplanPart would have made, replaying \p solve
+/// (the record the solving call filled) the way a memo hit does, with a
+/// zero replan latency sample as the replayed solve gets. Emits no trace
+/// event.
+void RecordReplanByCopy(const PlanPart& part, bool ok,
+                        const gp::SolveRecord& solve,
+                        const PlannerConfig& config);
 
 /// Staleness-aware bound widening (the robustness protocol's graceful
 /// degradation, docs/ROBUSTNESS.md): when an item's source lease expires,

@@ -52,21 +52,17 @@ double ClampStep(Vector* d) {
 }
 
 void BuildSoa(const Posynomial& p, SoaPosy* sp) {
-  sp->logc.clear();
-  sp->coef.clear();
-  sp->term_off.clear();
-  sp->exp_var.clear();
-  sp->exp_coef.clear();
-  sp->term_off.push_back(0);
-  for (const GpTerm& t : p.terms()) {
-    sp->coef.push_back(t.coef);
-    sp->logc.push_back(std::log(t.coef));
-    for (const auto& [var, exp] : t.exponents) {
-      sp->exp_var.push_back(var);
-      sp->exp_coef.push_back(exp);
-    }
-    sp->term_off.push_back(static_cast<int>(sp->exp_var.size()));
+  sp->coef.assign(p.coefs().begin(), p.coefs().end());
+  sp->logc.resize(sp->coef.size());
+  for (size_t k = 0; k < sp->coef.size(); ++k) {
+    sp->logc[k] = std::log(sp->coef[k]);
   }
+  sp->term_off.resize(p.num_terms() + 1);
+  sp->term_off[0] = 0;
+  std::copy(p.term_end().begin(), p.term_end().end(),
+            sp->term_off.begin() + 1);
+  sp->exp_var.assign(p.exp_vars().begin(), p.exp_vars().end());
+  sp->exp_coef.assign(p.exp_vals().begin(), p.exp_vals().end());
 }
 
 /// Size ws->at_y and ws->trial for \p cg. Contents are left unspecified.
@@ -419,55 +415,17 @@ Result<Vector> PhaseOne(const ConvexGp& cg, const SolverOptions& opt,
                             std::to_string(s));
 }
 
-/// FNV-1a accumulator over raw 64-bit words.
-struct Fnv64 {
-  uint64_t h = 1469598103934665603ull;
-  void Mix(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  void MixInt(int v) { Mix(static_cast<uint64_t>(static_cast<int64_t>(v))); }
-  void MixDouble(double v) { Mix(std::bit_cast<uint64_t>(v)); }
-};
-
-void MixStructure(const Posynomial& p, Fnv64* f) {
-  f->MixInt(static_cast<int>(p.terms().size()));
-  for (const GpTerm& t : p.terms()) {
-    f->MixInt(static_cast<int>(t.exponents.size()));
-    for (const auto& [var, exp] : t.exponents) {
-      f->MixInt(var);
-      f->MixDouble(exp);
-    }
-  }
-}
-
 bool SoaStructureMatches(const SoaPosy& sp, const Posynomial& p) {
-  if (sp.num_terms() != static_cast<int>(p.terms().size())) return false;
-  size_t flat = 0;
-  for (size_t k = 0; k < p.terms().size(); ++k) {
-    const auto& exps = p.terms()[k].exponents;
-    if (sp.term_off[k + 1] - sp.term_off[k] !=
-        static_cast<int>(exps.size())) {
-      return false;
-    }
-    for (const auto& [var, exp] : exps) {
-      if (sp.exp_var[flat] != var ||
-          std::bit_cast<uint64_t>(sp.exp_coef[flat]) !=
-              std::bit_cast<uint64_t>(exp)) {
-        return false;
-      }
-      ++flat;
-    }
-  }
-  return true;
+  return static_cast<size_t>(sp.num_terms()) == p.num_terms() &&
+         std::equal(p.term_end().begin(), p.term_end().end(),
+                    sp.term_off.begin() + 1) &&
+         sp.exp_var == p.exp_vars() && SameBits(sp.exp_coef, p.exp_vals());
 }
 
 int64_t RefillSoa(const Posynomial& p, SoaPosy* sp) {
   int64_t skipped = 0;
-  for (size_t k = 0; k < p.terms().size(); ++k) {
-    const double c = p.terms()[k].coef;
+  for (size_t k = 0; k < p.num_terms(); ++k) {
+    const double c = p.coefs()[k];
     if (std::bit_cast<uint64_t>(sp->coef[k]) == std::bit_cast<uint64_t>(c)) {
       ++skipped;  // identical bits: the cached log is exact
       continue;
@@ -550,16 +508,22 @@ int64_t RefillCoefficients(const GpProblem& problem, ConvexGp* cg) {
   return skipped;
 }
 
+void MixStructure(const Posynomial& p, WordHash* h) {
+  h->MixInts(p.term_end());
+  h->MixInts(p.exp_vars());
+  h->MixDoubles(p.exp_vals());
+}
+
 uint64_t ShapeSignature(const GpProblem& problem) {
-  Fnv64 f;
-  f.MixInt(problem.num_vars);
-  MixStructure(problem.objective, &f);
+  WordHash h;
+  h.MixInt(problem.num_vars);
+  MixStructure(problem.objective, &h);
   for (const Posynomial& c : problem.constraints) {
     if (c.empty()) continue;
-    f.Mix(0x5eed5eed5eed5eedull);  // posynomial separator
-    MixStructure(c, &f);
+    h.Mix(0x5eed5eed5eed5eedull);  // posynomial separator
+    MixStructure(c, &h);
   }
-  return f.h;
+  return h.value;
 }
 
 Result<GpSolution> SolveConvexGp(const GpProblem& problem, const ConvexGp& cg,

@@ -1,36 +1,54 @@
 #include "gp/posynomial.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
 
 namespace polydab::gp {
 
-void Posynomial::AddTerm(double coef,
-                         std::vector<std::pair<int, double>> exponents) {
+void Posynomial::AddTerm(double coef, std::span<const Exponent> exponents) {
   POLYDAB_CHECK(coef > 0.0);
-  GpTerm t;
-  t.coef = coef;
-  t.exponents = std::move(exponents);
-  terms_.push_back(std::move(t));
+  coefs_.push_back(coef);
+  for (const auto& [var, exp] : exponents) {
+    exp_vars_.push_back(var);
+    exp_vals_.push_back(exp);
+  }
+  term_end_.push_back(static_cast<int>(exp_vars_.size()));
+}
+
+void Posynomial::Reserve(size_t terms, size_t exponents) {
+  coefs_.reserve(coefs_.size() + terms);
+  term_end_.reserve(term_end_.size() + terms);
+  exp_vars_.reserve(exp_vars_.size() + exponents);
+  exp_vals_.reserve(exp_vals_.size() + exponents);
 }
 
 void Posynomial::Add(const Posynomial& other) {
-  terms_.insert(terms_.end(), other.terms_.begin(), other.terms_.end());
+  const int base = static_cast<int>(exp_vars_.size());
+  coefs_.insert(coefs_.end(), other.coefs_.begin(), other.coefs_.end());
+  for (int end : other.term_end_) term_end_.push_back(base + end);
+  exp_vars_.insert(exp_vars_.end(), other.exp_vars_.begin(),
+                   other.exp_vars_.end());
+  exp_vals_.insert(exp_vals_.end(), other.exp_vals_.begin(),
+                   other.exp_vals_.end());
 }
 
 void Posynomial::Scale(double s) {
   POLYDAB_CHECK(s > 0.0);
-  for (GpTerm& t : terms_) t.coef *= s;
+  for (double& c : coefs_) c *= s;
 }
 
 double Posynomial::Evaluate(const Vector& v) const {
   double sum = 0.0;
-  for (const GpTerm& t : terms_) {
-    double prod = t.coef;
-    for (const auto& [var, exp] : t.exponents) {
-      POLYDAB_DCHECK(static_cast<size_t>(var) < v.size());
-      prod *= std::pow(v[static_cast<size_t>(var)], exp);
+  size_t idx = 0;
+  for (size_t k = 0; k < coefs_.size(); ++k) {
+    double prod = coefs_[k];
+    const size_t end = static_cast<size_t>(term_end_[k]);
+    for (; idx < end; ++idx) {
+      const size_t var = static_cast<size_t>(exp_vars_[idx]);
+      POLYDAB_DCHECK(var < v.size());
+      prod *= std::pow(v[var], exp_vals_[idx]);
     }
     sum += prod;
   }
@@ -39,12 +57,7 @@ double Posynomial::Evaluate(const Vector& v) const {
 
 int Posynomial::MaxVarIndex() const {
   int mx = -1;
-  for (const GpTerm& t : terms_) {
-    for (const auto& [var, exp] : t.exponents) {
-      (void)exp;
-      if (var > mx) mx = var;
-    }
-  }
+  for (int var : exp_vars_) mx = std::max(mx, var);
   return mx;
 }
 

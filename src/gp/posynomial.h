@@ -1,6 +1,9 @@
 #ifndef POLYDAB_GP_POSYNOMIAL_H_
 #define POLYDAB_GP_POSYNOMIAL_H_
 
+#include <cstddef>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,20 +21,32 @@
 
 namespace polydab::gp {
 
-/// \brief c · Π v_j^{a_j}: one monomial term of a posynomial. coef > 0.
-struct GpTerm {
-  double coef = 1.0;
-  /// (variable index, real exponent); variable indices need not be sorted.
-  std::vector<std::pair<int, double>> exponents;
-};
-
 /// \brief A sum of positive monomial terms f(v) = Σ_k c_k Π_j v_j^{a_kj}.
+///
+/// Terms are stored flat, in the layout the solver's log-space form uses
+/// (docs/SOLVER.md, "Program construction"): term k has coefficient
+/// coefs()[k] and owns the exponent entries [term_end()[k-1],
+/// term_end()[k]) of exp_vars() / exp_vals(), the first term from entry
+/// 0. A posynomial is four arrays however many terms it has, so building,
+/// copying and comparing one costs no heap object per term.
 class Posynomial {
  public:
+  /// One factor v_j^{a_j} of a term: (variable index, real exponent).
+  /// Variable indices need not be sorted.
+  using Exponent = std::pair<int, double>;
+
   Posynomial() = default;
 
   /// Append the term coef · Π v_j^{a_j}. coef must be > 0.
-  void AddTerm(double coef, std::vector<std::pair<int, double>> exponents);
+  void AddTerm(double coef, std::initializer_list<Exponent> exponents) {
+    AddTerm(coef, std::span<const Exponent>(exponents.begin(),
+                                            exponents.size()));
+  }
+  void AddTerm(double coef, std::span<const Exponent> exponents);
+
+  /// Pre-size the arrays for \p terms more terms with \p exponents more
+  /// exponent entries in all.
+  void Reserve(size_t terms, size_t exponents);
 
   /// Add the terms of another posynomial.
   void Add(const Posynomial& other);
@@ -39,8 +54,19 @@ class Posynomial {
   /// Multiply every coefficient by s > 0.
   void Scale(double s);
 
-  const std::vector<GpTerm>& terms() const { return terms_; }
-  bool empty() const { return terms_.empty(); }
+  /// Replace every exponent variable v by \p map(v).
+  template <typename Map>
+  void RemapVars(Map map) {
+    for (int& v : exp_vars_) v = map(v);
+  }
+
+  size_t num_terms() const { return coefs_.size(); }
+  bool empty() const { return coefs_.empty(); }
+  const std::vector<double>& coefs() const { return coefs_; }
+  /// One past the last exponent entry of each term.
+  const std::vector<int>& term_end() const { return term_end_; }
+  const std::vector<int>& exp_vars() const { return exp_vars_; }
+  const std::vector<double>& exp_vals() const { return exp_vals_; }
 
   /// Evaluate at strictly positive \p v.
   double Evaluate(const Vector& v) const;
@@ -49,7 +75,10 @@ class Posynomial {
   int MaxVarIndex() const;
 
  private:
-  std::vector<GpTerm> terms_;
+  std::vector<double> coefs_;
+  std::vector<int> term_end_;
+  std::vector<int> exp_vars_;
+  std::vector<double> exp_vals_;
 };
 
 /// \brief A geometric program in standard form:

@@ -19,20 +19,9 @@ bool SameBits(double a, double b) {
 }
 
 bool PosyEquals(const Posynomial& a, const Posynomial& b) {
-  if (a.terms().size() != b.terms().size()) return false;
-  for (size_t k = 0; k < a.terms().size(); ++k) {
-    const GpTerm& ta = a.terms()[k];
-    const GpTerm& tb = b.terms()[k];
-    if (!SameBits(ta.coef, tb.coef)) return false;
-    if (ta.exponents.size() != tb.exponents.size()) return false;
-    for (size_t e = 0; e < ta.exponents.size(); ++e) {
-      if (ta.exponents[e].first != tb.exponents[e].first ||
-          !SameBits(ta.exponents[e].second, tb.exponents[e].second)) {
-        return false;
-      }
-    }
-  }
-  return true;
+  return internal::SameBits(a.coefs(), b.coefs()) &&
+         a.term_end() == b.term_end() && a.exp_vars() == b.exp_vars() &&
+         internal::SameBits(a.exp_vals(), b.exp_vals());
 }
 
 bool ProblemEquals(const GpProblem& a, const GpProblem& b) {
@@ -46,13 +35,7 @@ bool ProblemEquals(const GpProblem& a, const GpProblem& b) {
 }
 
 bool WarmEquals(bool a_has, const Vector& a, bool b_has, const Vector& b) {
-  if (a_has != b_has) return false;
-  if (!a_has) return true;
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!SameBits(a[i], b[i])) return false;
-  }
-  return true;
+  return a_has == b_has && (!a_has || internal::SameBits(a, b));
 }
 
 bool NumericsEqual(const SolverOptions& a, const SolverOptions& b) {
@@ -63,30 +46,11 @@ bool NumericsEqual(const SolverOptions& a, const SolverOptions& b) {
          a.max_outer == b.max_outer;
 }
 
-/// FNV-1a over 64-bit words (same scheme as internal::ShapeSignature but
-/// over the full input bits: structure + coefficients + warm + options).
-struct Fnv64 {
-  uint64_t h = 1469598103934665603ull;
-  void Mix(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  void MixInt(int v) { Mix(static_cast<uint64_t>(static_cast<int64_t>(v))); }
-  void MixDouble(double v) { Mix(std::bit_cast<uint64_t>(v)); }
-};
-
-void MixPosy(const Posynomial& p, Fnv64* f) {
-  f->MixInt(static_cast<int>(p.terms().size()));
-  for (const GpTerm& t : p.terms()) {
-    f->MixDouble(t.coef);
-    f->MixInt(static_cast<int>(t.exponents.size()));
-    for (const auto& [var, exp] : t.exponents) {
-      f->MixInt(var);
-      f->MixDouble(exp);
-    }
-  }
+void MixPosy(const Posynomial& p, internal::WordHash* h) {
+  h->MixDoubles(p.coefs());
+  h->MixInts(p.term_end());
+  h->MixInts(p.exp_vars());
+  h->MixDoubles(p.exp_vals());
 }
 
 /// The memo key digest. This is the "quantized value-vector key" of
@@ -97,25 +61,22 @@ void MixPosy(const Posynomial& p, Fnv64* f) {
 /// the bucket; a hit still requires bitwise equality of every input.
 uint64_t KeyHash(const GpProblem& problem, const SolverOptions& options,
                  const Vector* warm) {
-  Fnv64 f;
-  f.MixInt(problem.num_vars);
-  MixPosy(problem.objective, &f);
+  internal::WordHash h;
+  h.MixInt(problem.num_vars);
+  MixPosy(problem.objective, &h);
   for (const Posynomial& c : problem.constraints) {
-    f.Mix(0x5eed5eed5eed5eedull);
-    MixPosy(c, &f);
+    h.Mix(0x5eed5eed5eed5eedull);
+    MixPosy(c, &h);
   }
-  f.Mix(warm != nullptr ? 0x9e3779b97f4a7c15ull : 0ull);
-  if (warm != nullptr) {
-    f.MixInt(static_cast<int>(warm->size()));
-    for (double v : *warm) f.MixDouble(v);
-  }
-  f.MixDouble(options.duality_tol);
-  f.MixDouble(options.inner_tol);
-  f.MixDouble(options.t0);
-  f.MixDouble(options.barrier_mu);
-  f.MixInt(options.max_newton_per_stage);
-  f.MixInt(options.max_outer);
-  return f.h;
+  h.Mix(warm != nullptr ? 0x9e3779b97f4a7c15ull : 0ull);
+  if (warm != nullptr) h.MixDoubles(*warm);
+  h.MixDouble(options.duality_tol);
+  h.MixDouble(options.inner_tol);
+  h.MixDouble(options.t0);
+  h.MixDouble(options.barrier_mu);
+  h.MixInt(options.max_newton_per_stage);
+  h.MixInt(options.max_outer);
+  return h.value;
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 #ifndef POLYDAB_GP_SOLVER_INTERNAL_H_
 #define POLYDAB_GP_SOLVER_INTERNAL_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/matrix.h"
 #include "common/status.h"
 #include "gp/gp_solver.h"
@@ -28,6 +31,35 @@
 /// solve, at the same point, by the same operations.
 
 namespace polydab::gp::internal {
+
+/// Word-wise hash accumulator: every 64-bit word is folded in with one
+/// Mix64 round. The shape signature and the engine's memo key both use it
+/// over a posynomial's flat arrays. Hash values are never observable: a
+/// skeleton reuse (StructureMatches) and a memo hit (bitwise equality of
+/// every input) are both decided by comparing the inputs themselves, so
+/// the hash only picks the candidates.
+struct WordHash {
+  uint64_t value = 0;
+  void Mix(uint64_t v) { value = Mix64(value ^ v); }
+  void MixInt(int64_t v) { Mix(static_cast<uint64_t>(v)); }
+  void MixDouble(double v) { Mix(std::bit_cast<uint64_t>(v)); }
+  void MixInts(const std::vector<int>& a) {
+    MixInt(static_cast<int64_t>(a.size()));
+    for (int v : a) MixInt(v);
+  }
+  void MixDoubles(const std::vector<double>& a) {
+    MixInt(static_cast<int64_t>(a.size()));
+    for (double v : a) MixDouble(v);
+  }
+};
+
+/// True iff \p a and \p b hold the same doubles bit for bit.
+inline bool SameBits(const std::vector<double>& a,
+                     const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
 
 /// One posynomial in log space, laid out structure-of-arrays: term k owns
 /// entries [term_off[k], term_off[k+1]) of exp_var / exp_coef, and

@@ -1268,22 +1268,27 @@ Status Coordinator::NotifyAndInstall(const Event& ev, uint64_t arrival_id) {
       // the view and rates every solve of this service reads.
       pool_.Await(sp.group);
       SolveGroup& group = solve_groups_[sp.group];
-      Result<QueryDabs> fresh =
-          group.leader != &part
-              ? core::ReplanPartByCopy(part, group.result, group.solve,
-                                       planner_cfg_)
-          : group.shared ? Result<QueryDabs>(group.result)
-                         : std::move(group.result);
-      core::TraceReplan(planner_cfg_, part, fresh.ok());
+      const bool ok = group.result.ok();
+      if (group.leader != &part) {
+        core::RecordReplanByCopy(part, ok, group.solve, planner_cfg_);
+      }
+      core::TraceReplan(planner_cfg_, part, ok);
       const uint64_t end_id = Emit({.time = ev.time, .kind = K::kRecomputeEnd,
                                     .item = ev.item, .query = query, .part = pi,
                                     .shard = Lane(qi), .cause = start_id,
-                                    .flag = fresh.ok() ? 1 : 0});
-      if (!fresh.ok()) {
+                                    .flag = ok ? 1 : 0});
+      if (!ok) {
         Count(metrics_.solver_failures, ins_.solver_failures);
         continue;  // keep the stale plan; better than none
       }
-      part.dabs = std::move(fresh).value();
+      // A shared result is copy-assigned into the part's own storage (the
+      // sizes match, so its vectors keep their buffers); an unshared one,
+      // read by its leader alone, is moved in.
+      if (group.shared) {
+        part.dabs = *group.result;
+      } else {
+        part.dabs = std::move(group.result).value();
+      }
       if (config_.paranoid_validation) {
         // Only the freshly replanned part is anchored at the current
         // view; sibling parts keep their own (older) anchors.

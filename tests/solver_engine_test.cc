@@ -18,31 +18,17 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
-#include <new>
 #include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "common/rng.h"
 #include "gp/gp_solver.h"
 #include "gp/solve_engine.h"
 #include "gp/solver_internal.h"
 #include "obs/metrics.h"
-
-namespace {
-/// operator new calls made by this thread (see the replacement below).
-thread_local int64_t t_news = 0;
-}  // namespace
-
-// Counting replacement of the global allocator, for the allocation guard.
-void* operator new(std::size_t size) {
-  ++t_news;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace polydab::gp {
 namespace {
@@ -567,10 +553,10 @@ TEST(SolverBitIdentityTest, SweepMatchesParentDigest) {
 int64_t CountSolveNews(const GpProblem& gp, const internal::ConvexGp& cg,
                        const Vector& warm, internal::Workspace* ws,
                        SolveStats* stats) {
-  const int64_t before = t_news;
+  const int64_t before = testing_util::ThreadNews();
   auto sol = internal::SolveConvexGp(gp, cg, SolverOptions{}, &warm, stats,
                                      ws);
-  const int64_t news = t_news - before;
+  const int64_t news = testing_util::ThreadNews() - before;
   EXPECT_TRUE(sol.ok()) << sol.status().ToString();
   return news;
 }
