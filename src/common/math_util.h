@@ -24,16 +24,6 @@ inline double LogSumExp(std::span<const double> z) {
   return m + std::log(s);
 }
 
-/// Clamp helper that also tolerates lo > hi by returning lo.
-inline double Clamp(double x, double lo, double hi) {
-  return std::max(lo, std::min(x, hi));
-}
-
-/// True when |a - b| <= tol * max(1, |a|, |b|).
-inline bool NearlyEqual(double a, double b, double tol = 1e-9) {
-  return std::fabs(a - b) <= tol * std::max({1.0, std::fabs(a), std::fabs(b)});
-}
-
 }  // namespace polydab
 
 #endif  // POLYDAB_COMMON_MATH_UTIL_H_

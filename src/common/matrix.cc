@@ -12,13 +12,6 @@ double Dot(const Vector& a, const Vector& b) {
   return s;
 }
 
-double Norm(const Vector& v) { return std::sqrt(Dot(v, v)); }
-
-void Axpy(double s, const Vector& b, Vector* a) {
-  POLYDAB_CHECK(a->size() == b.size());
-  for (size_t i = 0; i < b.size(); ++i) (*a)[i] += s * b[i];
-}
-
 Vector Matrix::Multiply(const Vector& x) const {
   POLYDAB_CHECK(x.size() == cols_);
   Vector y(rows_, 0.0);
@@ -29,23 +22,6 @@ Vector Matrix::Multiply(const Vector& x) const {
     y[r] = s;
   }
   return y;
-}
-
-Vector Matrix::MultiplyTranspose(const Vector& x) const {
-  POLYDAB_CHECK(x.size() == rows_);
-  Vector y(cols_, 0.0);
-  for (size_t r = 0; r < rows_; ++r) {
-    const double* row = &data_[r * cols_];
-    const double xr = x[r];
-    for (size_t c = 0; c < cols_; ++c) y[c] += row[c] * xr;
-  }
-  return y;
-}
-
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
 }
 
 namespace {

@@ -20,12 +20,6 @@ using Vector = std::vector<double>;
 /// Euclidean inner product. Sizes must match.
 double Dot(const Vector& a, const Vector& b);
 
-/// Euclidean norm.
-double Norm(const Vector& v);
-
-/// In-place a += s * b.
-void Axpy(double s, const Vector& b, Vector* a);
-
 /// \brief Row-major dense matrix of doubles.
 class Matrix {
  public:
@@ -62,12 +56,6 @@ class Matrix {
 
   /// y = M x.
   Vector Multiply(const Vector& x) const;
-
-  /// y = Mᵀ x.
-  Vector MultiplyTranspose(const Vector& x) const;
-
-  /// Identity matrix of size n.
-  static Matrix Identity(size_t n);
 
  private:
   size_t rows_, cols_;

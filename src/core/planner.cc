@@ -56,16 +56,6 @@ Result<QueryDabs> SolvePpq(AssignmentMethod method, const PolynomialQuery& q,
   return Status::Internal("unknown assignment method");
 }
 
-/// SolvePpq as the PpqSolver a general-query heuristic calls.
-PpqSolver MakeSubSolver(const Vector& values, const Vector& rates,
-                        const PlannerConfig& config) {
-  return [&values, &rates, method = config.method,
-          dual = SubSolverParams(config, nullptr)](const PolynomialQuery& q,
-                                                   const QueryDabs* w) {
-    return SolvePpq(method, q, values, rates, dual, w);
-  };
-}
-
 /// Decompose a general query into the sub-queries its heuristic solves:
 /// HH -> {P1 : B/2, P2 : B/2}; DS -> {P1+P2 : B}; pure-sign queries and
 /// PPQs -> themselves.
@@ -77,6 +67,7 @@ Result<std::vector<PolynomialQuery>> SplitSubqueries(
     return Status::InvalidArgument("query polynomial is zero");
   }
   if (p2.IsZero() || p2.Degree() == 0) {
+    // A constant negative term shifts the value but not the drift.
     PolynomialQuery q = query;
     q.p = p1;
     return std::vector<PolynomialQuery>{q};
@@ -162,29 +153,6 @@ std::ostream& operator<<(std::ostream& os, const PlannerConfig& config) {
   return os << config.Describe();
 }
 
-Result<QueryDabs> PlanQuery(const PolynomialQuery& query,
-                            const Vector& values, const Vector& rates,
-                            const PlannerConfig& config,
-                            const QueryDabs* warm) {
-  if (query.p.IsZero()) {
-    return Status::InvalidArgument("query polynomial is zero");
-  }
-  obs::ScopedTimer timer(
-      config.registry == nullptr
-          ? nullptr
-          : config.registry->GetHistogram("core.planner.plan_seconds"));
-  if (config.registry != nullptr) {
-    config.registry->GetCounter("core.planner.plans")->Inc();
-  }
-  // Linear aggregate queries have a value-independent optimal closed form
-  // that never goes stale (laq.h); every method uses it.
-  if (query.IsLinearAggregate()) {
-    return SolveLaq(query, rates, config.dual.ddm);
-  }
-  return SolveGeneralPq(query, config.heuristic,
-                        MakeSubSolver(values, rates, config), warm);
-}
-
 Result<QueryPlan> PlanQueryParts(const PolynomialQuery& query,
                                  const Vector& values, const Vector& rates,
                                  const PlannerConfig& config) {
@@ -209,9 +177,10 @@ Result<QueryPlan> PlanQueryParts(const PolynomialQuery& query,
   }
   POLYDAB_ASSIGN_OR_RETURN(std::vector<PolynomialQuery> subs,
                            SplitSubqueries(query, config.heuristic));
-  PpqSolver solve = MakeSubSolver(values, rates, config);
+  const DualDabParams dual = SubSolverParams(config, nullptr);
   for (PolynomialQuery& sub : subs) {
-    POLYDAB_ASSIGN_OR_RETURN(QueryDabs d, solve(sub, nullptr));
+    POLYDAB_ASSIGN_OR_RETURN(
+        QueryDabs d, SolvePpq(config.method, sub, values, rates, dual, nullptr));
     plan.parts.push_back(PlanPart{std::move(sub), std::move(d)});
   }
   TracePlannerEvent(config, obs::TraceEventKind::kPlannerPlan, query.id,

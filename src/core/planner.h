@@ -4,11 +4,11 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "core/baseline.h"
 #include "core/dual_dab.h"
-#include "core/heuristics.h"
 #include "core/laq.h"
 #include "core/optimal_refresh.h"
 #include "core/query.h"
@@ -25,6 +25,26 @@ class TraceSink;
 }  // namespace polydab::obs
 
 namespace polydab::core {
+
+/// §III-B: DAB assignment for *general* polynomial queries (mixed-sign
+/// coefficients), where no efficient optimal technique is known. Both
+/// heuristics rest on the key observation that P = P1 − P2 with P1, P2
+/// positive-coefficient (poly/Polynomial::SplitSigns):
+///
+/// * Half and Half (HH): solve P1 : B/2 and P2 : B/2 independently. Correct
+///   because the query can only drift past B if one sub-polynomial drifted
+///   past B/2. The planner keeps the two solutions as separate plan parts
+///   (an item in both is filtered at the smaller bound by the EQI merge).
+///
+/// * Different Sum (DS): solve the single PPQ  P1 + P2 : B  and use its
+///   bounds. Correct because the dual-DAB condition for P1+P2 dominates
+///   the one for P1−P2 term-by-term (Claim 1), and provably near-optimal
+///   for independent sub-polynomials with small DABs (Claim 2, factor
+///   1/(1−α)^d under the monotonic ddm).
+enum class GeneralPqHeuristic {
+  kHalfAndHalf,
+  kDifferentSum,
+};
 
 /// Which assignment algorithm drives the coordinator.
 enum class AssignmentMethod {
@@ -65,16 +85,6 @@ struct PlannerConfig {
 
 std::ostream& operator<<(std::ostream& os, const PlannerConfig& config);
 
-/// \brief Plan DABs for one query at the current values.
-///
-/// LAQs (degree ≤ 1) take the closed form regardless of method. General
-/// queries are routed through `config.heuristic`; for single-DAB methods
-/// the heuristic runs with the equivalent single-DAB sub-solver.
-Result<QueryDabs> PlanQuery(const PolynomialQuery& query,
-                            const Vector& values, const Vector& rates,
-                            const PlannerConfig& config,
-                            const QueryDabs* warm = nullptr);
-
 /// One independently maintained piece of a query's plan. Under Half and
 /// Half a general query has two parts (P1 : B/2 and P2 : B/2), each with
 /// its own validity anchors and its own recomputations — the coordinator
@@ -90,8 +100,13 @@ struct QueryPlan {
   std::vector<PlanPart> parts;
 };
 
-/// \brief Plan a query as independently maintained parts. This is the
-/// form the simulator consumes; PlanQuery is the merged convenience view.
+/// \brief Plan DABs for one query at the current values, as independently
+/// maintained parts.
+///
+/// LAQs (degree ≤ 1) take the closed form regardless of method. Other
+/// queries are split by `config.heuristic` (pure-sign queries and PPQs
+/// are solved as they are; a constant term is dropped) and each subquery
+/// is solved cold with `config.method`. A zero polynomial is rejected.
 Result<QueryPlan> PlanQueryParts(const PolynomialQuery& query,
                                  const Vector& values, const Vector& rates,
                                  const PlannerConfig& config);

@@ -10,70 +10,12 @@ namespace polydab::core {
 QueryIndex::QueryIndex(const std::vector<PolynomialQuery>& queries,
                        size_t num_items)
     : item_queries_(num_items) {
-  query_ids_.reserve(queries.size());
-  for (const PolynomialQuery& q : queries) query_ids_.push_back(q.id);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     for (VarId v : queries[qi].p.Variables()) {
       POLYDAB_CHECK(static_cast<size_t>(v) < num_items);
       item_queries_[static_cast<size_t>(v)].push_back(static_cast<int>(qi));
     }
   }
-}
-
-std::vector<int> QueryIndex::ShardByQueryId(int num_shards) const {
-  POLYDAB_CHECK(num_shards >= 1);
-  std::vector<int> shard(query_ids_.size());
-  for (size_t qi = 0; qi < query_ids_.size(); ++qi) {
-    shard[qi] = static_cast<int>(Mix64(static_cast<uint64_t>(
-                    static_cast<int64_t>(query_ids_[qi]))) %
-                static_cast<uint64_t>(num_shards));
-  }
-  return shard;
-}
-
-std::vector<int> QueryIndex::ShardByComponent(int num_shards) const {
-  POLYDAB_CHECK(num_shards >= 1);
-  // Union-find over query indices; each item's fanout list is one clique.
-  std::vector<int> parent(query_ids_.size());
-  for (size_t qi = 0; qi < parent.size(); ++qi) parent[qi] = static_cast<int>(qi);
-  auto find = [&parent](int x) {
-    while (parent[static_cast<size_t>(x)] != x) {
-      parent[static_cast<size_t>(x)] =
-          parent[static_cast<size_t>(parent[static_cast<size_t>(x)])];
-      x = parent[static_cast<size_t>(x)];
-    }
-    return x;
-  };
-  for (const auto& qs : item_queries_) {
-    for (size_t i = 1; i < qs.size(); ++i) {
-      const int a = find(qs[0]);
-      const int b = find(qs[i]);
-      if (a != b) parent[static_cast<size_t>(b)] = a;
-    }
-  }
-  // Hash each component by its smallest member's query id so the
-  // assignment is stable under query reordering.
-  std::vector<int32_t> min_id(query_ids_.size(), INT32_MAX);
-  for (size_t qi = 0; qi < query_ids_.size(); ++qi) {
-    const size_t root = static_cast<size_t>(find(static_cast<int>(qi)));
-    if (query_ids_[qi] < min_id[root]) min_id[root] = query_ids_[qi];
-  }
-  std::vector<int> shard(query_ids_.size());
-  for (size_t qi = 0; qi < query_ids_.size(); ++qi) {
-    const size_t root = static_cast<size_t>(find(static_cast<int>(qi)));
-    shard[qi] = static_cast<int>(Mix64(static_cast<uint64_t>(
-                    static_cast<int64_t>(min_id[root]))) %
-                static_cast<uint64_t>(num_shards));
-  }
-  return shard;
-}
-
-double QueryIndex::MeanFanout() const {
-  if (item_queries_.empty()) return 0.0;
-  size_t total = 0;
-  for (const auto& qs : item_queries_) total += qs.size();
-  return static_cast<double>(total) /
-         static_cast<double>(item_queries_.size());
 }
 
 IncrementalEvaluator::IncrementalEvaluator(
@@ -135,8 +77,26 @@ void IncrementalEvaluator::AddQuery(const PolynomialQuery& query) {
   query_values_.push_back(query.p.Evaluate(values_));
 }
 
-DynamicQueryIndex::DynamicQueryIndex(size_t num_items, Maintenance mode)
-    : mode_(mode), item_slots_(num_items) {}
+DynamicQueryIndex::DynamicQueryIndex(
+    const std::vector<PolynomialQuery>& queries, size_t num_items,
+    Maintenance mode)
+    : mode_(mode),
+      item_slots_(num_items),
+      alive_(queries.size(), 1),
+      comp_min_(queries.size()) {
+  slot_ids_.reserve(queries.size());
+  slot_items_.reserve(queries.size());
+  for (const PolynomialQuery& q : queries) {
+    const int slot = static_cast<int>(slot_ids_.size());
+    slot_ids_.push_back(q.id);
+    slot_items_.push_back(q.p.Variables());
+    for (VarId v : slot_items_.back()) {
+      POLYDAB_CHECK(static_cast<size_t>(v) < num_items);
+      item_slots_[static_cast<size_t>(v)].push_back(slot);
+    }
+  }
+  RecomputeComponents();
+}
 
 void DynamicQueryIndex::AddQuery(int32_t query_id,
                                  const std::vector<VarId>& items) {
@@ -230,9 +190,9 @@ void DynamicQueryIndex::RemoveQuery(int slot) {
 }
 
 void DynamicQueryIndex::RecomputeComponents() {
-  // From-scratch union-find over live slots, mirroring
-  // QueryIndex::ShardByComponent so incremental maintenance has an exact
-  // oracle to agree with.
+  // From-scratch union-find over live slots (dead slots are in no item
+  // list): the construction's derivation, and kRebuild's exact oracle for
+  // incremental maintenance. Each item's slot list is one clique.
   std::vector<int> parent(slot_ids_.size());
   for (size_t s = 0; s < parent.size(); ++s) parent[s] = static_cast<int>(s);
   auto find = [&parent](int x) {

@@ -13,7 +13,8 @@
 /// of polynomial queries re-evaluates, on every refresh, each query that
 /// references the refreshed item (to decide user notifications and check
 /// QABs). Doing that from scratch costs O(total terms); the structures
-/// here make it O(terms containing the item).
+/// here make it O(terms containing the item). DynamicQueryIndex keeps the
+/// EQI components (§IV) that partition the queries across lanes.
 
 namespace polydab::core {
 
@@ -28,30 +29,8 @@ class QueryIndex {
     return item_queries_[static_cast<size_t>(item)];
   }
 
-  size_t num_items() const { return item_queries_.size(); }
-  size_t num_queries() const { return query_ids_.size(); }
-
-  /// Mean number of queries a single item update touches (load metric).
-  double MeanFanout() const;
-
-  /// Partition the queries across \p num_shards coordinator lanes by a
-  /// mixed hash of the query id. Cheap and balanced, but two queries
-  /// sharing an item may land on different lanes, so per-item EQI merges
-  /// become cross-shard work. Returned vector is indexed like the
-  /// constructor's query vector; entries are in [0, num_shards).
-  std::vector<int> ShardByQueryId(int num_shards) const;
-
-  /// EQI-aware partition: queries connected through shared items (the
-  /// transitive closure of "references a common item") always land on the
-  /// same lane, so every per-item min-DAB merge is lane-local. Components
-  /// are hashed by their smallest query id; a workload that is one big
-  /// component degenerates to a single lane — by design, since such a
-  /// workload has no coordinator work that can proceed independently.
-  std::vector<int> ShardByComponent(int num_shards) const;
-
  private:
   std::vector<std::vector<int>> item_queries_;
-  std::vector<int32_t> query_ids_;  ///< PolynomialQuery::id by query index
 };
 
 /// \brief Maintains the value of every query under single-item updates.
@@ -113,22 +92,24 @@ class IncrementalEvaluator {
   int64_t updates_since_rebase_ = 0;
 };
 
-/// \brief EQI components under runtime query churn (docs/SERVICE.md).
+/// \brief EQI components and the coordinator's lane partition
+/// (docs/SERVICE.md).
 ///
-/// The static QueryIndex partitions a fixed query set once; the service
-/// layer instead registers and deregisters queries while the coordinator
-/// runs, and needs the EQI component structure — which drives both the
-/// per-item min-DAB merges and the component-hash shard assignment —
-/// maintained across every churn event. Slots are append-only stable
+/// The simulator derives its t = 0 lanes from this index and, under
+/// runtime query churn, keeps it across every register and deregister:
+/// the EQI component structure drives both the per-item min-DAB merges
+/// and the component-hash lane assignment. Slots are append-only stable
 /// indices (a departed query's slot stays allocated, marked dead), so
 /// callers can keep slot-indexed side tables.
 ///
-/// Two maintenance modes with identical observable state:
+/// Construction derives the components of the initial queries from
+/// scratch with one union-find. Churn then runs in one of two modes with
+/// identical observable state:
 ///  * kIncremental — registration merges every component reachable
 ///    through a shared item (a relabel of component mins); departure
 ///    re-derives connectivity only inside the departed query's component.
 ///  * kRebuild — the checked fallback: every churn event re-runs the
-///    same global union-find as QueryIndex::ShardByComponent.
+///    construction's global union-find.
 /// Components are labelled by their smallest live query id, a
 /// content-determined property, so both modes agree bit-for-bit — the
 /// churn differential test and the tracecheck plan_patch invariant both
@@ -137,7 +118,10 @@ class DynamicQueryIndex {
  public:
   enum class Maintenance { kIncremental, kRebuild };
 
-  DynamicQueryIndex(size_t num_items, Maintenance mode);
+  /// Index \p queries (slot i holds queries[i], alive) over \p num_items
+  /// items. Every referenced item must be below num_items.
+  DynamicQueryIndex(const std::vector<PolynomialQuery>& queries,
+                    size_t num_items, Maintenance mode);
 
   /// Register a query; its slot is the current num_slots().
   void AddQuery(int32_t query_id, const std::vector<VarId>& items);
@@ -161,10 +145,10 @@ class DynamicQueryIndex {
     return comp_min_[static_cast<size_t>(slot)];
   }
 
-  /// Per-slot lane assignment (dead slots -1). \p by_component selects
-  /// the EQI-aware policy (hash of the component min, matching
-  /// QueryIndex::ShardByComponent); otherwise the query-id hash policy
-  /// (matching ShardByQueryId).
+  /// Per-slot lane in [0, num_shards) by a Mix64 hash (dead slots -1).
+  /// \p by_component selects the EQI-aware policy, which hashes the
+  /// component min so connected queries share a lane; otherwise the
+  /// query id is hashed.
   std::vector<int> ShardAssignment(int num_shards, bool by_component) const;
 
  private:

@@ -587,10 +587,12 @@ Status Coordinator::StartFresh() {
   slots_.resize(queries_.size());
   items_.item_shards.resize(n_items_);
   {
-    core::QueryIndex qindex(queries_, n_items_);
-    AssignLanes(config_.shard_policy == ShardPolicy::kQueryHash
-                    ? qindex.ShardByQueryId(num_shards_)
-                    : qindex.ShardByComponent(num_shards_));
+    // The partition RefreshPartition maintains under churn, derived once;
+    // the index itself is kept only when churn needs it (EnsureDqi).
+    const core::DynamicQueryIndex index(
+        queries_, n_items_, core::DynamicQueryIndex::Maintenance::kRebuild);
+    AssignLanes(index.ShardAssignment(
+        num_shards_, config_.shard_policy == ShardPolicy::kEqiComponents));
   }
   items_.shard_free_at.assign(static_cast<size_t>(num_shards_), 0.0);
 
@@ -2007,12 +2009,10 @@ int Coordinator::FindLive(int query_id) const {
 void Coordinator::EnsureDqi() {
   if (dqi_ != nullptr) return;
   dqi_ = std::make_unique<core::DynamicQueryIndex>(
-      n_items_, config_.plan_maintenance == PlanMaintenance::kRebuild
-                    ? core::DynamicQueryIndex::Maintenance::kRebuild
-                    : core::DynamicQueryIndex::Maintenance::kIncremental);
-  for (const PolynomialQuery& q : queries_) {
-    dqi_->AddQuery(q.id, q.p.Variables());
-  }
+      queries_, n_items_,
+      config_.plan_maintenance == PlanMaintenance::kRebuild
+          ? core::DynamicQueryIndex::Maintenance::kRebuild
+          : core::DynamicQueryIndex::Maintenance::kIncremental);
 }
 
 /// Re-derive the lane partition from the dynamic index after a churn

@@ -25,7 +25,7 @@
 /// * The coordinator maintains a view of item values; each arriving
 ///   refresh is checked against every affected query's *secondary* DAB
 ///   range. A violation triggers a DAB recomputation for that query
-///   (PlanQuery, warm-started), updates the per-item minimum primary DABs
+///   (core::ReplanPart, warm-started), updates the per-item minimum primary DABs
 ///   (the EQI merge of §IV) and sends DAB-change messages to sources.
 /// * Message and computation delays are heavy-tailed Pareto (delay_model.h).
 /// * Metrics: refreshes, recomputations, DAB-change messages, fidelity
@@ -52,11 +52,13 @@ namespace polydab::sim {
 /// SimConfig::coord_shards > 1.
 enum class ShardPolicy : uint8_t {
   /// EQI-aware (default): queries connected through shared items land on
-  /// the same lane (core::QueryIndex::ShardByComponent), so every
-  /// per-item min-DAB merge is lane-local and the only cross-shard
-  /// synchronization left is the periodic AAO joint solve.
+  /// the same lane (core::DynamicQueryIndex::ShardAssignment hashes the
+  /// EQI component's smallest query id), so every per-item min-DAB merge
+  /// is lane-local and the only cross-shard synchronization left is the
+  /// periodic AAO joint solve. A workload that is one big component runs
+  /// on a single lane.
   kEqiComponents,
-  /// Mixed hash of the query id (core::QueryIndex::ShardByQueryId):
+  /// Mixed hash of the query id (the same ShardAssignment, by id):
   /// balanced regardless of item-sharing structure, but queries sharing
   /// an item may land on different lanes, so their EQI merges go through
   /// explicit shard-barrier synchronization (traced as kShardBarrier).

@@ -113,13 +113,4 @@ Result<Vector> EstimateRatesQuantile(const TraceSet& traces,
   return rates;
 }
 
-void OnlineRateTracker::Observe(double value) {
-  if (count_ > 0) {
-    const double r = std::fabs(value - last_value_) / interval_;
-    rate_ = (count_ == 1) ? r : alpha_ * r + (1.0 - alpha_) * rate_;
-  }
-  last_value_ = value;
-  ++count_;
-}
-
 }  // namespace polydab::workload

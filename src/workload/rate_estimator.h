@@ -45,30 +45,6 @@ Result<Vector> EstimateRatesQuantile(const TraceSet& traces,
                                      int interval_ticks = 60,
                                      double quantile = 0.95);
 
-/// \brief Online single-item rate tracker: what a deployed source would
-/// run instead of the offline whole-trace averages above. Feed values at
-/// a fixed cadence; Rate() returns the current EWMA of |ΔV| / interval.
-class OnlineRateTracker {
- public:
-  OnlineRateTracker(double interval_seconds, double alpha)
-      : interval_(interval_seconds), alpha_(alpha) {}
-
-  /// Record the item's value at the next sampling instant.
-  void Observe(double value);
-
-  /// Current rate estimate; 0 until two observations have arrived.
-  double Rate() const { return rate_; }
-
-  int64_t num_observations() const { return count_; }
-
- private:
-  double interval_;
-  double alpha_;
-  double last_value_ = 0.0;
-  double rate_ = 0.0;
-  int64_t count_ = 0;
-};
-
 }  // namespace polydab::workload
 
 #endif  // POLYDAB_WORKLOAD_RATE_ESTIMATOR_H_

@@ -1,5 +1,9 @@
+#include <algorithm>
+#include <climits>
+
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "core/query_index.h"
 
@@ -27,13 +31,6 @@ TEST_F(QueryIndexTest, InvertedIndexIsCorrect) {
   EXPECT_EQ(index.QueriesWithItem(x_), (std::vector<int>{0, 2}));
   EXPECT_EQ(index.QueriesWithItem(y_), (std::vector<int>{0, 1}));
   EXPECT_EQ(index.QueriesWithItem(z_), (std::vector<int>{1}));
-}
-
-TEST_F(QueryIndexTest, MeanFanout) {
-  std::vector<PolynomialQuery> queries = {Q(0, "x*y"), Q(1, "y*z")};
-  QueryIndex index(queries, reg_.size());
-  // 4 references over 3 items.
-  EXPECT_DOUBLE_EQ(index.MeanFanout(), 4.0 / 3.0);
 }
 
 TEST_F(QueryIndexTest, EvaluatorTracksSingleUpdate) {
@@ -132,6 +129,211 @@ TEST_P(EvaluatorProperty, MatchesFullEvaluation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EvaluatorProperty,
                          ::testing::Range<uint64_t>(1, 9));
+
+// DynamicQueryIndex under seeded register/deregister sequences, held
+// after every op to a test-local partition: pairwise item sharing merged
+// by a union-find, components labelled by their smallest live query id,
+// lanes from one Mix64 round of the label (or of the id).
+
+/// The index reads only a query's item set.
+PolynomialQuery ItemQuery(int32_t id, const std::vector<VarId>& items) {
+  std::vector<std::pair<VarId, int>> powers;
+  for (VarId v : items) powers.emplace_back(v, 1);
+  return {id, Polynomial({Monomial(1.0, std::move(powers))}), 1.0};
+}
+
+struct RefSlot {
+  int32_t id;
+  std::vector<VarId> items;
+  bool alive;
+};
+
+std::vector<int32_t> RefComponentMin(const std::vector<RefSlot>& slots) {
+  std::vector<size_t> parent(slots.size());
+  for (size_t s = 0; s < slots.size(); ++s) parent[s] = s;
+  auto find = [&parent](size_t x) {
+    while (parent[x] != x) x = parent[x];
+    return x;
+  };
+  for (size_t a = 0; a < slots.size(); ++a) {
+    for (size_t b = a + 1; b < slots.size(); ++b) {
+      if (!slots[a].alive || !slots[b].alive) continue;
+      const bool share = std::any_of(
+          slots[a].items.begin(), slots[a].items.end(), [&](VarId v) {
+            return std::find(slots[b].items.begin(), slots[b].items.end(),
+                             v) != slots[b].items.end();
+          });
+      if (share) parent[find(b)] = find(a);
+    }
+  }
+  std::vector<int32_t> root_min(slots.size(), INT32_MAX);
+  for (size_t s = 0; s < slots.size(); ++s) {
+    if (slots[s].alive) {
+      root_min[find(s)] = std::min(root_min[find(s)], slots[s].id);
+    }
+  }
+  std::vector<int32_t> comp_min(slots.size(), INT32_MAX);
+  for (size_t s = 0; s < slots.size(); ++s) {
+    if (slots[s].alive) comp_min[s] = root_min[find(s)];
+  }
+  return comp_min;
+}
+
+std::vector<int> RefLanes(const std::vector<RefSlot>& slots, int num_shards,
+                          bool by_component) {
+  const std::vector<int32_t> comp_min = RefComponentMin(slots);
+  std::vector<int> lanes(slots.size(), -1);
+  for (size_t s = 0; s < slots.size(); ++s) {
+    if (!slots[s].alive) continue;
+    const int32_t key = by_component ? comp_min[s] : slots[s].id;
+    lanes[s] = static_cast<int>(
+        Mix64(static_cast<uint64_t>(static_cast<int64_t>(key))) %
+        static_cast<uint64_t>(num_shards));
+  }
+  return lanes;
+}
+
+/// Every observable of \p index against the reference model.
+void ExpectMatchesReference(const DynamicQueryIndex& index,
+                            const std::vector<RefSlot>& slots) {
+  ASSERT_EQ(index.num_slots(), slots.size());
+  const std::vector<int32_t> comp_min = RefComponentMin(slots);
+  size_t active = 0, components = 0;
+  for (size_t s = 0; s < slots.size(); ++s) {
+    const int slot = static_cast<int>(s);
+    EXPECT_EQ(index.alive(slot), slots[s].alive) << "slot " << s;
+    EXPECT_EQ(index.query_id(slot), slots[s].id) << "slot " << s;
+    EXPECT_EQ(index.ComponentMin(slot), comp_min[s]) << "slot " << s;
+    if (slots[s].alive) {
+      ++active;
+      if (comp_min[s] == slots[s].id) ++components;
+    }
+  }
+  EXPECT_EQ(index.num_active(), active);
+  EXPECT_EQ(index.num_components(), components);
+  for (int shards : {1, 3, 4}) {
+    for (bool by_component : {true, false}) {
+      EXPECT_EQ(index.ShardAssignment(shards, by_component),
+                RefLanes(slots, shards, by_component))
+          << shards << " shards, by_component=" << by_component;
+    }
+  }
+}
+
+constexpr size_t kChurnItems = 12;
+
+/// 1-3 items, drawn with replacement from a small universe so queries
+/// share items and components merge and split.
+std::vector<VarId> RandomItems(Rng& rng) {
+  std::vector<VarId> items;
+  const int n = 1 + static_cast<int>(rng.UniformInt(0, 2));
+  for (int k = 0; k < n; ++k) {
+    const VarId v = static_cast<VarId>(
+        rng.UniformInt(0, static_cast<int64_t>(kChurnItems) - 1));
+    if (std::find(items.begin(), items.end(), v) == items.end()) {
+      items.push_back(v);
+    }
+  }
+  std::sort(items.begin(), items.end());
+  return items;
+}
+
+/// An id that no live slot holds; dead slots' ids may come back, as a
+/// deregistered query's id can be registered again.
+int32_t FreeId(Rng& rng, const std::vector<RefSlot>& slots) {
+  for (;;) {
+    const int32_t id = static_cast<int32_t>(rng.UniformInt(0, 199));
+    if (std::none_of(slots.begin(), slots.end(), [id](const RefSlot& s) {
+          return s.alive && s.id == id;
+        })) {
+      return id;
+    }
+  }
+}
+
+TEST(DynamicQueryIndexTest, BothMaintenanceModesMatchTheReferenceUnderChurn) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::vector<RefSlot> slots;
+    std::vector<PolynomialQuery> initial;
+    const int n0 = static_cast<int>(rng.UniformInt(0, 6));
+    for (int i = 0; i < n0; ++i) {
+      slots.push_back({FreeId(rng, slots), RandomItems(rng), true});
+      initial.push_back(ItemQuery(slots.back().id, slots.back().items));
+    }
+    DynamicQueryIndex inc(initial, kChurnItems,
+                          DynamicQueryIndex::Maintenance::kIncremental);
+    DynamicQueryIndex reb(initial, kChurnItems,
+                          DynamicQueryIndex::Maintenance::kRebuild);
+    ExpectMatchesReference(inc, slots);
+    ExpectMatchesReference(reb, slots);
+    for (int op = 0; op < 60; ++op) {
+      std::vector<int> live;
+      for (size_t s = 0; s < slots.size(); ++s) {
+        if (slots[s].alive) live.push_back(static_cast<int>(s));
+      }
+      if (live.empty() || rng.Uniform(0.0, 1.0) < 0.55) {
+        slots.push_back({FreeId(rng, slots), RandomItems(rng), true});
+        inc.AddQuery(slots.back().id, slots.back().items);
+        reb.AddQuery(slots.back().id, slots.back().items);
+      } else {
+        const int slot = live[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
+        slots[static_cast<size_t>(slot)].alive = false;
+        inc.RemoveQuery(slot);
+        reb.RemoveQuery(slot);
+      }
+      SCOPED_TRACE("op " + std::to_string(op));
+      for (size_t s = 0; s < slots.size(); ++s) {
+        EXPECT_EQ(inc.ComponentMin(static_cast<int>(s)),
+                  reb.ComponentMin(static_cast<int>(s)));
+      }
+      ExpectMatchesReference(inc, slots);
+      ExpectMatchesReference(reb, slots);
+    }
+  }
+}
+
+TEST(DynamicQueryIndexTest, BulkConstructorMatchesOneByOneAdds) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    for (DynamicQueryIndex::Maintenance mode :
+         {DynamicQueryIndex::Maintenance::kIncremental,
+          DynamicQueryIndex::Maintenance::kRebuild}) {
+      Rng rng(seed);
+      std::vector<RefSlot> slots;
+      std::vector<PolynomialQuery> queries;
+      const int n = static_cast<int>(rng.UniformInt(0, 24));
+      for (int i = 0; i < n; ++i) {
+        slots.push_back({FreeId(rng, slots), RandomItems(rng), true});
+        queries.push_back(ItemQuery(slots.back().id, slots.back().items));
+      }
+      DynamicQueryIndex bulk(queries, kChurnItems, mode);
+      DynamicQueryIndex one_by_one({}, kChurnItems, mode);
+      for (const RefSlot& s : slots) one_by_one.AddQuery(s.id, s.items);
+      ExpectMatchesReference(bulk, slots);
+      ExpectMatchesReference(one_by_one, slots);
+      // The two stay equal through later churn: the bulk build leaves no
+      // state behind that an incremental op would read differently.
+      for (int op = 0; op < 10 && !slots.empty(); ++op) {
+        const int slot = static_cast<int>(
+            rng.UniformInt(0, static_cast<int64_t>(slots.size()) - 1));
+        if (slots[static_cast<size_t>(slot)].alive) {
+          slots[static_cast<size_t>(slot)].alive = false;
+          bulk.RemoveQuery(slot);
+          one_by_one.RemoveQuery(slot);
+        } else {
+          slots.push_back({FreeId(rng, slots), RandomItems(rng), true});
+          bulk.AddQuery(slots.back().id, slots.back().items);
+          one_by_one.AddQuery(slots.back().id, slots.back().items);
+        }
+        ExpectMatchesReference(bulk, slots);
+        ExpectMatchesReference(one_by_one, slots);
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace polydab::core

@@ -339,33 +339,6 @@ TEST(RateEstimatorTest, QuantileSingleSample) {
   }
 }
 
-TEST(RateEstimatorTest, OnlineTrackerConvergesToConstantRate) {
-  OnlineRateTracker tracker(/*interval_seconds=*/60.0, /*alpha=*/0.2);
-  EXPECT_DOUBLE_EQ(tracker.Rate(), 0.0);
-  double v = 100.0;
-  for (int i = 0; i < 50; ++i) {
-    tracker.Observe(v);
-    v += 6.0;  // 0.1 per second
-  }
-  EXPECT_NEAR(tracker.Rate(), 0.1, 1e-9);
-  EXPECT_EQ(tracker.num_observations(), 50);
-}
-
-TEST(RateEstimatorTest, OnlineTrackerReactsToRegimeChange) {
-  OnlineRateTracker tracker(1.0, 0.5);
-  double v = 10.0;
-  for (int i = 0; i < 20; ++i) {
-    tracker.Observe(v);
-    v += 0.01;
-  }
-  const double quiet = tracker.Rate();
-  for (int i = 0; i < 20; ++i) {
-    tracker.Observe(v);
-    v += 1.0;
-  }
-  EXPECT_GT(tracker.Rate(), quiet * 10);
-}
-
 TEST(TraceTest, MomentumProducesLocalTrends) {
   // Lag-1 autocorrelation of returns should be clearly positive with the
   // AR(1) drift and near zero without it.
