@@ -7,23 +7,15 @@
 
 namespace polydab::core {
 
-QueryIndex::QueryIndex(const std::vector<PolynomialQuery>& queries,
-                       size_t num_items)
-    : item_queries_(num_items) {
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    for (VarId v : queries[qi].p.Variables()) {
-      POLYDAB_CHECK(static_cast<size_t>(v) < num_items);
-      item_queries_[static_cast<size_t>(v)].push_back(static_cast<int>(qi));
-    }
-  }
-}
-
 IncrementalEvaluator::IncrementalEvaluator(
-    std::vector<PolynomialQuery> queries, Vector initial_values)
-    : queries_(std::move(queries)),
-      index_(queries_, initial_values.size()),
-      values_(std::move(initial_values)) {
-  query_values_.resize(queries_.size());
+    const std::vector<PolynomialQuery>& queries, const DynamicQueryIndex& live,
+    Vector initial_values)
+    : queries_(queries),
+      live_(live),
+      values_(std::move(initial_values)),
+      query_values_(live.num_slots(), 0.0) {
+  POLYDAB_CHECK(queries_.size() == live_.num_slots());
+  POLYDAB_CHECK(values_.size() == live_.num_items());
   Rebase();
 }
 
@@ -31,10 +23,10 @@ void IncrementalEvaluator::Update(VarId item, double value) {
   POLYDAB_CHECK(static_cast<size_t>(item) < values_.size());
   const double old_value = values_[static_cast<size_t>(item)];
   if (old_value == value) return;
-  // Patch each affected query by the change in the terms containing the
+  // Patch each live reader by the change in the terms containing the
   // item: evaluate those terms at the new value minus at the old value
   // (all other items unchanged).
-  for (int qi : index_.QueriesWithItem(item)) {
+  for (int qi : live_.LiveSlots(item)) {
     double delta = 0.0;
     for (const Monomial& t : queries_[static_cast<size_t>(qi)].p.terms()) {
       const int e = t.ExponentOf(item);
@@ -61,35 +53,39 @@ void IncrementalEvaluator::Update(VarId item, double value) {
 }
 
 void IncrementalEvaluator::Rebase() {
-  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+  for (size_t qi = 0; qi < query_values_.size(); ++qi) {
+    if (!live_.alive(static_cast<int>(qi))) continue;
     query_values_[qi] = queries_[qi].p.Evaluate(values_);
   }
   updates_since_rebase_ = 0;
 }
 
-void IncrementalEvaluator::AddQuery(const PolynomialQuery& query) {
-  queries_.push_back(query);
-  index_ = QueryIndex(queries_, values_.size());
+void IncrementalEvaluator::AddQuery() {
+  const size_t slot = query_values_.size();
+  POLYDAB_CHECK(slot + 1 == live_.num_slots());
   // Only the new query needs evaluating; rebasing here would silently
   // reset the accumulated drift of the existing delta chains, changing
   // every later QueryValue bit pattern relative to a run where the query
   // was present from the start of the chain.
-  query_values_.push_back(query.p.Evaluate(values_));
+  query_values_.push_back(queries_[slot].p.Evaluate(values_));
 }
 
 DynamicQueryIndex::DynamicQueryIndex(
     const std::vector<PolynomialQuery>& queries, size_t num_items,
-    Maintenance mode)
+    Maintenance mode, const std::vector<uint8_t>& alive)
     : mode_(mode),
       item_slots_(num_items),
-      alive_(queries.size(), 1),
+      alive_(alive.empty() ? std::vector<uint8_t>(queries.size(), 1) : alive),
       comp_min_(queries.size()) {
+  POLYDAB_CHECK(alive_.size() == queries.size());
   slot_ids_.reserve(queries.size());
   slot_items_.reserve(queries.size());
   for (const PolynomialQuery& q : queries) {
     const int slot = static_cast<int>(slot_ids_.size());
     slot_ids_.push_back(q.id);
     slot_items_.push_back(q.p.Variables());
+    if (!alive_[static_cast<size_t>(slot)]) continue;
+    POLYDAB_CHECK(live_slot_.emplace(q.id, slot).second);
     for (VarId v : slot_items_.back()) {
       POLYDAB_CHECK(static_cast<size_t>(v) < num_items);
       item_slots_[static_cast<size_t>(v)].push_back(slot);
@@ -101,6 +97,7 @@ DynamicQueryIndex::DynamicQueryIndex(
 void DynamicQueryIndex::AddQuery(int32_t query_id,
                                  const std::vector<VarId>& items) {
   const int slot = static_cast<int>(slot_ids_.size());
+  POLYDAB_CHECK(live_slot_.emplace(query_id, slot).second);
   slot_ids_.push_back(query_id);
   slot_items_.push_back(items);
   alive_.push_back(1);
@@ -149,6 +146,7 @@ void DynamicQueryIndex::RemoveQuery(int slot) {
   POLYDAB_CHECK(alive_[static_cast<size_t>(slot)]);
   const int32_t old_min = comp_min_[static_cast<size_t>(slot)];
   alive_[static_cast<size_t>(slot)] = 0;
+  live_slot_.erase(slot_ids_[static_cast<size_t>(slot)]);
   comp_min_[static_cast<size_t>(slot)] = INT32_MAX;
   for (VarId v : slot_items_[static_cast<size_t>(slot)]) {
     auto& qs = item_slots_[static_cast<size_t>(v)];
@@ -221,12 +219,6 @@ void DynamicQueryIndex::RecomputeComponents() {
                        ? min_id[static_cast<size_t>(find(static_cast<int>(s)))]
                        : INT32_MAX;
   }
-}
-
-size_t DynamicQueryIndex::num_active() const {
-  size_t n = 0;
-  for (uint8_t a : alive_) n += a;
-  return n;
 }
 
 size_t DynamicQueryIndex::num_components() const {

@@ -11,7 +11,7 @@ namespace polydab::recovery {
 
 namespace {
 
-constexpr char kCkptVersion[] = "polydab.ckpt.v1";
+constexpr char kCkptVersion[] = "polydab.ckpt.v2";
 
 /// The block's digest footer.
 struct BlockFooter {
@@ -61,18 +61,6 @@ std::vector<std::string> BuildBlockLines(const CheckpointState& st) {
     CheckpointItems::Fields(st.items, w);
     lines.push_back(w.Finish());
   }
-  const CheckpointItems& items = st.items;
-  for (size_t i = 0; i < items.item_queries.size(); ++i) {
-    const bool has_q = !items.item_queries[i].empty();
-    const bool has_s =
-        i < items.item_shards.size() && !items.item_shards[i].empty();
-    if (!has_q && !has_s) continue;
-    LineWriter w("t", "iq");
-    w("i", i);
-    if (has_q) w("q", items.item_queries[i]);
-    if (has_s) w("s", items.item_shards[i]);
-    lines.push_back(w.Finish());
-  }
   WriteList("ev", nullptr, st.events, &lines);
   WriteList("src", "i", st.sources, &lines);
   WriteList("if", "i", st.item_fault, &lines);
@@ -97,21 +85,6 @@ uint32_t BlockDigest(const std::vector<std::string>& lines) {
     h = Fnv1a32("\n", 1, h);
   }
   return h;
-}
-
-/// Sparse item-table row: the item's query slots and lanes, each key
-/// present only when non-empty.
-Status ReadItemRow(const Record& rec, CheckpointState* st) {
-  int i = 0;
-  POLYDAB_RETURN_NOT_OK(ReadValue(rec, "i", &i));
-  if (i < 0 || i >= st->num_items) {
-    return LineError(rec.line_number, "ckpt 'iq' item out of range");
-  }
-  const size_t item = static_cast<size_t>(i);
-  return ReadFields(rec, "i", [&](auto& v) {
-    v("q", obs::Omit{st->items.item_queries[item], {}});
-    v("s", obs::Omit{st->items.item_shards[item], {}});
-  });
 }
 
 constexpr obs::NameOf<char> kInstrumentKinds[] = {
@@ -167,8 +140,6 @@ Status DecodeBlock(const std::vector<const Record*>& recs,
       if (st->num_items < 0) {
         return LineError(rec.line_number, "ckpt 'hdr' item count is negative");
       }
-      st->items.item_queries.resize(static_cast<size_t>(st->num_items));
-      st->items.item_shards.resize(static_cast<size_t>(st->num_items));
     } else if (rec.tag == "met") {
       POLYDAB_RETURN_NOT_OK(ReadFields(
           rec, nullptr,
@@ -181,8 +152,6 @@ Status DecodeBlock(const std::vector<const Record*>& recs,
       POLYDAB_RETURN_NOT_OK(ReadFields(
           rec, nullptr,
           [&](auto& v) { CheckpointItems::Fields(st->items, v); }));
-    } else if (rec.tag == "iq") {
-      POLYDAB_RETURN_NOT_OK(ReadItemRow(rec, st));
     } else if (rec.tag == "ev") {
       POLYDAB_RETURN_NOT_OK(ReadListRecord(rec, nullptr, &st->events));
     } else if (rec.tag == "src") {
@@ -318,7 +287,7 @@ std::string SummarizeCheckpoint(const CheckpointState& st) {
   print("met", [&](auto& v) { RunCounters::Fields(st.metrics, v); });
   size_t live = 0;
   for (const CheckpointQuery& q : st.queries) {
-    if (q.slot.alive) ++live;
+    if (q.alive) ++live;
   }
   out += "queries " + std::to_string(live) + " live / " +
          std::to_string(st.queries.size()) + " slots\n";
@@ -381,23 +350,9 @@ int DiffCheckpoints(const CheckpointState& a, const CheckpointState& b,
             [](const RunCounters& s, auto& v) { RunCounters::Fields(s, v); });
   d.List("q", a.queries, b.queries);
   d.List("part", a.parts, b.parts);
-  const CheckpointItems& ia = a.items;
-  const CheckpointItems& ib = b.items;
-  d.Compare("items", ia, ib, [](const CheckpointItems& s, auto& v) {
+  d.Compare("items", a.items, b.items, [](const CheckpointItems& s, auto& v) {
     CheckpointItems::Fields(s, v);
   });
-  d.Report("iq.size", std::to_string(ia.item_queries.size()),
-           std::to_string(ib.item_queries.size()));
-  for (size_t i = 0;
-       i < ia.item_queries.size() && i < ib.item_queries.size(); ++i) {
-    const std::string p = "iq[" + std::to_string(i) + "].";
-    d.Report(p + "q", EncodeInts(ia.item_queries[i]),
-             EncodeInts(ib.item_queries[i]));
-    if (i < ia.item_shards.size() && i < ib.item_shards.size()) {
-      d.Report(p + "s", EncodeInts(ia.item_shards[i]),
-               EncodeInts(ib.item_shards[i]));
-    }
-  }
   d.List("ev", a.events, b.events);
   d.List("src", a.sources, b.sources);
   d.List("if", a.item_fault, b.item_fault);

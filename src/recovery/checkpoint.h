@@ -18,7 +18,7 @@
 /// anchors, the in-flight event heap, the reliability protocol's
 /// seq/ack/retransmit/lease arrays, the two persistent RNG streams, every
 /// registry instrument, and the service driver's opaque state — rendered
-/// as strictly parsed JSON lines (format tag polydab.ckpt.v1) in the same
+/// as strictly parsed JSON lines (format tag polydab.ckpt.v2) in the same
 /// json_util dialect as traces and run reports. Blocks are appended to an
 /// accumulating file; the loader takes the last *complete* block (header
 /// through digest footer), so a crash mid-write simply falls back to the
@@ -30,16 +30,18 @@
 /// `Fields` member template (recovery/record.h); the block writer, the
 /// strict loader and DiffCheckpoints all walk those lists, so a field
 /// exists on disk exactly when it is listed. Adding a field means a
-/// member, a list entry and a format version bump.
+/// member, a list entry and a format version bump. What the engine
+/// derives from these records — which live queries read each item, an
+/// item's home lane and lane set — is not carried: a restart rebuilds it
+/// from the query records' polynomials, alive bits and lanes.
 
 namespace polydab::recovery {
 
 /// The coordinator's mutable state for one query slot (live or dead —
-/// dead slots keep their index). The engine keeps one per slot, beside
-/// its query vector, and the checkpoint carries it whole inside
-/// CheckpointQuery.
+/// dead slots keep their index; liveness itself is the engine's live
+/// table). The engine keeps one per slot, beside its query vector, and
+/// the checkpoint carries it whole inside CheckpointQuery.
 struct QuerySlot {
-  bool alive = true;
   int reg_tick = 0;
   int dereg_tick = -1;    ///< -1 = never deregistered
   double violated_time = 0.0;   ///< sampled seconds the QAB was violated
@@ -49,12 +51,14 @@ struct QuerySlot {
   uint64_t degrade_event = 0;  ///< fault mode: trace id of the degrade
 };
 
-/// One query slot: the query itself, its slot state, and the incremental
-/// evaluator's delta-chain value for it.
+/// One query slot: the query itself, whether it is live, its slot state,
+/// and the incremental evaluator's delta-chain value for it (for a dead
+/// slot, the value it had when it departed).
 struct CheckpointQuery {
   int id = 0;
   double qab = 0.0;
   Polynomial poly;
+  bool alive = true;
   QuerySlot slot;
   double query_value = 0.0;
 
@@ -64,7 +68,7 @@ struct CheckpointQuery {
     v("id", s.id);
     v("qab", s.qab);
     v("poly", s.poly);
-    v("alive", s.slot.alive);
+    v("alive", s.alive);
     v("reg", s.slot.reg_tick);
     v("dereg", s.slot.dereg_tick);
     v("viol", s.slot.violated_time);
@@ -224,21 +228,19 @@ struct CheckpointInstrument {
   }
 };
 
-/// The coordinator's item-indexed tables and lane clocks. The engine
-/// keeps one of these; the checkpoint carries it whole.
+/// The coordinator's item-indexed values and lane clocks. The engine
+/// keeps one of these; the checkpoint carries it whole. Item membership
+/// (which live queries read an item, and on which lanes) is not here:
+/// it belongs to the engine's live-query table.
 struct CheckpointItems {
   Vector view;            ///< the coordinator's item values
   Vector source_value;    ///< true current value per item
   Vector last_pushed;     ///< value at each item's last push
   Vector installed_dab;   ///< active source filter; +inf for unused items
   Vector min_primary;     ///< EQI merge target; +inf for unused items
-  std::vector<int> item_home_shard;            ///< -1 for unused items
-  std::vector<std::vector<int>> item_queries;  ///< query slots per item
-  std::vector<std::vector<int>> item_shards;   ///< sorted lanes per item
   Vector shard_free_at;   ///< per-lane busy-until clock
 
-  /// Record 'items'. item_queries and item_shards travel as sparse 'iq'
-  /// rows instead (one per item that has either).
+  /// Record 'items'.
   template <class S, class V>
   static void Fields(S& s, V& v) {
     v("view", s.view);
@@ -246,7 +248,6 @@ struct CheckpointItems {
     v("pushed", s.last_pushed);
     v("inst", s.installed_dab);
     v("minp", s.min_primary);
-    v("home", s.item_home_shard);
     v("free", s.shard_free_at);
   }
 };
@@ -263,7 +264,6 @@ struct CheckpointState {
   uint64_t trace_next_id = 0;  ///< first event id after the snapshot
   uint64_t ckpt_end_id = 0;    ///< id of this snapshot's checkpoint_end
   bool fault_mode = false;
-  bool dqi_built = false;      ///< dynamic query index existed (churn ran)
   int64_t updates_since_rebase = 0;  ///< incremental evaluator drift clock
 
   RunCounters metrics;
@@ -291,7 +291,6 @@ struct CheckpointState {
     v("trace_next_id", s.trace_next_id);
     v("ckpt_end_id", s.ckpt_end_id);
     v("fault", s.fault_mode);
-    v("dqi", s.dqi_built);
     v("usr", s.updates_since_rebase);
     v("nq", Count{s.queries});
     v("np", Count{s.parts});
@@ -319,7 +318,7 @@ Status LoadLatestCheckpoint(const std::string& path, CheckpointState* out);
 std::string SummarizeCheckpoint(const CheckpointState& state);
 
 /// Compare two snapshots field by field, every listed field of every
-/// record plus the 'iq' rows and instrument kinds, by wire bytes; appends
+/// record plus the instrument kinds, by wire bytes; appends
 /// one "  path: a vs b" line per difference to \p out (capped at
 /// \p max_lines) and returns the total number of differences. Paths name
 /// the record and its wire key: "hdr.tick", "q[3].reg", "ev[0].wait".

@@ -10,6 +10,7 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <unordered_set>
 #include <utility>
 
 #include "common/hash.h"
@@ -201,8 +202,9 @@ struct FileCloser {
 /// Its state is the checkpoint's records — the query slots, the item
 /// tables, the event heap, the run counters and the fault protocol's
 /// per-source and per-item tables (recovery/checkpoint.h) — so a snapshot
-/// copies them whole and a restart reinstates them whole. Its methods are
-/// the protocol steps, and it is the ServiceOps the churn driver calls.
+/// copies them whole and a restart reinstates them whole (and rebuilds the
+/// live-query table from them). Its methods are the protocol steps, and it
+/// is the ServiceOps the churn driver calls.
 class Coordinator final : public ServiceOps {
  public:
   Coordinator(const std::vector<PolynomialQuery>& queries,
@@ -239,7 +241,7 @@ class Coordinator final : public ServiceOps {
   Status Restore();
   Status StageReplay();
   void InitFaultTables();
-  void AssignLanes(const std::vector<int>& lanes);
+  Status CheckRestoredIndices() const;
   void AddQueryInfo(size_t qi);
 
   // The tick loop.
@@ -258,6 +260,8 @@ class Coordinator final : public ServiceOps {
   Result<SimMetrics> Finish();
 
   // Filters: the EQI merge (§IV) and filter shipping.
+  size_t HomeLane(size_t item) const;
+  void ItemLanes(size_t item, std::vector<int>* out) const;
   void ScanMinSources(size_t item, std::vector<MinSource>* out) const;
   void IndexMinSources(const std::vector<VarId>& items);
   void IndexAllMinSources();
@@ -284,8 +288,7 @@ class Coordinator final : public ServiceOps {
   void ExpireLeases(double now);
 
   // Churn transactions.
-  int FindLive(int query_id) const;
-  void EnsureDqi();
+  core::DynamicQueryIndex::Maintenance IndexMaintenance() const;
   void RefreshPartition();
   void ChargeLane(size_t qi);
   void EmitPlanPatch(uint64_t cause_id);
@@ -345,7 +348,7 @@ class Coordinator final : public ServiceOps {
 
   // Coordinator state: the checkpoint's records. `queries_` is the one
   // copy of each polynomial; slots are append-only, so a deregistered
-  // query keeps its index with `alive` off and its plan empty.
+  // query keeps its index, dead in `live_`, with its plan empty.
   std::vector<PolynomialQuery> queries_;
   std::vector<recovery::QuerySlot> slots_;
   std::vector<core::QueryPlan> plans_;
@@ -357,16 +360,19 @@ class Coordinator final : public ServiceOps {
   std::vector<recovery::CheckpointItemFault> item_fault_;  // fault mode
   std::vector<recovery::CheckpointSource> source_fault_;   // fault mode
   std::vector<std::vector<int>> source_items_;  // source -> queried items
-  // The EQI merge's index, derived from item_queries and the plans and
+  // The live-query table: slot i is query index i. The one record of
+  // which slots are live and which live slots read each item, in
+  // ascending slot order; built at t = 0 (or from a checkpoint's query
+  // records at restart) and kept through every churn op.
+  std::optional<core::DynamicQueryIndex> live_;
+  // The EQI merge's index, derived from the live table and the plans and
   // never checkpointed: where each item's primary widths live, in the
   // order a walk of its queries' parts meets them.
   std::vector<std::vector<MinSource>> min_sources_;
-  // Incremental view-side query evaluation: the coordinator's values only
-  // change on refresh arrivals, so fidelity checks patch affected queries.
+  // Incremental view-side query evaluation over the live table: the
+  // coordinator's values only change on refresh arrivals, so fidelity
+  // checks patch the refreshed item's live readers.
   std::optional<core::IncrementalEvaluator> view_eval_;
-  // Built at the first churn op, seeded with every slot in slot order, so
-  // slot i of the dynamic index is query index i.
-  std::unique_ptr<core::DynamicQueryIndex> dqi_;
   int ticks_seen_ = 1;  // rows consumed so far, tick 0 included
   int cur_tick_ = 0;    // the churn transactions' logical clock
   double cur_now_ = 0.0;
@@ -386,10 +392,11 @@ class Coordinator final : public ServiceOps {
 
   // Per-service scratch: busy time accrued on each lane while servicing
   // one refresh, the pre-service lane clocks (the shard-barrier time
-  // payload), which lanes a barrier joined, and the solve pipeline's
-  // groups and stale parts.
+  // payload), one item's reader lanes, which lanes a barrier joined, and
+  // the solve pipeline's groups and stale parts.
   std::vector<double> lane_busy_;
   std::vector<double> pre_free_;
+  std::vector<int> item_lanes_;
   std::vector<uint8_t> barrier_lane_;
   bool barrier_any_ = false;
   std::deque<SolveGroup> solve_groups_;
@@ -520,28 +527,6 @@ void Coordinator::ConfigureTelemetry() {
   }
 }
 
-/// Lane partition: pin each slot to \p lanes' entry (-1 for a dead slot,
-/// never read since dead slots leave item_queries), make each item's home
-/// the lane of its first query, and list every lane with a query on the
-/// item so cross-lane EQI merges know which lanes a barrier joins.
-void Coordinator::AssignLanes(const std::vector<int>& lanes) {
-  for (size_t qi = 0; qi < slots_.size(); ++qi) slots_[qi].shard = lanes[qi];
-  items_.item_home_shard.assign(n_items_, -1);
-  for (size_t i = 0; i < n_items_; ++i) {
-    std::vector<int>& item_lanes = items_.item_shards[i];
-    item_lanes.clear();
-    const std::vector<int>& qs = items_.item_queries[i];
-    if (qs.empty()) continue;
-    items_.item_home_shard[i] = slots_[static_cast<size_t>(qs[0])].shard;
-    for (int qi : qs) {
-      item_lanes.push_back(slots_[static_cast<size_t>(qi)].shard);
-    }
-    std::sort(item_lanes.begin(), item_lanes.end());
-    item_lanes.erase(std::unique(item_lanes.begin(), item_lanes.end()),
-                     item_lanes.end());
-  }
-}
-
 void Coordinator::AddQueryInfo(size_t qi) {
   if (trace_ == nullptr) return;
   obs::TraceQueryInfo info;
@@ -564,36 +549,31 @@ void Coordinator::InitFaultTables() {
   source_fault_.assign(ns, recovery::CheckpointSource{});
   source_items_.resize(ns);
   for (size_t i = 0; i < n_items_; ++i) {
-    if (!items_.item_queries[i].empty()) {
+    if (!live_->LiveSlots(static_cast<VarId>(i)).empty()) {
       source_items_[i % ns].push_back(static_cast<int>(i));
     }
   }
 }
 
 Status Coordinator::StartFresh() {
-  items_.item_queries.resize(n_items_);
-  for (size_t qi = 0; qi < queries_.size(); ++qi) {
-    for (VarId v : queries_[qi].p.Variables()) {
+  std::unordered_set<int> ids;
+  for (const PolynomialQuery& q : queries_) {
+    for (VarId v : q.p.Variables()) {
       if (static_cast<size_t>(v) >= n_items_) {
         return Status::InvalidArgument(
             "query references item beyond trace set");
       }
-      items_.item_queries[static_cast<size_t>(v)].push_back(
-          static_cast<int>(qi));
+    }
+    if (!ids.insert(q.id).second) {
+      return Status::InvalidArgument("duplicate query id " +
+                                     std::to_string(q.id));
     }
   }
+  live_.emplace(queries_, n_items_, IndexMaintenance());
   // With a single lane every query lands on lane 0 and the event loop
   // reduces to the historical serial coordinator bit-identically.
   slots_.resize(queries_.size());
-  items_.item_shards.resize(n_items_);
-  {
-    // The partition RefreshPartition maintains under churn, derived once;
-    // the index itself is kept only when churn needs it (EnsureDqi).
-    const core::DynamicQueryIndex index(
-        queries_, n_items_, core::DynamicQueryIndex::Maintenance::kRebuild);
-    AssignLanes(index.ShardAssignment(
-        num_shards_, config_.shard_policy == ShardPolicy::kEqiComponents));
-  }
+  RefreshPartition();
   items_.shard_free_at.assign(static_cast<size_t>(num_shards_), 0.0);
 
   // Tick 0: the initial snapshot every party starts in agreement on.
@@ -649,18 +629,80 @@ Status Coordinator::StartFresh() {
   }
   // §I-B: each refresh pushes the query results whose QAB the change
   // would violate relative to what the user last saw.
-  view_eval_.emplace(queries_, items_.view);
+  view_eval_.emplace(queries_, *live_, items_.view);
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
     slots_[qi].last_user_value = view_eval_->QueryValue(qi);
   }
   return Status::OK();
 }
 
-/// Restart: reinstate the snapshot's records whole — the caller must hand
-/// the same initial query set, and every width, fingerprint and mode the
-/// snapshot carries is checked against this run first — then stage the
-/// WAL replay. The t=0 solves, query infos and install events all live in
-/// the crashed run's trace.
+/// Range-check every index a snapshot hands the engine's tables: slot
+/// lanes (they index the lane clocks), query and part variables (the item
+/// tables), live ids (the live table's id lookup) and event items (the
+/// item or source tables, by event type). The block digest vouches only
+/// for the bytes, not for the state they describe.
+Status Coordinator::CheckRestoredIndices() const {
+  const recovery::CheckpointState& ck = *ckpt_;
+  auto bad_var = [this](const std::vector<VarId>& vars) {
+    return std::any_of(vars.begin(), vars.end(), [this](VarId v) {
+      return v < 0 || static_cast<size_t>(v) >= n_items_;
+    });
+  };
+  std::unordered_set<int> live_ids;
+  for (size_t qi = 0; qi < ck.queries.size(); ++qi) {
+    const recovery::CheckpointQuery& cq = ck.queries[qi];
+    const std::string where = "restart: checkpoint query slot " +
+                              std::to_string(qi);
+    if (bad_var(cq.poly.Variables())) {
+      return Status::InvalidArgument(where + " reads an item beyond " +
+                                     std::to_string(n_items_));
+    }
+    const int lane = cq.slot.shard;
+    if (cq.alive ? lane < 0 || lane >= num_shards_ : lane != -1) {
+      return Status::InvalidArgument(
+          where + " lane " + std::to_string(lane) + " is invalid for a " +
+          (cq.alive ? "live slot of " + std::to_string(num_shards_) +
+                          " lanes"
+                    : std::string("dead slot (want -1)")));
+    }
+    if (cq.alive && !live_ids.insert(cq.id).second) {
+      return Status::InvalidArgument(where + " repeats live query id " +
+                                     std::to_string(cq.id));
+    }
+  }
+  for (const recovery::CheckpointPart& cp : ck.parts) {
+    if (bad_var(cp.vars) || bad_var(cp.poly.Variables())) {
+      return Status::InvalidArgument(
+          "restart: checkpoint part " + std::to_string(cp.part) +
+          " of slot " + std::to_string(cp.slot) + " reads an item beyond " +
+          std::to_string(n_items_));
+    }
+  }
+  for (size_t e = 0; e < ck.events.size(); ++e) {
+    const Event& ev = ck.events[e];
+    // Heartbeats carry a source id, the other types an item id; acks and
+    // heartbeats exist only in fault mode.
+    const bool on_item = ev.type == kRefresh || ev.type == kDabChange ||
+                         (fault_mode_ && ev.type == kAckArrive);
+    const int limit = on_item ? static_cast<int>(n_items_)
+                      : fault_mode_ && ev.type == kHeartbeat ? num_sources_
+                                                             : 0;
+    if (ev.item < 0 || ev.item >= limit) {
+      return Status::InvalidArgument(
+          "restart: checkpoint event " + std::to_string(e) + " (type " +
+          std::to_string(ev.type) + ") item " + std::to_string(ev.item) +
+          " is out of range for its type");
+    }
+  }
+  return Status::OK();
+}
+
+/// Restart: reinstate the snapshot's records whole and rebuild the live
+/// table from them — the caller must hand the same initial query set, and
+/// every width, fingerprint, mode and index the snapshot carries is
+/// checked against this run first — then stage the WAL replay. The t=0
+/// solves, query infos and install events all live in the crashed run's
+/// trace.
 Status Coordinator::Restore() {
   const recovery::CheckpointState& ck = *ckpt_;
   if (ck.config_fp != config_fp_) {
@@ -698,12 +740,6 @@ Status Coordinator::Restore() {
     }
   }
   const recovery::CheckpointItems& ci = ck.items;
-  if (ci.item_queries.size() != n_items_ ||
-      ci.item_home_shard.size() != n_items_ ||
-      ci.item_shards.size() != n_items_) {
-    return Status::InvalidArgument(
-        "restart: checkpoint item-table width mismatch");
-  }
   if (ci.source_value.size() != n_items_ ||
       ci.last_pushed.size() != n_items_ || ci.view.size() != n_items_) {
     return Status::InvalidArgument(
@@ -733,14 +769,20 @@ Status Coordinator::Restore() {
         "is inactive");
   }
 
+  POLYDAB_RETURN_NOT_OK(CheckRestoredIndices());
+
   // The slot vector: the initial queries plus any churn-registered slots.
+  // The live table is rebuilt from the records' bodies and alive bits.
   queries_.clear();
   Vector qvals;
+  std::vector<uint8_t> alive;
   for (const recovery::CheckpointQuery& cq : ck.queries) {
     queries_.push_back(PolynomialQuery{cq.id, cq.poly, cq.qab});
     slots_.push_back(cq.slot);
     qvals.push_back(cq.query_value);
+    alive.push_back(cq.alive ? 1 : 0);
   }
+  live_.emplace(queries_, n_items_, IndexMaintenance(), alive);
   items_ = ci;
   static_cast<recovery::RunCounters&>(metrics_) = ck.metrics;
   InitFaultTables();
@@ -781,18 +823,9 @@ Status Coordinator::Restore() {
     anchors_[slot].push_back(cp.anchor);
   }
   IndexAllMinSources();
-  view_eval_.emplace(queries_, items_.view);
+  view_eval_.emplace(queries_, *live_, items_.view);
   view_eval_->RestoreState(items_.view, std::move(qvals),
                            ck.updates_since_rebase);
-  if (ck.dqi_built) {
-    // Replay membership: every slot is added in slot order, then the dead
-    // ones removed. ComponentMin and the shard assignment are
-    // content-determined, so the rebuilt index answers identically.
-    EnsureDqi();
-    for (size_t qi = 0; qi < queries_.size(); ++qi) {
-      if (!slots_[qi].alive) dqi_->RemoveQuery(static_cast<int>(qi));
-    }
-  }
   events_.c = ck.events;
   POLYDAB_RETURN_NOT_OK(RestoreRng(ck.delay_rng, "delay", &delays_.rng()));
   POLYDAB_RETURN_NOT_OK(RestoreRng(ck.fault_rng, "fault", &faults_.rng()));
@@ -1093,8 +1126,7 @@ Status Coordinator::ArriveRefresh(const Event& ev) {
   // This queueing is what turns recomputation volume into fidelity loss
   // (§V-B.1); with one lane, every refresh waits for everything.
   const size_t item = static_cast<size_t>(ev.item);
-  const int home = items_.item_home_shard[item];
-  const size_t home_lane = static_cast<size_t>(home < 0 ? 0 : home);
+  const size_t home_lane = HomeLane(item);
   const double free_at = items_.shard_free_at[home_lane];
   if (ev.time < free_at) {
     Event deferred = ev;
@@ -1165,7 +1197,7 @@ Status Coordinator::ArriveRefresh(const Event& ev) {
 /// installs.
 void Coordinator::CollectStaleParts(const Event& ev) {
   const std::vector<int>& item_qs =
-      items_.item_queries[static_cast<size_t>(ev.item)];
+      live_->LiveSlots(static_cast<VarId>(ev.item));
   solve_groups_.clear();
   stale_parts_.clear();
   for (size_t k = 0; k < item_qs.size(); ++k) {
@@ -1215,7 +1247,7 @@ void Coordinator::CollectStaleParts(const Event& ev) {
 /// it found them.
 Status Coordinator::NotifyAndInstall(const Event& ev, uint64_t arrival_id) {
   const std::vector<int>& item_qs =
-      items_.item_queries[static_cast<size_t>(ev.item)];
+      live_->LiveSlots(static_cast<VarId>(ev.item));
   size_t next_stale = 0;
   for (size_t k = 0; k < item_qs.size(); ++k) {
     const size_t qi = static_cast<size_t>(item_qs[k]);
@@ -1430,7 +1462,7 @@ void Coordinator::SampleFidelity(double now) {
     recovery::QuerySlot& slot = slots_[qi];
     // Deregistered queries owe no fidelity (their slots persist only for
     // index stability).
-    if (!slot.alive) continue;
+    if (!live_->alive(static_cast<int>(qi))) continue;
     ++sampled;
     const bool degraded = fault_mode_ && slot.degraded_items > 0;
     if (degraded) {
@@ -1516,14 +1548,14 @@ recovery::CheckpointState Coordinator::BuildCheckpoint(int tick,
   snap.trace_next_id = end_id == 0 ? 0 : end_id + 1;
   snap.ckpt_end_id = end_id;
   snap.fault_mode = fault_mode_;
-  snap.dqi_built = dqi_ != nullptr;
   snap.updates_since_rebase = view_eval_->updates_since_rebase();
   snap.metrics = metrics_;
   snap.queries.reserve(queries_.size());
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
     const PolynomialQuery& q = queries_[qi];
-    snap.queries.push_back(
-        {q.id, q.qab, q.p, slots_[qi], view_eval_->QueryValue(qi)});
+    snap.queries.push_back({q.id, q.qab, q.p,
+                            live_->alive(static_cast<int>(qi)), slots_[qi],
+                            view_eval_->QueryValue(qi)});
   }
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
     for (size_t pi = 0; pi < plans_[qi].parts.size(); ++pi) {
@@ -1631,13 +1663,32 @@ Result<SimMetrics> Coordinator::Finish() {
   return metrics_;
 }
 
+/// The lane a refresh of \p item queues on: its first live reader's
+/// lane, or lane 0 for an item no live query reads.
+size_t Coordinator::HomeLane(size_t item) const {
+  const std::vector<int>& qs = live_->LiveSlots(static_cast<VarId>(item));
+  return qs.empty() ? 0 : static_cast<size_t>(slots_[static_cast<size_t>(
+                              qs.front())].shard);
+}
+
+/// Every lane with a live reader of \p item, ascending: the lanes a
+/// cross-lane EQI merge's barrier joins.
+void Coordinator::ItemLanes(size_t item, std::vector<int>* out) const {
+  out->clear();
+  for (int qi : live_->LiveSlots(static_cast<VarId>(item))) {
+    out->push_back(slots_[static_cast<size_t>(qi)].shard);
+  }
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
+}
+
 /// Where \p item's primary widths live: every part of every plan that
-/// references it, in the order the item's query list and each plan's
+/// references it, in the order the item's live slots and each plan's
 /// parts are walked.
 void Coordinator::ScanMinSources(size_t item,
                                  std::vector<MinSource>* out) const {
   out->clear();
-  for (int qi : items_.item_queries[item]) {
+  for (int qi : live_->LiveSlots(static_cast<VarId>(item))) {
     const std::vector<core::PlanPart>& parts =
         plans_[static_cast<size_t>(qi)].parts;
     for (size_t pi = 0; pi < parts.size(); ++pi) {
@@ -1718,7 +1769,8 @@ void Coordinator::ShipDabChanges(size_t qi, size_t pi, double now,
       continue;
     }
     items_.min_primary[item] = fresh;
-    const std::vector<int>& lanes = items_.item_shards[item];
+    std::vector<int>& lanes = item_lanes_;
+    if (emit_item_barriers && sharded_) ItemLanes(item, &lanes);
     if (emit_item_barriers && sharded_ && lanes.size() > 1) {
       double bt = now;
       for (int s : lanes) {
@@ -1748,8 +1800,7 @@ void Coordinator::ShipChurnChanges(const std::vector<VarId>& items,
   CheckMinSources(items);
   for (VarId v : items) {
     const size_t item = static_cast<size_t>(v);
-    const double fresh =
-        items_.item_queries[item].empty() ? kInf : ItemMinPrimary(item);
+    const double fresh = ItemMinPrimary(item);
     const double old_width = items_.min_primary[item];
     const bool changed =
         std::isinf(fresh) != std::isinf(old_width) ||
@@ -1862,7 +1913,7 @@ void Coordinator::RecordContact(int s, double t, uint64_t cid) {
     if (!f.expired) continue;
     f.expired = false;
     f.expire_event = 0;
-    for (int qi : items_.item_queries[static_cast<size_t>(item)]) {
+    for (int qi : live_->LiveSlots(static_cast<VarId>(item))) {
       recovery::QuerySlot& slot = slots_[static_cast<size_t>(qi)];
       if (--slot.degraded_items != 0) continue;
       Emit({.time = t, .kind = K::kRecover, .source = s,
@@ -1958,7 +2009,8 @@ void Coordinator::Heartbeat(double now) {
 /// (core::WideningFor).
 void Coordinator::ExpireLeases(double now) {
   for (size_t item = 0; item < n_items_; ++item) {
-    if (items_.item_queries[item].empty() || item_fault_[item].expired) {
+    if (live_->LiveSlots(static_cast<VarId>(item)).empty() ||
+        item_fault_[item].expired) {
       continue;
     }
     const size_t src = item % static_cast<size_t>(num_sources_);
@@ -1978,7 +2030,7 @@ void Coordinator::ExpireLeases(double now) {
                                   .a = source_fault_[src].last_contact,
                                   .b = deadline});
     item_fault_[item].expire_event = xid;
-    for (int qi : items_.item_queries[item]) {
+    for (int qi : live_->LiveSlots(static_cast<VarId>(item))) {
       const size_t q = static_cast<size_t>(qi);
       if (slots_[q].degraded_items++ != 0) continue;  // already degraded
       uint64_t did = 0;
@@ -1995,31 +2047,20 @@ void Coordinator::ExpireLeases(double now) {
   }
 }
 
-int Coordinator::FindLive(int query_id) const {
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    if (slots_[i].alive && queries_[i].id == query_id) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
+core::DynamicQueryIndex::Maintenance Coordinator::IndexMaintenance() const {
+  return config_.plan_maintenance == PlanMaintenance::kRebuild
+             ? core::DynamicQueryIndex::Maintenance::kRebuild
+             : core::DynamicQueryIndex::Maintenance::kIncremental;
 }
 
-/// Built lazily at the first churn op, which keeps the no-churn path free
-/// of the construction work.
-void Coordinator::EnsureDqi() {
-  if (dqi_ != nullptr) return;
-  dqi_ = std::make_unique<core::DynamicQueryIndex>(
-      queries_, n_items_,
-      config_.plan_maintenance == PlanMaintenance::kRebuild
-          ? core::DynamicQueryIndex::Maintenance::kRebuild
-          : core::DynamicQueryIndex::Maintenance::kIncremental);
-}
-
-/// Re-derive the lane partition from the dynamic index after a churn
-/// event.
+/// Lane partition, at t = 0 and after every churn event: pin each slot to
+/// its lane in the live table's assignment (-1 for a dead slot, never read
+/// since dead slots are in no item's live list). An item's home lane and
+/// lane set follow from its live readers' lanes (HomeLane, ItemLanes).
 void Coordinator::RefreshPartition() {
-  AssignLanes(dqi_->ShardAssignment(
-      num_shards_, config_.shard_policy == ShardPolicy::kEqiComponents));
+  const std::vector<int> lanes = live_->ShardAssignment(
+      num_shards_, config_.shard_policy == ShardPolicy::kEqiComponents);
+  for (size_t qi = 0; qi < slots_.size(); ++qi) slots_[qi].shard = lanes[qi];
 }
 
 /// Plan installation is coordinator work: charge the query's lane one
@@ -2043,18 +2084,20 @@ void Coordinator::EmitPlanPatch(uint64_t cause_id) {
   if (trace_ == nullptr) return;
   std::vector<std::pair<int, size_t>> live;  // (query id, slot)
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
-    if (slots_[qi].alive) live.emplace_back(queries_[qi].id, qi);
+    if (live_->alive(static_cast<int>(qi))) {
+      live.emplace_back(queries_[qi].id, qi);
+    }
   }
   std::sort(live.begin(), live.end());  // live ids are unique
   uint32_t digest = kFnv1a32Seed;
   for (const auto& [id, qi] : live) {
     digest = HashPlanRecord(digest, id, slots_[qi].shard,
-                            dqi_->ComponentMin(static_cast<int>(qi)),
+                            live_->ComponentMin(static_cast<int>(qi)),
                             queries_[qi].qab);
   }
   Emit({.time = cur_now_, .kind = K::kPlanPatch, .cause = cause_id,
-        .a = static_cast<double>(dqi_->num_active()),
-        .b = static_cast<double>(dqi_->num_components()),
+        .a = static_cast<double>(live_->num_active()),
+        .b = static_cast<double>(live_->num_components()),
         .flag = static_cast<int32_t>(digest)});
 }
 
@@ -2083,11 +2126,10 @@ Status Coordinator::Register(const PolynomialQuery& q, core::QueryPlan plan,
           "registered query references item beyond universe");
     }
   }
-  if (FindLive(q.id) >= 0) {
+  if (live_->FindLive(q.id) >= 0) {
     return Status::InvalidArgument("query id already registered: " +
                                    std::to_string(q.id));
   }
-  EnsureDqi();
   const size_t qi = queries_.size();
   queries_.push_back(q);
   slots_.push_back({.reg_tick = cur_tick_});
@@ -2095,14 +2137,10 @@ Status Coordinator::Register(const PolynomialQuery& q, core::QueryPlan plan,
   anchors_.emplace_back(plans_[qi].parts.size());
   for (size_t pi = 0; pi < plans_[qi].parts.size(); ++pi) AnchorPart(qi, pi);
   const std::vector<VarId> items = q.p.Variables();
-  for (VarId v : items) {
-    items_.item_queries[static_cast<size_t>(v)].push_back(
-        static_cast<int>(qi));
-  }
+  live_->AddQuery(q.id, items);
   IndexMinSources(items);
-  dqi_->AddQuery(q.id, items);
   RefreshPartition();
-  view_eval_->AddQuery(q);
+  view_eval_->AddQuery();
   slots_[qi].last_user_value = view_eval_->QueryValue(qi);
   AddQueryInfo(qi);
   const uint64_t reg_id = Emit({.time = cur_now_, .kind = K::kQueryRegister,
@@ -2117,7 +2155,7 @@ Status Coordinator::Register(const PolynomialQuery& q, core::QueryPlan plan,
 
 Status Coordinator::Modify(int query_id, double new_qab,
                            core::QueryPlan plan) {
-  const int qi = FindLive(query_id);
+  const int qi = live_->FindLive(query_id);
   if (qi < 0) {
     return Status::InvalidArgument("modify of unknown query id: " +
                                    std::to_string(query_id));
@@ -2130,7 +2168,6 @@ Status Coordinator::Modify(int query_id, double new_qab,
   for (size_t pi = 0; pi < plans_[q].parts.size(); ++pi) AnchorPart(q, pi);
   const std::vector<VarId> items = queries_[q].p.Variables();
   IndexMinSources(items);
-  EnsureDqi();
   RefreshPartition();
   const uint64_t mod_id = Emit({.time = cur_now_, .kind = K::kQueryModify,
                                 .query = query_id, .shard = Lane(q),
@@ -2143,27 +2180,21 @@ Status Coordinator::Modify(int query_id, double new_qab,
 }
 
 Status Coordinator::Deregister(int query_id) {
-  const int qi = FindLive(query_id);
+  const int qi = live_->FindLive(query_id);
   if (qi < 0) {
     return Status::InvalidArgument("deregister of unknown query id: " +
                                    std::to_string(query_id));
   }
   const size_t q = static_cast<size_t>(qi);
-  EnsureDqi();
   // The pre-removal lane stamps the trace event; afterwards the slot has
   // no lane.
   const int32_t lane = Lane(q);
-  slots_[q].alive = false;
+  live_->RemoveQuery(qi);
   slots_[q].dereg_tick = cur_tick_;
   const std::vector<VarId> items = queries_[q].p.Variables();
-  for (VarId v : items) {
-    std::vector<int>& qs = items_.item_queries[static_cast<size_t>(v)];
-    qs.erase(std::remove(qs.begin(), qs.end(), qi), qs.end());
-  }
   plans_[q].parts.clear();
   anchors_[q].clear();
   IndexMinSources(items);
-  dqi_->RemoveQuery(qi);
   RefreshPartition();
   const uint64_t de_id = Emit({.time = cur_now_, .kind = K::kQueryDeregister,
                                .query = query_id, .shard = lane});
@@ -2179,7 +2210,7 @@ void Coordinator::AdmissionReject(int query_id, double estimate,
   // A duplicate-id attempt while the id is live is dropped rather than
   // traced: the checker's invariant is that a rejected id is not active.
   // The admission layer counts it either way.
-  if (FindLive(query_id) >= 0) return;
+  if (live_->FindLive(query_id) >= 0) return;
   Emit({.time = cur_now_, .kind = K::kAdmissionReject, .query = query_id,
         .a = estimate, .b = budget, .flag = reason});
 }

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -164,6 +165,10 @@ TEST_F(RecoveryCodecTest, CheckpointRoundTripsFieldForField) {
   const size_t last_block = source.rfind("{\"t\":\"hdr\"");
   ASSERT_NE(last_block, std::string::npos);
   EXPECT_EQ(ReadAll(copy_path), source.substr(last_block));
+  // The block carries no derived item table: no 'iq' rows and no home
+  // lanes, which a restart rebuilds from the query records.
+  EXPECT_EQ(source.find("\"t\":\"iq\""), std::string::npos);
+  EXPECT_EQ(source.find("\"home\":"), std::string::npos);
   std::remove(copy_path.c_str());
 
   std::string diffs;
@@ -206,15 +211,17 @@ std::string MaskWallClock(const std::string& text) {
 }
 
 TEST_F(RecoveryCodecTest, CheckpointBytesMatchParentDigest) {
-  // The on-disk format is pinned byte for byte: these digests were
-  // computed on the build before the record codecs derived from per-record
-  // field lists, which wrote every key by hand.
-  EXPECT_EQ(FileDigest(ckpt_path_), 0xf851f8378dc9c990ull);
+  // The on-disk format is pinned byte for byte. The WAL digests were
+  // computed on the build that wrote every key by hand. The checkpoint
+  // digests are the v2 layout's: v1 also carried the item tables the
+  // engine derives ('iq' rows, items.home, hdr.dqi), and a departed
+  // query's evaluator value kept moving after it left.
+  EXPECT_EQ(FileDigest(ckpt_path_), 0xa3bcedbad963840dull);
   EXPECT_EQ(FileDigest(wal_path_), 0xad72ea0beb824520ull);
 
   // A 4-shard churn run with a registry attached covers what the fault
-  // fixture does not: the service state string, the dynamic query index
-  // flag and all three instrument kinds (the gauge is registered up
+  // fixture does not: the service state string, departed query slots
+  // and all three instrument kinds (the gauge is registered up
   // front, since the engine sets its own gauges only at the end). Its
   // timing histograms hold wall-clock values, so that checkpoint is
   // digested through MaskWallClock.
@@ -254,14 +261,16 @@ TEST_F(RecoveryCodecTest, CheckpointBytesMatchParentDigest) {
 
   CheckpointState loaded;
   ASSERT_TRUE(LoadLatestCheckpoint(ckpt, &loaded).ok());
-  EXPECT_TRUE(loaded.dqi_built);
+  EXPECT_TRUE(std::any_of(
+      loaded.queries.begin(), loaded.queries.end(),
+      [](const CheckpointQuery& q) { return !q.alive; }));
   EXPECT_FALSE(loaded.service_state.empty());
   std::string kinds;
   for (const CheckpointInstrument& ins : loaded.instruments) {
     if (kinds.find(ins.kind) == std::string::npos) kinds += ins.kind;
   }
   EXPECT_EQ(kinds.size(), 3u) << kinds;
-  EXPECT_EQ(Fnv64(MaskWallClock(ReadAll(ckpt))), 0xe8a2b9fc50507563ull);
+  EXPECT_EQ(Fnv64(MaskWallClock(ReadAll(ckpt))), 0xc2c509bebece0734ull);
   EXPECT_EQ(FileDigest(wal), 0xe1eb19a730783921ull);
   std::remove(ckpt.c_str());
   std::remove(wal.c_str());
@@ -345,9 +354,11 @@ TEST_F(RecoveryCodecTest, VersionSkewIsNamedErrorEvenWithAValidDigest) {
     }
   }
   ASSERT_GE(block_start, 0);
-  const size_t at = lines[block_start].find("polydab.ckpt.v1");
+  // A block written under the previous format, which still carried the
+  // derived item tables, is refused by version, not decoded.
+  const size_t at = lines[block_start].find("polydab.ckpt.v2");
   ASSERT_NE(at, std::string::npos);
-  lines[block_start].replace(at, 15, "polydab.ckpt.v9");
+  lines[block_start].replace(at, 15, "polydab.ckpt.v1");
   uint32_t digest = kFnv1a32Seed;
   for (size_t i = block_start; i + 1 < lines.size(); ++i) {
     digest = Fnv1a32(lines[i].data(), lines[i].size(), digest);
@@ -422,6 +433,7 @@ TEST_F(RecoveryCodecTest, DiffReportsEveryField) {
   using Perturb = void (*)(CheckpointState*);
   const std::pair<const char*, Perturb> cases[] = {
       {"hdr.ckpt_end_id", [](CheckpointState* s) { s->ckpt_end_id += 1; }},
+      {"q[0].alive", [](CheckpointState* s) { s->queries[0].alive ^= true; }},
       {"q[0].reg", [](CheckpointState* s) { s->queries[0].slot.reg_tick += 1; }},
       {"q[0].dereg", [](CheckpointState* s) { s->queries[0].slot.dereg_tick = 5; }},
       {"q[0].dege",
@@ -436,9 +448,7 @@ TEST_F(RecoveryCodecTest, DiffReportsEveryField) {
        [](CheckpointState* s) { s->parts[0].never_stale ^= true; }},
       {"ev[0].wait", [](CheckpointState* s) { s->events[0].wait += 1.0; }},
       {"ev[0].seq", [](CheckpointState* s) { s->events[0].seq += 1; }},
-      {"items.home", [](CheckpointState* s) { s->items.item_home_shard[0] += 1; }},
-      {"iq[0].q", [](CheckpointState* s) { s->items.item_queries[0].push_back(7); }},
-      {"iq[0].s", [](CheckpointState* s) { s->items.item_shards[0].push_back(3); }},
+      {"items.free", [](CheckpointState* s) { s->items.shard_free_at[0] += 1.0; }},
       {"src[0].cu",
        [](CheckpointState* s) { s->sources[0].crashed_until += 1.0; }},
       {"src[0].ce", [](CheckpointState* s) { s->sources[0].crash_event += 1; }},

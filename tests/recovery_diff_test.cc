@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -307,6 +308,135 @@ TEST_F(RecoveryDiffTest, SolveCacheCrashRestartIsByteIdentical) {
   c.coord_shards = 4;
   c.shard_policy = ShardPolicy::kQueryHash;
   CheckMode("cache_shards", c, /*churn=*/false);
+}
+
+TEST_F(RecoveryDiffTest, RestartRejectsOutOfRangeIndices) {
+  // WriteCheckpoint signs whatever state it is handed, so a valid digest
+  // does not make a snapshot's indices valid. Each case edits a real
+  // churned snapshot, writes and reloads it, and restarts from it: the
+  // restart must refuse it with an InvalidArgument naming the bad index
+  // before any engine table is indexed by it.
+  const std::string dir = ::testing::TempDir();
+  const std::string ckpt_path = dir + "recovery_diff_bad_index.ckpt";
+  const std::string wal_path = dir + "recovery_diff_bad_index.wal";
+  const std::string bad_path = dir + "recovery_diff_bad_index.bad.ckpt";
+  for (const std::string& p : {ckpt_path, wal_path, bad_path}) {
+    std::remove(p.c_str());
+  }
+  SimConfig base = Base();
+  base.coord_shards = 3;
+  base.shard_policy = ShardPolicy::kQueryHash;
+  recovery::RecoveryConfig crash_rc;
+  crash_rc.checkpoint_path = ckpt_path;
+  crash_rc.wal_path = wal_path;
+  crash_rc.interval_s = kCkptInterval;
+  crash_rc.crash_at_tick = kCrashTick;
+  SimConfig crashed_cfg = base;
+  crashed_cfg.recovery = &crash_rc;
+  obs::TraceFile crashed;
+  SimMetrics crashed_metrics;
+  ASSERT_TRUE(RunOnce(crashed_cfg, /*churn=*/true, 0, &crashed,
+                      &crashed_metrics));
+  recovery::CheckpointState good;
+  ASSERT_TRUE(recovery::LoadLatestCheckpoint(ckpt_path, &good).ok());
+  std::vector<recovery::WalRecord> wal;
+  ASSERT_TRUE(recovery::LoadWal(wal_path, &wal).ok());
+
+  // The slots the cases edit: the first live one, a live one churn
+  // registered (its id is not pinned to the workload's), and a dead one.
+  int live0 = -1, live_churn = -1, dead = -1;
+  for (size_t s = 0; s < good.queries.size(); ++s) {
+    const int slot = static_cast<int>(s);
+    if (!good.queries[s].alive) {
+      if (dead < 0) dead = slot;
+    } else if (live0 < 0) {
+      live0 = slot;
+    } else if (s >= queries_.size() && live_churn < 0) {
+      live_churn = slot;
+    }
+  }
+  ASSERT_GE(live0, 0);
+  ASSERT_GE(live_churn, 0);
+  ASSERT_GE(dead, 0);
+  ASSERT_FALSE(good.parts.empty() || good.events.empty());
+  const int n_items = good.num_items;
+  const std::string beyond = "reads an item beyond " + std::to_string(n_items);
+
+  struct Case {
+    std::string name;
+    std::function<void(recovery::CheckpointState*)> edit;
+    std::string error;
+  };
+  const std::vector<Case> cases = {
+      {"live lane past the lanes",
+       [&](recovery::CheckpointState* s) {
+         s->queries[static_cast<size_t>(live0)].slot.shard = 3;
+       },
+       "lane 3 is invalid for a live slot of 3 lanes"},
+      {"negative live lane",
+       [&](recovery::CheckpointState* s) {
+         s->queries[static_cast<size_t>(live0)].slot.shard = -1;
+       },
+       "lane -1 is invalid for a live slot"},
+      {"dead slot with a lane",
+       [&](recovery::CheckpointState* s) {
+         s->queries[static_cast<size_t>(dead)].slot.shard = 0;
+       },
+       "lane 0 is invalid for a dead slot"},
+      {"query variable",
+       [&](recovery::CheckpointState* s) {
+         s->queries[static_cast<size_t>(live_churn)].poly =
+             Polynomial({Monomial(1.0, {{n_items, 1}})});
+       },
+       "query slot " + std::to_string(live_churn) + " " + beyond},
+      {"part variable",
+       [&](recovery::CheckpointState* s) { s->parts[0].vars[0] = n_items; },
+       "part 0 of slot " + std::to_string(good.parts[0].slot) + " " + beyond},
+      {"duplicate live id",
+       [&](recovery::CheckpointState* s) {
+         s->queries[static_cast<size_t>(live_churn)].id =
+             s->queries[static_cast<size_t>(live0)].id;
+       },
+       "repeats live query id " +
+           std::to_string(good.queries[static_cast<size_t>(live0)].id)},
+      {"event item",
+       [&](recovery::CheckpointState* s) { s->events[0].item = n_items; },
+       "event 0 (type " + std::to_string(good.events[0].type) + ") item " +
+           std::to_string(n_items) + " is out of range for its type"},
+      {"heartbeat without the fault layer",
+       [&](recovery::CheckpointState* s) {
+         s->events[0].type = 3;  // the engine's heartbeat
+         s->events[0].item = 0;
+       },
+       "event 0 (type 3) item 0 is out of range for its type"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    recovery::CheckpointState bad = good;
+    c.edit(&bad);
+    std::remove(bad_path.c_str());
+    ASSERT_TRUE(recovery::WriteCheckpoint(bad, bad_path).ok());
+    recovery::CheckpointState loaded;
+    ASSERT_TRUE(recovery::LoadLatestCheckpoint(bad_path, &loaded).ok());
+    recovery::RecoveryConfig restart_rc;
+    restart_rc.restart = &loaded;
+    restart_rc.wal = &wal;
+    SimConfig restart_cfg = base;
+    restart_cfg.recovery = &restart_rc;
+    std::unique_ptr<svc::QueryService> service = MakeService();
+    restart_cfg.service = service.get();
+    obs::TraceSink sink;
+    restart_cfg.trace = &sink;
+    Result<SimMetrics> m =
+        RunSimulation(queries_, traces_, rates_, restart_cfg);
+    ASSERT_FALSE(m.ok());
+    EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(m.status().message().find(c.error), std::string::npos)
+        << m.status().ToString();
+  }
+  for (const std::string& p : {ckpt_path, wal_path, bad_path}) {
+    std::remove(p.c_str());
+  }
 }
 
 TEST_F(RecoveryDiffTest, KnobFreeRunsCarryNoRecoveryArtifacts) {
