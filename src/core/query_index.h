@@ -84,6 +84,11 @@ class DynamicQueryIndex {
     return it == live_slot_.end() ? -1 : it->second;
   }
 
+  /// Every live query: id -> slot, unordered.
+  const std::unordered_map<int32_t, int>& LiveById() const {
+    return live_slot_;
+  }
+
   /// Smallest live query id in the slot's component; INT32_MAX for dead
   /// slots.
   int32_t ComponentMin(int slot) const {

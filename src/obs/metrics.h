@@ -79,39 +79,6 @@ class Histogram {
   /// the containing bucket; exact at q = 0 and q = 1. Returns 0 when empty.
   double Quantile(double q) const;
 
-  /// Crash-recovery checkpoint support (src/recovery/): copy out /
-  /// overwrite the full internal state, bit-exactly — `sum` is restored
-  /// as the same partial-sum double so later Records keep the original
-  /// fold order's bits. \p buckets holds (index, count) pairs for the
-  /// non-empty buckets; raw_min/raw_max are the internal fold
-  /// identities (±inf while empty), not the 0-reporting accessors.
-  void SnapshotState(std::vector<std::pair<int, int64_t>>* buckets,
-                     int64_t* count, double* sum, double* raw_min,
-                     double* raw_max) const {
-    buckets->clear();
-    for (int i = 0; i < kNumBuckets; ++i) {
-      const int64_t n = buckets_[static_cast<size_t>(i)].load(
-          std::memory_order_relaxed);
-      if (n != 0) buckets->emplace_back(i, n);
-    }
-    *count = count_.load(std::memory_order_relaxed);
-    *sum = sum_.load(std::memory_order_relaxed);
-    *raw_min = min_.load(std::memory_order_relaxed);
-    *raw_max = max_.load(std::memory_order_relaxed);
-  }
-  void RestoreState(const std::vector<std::pair<int, int64_t>>& buckets,
-                    int64_t count, double sum, double raw_min,
-                    double raw_max) {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    for (const auto& [i, n] : buckets) {
-      buckets_[static_cast<size_t>(i)].store(n, std::memory_order_relaxed);
-    }
-    count_.store(count, std::memory_order_relaxed);
-    sum_.store(sum, std::memory_order_relaxed);
-    min_.store(raw_min, std::memory_order_relaxed);
-    max_.store(raw_max, std::memory_order_relaxed);
-  }
-
  private:
   static int BucketOf(double v);
 

@@ -1,7 +1,6 @@
 #include "recovery/checkpoint.h"
 
 #include <cstdio>
-#include <utility>
 
 #include "common/hash.h"
 #include "recovery/codec.h"
@@ -11,7 +10,7 @@ namespace polydab::recovery {
 
 namespace {
 
-constexpr char kCkptVersion[] = "polydab.ckpt.v2";
+constexpr char kCkptVersion[] = "polydab.ckpt.v3";
 
 /// The block's digest footer.
 struct BlockFooter {
@@ -41,8 +40,7 @@ void WriteList(const char* tag, const char* index_key,
 /// Serialize one snapshot into its block lines (footer excluded).
 std::vector<std::string> BuildBlockLines(const CheckpointState& st) {
   std::vector<std::string> lines;
-  lines.reserve(8 + st.queries.size() + st.parts.size() + st.events.size() +
-                st.instruments.size());
+  lines.reserve(8 + st.queries.size() + st.parts.size() + st.events.size());
   {
     LineWriter w("t", "hdr");
     w("v", std::string(kCkptVersion));
@@ -64,12 +62,6 @@ std::vector<std::string> BuildBlockLines(const CheckpointState& st) {
   WriteList("ev", nullptr, st.events, &lines);
   WriteList("src", "i", st.sources, &lines);
   WriteList("if", "i", st.item_fault, &lines);
-  for (const CheckpointInstrument& ins : st.instruments) {
-    LineWriter w("t", "reg");
-    w("k", std::string(1, ins.kind));
-    CheckpointInstrument::Fields(ins, w);
-    lines.push_back(w.Finish());
-  }
   return lines;
 }
 
@@ -85,19 +77,6 @@ uint32_t BlockDigest(const std::vector<std::string>& lines) {
     h = Fnv1a32("\n", 1, h);
   }
   return h;
-}
-
-constexpr obs::NameOf<char> kInstrumentKinds[] = {
-    {'c', "c"}, {'g', "g"}, {'h', "h"}};
-
-Status ReadInstrument(const Record& rec, CheckpointState* st) {
-  CheckpointInstrument ins;
-  POLYDAB_RETURN_NOT_OK(ReadFields(rec, nullptr, [&](auto& v) {
-    v("k", obs::Named{ins.kind, kInstrumentKinds});  // picks the list below
-    CheckpointInstrument::Fields(ins, v);
-  }));
-  st->instruments.push_back(std::move(ins));
-  return Status::OK();
 }
 
 /// Header record counts against the records the block actually holds.
@@ -158,8 +137,6 @@ Status DecodeBlock(const std::vector<const Record*>& recs,
       POLYDAB_RETURN_NOT_OK(ReadListRecord(rec, "i", &st->sources));
     } else if (rec.tag == "if") {
       POLYDAB_RETURN_NOT_OK(ReadListRecord(rec, "i", &st->item_fault));
-    } else if (rec.tag == "reg") {
-      POLYDAB_RETURN_NOT_OK(ReadInstrument(rec, st));
     } else {
       return obs::UnknownRecordType(rec);
     }
@@ -291,7 +268,6 @@ std::string SummarizeCheckpoint(const CheckpointState& st) {
   }
   out += "queries " + std::to_string(live) + " live / " +
          std::to_string(st.queries.size()) + " slots\n";
-  out += "instruments " + std::to_string(st.instruments.size()) + "\n";
   return out;
 }
 
@@ -314,7 +290,7 @@ struct DiffSink {
 
   /// Compare two records through their field list \p fields, a callable
   /// (record, visitor), by each field's wire bytes. Both records list the
-  /// same fields (instruments are compared only when their kinds match).
+  /// same fields.
   template <class R, class F>
   void Compare(const std::string& path, const R& a, const R& b, F&& fields) {
     const auto fa = RenderFields([&](auto& v) { fields(a, v); });
@@ -356,19 +332,6 @@ int DiffCheckpoints(const CheckpointState& a, const CheckpointState& b,
   d.List("ev", a.events, b.events);
   d.List("src", a.sources, b.sources);
   d.List("if", a.item_fault, b.item_fault);
-  d.Report("reg.size", std::to_string(a.instruments.size()),
-           std::to_string(b.instruments.size()));
-  for (size_t i = 0; i < a.instruments.size() && i < b.instruments.size();
-       ++i) {
-    const CheckpointInstrument& x = a.instruments[i];
-    const CheckpointInstrument& y = b.instruments[i];
-    const std::string p = "reg[" + x.name + "]";
-    d.Report(p + ".k", std::string(1, x.kind), std::string(1, y.kind));
-    if (x.kind != y.kind) continue;  // different field lists
-    d.Compare(p, x, y, [](const CheckpointInstrument& r, auto& v) {
-      CheckpointInstrument::Fields(r, v);
-    });
-  }
   if (d.count > d.max_lines) {
     *out += "  ... " + std::to_string(d.count - d.max_lines) +
             " more difference(s)\n";

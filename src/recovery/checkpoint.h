@@ -13,12 +13,12 @@
 
 /// \file checkpoint.h
 /// Durable coordinator snapshots (docs/RECOVERY.md). A checkpoint block
-/// is the coordinator's *entire* mutable state at the end of one tick —
-/// query slots and installed plans, primary/secondary DAB assignments and
-/// anchors, the in-flight event heap, the reliability protocol's
-/// seq/ack/retransmit/lease arrays, the two persistent RNG streams, every
-/// registry instrument, and the service driver's opaque state — rendered
-/// as strictly parsed JSON lines (format tag polydab.ckpt.v2) in the same
+/// is the coordinator's protocol state at the end of one tick — query
+/// slots and installed plans, primary/secondary DAB assignments and
+/// anchors, the run counters, the in-flight event heap, the reliability
+/// protocol's seq/ack/retransmit/lease arrays, the two persistent RNG
+/// streams and the service driver's opaque state — rendered as strictly
+/// parsed JSON lines (format tag polydab.ckpt.v3) in the same
 /// json_util dialect as traces and run reports. Blocks are appended to an
 /// accumulating file; the loader takes the last *complete* block (header
 /// through digest footer), so a crash mid-write simply falls back to the
@@ -32,8 +32,10 @@
 /// exists on disk exactly when it is listed. Adding a field means a
 /// member, a list entry and a format version bump. What the engine
 /// derives from these records — which live queries read each item, an
-/// item's home lane and lane set — is not carried: a restart rebuilds it
-/// from the query records' polynomials, alive bits and lanes.
+/// item's home lane and lane set, the tick count, the resume event id —
+/// is not carried: a restart rebuilds it from the records. Telemetry is
+/// not carried either: identical runs write identical blocks whether or
+/// not a metric registry is attached.
 
 namespace polydab::recovery {
 
@@ -195,39 +197,6 @@ struct CheckpointItemFault {
   }
 };
 
-/// One registry instrument. kind is 'c' (counter), 'g' (gauge) or 'h'
-/// (histogram); only the matching fields are meaningful. Instrument
-/// *presence* matters as much as values — the run report prints every
-/// registered name — so even zero-valued instruments are recorded.
-struct CheckpointInstrument {
-  char kind = 'c';
-  std::string name;
-  int64_t count = 0;                              ///< 'c' value / 'h' count
-  double value = 0.0;                             ///< 'g'
-  double sum = 0.0;                               ///< 'h'
-  double raw_min = 0.0;                           ///< 'h' (+inf while empty)
-  double raw_max = 0.0;                           ///< 'h' (-inf while empty)
-  Buckets buckets;                                ///< 'h' non-empty buckets
-
-  /// Record 'reg', written after the codec's kind key "k"; the fields
-  /// that follow the name depend on the kind.
-  template <class S, class V>
-  static void Fields(S& s, V& v) {
-    v("name", s.name);
-    if (s.kind == 'c') {
-      v("v", s.count);
-    } else if (s.kind == 'g') {
-      v("v", s.value);
-    } else {
-      v("count", s.count);
-      v("sum", s.sum);
-      v("min", Token{s.raw_min});
-      v("max", Token{s.raw_max});
-      v("b", s.buckets);
-    }
-  }
-};
-
 /// The coordinator's item-indexed values and lane clocks. The engine
 /// keeps one of these; the checkpoint carries it whole. Item membership
 /// (which live queries read an item, and on which lanes) is not here:
@@ -256,13 +225,11 @@ struct CheckpointItems {
 /// only moves it to and from disk.
 struct CheckpointState {
   int tick = 0;         ///< snapshot taken at the end of this tick
-  int ticks_seen = 0;
   uint32_t config_fp = 0;  ///< FNV-1a of SimConfig::Describe()
   int num_items = 0;
   int num_sources = 0;
   int num_shards = 0;
-  uint64_t trace_next_id = 0;  ///< first event id after the snapshot
-  uint64_t ckpt_end_id = 0;    ///< id of this snapshot's checkpoint_end
+  uint64_t ckpt_end_id = 0;  ///< checkpoint_end event id, 0 untraced
   bool fault_mode = false;
   int64_t updates_since_rebase = 0;  ///< incremental evaluator drift clock
 
@@ -273,22 +240,25 @@ struct CheckpointState {
   std::vector<CheckpointEvent> events;         ///< heap array, verbatim
   std::vector<CheckpointSource> sources;       ///< fault mode only
   std::vector<CheckpointItemFault> item_fault; ///< fault mode only
-  std::vector<CheckpointInstrument> instruments;
 
   std::string delay_rng;  ///< mt19937_64 stream state, space-separated
   std::string fault_rng;
   std::string service_state;  ///< ServiceHooks::SnapshotState, opaque
 
+  /// The first trace event id after the snapshot, where a restart resumes
+  /// numbering (0 when taken untraced).
+  uint64_t ResumeTraceId() const {
+    return ckpt_end_id == 0 ? 0 : ckpt_end_id + 1;
+  }
+
   /// Record 'hdr', written after the codec's format version key "v".
   template <class S, class V>
   static void HeaderFields(S& s, V& v) {
     v("tick", s.tick);
-    v("ticks_seen", s.ticks_seen);
     v("config_fp", s.config_fp);
     v("items", s.num_items);
     v("sources", s.num_sources);
     v("shards", s.num_shards);
-    v("trace_next_id", s.trace_next_id);
     v("ckpt_end_id", s.ckpt_end_id);
     v("fault", s.fault_mode);
     v("usr", s.updates_since_rebase);
@@ -314,11 +284,11 @@ Status LoadLatestCheckpoint(const std::string& path, CheckpointState* out);
 
 /// Human-oriented summary of one snapshot (polydab_ckpt): every header
 /// and metrics field as "hdr.<key> <value>" / "met.<key> <value>" lines
-/// (long strings clipped), then query liveness and instrument counts.
+/// (long strings clipped), then query liveness.
 std::string SummarizeCheckpoint(const CheckpointState& state);
 
 /// Compare two snapshots field by field, every listed field of every
-/// record plus the instrument kinds, by wire bytes; appends
+/// record, by wire bytes; appends
 /// one "  path: a vs b" line per difference to \p out (capped at
 /// \p max_lines) and returns the total number of differences. Paths name
 /// the record and its wire key: "hdr.tick", "q[3].reg", "ev[0].wait".

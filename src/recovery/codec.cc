@@ -68,34 +68,6 @@ Status DecodeVector(const std::string& s, Vector* out) {
   return Status::OK();
 }
 
-std::string EncodeBuckets(const Buckets& b) {
-  std::string out;
-  for (size_t i = 0; i < b.size(); ++i) {
-    if (i > 0) out += ' ';
-    out += std::to_string(b[i].first);
-    out += ':';
-    out += std::to_string(b[i].second);
-  }
-  return out;
-}
-
-Status DecodeBuckets(const std::string& s, Buckets* out) {
-  out->clear();
-  if (s.empty()) return Status::OK();
-  for (const std::string& tok : obs::SplitTokens(s, ' ')) {
-    const size_t colon = tok.find(':');
-    if (colon == std::string::npos) {
-      return Status::InvalidArgument("bad bucket token '" + tok + "'");
-    }
-    long long index = 0, count = 0;
-    POLYDAB_RETURN_NOT_OK(
-        DecodeLong(tok.substr(0, colon), &index, kIntMin, kIntMax));
-    POLYDAB_RETURN_NOT_OK(DecodeLong(tok.substr(colon + 1), &count));
-    out->emplace_back(static_cast<int>(index), static_cast<int64_t>(count));
-  }
-  return Status::OK();
-}
-
 std::string EncodePolynomial(const Polynomial& p) {
   std::string out;
   for (size_t t = 0; t < p.terms().size(); ++t) {

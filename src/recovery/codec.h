@@ -1,10 +1,7 @@
 #ifndef POLYDAB_RECOVERY_CODEC_H_
 #define POLYDAB_RECOVERY_CODEC_H_
 
-#include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/matrix.h"
 #include "common/status.h"
@@ -18,9 +15,9 @@
 /// single JSON *string* field as space/punctuation-separated tokens, so
 /// the line format stays flat. Every codec is an exact inverse of its
 /// encoder: doubles go through shortest-round-trip rendering (JsonNumber)
-/// plus explicit "inf"/"-inf"/"nan" tokens (installed DABs are +inf for
-/// unplanned items, histogram extrema are ±inf while empty), so a decode
-/// → encode round trip is byte-identical and a restore is bit-identical.
+/// plus explicit "inf"/"-inf"/"nan" tokens (installed DABs and EQI merge
+/// targets are +inf for unplanned items), so a decode → encode round trip
+/// is byte-identical and a restore is bit-identical.
 
 namespace polydab::recovery {
 
@@ -37,13 +34,6 @@ Status DecodeVector(const std::string& s, Vector* out);
 /// The int-list codec is the shared record codec's (obs/record.h).
 using obs::DecodeInts;
 using obs::EncodeInts;
-
-/// Histogram buckets: (bucket index, count) pairs, non-empty buckets only.
-using Buckets = std::vector<std::pair<int, int64_t>>;
-
-/// Space-separated "<index>:<count>" tokens ("" for no buckets).
-std::string EncodeBuckets(const Buckets& b);
-Status DecodeBuckets(const std::string& s, Buckets* out);
 
 /// Canonical polynomial encoding, term-exact: terms joined by '|', each
 /// term "<coef>@<var>:<pow>[,<var>:<pow>...]" ("<coef>@" for the constant

@@ -785,6 +785,24 @@ Status Coordinator::Restore() {
   live_.emplace(queries_, n_items_, IndexMaintenance(), alive);
   items_ = ci;
   static_cast<recovery::RunCounters&>(metrics_) = ck.metrics;
+  // The registry is telemetry and not checkpointed: it describes the
+  // restarted process only, except that the counters mirroring the run
+  // counters resume from the restored totals, so the run report still
+  // equals the returned SimMetrics.
+  auto resume = [](obs::Counter* mirror, int64_t total) {
+    if (mirror != nullptr) mirror->Add(total);
+  };
+  resume(ins_.refreshes, metrics_.refreshes);
+  resume(ins_.recomputations, metrics_.recomputations);
+  resume(ins_.dab_change_messages, metrics_.dab_change_messages);
+  resume(ins_.user_notifications, metrics_.user_notifications);
+  resume(ins_.solver_failures, metrics_.solver_failures);
+  resume(ins_.fault_drops, metrics_.fault_drops);
+  resume(ins_.retransmits, metrics_.retransmits);
+  resume(ins_.duplicates_suppressed, metrics_.duplicates_suppressed);
+  resume(ins_.lease_expiries, metrics_.lease_expiries);
+  resume(ins_.degraded_query_seconds,
+         static_cast<int64_t>(metrics_.degraded_query_seconds));
   InitFaultTables();
   if (fault_mode_) {
     source_fault_ = ck.sources;
@@ -829,23 +847,6 @@ Status Coordinator::Restore() {
   events_.c = ck.events;
   POLYDAB_RETURN_NOT_OK(RestoreRng(ck.delay_rng, "delay", &delays_.rng()));
   POLYDAB_RETURN_NOT_OK(RestoreRng(ck.fault_rng, "fault", &faults_.rng()));
-  if (config_.registry != nullptr) {
-    for (const recovery::CheckpointInstrument& ins : ck.instruments) {
-      if (ins.kind == 'c') {
-        obs::Counter* c = config_.registry->GetCounter(ins.name);
-        c->Add(ins.count - c->value());
-      } else if (ins.kind == 'g') {
-        config_.registry->GetGauge(ins.name)->Set(ins.value);
-      } else {
-        config_.registry->GetHistogram(ins.name)->RestoreState(
-            ins.buckets, ins.count, ins.sum, ins.raw_min, ins.raw_max);
-      }
-    }
-  } else if (!ck.instruments.empty()) {
-    return Status::InvalidArgument(
-        "restart: checkpoint carries registry instruments but the "
-        "restart has no metric registry attached");
-  }
   if (config_.service != nullptr) {
     POLYDAB_RETURN_NOT_OK(config_.service->RestoreState(ck.service_state));
   } else if (!ck.service_state.empty()) {
@@ -854,7 +855,7 @@ Status Coordinator::Restore() {
         "service driver is attached");
   }
   if (trace_ != nullptr) {
-    if (ck.trace_next_id == 0) {
+    if (ck.ckpt_end_id == 0) {
       return Status::InvalidArgument(
           "restart: checkpoint was taken untraced but the restart has a "
           "trace sink");
@@ -862,14 +863,14 @@ Status Coordinator::Restore() {
     // Continue event numbering where the snapshot left off, and hold
     // back query infos while replaying: the crashed trace already has
     // every info recorded before the crash.
-    trace_->SetNextId(ck.trace_next_id);
+    trace_->SetNextId(ck.ResumeTraceId());
     trace_->SuppressQueryInfos(true);
-  } else if (ck.trace_next_id != 0) {
+  } else if (ck.ckpt_end_id != 0) {
     return Status::InvalidArgument(
         "restart: checkpoint was taken traced but the restart has no "
         "trace sink");
   }
-  ticks_seen_ = ck.ticks_seen;
+  ticks_seen_ = ck.tick + 1;  // a tick-end snapshot: ticks 0..tick consumed
   tick_refresh_base_ = metrics_.refreshes;
   tick_recompute_base_ = metrics_.recomputations;
   last_ckpt_end_id_ = ck.ckpt_end_id;
@@ -1540,12 +1541,10 @@ recovery::CheckpointState Coordinator::BuildCheckpoint(int tick,
                                                        uint64_t end_id) {
   recovery::CheckpointState snap;
   snap.tick = tick;
-  snap.ticks_seen = ticks_seen_;
   snap.config_fp = config_fp_;
   snap.num_items = static_cast<int>(n_items_);
   snap.num_sources = num_sources_;
   snap.num_shards = num_shards_;
-  snap.trace_next_id = end_id == 0 ? 0 : end_id + 1;
   snap.ckpt_end_id = end_id;
   snap.fault_mode = fault_mode_;
   snap.updates_since_rebase = view_eval_->updates_since_rebase();
@@ -1572,28 +1571,6 @@ recovery::CheckpointState Coordinator::BuildCheckpoint(int tick,
   snap.events = events_.c;
   snap.sources = source_fault_;
   snap.item_fault = item_fault_;
-  if (config_.registry != nullptr) {
-    for (const obs::MetricRegistry::Entry& en : config_.registry->Entries()) {
-      recovery::CheckpointInstrument ci;
-      ci.name = en.name;
-      switch (en.kind) {
-        case obs::InstrumentKind::kCounter:
-          ci.kind = 'c';
-          ci.count = en.counter->value();
-          break;
-        case obs::InstrumentKind::kGauge:
-          ci.kind = 'g';
-          ci.value = en.gauge->value();
-          break;
-        case obs::InstrumentKind::kHistogram:
-          ci.kind = 'h';
-          en.histogram->SnapshotState(&ci.buckets, &ci.count, &ci.sum,
-                                      &ci.raw_min, &ci.raw_max);
-          break;
-      }
-      snap.instruments.push_back(std::move(ci));
-    }
-  }
   std::ostringstream delay_rng, fault_rng;
   delay_rng << delays_.rng().engine();
   fault_rng << faults_.rng().engine();
@@ -2082,18 +2059,14 @@ void Coordinator::ChargeLane(size_t qi) {
 /// incremental maintenance to from-scratch-rebuild equality.
 void Coordinator::EmitPlanPatch(uint64_t cause_id) {
   if (trace_ == nullptr) return;
-  std::vector<std::pair<int, size_t>> live;  // (query id, slot)
-  for (size_t qi = 0; qi < queries_.size(); ++qi) {
-    if (live_->alive(static_cast<int>(qi))) {
-      live.emplace_back(queries_[qi].id, qi);
-    }
-  }
+  std::vector<std::pair<int32_t, int>> live(live_->LiveById().begin(),
+                                            live_->LiveById().end());
   std::sort(live.begin(), live.end());  // live ids are unique
   uint32_t digest = kFnv1a32Seed;
-  for (const auto& [id, qi] : live) {
+  for (const auto& [id, slot] : live) {
+    const size_t qi = static_cast<size_t>(slot);
     digest = HashPlanRecord(digest, id, slots_[qi].shard,
-                            live_->ComponentMin(static_cast<int>(qi)),
-                            queries_[qi].qab);
+                            live_->ComponentMin(slot), queries_[qi].qab);
   }
   Emit({.time = cur_now_, .kind = K::kPlanPatch, .cause = cause_id,
         .a = static_cast<double>(live_->num_active()),

@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -151,8 +150,7 @@ TEST_F(RecoveryCodecTest, CheckpointRoundTripsFieldForField) {
   CheckpointState loaded;
   ASSERT_TRUE(LoadLatestCheckpoint(ckpt_path_, &loaded).ok());
   EXPECT_EQ(loaded.tick, 60);  // the latest block (ticks 1..89 run)
-  EXPECT_FALSE(loaded.instruments.empty() && loaded.events.empty() &&
-               loaded.queries.empty());
+  EXPECT_FALSE(loaded.events.empty() && loaded.queries.empty());
 
   const std::string copy_path = ckpt_path_ + ".copy";
   std::remove(copy_path.c_str());
@@ -165,10 +163,13 @@ TEST_F(RecoveryCodecTest, CheckpointRoundTripsFieldForField) {
   const size_t last_block = source.rfind("{\"t\":\"hdr\"");
   ASSERT_NE(last_block, std::string::npos);
   EXPECT_EQ(ReadAll(copy_path), source.substr(last_block));
-  // The block carries no derived item table: no 'iq' rows and no home
-  // lanes, which a restart rebuilds from the query records.
-  EXPECT_EQ(source.find("\"t\":\"iq\""), std::string::npos);
-  EXPECT_EQ(source.find("\"home\":"), std::string::npos);
+  // The block carries nothing a restart derives: no 'iq' rows and no
+  // home lanes (rebuilt from the query records), no tick count or resume
+  // event id (from the tick and the checkpoint_end id).
+  for (const char* derived : {"\"t\":\"iq\"", "\"home\":", "\"ticks_seen\":",
+                              "\"trace_next_id\":"}) {
+    EXPECT_EQ(source.find(derived), std::string::npos) << derived;
+  }
   std::remove(copy_path.c_str());
 
   std::string diffs;
@@ -187,77 +188,57 @@ uint64_t Fnv64(const std::string& text) {
 
 uint64_t FileDigest(const std::string& path) { return Fnv64(ReadAll(path)); }
 
-/// The checkpoint text with its wall-clock content cut out: the timing
-/// histograms a registry-attached run records keep only their name and
-/// count, and the block digests over them read 0.
-std::string MaskWallClock(const std::string& text) {
-  std::string out;
-  for (std::string line : SplitLines(text)) {
-    for (const char* name : {"gp.solver.solve_seconds",
-                             "core.planner.plan_seconds",
-                             "core.planner.replan_seconds"}) {
-      if (line.find("\"name\":\"" + std::string(name) + "\"") !=
-          std::string::npos) {
-        line.resize(line.find(",\"sum\""));
-      }
-    }
-    if (line.rfind("{\"t\":\"end\",\"digest\":", 0) == 0) {
-      line.replace(20, line.find(',', 20) - 20, "0");
-    }
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
-
 TEST_F(RecoveryCodecTest, CheckpointBytesMatchParentDigest) {
   // The on-disk format is pinned byte for byte. The WAL digests were
   // computed on the build that wrote every key by hand. The checkpoint
-  // digests are the v2 layout's: v1 also carried the item tables the
+  // digests are the v3 layout's: v1 also carried the item tables the
   // engine derives ('iq' rows, items.home, hdr.dqi), and a departed
-  // query's evaluator value kept moving after it left.
-  EXPECT_EQ(FileDigest(ckpt_path_), 0xa3bcedbad963840dull);
+  // query's evaluator value kept moving after it left; v2 also carried
+  // the metric registry ('reg' rows) and the header's ticks_seen and
+  // trace_next_id.
+  EXPECT_EQ(FileDigest(ckpt_path_), 0xc423d798f8dc8bb8ull);
   EXPECT_EQ(FileDigest(wal_path_), 0xad72ea0beb824520ull);
 
-  // A 4-shard churn run with a registry attached covers what the fault
-  // fixture does not: the service state string, departed query slots
-  // and all three instrument kinds (the gauge is registered up
-  // front, since the engine sets its own gauges only at the end). Its
-  // timing histograms hold wall-clock values, so that checkpoint is
-  // digested through MaskWallClock.
+  // A 4-shard churn run covers what the fault fixture does not: the
+  // service state string and departed query slots. It runs with and
+  // without a metric registry attached; telemetry is not checkpoint
+  // state, so both write the same bytes, wall-clock histograms and all.
+  auto run_churn = [&](obs::MetricRegistry* registry, const std::string& ckpt,
+                       const std::string& wal) {
+    std::remove(ckpt.c_str());
+    std::remove(wal.c_str());
+    workload::ChurnConfig cc;
+    cc.arrival_rate = 0.3;
+    cc.mean_lifetime_s = 40.0;
+    cc.modify_prob = 0.1;
+    cc.horizon_s = 90;
+    cc.num_items = 16;
+    Rng churn_rng(8);
+    auto schedule =
+        workload::GenerateChurnSchedule(cc, traces_.Snapshot(0), &churn_rng);
+    ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+    svc::AdmissionConfig ac;
+    ac.policy = svc::AdmissionConfig::Policy::kDegrade;
+    svc::QueryService service(ac, std::move(*schedule), nullptr,
+                              sim::PlanMaintenance::kIncremental);
+    RecoveryConfig rc;
+    rc.checkpoint_path = ckpt;
+    rc.wal_path = wal;
+    rc.interval_s = 30;
+    sim::SimConfig config;
+    config.seed = 7;
+    config.coord_shards = 4;
+    config.shard_policy = sim::ShardPolicy::kQueryHash;
+    config.registry = registry;
+    config.service = &service;
+    config.recovery = &rc;
+    auto m = sim::RunSimulation(queries_, traces_, rates_, config);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+  };
   const std::string ckpt = ckpt_path_ + ".churn";
   const std::string wal = wal_path_ + ".churn";
-  std::remove(ckpt.c_str());
-  std::remove(wal.c_str());
-  workload::ChurnConfig cc;
-  cc.arrival_rate = 0.3;
-  cc.mean_lifetime_s = 40.0;
-  cc.modify_prob = 0.1;
-  cc.horizon_s = 90;
-  cc.num_items = 16;
-  Rng churn_rng(8);
-  auto schedule =
-      workload::GenerateChurnSchedule(cc, traces_.Snapshot(0), &churn_rng);
-  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
-  svc::AdmissionConfig ac;
-  ac.policy = svc::AdmissionConfig::Policy::kDegrade;
-  svc::QueryService service(ac, std::move(*schedule), nullptr,
-                            sim::PlanMaintenance::kIncremental);
   obs::MetricRegistry registry;
-  registry.GetGauge("test.gauge")->Set(2.5);
-  RecoveryConfig rc;
-  rc.checkpoint_path = ckpt;
-  rc.wal_path = wal;
-  rc.interval_s = 30;
-  sim::SimConfig config;
-  config.seed = 7;
-  config.coord_shards = 4;
-  config.shard_policy = sim::ShardPolicy::kQueryHash;
-  config.registry = &registry;
-  config.service = &service;
-  config.recovery = &rc;
-  auto m = sim::RunSimulation(queries_, traces_, rates_, config);
-  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  run_churn(&registry, ckpt, wal);
 
   CheckpointState loaded;
   ASSERT_TRUE(LoadLatestCheckpoint(ckpt, &loaded).ok());
@@ -265,15 +246,17 @@ TEST_F(RecoveryCodecTest, CheckpointBytesMatchParentDigest) {
       loaded.queries.begin(), loaded.queries.end(),
       [](const CheckpointQuery& q) { return !q.alive; }));
   EXPECT_FALSE(loaded.service_state.empty());
-  std::string kinds;
-  for (const CheckpointInstrument& ins : loaded.instruments) {
-    if (kinds.find(ins.kind) == std::string::npos) kinds += ins.kind;
-  }
-  EXPECT_EQ(kinds.size(), 3u) << kinds;
-  EXPECT_EQ(Fnv64(MaskWallClock(ReadAll(ckpt))), 0xc2c509bebece0734ull);
+  EXPECT_EQ(FileDigest(ckpt), 0x7cb5866d21f1bebdull);
   EXPECT_EQ(FileDigest(wal), 0xe1eb19a730783921ull);
-  std::remove(ckpt.c_str());
-  std::remove(wal.c_str());
+
+  const std::string bare_ckpt = ckpt + ".bare";
+  const std::string bare_wal = wal + ".bare";
+  run_churn(nullptr, bare_ckpt, bare_wal);
+  EXPECT_TRUE(ReadAll(bare_ckpt) == ReadAll(ckpt));
+  EXPECT_TRUE(ReadAll(bare_wal) == ReadAll(wal));
+  for (const std::string& p : {ckpt, wal, bare_ckpt, bare_wal}) {
+    std::remove(p.c_str());
+  }
 }
 
 TEST_F(RecoveryCodecTest, LoaderTakesLatestCompleteBlock) {
@@ -355,10 +338,10 @@ TEST_F(RecoveryCodecTest, VersionSkewIsNamedErrorEvenWithAValidDigest) {
   }
   ASSERT_GE(block_start, 0);
   // A block written under the previous format, which still carried the
-  // derived item tables, is refused by version, not decoded.
-  const size_t at = lines[block_start].find("polydab.ckpt.v2");
+  // registry snapshot, is refused by version, not decoded.
+  const size_t at = lines[block_start].find("polydab.ckpt.v3");
   ASSERT_NE(at, std::string::npos);
-  lines[block_start].replace(at, 15, "polydab.ckpt.v1");
+  lines[block_start].replace(at, 15, "polydab.ckpt.v2");
   uint32_t digest = kFnv1a32Seed;
   for (size_t i = block_start; i + 1 < lines.size(); ++i) {
     digest = Fnv1a32(lines[i].data(), lines[i].size(), digest);
@@ -423,12 +406,6 @@ TEST_F(RecoveryCodecTest, DiffReportsEveryField) {
   ASSERT_TRUE(a.fault_mode);
   ASSERT_FALSE(a.queries.empty() || a.parts.empty() || a.events.empty() ||
                a.sources.empty() || a.item_fault.empty());
-  CheckpointInstrument hist;
-  hist.kind = 'h';
-  hist.name = "test.hist";
-  hist.raw_min = std::numeric_limits<double>::infinity();
-  hist.raw_max = -std::numeric_limits<double>::infinity();
-  a.instruments.push_back(hist);
 
   using Perturb = void (*)(CheckpointState*);
   const std::pair<const char*, Perturb> cases[] = {
@@ -479,12 +456,6 @@ TEST_F(RecoveryCodecTest, DiffReportsEveryField) {
        [](CheckpointState* s) { s->item_fault[0].pending_next_retx += 1.0; }},
       {"if[0].pa",
        [](CheckpointState* s) { s->item_fault[0].pending_attempts += 1; }},
-      {"reg[test.hist].k",
-       [](CheckpointState* s) { s->instruments.back().kind = 'c'; }},
-      {"reg[test.hist].min",
-       [](CheckpointState* s) { s->instruments.back().raw_min = 1.0; }},
-      {"reg[test.hist].max",
-       [](CheckpointState* s) { s->instruments.back().raw_max = 2.0; }},
   };
   for (const auto& [path, perturb] : cases) {
     CheckpointState b = a;
@@ -575,12 +546,6 @@ TEST(RecoveryTokenCodecTest, IntegerTokensAreRangeCheckedNotCast) {
   std::vector<int> ints;
   EXPECT_TRUE(DecodeInts("-2147483648 2147483647", &ints).ok());
   EXPECT_FALSE(DecodeInts("2147483648", &ints).ok());
-  Buckets buckets;
-  ASSERT_TRUE(DecodeBuckets("3:9000000000 -1:1", &buckets).ok());
-  EXPECT_EQ(buckets[0], std::make_pair(3, int64_t{9000000000}));
-  EXPECT_FALSE(DecodeBuckets("3:x", &buckets).ok());
-  EXPECT_FALSE(DecodeBuckets("4294967296:1", &buckets).ok());
-  EXPECT_FALSE(DecodeBuckets("3", &buckets).ok());
   Polynomial p;
   EXPECT_TRUE(DecodePolynomial("1.5@0:2,3:1", &p).ok());
   EXPECT_FALSE(DecodePolynomial("1.5@4294967296:1", &p).ok());

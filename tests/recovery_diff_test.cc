@@ -20,6 +20,9 @@
 //     recovery event kinds at all, and StripRecoveryEvents is the
 //     identity on it (modulo renumbering, which is a no-op on a
 //     contiguous id space).
+//  5. Report continuity: the registry is not checkpointed, yet a restart
+//     leg's run report still cross-checks against the merged trace,
+//     whether or not the crash leg attached a registry.
 
 #include <gtest/gtest.h>
 
@@ -27,8 +30,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/run_report.h"
 #include "obs/trace.h"
 #include "obs/trace_canon.h"
 #include "obs/trace_check.h"
@@ -48,6 +54,12 @@ namespace {
 constexpr int kTicks = 240;
 constexpr int kCkptInterval = 25;
 constexpr int kCrashTick = 77;
+
+/// Which legs of a crash-restart check attach a metric registry.
+struct Registries {
+  bool crash = false;
+  bool restart = false;
+};
 
 /// Same workload family as the other differential harnesses, sized so
 /// the crash tick sits two checkpoints deep with a replay span of
@@ -157,9 +169,11 @@ class RecoveryDiffTest : public ::testing::Test {
   }
 
   /// The full crash + restart + merge procedure against the oracle for
-  /// one mode. \p base carries everything but the recovery knobs.
+  /// one mode. \p base carries everything but the recovery knobs. When
+  /// the restart leg attaches a registry, its run report must agree with
+  /// the merged trace.
   void CheckMode(const std::string& mode, const SimConfig& base,
-                 bool churn) {
+                 bool churn, Registries registries = {}) {
     SCOPED_TRACE("mode=" + mode);
     const std::string dir = ::testing::TempDir();
     const std::string ckpt_path = dir + "recovery_diff_" + mode + ".ckpt";
@@ -184,6 +198,8 @@ class RecoveryDiffTest : public ::testing::Test {
     crash_rc.crash_at_tick = kCrashTick;
     SimConfig crashed_cfg = base;
     crashed_cfg.recovery = &crash_rc;
+    obs::MetricRegistry crash_registry;
+    if (registries.crash) crashed_cfg.registry = &crash_registry;
     obs::TraceFile crashed;
     SimMetrics crashed_metrics;
     ASSERT_TRUE(RunOnce(crashed_cfg, churn, 0, &crashed, &crashed_metrics));
@@ -211,6 +227,8 @@ class RecoveryDiffTest : public ::testing::Test {
     restart_rc.wal = &wal;
     SimConfig restart_cfg = base;
     restart_cfg.recovery = &restart_rc;
+    obs::MetricRegistry restart_registry;
+    if (registries.restart) restart_cfg.registry = &restart_registry;
     obs::TraceFile restarted;
     SimMetrics restart_metrics;
     ASSERT_TRUE(
@@ -239,14 +257,19 @@ class RecoveryDiffTest : public ::testing::Test {
 
     // Merge, canonicalize the whole (threaded runs only), then: oracle 3
     // — the unstripped merged trace replays green, recovery events and
-    // all.
+    // all — and oracle 5 — the restart leg's run report, when it has one,
+    // agrees with the replayed totals.
     obs::TraceFile merged =
-        Merge(std::move(crashed), std::move(restarted), ckpt.trace_next_id);
+        Merge(std::move(crashed), std::move(restarted), ckpt.ResumeTraceId());
     if (base.threads > 0) {
       ASSERT_TRUE(obs::CanonicalizeThreadedTrace(&merged).ok());
     }
+    obs::TraceCheckOptions check_options;
+    const obs::RunReport report =
+        obs::RunReport::FromRegistry(restart_registry);
+    if (registries.restart) check_options.report = &report;
     Result<obs::TraceCheckReport> checked =
-        obs::CheckTrace(merged, obs::TraceCheckOptions{});
+        obs::CheckTrace(merged, check_options);
     ASSERT_TRUE(checked.ok()) << checked.status().ToString();
     EXPECT_TRUE(checked->ok()) << checked->ToText(merged);
 
@@ -308,6 +331,24 @@ TEST_F(RecoveryDiffTest, SolveCacheCrashRestartIsByteIdentical) {
   c.coord_shards = 4;
   c.shard_policy = ShardPolicy::kQueryHash;
   CheckMode("cache_shards", c, /*churn=*/false);
+}
+
+TEST_F(RecoveryDiffTest, RestartRunReportMatchesTheMergedTrace) {
+  // The checkpoint carries no registry: a restart's counters that mirror
+  // the run counters resume from the snapshot's totals, so the restart
+  // leg's report equals the whole run's even when the crash leg had no
+  // registry to snapshot. Chaos mode covers the sim.fault.* mirrors.
+  SimConfig chaos = Base();
+  chaos.fault.drop_prob = 0.1;
+  chaos.fault.crash_prob = 0.005;
+  for (const auto& [mode, base] :
+       {std::pair<std::string, SimConfig>{"serial", Base()},
+        std::pair<std::string, SimConfig>{"chaos", chaos}}) {
+    CheckMode(mode + "_report_both", base, /*churn=*/false,
+              {.crash = true, .restart = true});
+    CheckMode(mode + "_report_restart_only", base, /*churn=*/false,
+              {.crash = false, .restart = true});
+  }
 }
 
 TEST_F(RecoveryDiffTest, RestartRejectsOutOfRangeIndices) {

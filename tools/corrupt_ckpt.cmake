@@ -153,3 +153,28 @@ if(NOT status EQUAL 1 OR NOT named)
     "${out}${err}")
 endif()
 message(STATUS "diff caught a one-field event change (exit 1)")
+
+# 8. polydab_ckpt parses --max-diffs strictly: trailing text, a
+# non-positive count and a count past int range are each refused with
+# exit 2, never cut down to a number; a well-formed count is accepted.
+foreach(bad "5x" "0" "-3" "99999999999")
+  execute_process(COMMAND ${CKPT_TOOL} diff ${CKPT} ${CKPT}
+                          --max-diffs=${bad}
+                  RESULT_VARIABLE status
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(FIND "${out}${err}" "--max-diffs must be" at)
+  if(NOT status EQUAL 2 OR at EQUAL -1)
+    message(FATAL_ERROR
+      "polydab_ckpt accepted --max-diffs=${bad} (exit ${status}):\n"
+      "${out}${err}")
+  endif()
+  message(STATUS "rejected --max-diffs=${bad} (exit 2)")
+endforeach()
+execute_process(COMMAND ${CKPT_TOOL} diff ${CKPT} ${CKPT} --max-diffs=5
+                RESULT_VARIABLE status
+                OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT status EQUAL 0)
+  message(FATAL_ERROR
+    "polydab_ckpt diff --max-diffs=5 on one file failed (exit ${status}):\n"
+    "${out}${err}")
+endif()

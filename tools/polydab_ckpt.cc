@@ -20,12 +20,13 @@
 // skew, unknown keys, digest mismatches and truncated final lines are all
 // reported with their line number, never repaired silently.
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "obs/record.h"
 #include "recovery/checkpoint.h"
 #include "recovery/wal.h"
 
@@ -102,11 +103,13 @@ int main(int argc, char** argv) {
     if (std::strncmp(arg, "--wal=", 6) == 0) {
       wal_path = arg + 6;
     } else if (std::strncmp(arg, "--max-diffs=", 12) == 0) {
-      max_diffs = std::atoi(arg + 12);
-      if (max_diffs <= 0) {
-        std::fprintf(stderr, "--max-diffs must be positive\n");
+      long long n = 0;
+      if (!obs::DecodeLong(arg + 12, &n, 1, INT_MAX).ok()) {
+        std::fprintf(stderr, "--max-diffs must be a positive integer, "
+                             "got '%s'\n", arg + 12);
         return 2;
       }
+      max_diffs = static_cast<int>(n);
     } else if (std::strcmp(arg, "--quiet") == 0) {
       quiet = true;
     } else if (arg[0] == '-') {

@@ -721,7 +721,7 @@ int main(int argc, char** argv) {
     if (!restart_from.empty()) {
       // Restarted run: the trace was captured in memory. With
       // merge-trace= the crashed invocation's events with ids below the
-      // restart's resume id (the checkpoint's trace_next_id) are spliced
+      // restart's resume id (the checkpoint's ResumeTraceId) are spliced
       // in front — everything at or past it was re-emitted by the WAL
       // replay — producing one complete id space. Threaded runs are
       // canonicalized as a whole after the merge.
@@ -734,7 +734,7 @@ int main(int argc, char** argv) {
                        crashed_trace.status().ToString().c_str());
           return 1;
         }
-        const uint64_t resume_id = ckpt_state.trace_next_id;
+        const uint64_t resume_id = ckpt_state.ResumeTraceId();
         obs::TraceFile merged;
         merged.info = crashed_trace->info;
         for (const auto& [key, value] : trace.info) {
